@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -144,18 +145,26 @@ class ExperimentRecord:
 
 class RecordStore:
     """Append-only line store; loading an existing file makes reruns skip
-    completed cells."""
+    completed cells. A torn last line is cut off with a warning; a
+    malformed complete line raises."""
 
     def __init__(self, path):
         self.path = str(path)
         self._records = []
         self._keys = set()
-        if os.path.exists(self.path):
-            with open(self.path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        self._append_memory(ExperimentRecord.from_line(line))
+        if not os.path.exists(self.path):
+            return
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        whole = data.rfind(b"\n") + 1
+        if whole < len(data):
+            # a crash mid-append leaves an unterminated last line
+            os.truncate(self.path, whole)
+            warnings.warn(f"{self.path}: dropped an unterminated last line "
+                          f"of {len(data) - whole} bytes")
+        for line in data[:whole].decode().splitlines():
+            if line.strip():
+                self._append_memory(ExperimentRecord.from_line(line))
 
     def _append_memory(self, record):
         self._records.append(record)
@@ -372,20 +381,20 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
                         settings)
 
     new_records = []
+
+    def keep(record):
+        store.append(record)
+        new_records.append(record)
+        if progress is not None:
+            progress(record)
+
     if settings.workers > 1:
         with ThreadPoolExecutor(max_workers=settings.workers) as pool:
-            results = pool.map(compute, jobs)
-            for record in results:
-                store.append(record)
-                new_records.append(record)
+            for record in pool.map(compute, jobs):
+                keep(record)
     else:
         for job in jobs:
-            record = compute(job)
-            store.append(record)
-            new_records.append(record)
-    if progress is not None:
-        for record in new_records:
-            progress(record)
+            keep(compute(job))
     return new_records
 
 

@@ -124,6 +124,24 @@ class TestRecordStore:
     def test_missing_file_is_empty(self, tmp_path):
         assert len(RecordStore(tmp_path / "none.jsonl")) == 0
 
+    def test_torn_last_line_is_dropped(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        full = fake_record(k=2).to_line()
+        torn = fake_record(k=3).to_line()
+        path.write_text(full + "\n" + torn[:len(torn) // 2])
+        with pytest.warns(UserWarning, match="unterminated"):
+            store = RecordStore(path)
+        assert len(store) == 1
+        assert path.read_text() == full + "\n"
+        store.append(fake_record(k=3))
+        assert len(RecordStore(path)) == 2
+
+    def test_malformed_complete_line_raises(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text(fake_record().to_line()[:-3] + "\n")
+        with pytest.raises(json.JSONDecodeError):
+            RecordStore(path)
+
 
 class TestRunSettings:
     def test_document_round_trip(self, tmp_path):
@@ -234,6 +252,16 @@ class TestRunGrid:
                        RunSettings(workers=3),
                        families=("qsvm", "classical"), feature_range=(2, 2))
         assert other.read_bytes() == path.read_bytes()
+
+    def test_progress_streams_each_record(self, small_run, tmp_path):
+        ds, _, _, _, _ = small_run
+        for workers in (1, 2):
+            store = RecordStore(tmp_path / f"p{workers}.jsonl")
+            seen = []
+            bench.run_grid("prostate", ds, store, RunSettings(workers=workers),
+                           families=("classical",), feature_range=(2, 2),
+                           progress=lambda record: seen.append(len(store)))
+            assert seen == list(range(1, len(store) + 1))
 
     def test_unknown_family_rejected(self, small_run, tmp_path):
         ds, _, _, settings, _ = small_run

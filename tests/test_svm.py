@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from qmlgrid import reference
+from qmlgrid import bench, datasets, reference
+from qmlgrid.circuit import EncodingSpec
 from qmlgrid.errors import UsageError
+from qmlgrid.pipeline import stratified_split
+from qmlgrid.qkernel import gram_matrix
 from qmlgrid.svm import (SvmModel, SvmProblem, decision_function,
                          dual_objective, kernel_matrix, kkt_violation,
                          predict, solve_dual)
@@ -103,11 +106,42 @@ class TestSolverAgainstOracle:
             assert kkt_violation(problem, model) <= 1e-4 + 1e-9
 
 
+def grid_problem(dataset_key, k, encoding, repetitions):
+    """The QSVM cell's training problem at split seed 0 and C = 1."""
+    bundle = stratified_split(datasets.synthetic(dataset_key), 0)
+    X = bundle.features("train", k)
+    y = np.where(bundle.labels("train") == 1, 1.0, -1.0)
+    gram = gram_matrix(EncodingSpec(encoding, repetitions=repetitions), X)
+    return SvmProblem(gram, y, 1.0, bundle.class_weights())
+
+
+class TestSolverOnGridGrams:
+    @pytest.mark.parametrize("dataset_key,k", [("heart_failure", 4),
+                                               ("diabetes", 6)])
+    def test_every_qsvm_gram_converges(self, dataset_key, k):
+        for config in bench.qsvm_grid():
+            problem = grid_problem(dataset_key, k, config["encoding"],
+                                   config["repetitions"])
+            model = solve_dual(problem)
+            assert model.converged, config
+            assert kkt_violation(problem, model) <= 1e-4, config
+
+    def test_reaches_oracle_objective_where_sweeps_stalled(self):
+        # the Gram where a sweep-capped SMO left its largest KKT violation
+        problem = grid_problem("heart_failure", 4, "angle", 3)
+        model = solve_dual(problem)
+        oracle = reference.solve_dual_projected_gradient(
+            problem.gram, problem.labels, problem.box(), max_iter=20_000)
+        assert model.converged
+        assert (dual_objective(problem, model.alphas)
+                >= dual_objective(problem, oracle) - 1e-6)
+
+
 class TestSolverBehavior:
     def test_non_convergence_returns_flagged_iterate(self):
         rng = np.random.default_rng(44)
         problem = random_problem(rng)
-        model = solve_dual(problem, tol=1e-10, max_passes=1)
+        model = solve_dual(problem, tol=1e-10, max_iter=1)
         assert not model.converged
         assert model.sweeps == 1
 
