@@ -15,8 +15,7 @@ import json
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,8 +144,9 @@ class ExperimentRecord:
 
 class RecordStore:
     """Append-only line store; loading an existing file makes reruns skip
-    completed cells. A torn last line is cut off with a warning; a
-    malformed complete line raises."""
+    completed cells. Errored records stay in the file but do not count as
+    done, so a rerun retries their cells. A torn last line is cut off with
+    a warning; a malformed complete line raises."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -168,7 +168,8 @@ class RecordStore:
 
     def _append_memory(self, record):
         self._records.append(record)
-        self._keys.add(record.key())
+        if record.error is None:
+            self._keys.add(record.key())
 
     def __len__(self):
         return len(self._records)
@@ -201,7 +202,6 @@ class RunSettings:
     qnn_start_layers: int = 2
     qnn_max_layers: int = 100
     qnn_stall_limit: int = None
-    workers: int = 1
 
     @staticmethod
     def from_document(path) -> "RunSettings":
@@ -341,9 +341,8 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
              settings: RunSettings, families=FAMILIES,
              feature_range: tuple = None, split_seed: int = None,
              progress=None) -> list:
-    """Runs every (k, family, config) cell not already in the store.
-    Enumeration order is fixed; with workers > 1 cells are computed
-    concurrently but appended in enumeration order."""
+    """Runs every (k, family, config) cell not already in the store, in
+    a fixed enumeration order, and returns the new records."""
     unknown = set(families) - set(FAMILIES)
     if unknown:
         raise UsageError(f"unknown families {sorted(unknown)}")
@@ -358,28 +357,6 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
                          f"{dataset.n_features} features")
 
     bundle = stratified_split(dataset, split_seed)
-
-    jobs = []
-    meta = variance_record(dataset_key, bundle)
-    if not store.has(meta.key()):
-        jobs.append(("pca", None, 0, meta))
-    for k in range(lo, hi + 1):
-        for family in (f for f in FAMILIES if f in families):
-            for config in GRIDS[family]():
-                probe = ExperimentRecord(dataset_key, family, k, config,
-                                         split_seed, 0)
-                if not store.has(probe.key()):
-                    jobs.append((family, config, k, None))
-
-    def compute(job):
-        family, config, k, ready = job
-        if ready is not None:
-            return ready
-        seed = cell_seed(settings.master_seed, dataset_key, family, config,
-                         split_seed)
-        return run_cell(dataset_key, bundle, family, config, k, seed,
-                        settings)
-
     new_records = []
 
     def keep(record):
@@ -388,13 +365,20 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
         if progress is not None:
             progress(record)
 
-    if settings.workers > 1:
-        with ThreadPoolExecutor(max_workers=settings.workers) as pool:
-            for record in pool.map(compute, jobs):
-                keep(record)
-    else:
-        for job in jobs:
-            keep(compute(job))
+    meta = variance_record(dataset_key, bundle)
+    if not store.has(meta.key()):
+        keep(meta)
+    for k in range(lo, hi + 1):
+        for family in (f for f in FAMILIES if f in families):
+            for config in GRIDS[family]():
+                probe = ExperimentRecord(dataset_key, family, k, config,
+                                         split_seed, 0)
+                if store.has(probe.key()):
+                    continue
+                seed = cell_seed(settings.master_seed, dataset_key, family,
+                                 config, split_seed)
+                keep(run_cell(dataset_key, bundle, family, config, k, seed,
+                              settings))
     return new_records
 
 

@@ -1,9 +1,9 @@
 """Flat `key = value` text documents.
 
-One format serves model checkpoints and run configuration files. Every
+The format of run settings files (bench.RunSettings.from_document). Every
 value is JSON-encoded on its line, which keeps floats at full round-trip
-precision and makes lists (parameter vectors, alphas) unambiguous while
-the document itself stays grep-able line-per-field text.
+precision and makes lists unambiguous while the document itself stays
+grep-able line-per-field text.
 """
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ import re
 import numpy as np
 
 from .errors import IngestionError
-from .qnn import QnnConfig, QnnModel
-from .svm import SvmModel
 
 _KEY = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
@@ -55,68 +53,3 @@ def load_document(path) -> dict:
                 raise IngestionError(
                     f"{path}: line {n}: bad value for {key!r}: {exc}") from None
     return out
-
-
-# --------------------------------------------------------- qnn checkpoints
-
-def save_qnn(path, model: QnnModel) -> None:
-    cfg = model.config
-    save_document(path, {
-        "kind": "qnn",
-        "n_features": cfg.n_features,
-        "encoding_sequence": list(cfg.encoding_sequence),
-        "reupload": cfg.reupload,
-        "ansatz": cfg.ansatz,
-        "n_layers": cfg.n_layers,
-        "seed": cfg.seed,
-        "class_weights": list(model.class_weights),
-        "parameters": model.parameters,
-    })
-
-
-def load_qnn(path) -> QnnModel:
-    doc = load_document(path)
-    if doc.get("kind") != "qnn":
-        raise IngestionError(f"{path}: not a qnn checkpoint")
-    cfg = QnnConfig(
-        n_features=doc["n_features"],
-        encoding_sequence=tuple(doc["encoding_sequence"]),
-        reupload=doc["reupload"],
-        ansatz=doc["ansatz"],
-        n_layers=doc["n_layers"],
-        seed=doc["seed"],
-    )
-    return QnnModel(cfg, np.array(doc["parameters"], dtype=np.float64),
-                    np.array(doc["class_weights"], dtype=np.float64))
-
-
-# --------------------------------------------------------- svm checkpoints
-
-def save_svm(path, model: SvmModel, kernel: dict) -> None:
-    """kernel describes how to rebuild kernel rows: e.g. {"kind": "rbf",
-    "gamma": 0.25} or {"encoding": "z", "repetitions": 2}."""
-    save_document(path, {
-        "kind": "svm",
-        "kernel": kernel,
-        "alphas": model.alphas,
-        "bias": model.bias,
-        "labels": model.labels,
-        "box": model.box,
-        "converged": model.converged,
-        "sweeps": model.sweeps,
-    })
-
-
-def load_svm(path):
-    doc = load_document(path)
-    if doc.get("kind") != "svm":
-        raise IngestionError(f"{path}: not an svm checkpoint")
-    model = SvmModel(
-        alphas=np.array(doc["alphas"], dtype=np.float64),
-        bias=doc["bias"],
-        labels=np.array(doc["labels"], dtype=int),
-        box=np.array(doc["box"], dtype=np.float64),
-        converged=doc["converged"],
-        sweeps=doc["sweeps"],
-    )
-    return model, doc["kernel"]

@@ -1,4 +1,4 @@
-"""Parameterized circuit IR: bindings, feature maps, ansatz layers, adjoint.
+"""Parameterized circuit IR: bindings, feature maps, ansatz layers.
 
 A circuit is an immutable gate list whose rotation angles are bindings
 rather than numbers. A binding resolves against a feature vector x and a
@@ -12,19 +12,19 @@ the entangling terms of the ZZ feature maps (shift 0 gives x_i * x_j,
 shift pi gives (pi - x_i) * (pi - x_j)); the three plain sources cannot
 express a product of two features.
 
-Binding the same circuit twice with the same inputs gives the same gate
-list; circuits are safe to share and reuse.
+run_batch resolves every binding against a feature matrix and runs the
+circuit on the batched simulator. Specs are immutable, so circuits are
+safe to share and reuse.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .statevec import (Gate, PARAMETRIC_KINDS, StateVector, apply_ops,
-                       validate_gate, zero_states)
+from .statevec import apply_ops, validate_gate, zero_states
 
 AXES = ("X", "Y", "Z")
 
@@ -63,20 +63,6 @@ class ParamBinding:
         return ParamBinding(PAIR, scale=scale, offset=offset,
                             feature=feature, feature2=feature2, shift=shift)
 
-    def resolve(self, x, theta) -> float:
-        """Angle for one sample; x and theta are 1-d sequences."""
-        if self.kind == DATA:
-            src = x[self.feature]
-        elif self.kind == TRAIN:
-            src = theta[self.param]
-        elif self.kind == CONST:
-            src = self.value
-        elif self.kind == PAIR:
-            src = (self.shift - x[self.feature]) * (self.shift - x[self.feature2])
-        else:
-            raise UsageError(f"unknown binding kind {self.kind!r}")
-        return self.scale * float(src) + self.offset
-
     def resolve_batch(self, X: np.ndarray, theta):
         """Angle(s) for a batch: a (B,) array for data-dependent bindings,
         a scalar otherwise."""
@@ -90,23 +76,6 @@ class ParamBinding:
         if self.kind == CONST:
             return self.scale * self.value + self.offset
         raise UsageError(f"unknown binding kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == DATA:
-            core = f"x{self.feature}"
-        elif self.kind == TRAIN:
-            core = f"t{self.param}"
-        elif self.kind == CONST:
-            core = f"{self.value:g}"
-        else:
-            if self.shift:
-                core = f"(s-x{self.feature})(s-x{self.feature2})"
-            else:
-                core = f"x{self.feature}*x{self.feature2}"
-        out = core if self.scale == 1.0 else f"{self.scale:g}*{core}"
-        if self.offset:
-            out += f"{self.offset:+g}"
-        return out
 
 
 @dataclass(frozen=True)
@@ -142,10 +111,6 @@ class CircuitSpec:
             if b.kind == TRAIN and not 0 <= b.param < self.n_trainable:
                 raise ConfigurationError(
                     f"parameter index {b.param} out of range ({self.n_trainable})")
-
-    def has_trainable(self) -> bool:
-        return any(op.binding is not None and op.binding.kind == TRAIN
-                   for op in self.ops)
 
 
 def concat(*circuits: CircuitSpec) -> CircuitSpec:
@@ -284,53 +249,6 @@ def strongly_entangling_layer(n_qubits: int, layer_index: int = 0) -> CircuitSpe
     return CircuitSpec(n_qubits, tuple(ops), n_trainable=base + 3 * n_qubits)
 
 
-def adjoint(circuit: CircuitSpec) -> CircuitSpec:
-    """Inverse circuit: reversed gate order; rotations and phases get
-    negated scale and offset; H, CNOT and CZ are self-inverse. Circuits
-    with trainable bindings have no data-independent inverse here."""
-    if circuit.has_trainable():
-        raise UsageError("adjoint of a circuit with trainable bindings")
-    ops = []
-    for op in reversed(circuit.ops):
-        if op.binding is None:
-            ops.append(op)
-        else:
-            b = op.binding
-            ops.append(GateOp(op.kind, op.targets,
-                              replace(b, scale=-b.scale, offset=-b.offset)))
-    return CircuitSpec(circuit.n_qubits, tuple(ops),
-                       n_features=circuit.n_features,
-                       n_trainable=circuit.n_trainable)
-
-
-def _check_inputs(circuit: CircuitSpec, x, theta) -> None:
-    if len(x) != circuit.n_features:
-        raise UsageError(
-            f"expected {circuit.n_features} features, got {len(x)}")
-    if len(theta) != circuit.n_trainable:
-        raise UsageError(
-            f"expected {circuit.n_trainable} parameters, got {len(theta)}")
-
-
-def bind(circuit: CircuitSpec, x=(), theta=()) -> list:
-    """Resolve every binding; returns the concrete gate list."""
-    _check_inputs(circuit, x, theta)
-    gates = []
-    for op in circuit.ops:
-        if op.binding is None:
-            gates.append(Gate(op.kind, op.targets))
-        else:
-            gates.append(Gate(op.kind, op.targets, op.binding.resolve(x, theta)))
-    return gates
-
-
-def run(circuit: CircuitSpec, x=(), theta=()) -> StateVector:
-    """Bind and execute from |0...0>."""
-    amps = run_batch(circuit, np.asarray(x, dtype=np.float64).reshape(1, -1),
-                     theta)
-    return StateVector(circuit.n_qubits, amps[0])
-
-
 def run_batch(circuit: CircuitSpec, X: np.ndarray, theta=()) -> np.ndarray:
     """Execute for every row of X at once; returns (len(X), 2**n) amplitudes."""
     X = np.asarray(X, dtype=np.float64)
@@ -347,36 +265,6 @@ def run_batch(circuit: CircuitSpec, X: np.ndarray, theta=()) -> np.ndarray:
            for op in circuit.ops]
     apply_ops(amps, circuit.n_qubits, ops)
     return amps
-
-
-def diagram(circuit: CircuitSpec) -> str:
-    """Plain-text rendering, one line per qubit."""
-    lines = [[f"q{q}:"] for q in range(circuit.n_qubits)]
-
-    def pad():
-        width = max(len("".join(parts)) for parts in lines)
-        for parts in lines:
-            cur = len("".join(parts))
-            if cur < width:
-                parts.append("-" * (width - cur))
-
-    for op in circuit.ops:
-        pad()
-        if op.kind == "cnot":
-            c, t = op.targets
-            lines[c].append("-*-")
-            lines[t].append("-X-")
-        elif op.kind == "cz":
-            a, b = op.targets
-            lines[a].append("-*-")
-            lines[b].append("-*-")
-        else:
-            label = op.kind.upper()
-            if op.binding is not None:
-                label += f"({op.binding.describe()})"
-            lines[op.targets[0]].append(f"-{label}-")
-    pad()
-    return "\n".join("".join(parts) for parts in lines)
 
 
 @dataclass(frozen=True)

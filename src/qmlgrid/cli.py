@@ -86,8 +86,6 @@ def _cmd_run(args) -> int:
                 else RunSettings())
     if args.seed is not None:
         settings.master_seed = args.seed
-    if args.workers is not None:
-        settings.workers = args.workers
     families = tuple(args.families.split(","))
     feature_range = (parse_feature_range(args.features)
                      if args.features else None)
@@ -185,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-seed", type=int, default=None,
                    help="split seed (defaults to the master seed)")
     p.add_argument("--store", default="records.jsonl")
-    p.add_argument("--workers", type=int)
     p.add_argument("--config", help="settings document (key = value lines)")
     p.set_defaults(func=_cmd_run)
 

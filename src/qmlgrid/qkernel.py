@@ -1,49 +1,23 @@
 """Fidelity quantum kernel: k(x, y) = |<phi(y)|phi(x)>|^2.
 
-kernel_value runs the literal circuit route (encode(x), then the adjoint
-encoding bound to y, then the ground-state probability). gram_matrix and
-cross_gram embed every sample once and take squared inner products, which
-is the same quantity; the two routes cross-check each other in the tests.
-
-Gram matrices cache to disk as a small binary file: a header with the
-sample count and the encoding/split key, then the lower triangle
-(diagonal included) as row-major float64.
+gram_matrix and cross_gram embed every sample once on the batched
+simulator and take squared inner products. The dense-unitary oracle for
+one entry is reference.kernel_value.
 """
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import struct
-
 import numpy as np
 
-from .circuit import EncodingSpec, adjoint, bind, build_encoding
-from .errors import IngestionError, UsageError
+from .circuit import EncodingSpec, build_encoding
+from .errors import UsageError
 from .statevec import apply_ops, zero_states
-
-_MAGIC = b"QGRAM1\x00\x00"
-
-CACHE_ENV = "QMLGRID_CACHE"
-
-
-def kernel_value(encoding: EncodingSpec, x, y) -> float:
-    """Ground-state probability of encode(x) followed by adjoint encode(y)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise UsageError(f"feature vectors must match, got {x.shape} / {y.shape}")
-    circ = build_encoding(encoding, x.size)
-    fwd = bind(circ, x)
-    back = bind(adjoint(circ), y)
-    amps = zero_states(circ.n_qubits, 1)
-    apply_ops(amps, circ.n_qubits,
-              [(g.kind, g.targets, g.angle) for g in fwd + back])
-    return float(np.abs(amps[0, 0]) ** 2)
 
 
 def embed(encoding: EncodingSpec, X: np.ndarray) -> np.ndarray:
-    """Statevectors phi(x) for every row of X, shape (len(X), 2**d)."""
+    """Statevectors phi(x) for every row of X, shape (len(X), 2**d).
+
+    The body repeats circuit.run_batch for a circuit without trainable
+    parameters; perfbench's tracer counts the two apart."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise UsageError(f"expected a feature matrix, got shape {X.shape}")
@@ -80,63 +54,3 @@ def cross_gram(encoding: EncodingSpec, A: np.ndarray, B: np.ndarray) -> np.ndarr
         raise UsageError(
             f"feature dimensions differ: {A.shape[1]} vs {B.shape[1]}")
     return np.abs(embed(encoding, A) @ embed(encoding, B).conj().T) ** 2
-
-
-def encoding_key(encoding: EncodingSpec, tag: str = "") -> str:
-    """Stable hex key for an encoding plus an arbitrary data/split tag."""
-    payload = json.dumps(
-        {"kind": encoding.kind, "sequence": list(encoding.sequence),
-         "repetitions": encoding.repetitions, "tag": tag},
-        sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def save_gram(path, gram: np.ndarray, key: str) -> None:
-    gram = np.asarray(gram, dtype=np.float64)
-    n = gram.shape[0]
-    if gram.shape != (n, n):
-        raise UsageError(f"gram must be square, got {gram.shape}")
-    tri = gram[np.tril_indices(n)]
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", n))
-        fh.write(bytes.fromhex(key))
-        fh.write(tri.tobytes())
-
-
-def load_gram(path, key: str | None = None) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise IngestionError(f"{path}: not a gram cache file")
-        n = struct.unpack("<I", fh.read(4))[0]
-        stored = fh.read(32).hex()
-        if key is not None and stored != key:
-            raise IngestionError(f"{path}: cache key mismatch")
-        tri = np.frombuffer(fh.read(), dtype=np.float64)
-    if tri.size != n * (n + 1) // 2:
-        raise IngestionError(f"{path}: truncated gram cache")
-    gram = np.zeros((n, n))
-    gram[np.tril_indices(n)] = tri
-    gram = gram + np.tril(gram, k=-1).T
-    return gram
-
-
-def cache_dir() -> str | None:
-    return os.environ.get(CACHE_ENV)
-
-
-def cached_gram(encoding: EncodingSpec, X: np.ndarray, tag: str,
-                directory: str | None = None) -> np.ndarray:
-    """gram_matrix with a disk cache keyed by encoding and tag; the tag
-    must identify the data (e.g. a split hash)."""
-    directory = directory if directory is not None else cache_dir()
-    if not directory:
-        return gram_matrix(encoding, X)
-    key = encoding_key(encoding, tag)
-    path = os.path.join(directory, f"{key}.gram")
-    if os.path.exists(path):
-        return load_gram(path, key)
-    gram = gram_matrix(encoding, X)
-    os.makedirs(directory, exist_ok=True)
-    save_gram(path, gram, key)
-    return gram

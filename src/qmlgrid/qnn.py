@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import CircuitSpec, qnn_circuit, run_batch
-from .errors import ConfigurationError, TrainingDivergedError, UsageError
+from .errors import ConfigurationError, TrainingDivergedError
 from .metrics import evaluate
 from .statevec import expectation_z_batch
 
@@ -97,21 +97,9 @@ def forward_batch(model: QnnModel, X: np.ndarray) -> np.ndarray:
     return softmax_pair(expectations(model, X))
 
 
-def forward(model: QnnModel, x) -> np.ndarray:
-    return forward_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
-
-
 def predict(model: QnnModel, X: np.ndarray) -> np.ndarray:
     probs = forward_batch(model, X)
     return (probs[:, 1] >= probs[:, 0]).astype(int)
-
-
-def weighted_cross_entropy(probs, label: int, class_weights) -> float:
-    """-w[label] * ln(p[label]), probability clamped away from zero."""
-    if label not in (0, 1):
-        raise UsageError(f"label must be 0 or 1, got {label}")
-    p = max(float(probs[label]), PROB_FLOOR)
-    return -float(class_weights[label]) * np.log(p)
 
 
 def batch_loss(model: QnnModel, X: np.ndarray, y: np.ndarray,

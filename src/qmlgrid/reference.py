@@ -1,18 +1,25 @@
 """Slow, independent reference routes used only for cross-checking.
 
-Nothing here shares code with the modules it checks: circuits become dense
-unitaries via Kronecker products and matrix multiplication, gradients come
-from central finite differences, and the SVM dual is solved by projected
-gradient ascent. Deliberately brute force; do not optimize.
+Nothing here shares code with the modules it checks: bindings are
+resolved here from the ParamBinding fields, circuits become dense
+unitaries via Kronecker products and matrix multiplication, kernel
+entries and QNN losses are computed from those unitaries and
+probabilities one sample at a time, gradients come from central finite
+differences, and the SVM dual is solved by projected gradient ascent.
+Deliberately brute force; do not optimize.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import UsageError
+
 _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 _P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
+
+_PROB_FLOOR = 1e-12
 
 
 def single_qubit_matrix(kind: str, angle: float | None = None) -> np.ndarray:
@@ -55,12 +62,61 @@ def gate_unitary(n_qubits: int, kind: str, targets, angle=None) -> np.ndarray:
 
 
 def circuit_unitary(n_qubits: int, gates) -> np.ndarray:
-    """Product of per-gate unitaries; gates is a sequence of objects with
-    kind / targets / angle (the simulator's concrete gate type fits)."""
+    """Product of per-gate unitaries; gates is a sequence of
+    (kind, targets, angle) triples, such as statevec.Gate."""
     u = np.eye(1 << n_qubits, dtype=np.complex128)
-    for g in gates:
-        u = gate_unitary(n_qubits, g.kind, tuple(g.targets), g.angle) @ u
+    for kind, targets, angle in gates:
+        u = gate_unitary(n_qubits, kind, tuple(targets), angle) @ u
     return u
+
+
+def _angle(binding, x, theta) -> float:
+    """scale * source + offset for one sample, read off the binding's fields."""
+    if binding.kind == "data":
+        src = x[binding.feature]
+    elif binding.kind == "train":
+        src = theta[binding.param]
+    elif binding.kind == "const":
+        src = binding.value
+    elif binding.kind == "pair":
+        src = ((binding.shift - x[binding.feature]) *
+               (binding.shift - x[binding.feature2]))
+    else:
+        raise UsageError(f"unknown binding kind {binding.kind!r}")
+    return binding.scale * float(src) + binding.offset
+
+
+def concrete_gates(circuit, x=(), theta=()) -> list:
+    """Concrete (kind, targets, angle) gates of a circuit spec for one
+    feature vector x and parameter vector theta."""
+    if len(x) != circuit.n_features or len(theta) != circuit.n_trainable:
+        raise UsageError(f"expected {circuit.n_features} features and "
+                         f"{circuit.n_trainable} parameters, got "
+                         f"{len(x)} and {len(theta)}")
+    return [(op.kind, op.targets,
+             None if op.binding is None else _angle(op.binding, x, theta))
+            for op in circuit.ops]
+
+
+def kernel_value(circuit, x, y) -> float:
+    """Fidelity |<0| U(y)^dagger U(x) |0>|^2 of an encoding circuit, from
+    its dense unitaries at x and at y."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise UsageError(f"feature vectors must match, got {x.shape} / {y.shape}")
+    ux = circuit_unitary(circuit.n_qubits, concrete_gates(circuit, x))
+    uy = circuit_unitary(circuit.n_qubits, concrete_gates(circuit, y))
+    return float(np.abs((uy.conj().T @ ux)[0, 0]) ** 2)
+
+
+def weighted_cross_entropy(probs, label: int, class_weights) -> float:
+    """Per-sample loss -w[label] * ln(p[label]), probability clamped away
+    from zero."""
+    if label not in (0, 1):
+        raise UsageError(f"label must be 0 or 1, got {label}")
+    p = max(float(probs[label]), _PROB_FLOOR)
+    return -float(class_weights[label]) * np.log(p)
 
 
 def finite_difference_gradient(fn, theta: np.ndarray, eps: float = 1e-4) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense statevector simulator.
+"""Batched dense statevector simulator.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -6,18 +6,16 @@ Conventions, fixed once here and relied on everywhere else:
   significant bit: |q_{n-1} ... q_1 q_0>.
 * Rotations follow RP(theta) = exp(-i * theta * P / 2) for P in {X, Y, Z};
   PHASE(theta) = diag(1, e^{i*theta}).
-* Gates apply to a working buffer; the public apply_gate is pure and
-  returns a fresh StateVector.
 
-The batched entry points (zero_states / apply_ops / ...) run many
-statevectors side by side, with per-sample rotation angles, and are what
-the kernel and QNN layers sit on. A batch of one reproduces the scalar
-path exactly.
+There is one simulation path: apply_ops runs many statevectors side by
+side in a (batch, 2**n) buffer, with scalar or per-sample rotation
+angles. The kernel and QNN layers sit on it; a single circuit is a batch
+of one, and a list of Gate tuples feeds apply_ops directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,32 +29,12 @@ _SINGLE_KINDS = ("h", "rx", "ry", "rz", "phase")
 _TWO_KINDS = ("cnot", "cz")
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """A concrete gate: kind, target qubit(s) and, for rotations, an angle."""
 
     kind: str
     targets: tuple
     angle: float | None = None
-
-
-@dataclass
-class StateVector:
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    """|0...0> on n_qubits qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ConfigurationError(
-            f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
 
 
 def zero_states(n_qubits: int, batch: int) -> np.ndarray:
@@ -170,37 +148,12 @@ def apply_ops(amps: np.ndarray, n_qubits: int, ops) -> None:
             raise UsageError(f"unknown gate kind {kind!r}")
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Pure single-gate application; validates the gate against the state."""
-    validate_gate(gate.kind, tuple(gate.targets), state.n_qubits,
-                  gate.angle is not None)
-    amps = state.amplitudes[np.newaxis, :].copy()
-    apply_ops(amps, state.n_qubits, [(gate.kind, tuple(gate.targets), gate.angle)])
-    return StateVector(state.n_qubits, amps[0])
-
-
 @lru_cache(maxsize=None)
 def _z_signs(n_qubits: int, qubit: int) -> np.ndarray:
     idx = np.arange(1 << n_qubits)
     return 1.0 - 2.0 * ((idx >> qubit) & 1)
 
 
-def expectation_z(state: StateVector, qubit: int) -> float:
-    """<Z_qubit> = sum of |amp|^2 signed by the qubit's basis bit."""
-    if not 0 <= qubit < state.n_qubits:
-        raise UsageError(f"qubit {qubit} out of range")
-    probs = np.abs(state.amplitudes) ** 2
-    return float(probs @ _z_signs(state.n_qubits, qubit))
-
-
 def expectation_z_batch(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
     probs = np.abs(amps) ** 2
     return probs @ _z_signs(n_qubits, qubit)
-
-
-def ground_state_probability(state: StateVector) -> float:
-    return float(np.abs(state.amplitudes[0]) ** 2)
-
-
-def ground_state_probabilities(amps: np.ndarray) -> np.ndarray:
-    return np.abs(amps[:, 0]) ** 2

@@ -2,26 +2,20 @@
 and published reference numbers. Each test prints one PASS/FAIL line
 with its measured values and wall clock, visible even under capture.
 
-Checks 5-8 use the real clinical CSV files when the data directory holds
+Checks 1-5 are the property suite that `qmlgrid verify` runs, at its
+default instance counts and seeds. Checks 5-8 use the real clinical CSV files when the data directory holds
 them and fall back to the packaged synthetic stand-ins otherwise; the
 printed line names which source was used.
 """
 import csv
-import os
 import time
 
 import numpy as np
-import pytest
 
-from helpers import random_gates
-from qmlgrid import bench, datasets, qnn, reference, svm
+from qmlgrid import bench, datasets, verify
 from qmlgrid.bench import RecordStore, RunSettings
-from qmlgrid.circuit import EncodingSpec
 from qmlgrid.cli import main
-from qmlgrid.pipeline import (pca_fit, standardize_apply, standardize_fit,
-                              stratified_split)
-from qmlgrid.qkernel import gram_matrix, kernel_value
-from qmlgrid.statevec import apply_gate, zero_state
+from qmlgrid.pipeline import stratified_split
 
 
 def stamp(capsys, index, name, ok, detail, elapsed, budget):
@@ -34,127 +28,30 @@ def stamp(capsys, index, name, ok, detail, elapsed, budget):
         f"criterion {index} over budget: {elapsed:.1f}s >= {budget}s"
 
 
+def stamp_check(capsys, index, name, result, budget):
+    stamp(capsys, index, name, result.passed, result.detail, result.elapsed,
+          budget)
+
+
 def test_criterion_1_simulator_matches_unitary_oracle(capsys):
-    started = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(1, 5))
-        gates = random_gates(rng, n, int(rng.integers(1, 51)))
-        state = zero_state(n)
-        for g in gates:
-            state = apply_gate(state, g)
-        want = reference.circuit_unitary(n, gates)[:, 0]
-        worst = max(worst, float(np.max(np.abs(state.amplitudes - want))))
-    stamp(capsys, 1, "simulator-oracle", worst <= 1e-10,
-          f"200 circuits (n<=4, depth<=50), max |amp error| {worst:.2e}, "
-          f"tol 1e-10", time.perf_counter() - started, 10.0)
+    stamp_check(capsys, 1, "simulator-oracle", verify.check_simulator(), 10.0)
 
 
 def test_criterion_2_parameter_shift_matches_finite_differences(capsys):
-    started = time.perf_counter()
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(2, 5))
-        cfg = qnn.QnnConfig(
-            n_features=n,
-            encoding_sequence=tuple(rng.choice(list("XYZ"),
-                                               size=rng.integers(1, 4),
-                                               replace=False)),
-            reupload=bool(rng.integers(2)),
-            ansatz=("basic", "strongly")[rng.integers(2)],
-            n_layers=int(rng.integers(1, 4)),
-            seed=int(rng.integers(100_000)))
-        model = qnn.init_model(cfg, (0.35, 0.65))
-        X = rng.uniform(-1, 1, size=(5, n))
-        y = rng.integers(0, 2, size=5)
-        got = qnn.parameter_shift_gradient(model, X, y)
-        want = reference.finite_difference_gradient(
-            lambda t: qnn.batch_loss(model, X, y, t),
-            model.parameters, eps=1e-4)
-        worst = max(worst, float(np.max(np.abs(got - want))))
-    stamp(capsys, 2, "gradient-check", worst <= 1e-6,
-          f"50 configs (n<=4, L<=3), max |grad error| {worst:.2e}, tol 1e-6",
-          time.perf_counter() - started, 60.0)
+    stamp_check(capsys, 2, "gradient-check", verify.check_gradients(), 60.0)
 
 
 def test_criterion_3_kernel_properties(capsys):
-    started = time.perf_counter()
-    rng = np.random.default_rng(103)
-    bad = []
-    for name in ("angle", "z", "zz_a", "zz_b"):
-        for reps in (1, 2, 3):
-            X = rng.uniform(-1, 1, size=(30, 3))
-            gram = gram_matrix(EncodingSpec(name, repetitions=reps), X)
-            diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
-            sym = float(np.max(np.abs(gram - gram.T)))
-            min_eig = float(np.min(np.linalg.eigvalsh(gram)))
-            if diag > 1e-10 or sym > 1e-10 or min_eig < -1e-8:
-                bad.append(f"{name}/r{reps} diag={diag:.1e} sym={sym:.1e} "
-                           f"eig={min_eig:.1e}")
-    closed = 0.0
-    angle = EncodingSpec("angle")
-    for _ in range(200):
-        x, y = rng.uniform(-1, 1, size=2)
-        closed = max(closed, abs(kernel_value(angle, [x], [y]) -
-                                 np.cos(np.pi * (x - y) / 2) ** 2))
-    if closed > 1e-10:
-        bad.append(f"closed-form angle kernel error {closed:.1e}")
-    stamp(capsys, 3, "kernel-properties", not bad,
-          "; ".join(bad) if bad else
-          f"12 encoding/reps combos on 30x30 Grams ok, "
-          f"closed-form error {closed:.2e}",
-          time.perf_counter() - started, 120.0)
+    stamp_check(capsys, 3, "kernel-properties",
+                verify.check_kernel_properties(), 120.0)
 
 
 def test_criterion_4_svm_solver_matches_projected_gradient(capsys):
-    started = time.perf_counter()
-    rng = np.random.default_rng(104)
-    worst_gap = 0.0
-    mismatches = 0
-    for _ in range(30):
-        n = int(rng.integers(4, 9))
-        M = rng.normal(size=(n, n + 3))
-        gram = M @ M.T + 1e-8 * np.eye(n)
-        labels = np.ones(n)
-        labels[rng.permutation(n)[:max(1, n // 2)]] = -1.0
-        problem = svm.SvmProblem(gram, labels,
-                                 float(rng.uniform(0.5, 4.0)),
-                                 (float(rng.uniform(0.5, 1.5)),
-                                  float(rng.uniform(0.5, 1.5))))
-        model = svm.solve_dual(problem)
-        alpha_pg = reference.solve_dual_projected_gradient(
-            gram, labels, problem.box())
-        worst_gap = max(worst_gap, abs(
-            reference.dual_objective(gram, labels, model.alphas) -
-            reference.dual_objective(gram, labels, alpha_pg)))
-        bias_pg = reference.bias_from_alpha(gram, labels, alpha_pg,
-                                            problem.box())
-        pred_pg = np.where(gram @ (alpha_pg * labels) + bias_pg >= 0, 1, -1)
-        mismatches += int(np.sum(svm.predict(model, gram) != pred_pg))
-    stamp(capsys, 4, "svm-oracle",
-          worst_gap <= 1e-4 and mismatches == 0,
-          f"30 PSD problems (n<=8), max dual gap {worst_gap:.2e} "
-          f"(tol 1e-4), {mismatches} train-prediction mismatches",
-          time.perf_counter() - started, 30.0)
+    stamp_check(capsys, 4, "svm-oracle", verify.check_svm_oracle(), 30.0)
 
 
 def test_criterion_5_pca_explained_variance_thresholds(capsys):
-    started = time.perf_counter()
-    targets = {"heart_failure": (5, 0.90), "diabetes": (6, 0.90),
-               "prostate": (6, 0.99)}
-    parts, ok = [], True
-    for key, (k, threshold) in targets.items():
-        dataset, origin = datasets.resolve(key)
-        mean, std = standardize_fit(dataset.features)
-        model = pca_fit(standardize_apply(dataset.features, mean, std))
-        ratio = float(model.cumulative_ratio[k - 1])
-        ok = ok and ratio >= threshold
-        parts.append(f"{key}[{origin}] r({k})={ratio:.4f} "
-                     f"{'>=' if ratio >= threshold else '<'} {threshold}")
-    stamp(capsys, 5, "pca-variance", ok, "; ".join(parts),
-          time.perf_counter() - started, 5.0)
+    stamp_check(capsys, 5, "pca-variance", verify.check_pca(), 5.0)
 
 
 def _qsvm_test_f1(dataset_key, dataset, k, encoding, reps, split_seed):
@@ -193,7 +90,7 @@ def test_criterion_6_reference_qsvm_bands(capsys):
 def test_criterion_7_selection_protocol_and_reports(capsys, tmp_path):
     started = time.perf_counter()
     picked_k = {"heart_failure": 4, "diabetes": 6, "prostate": 4}
-    settings = RunSettings(workers=4)
+    settings = RunSettings()
     store = RecordStore(tmp_path / "grid.jsonl")
     origins = {}
     for key, k in picked_k.items():
@@ -234,7 +131,7 @@ def test_criterion_7_selection_protocol_and_reports(capsys, tmp_path):
 def test_criterion_8_heart_failure_noninferiority(capsys, tmp_path):
     started = time.perf_counter()
     dataset, origin = datasets.resolve("heart_failure")
-    settings = RunSettings(workers=4)
+    settings = RunSettings()
     store = RecordStore(tmp_path / "hf.jsonl")
     quantum, classical = [], []
     for seed in range(5):
@@ -264,8 +161,7 @@ def test_criterion_9_run_determinism(capsys, tmp_path):
         store = tmp_path / f"{tag}.jsonl"
         code = main(["run", "--dataset", "prostate", "--features", "2..3",
                      "--families", "qsvm,classical",
-                     "--store", str(store), "--seed", "17",
-                     "--workers", "2"])
+                     "--store", str(store), "--seed", "17"])
         assert code == 0
         stores.append(store.read_bytes())
     identical = stores[0] == stores[1]

@@ -1,11 +1,12 @@
 import csv
+import importlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from qmlgrid import bench, datasets
+from qmlgrid import bench, datasets, qkernel, qnn, svm
 from qmlgrid.bench import (ExperimentRecord, RecordStore, RunSettings,
                            SelectionPolicy, canonical, cell_seed,
                            select_best)
@@ -146,10 +147,9 @@ class TestRecordStore:
 class TestRunSettings:
     def test_document_round_trip(self, tmp_path):
         path = tmp_path / "run.conf"
-        save_document(path, {"master_seed": 7, "qnn_epochs": 3,
-                             "workers": 2})
+        save_document(path, {"master_seed": 7, "qnn_epochs": 3})
         s = RunSettings.from_document(path)
-        assert (s.master_seed, s.qnn_epochs, s.workers) == (7, 3, 2)
+        assert (s.master_seed, s.qnn_epochs) == (7, 3)
         assert s.svm_c == 1.0     # defaults fill the rest
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -203,7 +203,7 @@ def small_run(tmp_path_factory):
     td = tmp_path_factory.mktemp("bench")
     path = td / "store.jsonl"
     store = RecordStore(path)
-    settings = RunSettings(workers=1)
+    settings = RunSettings()
     new = bench.run_grid("prostate", ds, store, settings,
                          families=("qsvm", "classical"),
                          feature_range=(2, 2))
@@ -245,23 +245,40 @@ class TestRunGrid:
         assert again == []
         assert path.read_bytes() == before
 
-    def test_workers_do_not_change_bytes(self, small_run, tmp_path):
-        ds, path, _, _, _ = small_run
-        other = tmp_path / "par.jsonl"
-        bench.run_grid("prostate", ds, RecordStore(other),
-                       RunSettings(workers=3),
-                       families=("qsvm", "classical"), feature_range=(2, 2))
-        assert other.read_bytes() == path.read_bytes()
-
     def test_progress_streams_each_record(self, small_run, tmp_path):
-        ds, _, _, _, _ = small_run
-        for workers in (1, 2):
-            store = RecordStore(tmp_path / f"p{workers}.jsonl")
-            seen = []
-            bench.run_grid("prostate", ds, store, RunSettings(workers=workers),
-                           families=("classical",), feature_range=(2, 2),
-                           progress=lambda record: seen.append(len(store)))
-            assert seen == list(range(1, len(store) + 1))
+        ds, _, _, settings, _ = small_run
+        store = RecordStore(tmp_path / "p.jsonl")
+        seen = []
+        bench.run_grid("prostate", ds, store, settings,
+                       families=("classical",), feature_range=(2, 2),
+                       progress=lambda record: seen.append(len(store)))
+        assert seen == list(range(1, len(store) + 1))
+
+    def test_resume_retries_errored_cell(self, small_run, tmp_path):
+        ds, _, _, settings, _ = small_run
+        path = tmp_path / "retry.jsonl"
+        config = {"model": "logistic"}
+        failed = ExperimentRecord(
+            "prostate", "classical", 2, config, 0,
+            cell_seed(0, "prostate", "classical", config, 0),
+            error="LinAlgError: boom")
+        RecordStore(path).append(failed)
+
+        store = RecordStore(path)
+        assert not store.has(failed.key())
+        new = bench.run_grid("prostate", ds, store, settings,
+                             families=("classical",), feature_range=(2, 2))
+        redone = [r for r in new if r.key() == failed.key()]
+        assert len(redone) == 1 and redone[0].error is None
+        assert redone[0].test is not None
+        # 7 classical cells + pca meta, on top of the errored record
+        assert len(new) == 8 and len(RecordStore(path)) == 9
+
+        before = path.read_bytes()
+        again = bench.run_grid("prostate", ds, RecordStore(path), settings,
+                               families=("classical",), feature_range=(2, 2))
+        assert again == []
+        assert path.read_bytes() == before
 
     def test_unknown_family_rejected(self, small_run, tmp_path):
         ds, _, _, settings, _ = small_run
@@ -370,3 +387,22 @@ class TestReports:
         assert rows[0] == ["Component", "CumulativeRatio"]
         assert len(rows) == 9
         assert float(rows[-1][1]) == pytest.approx(1.0, abs=1e-4)
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
+
+
+def test_perfbench_tracer_binds_every_site(monkeypatch):
+    # the traced benchmark wraps these names from outside the package; a
+    # deletion or rename that breaks it should fail here first
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracer = importlib.import_module("tracer").Tracer()
+    try:
+        tracer.install()    # raises if a BINDING_SITES entry stayed unwrapped
+        for fn in (qkernel.embed, svm.kkt_violation,
+                   qnn.parameter_shift_gradient, qnn.expectations):
+            assert hasattr(fn, "__wrapped__"), fn.__name__
+    finally:
+        tracer.uninstall()
+    assert not hasattr(qkernel.gram_matrix, "__wrapped__")

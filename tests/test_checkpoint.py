@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from qmlgrid import qnn, svm
-from qmlgrid.checkpoint import (load_document, load_qnn, load_svm,
-                                save_document, save_qnn, save_svm)
+from qmlgrid.checkpoint import load_document, save_document
 from qmlgrid.errors import IngestionError
 
 
@@ -57,62 +55,3 @@ class TestDocument:
         path = tmp_path / "d.conf"
         save_document(path, {"s": "a = b"})
         assert load_document(path)["s"] == "a = b"
-
-
-class TestQnnCheckpoint:
-    def test_round_trip_predicts_identically(self, tmp_path):
-        cfg = qnn.QnnConfig(3, ("Y", "X"), reupload=True, ansatz="strongly",
-                            n_layers=2, seed=5)
-        model = qnn.init_model(cfg, (0.4, 0.6))
-        path = tmp_path / "m.qnn"
-        save_qnn(path, model)
-        loaded = load_qnn(path)
-        X = np.random.default_rng(0).uniform(-1, 1, size=(6, 3))
-        assert np.array_equal(qnn.expectations(model, X),
-                              qnn.expectations(loaded, X))
-        assert loaded.config == cfg
-        assert isinstance(loaded.class_weights, np.ndarray)
-
-    def test_loaded_model_trains(self, tmp_path):
-        # class_weights must come back as an array the loss can index
-        cfg = qnn.QnnConfig(2, ("Y",), seed=1)
-        model = qnn.init_model(cfg, (0.5, 0.5))
-        path = tmp_path / "m.qnn"
-        save_qnn(path, model)
-        loaded = load_qnn(path)
-        X = np.random.default_rng(1).uniform(-1, 1, size=(4, 2))
-        y = np.array([0, 1, 0, 1])
-        assert np.isfinite(qnn.batch_loss(loaded, X, y))
-        assert qnn.parameter_shift_gradient(loaded, X, y).shape == \
-            loaded.parameters.shape
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        path = tmp_path / "m.qnn"
-        save_document(path, {"kind": "svm"})
-        with pytest.raises(IngestionError, match="not a qnn"):
-            load_qnn(path)
-
-
-class TestSvmCheckpoint:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        M = rng.normal(size=(10, 12))
-        gram = M @ M.T
-        labels = np.where(rng.uniform(size=10) < 0.5, -1.0, 1.0)
-        labels[:2] = [1.0, -1.0]
-        model = svm.solve_dual(svm.SvmProblem(gram, labels, 2.0, (0.7, 1.3)))
-        path = tmp_path / "m.svm"
-        save_svm(path, model, {"kind": "rbf", "gamma": 0.5})
-        loaded, kernel = load_svm(path)
-        assert kernel == {"kind": "rbf", "gamma": 0.5}
-        assert np.array_equal(loaded.alphas, model.alphas)
-        assert loaded.bias == model.bias
-        assert np.array_equal(loaded.support, model.support)
-        assert np.array_equal(svm.predict(loaded, gram),
-                              svm.predict(model, gram))
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        path = tmp_path / "m.svm"
-        save_document(path, {"kind": "qnn"})
-        with pytest.raises(IngestionError, match="not an svm"):
-            load_svm(path)

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from qmlgrid import reference
-from qmlgrid.circuit import (EncodingSpec, ParamBinding, adjoint,
-                             angle_encoding, basic_entangling_layer, bind,
-                             build_encoding, concat, diagram, qnn_circuit,
-                             run, run_batch, strongly_entangling_layer,
+from qmlgrid.circuit import (EncodingSpec, angle_encoding,
+                             basic_entangling_layer, build_encoding, concat,
+                             qnn_circuit, run_batch, strongly_entangling_layer,
                              z_feature_map, zz_feature_map_variant_a,
                              zz_feature_map_variant_b)
 from qmlgrid.errors import ConfigurationError, UsageError
-from qmlgrid.statevec import ground_state_probability
 
 
 def cnot_count(circ):
@@ -27,15 +25,15 @@ def data_bound_count(circ):
 class TestEncodings:
     def test_angle_encoding_identity_at_zero(self):
         circ = angle_encoding(3, ("Z",))
-        s = run(circ, x=(0.0, 0.0, 0.0))
-        assert abs(ground_state_probability(s) - 1.0) < 1e-12
+        s = run_batch(circ, [[0.0, 0.0, 0.0]])[0]
+        assert abs(np.abs(s[0]) ** 2 - 1.0) < 1e-12
 
     def test_angle_encoding_scale_is_pi(self):
         circ = angle_encoding(1, ("Y",))
         x = 0.37
-        s = run(circ, x=(x,))
+        s = run_batch(circ, [[x]])[0]
         np.testing.assert_allclose(
-            s.amplitudes, [np.cos(np.pi * x / 2), np.sin(np.pi * x / 2)],
+            s, [np.cos(np.pi * x / 2), np.sin(np.pi * x / 2)],
             atol=1e-14)
 
     def test_angle_encoding_sequence_order(self):
@@ -61,8 +59,8 @@ class TestEncodings:
     def test_zz_variant_a_uniform_at_zero(self):
         # all angles vanish at x = 0; two H gates leave |++>
         circ = zz_feature_map_variant_a(2)
-        s = run(circ, x=(0.0, 0.0))
-        assert abs(ground_state_probability(s) - 0.25) < 1e-12
+        s = run_batch(circ, [[0.0, 0.0]])[0]
+        assert abs(np.abs(s[0]) ** 2 - 0.25) < 1e-12
 
     def test_zz_variant_a_cnot_count(self):
         assert cnot_count(zz_feature_map_variant_a(2)) == 2
@@ -78,8 +76,8 @@ class TestEncodings:
         pair_ops = [op for op in circ.ops
                     if op.binding is not None and op.binding.kind == "pair"]
         assert len(pair_ops) == 1
-        x = (0.3, -0.8)
-        angle = pair_ops[0].binding.resolve(x, ())
+        x = np.array([[0.3, -0.8]])
+        angle = pair_ops[0].binding.resolve_batch(x, ())[0]
         assert abs(angle - 2 * (math.pi - 0.3) * (math.pi + 0.8)) < 1e-12
 
     def test_zz_needs_two_features(self):
@@ -137,34 +135,40 @@ class TestQnnCircuit:
                                int(rng.integers(1, 4)))
             x = rng.uniform(-1, 1, 2)
             theta = rng.uniform(-np.pi, np.pi, circ.n_trainable)
-            got = run(circ, x, theta).amplitudes
-            want = reference.circuit_unitary(2, bind(circ, x, theta))[:, 0]
+            got = run_batch(circ, x[None], theta)[0]
+            want = reference.circuit_unitary(
+                2, reference.concrete_gates(circ, x, theta))[:, 0]
             assert np.max(np.abs(got - want)) < 1e-10
 
 
 class TestBindAndRun:
     def test_bind_is_deterministic(self):
         circ = qnn_circuit(2, ("Y",), True, "basic", 2)
-        x = (0.2, -0.4)
+        X = np.array([[0.2, -0.4]])
         theta = (0.1, 0.2, 0.3, 0.4)
-        assert bind(circ, x, theta) == bind(circ, x, theta)
+        np.testing.assert_array_equal(run_batch(circ, X, theta),
+                                      run_batch(circ, X, theta))
 
     def test_bind_checks_lengths(self):
         circ = angle_encoding(2)
         with pytest.raises(UsageError):
-            bind(circ, (0.1,))
+            run_batch(circ, [[0.1]])
         with pytest.raises(UsageError):
-            bind(circ, (0.1, 0.2), (0.5,))
+            run_batch(circ, [[0.1, 0.2]], (0.5,))
+        with pytest.raises(UsageError):
+            reference.concrete_gates(circ, (0.1,))
 
     def test_run_batch_matches_scalar_run(self):
+        # every row of a batch vs its own dense unitary
         circ = qnn_circuit(3, ("X", "Y"), True, "strongly", 2)
         rng = np.random.default_rng(22)
         X = rng.uniform(-1, 1, (6, 3))
         theta = rng.uniform(-np.pi, np.pi, circ.n_trainable)
         amps = run_batch(circ, X, theta)
         for i in range(len(X)):
-            np.testing.assert_allclose(amps[i], run(circ, X[i], theta).amplitudes,
-                                       atol=1e-13)
+            want = reference.circuit_unitary(
+                3, reference.concrete_gates(circ, X[i], theta))[:, 0]
+            np.testing.assert_allclose(amps[i], want, atol=1e-13)
 
     def test_spec_is_immutable(self):
         circ = angle_encoding(2)
@@ -175,34 +179,6 @@ class TestBindAndRun:
         with pytest.raises(ConfigurationError):
             bad = angle_encoding(2)
             dataclasses.replace(bad, n_features=1)
-
-
-class TestAdjoint:
-    def test_adjoint_reverses_and_negates(self):
-        circ = z_feature_map(2)
-        adj = adjoint(circ)
-        assert [op.kind for op in adj.ops] == \
-            [op.kind for op in reversed(circ.ops)]
-        fwd = [op.binding.scale for op in circ.ops if op.binding is not None]
-        back = [op.binding.scale for op in adj.ops if op.binding is not None]
-        assert back == [-s for s in reversed(fwd)]
-
-    def test_adjoint_involution(self):
-        circ = zz_feature_map_variant_b(3, repetitions=2)
-        assert adjoint(adjoint(circ)).ops == circ.ops
-
-    def test_encoding_followed_by_adjoint_is_identity(self):
-        rng = np.random.default_rng(23)
-        for kind in ("angle", "z", "zz_a", "zz_b"):
-            spec = EncodingSpec(kind, sequence=("Y", "X"), repetitions=2)
-            circ = build_encoding(spec, 3)
-            x = rng.uniform(-1, 1, 3)
-            s = run(concat(circ, adjoint(circ)), x)
-            assert abs(ground_state_probability(s) - 1.0) < 1e-12
-
-    def test_adjoint_rejects_trainable(self):
-        with pytest.raises(UsageError):
-            adjoint(basic_entangling_layer(2))
 
 
 class TestEncodingSpec:
@@ -216,11 +192,3 @@ class TestEncodingSpec:
         spec = EncodingSpec("angle", sequence=("Y",), repetitions=3)
         circ = build_encoding(spec, 2)
         assert data_bound_count(circ) == 6
-
-
-def test_diagram_smoke():
-    text = diagram(qnn_circuit(2, ("Y",), False, "basic", 1))
-    lines = text.splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("q0:")
-    assert "RY" in lines[0] and "X" in lines[1]

@@ -100,7 +100,7 @@ class TestRunAndReport:
 
     def test_config_file_sets_master_seed(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text("master_seed = 9\nworkers = 1\n")
+        conf.write_text("master_seed = 9\n")
         store = tmp_path / "s9.jsonl"
         code = main(["run", "--dataset", "prostate", "--features", "2",
                      "--families", "classical", "--store", str(store),

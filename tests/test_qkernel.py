@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from qmlgrid.circuit import EncodingSpec
-from qmlgrid.errors import IngestionError, UsageError
-from qmlgrid.qkernel import (cached_gram, cross_gram, encoding_key,
-                             gram_matrix, kernel_value, load_gram, save_gram)
+from qmlgrid import reference
+from qmlgrid.circuit import EncodingSpec, build_encoding
+from qmlgrid.errors import UsageError
+from qmlgrid.qkernel import cross_gram, gram_matrix
 
 ALL_ENCODINGS = [EncodingSpec(kind, sequence=("Y",), repetitions=reps)
                  for kind in ("angle", "z", "zz_a", "zz_b")
                  for reps in (1, 2, 3)]
+
+
+def kernel_value(enc, x, y):
+    """The dense-unitary oracle for one kernel entry."""
+    return reference.kernel_value(build_encoding(enc, len(x)), x, y)
 
 
 def closed_form_angle_y(x, y):
@@ -44,7 +49,7 @@ class TestKernelValue:
 
 class TestGram:
     def test_gram_matches_pairwise_kernel_value(self):
-        # embedding route vs the literal adjoint-circuit route
+        # embedding route vs the dense-unitary oracle
         rng = np.random.default_rng(34)
         for enc in (EncodingSpec("angle", sequence=("X", "Y")),
                     EncodingSpec("z", repetitions=2),
@@ -78,41 +83,3 @@ class TestGram:
         enc = EncodingSpec("angle")
         with pytest.raises(UsageError):
             cross_gram(enc, np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-class TestCache:
-    def test_save_load_round_trip(self, tmp_path):
-        enc = EncodingSpec("z", repetitions=2)
-        X = np.random.default_rng(37).uniform(-1, 1, (9, 2))
-        gram = gram_matrix(enc, X)
-        key = encoding_key(enc, tag="split-abc")
-        path = tmp_path / "k.gram"
-        save_gram(path, gram, key)
-        np.testing.assert_array_equal(load_gram(path, key), gram)
-
-    def test_key_mismatch_detected(self, tmp_path):
-        gram = np.eye(3)
-        path = tmp_path / "k.gram"
-        save_gram(path, gram, encoding_key(EncodingSpec("z"), "a"))
-        with pytest.raises(IngestionError):
-            load_gram(path, encoding_key(EncodingSpec("z"), "b"))
-
-    def test_not_a_cache_file(self, tmp_path):
-        path = tmp_path / "junk.gram"
-        path.write_bytes(b"hello world, definitely not a gram")
-        with pytest.raises(IngestionError):
-            load_gram(path)
-
-    def test_cached_gram_writes_then_reuses(self, tmp_path):
-        enc = EncodingSpec("angle")
-        X = np.random.default_rng(38).uniform(-1, 1, (7, 2))
-        first = cached_gram(enc, X, tag="t0", directory=str(tmp_path))
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        again = cached_gram(enc, X, tag="t0", directory=str(tmp_path))
-        np.testing.assert_array_equal(first, again)
-        assert list(tmp_path.iterdir()) == files
-
-    def test_different_tag_different_key(self):
-        enc = EncodingSpec("angle")
-        assert encoding_key(enc, "a") != encoding_key(enc, "b")

@@ -7,9 +7,10 @@ from qmlgrid import reference
 from qmlgrid.circuit import angle_encoding, run_batch
 from qmlgrid.errors import ConfigurationError, UsageError
 from qmlgrid.metrics import evaluate
-from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, forward,
+from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, forward_batch,
                          grow_layers, init_model, parameter_shift_gradient,
-                         predict, softmax_pair, train, weighted_cross_entropy)
+                         predict, softmax_pair, train)
+from qmlgrid.reference import weighted_cross_entropy
 from qmlgrid.statevec import expectation_z_batch
 
 
@@ -64,7 +65,7 @@ class TestForward:
         model = init_model(QnnConfig(3, ("X", "Y"), True, "strongly", 2, seed=3),
                            (0.4, 0.6))
         X = np.random.default_rng(7).uniform(-1, 1, (10, 3))
-        probs = np.array([forward(model, x) for x in X])
+        probs = forward_batch(model, X)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert probs.min() > 0.0
 
@@ -97,8 +98,8 @@ class TestLoss:
         rng = np.random.default_rng(8)
         X = rng.uniform(-1, 1, (6, 2))
         y = rng.integers(0, 2, 6)
-        per_sample = [weighted_cross_entropy(forward(model, X[i]), int(y[i]),
-                                             model.class_weights)
+        per_sample = [weighted_cross_entropy(forward_batch(model, X[i:i + 1])[0],
+                                             int(y[i]), model.class_weights)
                       for i in range(6)]
         assert abs(batch_loss(model, X, y) - np.mean(per_sample)) < 1e-12
 

@@ -1,104 +1,101 @@
 import numpy as np
 import pytest
-from helpers import random_gates
 
 from qmlgrid import reference
 from qmlgrid.errors import ConfigurationError, UsageError
-from qmlgrid.statevec import (Gate, apply_gate, apply_ops, expectation_z,
-                              expectation_z_batch, ground_state_probabilities,
-                              ground_state_probability, zero_state,
-                              zero_states)
+from qmlgrid.statevec import (Gate, apply_ops, expectation_z_batch,
+                              validate_gate, zero_states)
+from qmlgrid.verify import random_gates
 
 
-def run_gates(state, gates):
-    for g in gates:
-        state = apply_gate(state, g)
-    return state
+def run_gates(n_qubits, gates, start=None):
+    """Amplitudes after gates on a batch of one, from |0...0> or start."""
+    if start is None:
+        amps = zero_states(n_qubits, 1)
+    else:
+        amps = np.array([start], dtype=np.complex128)
+    apply_ops(amps, n_qubits, gates)
+    return amps[0]
 
 
 class TestKnownStates:
     def test_h_then_cnot_gives_bell_state(self):
-        s = run_gates(zero_state(2), [Gate("h", (0,)), Gate("cnot", (0, 1))])
+        s = run_gates(2, [Gate("h", (0,)), Gate("cnot", (0, 1))])
         h = np.sqrt(2.0) / 2.0
-        np.testing.assert_allclose(s.amplitudes, [h, 0, 0, h], atol=1e-15)
+        np.testing.assert_allclose(s, [h, 0, 0, h], atol=1e-15)
 
     def test_rx_pi_flips_with_minus_i(self):
-        s = apply_gate(zero_state(1), Gate("rx", (0,), np.pi))
-        np.testing.assert_allclose(s.amplitudes, [0, -1j], atol=1e-15)
+        s = run_gates(1, [Gate("rx", (0,), np.pi)])
+        np.testing.assert_allclose(s, [0, -1j], atol=1e-15)
 
     def test_ry_half_pi(self):
-        s = apply_gate(zero_state(1), Gate("ry", (0,), np.pi / 2))
+        s = run_gates(1, [Gate("ry", (0,), np.pi / 2)])
         np.testing.assert_allclose(
-            s.amplitudes, [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15)
+            s, [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15)
 
     def test_rz_adds_opposite_half_phases(self):
-        s = apply_gate(zero_state(1), Gate("h", (0,)))
-        s = apply_gate(s, Gate("rz", (0,), 0.7))
+        s = run_gates(1, [Gate("h", (0,)), Gate("rz", (0,), 0.7)])
         h = np.sqrt(0.5)
         expected = [h * np.exp(-0.35j), h * np.exp(0.35j)]
-        np.testing.assert_allclose(s.amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(s, expected, atol=1e-15)
 
     def test_phase_differs_from_rz_by_global_phase(self):
         theta = 1.3
-        s0 = apply_gate(zero_state(1), Gate("h", (0,)))
-        via_phase = apply_gate(s0, Gate("phase", (0,), theta)).amplitudes
-        via_rz = apply_gate(s0, Gate("rz", (0,), theta)).amplitudes
+        via_phase = run_gates(1, [Gate("h", (0,)), Gate("phase", (0,), theta)])
+        via_rz = run_gates(1, [Gate("h", (0,)), Gate("rz", (0,), theta)])
         np.testing.assert_allclose(via_phase,
                                    np.exp(1j * theta / 2) * via_rz, atol=1e-14)
 
     def test_cnot_qubit0_is_least_significant(self):
         # |q1 q0> = |01> has index 1; CNOT(0 -> 1) maps it to |11> = index 3
-        s = zero_state(2)
-        s.amplitudes[:] = [0, 1, 0, 0]
-        s = apply_gate(s, Gate("cnot", (0, 1)))
-        np.testing.assert_allclose(s.amplitudes, [0, 0, 0, 1], atol=1e-15)
+        s = run_gates(2, [Gate("cnot", (0, 1))], start=[0, 1, 0, 0])
+        np.testing.assert_allclose(s, [0, 0, 0, 1], atol=1e-15)
 
     def test_cz_flips_sign_only_on_11(self):
-        s = zero_state(2)
-        s.amplitudes[:] = 0.5
-        s = apply_gate(s, Gate("cz", (0, 1)))
-        np.testing.assert_allclose(s.amplitudes, [0.5, 0.5, 0.5, -0.5],
-                                   atol=1e-15)
+        s = run_gates(2, [Gate("cz", (0, 1))], start=[0.5] * 4)
+        np.testing.assert_allclose(s, [0.5, 0.5, 0.5, -0.5], atol=1e-15)
 
     def test_expectation_z_plus_state_is_zero(self):
-        s = apply_gate(zero_state(1), Gate("h", (0,)))
-        assert abs(expectation_z(s, 0)) < 1e-15
+        s = run_gates(1, [Gate("h", (0,))])
+        assert abs(expectation_z_batch(s[None], 1, 0)[0]) < 1e-15
 
     def test_expectation_z_basis_states(self):
-        assert expectation_z(zero_state(3), 1) == 1.0
-        s = apply_gate(zero_state(3), Gate("rx", (1,), np.pi))
-        assert abs(expectation_z(s, 1) + 1.0) < 1e-12
-        assert abs(expectation_z(s, 0) - 1.0) < 1e-12
+        assert expectation_z_batch(zero_states(3, 1), 3, 1)[0] == 1.0
+        s = run_gates(3, [Gate("rx", (1,), np.pi)])[None]
+        assert abs(expectation_z_batch(s, 3, 1)[0] + 1.0) < 1e-12
+        assert abs(expectation_z_batch(s, 3, 0)[0] - 1.0) < 1e-12
 
     def test_ground_state_probability(self):
-        s = apply_gate(zero_state(2), Gate("h", (0,)))
-        assert abs(ground_state_probability(s) - 0.5) < 1e-15
+        s = run_gates(2, [Gate("h", (0,))])
+        assert abs(np.abs(s[0]) ** 2 - 0.5) < 1e-15
 
 
 class TestValidation:
     def test_qubit_count_bounds(self):
         with pytest.raises(ConfigurationError):
-            zero_state(0)
+            zero_states(0, 1)
         with pytest.raises(ConfigurationError):
-            zero_state(25)
+            zero_states(25, 1)
 
     def test_rotation_requires_angle(self):
         with pytest.raises(UsageError):
-            apply_gate(zero_state(1), Gate("rx", (0,)))
+            validate_gate("rx", (0,), 1, has_angle=False)
 
     def test_h_forbids_angle(self):
         with pytest.raises(UsageError):
-            apply_gate(zero_state(1), Gate("h", (0,), 0.3))
+            validate_gate("h", (0,), 1, has_angle=True)
 
     def test_cnot_targets_distinct_and_in_range(self):
         with pytest.raises(UsageError):
-            apply_gate(zero_state(2), Gate("cnot", (1, 1)))
+            validate_gate("cnot", (1, 1), 2, has_angle=False)
         with pytest.raises(UsageError):
-            apply_gate(zero_state(2), Gate("cnot", (0, 2)))
+            validate_gate("cnot", (0, 2), 2, has_angle=False)
 
     def test_unknown_kind(self):
         with pytest.raises(UsageError):
-            apply_gate(zero_state(1), Gate("t", (0,)))
+            validate_gate("t", (0,), 1, has_angle=False)
+        with pytest.raises(UsageError):
+            run_gates(1, [Gate("t", (0,))])
 
 
 class TestAgainstUnitaryOracle:
@@ -107,7 +104,7 @@ class TestAgainstUnitaryOracle:
         for _ in range(60):
             n = int(rng.integers(1, 5))
             gates = random_gates(rng, n, int(rng.integers(1, 51)))
-            got = run_gates(zero_state(n), gates).amplitudes
+            got = run_gates(n, gates)
             want = reference.circuit_unitary(n, gates)[:, 0]
             assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -115,18 +112,13 @@ class TestAgainstUnitaryOracle:
         rng = np.random.default_rng(12)
         for _ in range(20):
             n = int(rng.integers(1, 5))
-            s = run_gates(zero_state(n), random_gates(rng, n, 40))
-            assert abs(s.norm() - 1.0) <= 1e-12
-
-    def test_apply_gate_is_pure(self):
-        s = zero_state(2)
-        before = s.amplitudes.copy()
-        apply_gate(s, Gate("h", (0,)))
-        np.testing.assert_array_equal(s.amplitudes, before)
+            s = run_gates(n, random_gates(rng, n, 40))
+            assert abs(np.linalg.norm(s) - 1.0) <= 1e-12
 
 
 class TestBatchedEngine:
     def test_batch_matches_per_sample_loop(self):
+        # per-sample angles in one batch vs one dense unitary per sample
         rng = np.random.default_rng(13)
         n, batch = 3, 7
         ops = [("ry", (0,), rng.uniform(-3, 3, batch)),
@@ -139,21 +131,19 @@ class TestBatchedEngine:
         amps = zero_states(n, batch)
         apply_ops(amps, n, ops)
         for b in range(batch):
-            s = zero_state(n)
-            for kind, targets, angle in ops:
-                a = angle if angle is None or np.isscalar(angle) else float(angle[b])
-                s = apply_gate(s, Gate(kind, targets, a))
-            np.testing.assert_allclose(amps[b], s.amplitudes, atol=1e-13)
+            gates = [Gate(kind, targets,
+                          angle if angle is None or np.isscalar(angle)
+                          else float(angle[b]))
+                     for kind, targets, angle in ops]
+            want = reference.circuit_unitary(n, gates)[:, 0]
+            np.testing.assert_allclose(amps[b], want, atol=1e-13)
 
     def test_batch_readouts(self):
-        rng = np.random.default_rng(14)
+        # RY(theta) on qubit 0 then CNOT(0 -> 1): <Z_0> = <Z_1> = cos(theta)
+        theta = np.random.default_rng(14).uniform(-3, 3, 5)
         amps = zero_states(2, 5)
-        apply_ops(amps, 2, [("ry", (0,), rng.uniform(-3, 3, 5)),
-                            ("cnot", (0, 1), None)])
-        z0 = expectation_z_batch(amps, 2, 0)
-        p0 = ground_state_probabilities(amps)
-        for b in range(5):
-            sv = zero_state(2)
-            sv.amplitudes[:] = amps[b]
-            assert abs(z0[b] - expectation_z(sv, 0)) < 1e-14
-            assert abs(p0[b] - ground_state_probability(sv)) < 1e-14
+        apply_ops(amps, 2, [("ry", (0,), theta), ("cnot", (0, 1), None)])
+        np.testing.assert_allclose(expectation_z_batch(amps, 2, 0),
+                                   np.cos(theta), atol=1e-14)
+        np.testing.assert_allclose(expectation_z_batch(amps, 2, 1),
+                                   np.cos(theta), atol=1e-14)
