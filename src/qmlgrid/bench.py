@@ -22,7 +22,8 @@ import numpy as np
 from . import baselines, qnn, svm
 from .checkpoint import load_document
 from .circuit import EncodingSpec
-from .errors import UsageError
+from .errors import (ConfigurationError, IngestionError,
+                     TrainingDivergedError, UsageError)
 from .metrics import Metrics, evaluate
 from .pipeline import SplitBundle, stratified_split
 from .qkernel import cross_gram, gram_matrix
@@ -216,6 +217,11 @@ class RunSettings:
 
 # ------------------------------------------------------------------- cells
 
+# what a cell may fail with and still be a result; anything else is a bug
+CELL_ERRORS = (ConfigurationError, UsageError, IngestionError,
+               TrainingDivergedError, np.linalg.LinAlgError)
+
+
 def _split_arrays(bundle: SplitBundle, k: int):
     return {s: (bundle.features(s, k), bundle.labels(s))
             for s in SplitBundle.SPLITS}
@@ -322,7 +328,7 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
         record.val = split_metrics["val"]
         record.test = split_metrics["test"]
         record.extra = extra
-    except Exception as exc:           # cell failures are data, not crashes
+    except CELL_ERRORS as exc:         # cell failures are data; bugs raise
         record.error = f"{type(exc).__name__}: {exc}"
     record.wall_clock = time.perf_counter() - started
     return record

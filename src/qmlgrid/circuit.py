@@ -12,9 +12,9 @@ the entangling terms of the ZZ feature maps (shift 0 gives x_i * x_j,
 shift pi gives (pi - x_i) * (pi - x_j)); the three plain sources cannot
 express a product of two features.
 
-run_batch resolves every binding against a feature matrix and runs the
-circuit on the batched simulator. Specs are immutable, so circuits are
-safe to share and reuse.
+resolve_ops resolves every binding against a feature matrix, and
+run_batch runs the resolved ops on the batched simulator. Specs are
+immutable, so circuits are safe to share and reuse.
 """
 from __future__ import annotations
 
@@ -249,8 +249,10 @@ def strongly_entangling_layer(n_qubits: int, layer_index: int = 0) -> CircuitSpe
     return CircuitSpec(n_qubits, tuple(ops), n_trainable=base + 3 * n_qubits)
 
 
-def run_batch(circuit: CircuitSpec, X: np.ndarray, theta=()) -> np.ndarray:
-    """Execute for every row of X at once; returns (len(X), 2**n) amplitudes."""
+def resolve_ops(circuit: CircuitSpec, X: np.ndarray, theta=()) -> list:
+    """Concrete (kind, targets, angle) ops for every row of X, one per
+    circuit op and in circuit order; angles are scalars or (len(X),)
+    arrays, as apply_ops takes them."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != circuit.n_features:
         raise UsageError(
@@ -259,10 +261,15 @@ def run_batch(circuit: CircuitSpec, X: np.ndarray, theta=()) -> np.ndarray:
     if len(theta) != circuit.n_trainable:
         raise UsageError(
             f"expected {circuit.n_trainable} parameters, got {len(theta)}")
-    amps = zero_states(circuit.n_qubits, X.shape[0])
-    ops = [(op.kind, op.targets,
-            None if op.binding is None else op.binding.resolve_batch(X, theta))
-           for op in circuit.ops]
+    return [(op.kind, op.targets,
+             None if op.binding is None else op.binding.resolve_batch(X, theta))
+            for op in circuit.ops]
+
+
+def run_batch(circuit: CircuitSpec, X: np.ndarray, theta=()) -> np.ndarray:
+    """Execute for every row of X at once; returns (len(X), 2**n) amplitudes."""
+    ops = resolve_ops(circuit, X, theta)
+    amps = zero_states(circuit.n_qubits, len(X))
     apply_ops(amps, circuit.n_qubits, ops)
     return amps
 

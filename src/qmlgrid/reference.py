@@ -5,13 +5,16 @@ resolved here from the ParamBinding fields, circuits become dense
 unitaries via Kronecker products and matrix multiplication, kernel
 entries and QNN losses are computed from those unitaries and
 probabilities one sample at a time, gradients come from central finite
-differences, and the SVM dual is solved by projected gradient ascent.
-Deliberately brute force; do not optimize.
+differences or from parameter shifts of the forward pass (never the
+adjoint sweep), and the SVM dual is solved by projected gradient ascent.
+Deliberately brute force; do not optimize, except by early exits that
+leave every output bit-identical.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from . import qnn
 from .errors import UsageError
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -119,6 +122,34 @@ def weighted_cross_entropy(probs, label: int, class_weights) -> float:
     return -float(class_weights[label]) * np.log(p)
 
 
+def shift_rule_gradient(model, X, y) -> np.ndarray:
+    """Gradient of qnn.batch_loss by the two-point parameter-shift rule,
+    2P + 1 forward passes for P parameters.
+
+    Every trainable parameter of a QNN circuit sits in one rotation, so
+    d<Z_q>/d theta_k = (<Z_q>(theta_k + pi/2) - <Z_q>(theta_k - pi/2)) / 2
+    is exact. The forward passes are qnn.expectations, which criterion 1
+    checks against dense unitaries; none of the adjoint sweep is used.
+    """
+    y = np.asarray(y, dtype=int)
+    e = qnn.expectations(model, X)
+    z = e - e.max(axis=1, keepdims=True)
+    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    # d loss_i / d e_q = w_{y_i} (p_q - [q == y_i]); mean over the batch
+    onehot = np.eye(2)[y]
+    dl_de = model.class_weights[y][:, None] * (probs - onehot) / len(y)
+    grad = np.zeros_like(model.parameters)
+    for k in range(grad.size):
+        hi = model.parameters.copy()
+        lo = model.parameters.copy()
+        hi[k] += np.pi / 2.0
+        lo[k] -= np.pi / 2.0
+        de = 0.5 * (qnn.expectations(model, X, hi) -
+                    qnn.expectations(model, X, lo))
+        grad[k] = float(np.sum(dl_de * de))
+    return grad
+
+
 def finite_difference_gradient(fn, theta: np.ndarray, eps: float = 1e-4) -> np.ndarray:
     """Central differences of a scalar function of a parameter vector."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -152,6 +183,11 @@ def project_box_equality(v: np.ndarray, labels: np.ndarray,
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # output-identical exit: from here on every step either
+            # keeps (lo, hi) or sets both to mid, 0.5 * (mid + mid) is
+            # mid, so the 200-step loop would also return lam = mid
+            break
         if balance(mid) > 0.0:
             lo = mid
         else:

@@ -74,10 +74,11 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
 
 
 def check_gradients(n_configs: int = 50, seed: int = 102) -> CheckResult:
-    """Parameter-shift vs central finite differences, 1e-6 absolute."""
+    """Adjoint-mode gradients vs central finite differences, 1e-6
+    absolute, and vs the parameter-shift rule, 1e-10 absolute."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = shift_worst = 0.0
     for _ in range(n_configs):
         n = int(rng.integers(2, 5))
         cfg = qnn.QnnConfig(
@@ -97,10 +98,13 @@ def check_gradients(n_configs: int = 50, seed: int = 102) -> CheckResult:
             lambda t: qnn.batch_loss(model, X, y, t),
             model.parameters, eps=1e-4)
         worst = max(worst, float(np.max(np.abs(got - want))))
+        shift = reference.shift_rule_gradient(model, X, y)
+        shift_worst = max(shift_worst, float(np.max(np.abs(got - shift))))
     return CheckResult(
-        "gradients", worst <= 1e-6,
+        "gradients", worst <= 1e-6 and shift_worst <= 1e-10,
         f"{n_configs} configs (n<=4, L<=3), max |grad error| {worst:.2e}, "
-        f"tol 1e-6", time.perf_counter() - started)
+        f"tol 1e-6; vs parameter shift {shift_worst:.2e}, tol 1e-10",
+        time.perf_counter() - started)
 
 
 def check_kernel_properties(n_samples: int = 30, seed: int = 103) -> CheckResult:

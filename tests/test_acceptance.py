@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end checks against independent oracles
+"""Acceptance gate: ten end-to-end checks against independent oracles
 and published reference numbers. Each test prints one PASS/FAIL line
 with its measured values and wall clock, visible even under capture.
 
@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from qmlgrid import bench, datasets, verify
+from qmlgrid import bench, datasets, qnn, verify
 from qmlgrid.bench import RecordStore, RunSettings
 from qmlgrid.cli import main
 from qmlgrid.pipeline import stratified_split
@@ -170,3 +170,44 @@ def test_criterion_9_run_determinism(capsys, tmp_path):
           f"{'byte-identical' if identical else 'DIFFER'} "
           f"({len(stores[0])} bytes)",
           time.perf_counter() - started, 600.0)
+
+
+def test_criterion_10_qnn_grid_through_run_grid(capsys, tmp_path):
+    started = time.perf_counter()
+    dataset, origin = datasets.resolve("heart_failure")
+    # small stated setting: 2 epochs, layer growth from 2 to 3
+    settings = RunSettings(qnn_epochs=2, qnn_start_layers=2,
+                           qnn_max_layers=3)
+    stores = []
+    for tag in ("a", "b"):
+        store = RecordStore(tmp_path / f"{tag}.jsonl")
+        bench.run_grid("heart_failure", dataset, store, settings,
+                       families=("qnn",), feature_range=(4, 4))
+        stores.append((tmp_path / f"{tag}.jsonl").read_bytes())
+    cells = [r for r in store.records() if r.family == "qnn"]
+    problems = []
+    if len(cells) != 60:
+        problems.append(f"{len(cells)} QNN cells, expected 60")
+    errors = [r.error for r in cells if r.error is not None]
+    if errors:
+        problems.append(f"{len(errors)} errored cells, first: {errors[0]}")
+    layers = [r.extra.get("n_layers") for r in cells if r.error is None]
+    if not set(layers) <= {2, 3}:
+        problems.append(f"best layer counts {sorted(set(layers))} "
+                        f"outside 2..3")
+    wrong_size = [r.key() for r in cells if r.error is None and
+                  r.n_parameters != qnn.QnnConfig(
+                      4, tuple(r.config["sequence"]), r.config["reupload"],
+                      r.config["ansatz"], r.extra["n_layers"]).n_parameters()]
+    if wrong_size:
+        problems.append(f"n_parameters disagrees with QnnConfig on "
+                        f"{len(wrong_size)} cells, first {wrong_size[0]}")
+    if stores[0] != stores[1]:
+        problems.append("two runs wrote different store bytes")
+    detail = "; ".join(problems) if problems else (
+        f"heart_failure[{origin}] k=4, {len(cells)} QNN cells at 2 epochs, "
+        f"layers 2..3: 0 errors, n_parameters match QnnConfig, best layers "
+        f"{layers.count(2)}x2 / {layers.count(3)}x3, two runs "
+        f"byte-identical ({len(stores[0])} bytes)")
+    stamp(capsys, 10, "qnn-grid", not problems, detail,
+          time.perf_counter() - started, 60.0)

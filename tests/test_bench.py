@@ -305,6 +305,35 @@ class TestRunCell:
         assert rec.test is None
         assert rec.wall_clock is not None
 
+    def test_gradient_bug_raises_out_of_run_grid(self, small_run, tmp_path,
+                                                 monkeypatch):
+        ds, _, _, _, _ = small_run
+
+        def broken(*args, **kwargs):
+            raise IndexError("bug")
+
+        monkeypatch.setattr(qnn, "parameter_shift_gradient", broken)
+        store = RecordStore(tmp_path / "qnn.jsonl")
+        with pytest.raises(IndexError):
+            bench.run_grid("prostate", ds, store,
+                           RunSettings(qnn_epochs=1, qnn_max_layers=2),
+                           families=("qnn",), feature_range=(2, 2))
+        assert [r.family for r in store.records()] == ["pca"]
+
+    def test_solver_failure_becomes_error_record(self, small_run,
+                                                 monkeypatch):
+        ds, _, _, settings, _ = small_run
+        bundle = stratified_split(ds, 0)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(bench.svm, "solve_dual", singular)
+        rec = bench.run_cell("prostate", bundle, "qsvm",
+                             {"encoding": "z", "repetitions": 1}, 2, 0,
+                             settings)
+        assert rec.error == "LinAlgError: singular"
+
     def test_qnn_cell_smoke(self, small_run):
         ds, _, _, _, _ = small_run
         bundle = stratified_split(ds, 0)

@@ -1,15 +1,18 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from qmlgrid import reference
-from qmlgrid.circuit import angle_encoding, run_batch
+from qmlgrid.circuit import (CircuitSpec, GateOp, ParamBinding, angle_encoding,
+                            concat, run_batch)
 from qmlgrid.errors import ConfigurationError, UsageError
 from qmlgrid.metrics import evaluate
-from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, forward_batch,
-                         grow_layers, init_model, parameter_shift_gradient,
-                         predict, softmax_pair, train)
+from qmlgrid.qnn import (GrowthResult, QnnConfig, QnnModel, batch_loss,
+                         expectations, forward_batch, grow_layers, init_model,
+                         parameter_shift_gradient, predict, softmax_pair,
+                         train)
 from qmlgrid.reference import weighted_cross_entropy
 from qmlgrid.statevec import expectation_z_batch
 
@@ -122,6 +125,60 @@ class TestGradient:
                 lambda th: batch_loss(model, X, y, parameters=th),
                 model.parameters, eps=1e-4)
             assert np.max(np.abs(analytic - numeric)) <= 1e-6
+
+    @staticmethod
+    def seventy_two_parameters():
+        # strongly entangling, 4 qubits, 6 layers, re-uploading encoding
+        cfg = QnnConfig(4, ("X", "Y", "Z"), True, "strongly", 6, seed=7)
+        assert cfg.n_parameters() == 72
+        rng = np.random.default_rng(47)
+        X = rng.uniform(-1, 1, (32, 4))
+        y = rng.integers(0, 2, 32)
+        return init_model(cfg, (0.35, 0.65)), X, y
+
+    def test_matches_parameter_shift_at_72_parameters(self):
+        model, X, y = self.seventy_two_parameters()
+        adjoint = parameter_shift_gradient(model, X, y)
+        shift = reference.shift_rule_gradient(model, X, y)
+        assert np.max(np.abs(adjoint - shift)) <= 1e-10
+
+    def test_costs_at_most_four_forward_passes(self):
+        model, X, y = self.seventy_two_parameters()
+        forward, gradient = [], []
+        for _ in range(15):
+            for fn, times in ((lambda: expectations(model, X), forward),
+                              (lambda: parameter_shift_gradient(model, X, y),
+                               gradient)):
+                started = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - started)
+        # best of 15 interleaved runs each, so a busy machine skews neither
+        assert min(gradient) <= 4.0 * min(forward)
+
+    def test_scaled_offset_phase_and_fixed_gates(self):
+        # a trainable PHASE with scale and offset, a parameter bound
+        # twice, and H / CZ / CNOT between them
+        cfg = QnnConfig(2, ("Y",), False, "basic", 1)
+        ansatz = CircuitSpec(2, (
+            GateOp("h", (0,)),
+            GateOp("phase", (0,), ParamBinding.train(0, scale=1.3, offset=0.2)),
+            GateOp("cz", (0, 1)),
+            GateOp("rx", (1,), ParamBinding.train(1, scale=-0.7)),
+            GateOp("h", (1,)),
+            GateOp("cnot", (1, 0)),
+            GateOp("ry", (0,), ParamBinding.train(1, offset=0.4))),
+            n_trainable=2)
+        circuit = concat(angle_encoding(2, ("Y",)), ansatz)
+        model = QnnModel(cfg, np.array([0.8, -1.1]), np.array([0.4, 0.6]),
+                         circuit)
+        rng = np.random.default_rng(48)
+        X = rng.uniform(-1, 1, (6, 2))
+        y = rng.integers(0, 2, 6)
+        numeric = reference.finite_difference_gradient(
+            lambda th: batch_loss(model, X, y, parameters=th),
+            model.parameters, eps=1e-4)
+        assert np.max(np.abs(parameter_shift_gradient(model, X, y)
+                             - numeric)) <= 1e-6
 
 
 class TestTraining:

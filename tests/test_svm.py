@@ -106,6 +106,46 @@ class TestSolverAgainstOracle:
             assert kkt_violation(problem, model) <= 1e-4 + 1e-9
 
 
+def project_200_steps(v, labels, box):
+    """reference.project_box_equality without its early exit."""
+    span = float(np.abs(v).sum() + box.sum() + 1.0)
+    lo, hi = -span, span
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(np.clip(v - mid * labels, 0.0, box) @ labels) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    lam = 0.5 * (lo + hi)
+    return np.clip(v - lam * labels, 0.0, box)
+
+
+class TestProjectionOracle:
+    def test_early_exit_is_bit_identical_on_random_points(self):
+        rng = np.random.default_rng(49)
+        for trial in range(300):
+            n = int(rng.integers(1, 13))
+            # one-class label vectors included
+            labels = (rng.choice([-1.0, 1.0], size=n) if trial % 10
+                      else np.full(n, (-1.0, 1.0)[trial % 20 // 10]))
+            v = rng.normal(scale=10.0 ** rng.uniform(-3, 2), size=n)
+            box = rng.uniform(0.1, 3.0, size=n)
+            np.testing.assert_array_equal(
+                reference.project_box_equality(v, labels, box),
+                project_200_steps(v, labels, box))
+
+    def test_early_exit_is_bit_identical_on_grid_gram_ascent(self):
+        problem = grid_problem("heart_failure", 4, "angle", 3)
+        y, box = problem.labels, problem.box()
+        q = (y[:, None] * y[None, :]) * problem.gram
+        step = 1.0 / float(np.linalg.eigvalsh(q)[-1])
+        alpha = np.zeros(len(y))
+        for _ in range(40):
+            v = alpha + step * (1.0 - q @ alpha)
+            alpha = reference.project_box_equality(v, y, box)
+            np.testing.assert_array_equal(alpha, project_200_steps(v, y, box))
+
+
 def grid_problem(dataset_key, k, encoding, repetitions):
     """The QSVM cell's training problem at split seed 0 and C = 1."""
     bundle = stratified_split(datasets.synthetic(dataset_key), 0)
