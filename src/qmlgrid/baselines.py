@@ -37,10 +37,10 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def fit_logistic(X, y, class_weights=(1.0, 1.0), learning_rate: float = 0.1,
-                 iterations: int = 1000) -> LogisticModel:
-    """Full-batch gradient descent from zero weights, no regularization.
-    Aborts if the weighted loss increases 10 iterations in a row."""
+def fit_logistic(X, y, class_weights=(1.0, 1.0)) -> LogisticModel:
+    """Full-batch gradient descent from zero weights, no regularization:
+    1000 steps at learning rate 0.1. Aborts if the weighted loss
+    increases 10 iterations in a row."""
     X, y = _check_xy(X, y)
     w = np.zeros(X.shape[1])
     b = 0.0
@@ -48,7 +48,7 @@ def fit_logistic(X, y, class_weights=(1.0, 1.0), learning_rate: float = 0.1,
     n = len(y)
     losses = []
     rising = 0
-    for it in range(iterations):
+    for it in range(1000):
         p = _sigmoid(X @ w + b)
         p = np.clip(p, 1e-12, 1.0 - 1e-12)
         loss = float(np.mean(-sw * (y * np.log(p) + (1 - y) * np.log(1 - p))))
@@ -62,8 +62,8 @@ def fit_logistic(X, y, class_weights=(1.0, 1.0), learning_rate: float = 0.1,
             rising = 0
         losses.append(loss)
         residual = sw * (p - y)
-        w = w - learning_rate * (X.T @ residual) / n
-        b = b - learning_rate * float(residual.sum()) / n
+        w = w - 0.1 * (X.T @ residual) / n
+        b = b - 0.1 * float(residual.sum()) / n
     return LogisticModel(w, b, losses)
 
 
@@ -133,7 +133,7 @@ def _best_split(X, y, w, features):
     return best
 
 
-def fit_tree(X, y, class_weights=(1.0, 1.0), min_leaf: int = 1,
+def fit_tree(X, y, class_weights=(1.0, 1.0),
              max_features: int | None = None,
              rng: np.random.Generator | None = None) -> TreeNode:
     """CART with weighted Gini, grown until leaves are pure (or no split
@@ -147,7 +147,7 @@ def fit_tree(X, y, class_weights=(1.0, 1.0), min_leaf: int = 1,
         sub_y = y[idx]
         counts = np.array([w[idx][sub_y == 0].sum(), w[idx][sub_y == 1].sum()])
         node = TreeNode(label=_leaf_label(counts))
-        if counts.min() == 0.0 or len(idx) < 2 * min_leaf:
+        if counts.min() == 0.0:
             return node
         if max_features is not None and max_features < n_features:
             feats = np.sort(rng.choice(n_features, size=max_features,
@@ -159,7 +159,9 @@ def fit_tree(X, y, class_weights=(1.0, 1.0), min_leaf: int = 1,
             return node
         _, feat, thr = found
         mask = X[idx, feat] <= thr
-        if mask.sum() < min_leaf or (~mask).sum() < min_leaf:
+        if mask.all():
+            # the midpoint of two adjacent floats can round onto the upper
+            # one and leave the right child empty
             return node
         node.feature, node.threshold = feat, thr
         node.left = build(idx[mask])
@@ -185,26 +187,20 @@ def predict_tree(node: TreeNode, X) -> np.ndarray:
 @dataclass
 class ForestModel:
     trees: list
-    seed: int
-    max_features: int
 
 
-def fit_forest(X, y, class_weights=(1.0, 1.0), n_trees: int = 100,
-               seed: int = 0, min_leaf: int = 1,
-               max_features: int | None = None,
-               bootstrap: bool = True) -> ForestModel:
-    """Bagged trees: same-size bootstrap resamples, ceil(sqrt(d)) feature
-    candidates per split, per-tree rng derived from the seed."""
+def fit_forest(X, y, class_weights=(1.0, 1.0), seed: int = 0) -> ForestModel:
+    """100 bagged trees: same-size bootstrap resamples, ceil(sqrt(d))
+    feature candidates per split, per-tree rng derived from the seed."""
     X, y = _check_xy(X, y)
-    if max_features is None:
-        max_features = math.ceil(math.sqrt(X.shape[1]))
+    max_features = math.ceil(math.sqrt(X.shape[1]))
     trees = []
-    for t in range(n_trees):
+    for t in range(100):
         rng = np.random.default_rng([seed, t])
-        idx = rng.integers(0, len(y), len(y)) if bootstrap else np.arange(len(y))
-        trees.append(fit_tree(X[idx], y[idx], class_weights, min_leaf=min_leaf,
+        idx = rng.integers(0, len(y), len(y))
+        trees.append(fit_tree(X[idx], y[idx], class_weights,
                               max_features=max_features, rng=rng))
-    return ForestModel(trees, seed, max_features)
+    return ForestModel(trees)
 
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:

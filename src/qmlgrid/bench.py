@@ -30,7 +30,7 @@ from .qkernel import cross_gram, gram_matrix
 
 FAMILIES = ("qnn", "qsvm", "classical")
 
-# train-set F1 gate used when filtering candidate models per dataset
+# train-set F1 gate applied to QNN candidates per dataset
 THRESHOLDS = {"heart_failure": 0.50, "diabetes": 0.65, "prostate": 0.75}
 
 # inclusive feature-count sweep per dataset
@@ -174,6 +174,12 @@ class RecordStore:
 
     def __len__(self):
         return len(self._records)
+
+    def cell_counts(self) -> tuple:
+        """(completed cells, errored cells still to retry); a cell that
+        failed on several runs counts once."""
+        errored = {r.key() for r in self._records if r.error is not None}
+        return len(self._keys), len(errored - self._keys)
 
     def records(self):
         return list(self._records)
@@ -390,29 +396,16 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
 
 # --------------------------------------------------------------- selection
 
-@dataclass(frozen=True)
-class SelectionPolicy:
-    train_f1_threshold: float = 0.5
-    # captions describe the train-F1 gate for the QNN sweep only; other
-    # families can be opted in
-    filter_families: tuple = ("qnn",)
-
-
-def policy_for(dataset_key: str) -> SelectionPolicy:
-    return SelectionPolicy(THRESHOLDS.get(dataset_key, 0.5))
-
-
-def select_best(records, policy: SelectionPolicy):
-    """Argmax validation F1 after the train-F1 gate; ties go to the model
-    with fewer parameters, then lexicographically smaller config."""
-    survivors = []
-    for r in records:
-        if r.error is not None or r.val is None:
-            continue
-        if r.family in policy.filter_families and \
-                r.train.f1 < policy.train_f1_threshold:
-            continue
-        survivors.append(r)
+def select_best(records, train_f1_threshold: float = 0.5):
+    """Argmax validation F1 over the error-free records. QNN records below
+    the train-F1 threshold are dropped first; the paper's table captions
+    gate the QNN sweep only, so other families are never gated. Ties go
+    to the model with fewer parameters, then the lexicographically
+    smaller config."""
+    survivors = [r for r in records
+                 if r.error is None and r.val is not None
+                 and not (r.family == "qnn"
+                          and r.train.f1 < train_f1_threshold)]
     if not survivors:
         return None
     return min(survivors, key=lambda r: (-r.val.f1, r.n_parameters,
@@ -476,7 +469,7 @@ def emit_reports(records, out_dir, datasets=None) -> list:
             _write_csv(path, _HEADERS[family] + _METRIC_COLS, out_rows)
             written.append(path)
 
-        policy = policy_for(dataset_key)
+        threshold = THRESHOLDS.get(dataset_key, 0.5)
         ks = sorted({r.k for r in rows_of if r.family in FAMILIES})
         comp_rows = []
         for k in ks:
@@ -484,7 +477,7 @@ def emit_reports(records, out_dir, datasets=None) -> list:
             for family in FAMILIES:
                 winner = select_best(
                     [r for r in rows_of
-                     if r.family == family and r.k == k], policy)
+                     if r.family == family and r.k == k], threshold)
                 if winner is None:
                     cells += ["", ""]
                 else:

@@ -4,12 +4,12 @@ A circuit is an immutable gate list whose rotation angles are bindings
 rather than numbers. A binding resolves against a feature vector x and a
 trainable parameter vector theta as
 
-    angle = scale * source + offset
+    angle = scale * source
 
-where the source is one feature, one trainable parameter, a constant, or
-the pairwise product (shift - x_i) * (shift - x_j). The pair source covers
+where the source is one feature, one trainable parameter, or the
+pairwise product (shift - x_i) * (shift - x_j). The pair source covers
 the entangling terms of the ZZ feature maps (shift 0 gives x_i * x_j,
-shift pi gives (pi - x_i) * (pi - x_j)); the three plain sources cannot
+shift pi gives (pi - x_i) * (pi - x_j)); the two plain sources cannot
 express a product of two features.
 
 resolve_ops resolves every binding against a feature matrix, and
@@ -30,7 +30,6 @@ AXES = ("X", "Y", "Z")
 
 DATA = "data"
 TRAIN = "train"
-CONST = "const"
 PAIR = "pair"
 
 
@@ -38,43 +37,35 @@ PAIR = "pair"
 class ParamBinding:
     kind: str
     scale: float = 1.0
-    offset: float = 0.0
     feature: int | None = None
     feature2: int | None = None
     param: int | None = None
-    value: float | None = None
     shift: float = 0.0
 
     @staticmethod
-    def data(feature: int, scale: float = 1.0, offset: float = 0.0) -> "ParamBinding":
-        return ParamBinding(DATA, scale=scale, offset=offset, feature=feature)
+    def data(feature: int, scale: float = 1.0) -> "ParamBinding":
+        return ParamBinding(DATA, scale=scale, feature=feature)
 
     @staticmethod
-    def train(param: int, scale: float = 1.0, offset: float = 0.0) -> "ParamBinding":
-        return ParamBinding(TRAIN, scale=scale, offset=offset, param=param)
-
-    @staticmethod
-    def const(value: float, scale: float = 1.0, offset: float = 0.0) -> "ParamBinding":
-        return ParamBinding(CONST, scale=scale, offset=offset, value=value)
+    def train(param: int, scale: float = 1.0) -> "ParamBinding":
+        return ParamBinding(TRAIN, scale=scale, param=param)
 
     @staticmethod
     def pair(feature: int, feature2: int, scale: float = 1.0,
-             offset: float = 0.0, shift: float = 0.0) -> "ParamBinding":
-        return ParamBinding(PAIR, scale=scale, offset=offset,
-                            feature=feature, feature2=feature2, shift=shift)
+             shift: float = 0.0) -> "ParamBinding":
+        return ParamBinding(PAIR, scale=scale, feature=feature,
+                            feature2=feature2, shift=shift)
 
     def resolve_batch(self, X: np.ndarray, theta):
         """Angle(s) for a batch: a (B,) array for data-dependent bindings,
         a scalar otherwise."""
         if self.kind == DATA:
-            return self.scale * X[:, self.feature] + self.offset
+            return self.scale * X[:, self.feature]
         if self.kind == PAIR:
             src = (self.shift - X[:, self.feature]) * (self.shift - X[:, self.feature2])
-            return self.scale * src + self.offset
+            return self.scale * src
         if self.kind == TRAIN:
-            return self.scale * float(theta[self.param]) + self.offset
-        if self.kind == CONST:
-            return self.scale * self.value + self.offset
+            return self.scale * float(theta[self.param])
         raise UsageError(f"unknown binding kind {self.kind!r}")
 
 
@@ -130,25 +121,19 @@ def concat(*circuits: CircuitSpec) -> CircuitSpec:
     )
 
 
-def _check_sequence(sequence) -> tuple:
+def angle_encoding(n_features: int, sequence=("Y",)) -> CircuitSpec:
+    """R_axis(pi * x_i) on qubit i, one rotation per axis in sequence order."""
+    if n_features < 1:
+        raise ConfigurationError("angle encoding needs at least one feature")
     seq = tuple(str(a).upper() for a in sequence)
     if not seq:
         raise ConfigurationError("rotation sequence must not be empty")
     if len(set(seq)) != len(seq):
         raise ConfigurationError(f"rotation sequence has repeats: {seq}")
-    for a in seq:
-        if a not in AXES:
-            raise ConfigurationError(f"unknown rotation axis {a!r}")
-    return seq
-
-
-def angle_encoding(n_features: int, sequence=("Y",)) -> CircuitSpec:
-    """R_axis(pi * x_i) on qubit i, one rotation per axis in sequence order."""
-    if n_features < 1:
-        raise ConfigurationError("angle encoding needs at least one feature")
-    seq = _check_sequence(sequence)
     ops = []
     for axis in seq:
+        if axis not in AXES:
+            raise ConfigurationError(f"unknown rotation axis {axis!r}")
         kind = "r" + axis.lower()
         for q in range(n_features):
             ops.append(GateOp(kind, (q,), ParamBinding.data(q, scale=math.pi)))
@@ -276,11 +261,10 @@ def run_batch(circuit: CircuitSpec, X: np.ndarray, theta=()) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EncodingSpec:
-    """A data-embedding recipe for kernels: which feature map, which
-    rotation sequence (angle maps only) and how many repetitions."""
+    """A data-embedding recipe for kernels: which feature map and how
+    many repetitions. The angle map rotates about Y."""
 
     kind: str
-    sequence: tuple = ("Y",)
     repetitions: int = 1
 
     KINDS = ("angle", "z", "zz_a", "zz_b")
@@ -290,14 +274,12 @@ class EncodingSpec:
             raise ConfigurationError(f"unknown encoding kind {self.kind!r}")
         if self.repetitions < 1:
             raise ConfigurationError("repetitions must be >= 1")
-        _check_sequence(self.sequence)
 
 
 def build_encoding(spec: EncodingSpec, n_features: int) -> CircuitSpec:
     """Encoding circuit block, repetitions included."""
     if spec.kind == "angle":
-        block = angle_encoding(n_features, spec.sequence)
-        return concat(*[block] * spec.repetitions)
+        return concat(*[angle_encoding(n_features)] * spec.repetitions)
     if spec.kind == "z":
         return z_feature_map(n_features, spec.repetitions)
     if spec.kind == "zz_a":

@@ -91,9 +91,10 @@ def _cmd_run(args) -> int:
                      if args.features else None)
     dataset = _resolve_dataset(args.dataset)
     store = RecordStore(args.store)
-    done = len(store)
-    if done:
-        print(f"store {args.store}: {done} records, resuming")
+    if len(store):
+        done, retry = store.cell_counts()
+        print(f"store {args.store}: {done} completed cells, {retry} errored "
+              f"to retry, resuming")
 
     def progress(record):
         if record.error:
@@ -109,8 +110,9 @@ def _cmd_run(args) -> int:
                          families=families, feature_range=feature_range,
                          split_seed=args.split_seed, progress=progress)
     failed = sum(1 for r in new if r.error)
-    print(f"{len(new)} new records ({failed} failed), "
-          f"store now {len(store)}")
+    done, retry = store.cell_counts()
+    print(f"{len(new)} new records ({failed} failed), store now {done} "
+          f"completed cells, {retry} errored")
     return 0
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import EncodingSpec, build_encoding
+from .circuit import EncodingSpec, build_encoding, resolve_ops
 from .errors import UsageError
 from .statevec import apply_ops, zero_states
 
@@ -16,17 +16,16 @@ from .statevec import apply_ops, zero_states
 def embed(encoding: EncodingSpec, X: np.ndarray) -> np.ndarray:
     """Statevectors phi(x) for every row of X, shape (len(X), 2**d).
 
-    The body repeats circuit.run_batch for a circuit without trainable
-    parameters; perfbench's tracer counts the two apart."""
+    Resolves the encoding's bindings with circuit.resolve_ops and runs
+    them on the batched simulator; it does not go through
+    circuit.run_batch, so perfbench's tracer counts embeddings apart from
+    QNN circuit runs."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise UsageError(f"expected a feature matrix, got shape {X.shape}")
     circ = build_encoding(encoding, X.shape[1])
-    amps = zero_states(circ.n_qubits, X.shape[0])
-    ops = [(op.kind, op.targets,
-            None if op.binding is None else op.binding.resolve_batch(X, ()))
-           for op in circ.ops]
-    apply_ops(amps, circ.n_qubits, ops)
+    amps = zero_states(circ.n_qubits, len(X))
+    apply_ops(amps, circ.n_qubits, resolve_ops(circ, X))
     return amps
 
 

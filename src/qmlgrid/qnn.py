@@ -22,6 +22,11 @@ from .statevec import _z_signs, apply_ops, expectation_z_batch, zero_states
 
 PROB_FLOOR = 1e-12
 
+# Adam moment decay rates and denominator floor (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # per trainable gate kind, the rotation R_P with R_P(pi) = -iP for its
 # generator P; PHASE(t) is RZ(t) up to a global phase, so it takes RZ
 _DERIVATIVE_GATE = {"rx": "rx", "ry": "ry", "rz": "rz", "phase": "rz"}
@@ -180,8 +185,7 @@ class TrainReport:
 
 def train(model: QnnModel, train_set, val_set, *, epochs: int = 100,
           patience: int = 5, learning_rate: float = 0.01,
-          batch_size: int = 32, beta1: float = 0.9, beta2: float = 0.999,
-          adam_eps: float = 1e-8) -> tuple:
+          batch_size: int = 32) -> tuple:
     """Mini-batch Adam with early stopping on validation loss.
 
     Returns (model with the best-epoch parameters, TrainReport). Epochs
@@ -210,11 +214,11 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int = 100,
             idx = order[start:start + batch_size]
             grad = parameter_shift_gradient(work, X_tr[idx], y_tr[idx])
             step += 1
-            m = beta1 * m + (1 - beta1) * grad
-            v = beta2 * v + (1 - beta2) * grad ** 2
-            m_hat = m / (1 - beta1 ** step)
-            v_hat = v / (1 - beta2 ** step)
-            params = params - learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad ** 2
+            m_hat = m / (1 - ADAM_BETA1 ** step)
+            v_hat = v / (1 - ADAM_BETA2 ** step)
+            params = params - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             work = replace_params(work, params)
 
         tr_loss = batch_loss(work, X_tr, y_tr)

@@ -74,19 +74,17 @@ def circuit_unitary(n_qubits: int, gates) -> np.ndarray:
 
 
 def _angle(binding, x, theta) -> float:
-    """scale * source + offset for one sample, read off the binding's fields."""
+    """scale * source for one sample, read off the binding's fields."""
     if binding.kind == "data":
         src = x[binding.feature]
     elif binding.kind == "train":
         src = theta[binding.param]
-    elif binding.kind == "const":
-        src = binding.value
     elif binding.kind == "pair":
         src = ((binding.shift - x[binding.feature]) *
                (binding.shift - x[binding.feature2]))
     else:
         raise UsageError(f"unknown binding kind {binding.kind!r}")
-    return binding.scale * float(src) + binding.offset
+    return binding.scale * float(src)
 
 
 def concrete_gates(circuit, x=(), theta=()) -> list:

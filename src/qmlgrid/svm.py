@@ -38,25 +38,25 @@ KERNEL_KINDS = ("linear", "poly3", "rbf", "sigmoid")
 _TAU = 1e-12
 
 
-def kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray,
-                  gamma: float | None = None, coef0: float = 0.0) -> np.ndarray:
-    """Classical kernels k(a_i, b_j); gamma defaults to 1 / n_features."""
+def kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Classical kernels k(a_i, b_j) with gamma = 1 / n_features:
+    linear a.b, poly3 (gamma a.b)^3, rbf exp(-gamma |a - b|^2) and
+    sigmoid tanh(gamma a.b)."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise UsageError(f"bad kernel operands: {A.shape} / {B.shape}")
-    if gamma is None:
-        gamma = 1.0 / A.shape[1]
+    gamma = 1.0 / A.shape[1]
     if kind == "linear":
         return A @ B.T
     if kind == "poly3":
-        return (gamma * (A @ B.T) + coef0) ** 3
+        return (gamma * (A @ B.T)) ** 3
     if kind == "rbf":
         sq = (np.sum(A ** 2, axis=1)[:, None] + np.sum(B ** 2, axis=1)[None, :]
               - 2.0 * (A @ B.T))
         return np.exp(-gamma * np.maximum(sq, 0.0))
     if kind == "sigmoid":
-        return np.tanh(gamma * (A @ B.T) + coef0)
+        return np.tanh(gamma * (A @ B.T))
     raise UsageError(f"unknown kernel kind {kind!r}")
 
 

@@ -107,7 +107,7 @@ def test_criterion_7_selection_protocol_and_reports(capsys, tmp_path):
     for key, k in picked_k.items():
         recs = [r for r in store.records() if r.dataset == key]
         best = bench.select_best([r for r in recs if r.family == "qsvm"],
-                                 bench.policy_for(key))
+                                 bench.THRESHOLDS[key])
         if best is None:
             problems.append(f"{key}: no QSVM winner after filter")
             continue
@@ -139,10 +139,11 @@ def test_criterion_8_heart_failure_noninferiority(capsys, tmp_path):
                        families=("qsvm", "classical"), feature_range=(4, 4),
                        split_seed=seed)
         recs = [r for r in store.records() if r.split_seed == seed]
-        pol = bench.policy_for("heart_failure")
-        bq = bench.select_best([r for r in recs if r.family == "qsvm"], pol)
+        threshold = bench.THRESHOLDS["heart_failure"]
+        bq = bench.select_best([r for r in recs if r.family == "qsvm"],
+                               threshold)
         bc = bench.select_best([r for r in recs if r.family == "classical"],
-                               pol)
+                               threshold)
         quantum.append(bq.test.f1)
         classical.append(bc.test.f1)
     mq, mc = float(np.mean(quantum)), float(np.mean(classical))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qmlgrid.baselines import (
+    ForestModel,
     LogisticModel,
+    TreeNode,
     fit_forest,
     fit_logistic,
     fit_tree,
@@ -77,7 +79,7 @@ class TestLogistic:
         X = np.array([[10.0], [10.0]])
         y = np.array([0, 1])
         with pytest.raises(TrainingDivergedError):
-            fit_logistic(X, y, class_weights=(1.0, 1.02), learning_rate=0.1)
+            fit_logistic(X, y, class_weights=(1.0, 1.02))
 
     def test_rejects_bad_labels(self):
         X, _ = blobs(n=10)
@@ -118,51 +120,38 @@ class TestTree:
         assert fit_tree(X, y).label == 0
         assert fit_tree(X, y, class_weights=(0.2, 0.8)).label == 1
 
-    def test_min_leaf_limits_depth(self):
-        X = np.arange(8, dtype=float).reshape(-1, 1)
-        y = np.array([0, 0, 0, 0, 0, 0, 0, 1])
-        tree = fit_tree(X, y, min_leaf=4)
-        # the only split isolating the 1 would leave one row on the right
-        assert tree.is_leaf() or min(
-            tree.threshold - 0, 7 - tree.threshold) >= 3
+    def test_midpoint_rounding_onto_upper_value_gives_leaf(self):
+        # adjacent floats whose midpoint rounds onto the upper one: the
+        # only cut would leave the right child empty
+        a = 1.0 + 2.0 ** -52
+        b = np.nextafter(a, 2.0)
+        assert 0.5 * (a + b) == b
+        tree = fit_tree(np.array([[a], [b]]), np.array([0, 1]))
+        assert tree.is_leaf()
 
 
 class TestForest:
     def test_deterministic_given_seed(self):
         X, y = blobs(seed=9)
-        a = fit_forest(X, y, n_trees=12, seed=4)
-        b = fit_forest(X, y, n_trees=12, seed=4)
+        a = fit_forest(X, y, seed=4)
+        b = fit_forest(X, y, seed=4)
         probe = np.random.default_rng(1).normal(size=(30, 2))
         assert np.array_equal(predict_forest(a, probe), predict_forest(b, probe))
 
     def test_seed_changes_model(self):
         X, y = blobs(seed=9, gap=0.5)
-        a = fit_forest(X, y, n_trees=12, seed=4)
-        b = fit_forest(X, y, n_trees=12, seed=5)
+        a = fit_forest(X, y, seed=4)
+        b = fit_forest(X, y, seed=5)
         probe = np.random.default_rng(1).normal(size=(200, 2))
         assert not np.array_equal(predict_forest(a, probe),
                                   predict_forest(b, probe))
 
-    def test_single_full_tree_matches_plain_tree(self):
-        X, y = blobs(seed=2)
-        forest = fit_forest(X, y, n_trees=1, bootstrap=False,
-                            max_features=X.shape[1])
-        tree = fit_tree(X, y)
-        probe = np.random.default_rng(3).normal(size=(50, 2))
-        assert np.array_equal(predict_forest(forest, probe),
-                              predict_tree(tree, probe))
-
     def test_learns_blobs(self):
         X, y = blobs(gap=3.0)
-        forest = fit_forest(X, y, n_trees=25, seed=0)
+        forest = fit_forest(X, y, seed=0)
         Xt, yt = blobs(gap=3.0, seed=8)
         assert evaluate(yt, predict_forest(forest, Xt)).f1 >= 0.9
 
     def test_tie_votes_positive(self):
-        X = np.array([[0.0], [1.0]])
-        y = np.array([0, 1])
-        forest = fit_forest(X, y, n_trees=2, seed=0)
-        preds = predict_forest(forest, [[0.5]])
-        votes = [predict_tree(t, [[0.5]])[0] for t in forest.trees]
-        if votes[0] != votes[1]:
-            assert preds[0] == 1
+        forest = ForestModel([TreeNode(label=0), TreeNode(label=1)])
+        assert predict_forest(forest, [[0.5], [-3.0]]).tolist() == [1, 1]

@@ -8,8 +8,7 @@ import pytest
 
 from qmlgrid import bench, datasets, qkernel, qnn, svm
 from qmlgrid.bench import (ExperimentRecord, RecordStore, RunSettings,
-                           SelectionPolicy, canonical, cell_seed,
-                           select_best)
+                           canonical, cell_seed, select_best)
 from qmlgrid.checkpoint import save_document
 from qmlgrid.metrics import Metrics
 from qmlgrid.pipeline import stratified_split
@@ -162,38 +161,33 @@ class TestRunSettings:
 class TestSelectBest:
     def test_argmax_val_f1(self):
         recs = [fake_record(f1=0.6), fake_record(f1=0.9), fake_record(f1=0.7)]
-        assert select_best(recs, SelectionPolicy()) is recs[1]
+        assert select_best(recs) is recs[1]
 
     def test_error_and_missing_metrics_skipped(self):
         bad = fake_record(f1=0.99, error="boom")
         empty = ExperimentRecord("toy", "qsvm", 4, {}, 0, 0)
         good = fake_record(f1=0.5)
-        assert select_best([bad, empty, good], SelectionPolicy()) is good
+        assert select_best([bad, empty, good]) is good
 
     def test_train_gate_applies_only_to_listed_families(self):
         weak_qnn = fake_record(family="qnn", f1=0.9, train_f1=0.3,
                                config={"sequence": "Y"})
         ok_qsvm = fake_record(family="qsvm", f1=0.5, train_f1=0.3)
-        pick = select_best([weak_qnn, ok_qsvm],
-                           SelectionPolicy(train_f1_threshold=0.5))
+        pick = select_best([weak_qnn, ok_qsvm], train_f1_threshold=0.5)
         assert pick is ok_qsvm
-        pick = select_best([weak_qnn, ok_qsvm],
-                           SelectionPolicy(train_f1_threshold=0.5,
-                                           filter_families=("qnn", "qsvm")))
-        assert pick is None
 
     def test_tie_prefers_fewer_parameters(self):
         big = fake_record(f1=0.8, n_parameters=50)
         small = fake_record(f1=0.8, n_parameters=5)
-        assert select_best([big, small], SelectionPolicy()) is small
+        assert select_best([big, small]) is small
 
     def test_full_tie_breaks_on_config_text(self):
         a = fake_record(config={"encoding": "angle", "repetitions": 1})
         b = fake_record(config={"encoding": "z", "repetitions": 1})
-        assert select_best([b, a], SelectionPolicy()) is a
+        assert select_best([b, a]) is a
 
     def test_empty_gives_none(self):
-        assert select_best([], SelectionPolicy()) is None
+        assert select_best([]) is None
 
 
 @pytest.fixture(scope="module")

@@ -189,6 +189,6 @@ class TestEncodingSpec:
             EncodingSpec("angle", repetitions=0)
 
     def test_angle_repetitions_stack_blocks(self):
-        spec = EncodingSpec("angle", sequence=("Y",), repetitions=3)
+        spec = EncodingSpec("angle", repetitions=3)
         circ = build_encoding(spec, 2)
         assert data_bound_count(circ) == 6

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from qmlgrid import datasets
+from qmlgrid import baselines, datasets
 from qmlgrid.cli import main, parse_feature_range
+from qmlgrid.errors import ConfigurationError
 
 
 def write_toy_csv(path):
@@ -97,6 +98,30 @@ class TestRunAndReport:
             "prostate_classical.csv", "prostate_comparison.csv",
             "prostate_pca_variance.csv", "prostate_qnn.csv",
             "prostate_qsvm.csv"]
+
+    def test_resume_counts_a_failing_cell_once(self, tmp_path, capsys,
+                                               monkeypatch):
+        def broken(*args, **kwargs):
+            raise ConfigurationError("logistic cell broken on purpose")
+
+        monkeypatch.setattr(baselines, "fit_logistic", broken)
+        store = tmp_path / "s.jsonl"
+        argv = ["run", "--dataset", "prostate", "--features", "2",
+                "--families", "classical", "--store", str(store)]
+        resumes = []
+        for _ in range(3):
+            assert main(argv) == 0
+            text = capsys.readouterr().out
+            # the cell is retried each run
+            assert ("(1 failed), store now 7 completed cells, 1 errored"
+                    in text)
+            resumes += [line for line in text.splitlines()
+                        if "resuming" in line]
+        # the store holds one error line per run, but the cell counts once
+        assert len(store.read_text().splitlines()) == 10
+        assert resumes == [
+            f"store {store}: 7 completed cells, 1 errored to retry, resuming"
+        ] * 2
 
     def test_config_file_sets_master_seed(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"

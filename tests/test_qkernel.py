@@ -6,7 +6,7 @@ from qmlgrid.circuit import EncodingSpec, build_encoding
 from qmlgrid.errors import UsageError
 from qmlgrid.qkernel import cross_gram, gram_matrix
 
-ALL_ENCODINGS = [EncodingSpec(kind, sequence=("Y",), repetitions=reps)
+ALL_ENCODINGS = [EncodingSpec(kind, repetitions=reps)
                  for kind in ("angle", "z", "zz_a", "zz_b")
                  for reps in (1, 2, 3)]
 
@@ -23,7 +23,7 @@ def closed_form_angle_y(x, y):
 
 class TestKernelValue:
     def test_matches_closed_form_single_feature(self):
-        enc = EncodingSpec("angle", sequence=("Y",))
+        enc = EncodingSpec("angle")
         rng = np.random.default_rng(31)
         for _ in range(25):
             x, y = rng.uniform(-1, 1, 2)
@@ -51,7 +51,7 @@ class TestGram:
     def test_gram_matches_pairwise_kernel_value(self):
         # embedding route vs the dense-unitary oracle
         rng = np.random.default_rng(34)
-        for enc in (EncodingSpec("angle", sequence=("X", "Y")),
+        for enc in (EncodingSpec("angle", repetitions=2),
                     EncodingSpec("z", repetitions=2),
                     EncodingSpec("zz_a"),
                     EncodingSpec("zz_b", repetitions=2)):

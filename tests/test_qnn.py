@@ -156,17 +156,17 @@ class TestGradient:
         assert min(gradient) <= 4.0 * min(forward)
 
     def test_scaled_offset_phase_and_fixed_gates(self):
-        # a trainable PHASE with scale and offset, a parameter bound
+        # a trainable PHASE with a scale, a parameter bound
         # twice, and H / CZ / CNOT between them
         cfg = QnnConfig(2, ("Y",), False, "basic", 1)
         ansatz = CircuitSpec(2, (
             GateOp("h", (0,)),
-            GateOp("phase", (0,), ParamBinding.train(0, scale=1.3, offset=0.2)),
+            GateOp("phase", (0,), ParamBinding.train(0, scale=1.3)),
             GateOp("cz", (0, 1)),
             GateOp("rx", (1,), ParamBinding.train(1, scale=-0.7)),
             GateOp("h", (1,)),
             GateOp("cnot", (1, 0)),
-            GateOp("ry", (0,), ParamBinding.train(1, offset=0.4))),
+            GateOp("ry", (0,), ParamBinding.train(1))),
             n_trainable=2)
         circuit = concat(angle_encoding(2, ("Y",)), ansatz)
         model = QnnModel(cfg, np.array([0.8, -1.1]), np.array([0.4, 0.6]),

@@ -18,7 +18,9 @@ def random_problem(rng, n_max=8):
         if (y > 0).any() and (y < 0).any():
             break
     X = rng.normal(size=(n, 3))
-    gram = kernel_matrix("rbf", X, X, gamma=float(rng.uniform(0.2, 1.5)))
+    # rbf with gamma = 1/3 on X scaled by sqrt(3 g) is the rbf kernel at g
+    X = X * np.sqrt(3.0 * float(rng.uniform(0.2, 1.5)))
+    gram = kernel_matrix("rbf", X, X)
     return SvmProblem(gram, y, C=float(rng.uniform(0.5, 4.0)),
                       class_weights=(float(rng.uniform(0.4, 1.6)),
                                      float(rng.uniform(0.4, 1.6))))
@@ -26,28 +28,23 @@ def random_problem(rng, n_max=8):
 
 class TestClassicalKernels:
     def test_values_match_formulas(self):
+        # gamma is 1 / n_features = 1/3 and coef0 is 0
         rng = np.random.default_rng(41)
         A = rng.normal(size=(4, 3))
         B = rng.normal(size=(5, 3))
-        gamma, coef0 = 0.7, 0.2
+        gamma = 1.0 / 3.0
         lin = kernel_matrix("linear", A, B)
-        poly = kernel_matrix("poly3", A, B, gamma, coef0)
-        rbf = kernel_matrix("rbf", A, B, gamma)
-        sig = kernel_matrix("sigmoid", A, B, gamma, coef0)
+        poly = kernel_matrix("poly3", A, B)
+        rbf = kernel_matrix("rbf", A, B)
+        sig = kernel_matrix("sigmoid", A, B)
         for i in range(4):
             for j in range(5):
                 dot = A[i] @ B[j]
                 assert abs(lin[i, j] - dot) < 1e-12
-                assert abs(poly[i, j] - (gamma * dot + coef0) ** 3) < 1e-12
+                assert abs(poly[i, j] - (gamma * dot) ** 3) < 1e-12
                 d2 = np.sum((A[i] - B[j]) ** 2)
                 assert abs(rbf[i, j] - np.exp(-gamma * d2)) < 1e-12
-                assert abs(sig[i, j] - np.tanh(gamma * dot + coef0)) < 1e-12
-
-    def test_default_gamma_is_one_over_features(self):
-        A = np.eye(4)
-        got = kernel_matrix("rbf", A, A)
-        want = kernel_matrix("rbf", A, A, gamma=0.25)
-        np.testing.assert_array_equal(got, want)
+                assert abs(sig[i, j] - np.tanh(gamma * dot)) < 1e-12
 
     def test_unknown_kind(self):
         with pytest.raises(UsageError):
@@ -210,6 +207,6 @@ class TestPrediction:
         rng = np.random.default_rng(45)
         X = np.vstack([rng.normal(-3, 0.3, (10, 2)), rng.normal(3, 0.3, (10, 2))])
         y = np.array([-1.0] * 10 + [1.0] * 10)
-        gram = kernel_matrix("rbf", X, X, gamma=0.5)
+        gram = kernel_matrix("rbf", X, X)    # gamma = 1/2
         model = solve_dual(SvmProblem(gram, y, C=5.0))
         np.testing.assert_array_equal(predict(model, gram), y)
