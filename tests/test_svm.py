@@ -46,6 +46,14 @@ class TestClassicalKernels:
                 assert abs(rbf[i, j] - np.exp(-gamma * d2)) < 1e-12
                 assert abs(sig[i, j] - np.tanh(gamma * dot)) < 1e-12
 
+    def test_default_gamma_is_one_over_features(self):
+        # rows of eye(4) are sqrt(2) apart, so the rbf kernel at gamma = 1/4
+        # is exactly exp(-0.5) off the diagonal
+        A = np.eye(4)
+        got = kernel_matrix("rbf", A, A)
+        want = np.exp(-0.25 * (2.0 - 2.0 * np.eye(4)))
+        np.testing.assert_array_equal(got, want)
+
     def test_unknown_kind(self):
         with pytest.raises(UsageError):
             kernel_matrix("cubic", np.eye(2), np.eye(2))
