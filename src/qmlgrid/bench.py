@@ -26,7 +26,7 @@ from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
 from .metrics import Metrics, evaluate
 from .pipeline import SplitBundle, stratified_split
-from .qkernel import cross_gram, gram_matrix
+from .qkernel import cross_gram, embed, gram_matrix
 
 FAMILIES = ("qnn", "qsvm", "classical")
 
@@ -265,10 +265,11 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
         if family == "qsvm":
             enc = EncodingSpec(config["encoding"],
                                repetitions=config["repetitions"])
-            gram = gram_matrix(enc, Xtr)
+            states = {s: embed(enc, X) for s, (X, _) in arrays.items()}
+            gram = gram_matrix(states["train"])
             rows = {"train": gram,
-                    "val": cross_gram(enc, arrays["val"][0], Xtr),
-                    "test": cross_gram(enc, arrays["test"][0], Xtr)}
+                    "val": cross_gram(states["val"], states["train"]),
+                    "test": cross_gram(states["test"], states["train"])}
             n_par, split_metrics, extra = _svm_eval(
                 gram, ytr, rows, labels_by_split, settings.svm_c, weights)
 

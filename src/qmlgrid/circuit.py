@@ -15,11 +15,17 @@ express a product of two features.
 resolve_ops resolves every binding against a feature matrix, and
 run_batch runs the resolved ops on the batched simulator. Specs are
 immutable, so circuits are safe to share and reuse.
+
+resolve_ops first cuts a circuit into blocks (CircuitSpec.fusion, see
+the fusion module): the trainable layers and encoding blocks of a QNN
+circuit become one whole-register op each, every other op a gate of its
+own. With fuse=False every op stays a gate.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +37,6 @@ AXES = ("X", "Y", "Z")
 DATA = "data"
 TRAIN = "train"
 PAIR = "pair"
-
 
 @dataclass(frozen=True)
 class ParamBinding:
@@ -79,12 +84,15 @@ class GateOp:
 @dataclass(frozen=True)
 class CircuitSpec:
     """Immutable gate list over n_qubits with n_features data inputs and
-    n_trainable parameters."""
+    n_trainable parameters. With fuse=False every op resolves to a gate
+    of its own; the property suite keeps that route as a reference for
+    the fused one."""
 
     n_qubits: int
     ops: tuple
     n_features: int = 0
     n_trainable: int = 0
+    fuse: bool = True
 
     def __post_init__(self):
         for op in self.ops:
@@ -102,6 +110,12 @@ class CircuitSpec:
             if b.kind == TRAIN and not 0 <= b.param < self.n_trainable:
                 raise ConfigurationError(
                     f"parameter index {b.param} out of range ({self.n_trainable})")
+
+    @cached_property
+    def fusion(self):
+        """The ops cut into blocks for simulation (see the fusion module)."""
+        from .fusion import fuse
+        return fuse(self)
 
 
 def concat(*circuits: CircuitSpec) -> CircuitSpec:
@@ -236,19 +250,13 @@ def strongly_entangling_layer(n_qubits: int, layer_index: int = 0) -> CircuitSpe
 
 def resolve_ops(circuit: CircuitSpec, X: np.ndarray, theta=()) -> list:
     """Concrete (kind, targets, angle) ops for every row of X, one per
-    circuit op and in circuit order; angles are scalars or (len(X),)
-    arrays, as apply_ops takes them."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != circuit.n_features:
-        raise UsageError(
-            f"expected feature matrix with {circuit.n_features} columns, "
-            f"got shape {X.shape}")
-    if len(theta) != circuit.n_trainable:
-        raise UsageError(
-            f"expected {circuit.n_trainable} parameters, got {len(theta)}")
-    return [(op.kind, op.targets,
-             None if op.binding is None else op.binding.resolve_batch(X, theta))
-            for op in circuit.ops]
+    entry of circuit.fusion.blocks and in circuit order, as apply_ops
+    takes them (see fusion.resolve_fused)."""
+    # imported on first use, like CircuitSpec.fusion: importing qmlgrid
+    # loads this module, and the fusion code is not needed until a
+    # circuit runs
+    from .fusion import resolve_fused
+    return resolve_fused(circuit, X, theta)[0]
 
 
 def run_batch(circuit: CircuitSpec, X: np.ndarray, theta=()) -> np.ndarray:

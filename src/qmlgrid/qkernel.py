@@ -1,8 +1,10 @@
 """Fidelity quantum kernel: k(x, y) = |<phi(y)|phi(x)>|^2.
 
-gram_matrix and cross_gram embed every sample once on the batched
-simulator and take squared inner products. The dense-unitary oracle for
-one entry is reference.kernel_value.
+embed turns every sample into its statevector once on the batched
+simulator; gram_matrix and cross_gram take squared inner products of
+embedded states, so a caller embeds each split once and builds every
+Gram from those states. The dense-unitary oracle for one entry is
+reference.kernel_value.
 """
 from __future__ import annotations
 
@@ -29,14 +31,13 @@ def embed(encoding: EncodingSpec, X: np.ndarray) -> np.ndarray:
     return amps
 
 
-def gram_matrix(encoding: EncodingSpec, X: np.ndarray) -> np.ndarray:
-    """Symmetric kernel matrix over the rows of X.
+def gram_matrix(states: np.ndarray) -> np.ndarray:
+    """Symmetric kernel matrix over embedded states (rows of embed).
 
     Off-diagonal entries are computed once for i < j and mirrored; the
     diagonal is exactly 1 by construction (unit-norm states), no
     simulation needed.
     """
-    states = embed(encoding, X)
     overlaps = states @ states.conj().T
     gram = np.abs(overlaps) ** 2
     upper = np.triu(gram, k=1)
@@ -45,11 +46,10 @@ def gram_matrix(encoding: EncodingSpec, X: np.ndarray) -> np.ndarray:
     return gram
 
 
-def cross_gram(encoding: EncodingSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kernel rectangle k(a_i, b_j), shape (len(A), len(B))."""
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.shape[1] != B.shape[1]:
-        raise UsageError(
-            f"feature dimensions differ: {A.shape[1]} vs {B.shape[1]}")
-    return np.abs(embed(encoding, A) @ embed(encoding, B).conj().T) ** 2
+def cross_gram(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
+    """Kernel rectangle k(a_i, b_j) over embedded states, shape
+    (len(states_a), len(states_b))."""
+    if states_a.shape[1] != states_b.shape[1]:
+        raise UsageError(f"state dimensions differ: {states_a.shape[1]} vs "
+                         f"{states_b.shape[1]}")
+    return np.abs(states_a @ states_b.conj().T) ** 2

@@ -11,6 +11,24 @@ There is one simulation path: apply_ops runs many statevectors side by
 side in a (batch, 2**n) buffer, with scalar or per-sample rotation
 angles. The kernel and QNN layers sit on it; a single circuit is a batch
 of one, and a list of Gate tuples feeds apply_ops directly.
+
+Besides the gates, apply_ops takes three fused kinds that act on the
+whole register (targets are all qubits) and carry a matrix payload in
+the angle slot. circuit.resolve_ops emits them for the QNN blocks it
+fuses; they are never gates of a circuit spec.
+
+* "unitary": one (2**n, 2**n) matrix U for the whole batch, amps <- U amps
+  (a trainable layer with its CNOT ring).
+* "local": per-sample matrices (hi,) of shape (m, 2**n, 2**n), or
+  (hi, lo) of shapes (m, 2**(n-h), 2**(n-h)) and (m, 2**h, 2**h): row b
+  becomes hi_j row b, or (hi_j (x) lo_j) row b with hi on the high
+  qubits and lo on the h low ones, where j = b mod m (an encoding block;
+  m below the row count lets one payload serve stacked copies of the
+  batch).
+* "product": per-sample columns c, shape (batch, n, 2); every row becomes
+  the product state c_{n-1} (x) ... (x) c_0. This is the image of
+  |0...0> under local 2x2 matrices with first columns c, so it is only
+  emitted for a block that opens a circuit.
 """
 from __future__ import annotations
 
@@ -101,7 +119,8 @@ def apply_ops(amps: np.ndarray, n_qubits: int, ops) -> None:
     """Apply a gate sequence in place to a (batch, 2**n_qubits) buffer.
 
     ops is an iterable of (kind, targets, angle) where angle is None, a
-    float, or a per-sample array of shape (batch,).
+    float, or a per-sample array of shape (batch,); for the fused kinds it
+    is the matrix payload described in the module docstring.
     """
     for kind, targets, angle in ops:
         if kind == "h":
@@ -144,6 +163,22 @@ def apply_ops(amps: np.ndarray, n_qubits: int, ops) -> None:
             amps[:, dst] = tmp
         elif kind == "cz":
             amps[:, _both_set_indices(n_qubits, targets[0], targets[1])] *= -1.0
+        elif kind == "unitary":
+            amps[:] = amps @ angle.T
+        elif kind == "local":
+            hi, *lo = angle
+            rows = amps.reshape(-1, len(hi), hi.shape[-1],
+                                lo[0].shape[-1] if lo else 1)
+            rows = hi @ rows
+            if lo:
+                rows = rows @ lo[0].swapaxes(-1, -2)
+            amps[:] = rows.reshape(amps.shape)
+        elif kind == "product":
+            state = angle[:, n_qubits - 1]
+            for q in range(n_qubits - 2, -1, -1):
+                state = (state[:, :, None] * angle[:, q, None, :]).reshape(
+                    len(amps), -1)
+            amps[:] = state
         else:
             raise UsageError(f"unknown gate kind {kind!r}")
 

@@ -11,14 +11,15 @@ the counts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import datasets, qnn, reference, svm
-from .circuit import EncodingSpec, build_encoding
+from .circuit import (CircuitSpec, EncodingSpec, GateOp, ParamBinding,
+                      build_encoding, run_batch)
 from .pipeline import pca_fit, standardize_apply, standardize_fit
-from .qkernel import gram_matrix
+from .qkernel import embed, gram_matrix
 from .statevec import Gate, apply_ops, zero_states
 
 PCA_TARGETS = {"heart_failure": (5, 0.90), "diabetes": (6, 0.90),
@@ -54,12 +55,32 @@ def random_gates(rng, n_qubits, depth) -> list:
     return gates
 
 
+def bound_circuit(n_qubits, gates) -> tuple:
+    """(circuit, X, theta): the gates with their angles bound in turn to
+    a feature of the one row of X and to a trainable parameter, so that
+    run_batch fuses rotation runs into every fused op kind."""
+    ops, x, theta = [], [], []
+    for kind, targets, angle in gates:
+        binding = None
+        if angle is not None and len(x) == len(theta):
+            binding = ParamBinding.data(len(x))
+            x.append(angle)
+        elif angle is not None:
+            binding = ParamBinding.train(len(theta))
+            theta.append(angle)
+        ops.append(GateOp(kind, tuple(targets), binding))
+    circuit = CircuitSpec(n_qubits, tuple(ops), n_features=len(x),
+                          n_trainable=len(theta))
+    return circuit, np.array([x]), theta
+
+
 def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
     """Random circuits (n <= 4, depth <= 50) on a batch of one vs the
-    dense Kronecker unitary, 1e-10 elementwise."""
+    dense Kronecker unitary, 1e-10 elementwise, gate by gate and as
+    bound circuits through run_batch's fusion."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = fused_worst = 0.0
     for _ in range(n_circuits):
         n = int(rng.integers(1, 5))
         gates = random_gates(rng, n, int(rng.integers(1, 51)))
@@ -67,18 +88,23 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
         apply_ops(amps, n, gates)
         want = reference.circuit_unitary(n, gates)[:, 0]
         worst = max(worst, float(np.max(np.abs(amps[0] - want))))
+        fused = run_batch(*bound_circuit(n, gates))[0]
+        fused_worst = max(fused_worst, float(np.max(np.abs(fused - want))))
     return CheckResult(
-        "simulator", worst <= 1e-10,
+        "simulator", worst <= 1e-10 and fused_worst <= 1e-10,
         f"{n_circuits} circuits (n<=4, depth<=50), max |amp error| "
-        f"{worst:.2e}, tol 1e-10", time.perf_counter() - started)
+        f"{worst:.2e}, tol 1e-10; fused {fused_worst:.2e}",
+        time.perf_counter() - started)
 
 
 def check_gradients(n_configs: int = 50, seed: int = 102) -> CheckResult:
-    """Adjoint-mode gradients vs central finite differences, 1e-6
-    absolute, and vs the parameter-shift rule, 1e-10 absolute."""
+    """Adjoint-mode gradients on gate-by-gate circuits vs central finite
+    differences, 1e-6 absolute, and vs the parameter-shift rule, 1e-10
+    absolute; the fused circuits' adjoint gradients vs the same
+    parameter-shift rule, 1e-10 absolute."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst = shift_worst = 0.0
+    worst = shift_worst = fused_worst = 0.0
     for _ in range(n_configs):
         n = int(rng.integers(2, 5))
         cfg = qnn.QnnConfig(
@@ -90,7 +116,9 @@ def check_gradients(n_configs: int = 50, seed: int = 102) -> CheckResult:
             ansatz=("basic", "strongly")[rng.integers(2)],
             n_layers=int(rng.integers(1, 4)),
             seed=int(rng.integers(100_000)))
-        model = qnn.init_model(cfg, (0.35, 0.65))
+        fused = qnn.init_model(cfg, (0.35, 0.65))
+        model = qnn.QnnModel(cfg, fused.parameters, fused.class_weights,
+                             replace(fused.circuit, fuse=False))
         X = rng.uniform(-1, 1, size=(5, n))
         y = rng.integers(0, 2, size=5)
         got = qnn.parameter_shift_gradient(model, X, y)
@@ -100,10 +128,14 @@ def check_gradients(n_configs: int = 50, seed: int = 102) -> CheckResult:
         worst = max(worst, float(np.max(np.abs(got - want))))
         shift = reference.shift_rule_gradient(model, X, y)
         shift_worst = max(shift_worst, float(np.max(np.abs(got - shift))))
+        got = qnn.parameter_shift_gradient(fused, X, y)
+        fused_worst = max(fused_worst, float(np.max(np.abs(got - shift))))
     return CheckResult(
-        "gradients", worst <= 1e-6 and shift_worst <= 1e-10,
+        "gradients",
+        worst <= 1e-6 and shift_worst <= 1e-10 and fused_worst <= 1e-10,
         f"{n_configs} configs (n<=4, L<=3), max |grad error| {worst:.2e}, "
-        f"tol 1e-6; vs parameter shift {shift_worst:.2e}, tol 1e-10",
+        f"tol 1e-6; vs parameter shift {shift_worst:.2e}, tol 1e-10; "
+        f"fused vs parameter shift {fused_worst:.2e}",
         time.perf_counter() - started)
 
 
@@ -117,7 +149,7 @@ def check_kernel_properties(n_samples: int = 30, seed: int = 103) -> CheckResult
     for name in ("angle", "z", "zz_a", "zz_b"):
         for reps in (1, 2, 3):
             X = rng.uniform(-1, 1, size=(n_samples, 3))
-            gram = gram_matrix(EncodingSpec(name, repetitions=reps), X)
+            gram = gram_matrix(embed(EncodingSpec(name, repetitions=reps), X))
             diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
             sym = float(np.max(np.abs(gram - gram.T)))
             min_eig = float(np.min(np.linalg.eigvalsh(gram)))

@@ -7,8 +7,9 @@ import pytest
 from qmlgrid import reference
 from qmlgrid.circuit import (EncodingSpec, angle_encoding,
                              basic_entangling_layer, build_encoding, concat,
-                             qnn_circuit, run_batch, strongly_entangling_layer,
-                             z_feature_map, zz_feature_map_variant_a,
+                             qnn_circuit, resolve_ops, run_batch,
+                             strongly_entangling_layer, z_feature_map,
+                             zz_feature_map_variant_a,
                              zz_feature_map_variant_b)
 from qmlgrid.errors import ConfigurationError, UsageError
 
@@ -139,6 +140,35 @@ class TestQnnCircuit:
             want = reference.circuit_unitary(
                 2, reference.concrete_gates(circ, x, theta))[:, 0]
             assert np.max(np.abs(got - want)) < 1e-10
+
+
+class TestFusion:
+    def test_qnn_circuits_fuse_and_match_unitary_reference(self):
+        # every ansatz x re-upload setting, n = 2..6 and L = 1..3
+        sequences = (("Y",), ("X", "Z"), ("Z", "Y", "X"))
+        rng = np.random.default_rng(23)
+        for n in range(2, 7):
+            for n_layers in (1, 2, 3):
+                for reupload in (False, True):
+                    for ansatz in ("basic", "strongly"):
+                        circ = qnn_circuit(n, sequences[(n + n_layers) % 3],
+                                           reupload, ansatz, n_layers)
+                        X = rng.uniform(-1, 1, (3, n))
+                        theta = rng.uniform(-np.pi, np.pi, circ.n_trainable)
+                        kinds = [op[0] for op in resolve_ops(circ, X, theta)]
+                        layer = (["local"] if reupload else []) + ["unitary"]
+                        assert kinds == (["product", "unitary"]
+                                         + layer * (n_layers - 1))
+                        amps = run_batch(circ, X, theta)
+                        for x, got in zip(X, amps):
+                            gates = reference.concrete_gates(circ, x, theta)
+                            want = reference.circuit_unitary(n, gates)[:, 0]
+                            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_encoding_only_circuits_stay_gate_by_gate(self):
+        circ = build_encoding(EncodingSpec("angle", repetitions=2), 3)
+        kinds = [op[0] for op in resolve_ops(circ, np.zeros((2, 3)))]
+        assert kinds == [op.kind for op in circ.ops]
 
 
 class TestBindAndRun:

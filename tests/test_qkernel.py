@@ -4,7 +4,7 @@ import pytest
 from qmlgrid import reference
 from qmlgrid.circuit import EncodingSpec, build_encoding
 from qmlgrid.errors import UsageError
-from qmlgrid.qkernel import cross_gram, gram_matrix
+from qmlgrid.qkernel import cross_gram, embed, gram_matrix
 
 ALL_ENCODINGS = [EncodingSpec(kind, repetitions=reps)
                  for kind in ("angle", "z", "zz_a", "zz_b")
@@ -56,7 +56,7 @@ class TestGram:
                     EncodingSpec("zz_a"),
                     EncodingSpec("zz_b", repetitions=2)):
             X = rng.uniform(-1, 1, (5, 2))
-            gram = gram_matrix(enc, X)
+            gram = gram_matrix(embed(enc, X))
             for i in range(5):
                 for j in range(5):
                     assert abs(gram[i, j] - kernel_value(enc, X[i], X[j])) < 1e-12
@@ -65,7 +65,7 @@ class TestGram:
         rng = np.random.default_rng(35)
         for enc in ALL_ENCODINGS:
             X = rng.uniform(-1, 1, (12, 3))
-            gram = gram_matrix(enc, X)
+            gram = gram_matrix(embed(enc, X))
             assert np.all(np.diag(gram) == 1.0)
             np.testing.assert_array_equal(gram, gram.T)
             assert gram.min() >= 0.0 and gram.max() <= 1.0 + 1e-12
@@ -75,11 +75,12 @@ class TestGram:
         enc = EncodingSpec("zz_b")
         rng = np.random.default_rng(36)
         X = rng.uniform(-1, 1, (6, 2))
-        full = gram_matrix(enc, X)
-        rect = cross_gram(enc, X[:2], X[2:])
+        full = gram_matrix(embed(enc, X))
+        rect = cross_gram(embed(enc, X[:2]), embed(enc, X[2:]))
         np.testing.assert_allclose(rect, full[:2, 2:], atol=1e-12)
 
     def test_cross_gram_checks_dimensions(self):
         enc = EncodingSpec("angle")
         with pytest.raises(UsageError):
-            cross_gram(enc, np.zeros((2, 3)), np.zeros((2, 2)))
+            cross_gram(embed(enc, np.zeros((2, 3))),
+                       embed(enc, np.zeros((2, 2))))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -6,8 +7,9 @@ import pytest
 
 from qmlgrid import reference
 from qmlgrid.circuit import (CircuitSpec, GateOp, ParamBinding, angle_encoding,
-                            concat, run_batch)
+                            concat, resolve_ops, run_batch)
 from qmlgrid.errors import ConfigurationError, UsageError
+from qmlgrid.fusion import FUSE_MAX_QUBITS, FusedRun
 from qmlgrid.metrics import evaluate
 from qmlgrid.qnn import (GrowthResult, QnnConfig, QnnModel, batch_loss,
                          expectations, forward_batch, grow_layers, init_model,
@@ -179,6 +181,51 @@ class TestGradient:
             model.parameters, eps=1e-4)
         assert np.max(np.abs(parameter_shift_gradient(model, X, y)
                              - numeric)) <= 1e-6
+
+
+def gate_by_gate(model):
+    """The same model on its circuit with fusion turned off."""
+    return QnnModel(model.config, model.parameters, model.class_weights,
+                    dataclasses.replace(model.circuit, fuse=False))
+
+
+class TestFusedGradient:
+    def test_matches_gate_by_gate_parameter_shift(self):
+        # every ansatz x re-upload setting, n = 2..6 and L = 1..3; the
+        # oracle runs the unfused circuit, so a fused forward pass that
+        # drifted from the circuit would show here too
+        sequences = (("Y",), ("X", "Z"), ("Z", "Y", "X"))
+        rng = np.random.default_rng(49)
+        for n in range(2, 7):
+            for n_layers in (1, 2, 3):
+                for reupload in (False, True):
+                    for ansatz in ("basic", "strongly"):
+                        cfg = QnnConfig(n, sequences[(n + n_layers) % 3],
+                                        reupload, ansatz, n_layers,
+                                        seed=int(rng.integers(1000)))
+                        model = init_model(cfg, (0.35, 0.65))
+                        assert any(isinstance(b, FusedRun)
+                                   for b in model.circuit.fusion.blocks)
+                        X = rng.uniform(-1, 1, (4, n))
+                        y = rng.integers(0, 2, 4)
+                        got = parameter_shift_gradient(model, X, y)
+                        want = reference.shift_rule_gradient(
+                            gate_by_gate(model), X, y)
+                        assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_wider_circuit_keeps_per_gate_rule(self):
+        n = FUSE_MAX_QUBITS + 1
+        model = init_model(QnnConfig(n, ("X", "Y"), True, "strongly", 1,
+                                     seed=3), (0.35, 0.65))
+        rng = np.random.default_rng(50)
+        X = rng.uniform(-1, 1, (3, n))
+        y = np.array([0, 1, 1])
+        kinds = [op[0] for op in resolve_ops(model.circuit, X,
+                                             model.parameters)]
+        assert kinds == [op.kind for op in model.circuit.ops]
+        got = parameter_shift_gradient(model, X, y)
+        want = reference.shift_rule_gradient(model, X, y)
+        assert np.max(np.abs(got - want)) <= 1e-10
 
 
 class TestTraining:

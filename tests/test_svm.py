@@ -5,7 +5,7 @@ from qmlgrid import bench, datasets, reference
 from qmlgrid.circuit import EncodingSpec
 from qmlgrid.errors import UsageError
 from qmlgrid.pipeline import stratified_split
-from qmlgrid.qkernel import gram_matrix
+from qmlgrid.qkernel import embed, gram_matrix
 from qmlgrid.svm import (SvmModel, SvmProblem, decision_function,
                          dual_objective, kernel_matrix, kkt_violation,
                          predict, solve_dual)
@@ -156,7 +156,8 @@ def grid_problem(dataset_key, k, encoding, repetitions):
     bundle = stratified_split(datasets.synthetic(dataset_key), 0)
     X = bundle.features("train", k)
     y = np.where(bundle.labels("train") == 1, 1.0, -1.0)
-    gram = gram_matrix(EncodingSpec(encoding, repetitions=repetitions), X)
+    gram = gram_matrix(embed(EncodingSpec(encoding, repetitions=repetitions),
+                             X))
     return SvmProblem(gram, y, 1.0, bundle.class_weights())
 
 
