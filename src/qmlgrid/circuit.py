@@ -19,7 +19,7 @@ immutable, so circuits are safe to share and reuse.
 resolve_ops first cuts a circuit into blocks (CircuitSpec.fusion, see
 the fusion module): the trainable layers and encoding blocks of a QNN
 circuit become one whole-register op each, every other op a gate of its
-own. With fuse=False every op stays a gate.
+own.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ AXES = ("X", "Y", "Z")
 DATA = "data"
 TRAIN = "train"
 PAIR = "pair"
+
 
 @dataclass(frozen=True)
 class ParamBinding:
@@ -84,15 +85,12 @@ class GateOp:
 @dataclass(frozen=True)
 class CircuitSpec:
     """Immutable gate list over n_qubits with n_features data inputs and
-    n_trainable parameters. With fuse=False every op resolves to a gate
-    of its own; the property suite keeps that route as a reference for
-    the fused one."""
+    n_trainable parameters."""
 
     n_qubits: int
     ops: tuple
     n_features: int = 0
     n_trainable: int = 0
-    fuse: bool = True
 
     def __post_init__(self):
         for op in self.ops:
@@ -114,7 +112,7 @@ class CircuitSpec:
     @cached_property
     def fusion(self):
         """The ops cut into blocks for simulation (see the fusion module)."""
-        from .fusion import fuse
+        from .fusion import fuse    # fusion imports this module
         return fuse(self)
 
 
@@ -252,10 +250,7 @@ def resolve_ops(circuit: CircuitSpec, X: np.ndarray, theta=()) -> list:
     """Concrete (kind, targets, angle) ops for every row of X, one per
     entry of circuit.fusion.blocks and in circuit order, as apply_ops
     takes them (see fusion.resolve_fused)."""
-    # imported on first use, like CircuitSpec.fusion: importing qmlgrid
-    # loads this module, and the fusion code is not needed until a
-    # circuit runs
-    from .fusion import resolve_fused
+    from .fusion import resolve_fused   # fusion imports this module
     return resolve_fused(circuit, X, theta)[0]
 
 

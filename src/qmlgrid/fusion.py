@@ -2,8 +2,7 @@
 
 Before circuit.resolve_ops resolves a circuit of at most FUSE_MAX_QUBITS
 qubits, it is cut into blocks (CircuitSpec.fusion), and two patterns
-become one fused op each (see statevec for the op kinds) unless the spec
-says fuse=False:
+become one fused op each (see statevec for the op kinds):
 
 * a trainable layer: a run of rx/ry/rz ops bound to TRAIN parameters
   followed by a run of CNOTs. Its rotations multiply into one 2x2 per
@@ -20,9 +19,6 @@ says fuse=False:
 Every other op stays a gate of its own, and so do all ops of a wider
 circuit, where a dense layer matrix costs more than the gates it
 replaces. Encoding-only circuits (kernel embeddings) are never fused.
-
-The module is loaded on a circuit's first run, not when qmlgrid is
-imported.
 """
 from __future__ import annotations
 
@@ -33,13 +29,20 @@ import numpy as np
 from .circuit import DATA, TRAIN, CircuitSpec, GateOp
 from .errors import UsageError
 
-# widest circuit whose layers fuse into dense 2**n x 2**n matrices; at
-# n = 8 a one-rotation layer already runs about as fast gate by gate
+# widest circuit whose layers fuse into dense 2**n x 2**n matrices.
+# Gradient of a batch of 32 through two layers, fused vs gate by gate: a
+# one-rotation (basic) layer gains 1.1x at n = 8 (its forward pass loses,
+# 0.7x) and loses at n = 9 (0.8x); a three-rotation re-upload layer
+# gains 2.3x at n = 9 and breaks even at n = 10
 FUSE_MAX_QUBITS = 8
 
 # widest encoding block applied as one dense per-sample matrix; wider
-# ones apply as two Kronecker factors (high and low half of the qubits),
-# which then costs less to build and to apply
+# ones apply as two Kronecker factors (high and low half of the qubits).
+# Re-upload gradients of a batch of 32 (two or four layers, either
+# ansatz): the dense form is 1.0-1.6x faster at n = 2..4, the split form
+# 1.1-4.8x faster at n = 5 and 6. Whole XYZ/re-upload/strongly cells at
+# default settings agree: dense 1.1-1.9x faster at heart_failure k=4,
+# split 1.1-1.2x at diabetes k=5 and 2.2-2.9x at k=6
 LOCAL_DENSE_QUBITS = 4
 
 # the generator P of each rotation R_P(theta) = exp(-i theta P / 2)
@@ -126,7 +129,7 @@ def _stack(n_qubits: int, source: str, runs: list) -> RunStack:
 def fuse(circuit: CircuitSpec) -> Fusion:
     """circuit.fusion: the ops cut into blocks (see module docstring)."""
     ops = circuit.ops
-    if not circuit.fuse or circuit.n_qubits > FUSE_MAX_QUBITS:
+    if circuit.n_qubits > FUSE_MAX_QUBITS:
         return Fusion(ops, {})
     runs = {TRAIN: [], DATA: []}    # (rotation ops, CNOT ops) per slot
     blocks, i = [], 0

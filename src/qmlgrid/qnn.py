@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import TRAIN, CircuitSpec, qnn_circuit, run_batch
-from .errors import ConfigurationError, TrainingDivergedError
+from .errors import ConfigurationError, TrainingDivergedError, UsageError
 from .fusion import FusedRun, resolve_fused
 from .statevec import _z_signs, apply_ops, expectation_z_batch, zero_states
 
@@ -193,8 +193,13 @@ def parameter_shift_gradient(model: QnnModel, X: np.ndarray,
 
 def _inverse(op) -> tuple:
     """The op undoing `op` on the stacked (psi, lam) buffer: per-sample
-    angles repeat once per half; a "local" payload serves both halves."""
+    angles repeat once per half; a "local" payload serves both halves.
+    A "product" op prepares a state rather than acting on one, so it has
+    no inverse; it only opens a circuit, ahead of every trainable block,
+    where nothing is undone."""
     kind, targets, angle = op
+    if kind == "product":
+        raise UsageError("a product op cannot be undone")
     if kind == "unitary":
         return kind, targets, angle.conj().T
     if kind == "local":

@@ -5,17 +5,17 @@ resolved here from the ParamBinding fields, circuits become dense
 unitaries via Kronecker products and matrix multiplication, kernel
 entries and QNN losses are computed from those unitaries and
 probabilities one sample at a time, gradients come from central finite
-differences or from parameter shifts of the forward pass (never the
-adjoint sweep), and the SVM dual is solved by projected gradient ascent.
-Deliberately brute force; do not optimize, except by early exits that
-leave every output bit-identical.
+differences or from parameter shifts of a gate-by-gate forward pass
+(never fusion or the adjoint sweep), and the SVM dual is solved by
+projected gradient ascent. Deliberately brute force; do not optimize,
+except by early exits that leave every output bit-identical.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import qnn
 from .errors import UsageError
+from .statevec import apply_ops, expectation_z_batch, zero_states
 
 _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -120,17 +120,39 @@ def weighted_cross_entropy(probs, label: int, class_weights) -> float:
     return -float(class_weights[label]) * np.log(p)
 
 
+def gate_by_gate_expectations(circuit, X, theta) -> np.ndarray:
+    """(<Z_0>, <Z_1>) per row of X, shape (len(X), 2): the circuit's
+    concrete gates run one by one through statevec.apply_ops, a row of
+    angles per feature-bound gate. Criterion 1 checks that per-gate route
+    against dense unitaries; dense unitaries here would make the 2P + 1
+    passes of shift_rule_gradient too slow for the property suite."""
+    X = np.asarray(X, dtype=np.float64)
+    rows = [concrete_gates(circuit, x, theta) for x in X]
+    gates = []
+    for op, column in zip(circuit.ops, zip(*rows)):
+        angle = None
+        if op.binding is not None and op.binding.kind == "train":
+            angle = column[0][2]
+        elif op.binding is not None:
+            angle = np.array([a for _, _, a in column])
+        gates.append((op.kind, op.targets, angle))
+    amps = zero_states(circuit.n_qubits, len(X))
+    apply_ops(amps, circuit.n_qubits, gates)
+    return np.stack([expectation_z_batch(amps, circuit.n_qubits, q)
+                     for q in (0, 1)], axis=1)
+
+
 def shift_rule_gradient(model, X, y) -> np.ndarray:
     """Gradient of qnn.batch_loss by the two-point parameter-shift rule,
     2P + 1 forward passes for P parameters.
 
     Every trainable parameter of a QNN circuit sits in one rotation, so
     d<Z_q>/d theta_k = (<Z_q>(theta_k + pi/2) - <Z_q>(theta_k - pi/2)) / 2
-    is exact. The forward passes are qnn.expectations, which criterion 1
-    checks against dense unitaries; none of the adjoint sweep is used.
+    is exact. The forward passes are gate_by_gate_expectations; none of
+    fusion or the adjoint sweep is used.
     """
     y = np.asarray(y, dtype=int)
-    e = qnn.expectations(model, X)
+    e = gate_by_gate_expectations(model.circuit, X, model.parameters)
     z = e - e.max(axis=1, keepdims=True)
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     # d loss_i / d e_q = w_{y_i} (p_q - [q == y_i]); mean over the batch
@@ -142,8 +164,8 @@ def shift_rule_gradient(model, X, y) -> np.ndarray:
         lo = model.parameters.copy()
         hi[k] += np.pi / 2.0
         lo[k] -= np.pi / 2.0
-        de = 0.5 * (qnn.expectations(model, X, hi) -
-                    qnn.expectations(model, X, lo))
+        de = 0.5 * (gate_by_gate_expectations(model.circuit, X, hi) -
+                    gate_by_gate_expectations(model.circuit, X, lo))
         grad[k] = float(np.sum(dl_de * de))
     return grad
 

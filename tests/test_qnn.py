@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 
@@ -11,10 +10,10 @@ from qmlgrid.circuit import (CircuitSpec, GateOp, ParamBinding, angle_encoding,
 from qmlgrid.errors import ConfigurationError, UsageError
 from qmlgrid.fusion import FUSE_MAX_QUBITS, FusedRun
 from qmlgrid.metrics import evaluate
-from qmlgrid.qnn import (GrowthResult, QnnConfig, QnnModel, batch_loss,
-                         expectations, forward_batch, grow_layers, init_model,
-                         parameter_shift_gradient, predict, softmax_pair,
-                         train)
+from qmlgrid.qnn import (GrowthResult, QnnConfig, QnnModel, _inverse,
+                         batch_loss, expectations, forward_batch, grow_layers,
+                         init_model, parameter_shift_gradient, predict,
+                         softmax_pair, train)
 from qmlgrid.reference import weighted_cross_entropy
 from qmlgrid.statevec import expectation_z_batch
 
@@ -183,17 +182,11 @@ class TestGradient:
                              - numeric)) <= 1e-6
 
 
-def gate_by_gate(model):
-    """The same model on its circuit with fusion turned off."""
-    return QnnModel(model.config, model.parameters, model.class_weights,
-                    dataclasses.replace(model.circuit, fuse=False))
-
-
 class TestFusedGradient:
     def test_matches_gate_by_gate_parameter_shift(self):
         # every ansatz x re-upload setting, n = 2..6 and L = 1..3; the
-        # oracle runs the unfused circuit, so a fused forward pass that
-        # drifted from the circuit would show here too
+        # oracle runs the circuit gate by gate, so a fused forward pass
+        # that drifted from the circuit would show here too
         sequences = (("Y",), ("X", "Z"), ("Z", "Y", "X"))
         rng = np.random.default_rng(49)
         for n in range(2, 7):
@@ -209,8 +202,7 @@ class TestFusedGradient:
                         X = rng.uniform(-1, 1, (4, n))
                         y = rng.integers(0, 2, 4)
                         got = parameter_shift_gradient(model, X, y)
-                        want = reference.shift_rule_gradient(
-                            gate_by_gate(model), X, y)
+                        want = reference.shift_rule_gradient(model, X, y)
                         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_wider_circuit_keeps_per_gate_rule(self):
@@ -226,6 +218,11 @@ class TestFusedGradient:
         got = parameter_shift_gradient(model, X, y)
         want = reference.shift_rule_gradient(model, X, y)
         assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_product_op_is_never_undone(self):
+        # a product op prepares a state; undoing one is a fusion bug
+        with pytest.raises(UsageError):
+            _inverse(("product", (0, 1), np.zeros((1, 2, 2))))
 
 
 class TestTraining:
