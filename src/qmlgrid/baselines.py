@@ -72,139 +72,287 @@ def predict_logistic(model: LogisticModel, X) -> np.ndarray:
     return (p >= 0.5).astype(int)
 
 
-# -------------------------------------------------------------------- tree
+# ------------------------------------------------------------ tree, forest
 
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode" = None
-    right: "TreeNode" = None
-    label: int = 0
+TREES_PER_BLOCK = 25    # trees grown side by side; bounds the working set
 
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-def _weighted_gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total <= 0.0:
-        return 0.0
-    frac = counts / total
-    return 1.0 - float(frac @ frac)
-
-
-def _leaf_label(counts: np.ndarray) -> int:
-    # weighted majority; exact tie resolves to class 1
-    return 1 if counts[1] >= counts[0] else 0
-
-
-def _best_split(X, y, w, features):
-    """Split minimizing weighted child Gini; candidates are midpoints
-    between consecutive distinct sorted values. Zero-gain splits are kept
-    (an XOR node needs one to make progress); None only when no feature
-    has two distinct values."""
-    total = np.array([w[y == 0].sum(), w[y == 1].sum()])
-    parent = _weighted_gini(total)
-    grand = total.sum()
-    best = None
-    for feat in features:
-        order = np.argsort(X[:, feat], kind="stable")
-        vals = X[order, feat]
-        wy = w[order]
-        one = y[order] == 1
-        # prefix sums give left-child class masses for every cut point
-        left1 = np.cumsum(np.where(one, wy, 0.0))[:-1]
-        left0 = np.cumsum(np.where(one, 0.0, wy))[:-1]
-        valid = vals[:-1] != vals[1:]
-        if not valid.any():
-            continue
-        ls = left0 + left1
-        rs = grand - ls
-        right0 = total[0] - left0
-        right1 = total[1] - left1
-        gini_l = 1.0 - (left0 ** 2 + left1 ** 2) / ls ** 2
-        gini_r = 1.0 - (right0 ** 2 + right1 ** 2) / rs ** 2
-        gain = np.where(valid, parent - (ls * gini_l + rs * gini_r) / grand,
-                        -np.inf)
-        i = int(np.argmax(gain))
-        if best is None or gain[i] > best[0] + 1e-15:
-            best = (gain[i], feat, 0.5 * (vals[i] + vals[i + 1]))
-    return best
-
-
-def fit_tree(X, y, class_weights=(1.0, 1.0),
-             max_features: int | None = None,
-             rng: np.random.Generator | None = None) -> TreeNode:
-    """CART with weighted Gini, grown until leaves are pure (or no split
-    helps). max_features with an rng samples candidate features per split
-    (the forest path); by default every feature is considered."""
-    X, y = _check_xy(X, y)
-    w = np.asarray(class_weights, dtype=np.float64)[y]
-    n_features = X.shape[1]
-
-    def build(idx):
-        sub_y = y[idx]
-        counts = np.array([w[idx][sub_y == 0].sum(), w[idx][sub_y == 1].sum()])
-        node = TreeNode(label=_leaf_label(counts))
-        if counts.min() == 0.0:
-            return node
-        if max_features is not None and max_features < n_features:
-            feats = np.sort(rng.choice(n_features, size=max_features,
-                                       replace=False))
-        else:
-            feats = range(n_features)
-        found = _best_split(X[idx], sub_y, w[idx], feats)
-        if found is None:
-            return node
-        _, feat, thr = found
-        mask = X[idx, feat] <= thr
-        if mask.all():
-            # the midpoint of two adjacent floats can round onto the upper
-            # one and leave the right child empty
-            return node
-        node.feature, node.threshold = feat, thr
-        node.left = build(idx[mask])
-        node.right = build(idx[~mask])
-        return node
-
-    return build(np.arange(len(y)))
-
-
-def predict_tree(node: TreeNode, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    out = np.empty(len(X), dtype=int)
-    for i, row in enumerate(X):
-        cur = node
-        while not cur.is_leaf():
-            cur = cur.left if row[cur.feature] <= cur.threshold else cur.right
-        out[i] = cur.label
-    return out
-
-
-# ------------------------------------------------------------------ forest
 
 @dataclass
 class ForestModel:
-    trees: list
+    """One or more trees as flat node arrays. Node i sends a row left when
+    row[feature[i]] <= threshold[i]; a leaf has feature -1 and is its own
+    left and right child. roots[t] is tree t's root. Every node carries
+    the weighted-majority label of its training samples (exact tie: 1)."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
+    roots: np.ndarray
+
+    def n_splits(self) -> int:
+        return int(np.count_nonzero(self.feature >= 0))
+
+
+def _mass_tables(class_weights, m: int) -> tuple:
+    """(totals, prefixes), each (2, m + 1): the weight of j samples of a
+    class, j = 0..m, from the float operations of a node-by-node CART. A
+    node total is numpy's pairwise .sum() of j copies of the class
+    weight; a cut's left mass is the sequential np.cumsum of j copies."""
+    cw = np.asarray(class_weights, dtype=np.float64)
+    totals = np.array([[np.full(j, c).sum() for j in range(m + 1)]
+                       for c in cw])
+    prefixes = np.zeros((2, m + 1))
+    prefixes[:, 1:] = np.cumsum(np.repeat(cw[:, None], m, axis=1), axis=1)
+    return totals, prefixes
+
+
+def _node_gini(t0, t1) -> np.ndarray:
+    """Gini impurity of nodes with class masses t0, t1, bit for bit as
+    `1 - frac @ frac` on one node: a (1, 2) @ (2, 1) product per node
+    takes numpy's vector dot too, where an elementwise f0*f0 + f1*f1 can
+    differ in the last bit."""
+    grand = t0 + t1
+    frac = np.stack([t0 / grand, t1 / grand], axis=1)
+    return 1.0 - (frac.reshape(-1, 1, 2) @ frac.reshape(-1, 2, 1)).ravel()
+
+
+def _best_splits(y, order, tables, tree, lo, size, n_ones, feats) -> tuple:
+    """(feature, threshold) of the best cut of each open node, feature -1
+    where no candidate feature has two distinct values.
+
+    One group per (node, candidate feature). All groups are scored at
+    once: their rows sort by (group, value rank, class), integer class
+    counts of every prefix look up their weights, and every cut between
+    distinct values gets its Gini gain. A group keeps its first best
+    cut; a node keeps its first candidate that beats the ones before it
+    by more than 1e-15."""
+    values, ranks, totals, prefixes = tables
+    n_open, n_feats = feats.shape
+    width = values.shape[1]
+    gsize = np.repeat(size, n_feats)
+    gend = np.cumsum(gsize)
+    gstart = gend - gsize
+    group = np.repeat(np.arange(len(gsize)), gsize)
+    at = np.arange(len(group)) - gstart[group]
+    at += np.repeat(lo, n_feats)[group]
+    rows = order[np.repeat(tree, n_feats)[group], at]
+    del at      # the dels and in-place ops keep a step's peak memory low
+    key = ranks[feats.ravel()[group], rows]
+    key += group * width
+    key <<= 1
+    key += y[rows]
+    del rows
+    key.sort()
+    ones = key & 1
+    head = ones[gstart]
+    np.cumsum(ones, out=ones)
+    ones -= (ones[gstart] - head)[group]      # class-1 rows so far
+    rank = np.remainder(key >> 1, width, out=key)
+    valid = np.zeros(len(key), dtype=bool)
+    valid[:-1] = rank[:-1] != rank[1:]
+    valid[gend - 1] = False
+    cut = np.flatnonzero(valid)
+    del valid
+    chosen = np.full(n_open, -1)
+    threshold = np.zeros(n_open)
+    if not cut.size:
+        return chosen, threshold
+
+    t0, t1 = totals[0, size - n_ones], totals[1, n_ones]
+    grand = t0 + t1
+    parent = _node_gini(t0, t1)
+    g = group[cut]
+    s = g // n_feats
+    left1 = prefixes[1, ones[cut]]
+    left0 = prefixes[0, cut - gstart[g] + 1 - ones[cut]]
+    del group, ones
+    ls = left0 + left1
+    rs = grand[s] - ls
+    right0 = t0[s] - left0
+    right1 = t1[s] - left1
+    gini_l = 1.0 - (left0 ** 2 + left1 ** 2) / ls ** 2
+    gini_r = 1.0 - (right0 ** 2 + right1 ** 2) / rs ** 2
+    gain = parent[s] - (ls * gini_l + rs * gini_r) / grand[s]
+
+    opens = np.r_[True, g[1:] != g[:-1]]
+    run = np.cumsum(opens) - 1
+    top = np.maximum.reduceat(gain, np.flatnonzero(opens))
+    hits = np.flatnonzero(gain == top[run])
+    first = hits[np.r_[True, run[hits][1:] != run[hits][:-1]]]
+    g, i = g[first], cut[first]
+    feat = feats.ravel()[g]
+    has = np.zeros(n_open * n_feats, dtype=bool)
+    has[g] = True
+    best = np.zeros(n_open * n_feats)
+    best[g] = top
+    mids = np.zeros(n_open * n_feats)
+    mids[g] = 0.5 * (values[feat, rank[i]] + values[feat, rank[i + 1]])
+    has, best, mids = (a.reshape(n_open, n_feats) for a in (has, best, mids))
+    score = np.zeros(n_open)
+    for f in range(n_feats):
+        take = has[:, f] & ((chosen < 0) | (best[:, f] > score + 1e-15))
+        chosen[take] = f
+        score[take] = best[take, f]
+        threshold[take] = mids[take, f]
+    found = chosen >= 0
+    chosen[found] = feats[found, chosen[found]]
+    return chosen, threshold
+
+
+def _partition(X, y, order, tree, lo, size, feat, thr) -> tuple:
+    """Move the rows of each node that go left (x[feat] <= thr) to the
+    front of its slice order[tree, lo:lo + size]. Returns the number of
+    rows and of class-1 rows that go left, per node."""
+    part = np.repeat(np.arange(len(size)), size)
+    start = np.cumsum(size) - size
+    offset = np.arange(len(part)) - start[part]
+    rows = order[tree[part], lo[part] + offset]
+    go = X[rows, feat[part]] <= thr[part]
+    lefts = np.cumsum(go)
+    lefts -= (lefts - go)[start][part]        # left rows so far
+    n_left = np.add.reduceat(go.astype(np.int64), start)
+    ones_left = np.add.reduceat(go & (y[rows] == 1), start, dtype=np.int64)
+    offset = np.where(go, lefts - 1, n_left[part] + offset - lefts)
+    order[tree[part], lo[part] + offset] = rows
+    return n_left, ones_left
+
+
+def _grow(X, y, class_weights, samples, rngs=None,
+          n_candidates: int = 0) -> ForestModel:
+    """CART with weighted Gini, one tree per row of `samples` (row indices
+    into X, repeats allowed), grown until leaves are pure or no split
+    helps.
+
+    With `rngs`, tree t draws n_candidates features per split from
+    rngs[t] as it visits its nodes depth-first in pre-order. Up to
+    TREES_PER_BLOCK trees advance in lockstep, one node each per step, so
+    every tree draws in that order. Without `rngs` every feature is a
+    candidate, node order does not matter, and a step takes every open
+    node of the block. Each step scores its nodes with _best_splits and
+    partitions their rows in place: a node owns a slice of its tree's
+    row of `order`, lefts first after its split."""
+    n_trees, m = samples.shape
+    d = X.shape[1]
+    uniques = [np.unique(X[:, f], return_inverse=True) for f in range(d)]
+    values = np.zeros((d, max([len(u) for u, _ in uniques], default=0)))
+    ranks = np.empty((d, len(X)), dtype=np.int64)
+    for f, (u, inverse) in enumerate(uniques):
+        values[f, :len(u)] = u
+        ranks[f] = inverse
+    totals, prefixes = _mass_tables(class_weights, m)
+    tables = (values, ranks, totals, prefixes)
+
+    capacity = n_trees * max(2 * m - 1, 1)
+    feature = np.empty(capacity, dtype=np.int64)
+    threshold = np.empty(capacity)
+    left = np.empty(capacity, dtype=np.int64)
+    right = np.empty(capacity, dtype=np.int64)
+    label = np.empty(capacity, dtype=np.int64)
+    n_ones = np.empty(capacity, dtype=np.int64)
+
+    def add_leaves(ids, n, n1) -> list:
+        """Store new nodes as leaves; True where a node is impure."""
+        feature[ids] = -1
+        threshold[ids] = 0.0
+        left[ids] = right[ids] = ids
+        n_ones[ids] = n1
+        t0, t1 = totals[0, n - n1], totals[1, n1]
+        label[ids] = t1 >= t0
+        return (np.minimum(t0, t1) > 0.0).tolist()
+
+    order = samples.copy()
+    roots = np.arange(n_trees)
+    impure = add_leaves(roots, m, y[samples].sum(axis=1))
+    # open nodes per tree as (id, lo, hi): the node owns order[t, lo:hi]
+    stacks = [[(t, 0, m)] if impure[t] else [] for t in range(n_trees)]
+    n_nodes = n_trees
+    for block in range(0, n_trees, TREES_PER_BLOCK):
+        trees = range(block, min(block + TREES_PER_BLOCK, n_trees))
+        while True:
+            opened = []
+            for t in trees:
+                if rngs is None:
+                    opened += [(t,) + entry for entry in stacks[t]]
+                    stacks[t].clear()
+                elif stacks[t]:
+                    opened.append((t,) + stacks[t].pop())
+            if not opened:
+                break
+            tree, node, lo, hi = np.array(opened).T
+            size = hi - lo
+            if rngs is None:
+                feats = np.broadcast_to(np.arange(d), (len(node), d))
+            else:
+                feats = np.array([rngs[t].choice(d, size=n_candidates,
+                                                 replace=False)
+                                  for t in tree.tolist()])
+                feats.sort(axis=1)
+            feat, thr = _best_splits(y, order, tables, tree, lo, size,
+                                     n_ones[node], feats)
+            split = np.flatnonzero(feat >= 0)
+            tree, node, lo, size, feat, thr = (
+                a[split] for a in (tree, node, lo, size, feat, thr))
+            n_left, ones_left = _partition(X, y, order, tree, lo, size,
+                                           feat, thr)
+            # the midpoint of two adjacent floats can round onto the upper
+            # one and leave the right child empty: then the node stays a leaf
+            split = n_left < size
+            tree, node, lo, size, feat, thr, n_left, ones_left = (
+                a[split] for a in (tree, node, lo, size, feat, thr, n_left,
+                                   ones_left))
+            ids = n_nodes + 2 * np.arange(len(node))
+            n_nodes += 2 * len(node)
+            feature[node], threshold[node] = feat, thr
+            left[node], right[node] = ids, ids + 1
+            open_left = add_leaves(ids, n_left, ones_left)
+            open_right = add_leaves(ids + 1, size - n_left,
+                                    n_ones[node] - ones_left)
+            # pre-order: the left child is popped first
+            for t, i, a, b, c, go_left, go_right in zip(
+                    tree.tolist(), ids.tolist(), lo.tolist(),
+                    (lo + n_left).tolist(), (lo + size).tolist(),
+                    open_left, open_right):
+                if go_right:
+                    stacks[t].append((i + 1, b, c))
+                if go_left:
+                    stacks[t].append((i, a, b))
+    return ForestModel(feature[:n_nodes].copy(), threshold[:n_nodes].copy(),
+                       left[:n_nodes].copy(), right[:n_nodes].copy(),
+                       label[:n_nodes].copy(), roots)
+
+
+def fit_tree(X, y, class_weights=(1.0, 1.0)) -> ForestModel:
+    """One CART tree (weighted Gini, grown until leaves are pure or no
+    split helps) on every row, every feature a candidate at every split."""
+    X, y = _check_xy(X, y)
+    return _grow(X, y, class_weights, np.arange(len(y))[None, :])
 
 
 def fit_forest(X, y, class_weights=(1.0, 1.0), seed: int = 0) -> ForestModel:
     """100 bagged trees: same-size bootstrap resamples, ceil(sqrt(d))
     feature candidates per split, per-tree rng derived from the seed."""
     X, y = _check_xy(X, y)
-    max_features = math.ceil(math.sqrt(X.shape[1]))
-    trees = []
-    for t in range(100):
-        rng = np.random.default_rng([seed, t])
-        idx = rng.integers(0, len(y), len(y))
-        trees.append(fit_tree(X[idx], y[idx], class_weights,
-                              max_features=max_features, rng=rng))
-    return ForestModel(trees)
+    n_candidates = math.ceil(math.sqrt(X.shape[1]))
+    rngs = [np.random.default_rng([seed, t]) for t in range(100)]
+    samples = np.stack([rng.integers(0, len(y), len(y)) for rng in rngs])
+    if n_candidates >= X.shape[1]:
+        rngs = None
+    return _grow(X, y, class_weights, samples, rngs, n_candidates)
 
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:
-    votes = np.stack([predict_tree(tree, X) for tree in model.trees])
-    ones = votes.sum(axis=0)
-    # majority vote, exact tie resolves to class 1
-    return (2 * ones >= len(model.trees)).astype(int)
+    """Majority vote of the trees, an exact tie resolving to class 1 (so a
+    one-tree model from fit_tree predicts its leaf labels). All rows walk
+    down all trees together, one level per pass."""
+    X = np.asarray(X, dtype=np.float64)
+    rows = np.arange(len(X))[:, None]
+    at = np.broadcast_to(model.roots, (len(X), len(model.roots)))
+    while True:
+        step = np.where(X[rows, model.feature[at]] <= model.threshold[at],
+                        model.left[at], model.right[at])
+        if np.array_equal(step, at):
+            break
+        at = step
+    ones = model.label[at].sum(axis=1)
+    return (2 * ones >= len(model.roots)).astype(int)

@@ -244,12 +244,6 @@ def _svm_eval(gram, ytr, rows_by_split, labels_by_split, c, weights):
     return len(model.support), out, extra
 
 
-def _tree_nodes(node) -> int:
-    if node.is_leaf():
-        return 0
-    return 1 + _tree_nodes(node.left) + _tree_nodes(node.right)
-
-
 def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
              config: dict, k: int, seed: int,
              settings: RunSettings) -> ExperimentRecord:
@@ -288,17 +282,13 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
                 split_metrics = {s: evaluate(y, baselines.predict_logistic(model, X))
                                  for s, (X, y) in arrays.items()}
                 n_par, extra = k + 1, {}
-            elif model_kind == "tree":
-                model = baselines.fit_tree(Xtr, ytr, weights)
-                split_metrics = {s: evaluate(y, baselines.predict_tree(model, X))
-                                 for s, (X, y) in arrays.items()}
-                n_par, extra = _tree_nodes(model), {}
-            elif model_kind == "forest":
-                model = baselines.fit_forest(Xtr, ytr, weights, seed=seed)
+            elif model_kind in ("tree", "forest"):
+                model = (baselines.fit_tree(Xtr, ytr, weights)
+                         if model_kind == "tree" else
+                         baselines.fit_forest(Xtr, ytr, weights, seed=seed))
                 split_metrics = {s: evaluate(y, baselines.predict_forest(model, X))
                                  for s, (X, y) in arrays.items()}
-                n_par = sum(_tree_nodes(t) for t in model.trees)
-                extra = {}
+                n_par, extra = model.n_splits(), {}
             else:
                 raise UsageError(f"unknown classical model {model_kind!r}")
 

@@ -242,7 +242,6 @@ def _add_layer_gradients(grad, stack, factors, reduced) -> None:
 
 @dataclass
 class TrainReport:
-    train_loss: list
     val_loss: list
     best_epoch: int
     stopped_epoch: int
@@ -271,7 +270,7 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int = 100,
     v = np.zeros_like(params)
     step = 0
 
-    history = TrainReport([], [], best_epoch=0, stopped_epoch=0)
+    history = TrainReport([], best_epoch=0, stopped_epoch=0)
     best_val = np.inf
     best_params = params.copy()
     stale = 0
@@ -289,13 +288,10 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int = 100,
             params = params - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             work = replace_params(work, params)
 
-        tr_loss = batch_loss(work, X_tr, y_tr)
         va_loss = batch_loss(work, X_va, y_va)
-        if not (np.isfinite(tr_loss) and np.isfinite(va_loss)):
+        if not np.isfinite(va_loss):
             raise TrainingDivergedError(
-                f"non-finite loss at epoch {epoch} "
-                f"(train={tr_loss}, val={va_loss})")
-        history.train_loss.append(tr_loss)
+                f"non-finite validation loss at epoch {epoch} ({va_loss})")
         history.val_loss.append(va_loss)
 
         if va_loss < best_val:

@@ -6,11 +6,15 @@ unitaries via Kronecker products and matrix multiplication, kernel
 entries and QNN losses are computed from those unitaries and
 probabilities one sample at a time, gradients come from central finite
 differences or from parameter shifts of a gate-by-gate forward pass
-(never fusion or the adjoint sweep), and the SVM dual is solved by
-projected gradient ascent. Deliberately brute force; do not optimize,
+(never fusion or the adjoint sweep), the SVM dual is solved by
+projected gradient ascent, and CART trees grow node by node by
+recursion. Deliberately brute force; do not optimize,
 except by early exits that leave every output bit-identical.
 """
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,3 +260,124 @@ def bias_from_alpha(gram: np.ndarray, labels: np.ndarray, alpha: np.ndarray,
     if np.isinf(hi):
         return lo
     return 0.5 * (lo + hi)
+
+
+@dataclass
+class TreeNode:
+    feature: int = -1
+    threshold: float = 0.0
+    left: "TreeNode" = None
+    right: "TreeNode" = None
+    label: int = 0
+
+
+def _gini(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total <= 0.0:
+        return 0.0
+    frac = counts / total
+    return 1.0 - float(frac @ frac)
+
+
+def _best_split(X, y, w, features):
+    """(gain, feature, threshold) of the cut minimizing weighted child
+    Gini, or None when no feature has two distinct values. Candidates are
+    midpoints between consecutive distinct sorted values; zero-gain
+    splits count. Per feature the first best cut wins; a later feature
+    must beat the best so far by more than 1e-15."""
+    total = np.array([w[y == 0].sum(), w[y == 1].sum()])
+    parent = _gini(total)
+    grand = total.sum()
+    best = None
+    for feat in features:
+        order = np.argsort(X[:, feat], kind="stable")
+        vals = X[order, feat]
+        wy = w[order]
+        one = y[order] == 1
+        left1 = np.cumsum(np.where(one, wy, 0.0))[:-1]
+        left0 = np.cumsum(np.where(one, 0.0, wy))[:-1]
+        valid = vals[:-1] != vals[1:]
+        if not valid.any():
+            continue
+        ls = left0 + left1
+        rs = grand - ls
+        right0 = total[0] - left0
+        right1 = total[1] - left1
+        gini_l = 1.0 - (left0 ** 2 + left1 ** 2) / ls ** 2
+        gini_r = 1.0 - (right0 ** 2 + right1 ** 2) / rs ** 2
+        gain = np.where(valid, parent - (ls * gini_l + rs * gini_r) / grand,
+                        -np.inf)
+        i = int(np.argmax(gain))
+        if best is None or gain[i] > best[0] + 1e-15:
+            best = (gain[i], feat, 0.5 * (vals[i] + vals[i + 1]))
+    return best
+
+
+def grow_tree(X, y, class_weights=(1.0, 1.0), max_features=None,
+              rng=None) -> TreeNode:
+    """CART with weighted Gini, grown by recursion until leaves are pure
+    or no split helps. Node labels are the weighted majority, an exact
+    tie going to class 1. With max_features and an rng, each node draws
+    its sorted candidate features with rng.choice in pre-order."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=int)
+    w = np.asarray(class_weights, dtype=np.float64)[y]
+    n_features = X.shape[1]
+
+    def build(idx):
+        sub_y = y[idx]
+        counts = np.array([w[idx][sub_y == 0].sum(), w[idx][sub_y == 1].sum()])
+        node = TreeNode(label=1 if counts[1] >= counts[0] else 0)
+        if counts.min() == 0.0:
+            return node
+        if max_features is not None and max_features < n_features:
+            feats = np.sort(rng.choice(n_features, size=max_features,
+                                       replace=False))
+        else:
+            feats = range(n_features)
+        found = _best_split(X[idx], sub_y, w[idx], feats)
+        if found is None:
+            return node
+        _, feat, thr = found
+        mask = X[idx, feat] <= thr
+        if mask.all():
+            # the midpoint of two adjacent floats can round onto the upper
+            # one and leave the right child empty
+            return node
+        node.feature, node.threshold = feat, thr
+        node.left = build(idx[mask])
+        node.right = build(idx[~mask])
+        return node
+
+    return build(np.arange(len(y)))
+
+
+def grow_forest(X, y, class_weights=(1.0, 1.0), seed: int = 0) -> list:
+    """100 recursive trees on bootstrap resamples: tree t's rng is
+    default_rng([seed, t]); it draws the resample, then ceil(sqrt(d))
+    candidate features per node."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=int)
+    max_features = math.ceil(math.sqrt(X.shape[1]))
+    trees = []
+    for t in range(100):
+        rng = np.random.default_rng([seed, t])
+        idx = rng.integers(0, len(y), len(y))
+        trees.append(grow_tree(X[idx], y[idx], class_weights,
+                               max_features=max_features, rng=rng))
+    return trees
+
+
+def predict_trees(trees, X) -> np.ndarray:
+    """Majority vote of recursive trees, row by row; an exact tie goes
+    to class 1."""
+    X = np.asarray(X, dtype=np.float64)
+    ones = np.zeros(len(X), dtype=int)
+    for tree in trees:
+        for i, row in enumerate(X):
+            node = tree
+            while node.left is not None:
+                node = node.left if row[node.feature] <= node.threshold \
+                    else node.right
+            ones[i] += node.label
+    return (2 * ones >= len(trees)).astype(int)

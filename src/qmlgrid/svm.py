@@ -101,12 +101,6 @@ class SvmModel:
             self.support = np.flatnonzero(self.alphas > 1e-10)
 
 
-def dual_objective(problem: SvmProblem, alphas: np.ndarray) -> float:
-    y = problem.labels
-    q = (y[:, None] * y[None, :]) * problem.gram
-    return float(alphas.sum() - 0.5 * alphas @ q @ alphas)
-
-
 def solve_dual(problem: SvmProblem, tol: float = 1e-4,
                max_iter: int | None = None) -> SvmModel:
     """Maximal-violating-pair SMO on the dual. Returns the last iterate

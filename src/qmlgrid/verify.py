@@ -1,5 +1,5 @@
-"""Self-contained property suite behind the `verify` CLI command and
-acceptance criteria 1-5.
+"""Self-contained property suite behind the `verify` CLI command,
+acceptance criteria 1-5 and the tree-builder check.
 
 Each check rebuilds its own seeded random instances and compares the fast
 implementations against the slow oracles in `reference`, so a passing
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import datasets, qnn, reference, svm
+from . import baselines, datasets, qnn, reference, svm
 from .circuit import (CircuitSpec, EncodingSpec, GateOp, ParamBinding,
                       build_encoding, run_batch)
 from .pipeline import pca_fit, standardize_apply, standardize_fit
@@ -198,6 +198,85 @@ def check_svm_oracle(n_problems: int = 30, seed: int = 104) -> CheckResult:
         time.perf_counter() - started)
 
 
+def same_tree(model, root: int, node) -> bool:
+    """Whether the tree at `root` of a flat baselines.ForestModel has the
+    shape, split features, thresholds and node labels of a recursive
+    reference.TreeNode tree."""
+    pending = [(root, node)]
+    while pending:
+        i, node = pending.pop()
+        if model.label[i] != node.label or model.feature[i] != node.feature:
+            return False
+        if node.left is not None:
+            if model.threshold[i] != node.threshold:
+                return False
+            pending += [(model.left[i], node.left), (model.right[i], node.right)]
+    return True
+
+
+def _tree_problem(rng, kind: str) -> tuple:
+    """(X, y, class_weights) of a small seeded problem that stresses one
+    corner of tree growth: `repeats` draws values from a few levels and
+    repeats the first column as the last, `xor` duplicates the XOR table
+    (every root cut has zero gain), `adjacent` puts pairs of adjacent
+    floats whose midpoint rounds onto the upper one. Class weights are
+    random and not dyadic."""
+    n = int(rng.integers(12, 48))
+    d = int(rng.integers(2, 6))
+    if kind == "repeats":
+        X = rng.integers(0, 4, size=(n, d)) / 3.0
+        X[:, -1] = X[:, 0]      # equal best gains: the first feature wins
+        y = rng.integers(0, 2, size=n)
+    elif kind == "xor":
+        X = rng.integers(0, 3, size=(n, d)) / 3.0
+        X[:, :2] = rng.integers(0, 2, size=(n, 2))
+        y = (X[:, 0] != X[:, 1]).astype(int)
+    else:
+        a = 1.0 + 2.0 ** -52
+        X = np.where(rng.integers(0, 2, size=(n, d)) == 1,
+                     np.nextafter(a, 2.0), a)
+        X[:, 0] += rng.integers(0, 3, size=n)
+        y = rng.integers(0, 2, size=n)
+    weights = tuple(float(w) for w in rng.uniform(0.2, 3.0, size=2))
+    return X, y, weights
+
+
+def check_trees(n_problems: int = 12, seed: int = 107) -> CheckResult:
+    """fit_tree and fit_forest vs the recursive reference builder: the
+    same trees (shape, feature, threshold, node label) and the same
+    predictions on the training rows and on a random probe."""
+    started = time.perf_counter()
+    rng = np.random.default_rng(seed)
+    kinds = ("repeats", "xor", "adjacent")
+    problems = []
+    for p in range(n_problems):
+        kind = kinds[p % len(kinds)]
+        X, y, weights = _tree_problem(rng, kind)
+        forest_seed = int(rng.integers(2 ** 63))
+        probe = np.vstack([X, rng.uniform(X.min(), X.max(), size=X.shape)])
+        tree = baselines.fit_tree(X, y, weights)
+        want = reference.grow_tree(X, y, weights)
+        forest = baselines.fit_forest(X, y, weights, seed=forest_seed)
+        wants = reference.grow_forest(X, y, weights, seed=forest_seed)
+        same = (len(forest.roots) == len(wants)
+                and same_tree(tree, tree.roots[0], want)
+                and all(same_tree(forest, r, w)
+                        for r, w in zip(forest.roots, wants)))
+        agree = (np.array_equal(baselines.predict_forest(tree, probe),
+                                reference.predict_trees([want], probe))
+                 and np.array_equal(baselines.predict_forest(forest, probe),
+                                    reference.predict_trees(wants, probe)))
+        if not same:
+            problems.append(f"{kind} problem {p}: trees differ")
+        elif not agree:
+            problems.append(f"{kind} problem {p}: predictions differ")
+    detail = "; ".join(problems) if problems else (
+        f"{n_problems} problems (repeated values, XOR, adjacent floats), "
+        f"tree and 100-tree forest identical to the recursive builder")
+    return CheckResult("trees", not problems, detail,
+                       time.perf_counter() - started)
+
+
 def check_pca() -> CheckResult:
     """Cumulative explained-variance targets per dataset."""
     started = time.perf_counter()
@@ -219,6 +298,7 @@ def run_property_suite(fast: bool = False) -> list:
     if fast:
         return [check_simulator(40), check_gradients(8),
                 check_kernel_properties(12), check_svm_oracle(8),
-                check_pca()]
+                check_pca(), check_trees(3)]
     return [check_simulator(), check_gradients(),
-            check_kernel_properties(), check_svm_oracle(), check_pca()]
+            check_kernel_properties(), check_svm_oracle(), check_pca(),
+            check_trees()]

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
+from qmlgrid import bench, datasets, reference, verify
 from qmlgrid.baselines import (
     ForestModel,
+    _node_gini,
     LogisticModel,
-    TreeNode,
     fit_forest,
     fit_logistic,
     fit_tree,
     predict_forest,
     predict_logistic,
-    predict_tree,
 )
 from qmlgrid.errors import TrainingDivergedError, UsageError
 from qmlgrid.metrics import evaluate
+from qmlgrid.pipeline import stratified_split
 
 
 def blobs(n=80, seed=3, gap=2.0):
@@ -97,28 +98,30 @@ class TestTree:
         X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         y = np.array([0, 1, 1, 0])
         tree = fit_tree(X, y)
-        assert list(predict_tree(tree, X)) == [0, 1, 1, 0]
+        assert list(predict_forest(tree, X)) == [0, 1, 1, 0]
 
     def test_pure_training_fit(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(60, 4))
         y = (rng.random(60) > 0.5).astype(int)
         tree = fit_tree(X, y)
-        assert np.array_equal(predict_tree(tree, X), y)
+        assert np.array_equal(predict_forest(tree, X), y)
 
     def test_threshold_is_midpoint(self):
         X = np.array([[1.0], [3.0], [5.0], [7.0]])
         y = np.array([0, 0, 1, 1])
         tree = fit_tree(X, y)
-        assert tree.threshold == pytest.approx(4.0)
+        assert tree.threshold[tree.roots[0]] == pytest.approx(4.0)
 
     def test_weighted_majority_leaf(self):
         # 3 zeros vs 1 one on identical rows: unweighted leaf says 0,
         # minority weighting flips it
         X = np.zeros((4, 1))
         y = np.array([0, 0, 0, 1])
-        assert fit_tree(X, y).label == 0
-        assert fit_tree(X, y, class_weights=(0.2, 0.8)).label == 1
+        plain = fit_tree(X, y)
+        weighted = fit_tree(X, y, class_weights=(0.2, 0.8))
+        assert plain.label[plain.roots[0]] == 0
+        assert weighted.label[weighted.roots[0]] == 1
 
     def test_midpoint_rounding_onto_upper_value_gives_leaf(self):
         # adjacent floats whose midpoint rounds onto the upper one: the
@@ -127,7 +130,8 @@ class TestTree:
         b = np.nextafter(a, 2.0)
         assert 0.5 * (a + b) == b
         tree = fit_tree(np.array([[a], [b]]), np.array([0, 1]))
-        assert tree.is_leaf()
+        assert tree.feature[tree.roots[0]] == -1
+        assert tree.n_splits() == 0
 
 
 class TestForest:
@@ -153,5 +157,66 @@ class TestForest:
         assert evaluate(yt, predict_forest(forest, Xt)).f1 >= 0.9
 
     def test_tie_votes_positive(self):
-        forest = ForestModel([TreeNode(label=0), TreeNode(label=1)])
+        # two one-leaf trees voting 0 and 1
+        leaves = np.array([0, 1])
+        forest = ForestModel(feature=np.array([-1, -1]),
+                             threshold=np.zeros(2), left=leaves,
+                             right=leaves, label=np.array([0, 1]),
+                             roots=leaves)
         assert predict_forest(forest, [[0.5], [-3.0]]).tolist() == [1, 1]
+
+
+class TestAgainstRecursiveReference:
+    """The lockstep builder grows the trees that the recursive
+    reference.grow_tree / grow_forest grow, split for split."""
+
+    @pytest.mark.parametrize("dataset_key",
+                             ["prostate", "heart_failure", "diabetes"])
+    def test_grid_datasets_at_two_cell_seeds(self, dataset_key):
+        bundle = stratified_split(datasets.synthetic(dataset_key), 0)
+        weights = bundle.class_weights()
+        y = bundle.labels("train")
+        for k in range(2, 7):
+            X = bundle.features("train", k)
+            probe = bundle.features("test", k)
+            tree, want = fit_tree(X, y, weights), reference.grow_tree(X, y,
+                                                                      weights)
+            assert verify.same_tree(tree, tree.roots[0], want), k
+            assert np.array_equal(predict_forest(tree, probe),
+                                  reference.predict_trees([want], probe))
+            for master in (0, 1):
+                seed = bench.cell_seed(master, dataset_key, "classical",
+                                       {"model": "forest"}, 0)
+                forest = fit_forest(X, y, weights, seed=seed)
+                wants = reference.grow_forest(X, y, weights, seed=seed)
+                assert len(forest.roots) == len(wants) == 100
+                for root, want in zip(forest.roots, wants):
+                    assert verify.same_tree(forest, root, want), (k, master)
+                assert np.array_equal(predict_forest(forest, probe),
+                                      reference.predict_trees(wants, probe))
+                assert forest.n_splits() == sum(
+                    _splits(want) for want in wants)
+
+    def test_node_gini_is_bit_identical_to_the_recursion(self):
+        rng = np.random.default_rng(12)
+        t0, t1 = rng.uniform(0.01, 300.0, size=(2, 20_000))
+        want = [reference._gini(np.array([a, b])) for a, b in zip(t0, t1)]
+        assert np.array_equal(_node_gini(t0, t1), want)
+
+    def test_property_suite_check(self):
+        result = verify.check_trees()
+        assert result.passed, result.detail
+
+    def test_same_tree_sees_a_changed_threshold(self):
+        X = np.array([[1.0], [3.0], [5.0], [7.0]])
+        y = np.array([0, 0, 1, 1])
+        tree, want = fit_tree(X, y), reference.grow_tree(X, y)
+        assert verify.same_tree(tree, 0, want)
+        tree.threshold[0] = np.nextafter(tree.threshold[0], 5.0)
+        assert not verify.same_tree(tree, 0, want)
+
+
+def _splits(node) -> int:
+    if node.left is None:
+        return 0
+    return 1 + _splits(node.left) + _splits(node.right)

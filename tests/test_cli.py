@@ -144,7 +144,7 @@ class TestVerifyCommand:
     def test_fast_suite_passes(self, capsys):
         assert main(["verify", "--fast"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5 and "FAIL" not in out
+        assert out.count("PASS") == 6 and "FAIL" not in out
 
 
 class TestDatasetsCommand:

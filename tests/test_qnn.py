@@ -7,13 +7,13 @@ import pytest
 from qmlgrid import reference
 from qmlgrid.circuit import (CircuitSpec, GateOp, ParamBinding, angle_encoding,
                             concat, resolve_ops, run_batch)
-from qmlgrid.errors import ConfigurationError, UsageError
+from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
 from qmlgrid.fusion import FUSE_MAX_QUBITS, FusedRun
 from qmlgrid.metrics import evaluate
 from qmlgrid.qnn import (GrowthResult, QnnConfig, QnnModel, _inverse,
                          batch_loss, expectations, forward_batch, grow_layers,
                          init_model, parameter_shift_gradient, predict,
-                         softmax_pair, train)
+                         replace_params, softmax_pair, train)
 from qmlgrid.reference import weighted_cross_entropy
 from qmlgrid.statevec import expectation_z_batch
 
@@ -243,6 +243,14 @@ class TestTraining:
         f1 = evaluate(y, predict(fitted, X)).f1
         assert f1 >= 0.95
         assert report.stopped_epoch <= 100
+
+    def test_non_finite_validation_loss_aborts(self):
+        X, y = toy_sign_task(16)
+        model = init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=2),
+                           (0.5, 0.5))
+        broken = replace_params(model, np.full_like(model.parameters, np.nan))
+        with pytest.raises(TrainingDivergedError, match="epoch 1"):
+            train(broken, (X, y), (X, y), epochs=3)
 
     def test_returns_best_epoch_parameters(self):
         X, y = toy_sign_task(24)

@@ -7,8 +7,11 @@ from qmlgrid.errors import UsageError
 from qmlgrid.pipeline import stratified_split
 from qmlgrid.qkernel import embed, gram_matrix
 from qmlgrid.svm import (SvmModel, SvmProblem, decision_function,
-                         dual_objective, kernel_matrix, kkt_violation,
-                         predict, solve_dual)
+                         kernel_matrix, kkt_violation, predict, solve_dual)
+
+
+def dual_objective(problem, alphas):
+    return reference.dual_objective(problem.gram, problem.labels, alphas)
 
 
 def random_problem(rng, n_max=8):
