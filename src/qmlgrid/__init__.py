@@ -1,7 +1,8 @@
 """Statevector quantum classifiers and classical baselines on one
 benchmarking harness: simulator, circuit IR, QNN, fidelity-kernel QSVM,
 weighted SVM solver, reference models, preprocessing pipeline, grid
-runner and CLI."""
+runner with its settings file, and the CLI (run, report, verify,
+datasets)."""
 
 __version__ = "0.1.0"
 

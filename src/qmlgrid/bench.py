@@ -1,10 +1,15 @@
-"""Grid-search orchestration, the record store, selection, and reports.
+"""Grid-search orchestration, run settings, the record store, selection,
+and reports.
 
 A record store is one append-only file of line-delimited JSON records,
 one per grid cell, written in deterministic enumeration order so two runs
 with the same master seed produce byte-identical stores. Wall-clock
 timings never enter the store (they would break that guarantee); they go
 to a sidecar file next to it.
+
+A settings file is flat `key = value` text whose keys are RunSettings
+fields and whose values are JSON. Every value is checked before a run
+appends anything, so bad input leaves the store untouched.
 """
 from __future__ import annotations
 
@@ -13,14 +18,14 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import baselines, qnn, svm
-from .checkpoint import load_document
 from .circuit import EncodingSpec
 from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
@@ -42,6 +47,9 @@ ENCODING_LABELS = {"angle": "Angle", "z": "Z", "zz_a": "ZZ",
 
 MODEL_LABELS = {"logistic": "LogisticRegression", "tree": "DecisionTree",
                 "forest": "RandomForest"}
+
+# soft-margin C of every SVM cell, quantum and classical
+SVM_C = 1.0
 
 
 def canonical(obj) -> str:
@@ -198,21 +206,55 @@ class RecordStore:
 
 # ---------------------------------------------------------------- settings
 
-@dataclass
+_KEY = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+
+
+def _read_document(path) -> dict:
+    """Parses a flat `key = value` file: one JSON value per line, blank
+    lines and `#` comments skipped."""
+    out = {}
+    with open(path) as fh:
+        for n, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, raw = line.partition("=")
+            key = key.strip()
+            if not sep or not _KEY.match(key):
+                raise IngestionError(f"{path}: line {n}: expected 'key = "
+                                     f"value', got {line!r}")
+            try:
+                out[key] = json.loads(raw.strip())
+            except json.JSONDecodeError as exc:
+                raise IngestionError(
+                    f"{path}: line {n}: bad value for {key!r}: {exc}") from None
+    return out
+
+
+@dataclass(frozen=True)
 class RunSettings:
+    """What a grid run may vary; model constants live in their modules
+    (SVM_C here, qnn.LEARNING_RATE, qnn.BATCH_SIZE, qnn.PATIENCE)."""
     master_seed: int = 0
-    svm_c: float = 1.0
     qnn_epochs: int = 100
-    qnn_patience: int = 5
-    qnn_learning_rate: float = 0.01
-    qnn_batch_size: int = 32
     qnn_start_layers: int = 2
     qnn_max_layers: int = 100
-    qnn_stall_limit: int = None
+
+    def __post_init__(self):
+        lowest = {"master_seed": 0, "qnn_epochs": 1, "qnn_start_layers": 1,
+                  "qnn_max_layers": self.qnn_start_layers}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:      # bool and float are refused
+                raise UsageError(f"{f.name} must be an integer, got "
+                                 f"{value!r}")
+            if value < lowest[f.name]:
+                raise UsageError(f"{f.name} must be >= {lowest[f.name]}, "
+                                 f"got {value}")
 
     @staticmethod
     def from_document(path) -> "RunSettings":
-        doc = load_document(path)
+        doc = _read_document(path)
         known = set(RunSettings.__dataclass_fields__)
         bad = set(doc) - known
         if bad:
@@ -233,9 +275,9 @@ def _split_arrays(bundle: SplitBundle, k: int):
             for s in SplitBundle.SPLITS}
 
 
-def _svm_eval(gram, ytr, rows_by_split, labels_by_split, c, weights):
+def _svm_eval(gram, ytr, rows_by_split, labels_by_split, weights):
     ypm = np.where(ytr == 1, 1, -1)
-    model = svm.solve_dual(svm.SvmProblem(gram, ypm, c, weights))
+    model = svm.solve_dual(svm.SvmProblem(gram, ypm, SVM_C, weights))
     out = {}
     for split, rows in rows_by_split.items():
         pred = (svm.predict(model, rows) > 0).astype(int)
@@ -265,7 +307,7 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
                     "val": cross_gram(states["val"], states["train"]),
                     "test": cross_gram(states["test"], states["train"])}
             n_par, split_metrics, extra = _svm_eval(
-                gram, ytr, rows, labels_by_split, settings.svm_c, weights)
+                gram, ytr, rows, labels_by_split, weights)
 
         elif family == "classical":
             model_kind = config["model"]
@@ -276,7 +318,7 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
                         "val": svm.kernel_matrix(kind, arrays["val"][0], Xtr),
                         "test": svm.kernel_matrix(kind, arrays["test"][0], Xtr)}
                 n_par, split_metrics, extra = _svm_eval(
-                    gram, ytr, rows, labels_by_split, settings.svm_c, weights)
+                    gram, ytr, rows, labels_by_split, weights)
             elif model_kind == "logistic":
                 model = baselines.fit_logistic(Xtr, ytr, weights)
                 split_metrics = {s: evaluate(y, baselines.predict_logistic(model, X))
@@ -304,11 +346,7 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
                 cfg, weights, arrays["train"], arrays["val"],
                 start_layers=settings.qnn_start_layers,
                 max_layers=settings.qnn_max_layers,
-                stall_limit=settings.qnn_stall_limit,
-                epochs=settings.qnn_epochs,
-                patience=settings.qnn_patience,
-                learning_rate=settings.qnn_learning_rate,
-                batch_size=settings.qnn_batch_size)
+                epochs=settings.qnn_epochs)
             best = growth.best_trial()
             model = best.model
             split_metrics = {s: evaluate(y, qnn.predict(model, X))
@@ -351,6 +389,8 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
         raise UsageError(f"unknown families {sorted(unknown)}")
     if split_seed is None:
         split_seed = settings.master_seed
+    if split_seed < 0:
+        raise UsageError(f"split seed must be >= 0, got {split_seed}")
     if feature_range is None:
         feature_range = FEATURE_RANGES.get(
             dataset_key, (2, min(6, dataset.n_features)))

@@ -1,21 +1,19 @@
 """Command-line entry point.
 
-Subcommands: prepare (split manifest from a CSV or named profile),
-pca-variance, run (grid search into a record store), report (CSV tables
-from a store), verify (property suite), datasets (profiles and where to
-get the real files).
+Subcommands: run (grid search into a record store), report (CSV tables,
+PCA curve included, from a store), verify (property suite), datasets
+(profiles and where to get the real files).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from . import bench, datasets, verify
 from .bench import RecordStore, RunSettings
 from .errors import ConfigurationError, IngestionError, UsageError
-from .pipeline import (load_csv, pca_fit, save_manifest, standardize_apply,
-                       standardize_fit, stratified_split)
 
 
 def parse_feature_range(text: str) -> tuple:
@@ -32,64 +30,18 @@ def parse_feature_range(text: str) -> tuple:
     raise UsageError(f"bad feature range {text!r}, expected N or LO..HI")
 
 
-def _resolve_dataset(key: str):
-    dataset, origin = datasets.resolve(key)
-    print(f"dataset {key}: {dataset.n_rows} rows, "
-          f"{dataset.n_features} features, "
-          f"{dataset.positive_count()} positive ({origin})")
-    return dataset
-
-
-def _cmd_prepare(args) -> int:
-    if args.profile:
-        dataset = _resolve_dataset(args.profile)
-        name = args.profile
-    else:
-        if not args.csv:
-            raise UsageError("prepare needs a CSV path or --profile")
-        if args.label is None or args.positive is None:
-            raise UsageError("prepare <csv> needs --label and --positive")
-        name = args.name or os.path.splitext(os.path.basename(args.csv))[0]
-        dataset = load_csv(args.csv, args.label, args.positive, name=name,
-                           drop_columns=tuple(args.drop))
-    bundle = stratified_split(dataset, args.seed)
-    out = args.out or f"{name}_split_{args.seed}.json"
-    save_manifest(bundle, out)
-    w0, w1 = bundle.class_weights()
-    for split in ("train", "val", "test"):
-        y = bundle.labels(split)
-        print(f"  {split}: {y.size} rows, {int(y.sum())} positive")
-    print(f"  class weights: ({w0:.4f}, {w1:.4f})")
-    print(f"wrote {out}")
-    return 0
-
-
-def _cmd_pca_variance(args) -> int:
-    dataset = _resolve_dataset(args.dataset)
-    mean, std = standardize_fit(dataset.features)
-    model = pca_fit(standardize_apply(dataset.features, mean, std))
-    lines = [f"{i + 1},{v:.4f}"
-             for i, v in enumerate(model.cumulative_ratio)]
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("Component,CumulativeRatio\n")
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print("Component,CumulativeRatio")
-        print("\n".join(lines))
-    return 0
-
-
 def _cmd_run(args) -> int:
     settings = (RunSettings.from_document(args.config) if args.config
                 else RunSettings())
     if args.seed is not None:
-        settings.master_seed = args.seed
+        settings = dataclasses.replace(settings, master_seed=args.seed)
     families = tuple(args.families.split(","))
     feature_range = (parse_feature_range(args.features)
                      if args.features else None)
-    dataset = _resolve_dataset(args.dataset)
+    dataset, origin = datasets.resolve(args.dataset)
+    print(f"dataset {args.dataset}: {dataset.n_rows} rows, "
+          f"{dataset.n_features} features, "
+          f"{dataset.positive_count()} positive ({origin})")
     store = RecordStore(args.store)
     if len(store):
         done, retry = store.cell_counts()
@@ -158,24 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum and classical model grid search on small "
                     "clinical tabular datasets.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prepare", help="build and save a split manifest")
-    p.add_argument("csv", nargs="?", help="CSV file with a header row")
-    p.add_argument("--profile", help="named dataset profile instead of a CSV")
-    p.add_argument("--label", help="label column name")
-    p.add_argument("--positive", help="cell value marking the positive class")
-    p.add_argument("--drop", action="append", default=[],
-                   help="column to drop (repeatable)")
-    p.add_argument("--name", help="dataset name for the manifest")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="manifest path")
-    p.set_defaults(func=_cmd_prepare)
-
-    p = sub.add_parser("pca-variance",
-                       help="cumulative explained variance per component")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=_cmd_pca_variance)
 
     p = sub.add_parser("run", help="run grid cells into a record store")
     p.add_argument("--dataset", required=True)

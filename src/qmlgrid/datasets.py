@@ -10,7 +10,7 @@ pipeline stage stays runnable offline.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +118,7 @@ def load_real(key: str, directory=None) -> Dataset:
     if not path.exists():
         raise IngestionError(
             f"{path} not found.\n" + fetch_instructions(key))
-    ds = load_csv(path, p.label_column, p.positive_value, name=p.key,
+    ds = load_csv(path, p.label_column, p.positive_value,
                   drop_columns=p.drop_columns)
     if ds.n_rows != p.n_rows or ds.positive_count() != p.n_positive:
         raise IngestionError(
@@ -195,8 +195,7 @@ def synthetic(key: str) -> Dataset:
     col_shift = rng.uniform(-3.0, 3.0, size=d) * col_scale
     X = X * col_scale + col_shift
 
-    names = tuple(f"c{i + 1}" for i in range(d))
-    return Dataset(p.key, X, labels, names)
+    return Dataset(X, labels)
 
 
 def resolve(key: str, directory=None):
@@ -207,13 +206,3 @@ def resolve(key: str, directory=None):
     if directory is not None and (directory / p.filename).exists():
         return load_real(key, directory), "real"
     return synthetic(key), "synthetic"
-
-
-def save_csv(dataset: Dataset, path, label_column: str = "label") -> None:
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [label_column])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])

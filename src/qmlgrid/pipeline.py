@@ -3,12 +3,13 @@
 The chain applied to every dataset: standardize per feature, project with
 PCA, rescale each component to [-1, 1], all fitted on the training split
 only. Splitting is stratified 20% test, then 20% of the remainder to
-validation (64/16/20 overall), rounded to nearest per class.
+validation (64/16/20 overall), rounded to nearest per class. A split and
+its fitted transforms are a function of the dataset and the seed, so
+nothing about them is saved: a run that needs one recomputes it.
 """
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -19,10 +20,8 @@ from .errors import IngestionError, UsageError
 
 @dataclass(frozen=True)
 class Dataset:
-    name: str
     features: np.ndarray
     labels: np.ndarray
-    feature_names: tuple
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
@@ -33,8 +32,6 @@ class Dataset:
             raise UsageError("dataset contains non-finite features")
         if not np.all(np.isin(y, (0, 1))):
             raise UsageError("labels must be 0/1")
-        if len(self.feature_names) != X.shape[1]:
-            raise UsageError("feature_names length mismatch")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
 
@@ -50,7 +47,7 @@ class Dataset:
         return int(self.labels.sum())
 
 
-def load_csv(path, label_column: str, positive_value, name: str = None,
+def load_csv(path, label_column: str, positive_value,
              drop_columns=()) -> Dataset:
     """Reads a headered CSV. The label column is mapped to 1 exactly where
     the stripped cell equals str(positive_value); every other column must
@@ -99,9 +96,7 @@ def load_csv(path, label_column: str, positive_value, name: str = None,
             rows.append(row)
     if not rows:
         raise IngestionError(f"{path}: no data rows")
-    return Dataset(name or str(path),
-                   np.array(rows), np.array(labels),
-                   tuple(header[i] for i in keep))
+    return Dataset(np.array(rows), np.array(labels))
 
 
 # -------------------------------------------------------------- transforms
@@ -252,34 +247,3 @@ def stratified_split(dataset: Dataset, seed: int) -> SplitBundle:
     proj = pca_transform(bundle.pca, z, dataset.n_features)
     bundle.component_lo, bundle.component_hi = minmax_fit(proj)
     return bundle
-
-
-# ---------------------------------------------------------------- manifest
-
-def manifest_dict(bundle: SplitBundle) -> dict:
-    return {
-        "dataset": bundle.dataset.name,
-        "seed": bundle.seed,
-        "n_rows": bundle.dataset.n_rows,
-        "indices": {s: bundle.indices(s).tolist() for s in SplitBundle.SPLITS},
-        "transforms": {
-            "mean": bundle.mean.tolist(),
-            "std": bundle.std.tolist(),
-            "pca_mean": bundle.pca.mean.tolist(),
-            "components": bundle.pca.components.tolist(),
-            "eigenvalues": bundle.pca.eigenvalues.tolist(),
-            "component_lo": bundle.component_lo.tolist(),
-            "component_hi": bundle.component_hi.tolist(),
-        },
-    }
-
-
-def save_manifest(bundle: SplitBundle, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(manifest_dict(bundle), fh, indent=1)
-        fh.write("\n")
-
-
-def load_manifest(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

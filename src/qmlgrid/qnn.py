@@ -31,6 +31,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Adam step size, mini-batch rows, and epochs without a validation-loss
+# improvement before training stops
+LEARNING_RATE = 0.01
+BATCH_SIZE = 32
+PATIENCE = 5
+
 # per trainable gate kind, the rotation R_P with R_P(pi) = -iP for its
 # generator P; PHASE(t) is RZ(t) up to a global phase, so it takes RZ
 _DERIVATIVE_GATE = {"rx": "rx", "ry": "ry", "rz": "rz", "phase": "rz"}
@@ -250,15 +256,13 @@ class TrainReport:
         return self.val_loss[self.best_epoch - 1]
 
 
-def train(model: QnnModel, train_set, val_set, *, epochs: int = 100,
-          patience: int = 5, learning_rate: float = 0.01,
-          batch_size: int = 32) -> tuple:
+def train(model: QnnModel, train_set, val_set, *, epochs: int = 100) -> tuple:
     """Mini-batch Adam with early stopping on validation loss.
 
     Returns (model with the best-epoch parameters, TrainReport). Epochs
     are 1-based in the report. Training stops once validation loss has
-    not improved for `patience` consecutive epochs, so a model already at
-    a plateau stops exactly `patience` epochs past its best.
+    not improved for PATIENCE consecutive epochs, so a model already at
+    a plateau stops exactly PATIENCE epochs past its best.
     """
     X_tr, y_tr = np.asarray(train_set[0], dtype=np.float64), np.asarray(train_set[1], dtype=int)
     X_va, y_va = np.asarray(val_set[0], dtype=np.float64), np.asarray(val_set[1], dtype=int)
@@ -277,15 +281,15 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int = 100,
 
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(y_tr))
-        for start in range(0, len(order), batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, len(order), BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             grad = parameter_shift_gradient(work, X_tr[idx], y_tr[idx])
             step += 1
             m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
             v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad ** 2
             m_hat = m / (1 - ADAM_BETA1 ** step)
             v_hat = v / (1 - ADAM_BETA2 ** step)
-            params = params - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            params = params - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             work = replace_params(work, params)
 
         va_loss = batch_loss(work, X_va, y_va)
@@ -302,7 +306,7 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int = 100,
         else:
             stale += 1
         history.stopped_epoch = epoch
-        if stale >= patience:
+        if stale >= PATIENCE:
             break
 
     return replace_params(model, best_params), history
@@ -331,12 +335,10 @@ class GrowthResult:
 
 def grow_layers(config: QnnConfig, class_weights, train_set, val_set, *,
                 start_layers: int = 2, max_layers: int = 100,
-                stall_limit: int | None = None, **train_kwargs) -> GrowthResult:
+                epochs: int = 100) -> GrowthResult:
     """Incremental layer search: train a fresh model per layer count,
-    stop once validation loss has not improved for `stall_limit`
-    consecutive counts (default: the qubit count) or the cap is hit."""
-    if stall_limit is None:
-        stall_limit = config.n_features
+    stop once validation loss has not improved for as many consecutive
+    counts as there are qubits, or the cap is hit."""
     best_val = np.inf
     best_layers = start_layers
     stale = 0
@@ -344,7 +346,7 @@ def grow_layers(config: QnnConfig, class_weights, train_set, val_set, *,
     for n_layers in range(start_layers, max_layers + 1):
         cfg = replace(config, n_layers=n_layers)
         model, report = train(init_model(cfg, class_weights),
-                              train_set, val_set, **train_kwargs)
+                              train_set, val_set, epochs=epochs)
         val = report.best_val_loss()
         trials.append(LayerTrial(n_layers, val, model, report))
         if val < best_val:
@@ -353,6 +355,6 @@ def grow_layers(config: QnnConfig, class_weights, train_set, val_set, *,
             stale = 0
         else:
             stale += 1
-        if stale >= stall_limit:
+        if stale >= config.n_features:
             break
     return GrowthResult(best_layers, trials)

@@ -9,7 +9,7 @@ import pytest
 from qmlgrid import bench, datasets, qkernel, qnn, svm
 from qmlgrid.bench import (ExperimentRecord, RecordStore, RunSettings,
                            canonical, cell_seed, select_best)
-from qmlgrid.checkpoint import save_document
+from qmlgrid.errors import IngestionError
 from qmlgrid.metrics import Metrics
 from qmlgrid.pipeline import stratified_split
 
@@ -146,16 +146,40 @@ class TestRecordStore:
 class TestRunSettings:
     def test_document_round_trip(self, tmp_path):
         path = tmp_path / "run.conf"
-        save_document(path, {"master_seed": 7, "qnn_epochs": 3})
+        path.write_text("master_seed = 7\nqnn_epochs = 3\n")
         s = RunSettings.from_document(path)
         assert (s.master_seed, s.qnn_epochs) == (7, 3)
-        assert s.svm_c == 1.0     # defaults fill the rest
+        assert s.qnn_max_layers == 100     # defaults fill the rest
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.conf"
-        save_document(path, {"master_sneed": 7})
+        path.write_text("master_sneed = 7\n")
         with pytest.raises(Exception, match="master_sneed"):
             RunSettings.from_document(path)
+
+    def test_comments_and_blanks_skipped(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("# header\n\nmaster_seed = 1\n  # indented "
+                        "comment\nqnn_epochs = 2\n")
+        assert RunSettings.from_document(path) == RunSettings(
+            master_seed=1, qnn_epochs=2)
+
+    def test_missing_equals_names_line(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("master_seed = 1\njunk line\n")
+        with pytest.raises(IngestionError, match="line 2"):
+            RunSettings.from_document(path)
+
+    def test_bad_json_value_names_key(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("master_seed = {not json\n")
+        with pytest.raises(IngestionError, match="'master_seed'"):
+            RunSettings.from_document(path)
+
+    def test_equals_inside_value_survives(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text('s = "a = b"\n')
+        assert bench._read_document(path) == {"s": "a = b"}
 
 
 class TestSelectBest:
@@ -331,7 +355,7 @@ class TestRunCell:
     def test_qnn_cell_smoke(self, small_run):
         ds, _, _, _, _ = small_run
         bundle = stratified_split(ds, 0)
-        fast = RunSettings(qnn_epochs=3, qnn_max_layers=2, qnn_stall_limit=1)
+        fast = RunSettings(qnn_epochs=3, qnn_max_layers=2)
         rec = bench.run_cell(
             "prostate", bundle, "qnn",
             {"sequence": "Y", "reupload": False, "ansatz": "basic"},

@@ -8,13 +8,6 @@ from qmlgrid.cli import main, parse_feature_range
 from qmlgrid.errors import ConfigurationError
 
 
-def write_toy_csv(path):
-    rows = ["a,b,label"]
-    for i in range(30):
-        rows.append(f"{i},{i % 7},{'yes' if i % 3 == 0 else 'no'}")
-    path.write_text("\n".join(rows) + "\n")
-
-
 class TestFeatureRange:
     def test_range(self):
         assert parse_feature_range("2..6") == (2, 6)
@@ -25,55 +18,6 @@ class TestFeatureRange:
     def test_garbage_rejected(self):
         with pytest.raises(Exception, match="feature range"):
             parse_feature_range("2-6")
-
-
-class TestPrepare:
-    def test_csv_prepare_writes_manifest(self, tmp_path, capsys):
-        csv_path = tmp_path / "toy.csv"
-        write_toy_csv(csv_path)
-        out = tmp_path / "m.json"
-        code = main(["prepare", str(csv_path), "--label", "label",
-                     "--positive", "yes", "--seed", "1",
-                     "--out", str(out)])
-        assert code == 0
-        manifest = json.loads(out.read_text())
-        assert manifest["seed"] == 1
-        text = capsys.readouterr().out
-        assert "train:" in text and "class weights" in text
-
-    def test_profile_prepare(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code = main(["prepare", "--profile", "prostate", "--seed", "2"])
-        assert code == 0
-        assert os.path.exists(tmp_path / "prostate_split_2.json")
-        assert "synthetic" in capsys.readouterr().out
-
-    def test_missing_label_is_usage_error(self, tmp_path, capsys):
-        csv_path = tmp_path / "toy.csv"
-        write_toy_csv(csv_path)
-        assert main(["prepare", str(csv_path)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_bad_csv_is_reported_not_raised(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,label\n1,yes\n2\n")
-        assert main(["prepare", str(bad), "--label", "label",
-                     "--positive", "yes"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
-class TestPcaVariance:
-    def test_stdout_table(self, capsys):
-        assert main(["pca-variance", "--dataset", "prostate"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert "Component,CumulativeRatio" in lines
-        assert lines[-1].startswith("8,1.0000")
-
-    def test_out_file(self, tmp_path):
-        out = tmp_path / "pca.csv"
-        assert main(["pca-variance", "--dataset", "prostate",
-                     "--out", str(out)]) == 0
-        assert out.read_text().startswith("Component,CumulativeRatio")
 
 
 class TestRunAndReport:
@@ -133,6 +77,48 @@ class TestRunAndReport:
         assert code == 0
         first = json.loads(store.read_text().splitlines()[0])
         assert first["split_seed"] == 9
+
+    def test_bad_csv_is_reported_not_raised(self, tmp_path, capsys,
+                                            monkeypatch):
+        (tmp_path / "Prostate_Cancer.csv").write_text(
+            "id,radius,diagnosis_result\n1,10,M\n2,11\n")
+        monkeypatch.setenv(datasets.DATA_DIR_ENV, str(tmp_path))
+        assert main(["run", "--dataset", "prostate", "--features", "2",
+                     "--store", str(tmp_path / "s.jsonl")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("conf, flags", [
+        ("qnn_epochs = 2.5", []),
+        ("qnn_epochs = 0", []),
+        ("qnn_max_layers = 1", []),
+        ('master_seed = "x"', []),
+        (None, ["--seed", "-1"]),
+        (None, ["--split-seed", "-3"]),
+    ], ids=["float-epochs", "zero-epochs", "cap-below-start", "text-seed",
+            "negative-seed", "negative-split-seed"])
+    def test_bad_input_is_refused_before_the_store(self, tmp_path, capsys,
+                                                   conf, flags):
+        store = tmp_path / "s.jsonl"
+        argv = ["run", "--dataset", "prostate", "--features", "2",
+                "--families", "qnn", "--store", str(store)] + flags
+        if conf is not None:
+            (tmp_path / "run.conf").write_text(conf + "\n")
+            argv += ["--config", str(tmp_path / "run.conf")]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_removed_surface_is_refused(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("svm_c = 2.0\n")
+        assert main(["run", "--dataset", "prostate", "--config", str(conf),
+                     "--store", str(tmp_path / "s.jsonl")]) == 2
+        assert "unknown settings ['svm_c']" in capsys.readouterr().err
+        for command in ("prepare", "pca-variance"):
+            with pytest.raises(SystemExit) as exc:
+                main([command])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_unknown_dataset_is_usage_error(self, tmp_path, capsys):
         assert main(["run", "--dataset", "lungs",

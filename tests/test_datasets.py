@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,21 @@ from qmlgrid.datasets import (
     load_real,
     profile,
     resolve,
-    save_csv,
     synthetic,
 )
 from qmlgrid.errors import IngestionError, UsageError
-from qmlgrid.pipeline import load_csv
+from qmlgrid.pipeline import Dataset, load_csv
+
+
+def save_csv(dataset, path, label_column="label"):
+    """Writes a dataset the way the real downloads look: a header row,
+    then one row per sample with the label in the last column."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"c{i + 1}" for i in range(dataset.n_features)]
+                        + [label_column])
+        for row, label in zip(dataset.features, dataset.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
 class TestProfiles:
@@ -59,7 +71,7 @@ class TestCsvRoundTrip:
         ds = synthetic("prostate")
         path = tmp_path / "prostate.csv"
         save_csv(ds, path, label_column="diagnosis")
-        back = load_csv(path, "diagnosis", "1", name="prostate")
+        back = load_csv(path, "diagnosis", "1")
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
 
@@ -76,8 +88,7 @@ class TestLoadReal:
     def test_rejects_wrong_counts(self, tmp_path):
         p = PROFILES["heart_failure"]
         ds = synthetic("heart_failure")
-        short = type(ds)("heart_failure", ds.features[:150], ds.labels[:150],
-                         ds.feature_names)
+        short = Dataset(ds.features[:150], ds.labels[:150])
         save_csv(short, tmp_path / p.filename, label_column=p.label_column)
         with pytest.raises(IngestionError, match="expected 299"):
             load_real("heart_failure", tmp_path)

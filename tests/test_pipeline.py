@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,13 +7,10 @@ from qmlgrid.pipeline import (
     Dataset,
     class_weights,
     load_csv,
-    load_manifest,
-    manifest_dict,
     minmax_apply,
     minmax_fit,
     pca_fit,
     pca_transform,
-    save_manifest,
     standardize_apply,
     standardize_fit,
     stratified_split,
@@ -32,7 +27,6 @@ class TestLoadCsv:
     def test_parses_features_and_label(self, tmp_path):
         path = write(tmp_path, "a,b,outcome\n1.5,2,M\n3,4.25,B\n")
         ds = load_csv(path, "outcome", "M")
-        assert ds.feature_names == ("a", "b")
         assert np.allclose(ds.features, [[1.5, 2.0], [3.0, 4.25]])
         assert list(ds.labels) == [1, 0]
 
@@ -44,7 +38,8 @@ class TestLoadCsv:
     def test_drop_columns(self, tmp_path):
         path = write(tmp_path, "id,x,y\n7,0.1,1\n8,0.2,0\n")
         ds = load_csv(path, "y", "1", drop_columns=("id",))
-        assert ds.feature_names == ("x",)
+        assert np.array_equal(ds.features, [[0.1], [0.2]])
+        assert list(ds.labels) == [1, 0]
 
     def test_bad_cell_names_row_and_column(self, tmp_path):
         path = write(tmp_path, "x,y\n0.1,1\noops,0\n")
@@ -186,7 +181,7 @@ def toy_dataset(n=120, pos=40, seed=9):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 5))
     y = (rng.permutation(n) < pos).astype(int)
-    return Dataset("toy", X, y, tuple("abcde"))
+    return Dataset(X, y)
 
 
 class TestStratifiedSplit:
@@ -235,7 +230,7 @@ class TestStratifiedSplit:
         X = np.zeros((6, 2))
         y = np.array([0, 0, 0, 0, 1, 1])
         with pytest.raises(UsageError):
-            stratified_split(Dataset("t", X, y, ("a", "b")), 0)
+            stratified_split(Dataset(X, y), 0)
 
     def test_outputs_stay_in_unit_box(self):
         ds = synthetic("heart_failure")
@@ -254,7 +249,7 @@ class TestStratifiedSplit:
         held = np.concatenate([b1.val_idx, b1.test_idx])
         X2[held] *= 100.0
         X2[held] += 5.0
-        b2 = stratified_split(Dataset("toy", X2, ds.labels, ds.feature_names), 7)
+        b2 = stratified_split(Dataset(X2, ds.labels), 7)
         assert np.array_equal(b1.train_idx, b2.train_idx)
         assert np.array_equal(b1.mean, b2.mean)
         assert np.array_equal(b1.std, b2.std)
@@ -268,29 +263,3 @@ class TestStratifiedSplit:
         y = b.labels("train")
         w0, w1 = b.class_weights()
         assert w0 == pytest.approx(y.mean())
-
-
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        b = stratified_split(toy_dataset(), 11)
-        path = tmp_path / "manifest.json"
-        save_manifest(b, path)
-        loaded = load_manifest(path)
-        assert loaded == manifest_dict(b)
-        assert loaded["seed"] == 11
-
-    def test_manifest_reproduces_split(self, tmp_path):
-        ds = toy_dataset()
-        b = stratified_split(ds, 11)
-        path = tmp_path / "manifest.json"
-        save_manifest(b, path)
-        loaded = load_manifest(path)
-        again = stratified_split(ds, loaded["seed"])
-        assert manifest_dict(again) == loaded
-
-    def test_manifest_is_json(self, tmp_path):
-        b = stratified_split(toy_dataset(), 2)
-        path = tmp_path / "m.json"
-        save_manifest(b, path)
-        parsed = json.loads(path.read_text())
-        assert set(parsed["indices"]) == {"train", "val", "test"}

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from qmlgrid import reference
+from qmlgrid import qnn, reference
 from qmlgrid.circuit import (CircuitSpec, GateOp, ParamBinding, angle_encoding,
                             concat, resolve_ops, run_batch)
 from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
@@ -226,12 +226,12 @@ class TestFusedGradient:
 
 
 class TestTraining:
-    def test_plateau_stops_patience_epochs_past_best(self):
+    def test_plateau_stops_patience_epochs_past_best(self, monkeypatch):
+        monkeypatch.setattr(qnn, "LEARNING_RATE", 0.0)
         X, y = toy_sign_task(16)
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=2),
                            (0.5, 0.5))
-        _, report = train(model, (X, y), (X, y), learning_rate=0.0,
-                          epochs=50, patience=5)
+        _, report = train(model, (X, y), (X, y), epochs=50)
         assert report.best_epoch == 1
         assert report.stopped_epoch == 6
 
@@ -266,8 +266,7 @@ class TestLayerGrowth:
         X, y = toy_sign_task(20)
         result = grow_layers(QnnConfig(2, ("Y",), False, "basic", 1, seed=4),
                              (0.5, 0.5), (X, y), (X, y),
-                             start_layers=2, max_layers=8, stall_limit=2,
-                             epochs=4)
+                             start_layers=2, max_layers=8, epochs=4)
         assert isinstance(result, GrowthResult)
         counts = [t.n_layers for t in result.trials]
         assert counts == list(range(2, 2 + len(counts)))
@@ -278,7 +277,7 @@ class TestLayerGrowth:
                 best, best_layers, stale = t.val_loss, t.n_layers, 0
             else:
                 stale += 1
-            if stale >= 2:
+            if stale >= 2:                # the qubit count
                 stop_at = t.n_layers
                 break
         assert result.best_n_layers == best_layers
