@@ -6,7 +6,7 @@ datasets)."""
 
 __version__ = "0.1.0"
 
-from .circuit import CircuitSpec, EncodingSpec, ParamBinding  # noqa: F401
+from .circuit import CircuitSpec, ParamBinding  # noqa: F401
 from .metrics import Metrics, evaluate  # noqa: F401
 from .pipeline import Dataset, stratified_split  # noqa: F401
 from .statevec import Gate  # noqa: F401

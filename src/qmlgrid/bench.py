@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import baselines, qnn, svm
-from .circuit import EncodingSpec
+from .circuit import ANSATZ_ROTATIONS, AXES, FEATURE_MAPS, feature_map
 from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
 from .metrics import Metrics, evaluate
@@ -69,7 +69,7 @@ def axis_sequences():
     """All 15 ordered non-repeating subsets of the rotation axes."""
     out = []
     for r in (1, 2, 3):
-        out.extend("".join(p) for p in itertools.permutations("XYZ", r))
+        out.extend("".join(p) for p in itertools.permutations(AXES, r))
     return out
 
 
@@ -77,12 +77,12 @@ def qnn_grid():
     return [{"sequence": seq, "reupload": ru, "ansatz": a}
             for seq in axis_sequences()
             for ru in (False, True)
-            for a in ("basic", "strongly")]
+            for a in ANSATZ_ROTATIONS]
 
 
 def qsvm_grid():
     return [{"encoding": e, "repetitions": r}
-            for e in ("angle", "z", "zz_a", "zz_b")
+            for e in ("angle", *FEATURE_MAPS)
             for r in (1, 2, 3)]
 
 
@@ -155,7 +155,8 @@ class RecordStore:
     """Append-only line store; loading an existing file makes reruns skip
     completed cells. Errored records stay in the file but do not count as
     done, so a rerun retries their cells. A torn last line is cut off with
-    a warning; a malformed complete line raises."""
+    a warning; a malformed complete line raises IngestionError and leaves
+    the file as it is."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -166,14 +167,20 @@ class RecordStore:
         with open(self.path, "rb") as fh:
             data = fh.read()
         whole = data.rfind(b"\n") + 1
+        for n, line in enumerate(data[:whole].splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                record = ExperimentRecord.from_line(line.decode())
+            except (ValueError, KeyError, TypeError) as exc:
+                raise IngestionError(f"{self.path}: line {n}: not a record: "
+                                     f"{type(exc).__name__}: {exc}") from None
+            self._append_memory(record)
         if whole < len(data):
             # a crash mid-append leaves an unterminated last line
             os.truncate(self.path, whole)
             warnings.warn(f"{self.path}: dropped an unterminated last line "
                           f"of {len(data) - whole} bytes")
-        for line in data[:whole].decode().splitlines():
-            if line.strip():
-                self._append_memory(ExperimentRecord.from_line(line))
 
     def _append_memory(self, record):
         self._records.append(record)
@@ -299,9 +306,9 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
         labels_by_split = {s: arrays[s][1] for s in arrays}
 
         if family == "qsvm":
-            enc = EncodingSpec(config["encoding"],
-                               repetitions=config["repetitions"])
-            states = {s: embed(enc, X) for s, (X, _) in arrays.items()}
+            encoding = feature_map(config["encoding"], k,
+                                   config["repetitions"])
+            states = {s: embed(encoding, X) for s, (X, _) in arrays.items()}
             gram = gram_matrix(states["train"])
             rows = {"train": gram,
                     "val": cross_gram(states["val"], states["train"]),
@@ -398,6 +405,14 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
     if not 1 <= lo <= hi <= dataset.n_features:
         raise UsageError(f"bad feature range {feature_range} for "
                          f"{dataset.n_features} features")
+
+    for r in store.records():
+        if (r.dataset == dataset_key and r.split_seed == split_seed
+                and r.family != "pca"
+                and r.seed != cell_seed(settings.master_seed, dataset_key,
+                                        r.family, r.config, split_seed)):
+            raise UsageError(f"{store.path}: {r.key()} was run under another "
+                             f"master seed; rerun with that seed or a new store")
 
     bundle = stratified_split(dataset, split_seed)
     new_records = []

@@ -12,14 +12,16 @@ the entangling terms of the ZZ feature maps (shift 0 gives x_i * x_j,
 shift pi gives (pi - x_i) * (pi - x_j)); the two plain sources cannot
 express a product of two features.
 
-resolve_ops resolves every binding against a feature matrix, and
+Circuits come from two tables: FEATURE_MAPS (each kernel embedding's
+gate and pair shift, see feature_map) and ANSATZ_ROTATIONS (each ansatz
+layer's per-qubit rotations, see entangling_layer and qnn_circuit).
+
+resolve_ops resolves every binding against a feature matrix, after
+cutting the circuit into blocks (CircuitSpec.fusion, see the fusion
+module): the trainable layers and encoding blocks of a QNN circuit
+become one whole-register op each, every other op a gate of its own.
 run_batch runs the resolved ops on the batched simulator. Specs are
 immutable, so circuits are safe to share and reuse.
-
-resolve_ops first cuts a circuit into blocks (CircuitSpec.fusion, see
-the fusion module): the trainable layers and encoding blocks of a QNN
-circuit become one whole-register op each, every other op a gate of its
-own.
 """
 from __future__ import annotations
 
@@ -33,6 +35,14 @@ from .errors import ConfigurationError, UsageError
 from .statevec import apply_ops, validate_gate, zero_states
 
 AXES = ("X", "Y", "Z")
+
+# kernel feature map kind -> (single-qubit gate, pair shift); a None
+# shift means no pair terms (see feature_map); "angle" is the fourth kind
+FEATURE_MAPS = {"z": ("rz", None), "zz_a": ("rz", 0.0),
+                "zz_b": ("phase", math.pi)}
+
+# ansatz -> the trainable rotations on each qubit of a layer, in order
+ANSATZ_ROTATIONS = {"basic": ("rx",), "strongly": ("rz", "ry", "rz")}
 
 DATA = "data"
 TRAIN = "train"
@@ -116,23 +126,6 @@ class CircuitSpec:
         return fuse(self)
 
 
-def concat(*circuits: CircuitSpec) -> CircuitSpec:
-    """Sequential composition; parameter/feature spaces are shared, not
-    renumbered, so fragments must already use disjoint TRAIN indices."""
-    if not circuits:
-        raise UsageError("concat needs at least one circuit")
-    n = circuits[0].n_qubits
-    for c in circuits:
-        if c.n_qubits != n:
-            raise UsageError("concat requires a common qubit count")
-    return CircuitSpec(
-        n_qubits=n,
-        ops=tuple(op for c in circuits for op in c.ops),
-        n_features=max(c.n_features for c in circuits),
-        n_trainable=max(c.n_trainable for c in circuits),
-    )
-
-
 def angle_encoding(n_features: int, sequence=("Y",)) -> CircuitSpec:
     """R_axis(pi * x_i) on qubit i, one rotation per axis in sequence order."""
     if n_features < 1:
@@ -152,60 +145,36 @@ def angle_encoding(n_features: int, sequence=("Y",)) -> CircuitSpec:
     return CircuitSpec(n_features, tuple(ops), n_features=n_features)
 
 
-def z_feature_map(n_features: int, repetitions: int = 1) -> CircuitSpec:
-    """Per repetition: H on every qubit, then RZ(2 * x_i) on qubit i."""
-    if n_features < 1:
-        raise ConfigurationError("z feature map needs at least one feature")
+def feature_map(kind: str, n_features: int, repetitions: int = 1) -> CircuitSpec:
+    """Kernel embedding block, repeated `repetitions` times.
+
+    "angle" is angle_encoding's RY(pi * x_i). A FEATURE_MAPS kind with
+    gate G and pair shift s is, per repetition, H on every qubit, then
+    G(2 * x_i) on qubit i, then, unless s is None, CNOT /
+    G(2 * (s - x_i) * (s - x_j)) / CNOT on every adjacent pair
+    (i, j = i + 1).
+    """
+    if kind != "angle" and kind not in FEATURE_MAPS:
+        raise ConfigurationError(f"unknown encoding kind {kind!r}")
     if repetitions < 1:
         raise ConfigurationError("repetitions must be >= 1")
-    ops = []
-    for _ in range(repetitions):
-        for q in range(n_features):
-            ops.append(GateOp("h", (q,)))
-        for q in range(n_features):
-            ops.append(GateOp("rz", (q,), ParamBinding.data(q, scale=2.0)))
-    return CircuitSpec(n_features, tuple(ops), n_features=n_features)
-
-
-def zz_feature_map_variant_a(n_features: int, repetitions: int = 1) -> CircuitSpec:
-    """Z map plus adjacent-pair terms CNOT / RZ(2 * x_i * x_j) / CNOT."""
-    if n_features < 2:
-        raise ConfigurationError("zz feature map needs at least two features")
-    if repetitions < 1:
-        raise ConfigurationError("repetitions must be >= 1")
-    ops = []
-    for _ in range(repetitions):
-        for q in range(n_features):
-            ops.append(GateOp("h", (q,)))
-        for q in range(n_features):
-            ops.append(GateOp("rz", (q,), ParamBinding.data(q, scale=2.0)))
-        for q in range(n_features - 1):
-            ops.append(GateOp("cnot", (q, q + 1)))
-            ops.append(GateOp("rz", (q + 1,),
-                              ParamBinding.pair(q, q + 1, scale=2.0)))
-            ops.append(GateOp("cnot", (q, q + 1)))
-    return CircuitSpec(n_features, tuple(ops), n_features=n_features)
-
-
-def zz_feature_map_variant_b(n_features: int, repetitions: int = 1) -> CircuitSpec:
-    """Phase-gate form: PHASE(2 * x_i), pair terms
-    PHASE(2 * (pi - x_i) * (pi - x_j)) between CNOTs."""
-    if n_features < 2:
-        raise ConfigurationError("zz feature map needs at least two features")
-    if repetitions < 1:
-        raise ConfigurationError("repetitions must be >= 1")
-    ops = []
-    for _ in range(repetitions):
-        for q in range(n_features):
-            ops.append(GateOp("h", (q,)))
-        for q in range(n_features):
-            ops.append(GateOp("phase", (q,), ParamBinding.data(q, scale=2.0)))
-        for q in range(n_features - 1):
-            ops.append(GateOp("cnot", (q, q + 1)))
-            ops.append(GateOp("phase", (q + 1,),
-                              ParamBinding.pair(q, q + 1, scale=2.0, shift=math.pi)))
-            ops.append(GateOp("cnot", (q, q + 1)))
-    return CircuitSpec(n_features, tuple(ops), n_features=n_features)
+    if kind == "angle":
+        block = angle_encoding(n_features).ops
+    else:
+        gate, shift = FEATURE_MAPS[kind]
+        least = 1 if shift is None else 2
+        if n_features < least:
+            raise ConfigurationError(
+                f"{kind} feature map needs at least {least} features")
+        block = [GateOp("h", (q,)) for q in range(n_features)]
+        block += [GateOp(gate, (q,), ParamBinding.data(q, scale=2.0))
+                  for q in range(n_features)]
+        for q in range(n_features - 1 if shift is not None else 0):
+            pair = ParamBinding.pair(q, q + 1, scale=2.0, shift=shift)
+            block += [GateOp("cnot", (q, q + 1)), GateOp(gate, (q + 1,), pair),
+                      GateOp("cnot", (q, q + 1))]
+    return CircuitSpec(n_features, tuple(block) * repetitions,
+                       n_features=n_features)
 
 
 def _ring(n_qubits: int) -> tuple:
@@ -215,35 +184,25 @@ def _ring(n_qubits: int) -> tuple:
     return tuple((q, (q + 1) % n_qubits) for q in range(n_qubits))
 
 
-def basic_entangling_layer(n_qubits: int, layer_index: int = 0) -> CircuitSpec:
-    """RX(theta) on each qubit with fresh parameters, then a CNOT ring."""
+def entangling_layer(n_qubits: int, layer_index: int,
+                     ansatz: str) -> CircuitSpec:
+    """Trainable layer layer_index of an ansatz: its ANSATZ_ROTATIONS on
+    each qubit in turn, every one with a fresh parameter, then a CNOT
+    ring. Rotation d on qubit q takes parameter
+    base + len(rotations) * q + d, base counting the earlier layers'."""
+    if ansatz not in ANSATZ_ROTATIONS:
+        raise ConfigurationError(f"unknown ansatz {ansatz!r}")
     if n_qubits < 2:
         raise ConfigurationError("entangling layers need at least two qubits")
     if layer_index < 0:
         raise ConfigurationError("layer_index must be >= 0")
-    base = layer_index * n_qubits
-    ops = [GateOp("rx", (q,), ParamBinding.train(base + q))
-           for q in range(n_qubits)]
+    rotations = ANSATZ_ROTATIONS[ansatz]
+    width = len(rotations) * n_qubits
+    base = layer_index * width
+    ops = [GateOp(kind, (q,), ParamBinding.train(base + len(rotations) * q + d))
+           for q in range(n_qubits) for d, kind in enumerate(rotations)]
     ops += [GateOp("cnot", pair) for pair in _ring(n_qubits)]
-    return CircuitSpec(n_qubits, tuple(ops), n_trainable=base + n_qubits)
-
-
-def strongly_entangling_layer(n_qubits: int, layer_index: int = 0) -> CircuitSpec:
-    """General rotation RZ RY RZ on each qubit (three fresh parameters),
-    then a CNOT ring."""
-    if n_qubits < 2:
-        raise ConfigurationError("entangling layers need at least two qubits")
-    if layer_index < 0:
-        raise ConfigurationError("layer_index must be >= 0")
-    base = layer_index * 3 * n_qubits
-    ops = []
-    for q in range(n_qubits):
-        k = base + 3 * q
-        ops.append(GateOp("rz", (q,), ParamBinding.train(k)))
-        ops.append(GateOp("ry", (q,), ParamBinding.train(k + 1)))
-        ops.append(GateOp("rz", (q,), ParamBinding.train(k + 2)))
-    ops += [GateOp("cnot", pair) for pair in _ring(n_qubits)]
-    return CircuitSpec(n_qubits, tuple(ops), n_trainable=base + 3 * n_qubits)
+    return CircuitSpec(n_qubits, tuple(ops), n_trainable=base + width)
 
 
 def resolve_ops(circuit: CircuitSpec, X: np.ndarray, theta=()) -> list:
@@ -262,34 +221,6 @@ def run_batch(circuit: CircuitSpec, X: np.ndarray, theta=()) -> np.ndarray:
     return amps
 
 
-@dataclass(frozen=True)
-class EncodingSpec:
-    """A data-embedding recipe for kernels: which feature map and how
-    many repetitions. The angle map rotates about Y."""
-
-    kind: str
-    repetitions: int = 1
-
-    KINDS = ("angle", "z", "zz_a", "zz_b")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ConfigurationError(f"unknown encoding kind {self.kind!r}")
-        if self.repetitions < 1:
-            raise ConfigurationError("repetitions must be >= 1")
-
-
-def build_encoding(spec: EncodingSpec, n_features: int) -> CircuitSpec:
-    """Encoding circuit block, repetitions included."""
-    if spec.kind == "angle":
-        return concat(*[angle_encoding(n_features)] * spec.repetitions)
-    if spec.kind == "z":
-        return z_feature_map(n_features, spec.repetitions)
-    if spec.kind == "zz_a":
-        return zz_feature_map_variant_a(n_features, spec.repetitions)
-    return zz_feature_map_variant_b(n_features, spec.repetitions)
-
-
 def qnn_circuit(n_features: int, sequence, reupload: bool, ansatz: str,
                 n_layers: int) -> CircuitSpec:
     """Classifier circuit: angle encoding plus entangling layers.
@@ -299,14 +230,11 @@ def qnn_circuit(n_features: int, sequence, reupload: bool, ansatz: str,
     """
     if n_layers < 1:
         raise ConfigurationError("n_layers must be >= 1")
-    if ansatz not in ("basic", "strongly"):
-        raise ConfigurationError(f"unknown ansatz {ansatz!r}")
-    layer_fn = (basic_entangling_layer if ansatz == "basic"
-                else strongly_entangling_layer)
-    enc = angle_encoding(n_features, sequence)
-    parts = []
+    encoding = angle_encoding(n_features, sequence).ops
+    ops = []
     for layer in range(n_layers):
         if reupload or layer == 0:
-            parts.append(enc)
-        parts.append(layer_fn(n_features, layer))
-    return concat(*parts)
+            ops += encoding
+        last = entangling_layer(n_features, layer, ansatz)
+        ops += last.ops
+    return CircuitSpec(n_features, tuple(ops), n_features, last.n_trainable)

@@ -1,33 +1,31 @@
 """Fidelity quantum kernel: k(x, y) = |<phi(y)|phi(x)>|^2.
 
 embed turns every sample into its statevector once on the batched
-simulator; gram_matrix and cross_gram take squared inner products of
-embedded states, so a caller embeds each split once and builds every
-Gram from those states. The dense-unitary oracle for one entry is
-reference.kernel_value.
+simulator, through an encoding circuit the caller builds once (see
+circuit.feature_map); gram_matrix and cross_gram take squared inner
+products of embedded states, so a caller embeds each split once and
+builds every Gram from those states. The dense-unitary oracle for one
+entry is reference.kernel_value.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .circuit import EncodingSpec, build_encoding, resolve_ops
+from .circuit import CircuitSpec, resolve_ops
 from .errors import UsageError
 from .statevec import apply_ops, zero_states
 
 
-def embed(encoding: EncodingSpec, X: np.ndarray) -> np.ndarray:
+def embed(circuit: CircuitSpec, X: np.ndarray) -> np.ndarray:
     """Statevectors phi(x) for every row of X, shape (len(X), 2**d).
 
-    Resolves the encoding's bindings with circuit.resolve_ops and runs
-    them on the batched simulator; it does not go through
-    circuit.run_batch, so perfbench's tracer counts embeddings apart from
-    QNN circuit runs."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise UsageError(f"expected a feature matrix, got shape {X.shape}")
-    circ = build_encoding(encoding, X.shape[1])
-    amps = zero_states(circ.n_qubits, len(X))
-    apply_ops(amps, circ.n_qubits, resolve_ops(circ, X))
+    Resolves the circuit's bindings with circuit.resolve_ops, which
+    refuses a feature matrix of the wrong width, and runs them on the
+    batched simulator; it does not go through circuit.run_batch, so
+    perfbench's tracer counts embeddings apart from QNN circuit runs."""
+    ops = resolve_ops(circuit, X)
+    amps = zero_states(circuit.n_qubits, len(X))
+    apply_ops(amps, circuit.n_qubits, ops)
     return amps
 
 

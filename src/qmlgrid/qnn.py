@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import TRAIN, CircuitSpec, qnn_circuit, run_batch
+from .circuit import (ANSATZ_ROTATIONS, TRAIN, CircuitSpec, qnn_circuit,
+                      run_batch)
 from .errors import ConfigurationError, TrainingDivergedError, UsageError
 from .fusion import FusedRun, resolve_fused
 from .statevec import _z_signs, apply_ops, expectation_z_batch, zero_states
@@ -41,8 +42,6 @@ PATIENCE = 5
 # generator P; PHASE(t) is RZ(t) up to a global phase, so it takes RZ
 _DERIVATIVE_GATE = {"rx": "rx", "ry": "ry", "rz": "rz", "phase": "rz"}
 
-_PARAMS_PER_QUBIT = {"basic": 1, "strongly": 3}
-
 
 @dataclass(frozen=True)
 class QnnConfig:
@@ -57,13 +56,14 @@ class QnnConfig:
         if self.n_features < 2:
             raise ConfigurationError("QNN needs at least two features "
                                      "(two readout qubits)")
-        if self.ansatz not in _PARAMS_PER_QUBIT:
+        if self.ansatz not in ANSATZ_ROTATIONS:
             raise ConfigurationError(f"unknown ansatz {self.ansatz!r}")
         if self.n_layers < 1:
             raise ConfigurationError("n_layers must be >= 1")
 
     def n_parameters(self) -> int:
-        return _PARAMS_PER_QUBIT[self.ansatz] * self.n_features * self.n_layers
+        return (len(ANSATZ_ROTATIONS[self.ansatz]) * self.n_features
+                * self.n_layers)
 
 
 @dataclass
@@ -74,17 +74,14 @@ class QnnModel:
     circuit: CircuitSpec = field(repr=False, default=None)
 
     def __post_init__(self):
+        c = self.config
         if self.circuit is None:
-            self.circuit = build_circuit(self.config)
-        if self.parameters.shape != (self.config.n_parameters(),):
+            self.circuit = qnn_circuit(c.n_features, c.encoding_sequence,
+                                       c.reupload, c.ansatz, c.n_layers)
+        if self.parameters.shape != (c.n_parameters(),):
             raise ConfigurationError(
                 f"parameter vector has shape {self.parameters.shape}, "
-                f"expected ({self.config.n_parameters()},)")
-
-
-def build_circuit(config: QnnConfig) -> CircuitSpec:
-    return qnn_circuit(config.n_features, config.encoding_sequence,
-                       config.reupload, config.ansatz, config.n_layers)
+                f"expected ({c.n_parameters()},)")
 
 
 def init_model(config: QnnConfig, class_weights) -> QnnModel:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, datasets, qnn, reference, svm
-from .circuit import (CircuitSpec, EncodingSpec, GateOp, ParamBinding,
-                      build_encoding, run_batch)
+from .circuit import (FEATURE_MAPS, CircuitSpec, GateOp, ParamBinding,
+                      angle_encoding, feature_map, run_batch)
 from .pipeline import pca_fit, standardize_apply, standardize_fit
 from .qkernel import embed, gram_matrix
 from .statevec import Gate, apply_ops, zero_states
@@ -139,17 +139,17 @@ def check_kernel_properties(n_samples: int = 30, seed: int = 103) -> CheckResult
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     problems = []
-    for name in ("angle", "z", "zz_a", "zz_b"):
+    for name in ("angle", *FEATURE_MAPS):
         for reps in (1, 2, 3):
             X = rng.uniform(-1, 1, size=(n_samples, 3))
-            gram = gram_matrix(embed(EncodingSpec(name, repetitions=reps), X))
+            gram = gram_matrix(embed(feature_map(name, 3, reps), X))
             diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
             sym = float(np.max(np.abs(gram - gram.T)))
             min_eig = float(np.min(np.linalg.eigvalsh(gram)))
             if diag > 1e-10 or sym > 1e-10 or min_eig < -1e-8:
                 problems.append(f"{name}/r{reps} diag={diag:.1e} "
                                 f"sym={sym:.1e} eig={min_eig:.1e}")
-    angle = build_encoding(EncodingSpec("angle"), 1)
+    angle = angle_encoding(1)
     closed = 0.0
     for _ in range(200):
         x, y = rng.uniform(-1, 1, size=2)

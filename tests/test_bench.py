@@ -1,6 +1,5 @@
 import csv
 import importlib
-import json
 import os
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from qmlgrid import bench, datasets, qkernel, qnn, svm
 from qmlgrid.bench import (ExperimentRecord, RecordStore, RunSettings,
                            canonical, cell_seed, select_best)
-from qmlgrid.errors import IngestionError
+from qmlgrid.errors import IngestionError, UsageError
 from qmlgrid.metrics import Metrics
 from qmlgrid.pipeline import stratified_split
 
@@ -139,8 +138,20 @@ class TestRecordStore:
     def test_malformed_complete_line_raises(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text(fake_record().to_line()[:-3] + "\n")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(IngestionError, match="line 1"):
             RecordStore(path)
+
+    @pytest.mark.parametrize("bad", ['{"dataset": "x"}', "[1, 2]", '"text"',
+                                     "\udcff"], ids=["missing-keys", "list",
+                                                      "string", "not-utf8"])
+    def test_line_that_is_no_record_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "s.jsonl"
+        data = (fake_record(k=2).to_line() + "\n\n" + bad + "\n").encode(
+            errors="surrogateescape")
+        path.write_bytes(data + b'{"torn')
+        with pytest.raises(IngestionError, match="line 3"):
+            RecordStore(path)
+        assert path.read_bytes() == data + b'{"torn'
 
 
 class TestRunSettings:
@@ -297,6 +308,24 @@ class TestRunGrid:
                                families=("classical",), feature_range=(2, 2))
         assert again == []
         assert path.read_bytes() == before
+
+    def test_resume_under_another_master_seed_is_refused(self, small_run,
+                                                         tmp_path):
+        ds, path, _, settings, _ = small_run
+        before = path.read_bytes()
+        other = RunSettings(master_seed=settings.master_seed + 5)
+        with pytest.raises(UsageError, match="another master seed"):
+            bench.run_grid("prostate", ds, RecordStore(path), other,
+                           families=("classical",), feature_range=(2, 3),
+                           split_seed=0)
+        assert path.read_bytes() == before
+        # another split seed is another set of cells
+        fresh = tmp_path / "fresh.jsonl"
+        fresh.write_bytes(before)
+        new = bench.run_grid("prostate", ds, RecordStore(fresh), other,
+                             families=("classical",), feature_range=(2, 2),
+                             split_seed=1)
+        assert len(new) == 8
 
     def test_unknown_family_rejected(self, small_run, tmp_path):
         ds, _, _, settings, _ = small_run

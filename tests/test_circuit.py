@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from qmlgrid import reference
-from qmlgrid.circuit import (EncodingSpec, angle_encoding,
-                             basic_entangling_layer, build_encoding, concat,
-                             qnn_circuit, resolve_ops, run_batch,
-                             strongly_entangling_layer, z_feature_map,
-                             zz_feature_map_variant_a,
-                             zz_feature_map_variant_b)
+from qmlgrid.circuit import (ANSATZ_ROTATIONS, CircuitSpec, ParamBinding,
+                             angle_encoding, entangling_layer, feature_map,
+                             qnn_circuit, resolve_ops, run_batch)
 from qmlgrid.errors import ConfigurationError, UsageError
 
 
@@ -51,7 +48,7 @@ class TestEncodings:
             angle_encoding(2, ("Q",))
 
     def test_z_feature_map_structure(self):
-        circ = z_feature_map(3, repetitions=2)
+        circ = feature_map("z", 3, repetitions=2)
         assert data_bound_count(circ) == 6
         assert all(op.binding.scale == 2.0 for op in circ.ops
                    if op.binding is not None)
@@ -59,21 +56,21 @@ class TestEncodings:
 
     def test_zz_variant_a_uniform_at_zero(self):
         # all angles vanish at x = 0; two H gates leave |++>
-        circ = zz_feature_map_variant_a(2)
+        circ = feature_map("zz_a", 2)
         s = run_batch(circ, [[0.0, 0.0]])[0]
         assert abs(np.abs(s[0]) ** 2 - 0.25) < 1e-12
 
     def test_zz_variant_a_cnot_count(self):
-        assert cnot_count(zz_feature_map_variant_a(2)) == 2
-        assert cnot_count(zz_feature_map_variant_a(4)) == 6
-        assert cnot_count(zz_feature_map_variant_a(4, repetitions=3)) == 18
+        assert cnot_count(feature_map("zz_a", 2)) == 2
+        assert cnot_count(feature_map("zz_a", 4)) == 6
+        assert cnot_count(feature_map("zz_a", 4, repetitions=3)) == 18
 
     def test_zz_variant_b_cnot_count(self):
-        assert cnot_count(zz_feature_map_variant_b(3)) == 4
-        assert cnot_count(zz_feature_map_variant_b(3, repetitions=2)) == 8
+        assert cnot_count(feature_map("zz_b", 3)) == 4
+        assert cnot_count(feature_map("zz_b", 3, repetitions=2)) == 8
 
     def test_zz_variant_b_pair_angle_uses_shifted_product(self):
-        circ = zz_feature_map_variant_b(2)
+        circ = feature_map("zz_b", 2)
         pair_ops = [op for op in circ.ops
                     if op.binding is not None and op.binding.kind == "pair"]
         assert len(pair_ops) == 1
@@ -83,37 +80,97 @@ class TestEncodings:
 
     def test_zz_needs_two_features(self):
         with pytest.raises(ConfigurationError):
-            zz_feature_map_variant_a(1)
+            feature_map("zz_a", 1)
+
+
+def op_list(circ):
+    return [(op.kind, op.targets, op.binding) for op in circ.ops]
+
+
+def data(q, scale):
+    return ParamBinding.data(q, scale=scale)
+
+
+def pair(shift):
+    return ParamBinding("pair", scale=2.0, feature=0, feature2=1, shift=shift)
+
+
+train = ParamBinding.train
+
+
+class TestExactOps:
+    """Each table row written out gate by gate."""
+
+    def test_z_map_two_repetitions(self):
+        block = [("h", (0,), None), ("h", (1,), None),
+                 ("rz", (0,), data(0, 2.0)), ("rz", (1,), data(1, 2.0))]
+        assert op_list(feature_map("z", 2, 2)) == block * 2
+
+    def test_zz_a_map(self):
+        assert op_list(feature_map("zz_a", 2)) == [
+            ("h", (0,), None), ("h", (1,), None),
+            ("rz", (0,), data(0, 2.0)), ("rz", (1,), data(1, 2.0)),
+            ("cnot", (0, 1), None),
+            ("rz", (1,), pair(0.0)),
+            ("cnot", (0, 1), None)]
+
+    def test_zz_b_map(self):
+        assert op_list(feature_map("zz_b", 2)) == [
+            ("h", (0,), None), ("h", (1,), None),
+            ("phase", (0,), data(0, 2.0)), ("phase", (1,), data(1, 2.0)),
+            ("cnot", (0, 1), None),
+            ("phase", (1,), pair(math.pi)),
+            ("cnot", (0, 1), None)]
+
+    def test_reuploading_strongly_circuit(self):
+        circ = qnn_circuit(2, ("Y",), True, "strongly", 2)
+        encoding = [("ry", (0,), data(0, math.pi)),
+                    ("ry", (1,), data(1, math.pi))]
+        layers = [[("rz", (0,), train(b)), ("ry", (0,), train(b + 1)),
+                   ("rz", (0,), train(b + 2)), ("rz", (1,), train(b + 3)),
+                   ("ry", (1,), train(b + 4)), ("rz", (1,), train(b + 5)),
+                   ("cnot", (0, 1), None)] for b in (0, 6)]
+        assert op_list(circ) == (encoding + layers[0]) + (encoding + layers[1])
+        assert (circ.n_qubits, circ.n_features, circ.n_trainable) == (2, 2, 12)
+
+    def test_unknown_ansatz_rejected(self):
+        assert set(ANSATZ_ROTATIONS) == {"basic", "strongly"}
+        with pytest.raises(ConfigurationError):
+            entangling_layer(3, 0, "weak")
+        with pytest.raises(ConfigurationError):
+            qnn_circuit(3, ("Y",), False, "weak", 2)
 
 
 class TestAnsatzLayers:
     def test_basic_layer_shape(self):
-        layer = basic_entangling_layer(4)
+        layer = entangling_layer(4, 0, "basic")
         assert cnot_count(layer) == 4
         assert layer.n_trainable == 4
         assert [op.kind for op in layer.ops[:4]] == ["rx"] * 4
 
     def test_two_qubit_ring_collapses_to_one_cnot(self):
-        assert cnot_count(basic_entangling_layer(2)) == 1
-        assert cnot_count(strongly_entangling_layer(2)) == 1
+        assert cnot_count(entangling_layer(2, 0, "basic")) == 1
+        assert cnot_count(entangling_layer(2, 0, "strongly")) == 1
 
     def test_fresh_parameter_indices_across_layers(self):
-        stacked = concat(basic_entangling_layer(3, 0),
-                         basic_entangling_layer(3, 1))
+        second = entangling_layer(3, 1, "basic")
+        stacked = CircuitSpec(
+            3, entangling_layer(3, 0, "basic").ops + second.ops,
+            n_trainable=second.n_trainable)
         idx = [op.binding.param for op in stacked.ops
                if op.binding is not None]
         assert idx == [0, 1, 2, 3, 4, 5]
         assert stacked.n_trainable == 6
 
     def test_strongly_layer_shape(self):
-        layer = strongly_entangling_layer(3)
+        layer = entangling_layer(3, 0, "strongly")
         assert layer.n_trainable == 9
         assert cnot_count(layer) == 3
         assert [op.kind for op in layer.ops[:3]] == ["rz", "ry", "rz"]
 
     def test_needs_two_qubits(self):
         with pytest.raises(ConfigurationError):
-            basic_entangling_layer(1)
+            entangling_layer(1, 0, "basic")
 
 
 class TestQnnCircuit:
@@ -166,7 +223,7 @@ class TestFusion:
                             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_encoding_only_circuits_stay_gate_by_gate(self):
-        circ = build_encoding(EncodingSpec("angle", repetitions=2), 3)
+        circ = feature_map("angle", 3, repetitions=2)
         kinds = [op[0] for op in resolve_ops(circ, np.zeros((2, 3)))]
         assert kinds == [op.kind for op in circ.ops]
 
@@ -211,14 +268,13 @@ class TestBindAndRun:
             dataclasses.replace(bad, n_features=1)
 
 
-class TestEncodingSpec:
+class TestFeatureMapArguments:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            EncodingSpec("bogus")
+            feature_map("bogus", 2)
         with pytest.raises(ConfigurationError):
-            EncodingSpec("angle", repetitions=0)
+            feature_map("angle", 2, repetitions=0)
 
     def test_angle_repetitions_stack_blocks(self):
-        spec = EncodingSpec("angle", repetitions=3)
-        circ = build_encoding(spec, 2)
+        circ = feature_map("angle", 2, repetitions=3)
         assert data_bound_count(circ) == 6

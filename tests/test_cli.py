@@ -120,6 +120,32 @@ class TestRunAndReport:
             assert exc.value.code == 2
             assert "invalid choice" in capsys.readouterr().err
 
+    def test_corrupt_store_is_refused(self, tmp_path, capsys):
+        for text in ('{"bad json\n', '{"dataset": "x"}\n'):
+            store = tmp_path / "s.jsonl"
+            store.write_text(text)
+            for argv in (["report", "--out", str(tmp_path / "rep")],
+                         ["run", "--dataset", "prostate", "--features", "2",
+                          "--families", "classical"]):
+                assert main(argv + ["--store", str(store)]) == 2
+                err = capsys.readouterr().err
+                assert "error:" in err and "line 1" in err
+                assert store.read_text() == text
+
+    def test_resume_under_another_seed_is_refused(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        argv = ["run", "--dataset", "prostate", "--features", "2",
+                "--families", "classical", "--store", str(store),
+                "--split-seed", "0"]
+        assert main(argv + ["--seed", "0"]) == 0
+        before = store.read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--seed", "5"]) == 2
+        assert "another master seed" in capsys.readouterr().err
+        assert store.read_bytes() == before
+        assert main(argv + ["--seed", "0"]) == 0
+        assert "0 new records" in capsys.readouterr().out
+
     def test_unknown_dataset_is_usage_error(self, tmp_path, capsys):
         assert main(["run", "--dataset", "lungs",
                      "--store", str(tmp_path / "x.jsonl")]) == 2

@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 
 from qmlgrid import reference
-from qmlgrid.circuit import EncodingSpec, build_encoding
+from qmlgrid.circuit import feature_map
 from qmlgrid.errors import UsageError
 from qmlgrid.qkernel import cross_gram, embed, gram_matrix
 
-ALL_ENCODINGS = [EncodingSpec(kind, repetitions=reps)
-                 for kind in ("angle", "z", "zz_a", "zz_b")
+# (kind, repetitions) of every QSVM grid encoding
+ALL_ENCODINGS = [(kind, reps) for kind in ("angle", "z", "zz_a", "zz_b")
                  for reps in (1, 2, 3)]
 
 
 def kernel_value(enc, x, y):
     """The dense-unitary oracle for one kernel entry."""
-    return reference.kernel_value(build_encoding(enc, len(x)), x, y)
+    return reference.kernel_value(feature_map(enc[0], len(x), enc[1]), x, y)
+
+
+def embed_rows(enc, X):
+    return embed(feature_map(enc[0], X.shape[1], enc[1]), X)
 
 
 def closed_form_angle_y(x, y):
@@ -23,7 +27,7 @@ def closed_form_angle_y(x, y):
 
 class TestKernelValue:
     def test_matches_closed_form_single_feature(self):
-        enc = EncodingSpec("angle")
+        enc = ("angle", 1)
         rng = np.random.default_rng(31)
         for _ in range(25):
             x, y = rng.uniform(-1, 1, 2)
@@ -44,19 +48,16 @@ class TestKernelValue:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(UsageError):
-            kernel_value(EncodingSpec("angle"), [0.1, 0.2], [0.1])
+            kernel_value(("angle", 1), [0.1, 0.2], [0.1])
 
 
 class TestGram:
     def test_gram_matches_pairwise_kernel_value(self):
         # embedding route vs the dense-unitary oracle
         rng = np.random.default_rng(34)
-        for enc in (EncodingSpec("angle", repetitions=2),
-                    EncodingSpec("z", repetitions=2),
-                    EncodingSpec("zz_a"),
-                    EncodingSpec("zz_b", repetitions=2)):
+        for enc in (("angle", 2), ("z", 2), ("zz_a", 1), ("zz_b", 2)):
             X = rng.uniform(-1, 1, (5, 2))
-            gram = gram_matrix(embed(enc, X))
+            gram = gram_matrix(embed_rows(enc, X))
             for i in range(5):
                 for j in range(5):
                     assert abs(gram[i, j] - kernel_value(enc, X[i], X[j])) < 1e-12
@@ -65,14 +66,14 @@ class TestGram:
         rng = np.random.default_rng(35)
         for enc in ALL_ENCODINGS:
             X = rng.uniform(-1, 1, (12, 3))
-            gram = gram_matrix(embed(enc, X))
+            gram = gram_matrix(embed_rows(enc, X))
             assert np.all(np.diag(gram) == 1.0)
             np.testing.assert_array_equal(gram, gram.T)
             assert gram.min() >= 0.0 and gram.max() <= 1.0 + 1e-12
             assert np.linalg.eigvalsh(gram)[0] >= -1e-8
 
     def test_cross_gram_consistent_with_gram(self):
-        enc = EncodingSpec("zz_b")
+        enc = feature_map("zz_b", 2)
         rng = np.random.default_rng(36)
         X = rng.uniform(-1, 1, (6, 2))
         full = gram_matrix(embed(enc, X))
@@ -80,7 +81,6 @@ class TestGram:
         np.testing.assert_allclose(rect, full[:2, 2:], atol=1e-12)
 
     def test_cross_gram_checks_dimensions(self):
-        enc = EncodingSpec("angle")
         with pytest.raises(UsageError):
-            cross_gram(embed(enc, np.zeros((2, 3))),
-                       embed(enc, np.zeros((2, 2))))
+            cross_gram(embed(feature_map("angle", 3), np.zeros((2, 3))),
+                       embed(feature_map("angle", 2), np.zeros((2, 2))))

@@ -6,7 +6,7 @@ import pytest
 
 from qmlgrid import qnn, reference
 from qmlgrid.circuit import (CircuitSpec, GateOp, ParamBinding, angle_encoding,
-                            concat, resolve_ops, run_batch)
+                            resolve_ops, run_batch)
 from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
 from qmlgrid.fusion import FUSE_MAX_QUBITS, FusedRun
 from qmlgrid.metrics import evaluate
@@ -169,7 +169,8 @@ class TestGradient:
             GateOp("cnot", (1, 0)),
             GateOp("ry", (0,), ParamBinding.train(1))),
             n_trainable=2)
-        circuit = concat(angle_encoding(2, ("Y",)), ansatz)
+        circuit = CircuitSpec(2, angle_encoding(2, ("Y",)).ops + ansatz.ops,
+                              n_features=2, n_trainable=2)
         model = QnnModel(cfg, np.array([0.8, -1.1]), np.array([0.4, 0.6]),
                          circuit)
         rng = np.random.default_rng(48)
