@@ -107,6 +107,14 @@ def metrics_from_dict(d) -> Metrics:
     return Metrics(**d) if d is not None else None
 
 
+_OR_NULL = type(None)
+_RECORD_TYPES = {"dataset": str, "family": str, "k": int, "split_seed": int,
+                 "seed": int, "n_parameters": int, "config": dict,
+                 "extra": dict, "error": (str, _OR_NULL),
+                 "train": (dict, _OR_NULL), "val": (dict, _OR_NULL),
+                 "test": (dict, _OR_NULL)}
+
+
 @dataclass
 class ExperimentRecord:
     dataset: str
@@ -141,6 +149,11 @@ class ExperimentRecord:
     @staticmethod
     def from_line(line: str) -> "ExperimentRecord":
         d = json.loads(line)
+        for key, kind in _RECORD_TYPES.items():
+            value = d[key]
+            # bool is an int subclass, and json true is no count or seed
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise TypeError(f"{key!r} may not be {type(value).__name__}")
         return ExperimentRecord(
             dataset=d["dataset"], family=d["family"], k=d["k"],
             config=d["config"], split_seed=d["split_seed"], seed=d["seed"],

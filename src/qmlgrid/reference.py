@@ -7,8 +7,10 @@ entries and QNN losses are computed from those unitaries and
 probabilities one sample at a time, gradients come from central finite
 differences or from parameter shifts of a gate-by-gate forward pass
 (never fusion or the adjoint sweep), the SVM dual is solved by
-projected gradient ascent, and CART trees grow node by node by
-recursion. Deliberately brute force; do not optimize,
+projected gradient ascent and by a maximal-violating-pair loop that
+rebuilds its working sets every step (sharing only the final bias rule
+with `svm`), and CART trees grow node by node by recursion.
+Deliberately brute force; do not optimize,
 except by early exits that leave every output bit-identical.
 """
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from .errors import UsageError
 from .statevec import apply_ops, expectation_z_batch, zero_states
+from .svm import SvmModel, _final_bias
 
 _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -260,6 +263,55 @@ def bias_from_alpha(gram: np.ndarray, labels: np.ndarray, alpha: np.ndarray,
     if np.isinf(hi):
         return lo
     return 0.5 * (lo + hi)
+
+
+def solve_dual_mvp(problem, tol: float = 1e-4,
+                   max_iter: int | None = None) -> SvmModel:
+    """svm.solve_dual's iterates the direct way: every step rebuilds
+    I_up, I_low, the gains and the curvatures over all n samples and
+    takes j by argmin of -gain^2 / curv over I_low with gain > 0."""
+    k = problem.gram
+    y = problem.labels
+    box = problem.box()
+    n = y.size
+    if max_iter is None:
+        max_iter = max(10_000, 100 * n)
+    diag = np.diagonal(k)
+    pos = y > 0
+    a = np.zeros(n)
+    g = y.copy()
+    converged = False
+    steps = 0
+    while True:
+        below, above = a < box, a > 0.0
+        up = np.where(pos, below, above)
+        low = np.where(pos, above, below)
+        i = int(np.argmax(np.where(up, g, -np.inf)))
+        m_up = g[i]
+        m_low = float(np.min(np.where(low, g, np.inf)))
+        if m_up - m_low <= tol:
+            converged = True
+            break
+        if steps == max_iter:
+            break
+        steps += 1
+        k_i = k[:, i]
+        gain = m_up - g
+        curv = diag[i] + diag - 2.0 * k_i
+        curv = np.where(curv > 0.0, curv, 1e-12)
+        j = int(np.argmin(np.where(low & (gain > 0.0),
+                                   -gain * gain / curv, np.inf)))
+        to_i = box[i] if pos[i] else 0.0
+        to_j = 0.0 if pos[j] else box[j]
+        room_i, room_j = abs(to_i - a[i]), abs(to_j - a[j])
+        lam = min(gain[j] / curv[j], room_i, room_j)
+        a[i] = to_i if lam == room_i else a[i] + y[i] * lam
+        a[j] = to_j if lam == room_j else a[j] - y[j] * lam
+        g -= lam * (k_i - k[:, j])
+
+    bias = _final_bias(k, y, a, box)
+    return SvmModel(alphas=a, bias=bias, labels=y.copy(), box=box,
+                    converged=converged, sweeps=steps)
 
 
 @dataclass

@@ -19,10 +19,23 @@ and M the smallest over I_low. Free samples lie in both sets, so the
 bias from their mean leaves every KKT violation <= tol.
 `SvmModel.sweeps` counts these steps.
 
+A step costs a few passes over n-vectors. As LIBSVM's alpha_status
+does, the solver keeps I_up and I_low between steps, as additive
+penalties (0 or -inf, 0 or +inf) that it updates only at i and j, the
+two samples whose a moved. m and M come from g + penalty in buffers
+allocated once. Kernel columns are rows of one contiguous copy of K^T,
+so the solver makes no symmetry assumption. j is the first argmax of
+max(b, 0)^2 / eta with b = m - (g + pen_low): entries off I_low or with
+b <= 0 score 0, and while m - M > tol > 0 some entry of I_low has
+b > tol, so this is the first index the direct rule picks. Scalar
+updates run on Python floats. The iterates (alphas, bias, steps) are bit for bit those
+of `reference.solve_dual_mvp`, which rebuilds every set each step.
+
 References: Keerthi et al., "Improvements to Platt's SMO algorithm for
 SVM classifier design", Neural Computation 13 (2001); Fan, Chen & Lin,
 "Working set selection using second order information for training
-support vector machines", JMLR 6 (2005).
+support vector machines", JMLR 6 (2005); Chang & Lin, "LIBSVM: a
+library for support vector machines", ACM TIST 2 (2011).
 """
 from __future__ import annotations
 
@@ -78,8 +91,13 @@ class SvmProblem:
             raise UsageError("labels must be -1/+1")
         if not ((self.labels > 0).any() and (self.labels < 0).any()):
             raise UsageError("need both classes to train")
-        if self.C <= 0:
-            raise UsageError("C must be positive")
+        if not np.all(np.isfinite(self.gram)):
+            raise UsageError("gram has non-finite entries")
+        if not (np.isfinite(self.C) and self.C > 0):
+            raise UsageError(f"C must be finite and positive, not {self.C}")
+        if not all(np.isfinite(w) and w > 0 for w in self.class_weights):
+            raise UsageError("class weights must be finite and positive, "
+                             f"not {self.class_weights}")
 
     def box(self) -> np.ndarray:
         w = np.where(self.labels > 0, self.class_weights[1], self.class_weights[0])
@@ -112,41 +130,64 @@ def solve_dual(problem: SvmProblem, tol: float = 1e-4,
     n = y.size
     if max_iter is None:
         max_iter = max(10_000, 100 * n)
-    diag = np.diagonal(k)
+    cols = np.ascontiguousarray(k.T)    # cols[t] is column t of k
+    diag = k.diagonal().copy()
     pos = y > 0
-    a = np.zeros(n)
+    # g + pen_up is g on I_up and -inf off it, g + pen_low is g on I_low
+    # and +inf off it; at a = 0 a positive sample is in I_up and a
+    # negative one in I_low if its box leaves room
+    pen_up = np.where(pos & (box > 0.0), 0.0, -np.inf)
+    pen_low = np.where(~pos & (box > 0.0), 0.0, np.inf)
+    a = [0.0] * n
+    y_f, box_f, pos_f = y.tolist(), box.tolist(), pos.tolist()
     g = y.copy()          # -y * G = y - K(a*y); every sample starts at 0
+    up_g, low_g, curv, work = (np.empty(n) for _ in range(4))
     converged = False
     steps = 0
     while True:
-        below, above = a < box, a > 0.0
-        up = np.where(pos, below, above)
-        low = np.where(pos, above, below)
-        i = int(np.argmax(np.where(up, g, -np.inf)))
+        i = int(np.add(g, pen_up, out=up_g).argmax())
         m_up = g[i]
-        m_low = float(np.min(np.where(low, g, np.inf)))
-        if m_up - m_low <= tol:
+        np.add(g, pen_low, out=low_g)
+        if m_up - low_g[low_g.argmin()] <= tol:
             converged = True
             break
         if steps == max_iter:
             break
         steps += 1
-        k_i = k[:, i]
-        gain = m_up - g
-        curv = diag[i] + diag - 2.0 * k_i
-        curv = np.where(curv > 0.0, curv, _TAU)
-        j = int(np.argmin(np.where(low & (gain > 0.0),
-                                   -gain * gain / curv, np.inf)))
+        k_i = cols[i]
+        np.add(diag, diag[i], out=curv)
+        curv -= np.multiply(k_i, 2.0, out=work)
+        # curv[i] is K_ii + K_ii - 2 K_ii = 0; floor the rest only if needed
+        curv[i] = _TAU
+        if not curv[curv.argmin()] > 0.0:
+            curv = np.where(curv > 0.0, curv, _TAU)
+        # max(gain, 0)^2 / curv is 0 off I_low and for gain <= 0, so its
+        # first argmax is the first argmin of -gain^2 / curv over
+        # I_low & (gain > 0): that set holds a gain > tol once m - M > tol
+        np.subtract(m_up, low_g, out=work)
+        np.maximum(work, 0.0, out=work)
+        np.square(work, out=work)
+        work /= curv
+        j = int(work.argmax())
         # a_i moves by y_i * lam and a_j by -y_j * lam, each towards the
         # bound named by its label; the step keeps sum(a * y) fixed
-        to_i = box[i] if pos[i] else 0.0
-        to_j = 0.0 if pos[j] else box[j]
+        to_i = box_f[i] if pos_f[i] else 0.0
+        to_j = 0.0 if pos_f[j] else box_f[j]
         room_i, room_j = abs(to_i - a[i]), abs(to_j - a[j])
-        lam = min(gain[j] / curv[j], room_i, room_j)
-        a[i] = to_i if lam == room_i else a[i] + y[i] * lam
-        a[j] = to_j if lam == room_j else a[j] - y[j] * lam
-        g -= lam * (k_i - k[:, j])
+        lam = min(float(m_up - g[j]) / float(curv[j]), room_i, room_j)
+        a[i] = to_i if lam == room_i else a[i] + y_f[i] * lam
+        a[j] = to_j if lam == room_j else a[j] - y_f[j] * lam
+        np.subtract(k_i, cols[j], out=work)
+        work *= lam
+        g -= work
+        # only a_i and a_j moved, so only their set memberships can change
+        for t in (i, j):
+            below, above = a[t] < box_f[t], a[t] > 0.0
+            grows, shrinks = (below, above) if pos_f[t] else (above, below)
+            pen_up[t] = 0.0 if grows else -np.inf
+            pen_low[t] = 0.0 if shrinks else np.inf
 
+    a = np.array(a)
     bias = _final_bias(k, y, a, box)
     return SvmModel(alphas=a, bias=bias, labels=y.copy(), box=box,
                     converged=converged, sweeps=steps)

@@ -166,11 +166,13 @@ def check_kernel_properties(n_samples: int = 30, seed: int = 103) -> CheckResult
 
 def check_svm_oracle(n_problems: int = 30, seed: int = 104) -> CheckResult:
     """SMO dual objective within 1e-4 of projected gradient; identical
-    training-point predictions."""
+    training-point predictions; alphas, bias, sweeps and convergence
+    identical to the reference loop that rebuilds its working sets."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     mismatches = 0
+    differ = 0
     for _ in range(n_problems):
         n = int(rng.integers(4, 9))
         M = rng.normal(size=(n, n + 3))
@@ -182,6 +184,11 @@ def check_svm_oracle(n_problems: int = 30, seed: int = 104) -> CheckResult:
                                  (float(rng.uniform(0.5, 1.5)),
                                   float(rng.uniform(0.5, 1.5))))
         model = svm.solve_dual(problem)
+        direct = reference.solve_dual_mvp(problem)
+        differ += not (np.array_equal(model.alphas, direct.alphas)
+                       and model.bias == direct.bias
+                       and model.sweeps == direct.sweeps
+                       and model.converged == direct.converged)
         alpha_pg = reference.solve_dual_projected_gradient(
             gram, labels, problem.box())
         worst = max(worst, abs(
@@ -192,9 +199,10 @@ def check_svm_oracle(n_problems: int = 30, seed: int = 104) -> CheckResult:
         pred_pg = np.where(gram @ (alpha_pg * labels) + bias_pg >= 0, 1, -1)
         mismatches += int(np.sum(svm.predict(model, gram) != pred_pg))
     return CheckResult(
-        "svm-oracle", worst <= 1e-4 and mismatches == 0,
+        "svm-oracle", worst <= 1e-4 and mismatches == 0 and differ == 0,
         f"{n_problems} PSD problems (n<=8), max dual gap {worst:.2e} "
-        f"(tol 1e-4), {mismatches} train-prediction mismatches",
+        f"(tol 1e-4), {mismatches} train-prediction mismatches, "
+        f"{differ} differ from the reference loop",
         time.perf_counter() - started)
 
 

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import json
 import os
 
 import numpy as np
@@ -24,6 +25,13 @@ def fake_record(family="qsvm", config=None, f1=0.8, train_f1=0.9,
         "toy", family, k, config or {"encoding": "z", "repetitions": 1},
         0, 0, n_parameters=n_parameters,
         train=fake_metrics(train_f1), val=m, test=m, error=error)
+
+
+def retyped(key, value) -> str:
+    """A record line with one field's value replaced."""
+    d = json.loads(fake_record(k=2).to_line())
+    d[key] = value
+    return json.dumps(d)
 
 
 class TestGrids:
@@ -141,9 +149,14 @@ class TestRecordStore:
         with pytest.raises(IngestionError, match="line 1"):
             RecordStore(path)
 
-    @pytest.mark.parametrize("bad", ['{"dataset": "x"}', "[1, 2]", '"text"',
-                                     "\udcff"], ids=["missing-keys", "list",
-                                                      "string", "not-utf8"])
+    @pytest.mark.parametrize("bad", [
+        '{"dataset": "x"}', "[1, 2]", '"text"', "\udcff",
+        retyped("k", "2"), retyped("seed", 1.5), retyped("config", []),
+        retyped("n_parameters", True), retyped("error", 3),
+        retyped("test", [1])],
+        ids=["missing-keys", "list", "string", "not-utf8", "text-k",
+             "float-seed", "list-config", "bool-count", "number-error",
+             "list-metrics"])
     def test_line_that_is_no_record_names_its_line(self, tmp_path, bad):
         path = tmp_path / "s.jsonl"
         data = (fake_record(k=2).to_line() + "\n\n" + bad + "\n").encode(

@@ -121,7 +121,11 @@ class TestRunAndReport:
             assert "invalid choice" in capsys.readouterr().err
 
     def test_corrupt_store_is_refused(self, tmp_path, capsys):
-        for text in ('{"bad json\n', '{"dataset": "x"}\n'):
+        wrong_type = ('{"config":{},"dataset":"prostate","error":null,'
+                      '"extra":{},"family":"qsvm","k":"2","n_parameters":0,'
+                      '"seed":0,"split_seed":0,"test":null,"train":null,'
+                      '"val":null}\n')
+        for text in ('{"bad json\n', '{"dataset": "x"}\n', wrong_type):
             store = tmp_path / "s.jsonl"
             store.write_text(text)
             for argv in (["report", "--out", str(tmp_path / "rep")],

@@ -6,8 +6,9 @@ from qmlgrid.circuit import feature_map
 from qmlgrid.errors import UsageError
 from qmlgrid.pipeline import stratified_split
 from qmlgrid.qkernel import embed, gram_matrix
-from qmlgrid.svm import (SvmModel, SvmProblem, decision_function,
-                         kernel_matrix, kkt_violation, predict, solve_dual)
+from qmlgrid.svm import (KERNEL_KINDS, SvmModel, SvmProblem,
+                         decision_function, kernel_matrix, kkt_violation,
+                         predict, solve_dual)
 
 
 def dual_objective(problem, alphas):
@@ -185,6 +186,85 @@ class TestSolverOnGridGrams:
                 >= dual_objective(problem, oracle) - 1e-6)
 
 
+def classical_problem(k, kind):
+    """The classical SVM cell's training problem on diabetes at split 0."""
+    bundle = stratified_split(datasets.synthetic("diabetes"), 0)
+    X = bundle.features("train", k)
+    y = np.where(bundle.labels("train") == 1, 1.0, -1.0)
+    return SvmProblem(kernel_matrix(kind, X, X), y, 1.0,
+                      bundle.class_weights())
+
+
+def assert_same_iterates(problem, **kwargs):
+    """solve_dual and the reference loop agree bit for bit."""
+    model = solve_dual(problem, **kwargs)
+    want = reference.solve_dual_mvp(problem, **kwargs)
+    assert np.array_equal(model.alphas, want.alphas)
+    assert model.bias == want.bias
+    assert model.sweeps == want.sweeps
+    assert model.converged == want.converged
+    return model
+
+
+class TestSolverMatchesReferenceLoop:
+    def test_heart_failure_qsvm_grams(self):
+        for config in bench.qsvm_grid():
+            assert_same_iterates(grid_problem(
+                "heart_failure", 4, config["encoding"], config["repetitions"]))
+
+    def test_diabetes_classical_grams(self):
+        for k in range(2, 7):
+            for kind in KERNEL_KINDS:
+                assert_same_iterates(classical_problem(k, kind))
+
+    def test_random_rbf_and_sigmoid_problems(self):
+        rng = np.random.default_rng(46)
+        floored = 0
+        for trial in range(40):
+            kind = ("rbf", "sigmoid")[trial % 2]
+            n = int(rng.integers(6, 41))
+            while True:
+                y = rng.choice([-1.0, 1.0], size=n)
+                if (y > 0).any() and (y < 0).any():
+                    break
+            X = rng.normal(scale=float(rng.uniform(0.5, 3.0)), size=(n, 3))
+            gram = kernel_matrix(kind, X, X)
+            d = np.diagonal(gram)
+            curv = d[:, None] + d[None, :] - 2.0 * gram
+            floored += int(np.any(curv[~np.eye(n, dtype=bool)] <= 0.0))
+            assert_same_iterates(SvmProblem(
+                gram, y, C=float(rng.uniform(0.5, 4.0)),
+                class_weights=(float(rng.uniform(0.4, 1.6)),
+                               float(rng.uniform(0.4, 1.6)))))
+        # the sigmoid Grams are not PSD: their pairs reach the _TAU floor
+        assert floored >= 10
+
+    def test_near_duplicate_points(self):
+        # rows 1e-9 apart put curvatures in (0, _TAU), which stay unfloored
+        rng = np.random.default_rng(50)
+        for _ in range(20):
+            X = np.repeat(rng.normal(size=(6, 3)), 4, axis=0)
+            X *= 1.0 + 1e-9 * rng.normal(size=(24, 1))
+            y = rng.choice([-1.0, 1.0], size=24)
+            y[:2] = (-1.0, 1.0)
+            assert_same_iterates(SvmProblem(kernel_matrix("rbf", X, X), y,
+                                            C=2.0))
+
+    def test_non_symmetric_gram(self):
+        rng = np.random.default_rng(47)
+        problem = random_problem(rng, n_max=12)
+        gram = problem.gram + 0.05 * rng.normal(size=problem.gram.shape)
+        assert not np.array_equal(gram, gram.T)
+        assert_same_iterates(SvmProblem(gram, problem.labels, problem.C,
+                                        problem.class_weights))
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 5])
+    def test_capped_runs(self, max_iter):
+        model = assert_same_iterates(classical_problem(4, "rbf"),
+                                     max_iter=max_iter)
+        assert model.sweeps == max_iter and not model.converged
+
+
 class TestSolverBehavior:
     def test_non_convergence_returns_flagged_iterate(self):
         rng = np.random.default_rng(44)
@@ -200,6 +280,36 @@ class TestSolverBehavior:
     def test_rejects_bad_labels(self):
         with pytest.raises(UsageError):
             SvmProblem(np.eye(2), np.array([0.0, 1.0]))
+
+
+def eight_point_rbf():
+    rng = np.random.default_rng(48)
+    X = rng.normal(size=(8, 3))
+    return kernel_matrix("rbf", X, X), np.array([-1.0, 1.0] * 4)
+
+
+class TestProblemValidation:
+    # the solver makes no usable model of these: NaN alphas after
+    # max_iter steps, or converged=True after 0 steps with zero alphas
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_gram(self, bad):
+        gram, y = eight_point_rbf()
+        gram[1, 2] = gram[2, 1] = bad
+        with pytest.raises(UsageError, match="non-finite"):
+            SvmProblem(gram, y)
+
+    @pytest.mark.parametrize("weights", [(0.0, 1.0), (-1.0, 1.0),
+                                         (np.nan, 1.0), (1.0, np.inf)])
+    def test_rejects_class_weights_not_finite_and_positive(self, weights):
+        gram, y = eight_point_rbf()
+        with pytest.raises(UsageError, match="class weights"):
+            SvmProblem(gram, y, class_weights=weights)
+
+    @pytest.mark.parametrize("C", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_C_not_finite_and_positive(self, C):
+        gram, y = eight_point_rbf()
+        with pytest.raises(UsageError, match="C must be"):
+            SvmProblem(gram, y, C=C)
 
 
 class TestPrediction:
