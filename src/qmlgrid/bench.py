@@ -29,6 +29,7 @@ from . import baselines, qnn, svm
 from .circuit import ANSATZ_ROTATIONS, AXES, FEATURE_MAPS, feature_map
 from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
+from .fusion import FUSE_MAX_QUBITS
 from .metrics import Metrics, evaluate
 from .pipeline import SplitBundle, stratified_split
 from .qkernel import cross_gram, embed, gram_matrix
@@ -418,6 +419,9 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
     if not 1 <= lo <= hi <= dataset.n_features:
         raise UsageError(f"bad feature range {feature_range} for "
                          f"{dataset.n_features} features")
+    if "qnn" in families and hi > FUSE_MAX_QUBITS:
+        raise UsageError(f"QNN cells take at most {FUSE_MAX_QUBITS} "
+                         f"features, got feature range {feature_range}")
 
     for r in store.records():
         if (r.dataset == dataset_key and r.split_seed == split_seed
@@ -456,13 +460,15 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
 # --------------------------------------------------------------- selection
 
 def select_best(records, train_f1_threshold: float = 0.5):
-    """Argmax validation F1 over the error-free records. QNN records below
-    the train-F1 threshold are dropped first; the paper's table captions
-    gate the QNN sweep only, so other families are never gated. Ties go
-    to the model with fewer parameters, then the lexicographically
-    smaller config."""
+    """Argmax validation F1 over the error-free records whose solver
+    converged (an SVM stopped by its step cap has extra.converged False).
+    QNN records below the train-F1 threshold are dropped first; the
+    paper's table captions gate the QNN sweep only, so other families are
+    never gated. Ties go to the model with fewer parameters, then the
+    lexicographically smaller config."""
     survivors = [r for r in records
                  if r.error is None and r.val is not None
+                 and r.extra.get("converged") is not False
                  and not (r.family == "qnn"
                           and r.train.f1 < train_f1_threshold)]
     if not survivors:

@@ -16,18 +16,17 @@ Circuits come from two tables: FEATURE_MAPS (each kernel embedding's
 gate and pair shift, see feature_map) and ANSATZ_ROTATIONS (each ansatz
 layer's per-qubit rotations, see entangling_layer and qnn_circuit).
 
-resolve_ops resolves every binding against a feature matrix, after
-cutting the circuit into blocks (CircuitSpec.fusion, see the fusion
-module): the trainable layers and encoding blocks of a QNN circuit
-become one whole-register op each, every other op a gate of its own.
-run_batch runs the resolved ops on the batched simulator. Specs are
-immutable, so circuits are safe to share and reuse.
+resolve_ops resolves every binding of a circuit against a feature
+matrix, gate by gate, and run_batch runs the resolved ops on the
+batched simulator. run_batch also runs a QNN model's fusion.QnnCircuit,
+which resolves its fused blocks itself. Specs are immutable, so circuits
+are safe to share and reuse. qnn_circuit writes a QNN out gate by gate
+for the oracles in reference.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -119,12 +118,6 @@ class CircuitSpec:
                 raise ConfigurationError(
                     f"parameter index {b.param} out of range ({self.n_trainable})")
 
-    @cached_property
-    def fusion(self):
-        """The ops cut into blocks for simulation (see the fusion module)."""
-        from .fusion import fuse    # fusion imports this module
-        return fuse(self)
-
 
 def angle_encoding(n_features: int, sequence=("Y",)) -> CircuitSpec:
     """R_axis(pi * x_i) on qubit i, one rotation per axis in sequence order."""
@@ -205,17 +198,36 @@ def entangling_layer(n_qubits: int, layer_index: int,
     return CircuitSpec(n_qubits, tuple(ops), n_trainable=base + width)
 
 
+def _checked_inputs(X, theta, n_features: int, n_trainable: int):
+    """X as a float matrix, once it has n_features columns and theta
+    n_trainable entries."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise UsageError(
+            f"expected feature matrix with {n_features} columns, "
+            f"got shape {X.shape}")
+    if len(theta) != n_trainable:
+        raise UsageError(
+            f"expected {n_trainable} parameters, got {len(theta)}")
+    return X
+
+
 def resolve_ops(circuit: CircuitSpec, X: np.ndarray, theta=()) -> list:
     """Concrete (kind, targets, angle) ops for every row of X, one per
-    entry of circuit.fusion.blocks and in circuit order, as apply_ops
-    takes them (see fusion.resolve_fused)."""
-    from .fusion import resolve_fused   # fusion imports this module
-    return resolve_fused(circuit, X, theta)[0]
+    gate and in circuit order, as apply_ops takes them: an angle is a
+    scalar or a (len(X),) array."""
+    X = _checked_inputs(X, theta, circuit.n_features, circuit.n_trainable)
+    return [(op.kind, op.targets,
+             None if op.binding is None else op.binding.resolve_batch(X, theta))
+            for op in circuit.ops]
 
 
-def run_batch(circuit: CircuitSpec, X: np.ndarray, theta=()) -> np.ndarray:
-    """Execute for every row of X at once; returns (len(X), 2**n) amplitudes."""
-    ops = resolve_ops(circuit, X, theta)
+def run_batch(circuit, X: np.ndarray, theta=()) -> np.ndarray:
+    """Execute for every row of X at once; returns (len(X), 2**n)
+    amplitudes. circuit is a CircuitSpec or a fusion.QnnCircuit, which
+    resolves itself: fusion builds on this module, not this on fusion."""
+    ops = (resolve_ops(circuit, X, theta) if isinstance(circuit, CircuitSpec)
+           else circuit.resolve(X, theta))
     amps = zero_states(circuit.n_qubits, len(X))
     apply_ops(amps, circuit.n_qubits, ops)
     return amps
@@ -223,10 +235,10 @@ def run_batch(circuit: CircuitSpec, X: np.ndarray, theta=()) -> np.ndarray:
 
 def qnn_circuit(n_features: int, sequence, reupload: bool, ansatz: str,
                 n_layers: int) -> CircuitSpec:
-    """Classifier circuit: angle encoding plus entangling layers.
-
-    With reupload the encoding block precedes every layer; otherwise it
-    appears once as a prefix.
+    """Classifier circuit, gate by gate: angle encoding plus entangling
+    layers. With reupload the encoding block precedes every layer;
+    otherwise it appears once as a prefix. The oracles in reference run
+    it; fusion.qnn_blocks builds the same circuit for the model.
     """
     if n_layers < 1:
         raise ConfigurationError("n_layers must be >= 1")

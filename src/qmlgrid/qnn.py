@@ -4,13 +4,14 @@ One qubit per feature; qubits 0 and 1 are read out, softmax over
 (<Z_0>, <Z_1>) gives the two class probabilities. The loss is class-
 weighted cross-entropy. Gradients are adjoint-mode (Jones & Gacon,
 arXiv:2009.02823): one forward pass, then one backward sweep that reads
-every parameter's derivative off the stored state. On fused circuits
-(see circuit) a layer costs one matrix product forward and one back,
-and its derivatives come from n reduced 2x2 matrices, so a gradient
-costs 2.2 to 2.9 forward passes whatever the parameter count (n = 4..6,
-up to 180 parameters, batch 32). The chain through softmax and the loss
-is analytic. `reference.shift_rule_gradient` keeps the parameter-shift
-rule as the oracle.
+every parameter's derivative off the stored state. The model runs as
+a fused QnnCircuit (see fusion), built once from its config: a layer
+costs one matrix product forward and one back, and its derivatives come
+from n reduced 2x2 matrices, so a gradient costs 2.2 to 2.9 forward
+passes whatever the parameter count (n = 4..6, up to 180 parameters,
+batch 32). The chain through softmax and the loss is analytic.
+`reference.shift_rule_gradient` keeps the parameter-shift rule on the
+gate-by-gate circuit.qnn_circuit as the oracle.
 """
 from __future__ import annotations
 
@@ -19,10 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import (ANSATZ_ROTATIONS, TRAIN, CircuitSpec, qnn_circuit,
-                      run_batch)
-from .errors import ConfigurationError, TrainingDivergedError, UsageError
-from .fusion import FusedRun, resolve_fused
+from .circuit import ANSATZ_ROTATIONS, AXES, run_batch
+from .errors import ConfigurationError, TrainingDivergedError
+from .fusion import FUSE_MAX_QUBITS, QnnCircuit, qnn_blocks, resolve_fused
 from .statevec import _z_signs, apply_ops, expectation_z_batch, zero_states
 
 PROB_FLOOR = 1e-12
@@ -38,10 +38,6 @@ LEARNING_RATE = 0.01
 BATCH_SIZE = 32
 PATIENCE = 5
 
-# per trainable gate kind, the rotation R_P with R_P(pi) = -iP for its
-# generator P; PHASE(t) is RZ(t) up to a global phase, so it takes RZ
-_DERIVATIVE_GATE = {"rx": "rx", "ry": "ry", "rz": "rz", "phase": "rz"}
-
 
 @dataclass(frozen=True)
 class QnnConfig:
@@ -53,9 +49,17 @@ class QnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_features < 2:
-            raise ConfigurationError("QNN needs at least two features "
-                                     "(two readout qubits)")
+        if not 2 <= self.n_features <= FUSE_MAX_QUBITS:
+            raise ConfigurationError(
+                f"QNN needs 2 to {FUSE_MAX_QUBITS} features (two readout "
+                f"qubits, dense layers), got {self.n_features}")
+        seq = tuple(str(a).upper() for a in self.encoding_sequence)
+        if not seq:
+            raise ConfigurationError("encoding sequence must not be empty")
+        if len(set(seq)) != len(seq):
+            raise ConfigurationError(f"encoding sequence has repeats: {seq}")
+        if not set(seq) <= set(AXES):
+            raise ConfigurationError(f"unknown encoding axis in {seq}")
         if self.ansatz not in ANSATZ_ROTATIONS:
             raise ConfigurationError(f"unknown ansatz {self.ansatz!r}")
         if self.n_layers < 1:
@@ -71,13 +75,14 @@ class QnnModel:
     config: QnnConfig
     parameters: np.ndarray
     class_weights: np.ndarray
-    circuit: CircuitSpec = field(repr=False, default=None)
+    circuit: QnnCircuit = field(repr=False, default=None)
 
     def __post_init__(self):
         c = self.config
         if self.circuit is None:
-            self.circuit = qnn_circuit(c.n_features, c.encoding_sequence,
-                                       c.reupload, c.ansatz, c.n_layers)
+            self.circuit = qnn_blocks(c.n_features, c.encoding_sequence,
+                                      c.reupload, ANSATZ_ROTATIONS[c.ansatz],
+                                      c.n_layers)
         if self.parameters.shape != (c.n_parameters(),):
             raise ConfigurationError(
                 f"parameter vector has shape {self.parameters.shape}, "
@@ -135,15 +140,14 @@ def parameter_shift_gradient(model: QnnModel, X: np.ndarray,
 
     The forward pass keeps the final states psi and seeds
     lam = sum_q (d loss / d<Z_q>) Z_q psi per sample. The backward sweep
-    undoes the resolved ops on psi and lam in reverse order. At a lone
-    trainable rotation R_P it adds scale * Re<lam| R_P(pi) psi>, since
-    R_P(pi) = -iP. A fused trainable layer is undone as one matrix, and
-    its derivatives are read at the layer's input from the per-qubit 2x2
-    matrices R_q = sum_b Tr_{not q} |psi_b><lam_b|: the rotation at
-    position d of qubit q's chain, with T the chain up to and including
-    it, contributes scale * Im tr(P T R_q T^dagger). The name predates
-    the adjoint method and is kept for the benchmark's span;
-    `reference.shift_rule_gradient` is the oracle.
+    undoes the fused blocks on psi and lam in reverse order. A layer is
+    undone as one matrix, and its derivatives are read at the layer's
+    input from the per-qubit 2x2 matrices R_q = sum_b Tr_{not q}
+    |psi_b><lam_b|: the rotation at position d of qubit q's chain, with T
+    the chain up to and including it, contributes
+    scale * Im tr(P T R_q T^dagger). The name predates the adjoint method
+    and is kept for the benchmark's span; `reference.shift_rule_gradient`
+    is the oracle.
     """
     y = np.asarray(y, dtype=int)
     batch = len(y)
@@ -162,56 +166,33 @@ def parameter_shift_gradient(model: QnnModel, X: np.ndarray,
     both = np.concatenate([psi, observable * psi])
     psi, lam = both[:batch], both[batch:]
 
-    grad = np.zeros_like(model.parameters)
-    if layer_factors is not None:
-        rows, cols = _reduction_indices(n)
-        reduced = np.empty(layer_factors.shape[:2] + (2, 2), dtype=complex)
-    # ops to undo collect in `undo` and run only when a trainable block
-    # needs the states next to it; those ahead of the first never run
+    rows, cols = _reduction_indices(n)
+    reduced = np.empty(layer_factors.shape[:2] + (2, 2), dtype=complex)
+    layer = len(reduced)
+    # ops to undo collect in `undo` and run only when a layer needs the
+    # states at its input; the opening encoding never runs
     undo = []
-    for block, op in zip(circuit.fusion.blocks[::-1], ops[::-1]):
-        if isinstance(block, FusedRun):
-            if block.source == TRAIN:
-                undo.append(op)
-                apply_ops(both, n, [_inverse(o) for o in undo])
-                undo = []
-                # R_q[a, b] sums C[i, j] = sum_b psi_b[i] conj(lam_b[j])
-                # over the pairs of _reduction_indices
-                reduced[block.slot] = (psi.T @ lam.conj())[rows, cols].sum(-1)
-                continue
-        elif block.binding is not None and block.binding.kind == TRAIN:
+    for op in reversed(ops):
+        undo.append(op)
+        if op[0] == "unitary":
+            layer -= 1
             apply_ops(both, n, [_inverse(o) for o in undo])
             undo = []
-            kind, targets, _ = op
-            turned = psi.copy()
-            apply_ops(turned, n, [(_DERIVATIVE_GATE[kind], targets, np.pi)])
-            grad[block.binding.param] += (block.binding.scale
-                                          * np.vdot(lam, turned).real)
-        undo.append(op)
-    if layer_factors is not None:
-        _add_layer_gradients(grad, circuit.fusion.stacks[TRAIN],
-                             layer_factors, reduced)
+            # R_q[a, b] sums C[i, j] = sum_b psi_b[i] conj(lam_b[j])
+            # over the pairs of _reduction_indices
+            reduced[layer] = (psi.T @ lam.conj())[rows, cols].sum(-1)
+    grad = np.zeros_like(model.parameters)
+    _add_layer_gradients(grad, circuit.layers, layer_factors, reduced)
     return grad
 
 
 def _inverse(op) -> tuple:
-    """The op undoing `op` on the stacked (psi, lam) buffer: per-sample
-    angles repeat once per half; a "local" payload serves both halves.
-    A "product" op prepares a state rather than acting on one, so it has
-    no inverse; it only opens a circuit, ahead of every trainable block,
-    where nothing is undone."""
-    kind, targets, angle = op
-    if kind == "product":
-        raise UsageError("a product op cannot be undone")
+    """The op undoing a "unitary" or "local" op on the stacked
+    (psi, lam) buffer: a "local" payload serves both halves."""
+    kind, targets, payload = op
     if kind == "unitary":
-        return kind, targets, angle.conj().T
-    if kind == "local":
-        return kind, targets, tuple(m.conj().swapaxes(-1, -2) for m in angle)
-    if angle is None:
-        return op           # H, CNOT and CZ are their own inverses
-    # a rotation undoes with its angle negated
-    return kind, targets, -(np.concatenate([angle, angle]) if np.ndim(angle)
-                            else angle)
+        return kind, targets, payload.conj().T
+    return kind, targets, tuple(m.conj().swapaxes(-1, -2) for m in payload)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ unitaries via Kronecker products and matrix multiplication, kernel
 entries and QNN losses are computed from those unitaries and
 probabilities one sample at a time, gradients come from central finite
 differences or from parameter shifts of a gate-by-gate forward pass
-(never fusion or the adjoint sweep), the SVM dual is solved by
+of circuit.qnn_circuit (never fusion or the adjoint sweep), the SVM dual is solved by
 projected gradient ascent and by a maximal-violating-pair loop that
 rebuilds its working sets every step (sharing only the final bias rule
 with `svm`), and CART trees grow node by node by recursion.
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import qnn_circuit
 from .errors import UsageError
 from .statevec import apply_ops, expectation_z_batch, zero_states
 from .svm import SvmModel, _final_bias
@@ -155,11 +156,15 @@ def shift_rule_gradient(model, X, y) -> np.ndarray:
 
     Every trainable parameter of a QNN circuit sits in one rotation, so
     d<Z_q>/d theta_k = (<Z_q>(theta_k + pi/2) - <Z_q>(theta_k - pi/2)) / 2
-    is exact. The forward passes are gate_by_gate_expectations; none of
+    is exact. The forward passes are gate_by_gate_expectations of the
+    gate list circuit.qnn_circuit builds from model.config; none of
     fusion or the adjoint sweep is used.
     """
     y = np.asarray(y, dtype=int)
-    e = gate_by_gate_expectations(model.circuit, X, model.parameters)
+    c = model.config
+    circuit = qnn_circuit(c.n_features, c.encoding_sequence, c.reupload,
+                          c.ansatz, c.n_layers)
+    e = gate_by_gate_expectations(circuit, X, model.parameters)
     z = e - e.max(axis=1, keepdims=True)
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     # d loss_i / d e_q = w_{y_i} (p_q - [q == y_i]); mean over the batch
@@ -171,8 +176,8 @@ def shift_rule_gradient(model, X, y) -> np.ndarray:
         lo = model.parameters.copy()
         hi[k] += np.pi / 2.0
         lo[k] -= np.pi / 2.0
-        de = 0.5 * (gate_by_gate_expectations(model.circuit, X, hi) -
-                    gate_by_gate_expectations(model.circuit, X, lo))
+        de = 0.5 * (gate_by_gate_expectations(circuit, X, hi) -
+                    gate_by_gate_expectations(circuit, X, lo))
         grad[k] = float(np.sum(dl_de * de))
     return grad
 

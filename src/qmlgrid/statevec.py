@@ -14,8 +14,8 @@ of one, and a list of Gate tuples feeds apply_ops directly.
 
 Besides the gates, apply_ops takes three fused kinds that act on the
 whole register (targets are all qubits) and carry a matrix payload in
-the angle slot. circuit.resolve_ops emits them for the QNN blocks it
-fuses; they are never gates of a circuit spec.
+the angle slot. fusion.resolve_fused emits them for the blocks of a
+QNN; they are never gates of a circuit spec.
 
 * "unitary": one (2**n, 2**n) matrix U for the whole batch, amps <- U amps
   (a trainable layer with its CNOT ring).

@@ -10,14 +10,16 @@ the counts.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines, datasets, qnn, reference, svm
-from .circuit import (FEATURE_MAPS, CircuitSpec, GateOp, ParamBinding,
-                      angle_encoding, feature_map, run_batch)
+from .circuit import (ANSATZ_ROTATIONS, FEATURE_MAPS, CircuitSpec, GateOp,
+                      ParamBinding, angle_encoding, feature_map, qnn_circuit,
+                      run_batch)
 from .pipeline import pca_fit, standardize_apply, standardize_fit
 from .qkernel import embed, gram_matrix
 from .statevec import Gate, apply_ops, zero_states
@@ -58,7 +60,7 @@ def random_gates(rng, n_qubits, depth) -> list:
 def bound_circuit(n_qubits, gates) -> tuple:
     """(circuit, X, theta): the gates with their angles bound in turn to
     a feature of the one row of X and to a trainable parameter, so that
-    run_batch fuses rotation runs into every fused op kind."""
+    run_batch resolves both binding kinds through resolve_ops."""
     ops, x, theta = [], [], []
     for kind, targets, angle in gates:
         binding = None
@@ -76,11 +78,13 @@ def bound_circuit(n_qubits, gates) -> tuple:
 
 def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
     """Random circuits (n <= 4, depth <= 50) on a batch of one vs the
-    dense Kronecker unitary, 1e-10 elementwise, gate by gate and as
-    bound circuits through run_batch's fusion."""
+    dense Kronecker unitary, gate by gate and as bound circuits through
+    run_batch; then every QNN shape, again on a batch of one, as the
+    fused blocks its model runs vs the dense unitary of qnn_circuit's
+    gate list. All 1e-10 elementwise."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst = fused_worst = 0.0
+    worst = bound_worst = fused_worst = 0.0
     for _ in range(n_circuits):
         n = int(rng.integers(1, 5))
         gates = random_gates(rng, n, int(rng.integers(1, 51)))
@@ -88,12 +92,27 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
         apply_ops(amps, n, gates)
         want = reference.circuit_unitary(n, gates)[:, 0]
         worst = max(worst, float(np.max(np.abs(amps[0] - want))))
-        fused = run_batch(*bound_circuit(n, gates))[0]
-        fused_worst = max(fused_worst, float(np.max(np.abs(fused - want))))
+        bound = run_batch(*bound_circuit(n, gates))[0]
+        bound_worst = max(bound_worst, float(np.max(np.abs(bound - want))))
+    shapes = list(itertools.product(
+        ANSATZ_ROTATIONS, (False, True), (("Y",), ("X", "Z"), ("Z", "Y", "X")),
+        range(2, 7), range(1, 4)))
+    for ansatz, reupload, sequence, n, n_layers in shapes:
+        model = qnn.init_model(
+            qnn.QnnConfig(n, sequence, reupload, ansatz, n_layers,
+                          seed=int(rng.integers(100_000))), (0.5, 0.5))
+        x = rng.uniform(-1, 1, size=n)
+        got = run_batch(model.circuit, x[None], model.parameters)[0]
+        gates = reference.concrete_gates(
+            qnn_circuit(n, sequence, reupload, ansatz, n_layers), x,
+            model.parameters)
+        want = reference.circuit_unitary(n, gates)[:, 0]
+        fused_worst = max(fused_worst, float(np.max(np.abs(got - want))))
     return CheckResult(
-        "simulator", worst <= 1e-10 and fused_worst <= 1e-10,
+        "simulator", max(worst, bound_worst, fused_worst) <= 1e-10,
         f"{n_circuits} circuits (n<=4, depth<=50), max |amp error| "
-        f"{worst:.2e}, tol 1e-10; fused {fused_worst:.2e}",
+        f"{worst:.2e}, tol 1e-10; bound {bound_worst:.2e}; fused "
+        f"{fused_worst:.2e} over {len(shapes)} QNN shapes (n 2..6, L 1..3)",
         time.perf_counter() - started)
 
 

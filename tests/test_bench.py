@@ -237,6 +237,23 @@ class TestSelectBest:
     def test_empty_gives_none(self):
         assert select_best([]) is None
 
+    def test_unconverged_solve_is_skipped(self):
+        # an SVM cell whose solve hit its step cap keeps its metrics but
+        # says converged=False; selection passes over it
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(12, 3))
+        labels = np.where(np.arange(12) % 2 == 0, 1, -1)
+        model = svm.solve_dual(svm.SvmProblem(
+            svm.kernel_matrix("rbf", X, X), labels), max_iter=1)
+        assert not model.converged
+        config = {"model": "svm", "kernel": "rbf"}
+        capped = fake_record("classical", config, f1=0.9)
+        capped.extra = {"converged": model.converged, "sweeps": model.sweeps}
+        done = fake_record("classical", config, f1=0.6)
+        done.extra = {"converged": True, "sweeps": 40}
+        assert select_best([capped, done]) is done
+        assert select_best([capped]) is None
+
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):

@@ -9,6 +9,7 @@ from qmlgrid.circuit import (ANSATZ_ROTATIONS, CircuitSpec, ParamBinding,
                              angle_encoding, entangling_layer, feature_map,
                              qnn_circuit, resolve_ops, run_batch)
 from qmlgrid.errors import ConfigurationError, UsageError
+from qmlgrid.fusion import qnn_blocks
 
 
 def cnot_count(circ):
@@ -201,22 +202,28 @@ class TestQnnCircuit:
 
 class TestFusion:
     def test_qnn_circuits_fuse_and_match_unitary_reference(self):
-        # every ansatz x re-upload setting, n = 2..6 and L = 1..3
+        # every ansatz x re-upload setting, n = 2..6 and L = 1..3: the
+        # fused blocks built from the config vs the dense unitary of the
+        # gate list qnn_circuit writes out
         sequences = (("Y",), ("X", "Z"), ("Z", "Y", "X"))
         rng = np.random.default_rng(23)
         for n in range(2, 7):
             for n_layers in (1, 2, 3):
                 for reupload in (False, True):
                     for ansatz in ("basic", "strongly"):
-                        circ = qnn_circuit(n, sequences[(n + n_layers) % 3],
-                                           reupload, ansatz, n_layers)
+                        sequence = sequences[(n + n_layers) % 3]
+                        circ = qnn_circuit(n, sequence, reupload, ansatz,
+                                           n_layers)
+                        fused = qnn_blocks(n, sequence, reupload,
+                                           ANSATZ_ROTATIONS[ansatz], n_layers)
+                        assert fused.n_trainable == circ.n_trainable
                         X = rng.uniform(-1, 1, (3, n))
                         theta = rng.uniform(-np.pi, np.pi, circ.n_trainable)
-                        kinds = [op[0] for op in resolve_ops(circ, X, theta)]
+                        kinds = [op[0] for op in fused.resolve(X, theta)]
                         layer = (["local"] if reupload else []) + ["unitary"]
                         assert kinds == (["product", "unitary"]
                                          + layer * (n_layers - 1))
-                        amps = run_batch(circ, X, theta)
+                        amps = run_batch(fused, X, theta)
                         for x, got in zip(X, amps):
                             gates = reference.concrete_gates(circ, x, theta)
                             want = reference.circuit_unitary(n, gates)[:, 0]
@@ -226,6 +233,13 @@ class TestFusion:
         circ = feature_map("angle", 3, repetitions=2)
         kinds = [op[0] for op in resolve_ops(circ, np.zeros((2, 3)))]
         assert kinds == [op.kind for op in circ.ops]
+
+    def test_fused_circuit_checks_lengths(self):
+        fused = qnn_blocks(3, ("Y",), True, ANSATZ_ROTATIONS["basic"], 2)
+        with pytest.raises(UsageError):
+            run_batch(fused, np.zeros((1, 2)), np.zeros(6))
+        with pytest.raises(UsageError):
+            run_batch(fused, np.zeros((1, 3)), np.zeros(5))
 
 
 class TestBindAndRun:

@@ -94,8 +94,9 @@ class TestRunAndReport:
         ('master_seed = "x"', []),
         (None, ["--seed", "-1"]),
         (None, ["--split-seed", "-3"]),
+        (None, ["--dataset", "heart_failure", "--features", "9"]),
     ], ids=["float-epochs", "zero-epochs", "cap-below-start", "text-seed",
-            "negative-seed", "negative-split-seed"])
+            "negative-seed", "negative-split-seed", "qnn-wider-than-fused"])
     def test_bad_input_is_refused_before_the_store(self, tmp_path, capsys,
                                                    conf, flags):
         store = tmp_path / "s.jsonl"

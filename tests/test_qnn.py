@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from qmlgrid import qnn, reference
-from qmlgrid.circuit import (CircuitSpec, GateOp, ParamBinding, angle_encoding,
-                            resolve_ops, run_batch)
+from qmlgrid.circuit import angle_encoding, run_batch
 from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
-from qmlgrid.fusion import FUSE_MAX_QUBITS, FusedRun
+from qmlgrid.fusion import FUSE_MAX_QUBITS, QnnCircuit
 from qmlgrid.metrics import evaluate
-from qmlgrid.qnn import (GrowthResult, QnnConfig, QnnModel, _inverse,
-                         batch_loss, expectations, forward_batch, grow_layers,
+from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, expectations, forward_batch, grow_layers,
                          init_model, parameter_shift_gradient, predict,
                          replace_params, softmax_pair, train)
 from qmlgrid.reference import weighted_cross_entropy
@@ -43,6 +41,14 @@ class TestConfig:
             QnnConfig(2, ansatz="deep")
         with pytest.raises(ConfigurationError):
             QnnConfig(2, n_layers=0)
+        # the encoding sequence and the width are checked by the config,
+        # not first when a model is built from it
+        for sequence in ((), ("X", "X"), ("y", "Y"), ("Q",), ("Y", "W")):
+            with pytest.raises(ConfigurationError):
+                QnnConfig(2, sequence)
+        with pytest.raises(ConfigurationError):
+            QnnConfig(FUSE_MAX_QUBITS + 1)
+        assert QnnConfig(FUSE_MAX_QUBITS, ("x", "Z")).n_parameters() == 16
 
     def test_init_is_seeded_uniform(self):
         cfg = QnnConfig(2, n_layers=3, seed=9)
@@ -156,32 +162,6 @@ class TestGradient:
         # best of 15 interleaved runs each, so a busy machine skews neither
         assert min(gradient) <= 4.0 * min(forward)
 
-    def test_scaled_offset_phase_and_fixed_gates(self):
-        # a trainable PHASE with a scale, a parameter bound
-        # twice, and H / CZ / CNOT between them
-        cfg = QnnConfig(2, ("Y",), False, "basic", 1)
-        ansatz = CircuitSpec(2, (
-            GateOp("h", (0,)),
-            GateOp("phase", (0,), ParamBinding.train(0, scale=1.3)),
-            GateOp("cz", (0, 1)),
-            GateOp("rx", (1,), ParamBinding.train(1, scale=-0.7)),
-            GateOp("h", (1,)),
-            GateOp("cnot", (1, 0)),
-            GateOp("ry", (0,), ParamBinding.train(1))),
-            n_trainable=2)
-        circuit = CircuitSpec(2, angle_encoding(2, ("Y",)).ops + ansatz.ops,
-                              n_features=2, n_trainable=2)
-        model = QnnModel(cfg, np.array([0.8, -1.1]), np.array([0.4, 0.6]),
-                         circuit)
-        rng = np.random.default_rng(48)
-        X = rng.uniform(-1, 1, (6, 2))
-        y = rng.integers(0, 2, 6)
-        numeric = reference.finite_difference_gradient(
-            lambda th: batch_loss(model, X, y, parameters=th),
-            model.parameters, eps=1e-4)
-        assert np.max(np.abs(parameter_shift_gradient(model, X, y)
-                             - numeric)) <= 1e-6
-
 
 class TestFusedGradient:
     def test_matches_gate_by_gate_parameter_shift(self):
@@ -198,32 +178,17 @@ class TestFusedGradient:
                                         reupload, ansatz, n_layers,
                                         seed=int(rng.integers(1000)))
                         model = init_model(cfg, (0.35, 0.65))
-                        assert any(isinstance(b, FusedRun)
-                                   for b in model.circuit.fusion.blocks)
+                        assert isinstance(model.circuit, QnnCircuit)
                         X = rng.uniform(-1, 1, (4, n))
                         y = rng.integers(0, 2, 4)
+                        kinds = [op[0] for op in model.circuit.resolve(
+                            X, model.parameters)]
+                        layer = (["local"] if reupload else []) + ["unitary"]
+                        assert kinds == (["product", "unitary"]
+                                         + layer * (n_layers - 1))
                         got = parameter_shift_gradient(model, X, y)
                         want = reference.shift_rule_gradient(model, X, y)
                         assert np.max(np.abs(got - want)) <= 1e-10
-
-    def test_wider_circuit_keeps_per_gate_rule(self):
-        n = FUSE_MAX_QUBITS + 1
-        model = init_model(QnnConfig(n, ("X", "Y"), True, "strongly", 1,
-                                     seed=3), (0.35, 0.65))
-        rng = np.random.default_rng(50)
-        X = rng.uniform(-1, 1, (3, n))
-        y = np.array([0, 1, 1])
-        kinds = [op[0] for op in resolve_ops(model.circuit, X,
-                                             model.parameters)]
-        assert kinds == [op.kind for op in model.circuit.ops]
-        got = parameter_shift_gradient(model, X, y)
-        want = reference.shift_rule_gradient(model, X, y)
-        assert np.max(np.abs(got - want)) <= 1e-10
-
-    def test_product_op_is_never_undone(self):
-        # a product op prepares a state; undoing one is a fusion bug
-        with pytest.raises(UsageError):
-            _inverse(("product", (0, 1), np.zeros((1, 2, 2))))
 
 
 class TestTraining:
