@@ -6,6 +6,7 @@ ties in votes or leaf counts resolve to class 1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,7 +75,7 @@ def predict_logistic(model: LogisticModel, X) -> np.ndarray:
 
 # ------------------------------------------------------------ tree, forest
 
-TREES_PER_BLOCK = 25    # trees grown side by side; bounds the working set
+STEP_ROWS = 1 << 14     # rows x candidate features per step; bounds memory
 
 
 @dataclass
@@ -94,16 +95,19 @@ class ForestModel:
         return int(np.count_nonzero(self.feature >= 0))
 
 
-def _mass_tables(class_weights, m: int) -> tuple:
-    """(totals, prefixes), each (2, m + 1): the weight of j samples of a
-    class, j = 0..m, from the float operations of a node-by-node CART. A
-    node total is numpy's pairwise .sum() of j copies of the class
-    weight; a cut's left mass is the sequential np.cumsum of j copies."""
-    cw = np.asarray(class_weights, dtype=np.float64)
+@functools.lru_cache(maxsize=16)
+def _mass_tables(w0: float, w1: float, m: int) -> tuple:
+    """(totals, prefixes), each (2, m + 1) and read-only: the weight of j
+    samples of class c (weight wc), j = 0..m, from the float operations
+    of a node-by-node CART. A node total is numpy's pairwise .sum() of j
+    copies of the class weight; a cut's left mass is the sequential
+    np.cumsum of j copies."""
+    cw = np.array([w0, w1])
     totals = np.array([[np.full(j, c).sum() for j in range(m + 1)]
                        for c in cw])
     prefixes = np.zeros((2, m + 1))
     prefixes[:, 1:] = np.cumsum(np.repeat(cw[:, None], m, axis=1), axis=1)
+    totals.flags.writeable = prefixes.flags.writeable = False
     return totals, prefixes
 
 
@@ -218,20 +222,42 @@ def _partition(X, y, order, tree, lo, size, feat, thr) -> tuple:
     return n_left, ones_left
 
 
-def _grow(X, y, class_weights, samples, rngs=None,
-          n_candidates: int = 0) -> ForestModel:
+def _candidates(rng, d: int, k: int, n: int) -> np.ndarray:
+    """(n, k): n successive np.sort(rng.choice(d, k, replace=False)) from
+    one rng.integers call, which leaves rng where those calls would.
+    For d <= 10000, choice runs Floyd's algorithm: for j = d-k .. d-1 it
+    draws t in [0, j] and keeps t, or j if t is kept already. It then
+    shuffles the k picks, drawing in [0, i] for i = k-1 .. 1; sorting
+    undoes the shuffle, so only its draws count."""
+    bounds = np.concatenate([np.arange(d - k, d), np.arange(k - 1, 0, -1)])
+    draws = rng.integers(0, np.tile(bounds, n), endpoint=True)
+    picks = draws.reshape(n, 2 * k - 1)[:, :k].copy()
+    for s in range(1, k):
+        pick = picks[:, s]
+        kept = picks[:, 0] == pick
+        for r in range(1, s):
+            kept |= picks[:, r] == pick
+        pick[kept] = d - k + s
+    picks.sort(axis=1)
+    return picks
+
+
+def _grow(X, y, class_weights, samples, candidates=None) -> ForestModel:
     """CART with weighted Gini, one tree per row of `samples` (row indices
     into X, repeats allowed), grown until leaves are pure or no split
     helps.
 
-    With `rngs`, tree t draws n_candidates features per split from
-    rngs[t] as it visits its nodes depth-first in pre-order. Up to
-    TREES_PER_BLOCK trees advance in lockstep, one node each per step, so
-    every tree draws in that order. Without `rngs` every feature is a
-    candidate, node order does not matter, and a step takes every open
-    node of the block. Each step scores its nodes with _best_splits and
-    partitions their rows in place: a node owns a slice of its tree's
-    row of `order`, lefts first after its split."""
+    With `candidates` (n_trees, draws, k), tree t visits its nodes
+    depth-first in pre-order and scores its i-th node on the features
+    candidates[t, i], as a node-by-node recursion drawing them from the
+    tree's rng would. A step takes the next node of each tree, in tree
+    order, until their rows times candidate features would pass
+    STEP_ROWS (at least one node). Without `candidates` every feature is
+    a candidate, node order does not matter, and a step takes every
+    open node of each tree under the same bound. Each step scores its
+    nodes with _best_splits and partitions their rows in place: a node
+    owns a slice of its tree's row of `order`, lefts first after its
+    split."""
     n_trees, m = samples.shape
     d = X.shape[1]
     uniques = [np.unique(X[:, f], return_inverse=True) for f in range(d)]
@@ -240,7 +266,7 @@ def _grow(X, y, class_weights, samples, rngs=None,
     for f, (u, inverse) in enumerate(uniques):
         values[f, :len(u)] = u
         ranks[f] = inverse
-    totals, prefixes = _mass_tables(class_weights, m)
+    totals, prefixes = _mass_tables(*map(float, class_weights), m)
     tables = (values, ranks, totals, prefixes)
 
     capacity = n_trees * max(2 * m - 1, 1)
@@ -266,57 +292,60 @@ def _grow(X, y, class_weights, samples, rngs=None,
     impure = add_leaves(roots, m, y[samples].sum(axis=1))
     # open nodes per tree as (id, lo, hi): the node owns order[t, lo:hi]
     stacks = [[(t, 0, m)] if impure[t] else [] for t in range(n_trees)]
+    n_feats = d if candidates is None else candidates.shape[2]
+    drawn = np.zeros(n_trees, dtype=np.int64)
     n_nodes = n_trees
-    for block in range(0, n_trees, TREES_PER_BLOCK):
-        trees = range(block, min(block + TREES_PER_BLOCK, n_trees))
-        while True:
-            opened = []
-            for t in trees:
-                if rngs is None:
-                    opened += [(t,) + entry for entry in stacks[t]]
-                    stacks[t].clear()
-                elif stacks[t]:
-                    opened.append((t,) + stacks[t].pop())
-            if not opened:
+    while True:
+        opened, work = [], 0
+        for t, stack in enumerate(stacks):
+            while stack:
+                _, lo, hi = stack[-1]
+                work += (hi - lo) * n_feats
+                if opened and work > STEP_ROWS:
+                    break
+                opened.append((t,) + stack.pop())
+                if candidates is not None:
+                    break
+            if work > STEP_ROWS:
                 break
-            tree, node, lo, hi = np.array(opened).T
-            size = hi - lo
-            if rngs is None:
-                feats = np.broadcast_to(np.arange(d), (len(node), d))
-            else:
-                feats = np.array([rngs[t].choice(d, size=n_candidates,
-                                                 replace=False)
-                                  for t in tree.tolist()])
-                feats.sort(axis=1)
-            feat, thr = _best_splits(y, order, tables, tree, lo, size,
-                                     n_ones[node], feats)
-            split = np.flatnonzero(feat >= 0)
-            tree, node, lo, size, feat, thr = (
-                a[split] for a in (tree, node, lo, size, feat, thr))
-            n_left, ones_left = _partition(X, y, order, tree, lo, size,
-                                           feat, thr)
-            # the midpoint of two adjacent floats can round onto the upper
-            # one and leave the right child empty: then the node stays a leaf
-            split = n_left < size
-            tree, node, lo, size, feat, thr, n_left, ones_left = (
-                a[split] for a in (tree, node, lo, size, feat, thr, n_left,
-                                   ones_left))
-            ids = n_nodes + 2 * np.arange(len(node))
-            n_nodes += 2 * len(node)
-            feature[node], threshold[node] = feat, thr
-            left[node], right[node] = ids, ids + 1
-            open_left = add_leaves(ids, n_left, ones_left)
-            open_right = add_leaves(ids + 1, size - n_left,
-                                    n_ones[node] - ones_left)
-            # pre-order: the left child is popped first
-            for t, i, a, b, c, go_left, go_right in zip(
-                    tree.tolist(), ids.tolist(), lo.tolist(),
-                    (lo + n_left).tolist(), (lo + size).tolist(),
-                    open_left, open_right):
-                if go_right:
-                    stacks[t].append((i + 1, b, c))
-                if go_left:
-                    stacks[t].append((i, a, b))
+        if not opened:
+            break
+        tree, node, lo, hi = np.array(opened).T
+        size = hi - lo
+        if candidates is None:
+            feats = np.broadcast_to(np.arange(d), (len(node), d))
+        else:
+            feats = candidates[tree, drawn[tree]]
+            drawn[tree] += 1
+        feat, thr = _best_splits(y, order, tables, tree, lo, size,
+                                 n_ones[node], feats)
+        split = np.flatnonzero(feat >= 0)
+        tree, node, lo, size, feat, thr = (
+            a[split] for a in (tree, node, lo, size, feat, thr))
+        n_left, ones_left = _partition(X, y, order, tree, lo, size,
+                                       feat, thr)
+        # the midpoint of two adjacent floats can round onto the upper
+        # one and leave the right child empty: then the node stays a leaf
+        split = n_left < size
+        tree, node, lo, size, feat, thr, n_left, ones_left = (
+            a[split] for a in (tree, node, lo, size, feat, thr, n_left,
+                               ones_left))
+        ids = n_nodes + 2 * np.arange(len(node))
+        n_nodes += 2 * len(node)
+        feature[node], threshold[node] = feat, thr
+        left[node], right[node] = ids, ids + 1
+        open_left = add_leaves(ids, n_left, ones_left)
+        open_right = add_leaves(ids + 1, size - n_left,
+                                n_ones[node] - ones_left)
+        # pre-order: the left child is popped first
+        for t, i, a, b, c, go_left, go_right in zip(
+                tree.tolist(), ids.tolist(), lo.tolist(),
+                (lo + n_left).tolist(), (lo + size).tolist(),
+                open_left, open_right):
+            if go_right:
+                stacks[t].append((i + 1, b, c))
+            if go_left:
+                stacks[t].append((i, a, b))
     return ForestModel(feature[:n_nodes].copy(), threshold[:n_nodes].copy(),
                        left[:n_nodes].copy(), right[:n_nodes].copy(),
                        label[:n_nodes].copy(), roots)
@@ -331,14 +360,22 @@ def fit_tree(X, y, class_weights=(1.0, 1.0)) -> ForestModel:
 
 def fit_forest(X, y, class_weights=(1.0, 1.0), seed: int = 0) -> ForestModel:
     """100 bagged trees: same-size bootstrap resamples, ceil(sqrt(d))
-    feature candidates per split, per-tree rng derived from the seed."""
+    feature candidates per split, per-tree rng derived from the seed.
+    Each tree's rng draws its resample, then the candidates of as many
+    nodes as the tree can have; nothing reads the rng after that."""
     X, y = _check_xy(X, y)
-    n_candidates = math.ceil(math.sqrt(X.shape[1]))
-    rngs = [np.random.default_rng([seed, t]) for t in range(100)]
-    samples = np.stack([rng.integers(0, len(y), len(y)) for rng in rngs])
-    if n_candidates >= X.shape[1]:
-        rngs = None
-    return _grow(X, y, class_weights, samples, rngs, n_candidates)
+    n, d = X.shape
+    k = math.ceil(math.sqrt(d))
+    samples = np.empty((100, n), dtype=np.int64)
+    candidates = None
+    if k < d:
+        candidates = np.empty((100, max(2 * n - 1, 1), k), dtype=np.int16)
+    for t in range(100):
+        rng = np.random.default_rng([seed, t])
+        samples[t] = rng.integers(0, n, n)
+        if candidates is not None:
+            candidates[t] = _candidates(rng, d, k, candidates.shape[1])
+    return _grow(X, y, class_weights, samples, candidates)
 
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:

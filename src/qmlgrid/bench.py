@@ -221,7 +221,7 @@ class RecordStore:
             fh.write(record.to_line() + "\n")
         if record.wall_clock is not None:
             with open(self.path + ".timings", "a") as fh:
-                fh.write(f"{record.key()}\t{record.wall_clock:.3f}\n")
+                fh.write(f"{record.key()}\t{record.wall_clock:.6f}\n")
         self._append_memory(record)
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from qmlgrid import bench, datasets, reference, verify
+from qmlgrid import baselines, bench, datasets, reference, verify
 from qmlgrid.baselines import (
     ForestModel,
+    _candidates,
+    _mass_tables,
     _node_gini,
     LogisticModel,
     fit_forest,
@@ -166,6 +168,55 @@ class TestForest:
         assert predict_forest(forest, [[0.5], [-3.0]]).tolist() == [1, 1]
 
 
+class TestCandidates:
+    """_candidates gives the sorted results of successive rng.choice calls
+    and leaves the rng where those calls would."""
+
+    @pytest.mark.parametrize("d", range(2, 14))
+    def test_matches_successive_choice_calls(self, d):
+        for k in range(1, d):
+            for seed in range(4):
+                want_rng = np.random.default_rng([seed, d, k])
+                got_rng = np.random.default_rng([seed, d, k])
+                # an odd number of 32-bit draws leaves half of a 64-bit
+                # output buffered, as a bootstrap resample can
+                for rng in (want_rng, got_rng):
+                    rng.integers(0, 491, 2 * seed + 1)
+                want = [np.sort(want_rng.choice(d, k, replace=False))
+                        for _ in range(9)]
+                got = _candidates(got_rng, d, k, 9)
+                assert np.array_equal(got, want), (d, k, seed)
+                assert ((got_rng.integers(2 ** 31), got_rng.random())
+                        == (want_rng.integers(2 ** 31), want_rng.random())), \
+                    (d, k, seed)
+
+
+class TestStepBound:
+    """How many nodes a step takes changes no tree."""
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_one_node_and_every_node_per_step(self, k, monkeypatch):
+        bundle = stratified_split(datasets.synthetic("diabetes"), 0)
+        weights = bundle.class_weights()
+        X, y = bundle.features("train", k), bundle.labels("train")
+        probe = bundle.features("test", k)
+        seed = bench.cell_seed(0, "diabetes", "classical",
+                               {"model": "forest"}, 0)
+        want = reference.grow_tree(X, y, weights)
+        wants = reference.grow_forest(X, y, weights, seed=seed)
+        want_votes = reference.predict_trees(wants, probe)
+        for rows in (1, 10 ** 9):
+            monkeypatch.setattr(baselines, "STEP_ROWS", rows)
+            tree = fit_tree(X, y, weights)
+            assert verify.same_tree(tree, tree.roots[0], want), rows
+            assert np.array_equal(predict_forest(tree, probe),
+                                  reference.predict_trees([want], probe))
+            forest = fit_forest(X, y, weights, seed=seed)
+            assert all(verify.same_tree(forest, root, w)
+                       for root, w in zip(forest.roots, wants)), rows
+            assert np.array_equal(predict_forest(forest, probe), want_votes)
+
+
 class TestAgainstRecursiveReference:
     """The lockstep builder grows the trees that the recursive
     reference.grow_tree / grow_forest grow, split for split."""
@@ -202,6 +253,12 @@ class TestAgainstRecursiveReference:
         t0, t1 = rng.uniform(0.01, 300.0, size=(2, 20_000))
         want = [reference._gini(np.array([a, b])) for a, b in zip(t0, t1)]
         assert np.array_equal(_node_gini(t0, t1), want)
+
+    def test_mass_tables_are_shared_and_read_only(self):
+        totals, prefixes = _mass_tables(0.7, 1.3, 40)
+        again = _mass_tables(0.7, 1.3, 40)
+        assert again[0] is totals and again[1] is prefixes
+        assert not totals.flags.writeable and not prefixes.flags.writeable
 
     def test_property_suite_check(self):
         result = verify.check_trees()

@@ -128,6 +128,14 @@ class TestRecordStore:
         sidecar = tmp_path / "s.jsonl.timings"
         assert sidecar.exists() and "0.250" in sidecar.read_text()
 
+    def test_sidecar_times_to_the_microsecond(self, tmp_path):
+        store = RecordStore(tmp_path / "s.jsonl")
+        rec = fake_record()
+        rec.wall_clock = 0.0123456
+        store.append(rec)
+        line = (tmp_path / "s.jsonl.timings").read_text()
+        assert line == f"{rec.key()}\t0.012346\n"
+
     def test_missing_file_is_empty(self, tmp_path):
         assert len(RecordStore(tmp_path / "none.jsonl")) == 0
 
