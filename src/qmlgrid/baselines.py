@@ -121,6 +121,11 @@ def _node_gini(t0, t1) -> np.ndarray:
     return 1.0 - (frac.reshape(-1, 1, 2) @ frac.reshape(-1, 2, 1)).ravel()
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True where a run of equal values of a nonempty a begins."""
+    return np.concatenate(([True], a[1:] != a[:-1]))
+
+
 def _best_splits(y, order, tables, tree, lo, size, n_ones, feats) -> tuple:
     """(feature, threshold) of the best cut of each open node, feature -1
     where no candidate feature has two distinct values.
@@ -179,11 +184,11 @@ def _best_splits(y, order, tables, tree, lo, size, n_ones, feats) -> tuple:
     gini_r = 1.0 - (right0 ** 2 + right1 ** 2) / rs ** 2
     gain = parent[s] - (ls * gini_l + rs * gini_r) / grand[s]
 
-    opens = np.r_[True, g[1:] != g[:-1]]
+    opens = _run_starts(g)
     run = np.cumsum(opens) - 1
     top = np.maximum.reduceat(gain, np.flatnonzero(opens))
     hits = np.flatnonzero(gain == top[run])
-    first = hits[np.r_[True, run[hits][1:] != run[hits][:-1]]]
+    first = hits[_run_starts(run[hits])]
     g, i = g[first], cut[first]
     feat = feats.ravel()[g]
     has = np.zeros(n_open * n_feats, dtype=bool)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import baselines, qnn, svm
-from .circuit import ANSATZ_ROTATIONS, AXES, FEATURE_MAPS, feature_map
+from .circuit import ANSATZ_ROTATIONS, AXES, FEATURE_MAPS
 from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
 from .fusion import FUSE_MAX_QUBITS
@@ -114,6 +114,17 @@ _RECORD_TYPES = {"dataset": str, "family": str, "k": int, "split_seed": int,
                  "extra": dict, "error": (str, _OR_NULL),
                  "train": (dict, _OR_NULL), "val": (dict, _OR_NULL),
                  "test": (dict, _OR_NULL)}
+_METRIC_TYPES = {"tp": int, "fp": int, "fn": int, "tn": int,
+                 "precision": float, "recall": float, "f1": float}
+
+
+def _check_types(d: dict, types: dict, prefix: str = "") -> None:
+    for key, kind in types.items():
+        value = d[key]
+        # bool is an int subclass, and json true is no count or seed
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise TypeError(f"{prefix + key!r} may not be "
+                            f"{type(value).__name__}")
 
 
 @dataclass
@@ -150,11 +161,10 @@ class ExperimentRecord:
     @staticmethod
     def from_line(line: str) -> "ExperimentRecord":
         d = json.loads(line)
-        for key, kind in _RECORD_TYPES.items():
-            value = d[key]
-            # bool is an int subclass, and json true is no count or seed
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise TypeError(f"{key!r} may not be {type(value).__name__}")
+        _check_types(d, _RECORD_TYPES)
+        for split in ("train", "val", "test"):
+            if d[split] is not None:
+                _check_types(d[split], _METRIC_TYPES, split + ".")
         return ExperimentRecord(
             dataset=d["dataset"], family=d["family"], k=d["k"],
             config=d["config"], split_seed=d["split_seed"], seed=d["seed"],
@@ -320,9 +330,8 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
         labels_by_split = {s: arrays[s][1] for s in arrays}
 
         if family == "qsvm":
-            encoding = feature_map(config["encoding"], k,
-                                   config["repetitions"])
-            states = {s: embed(encoding, X) for s, (X, _) in arrays.items()}
+            states = {s: embed(config["encoding"], X, config["repetitions"])
+                      for s, (X, _) in arrays.items()}
             gram = gram_matrix(states["train"])
             rows = {"train": gram,
                     "val": cross_gram(states["val"], states["train"]),

@@ -17,8 +17,8 @@ block (see statevec for the op kinds):
   circuit acts on |0...0>, so the first columns of its 2x2s make a
   "product" op. Re-uploads share one payload.
 
-circuit.qnn_circuit writes the same circuit out gate by gate for the
-oracles in reference; nothing here reads it.
+reference.qnn_gates writes the same circuit out gate by gate for the
+oracles; nothing here reads it.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import _checked_inputs
+from .errors import UsageError
 
 # widest QNN: each layer is a dense 2**n x 2**n matrix. Gradient of a
 # batch of 32 through two layers, fused vs gate by gate: a one-rotation
@@ -54,10 +54,10 @@ _I2 = np.eye(2, dtype=np.complex128)
 
 class RunStack(NamedTuple):
     """Rotation runs stacked: entry [r, q, d] is the d-th
-    rotation on qubit q in run r, R_P(scale * value[index])."""
+    rotation on qubit q in run r, R_P(angle[index]), where the angle is
+    the parameter, or pi times the feature."""
 
     index: np.ndarray           # (runs, n, depth) parameter or feature
-    scales: np.ndarray          # (runs, n, depth) binding scales
     paulis: np.ndarray          # (runs, n, depth, 2, 2) generators
 
 
@@ -89,10 +89,9 @@ def qnn_blocks(n_qubits: int, sequence, reupload: bool, rotations,
     parameter (r * n_qubits + q) * len(rotations) + d) and a CNOT ring
     (q, q + 1 mod n), one CNOT at n = 2."""
     kinds = ["r" + str(axis).lower() for axis in sequence]
-    shape = (1, n_qubits, len(kinds))
     feature = np.arange(n_qubits, dtype=np.intp)[:, None]
     encoding = RunStack(np.tile(feature, (1, 1, len(kinds))),
-                        np.full(shape, math.pi), _generators(kinds, shape[:2]))
+                        _generators(kinds, (1, n_qubits)))
     ring = ([(0, 1)] if n_qubits == 2 else
             [(q, (q + 1) % n_qubits) for q in range(n_qubits)])
     # P = G_k ... G_1 for CNOTs G_1..G_k in ring order, so
@@ -102,7 +101,7 @@ def qnn_blocks(n_qubits: int, sequence, reupload: bool, rotations,
         perm ^= ((perm >> control) & 1) << target
     shape = (n_layers, n_qubits, len(rotations))
     param = np.arange(math.prod(shape), dtype=np.intp).reshape(shape)
-    layers = RunStack(param, np.ones(shape), _generators(rotations, shape[:2]))
+    layers = RunStack(param, _generators(rotations, shape[:2]))
     return QnnCircuit(n_qubits, reupload, encoding, layers, perm)
 
 
@@ -112,10 +111,10 @@ def _generators(kinds, lead: tuple) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(chain, lead + chain.shape))
 
 
-def _rotation_factors(stack: RunStack, values: np.ndarray) -> np.ndarray:
+def _rotation_factors(stack: RunStack, angles: np.ndarray) -> np.ndarray:
     """Every rotation of a stack as a 2x2 closed form
-    cos(t/2) I - i sin(t/2) P, values[..., r, q, d] its bound source."""
-    half = (stack.scales * values) / 2.0
+    cos(t/2) I - i sin(t/2) P, angles[..., r, q, d] its angle t."""
+    half = angles / 2.0
     c = np.cos(half)[..., None, None]
     s = np.sin(half)[..., None, None]
     return c * _I2 - 1j * s * stack.paulis
@@ -156,14 +155,20 @@ def resolve_fused(circuit: QnnCircuit, X: np.ndarray, theta) -> tuple:
     each layer, "local" for each re-upload. layer_factors are the
     layers' rotation matrices, (layers, n, depth, 2, 2)."""
     n = circuit.n_qubits
-    X = _checked_inputs(X, theta, n, circuit.n_trainable)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise UsageError(f"expected feature matrix with {n} columns, "
+                         f"got shape {X.shape}")
+    if len(theta) != circuit.n_trainable:
+        raise UsageError(f"expected {circuit.n_trainable} parameters, "
+                         f"got {len(theta)}")
     layers = circuit.layers
     factors = _rotation_factors(
         layers, np.asarray(theta, dtype=np.float64)[layers.index])
     unitaries = _kron(_chain_products(factors))[
         np.arange(len(factors))[:, None], circuit.perm]
     encoding = _chain_products(_rotation_factors(
-        circuit.encoding, X[:, circuit.encoding.index]))[:, 0]
+        circuit.encoding, math.pi * X[:, circuit.encoding.index]))[:, 0]
     qubits = tuple(range(n))
     ops = [("product", qubits, encoding[..., 0])]
     if circuit.reupload and len(unitaries) > 1:

@@ -1,31 +1,32 @@
 """Fidelity quantum kernel: k(x, y) = |<phi(y)|phi(x)>|^2.
 
 embed turns every sample into its statevector once on the batched
-simulator, through an encoding circuit the caller builds once (see
-circuit.feature_map); gram_matrix and cross_gram take squared inner
-products of embedded states, so a caller embeds each split once and
-builds every Gram from those states. The dense-unitary oracle for one
-entry is reference.kernel_value.
+simulator, running the concrete ops of circuit.feature_map;
+gram_matrix and cross_gram take squared inner products of embedded
+states, so a caller embeds each split once and builds every Gram from
+those states. The dense-unitary oracle for one entry is
+reference.kernel_value.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .circuit import CircuitSpec, resolve_ops
+from .circuit import feature_map
 from .errors import UsageError
 from .statevec import apply_ops, zero_states
 
 
-def embed(circuit: CircuitSpec, X: np.ndarray) -> np.ndarray:
-    """Statevectors phi(x) for every row of X, shape (len(X), 2**d).
+def embed(kind: str, X: np.ndarray, repetitions: int = 1) -> np.ndarray:
+    """Statevectors phi(x) for every row of X under feature map `kind`,
+    shape (len(X), 2**d) for d columns.
 
-    Resolves the circuit's bindings with circuit.resolve_ops, which
-    refuses a feature matrix of the wrong width, and runs them on the
-    batched simulator; it does not go through circuit.run_batch, so
-    perfbench's tracer counts embeddings apart from QNN circuit runs."""
-    ops = resolve_ops(circuit, X)
-    amps = zero_states(circuit.n_qubits, len(X))
-    apply_ops(amps, circuit.n_qubits, ops)
+    Runs the ops of circuit.feature_map on the batched simulator; it
+    does not go through circuit.run_batch, so perfbench's tracer counts
+    embeddings apart from QNN circuit runs."""
+    X = np.asarray(X, dtype=np.float64)
+    ops = feature_map(kind, X, repetitions)
+    amps = zero_states(X.shape[1], len(X))
+    apply_ops(amps, X.shape[1], ops)
     return amps
 
 

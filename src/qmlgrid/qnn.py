@@ -11,7 +11,7 @@ from n reduced 2x2 matrices, so a gradient costs 2.2 to 2.9 forward
 passes whatever the parameter count (n = 4..6, up to 180 parameters,
 batch 32). The chain through softmax and the loss is analytic.
 `reference.shift_rule_gradient` keeps the parameter-shift rule on the
-gate-by-gate circuit.qnn_circuit as the oracle.
+gate-by-gate reference.qnn_gates as the oracle.
 """
 from __future__ import annotations
 
@@ -145,7 +145,7 @@ def parameter_shift_gradient(model: QnnModel, X: np.ndarray,
     input from the per-qubit 2x2 matrices R_q = sum_b Tr_{not q}
     |psi_b><lam_b|: the rotation at position d of qubit q's chain, with T
     the chain up to and including it, contributes
-    scale * Im tr(P T R_q T^dagger). The name predates the adjoint method
+    Im tr(P T R_q T^dagger). The name predates the adjoint method
     and is kept for the benchmark's span; `reference.shift_rule_gradient`
     is the oracle.
     """
@@ -221,7 +221,7 @@ def _add_layer_gradients(grad, stack, factors, reduced) -> None:
         chains[:, :, d] = factors[:, :, d] @ chains[:, :, d - 1]
     moved = chains @ reduced[:, :, None] @ chains.conj().swapaxes(-1, -2)
     values = np.einsum("rqdab,rqdba->rqd", stack.paulis, moved).imag
-    np.add.at(grad, stack.index, stack.scales * values)
+    np.add.at(grad, stack.index, values)
 
 
 @dataclass

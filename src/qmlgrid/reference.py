@@ -1,15 +1,17 @@
 """Slow, independent reference routes used only for cross-checking.
 
-Nothing here shares code with the modules it checks: bindings are
-resolved here from the ParamBinding fields, circuits become dense
-unitaries via Kronecker products and matrix multiplication, kernel
-entries and QNN losses are computed from those unitaries and
-probabilities one sample at a time, gradients come from central finite
-differences or from parameter shifts of a gate-by-gate forward pass
-of circuit.qnn_circuit (never fusion or the adjoint sweep), the SVM dual is solved by
-projected gradient ascent and by a maximal-violating-pair loop that
-rebuilds its working sets every step (sharing only the final bias rule
-with `svm`), and CART trees grow node by node by recursion.
+Nothing here shares code with the modules it checks, except the kernel
+oracle, which reads the ops of circuit.feature_map at one sample:
+circuits become dense unitaries via Kronecker products and matrix
+multiplication, kernel entries and QNN losses are computed from those
+unitaries and probabilities one sample at a time, qnn_gates writes a
+QNN out gate by gate from its config (never through fusion), gradients
+come from central finite differences or from parameter shifts of a
+gate-by-gate forward pass (never fusion or the adjoint sweep), the SVM
+dual is solved by projected gradient ascent and by a
+maximal-violating-pair loop that rebuilds its working sets every step
+(sharing only the final bias rule with `svm`), and CART trees grow node
+by node by recursion.
 Deliberately brute force; do not optimize,
 except by early exits that leave every output bit-identical.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import qnn_circuit
+from .circuit import ANSATZ_ROTATIONS, feature_map
 from .errors import UsageError
 from .statevec import apply_ops, expectation_z_batch, zero_states
 from .svm import SvmModel, _final_bias
@@ -81,42 +83,50 @@ def circuit_unitary(n_qubits: int, gates) -> np.ndarray:
     return u
 
 
-def _angle(binding, x, theta) -> float:
-    """scale * source for one sample, read off the binding's fields."""
-    if binding.kind == "data":
-        src = x[binding.feature]
-    elif binding.kind == "train":
-        src = theta[binding.param]
-    elif binding.kind == "pair":
-        src = ((binding.shift - x[binding.feature]) *
-               (binding.shift - x[binding.feature2]))
-    else:
-        raise UsageError(f"unknown binding kind {binding.kind!r}")
-    return binding.scale * float(src)
+def qnn_gates(config, X, theta) -> list:
+    """The QNN of a qnn.QnnConfig as concrete (kind, targets, angle)
+    gates: R_a(pi * x_q) on every qubit q for each axis a of the encoding
+    sequence, then per layer the ANSATZ_ROTATIONS on each qubit in turn,
+    rotation d on qubit q of layer r taking theta[(r * n + q) * depth + d],
+    and a CNOT ring (q, q + 1 mod n), one CNOT at n = 2. With reupload
+    the encoding precedes every layer, else only the first. X is one
+    feature vector (scalar angles) or a matrix (an angle row per
+    encoding gate)."""
+    X = np.asarray(X, dtype=np.float64)
+    n = config.n_features
+    if X.shape[-1:] != (n,) or len(theta) != config.n_parameters():
+        raise UsageError(f"expected {n} features and "
+                         f"{config.n_parameters()} parameters, got shape "
+                         f"{X.shape} and {len(theta)}")
+    rotations = ANSATZ_ROTATIONS[config.ansatz]
+    encoding = [("r" + str(axis).lower(), (q,), math.pi * X[..., q])
+                for axis in config.encoding_sequence for q in range(n)]
+    ring = [(0, 1)] if n == 2 else [(q, (q + 1) % n) for q in range(n)]
+    gates = []
+    for r in range(config.n_layers):
+        if config.reupload or r == 0:
+            gates += encoding
+        base = r * n * len(rotations)
+        gates += [(kind, (q,), float(theta[base + len(rotations) * q + d]))
+                  for q in range(n) for d, kind in enumerate(rotations)]
+        gates += [("cnot", pair, None) for pair in ring]
+    return gates
 
 
-def concrete_gates(circuit, x=(), theta=()) -> list:
-    """Concrete (kind, targets, angle) gates of a circuit spec for one
-    feature vector x and parameter vector theta."""
-    if len(x) != circuit.n_features or len(theta) != circuit.n_trainable:
-        raise UsageError(f"expected {circuit.n_features} features and "
-                         f"{circuit.n_trainable} parameters, got "
-                         f"{len(x)} and {len(theta)}")
-    return [(op.kind, op.targets,
-             None if op.binding is None else _angle(op.binding, x, theta))
-            for op in circuit.ops]
-
-
-def kernel_value(circuit, x, y) -> float:
-    """Fidelity |<0| U(y)^dagger U(x) |0>|^2 of an encoding circuit, from
-    its dense unitaries at x and at y."""
+def kernel_value(kind: str, repetitions: int, x, y) -> float:
+    """Fidelity |<0| U(y)^dagger U(x) |0>|^2 of a kernel feature map,
+    from its dense unitaries at x and at y."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise UsageError(f"feature vectors must match, got {x.shape} / {y.shape}")
-    ux = circuit_unitary(circuit.n_qubits, concrete_gates(circuit, x))
-    uy = circuit_unitary(circuit.n_qubits, concrete_gates(circuit, y))
-    return float(np.abs((uy.conj().T @ ux)[0, 0]) ** 2)
+
+    def unitary(v):
+        ops = feature_map(kind, v[None], repetitions)
+        return circuit_unitary(len(v), [
+            (k, t, None if a is None else float(a[0])) for k, t, a in ops])
+
+    return float(np.abs((unitary(y).conj().T @ unitary(x))[0, 0]) ** 2)
 
 
 def weighted_cross_entropy(probs, label: int, class_weights) -> float:
@@ -128,26 +138,17 @@ def weighted_cross_entropy(probs, label: int, class_weights) -> float:
     return -float(class_weights[label]) * np.log(p)
 
 
-def gate_by_gate_expectations(circuit, X, theta) -> np.ndarray:
-    """(<Z_0>, <Z_1>) per row of X, shape (len(X), 2): the circuit's
-    concrete gates run one by one through statevec.apply_ops, a row of
-    angles per feature-bound gate. Criterion 1 checks that per-gate route
-    against dense unitaries; dense unitaries here would make the 2P + 1
-    passes of shift_rule_gradient too slow for the property suite."""
-    X = np.asarray(X, dtype=np.float64)
-    rows = [concrete_gates(circuit, x, theta) for x in X]
-    gates = []
-    for op, column in zip(circuit.ops, zip(*rows)):
-        angle = None
-        if op.binding is not None and op.binding.kind == "train":
-            angle = column[0][2]
-        elif op.binding is not None:
-            angle = np.array([a for _, _, a in column])
-        gates.append((op.kind, op.targets, angle))
-    amps = zero_states(circuit.n_qubits, len(X))
-    apply_ops(amps, circuit.n_qubits, gates)
-    return np.stack([expectation_z_batch(amps, circuit.n_qubits, q)
-                     for q in (0, 1)], axis=1)
+def gate_by_gate_expectations(config, X, theta) -> np.ndarray:
+    """(<Z_0>, <Z_1>) per row of X, shape (len(X), 2): the gates of
+    qnn_gates run one by one through statevec.apply_ops. Criterion 1
+    checks that per-gate route against dense unitaries; dense unitaries
+    here would make the 2P + 1 passes of shift_rule_gradient too slow
+    for the property suite."""
+    n = config.n_features
+    amps = zero_states(n, len(X))
+    apply_ops(amps, n, qnn_gates(config, X, theta))
+    return np.stack([expectation_z_batch(amps, n, q) for q in (0, 1)],
+                    axis=1)
 
 
 def shift_rule_gradient(model, X, y) -> np.ndarray:
@@ -157,14 +158,12 @@ def shift_rule_gradient(model, X, y) -> np.ndarray:
     Every trainable parameter of a QNN circuit sits in one rotation, so
     d<Z_q>/d theta_k = (<Z_q>(theta_k + pi/2) - <Z_q>(theta_k - pi/2)) / 2
     is exact. The forward passes are gate_by_gate_expectations of the
-    gate list circuit.qnn_circuit builds from model.config; none of
-    fusion or the adjoint sweep is used.
+    gates qnn_gates writes from model.config; none of fusion or the
+    adjoint sweep is used.
     """
     y = np.asarray(y, dtype=int)
     c = model.config
-    circuit = qnn_circuit(c.n_features, c.encoding_sequence, c.reupload,
-                          c.ansatz, c.n_layers)
-    e = gate_by_gate_expectations(circuit, X, model.parameters)
+    e = gate_by_gate_expectations(c, X, model.parameters)
     z = e - e.max(axis=1, keepdims=True)
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     # d loss_i / d e_q = w_{y_i} (p_q - [q == y_i]); mean over the batch
@@ -176,8 +175,8 @@ def shift_rule_gradient(model, X, y) -> np.ndarray:
         lo = model.parameters.copy()
         hi[k] += np.pi / 2.0
         lo[k] -= np.pi / 2.0
-        de = 0.5 * (gate_by_gate_expectations(circuit, X, hi) -
-                    gate_by_gate_expectations(circuit, X, lo))
+        de = 0.5 * (gate_by_gate_expectations(c, X, hi) -
+                    gate_by_gate_expectations(c, X, lo))
         grad[k] = float(np.sum(dl_de * de))
     return grad
 

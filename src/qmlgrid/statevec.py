@@ -9,13 +9,15 @@ Conventions, fixed once here and relied on everywhere else:
 
 There is one simulation path: apply_ops runs many statevectors side by
 side in a (batch, 2**n) buffer, with scalar or per-sample rotation
-angles. The kernel and QNN layers sit on it; a single circuit is a batch
-of one, and a list of Gate tuples feeds apply_ops directly.
+angles. The kernel embeddings (the ops of circuit.feature_map) and the
+QNN blocks run on it; a single circuit is a batch of one, and a list of
+Gate tuples feeds apply_ops directly. apply_ops trusts its ops: it
+refuses an unknown kind but checks no targets or angles.
 
 Besides the gates, apply_ops takes three fused kinds that act on the
 whole register (targets are all qubits) and carry a matrix payload in
 the angle slot. fusion.resolve_fused emits them for the blocks of a
-QNN; they are never gates of a circuit spec.
+QNN; no gate list holds them.
 
 * "unitary": one (2**n, 2**n) matrix U for the whole batch, amps <- U amps
   (a trainable layer with its CNOT ring).
@@ -41,11 +43,6 @@ from .errors import ConfigurationError, UsageError
 
 MAX_QUBITS = 24
 
-GATE_KINDS = ("h", "rx", "ry", "rz", "phase", "cnot", "cz")
-PARAMETRIC_KINDS = ("rx", "ry", "rz", "phase")
-_SINGLE_KINDS = ("h", "rx", "ry", "rz", "phase")
-_TWO_KINDS = ("cnot", "cz")
-
 
 class Gate(NamedTuple):
     """A concrete gate: kind, target qubit(s) and, for rotations, an angle."""
@@ -63,25 +60,6 @@ def zero_states(n_qubits: int, batch: int) -> np.ndarray:
     amps = np.zeros((batch, 1 << n_qubits), dtype=np.complex128)
     amps[:, 0] = 1.0
     return amps
-
-
-def validate_gate(kind: str, targets: tuple, n_qubits: int, has_angle: bool) -> None:
-    if kind not in GATE_KINDS:
-        raise UsageError(f"unknown gate kind {kind!r}")
-    if kind in _SINGLE_KINDS and len(targets) != 1:
-        raise UsageError(f"{kind} takes one target, got {targets}")
-    if kind in _TWO_KINDS:
-        if len(targets) != 2:
-            raise UsageError(f"{kind} takes two targets, got {targets}")
-        if targets[0] == targets[1]:
-            raise UsageError(f"{kind} targets must be distinct, got {targets}")
-    for q in targets:
-        if not 0 <= q < n_qubits:
-            raise UsageError(f"target {q} out of range for {n_qubits} qubits")
-    if kind in PARAMETRIC_KINDS and not has_angle:
-        raise UsageError(f"{kind} requires an angle")
-    if kind not in PARAMETRIC_KINDS and has_angle:
-        raise UsageError(f"{kind} takes no angle")
 
 
 def _pair_view(amps: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, datasets, qnn, reference, svm
-from .circuit import (ANSATZ_ROTATIONS, FEATURE_MAPS, CircuitSpec, GateOp,
-                      ParamBinding, angle_encoding, feature_map, qnn_circuit,
-                      run_batch)
+from .circuit import ANSATZ_ROTATIONS, FEATURE_MAPS, run_batch
 from .pipeline import pca_fit, standardize_apply, standardize_fit
 from .qkernel import embed, gram_matrix
 from .statevec import Gate, apply_ops, zero_states
@@ -57,34 +55,14 @@ def random_gates(rng, n_qubits, depth) -> list:
     return gates
 
 
-def bound_circuit(n_qubits, gates) -> tuple:
-    """(circuit, X, theta): the gates with their angles bound in turn to
-    a feature of the one row of X and to a trainable parameter, so that
-    run_batch resolves both binding kinds through resolve_ops."""
-    ops, x, theta = [], [], []
-    for kind, targets, angle in gates:
-        binding = None
-        if angle is not None and len(x) == len(theta):
-            binding = ParamBinding.data(len(x))
-            x.append(angle)
-        elif angle is not None:
-            binding = ParamBinding.train(len(theta))
-            theta.append(angle)
-        ops.append(GateOp(kind, tuple(targets), binding))
-    circuit = CircuitSpec(n_qubits, tuple(ops), n_features=len(x),
-                          n_trainable=len(theta))
-    return circuit, np.array([x]), theta
-
-
 def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
     """Random circuits (n <= 4, depth <= 50) on a batch of one vs the
-    dense Kronecker unitary, gate by gate and as bound circuits through
-    run_batch; then every QNN shape, again on a batch of one, as the
-    fused blocks its model runs vs the dense unitary of qnn_circuit's
-    gate list. All 1e-10 elementwise."""
+    dense Kronecker unitary, gate by gate; then every QNN shape, again on
+    a batch of one, as the fused blocks its model runs vs the dense
+    unitary of reference.qnn_gates. All 1e-10 elementwise."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst = bound_worst = fused_worst = 0.0
+    worst = fused_worst = 0.0
     for _ in range(n_circuits):
         n = int(rng.integers(1, 5))
         gates = random_gates(rng, n, int(rng.integers(1, 51)))
@@ -92,8 +70,6 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
         apply_ops(amps, n, gates)
         want = reference.circuit_unitary(n, gates)[:, 0]
         worst = max(worst, float(np.max(np.abs(amps[0] - want))))
-        bound = run_batch(*bound_circuit(n, gates))[0]
-        bound_worst = max(bound_worst, float(np.max(np.abs(bound - want))))
     shapes = list(itertools.product(
         ANSATZ_ROTATIONS, (False, True), (("Y",), ("X", "Z"), ("Z", "Y", "X")),
         range(2, 7), range(1, 4)))
@@ -103,16 +79,13 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
                           seed=int(rng.integers(100_000))), (0.5, 0.5))
         x = rng.uniform(-1, 1, size=n)
         got = run_batch(model.circuit, x[None], model.parameters)[0]
-        gates = reference.concrete_gates(
-            qnn_circuit(n, sequence, reupload, ansatz, n_layers), x,
-            model.parameters)
+        gates = reference.qnn_gates(model.config, x, model.parameters)
         want = reference.circuit_unitary(n, gates)[:, 0]
         fused_worst = max(fused_worst, float(np.max(np.abs(got - want))))
     return CheckResult(
-        "simulator", max(worst, bound_worst, fused_worst) <= 1e-10,
+        "simulator", max(worst, fused_worst) <= 1e-10,
         f"{n_circuits} circuits (n<=4, depth<=50), max |amp error| "
-        f"{worst:.2e}, tol 1e-10; bound {bound_worst:.2e}; fused "
-        f"{fused_worst:.2e} over {len(shapes)} QNN shapes (n 2..6, L 1..3)",
+        f"{worst:.2e}, tol 1e-10; fused {fused_worst:.2e} over {len(shapes)} QNN shapes (n 2..6, L 1..3)",
         time.perf_counter() - started)
 
 
@@ -161,19 +134,18 @@ def check_kernel_properties(n_samples: int = 30, seed: int = 103) -> CheckResult
     for name in ("angle", *FEATURE_MAPS):
         for reps in (1, 2, 3):
             X = rng.uniform(-1, 1, size=(n_samples, 3))
-            gram = gram_matrix(embed(feature_map(name, 3, reps), X))
+            gram = gram_matrix(embed(name, X, reps))
             diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
             sym = float(np.max(np.abs(gram - gram.T)))
             min_eig = float(np.min(np.linalg.eigvalsh(gram)))
             if diag > 1e-10 or sym > 1e-10 or min_eig < -1e-8:
                 problems.append(f"{name}/r{reps} diag={diag:.1e} "
                                 f"sym={sym:.1e} eig={min_eig:.1e}")
-    angle = angle_encoding(1)
     closed = 0.0
     for _ in range(200):
         x, y = rng.uniform(-1, 1, size=2)
-        closed = max(closed, abs(reference.kernel_value(angle, [x], [y]) -
-                                 np.cos(np.pi * (x - y) / 2) ** 2))
+        closed = max(closed, abs(reference.kernel_value("angle", 1, [x], [y])
+                                 - np.cos(np.pi * (x - y) / 2) ** 2))
     if closed > 1e-10:
         problems.append(f"closed-form angle kernel error {closed:.1e}")
     detail = "; ".join(problems) if problems else (

@@ -27,10 +27,11 @@ def fake_record(family="qsvm", config=None, f1=0.8, train_f1=0.9,
         train=fake_metrics(train_f1), val=m, test=m, error=error)
 
 
-def retyped(key, value) -> str:
-    """A record line with one field's value replaced."""
+def retyped(key, value, split=None) -> str:
+    """A record line with one field's value replaced, or with one field
+    of a split's metrics replaced."""
     d = json.loads(fake_record(k=2).to_line())
-    d[key] = value
+    (d if split is None else d[split])[key] = value
     return json.dumps(d)
 
 
@@ -161,10 +162,11 @@ class TestRecordStore:
         '{"dataset": "x"}', "[1, 2]", '"text"', "\udcff",
         retyped("k", "2"), retyped("seed", 1.5), retyped("config", []),
         retyped("n_parameters", True), retyped("error", 3),
-        retyped("test", [1])],
+        retyped("test", [1]), retyped("precision", "0.5", "val"),
+        retyped("tp", True, "train")],
         ids=["missing-keys", "list", "string", "not-utf8", "text-k",
              "float-seed", "list-config", "bool-count", "number-error",
-             "list-metrics"])
+             "list-metrics", "text-ratio", "bool-metric-count"])
     def test_line_that_is_no_record_names_its_line(self, tmp_path, bad):
         path = tmp_path / "s.jsonl"
         data = (fake_record(k=2).to_line() + "\n\n" + bad + "\n").encode(

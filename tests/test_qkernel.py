@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qmlgrid import reference
-from qmlgrid.circuit import feature_map
 from qmlgrid.errors import UsageError
 from qmlgrid.qkernel import cross_gram, embed, gram_matrix
 
@@ -13,11 +12,11 @@ ALL_ENCODINGS = [(kind, reps) for kind in ("angle", "z", "zz_a", "zz_b")
 
 def kernel_value(enc, x, y):
     """The dense-unitary oracle for one kernel entry."""
-    return reference.kernel_value(feature_map(enc[0], len(x), enc[1]), x, y)
+    return reference.kernel_value(enc[0], enc[1], x, y)
 
 
 def embed_rows(enc, X):
-    return embed(feature_map(enc[0], X.shape[1], enc[1]), X)
+    return embed(enc[0], X, enc[1])
 
 
 def closed_form_angle_y(x, y):
@@ -73,14 +72,13 @@ class TestGram:
             assert np.linalg.eigvalsh(gram)[0] >= -1e-8
 
     def test_cross_gram_consistent_with_gram(self):
-        enc = feature_map("zz_b", 2)
         rng = np.random.default_rng(36)
         X = rng.uniform(-1, 1, (6, 2))
-        full = gram_matrix(embed(enc, X))
-        rect = cross_gram(embed(enc, X[:2]), embed(enc, X[2:]))
+        full = gram_matrix(embed("zz_b", X))
+        rect = cross_gram(embed("zz_b", X[:2]), embed("zz_b", X[2:]))
         np.testing.assert_allclose(rect, full[:2, 2:], atol=1e-12)
 
     def test_cross_gram_checks_dimensions(self):
         with pytest.raises(UsageError):
-            cross_gram(embed(feature_map("angle", 3), np.zeros((2, 3))),
-                       embed(feature_map("angle", 2), np.zeros((2, 2))))
+            cross_gram(embed("angle", np.zeros((2, 3))),
+                       embed("angle", np.zeros((2, 2))))

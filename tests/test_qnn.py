@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from qmlgrid import qnn, reference
-from qmlgrid.circuit import angle_encoding, run_batch
 from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
 from qmlgrid.fusion import FUSE_MAX_QUBITS, QnnCircuit
 from qmlgrid.metrics import evaluate
+from qmlgrid.qkernel import embed
 from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, expectations, forward_batch, grow_layers,
                          init_model, parameter_shift_gradient, predict,
                          replace_params, softmax_pair, train)
@@ -62,10 +62,10 @@ class TestConfig:
 
 class TestForward:
     def test_encoding_only_readout(self):
+        # the angle feature map is the QNN's Y encoding RY(pi * x_q);
         # x = (1, -1): <Z_0> = cos(pi) = -1 and <Z_1> = cos(-pi) = -1,
         # so the two classes tie at (0.5, 0.5)
-        circ = angle_encoding(2, ("Y",))
-        amps = run_batch(circ, np.array([[1.0, -1.0]]))
+        amps = embed("angle", np.array([[1.0, -1.0]]))
         e = np.array([[expectation_z_batch(amps, 2, 0)[0],
                        expectation_z_batch(amps, 2, 1)[0]]])
         np.testing.assert_allclose(e, [[-1.0, -1.0]], atol=1e-12)

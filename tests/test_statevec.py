@@ -3,8 +3,7 @@ import pytest
 
 from qmlgrid import reference
 from qmlgrid.errors import ConfigurationError, UsageError
-from qmlgrid.statevec import (Gate, apply_ops, expectation_z_batch,
-                              validate_gate, zero_states)
+from qmlgrid.statevec import Gate, apply_ops, expectation_z_batch, zero_states
 from qmlgrid.verify import random_gates
 
 
@@ -77,23 +76,7 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             zero_states(25, 1)
 
-    def test_rotation_requires_angle(self):
-        with pytest.raises(UsageError):
-            validate_gate("rx", (0,), 1, has_angle=False)
-
-    def test_h_forbids_angle(self):
-        with pytest.raises(UsageError):
-            validate_gate("h", (0,), 1, has_angle=True)
-
-    def test_cnot_targets_distinct_and_in_range(self):
-        with pytest.raises(UsageError):
-            validate_gate("cnot", (1, 1), 2, has_angle=False)
-        with pytest.raises(UsageError):
-            validate_gate("cnot", (0, 2), 2, has_angle=False)
-
     def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            validate_gate("t", (0,), 1, has_angle=False)
         with pytest.raises(UsageError):
             run_gates(1, [Gate("t", (0,))])
 

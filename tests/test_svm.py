@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qmlgrid import bench, datasets, reference
-from qmlgrid.circuit import feature_map
 from qmlgrid.errors import UsageError
 from qmlgrid.pipeline import stratified_split
 from qmlgrid.qkernel import embed, gram_matrix
@@ -160,7 +159,7 @@ def grid_problem(dataset_key, k, encoding, repetitions):
     bundle = stratified_split(datasets.synthetic(dataset_key), 0)
     X = bundle.features("train", k)
     y = np.where(bundle.labels("train") == 1, 1.0, -1.0)
-    gram = gram_matrix(embed(feature_map(encoding, k, repetitions), X))
+    gram = gram_matrix(embed(encoding, X, repetitions))
     return SvmProblem(gram, y, 1.0, bundle.class_weights())
 
 
