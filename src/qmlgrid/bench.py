@@ -26,10 +26,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import baselines, qnn, svm
-from .circuit import ANSATZ_ROTATIONS, AXES, FEATURE_MAPS
+from .circuit import FEATURE_MAPS
 from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
-from .fusion import FUSE_MAX_QUBITS
+from .fusion import ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS
 from .metrics import Metrics, evaluate
 from .pipeline import SplitBundle, stratified_split
 from .qkernel import cross_gram, embed, gram_matrix
@@ -160,11 +160,21 @@ class ExperimentRecord:
 
     @staticmethod
     def from_line(line: str) -> "ExperimentRecord":
+        """The record of a store line. The reports read every config key,
+        so a record without error must hold a cell of its family's grid,
+        or {} for "pca"; other families are refused."""
         d = json.loads(line)
         _check_types(d, _RECORD_TYPES)
         for split in ("train", "val", "test"):
             if d[split] is not None:
                 _check_types(d[split], _METRIC_TYPES, split + ".")
+        family = d["family"]
+        if family != "pca" and family not in GRIDS:
+            raise ValueError(f"unknown family {family!r}")
+        if d["error"] is None and d["config"] not in (
+                GRIDS[family]() if family in GRIDS else [{}]):
+            raise ValueError(f"{family} config {d['config']} is not on "
+                             f"the grid")
         return ExperimentRecord(
             dataset=d["dataset"], family=d["family"], k=d["k"],
             config=d["config"], split_seed=d["split_seed"], seed=d["seed"],

@@ -1,14 +1,10 @@
-"""Circuit tables, kernel feature maps and the QNN runner.
+"""Kernel feature maps and the QNN runner.
 
-Circuits come from two tables: FEATURE_MAPS (each kernel embedding's
-gate and pair shift, see feature_map) and ANSATZ_ROTATIONS (each ansatz
-layer's per-qubit rotations, see fusion.qnn_blocks and
-reference.qnn_gates).
-
-feature_map writes a kernel embedding out as concrete ops for every row
-of a feature matrix, as statevec.apply_ops takes them; qkernel.embed
-runs them. run_batch runs a QNN model's fusion.QnnCircuit, which
-resolves its fused blocks itself.
+FEATURE_MAPS holds each kernel embedding's gate and pair shift, and
+feature_map writes an embedding out as concrete ops for every row of a
+feature matrix, as statevec.apply_ops takes them; qkernel.embed runs
+them. run_batch runs a qnn.QnnConfig's fused blocks, which
+fusion.resolve_fused builds straight from the config.
 """
 from __future__ import annotations
 
@@ -17,17 +13,13 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
+from .fusion import resolve_fused
 from .statevec import apply_ops, zero_states
-
-AXES = ("X", "Y", "Z")
 
 # kernel feature map kind -> (single-qubit gate, pair shift); a None
 # shift means no pair terms (see feature_map); "angle" is the fourth kind
 FEATURE_MAPS = {"z": ("rz", None), "zz_a": ("rz", 0.0),
                 "zz_b": ("phase", math.pi)}
-
-# ansatz -> the trainable rotations on each qubit of a layer, in order
-ANSATZ_ROTATIONS = {"basic": ("rx",), "strongly": ("rz", "ry", "rz")}
 
 
 def feature_map(kind: str, X: np.ndarray, repetitions: int = 1) -> list:
@@ -65,11 +57,10 @@ def feature_map(kind: str, X: np.ndarray, repetitions: int = 1) -> list:
     return block * repetitions
 
 
-def run_batch(circuit, X: np.ndarray, theta) -> np.ndarray:
-    """Execute a fusion.QnnCircuit for every row of X at once; returns
-    (len(X), 2**n) amplitudes. The circuit resolves itself: fusion
-    builds on this module, not this on fusion."""
-    ops = circuit.resolve(X, theta)
-    amps = zero_states(circuit.n_qubits, len(X))
-    apply_ops(amps, circuit.n_qubits, ops)
+def run_batch(config, X: np.ndarray, theta) -> np.ndarray:
+    """Execute the QNN of a qnn.QnnConfig with parameters theta for
+    every row of X at once; returns (len(X), 2**n) amplitudes."""
+    ops = resolve_fused(config, X, theta)[0]
+    amps = zero_states(config.n_features, len(X))
+    apply_ops(amps, config.n_features, ops)
     return amps

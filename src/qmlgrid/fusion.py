@@ -1,12 +1,12 @@
-"""QNN circuits as fused whole-register blocks.
+"""QNN circuits as fused whole-register blocks, straight from the config.
 
 Every QNN has one shape: an angle-encoding block R_a(pi * x_q) on each
 qubit q for every axis a of the encoding sequence, then trainable
 layers, each a chain of ansatz rotations on every qubit closed by a
 CNOT ring, with the encoding block again before every further layer
-when it is re-uploaded. qnn_blocks builds that shape straight from the
-config as two RunStacks, and resolve_fused turns them into one op per
-block (see statevec for the op kinds):
+when it is re-uploaded. resolve_fused reads that shape off a
+qnn.QnnConfig and turns it into one op per block (see statevec for the
+op kinds):
 
 * a trainable layer: its rotations multiply into one 2x2 per qubit,
   their Kronecker product K is one 2**n x 2**n matrix, and the ring's
@@ -17,17 +17,25 @@ block (see statevec for the op kinds):
   circuit acts on |0...0>, so the first columns of its 2x2s make a
   "product" op. Re-uploads share one payload.
 
+Rotation d on qubit q of layer r takes parameter (r * n + q) * depth + d,
+so theta is a (layers, n, depth) array flattened.
+
 reference.qnn_gates writes the same circuit out gate by gate for the
 oracles; nothing here reads it.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import UsageError
+
+AXES = ("X", "Y", "Z")
+
+# ansatz -> the trainable rotations on each qubit of a layer, in order
+ANSATZ_ROTATIONS = {"basic": ("rx",), "strongly": ("rz", "ry", "rz")}
 
 # widest QNN: each layer is a dense 2**n x 2**n matrix. Gradient of a
 # batch of 32 through two layers, fused vs gate by gate: a one-rotation
@@ -52,46 +60,10 @@ _PAULIS = {"rx": np.array([[0, 1], [1, 0]], dtype=np.complex128),
 _I2 = np.eye(2, dtype=np.complex128)
 
 
-class RunStack(NamedTuple):
-    """Rotation runs stacked: entry [r, q, d] is the d-th
-    rotation on qubit q in run r, R_P(angle[index]), where the angle is
-    the parameter, or pi times the feature."""
-
-    index: np.ndarray           # (runs, n, depth) parameter or feature
-    paulis: np.ndarray          # (runs, n, depth, 2, 2) generators
-
-
-class QnnCircuit(NamedTuple):
-    """A QNN's blocks: the encoding, layer 0, then per further layer
-    the encoding again if reupload, and the layer."""
-
-    n_qubits: int
-    reupload: bool
-    encoding: RunStack          # one run; index is the feature
-    layers: RunStack            # one run per layer; index is the parameter
-    perm: np.ndarray            # (P psi)[i] = psi[perm[i]] for the CNOT
-                                # ring P that closes every layer
-
-    @property
-    def n_trainable(self) -> int:
-        return self.layers.index.size
-
-    def resolve(self, X: np.ndarray, theta) -> list:
-        """The ops of resolve_fused, as circuit.run_batch takes them."""
-        return resolve_fused(self, X, theta)[0]
-
-
-def qnn_blocks(n_qubits: int, sequence, reupload: bool, rotations,
-               n_layers: int) -> QnnCircuit:
-    """The fused QNN on n_qubits qubits, one per feature: R_a(pi * x_q)
-    for each axis a of sequence, n_layers layers of the gate kinds in
-    rotations on every qubit (rotation d on qubit q of layer r takes
-    parameter (r * n_qubits + q) * len(rotations) + d) and a CNOT ring
-    (q, q + 1 mod n), one CNOT at n = 2."""
-    kinds = ["r" + str(axis).lower() for axis in sequence]
-    feature = np.arange(n_qubits, dtype=np.intp)[:, None]
-    encoding = RunStack(np.tile(feature, (1, 1, len(kinds))),
-                        _generators(kinds, (1, n_qubits)))
+@lru_cache(maxsize=None)
+def _ring_perm(n_qubits: int) -> np.ndarray:
+    """Read-only perm with (P psi)[i] = psi[perm[i]] for the CNOT ring
+    (q, q + 1 mod n), one CNOT at n = 2, that closes every layer."""
     ring = ([(0, 1)] if n_qubits == 2 else
             [(q, (q + 1) % n_qubits) for q in range(n_qubits)])
     # P = G_k ... G_1 for CNOTs G_1..G_k in ring order, so
@@ -99,25 +71,18 @@ def qnn_blocks(n_qubits: int, sequence, reupload: bool, rotations,
     perm = np.arange(1 << n_qubits)
     for control, target in reversed(ring):
         perm ^= ((perm >> control) & 1) << target
-    shape = (n_layers, n_qubits, len(rotations))
-    param = np.arange(math.prod(shape), dtype=np.intp).reshape(shape)
-    layers = RunStack(param, _generators(rotations, shape[:2]))
-    return QnnCircuit(n_qubits, reupload, encoding, layers, perm)
+    perm.flags.writeable = False
+    return perm
 
 
-def _generators(kinds, lead: tuple) -> np.ndarray:
-    """lead + (len(kinds), 2, 2): the generator of kinds[d] at every d."""
-    chain = np.stack([_PAULIS[kind] for kind in kinds])
-    return np.ascontiguousarray(np.broadcast_to(chain, lead + chain.shape))
-
-
-def _rotation_factors(stack: RunStack, angles: np.ndarray) -> np.ndarray:
-    """Every rotation of a stack as a 2x2 closed form
-    cos(t/2) I - i sin(t/2) P, angles[..., r, q, d] its angle t."""
+def _rotation_factors(kinds, angles: np.ndarray) -> np.ndarray:
+    """(..., len(kinds), 2, 2): every rotation as a 2x2 closed form
+    cos(t/2) I - i sin(t/2) P, angles[..., d] (broadcast over d) the
+    angle t of a rotation of kind kinds[d]."""
     half = angles / 2.0
     c = np.cos(half)[..., None, None]
     s = np.sin(half)[..., None, None]
-    return c * _I2 - 1j * s * stack.paulis
+    return c * _I2 - 1j * s * np.stack([_PAULIS[kind] for kind in kinds])
 
 
 def _chain_products(factors: np.ndarray) -> np.ndarray:
@@ -148,36 +113,50 @@ def _kron(u: np.ndarray) -> np.ndarray:
         hi.shape[:-2] + (size, size))
 
 
-def resolve_fused(circuit: QnnCircuit, X: np.ndarray, theta) -> tuple:
-    """(ops, layer_factors). ops holds one concrete (kind, targets,
-    payload) op per block, in circuit order, as apply_ops takes it for
-    every row of X: "product" for the opening encoding, "unitary" for
-    each layer, "local" for each re-upload. layer_factors are the
-    layers' rotation matrices, (layers, n, depth, 2, 2)."""
-    n = circuit.n_qubits
+def resolve_fused(config, X: np.ndarray, theta) -> tuple:
+    """(ops, layer_factors) of a qnn.QnnConfig. ops holds one concrete
+    (kind, targets, payload) op per block, in circuit order, as
+    apply_ops takes it for every row of X: "product" for the opening
+    encoding, "unitary" for each layer, "local" for each re-upload.
+    layer_factors are the layers' rotation matrices,
+    (layers, n, depth, 2, 2)."""
+    n = config.n_features
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n:
         raise UsageError(f"expected feature matrix with {n} columns, "
                          f"got shape {X.shape}")
-    if len(theta) != circuit.n_trainable:
-        raise UsageError(f"expected {circuit.n_trainable} parameters, "
+    if len(theta) != config.n_parameters():
+        raise UsageError(f"expected {config.n_parameters()} parameters, "
                          f"got {len(theta)}")
-    layers = circuit.layers
-    factors = _rotation_factors(
-        layers, np.asarray(theta, dtype=np.float64)[layers.index])
-    unitaries = _kron(_chain_products(factors))[
-        np.arange(len(factors))[:, None], circuit.perm]
+    rotations = ANSATZ_ROTATIONS[config.ansatz]
+    factors = _rotation_factors(rotations, np.asarray(
+        theta, dtype=np.float64).reshape(config.n_layers, n, len(rotations)))
+    unitaries = _kron(_chain_products(factors))[:, _ring_perm(n)]
+    kinds = ["r" + str(axis).lower() for axis in config.encoding_sequence]
     encoding = _chain_products(_rotation_factors(
-        circuit.encoding, math.pi * X[:, circuit.encoding.index]))[:, 0]
+        kinds, math.pi * X[:, :, None]))
     qubits = tuple(range(n))
     ops = [("product", qubits, encoding[..., 0])]
-    if circuit.reupload and len(unitaries) > 1:
+    if config.reupload and len(unitaries) > 1:
         split = n // 2 if n > LOCAL_DENSE_QUBITS else 0
         groups = ((encoding[:, split:], encoding[:, :split]) if split
                   else (encoding,))
         local = ("local", qubits, tuple(map(_kron, groups)))
     for r, unitary in enumerate(unitaries):
-        if r and circuit.reupload:
+        if r and config.reupload:
             ops.append(local)
         ops.append(("unitary", qubits, unitary))
     return ops, factors
+
+
+def _layer_gradients(config, factors, reduced) -> np.ndarray:
+    """The derivatives of qnn.parameter_shift_gradient in parameter
+    order: factors are the layer_factors of resolve_fused and reduced[r]
+    the R_q at layer r's input."""
+    chains = np.empty_like(factors)     # rotations up to and including d
+    chains[:, :, 0] = factors[:, :, 0]
+    for d in range(1, factors.shape[2]):
+        chains[:, :, d] = factors[:, :, d] @ chains[:, :, d - 1]
+    moved = chains @ reduced[:, :, None] @ chains.conj().swapaxes(-1, -2)
+    paulis = np.stack([_PAULIS[k] for k in ANSATZ_ROTATIONS[config.ansatz]])
+    return np.einsum("dab,rqdba->rqd", paulis, moved).imag.ravel()

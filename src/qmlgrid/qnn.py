@@ -5,24 +5,26 @@ One qubit per feature; qubits 0 and 1 are read out, softmax over
 weighted cross-entropy. Gradients are adjoint-mode (Jones & Gacon,
 arXiv:2009.02823): one forward pass, then one backward sweep that reads
 every parameter's derivative off the stored state. The model runs as
-a fused QnnCircuit (see fusion), built once from its config: a layer
-costs one matrix product forward and one back, and its derivatives come
-from n reduced 2x2 matrices, so a gradient costs 2.2 to 2.9 forward
-passes whatever the parameter count (n = 4..6, up to 180 parameters,
-batch 32). The chain through softmax and the loss is analytic.
+fused blocks that fusion.resolve_fused builds straight from its config
+on every call: a layer costs one matrix product forward and one back,
+and its derivatives come from n reduced 2x2 matrices, so a gradient
+costs 2.2 to 2.9 forward passes whatever the parameter count (n = 4..6,
+up to 180 parameters, batch 32). The chain through softmax and the loss
+is analytic.
 `reference.shift_rule_gradient` keeps the parameter-shift rule on the
 gate-by-gate reference.qnn_gates as the oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .circuit import ANSATZ_ROTATIONS, AXES, run_batch
+from .circuit import run_batch
 from .errors import ConfigurationError, TrainingDivergedError
-from .fusion import FUSE_MAX_QUBITS, QnnCircuit, qnn_blocks, resolve_fused
+from .fusion import (ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS,
+                     _layer_gradients, resolve_fused)
 from .statevec import _z_signs, apply_ops, expectation_z_batch, zero_states
 
 PROB_FLOOR = 1e-12
@@ -75,14 +77,9 @@ class QnnModel:
     config: QnnConfig
     parameters: np.ndarray
     class_weights: np.ndarray
-    circuit: QnnCircuit = field(repr=False, default=None)
 
     def __post_init__(self):
         c = self.config
-        if self.circuit is None:
-            self.circuit = qnn_blocks(c.n_features, c.encoding_sequence,
-                                      c.reupload, ANSATZ_ROTATIONS[c.ansatz],
-                                      c.n_layers)
         if self.parameters.shape != (c.n_parameters(),):
             raise ConfigurationError(
                 f"parameter vector has shape {self.parameters.shape}, "
@@ -106,7 +103,8 @@ def expectations(model: QnnModel, X: np.ndarray,
                  parameters: np.ndarray | None = None) -> np.ndarray:
     """(<Z_0>, <Z_1>) per sample, shape (B, 2)."""
     theta = model.parameters if parameters is None else parameters
-    return _readout(run_batch(model.circuit, X, theta), model.circuit.n_qubits)
+    return _readout(run_batch(model.config, X, theta),
+                    model.config.n_features)
 
 
 def _readout(amps: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -151,9 +149,8 @@ def parameter_shift_gradient(model: QnnModel, X: np.ndarray,
     """
     y = np.asarray(y, dtype=int)
     batch = len(y)
-    circuit = model.circuit
-    n = circuit.n_qubits
-    ops, layer_factors = resolve_fused(circuit, X, model.parameters)
+    n = model.config.n_features
+    ops, layer_factors = resolve_fused(model.config, X, model.parameters)
     psi = zero_states(n, batch)
     apply_ops(psi, n, ops)
     probs = softmax_pair(_readout(psi, n))
@@ -181,9 +178,7 @@ def parameter_shift_gradient(model: QnnModel, X: np.ndarray,
             # R_q[a, b] sums C[i, j] = sum_b psi_b[i] conj(lam_b[j])
             # over the pairs of _reduction_indices
             reduced[layer] = (psi.T @ lam.conj())[rows, cols].sum(-1)
-    grad = np.zeros_like(model.parameters)
-    _add_layer_gradients(grad, circuit.layers, layer_factors, reduced)
-    return grad
+    return _layer_gradients(model.config, layer_factors, reduced)
 
 
 def _inverse(op) -> tuple:
@@ -212,18 +207,6 @@ def _reduction_indices(n_qubits: int):
     return rows, cols
 
 
-def _add_layer_gradients(grad, stack, factors, reduced) -> None:
-    """Adds the fused layers' derivatives: factors are the stack's
-    rotation matrices and reduced[r] the R_q at layer r's input."""
-    chains = np.empty_like(factors)     # rotations up to and including d
-    chains[:, :, 0] = factors[:, :, 0]
-    for d in range(1, factors.shape[2]):
-        chains[:, :, d] = factors[:, :, d] @ chains[:, :, d - 1]
-    moved = chains @ reduced[:, :, None] @ chains.conj().swapaxes(-1, -2)
-    values = np.einsum("rqdab,rqdba->rqd", stack.paulis, moved).imag
-    np.add.at(grad, stack.index, values)
-
-
 @dataclass
 class TrainReport:
     val_loss: list
@@ -234,7 +217,7 @@ class TrainReport:
         return self.val_loss[self.best_epoch - 1]
 
 
-def train(model: QnnModel, train_set, val_set, *, epochs: int = 100) -> tuple:
+def train(model: QnnModel, train_set, val_set, *, epochs: int) -> tuple:
     """Mini-batch Adam with early stopping on validation loss.
 
     Returns (model with the best-epoch parameters, TrainReport). Epochs
@@ -291,7 +274,7 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int = 100) -> tuple:
 
 
 def replace_params(model: QnnModel, params: np.ndarray) -> QnnModel:
-    return QnnModel(model.config, params, model.class_weights, model.circuit)
+    return QnnModel(model.config, params, model.class_weights)
 
 
 @dataclass
@@ -312,8 +295,8 @@ class GrowthResult:
 
 
 def grow_layers(config: QnnConfig, class_weights, train_set, val_set, *,
-                start_layers: int = 2, max_layers: int = 100,
-                epochs: int = 100) -> GrowthResult:
+                start_layers: int, max_layers: int,
+                epochs: int) -> GrowthResult:
     """Incremental layer search: train a fresh model per layer count,
     stop once validation loss has not improved for as many consecutive
     counts as there are qubits, or the cap is hit."""

@@ -1,7 +1,9 @@
 """Slow, independent reference routes used only for cross-checking.
 
 Nothing here shares code with the modules it checks, except the kernel
-oracle, which reads the ops of circuit.feature_map at one sample:
+oracle, which reads the ops of circuit.feature_map at one sample, and
+qnn_gates, which reads each ansatz's rotations from the table
+fusion.ANSATZ_ROTATIONS:
 circuits become dense unitaries via Kronecker products and matrix
 multiplication, kernel entries and QNN losses are computed from those
 unitaries and probabilities one sample at a time, qnn_gates writes a
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ANSATZ_ROTATIONS, feature_map
+from .circuit import feature_map
 from .errors import UsageError
+from .fusion import ANSATZ_ROTATIONS
 from .statevec import apply_ops, expectation_z_batch, zero_states
 from .svm import SvmModel, _final_bias
 

@@ -17,7 +17,7 @@ refuses an unknown kind but checks no targets or angles.
 Besides the gates, apply_ops takes three fused kinds that act on the
 whole register (targets are all qubits) and carry a matrix payload in
 the angle slot. fusion.resolve_fused emits them for the blocks of a
-QNN; no gate list holds them.
+QNN, straight from its qnn.QnnConfig; no gate list holds them.
 
 * "unitary": one (2**n, 2**n) matrix U for the whole batch, amps <- U amps
   (a trainable layer with its CNOT ring).

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, datasets, qnn, reference, svm
-from .circuit import ANSATZ_ROTATIONS, FEATURE_MAPS, run_batch
+from .circuit import FEATURE_MAPS, run_batch
+from .fusion import ANSATZ_ROTATIONS
 from .pipeline import pca_fit, standardize_apply, standardize_fit
 from .qkernel import embed, gram_matrix
 from .statevec import Gate, apply_ops, zero_states
@@ -78,7 +79,7 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
             qnn.QnnConfig(n, sequence, reupload, ansatz, n_layers,
                           seed=int(rng.integers(100_000))), (0.5, 0.5))
         x = rng.uniform(-1, 1, size=n)
-        got = run_batch(model.circuit, x[None], model.parameters)[0]
+        got = run_batch(model.config, x[None], model.parameters)[0]
         gates = reference.qnn_gates(model.config, x, model.parameters)
         want = reference.circuit_unitary(n, gates)[:, 0]
         fused_worst = max(fused_worst, float(np.max(np.abs(got - want))))

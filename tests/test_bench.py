@@ -163,10 +163,14 @@ class TestRecordStore:
         retyped("k", "2"), retyped("seed", 1.5), retyped("config", []),
         retyped("n_parameters", True), retyped("error", 3),
         retyped("test", [1]), retyped("precision", "0.5", "val"),
-        retyped("tp", True, "train")],
+        retyped("tp", True, "train"), retyped("family", "qsv"),
+        retyped("config", {"repetitions": 1}),
+        retyped("config", {"encoding": "zz", "repetitions": 1})],
         ids=["missing-keys", "list", "string", "not-utf8", "text-k",
              "float-seed", "list-config", "bool-count", "number-error",
-             "list-metrics", "text-ratio", "bool-metric-count"])
+             "list-metrics", "text-ratio", "bool-metric-count",
+             "unknown-family", "config-without-encoding",
+             "unknown-encoding"])
     def test_line_that_is_no_record_names_its_line(self, tmp_path, bad):
         path = tmp_path / "s.jsonl"
         data = (fake_record(k=2).to_line() + "\n\n" + bad + "\n").encode(

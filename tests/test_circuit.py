@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qmlgrid import reference
-from qmlgrid.circuit import ANSATZ_ROTATIONS, feature_map, run_batch
+from qmlgrid.circuit import feature_map, run_batch
 from qmlgrid.errors import ConfigurationError, UsageError
-from qmlgrid.fusion import qnn_blocks
+from qmlgrid.fusion import ANSATZ_ROTATIONS, _ring_perm, resolve_fused
 from qmlgrid.qkernel import embed
 from qmlgrid.qnn import QnnConfig
 from qmlgrid.statevec import apply_ops, zero_states
@@ -193,7 +193,10 @@ class TestAnsatzLayers:
             QnnConfig(1)
 
 
-class TestQnnCircuit:
+class TestGateWriters:
+    """reference.qnn_gates and circuit.feature_map, the writers of
+    concrete gate lists."""
+
     def test_parameter_counts(self):
         assert len(trainable_angles(
             qnn_gates(2, ("X", "Z", "Y"), True, "strongly", 6))) == 36
@@ -219,6 +222,15 @@ class TestQnnCircuit:
             apply_ops(got, 2, reference.qnn_gates(config, x[None], theta))
             assert np.max(np.abs(got[0] - dense_state(config, x, theta))) < 1e-10
 
+    def test_gate_writers_check_lengths(self):
+        with pytest.raises(UsageError):
+            feature_map("angle", [0.1, 0.2])
+        config = QnnConfig(2, n_layers=1)
+        with pytest.raises(UsageError):
+            reference.qnn_gates(config, (0.1,), (0.5, 0.5))
+        with pytest.raises(UsageError):
+            reference.qnn_gates(config, (0.1, 0.2), (0.5,))
+
 
 class TestFusion:
     def test_qnn_circuits_fuse_and_match_unitary_reference(self):
@@ -234,58 +246,67 @@ class TestFusion:
                         sequence = sequences[(n + n_layers) % 3]
                         config = QnnConfig(n, sequence, reupload, ansatz,
                                            n_layers)
-                        fused = qnn_blocks(n, sequence, reupload,
-                                           ANSATZ_ROTATIONS[ansatz], n_layers)
-                        assert fused.n_trainable == config.n_parameters()
                         X = rng.uniform(-1, 1, (3, n))
-                        theta = rng.uniform(-np.pi, np.pi, fused.n_trainable)
-                        kinds = [op[0] for op in fused.resolve(X, theta)]
+                        theta = rng.uniform(-np.pi, np.pi,
+                                            config.n_parameters())
+                        kinds = [op[0] for op in
+                                 resolve_fused(config, X, theta)[0]]
                         layer = (["local"] if reupload else []) + ["unitary"]
                         assert kinds == (["product", "unitary"]
                                          + layer * (n_layers - 1))
-                        amps = run_batch(fused, X, theta)
+                        amps = run_batch(config, X, theta)
                         for x, got in zip(X, amps):
                             want = dense_state(config, x, theta)
                             assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_widest_circuits_match_unitary_reference(self):
+        # n = 7 and 8, the widest QnnConfig allows (FUSE_MAX_QUBITS): the
+        # split "local" re-upload form and the widest dense layers
+        rng = np.random.default_rng(24)
+        for n in (7, 8):
+            for reupload in (False, True):
+                for ansatz in ("basic", "strongly"):
+                    config = QnnConfig(n, ("X", "Z"), reupload, ansatz, 2)
+                    x = rng.uniform(-1, 1, n)
+                    theta = rng.uniform(-np.pi, np.pi, config.n_parameters())
+                    got = run_batch(config, x[None], theta)[0]
+                    want = dense_state(config, x, theta)
+                    assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_ring_perm_is_shared_and_read_only(self):
+        perm = _ring_perm(4)
+        assert _ring_perm(4) is perm
+        assert not perm.flags.writeable
+        with pytest.raises(ValueError):
+            perm[0] = 1
 
     def test_encoding_only_circuits_stay_gate_by_gate(self):
         ops = feature_map("angle", np.zeros((2, 3)), repetitions=2)
         assert [op[0] for op in ops] == ["ry"] * 6
 
     def test_fused_circuit_checks_lengths(self):
-        fused = qnn_blocks(3, ("Y",), True, ANSATZ_ROTATIONS["basic"], 2)
+        config = QnnConfig(3, ("Y",), True, "basic", 2)
         with pytest.raises(UsageError):
-            run_batch(fused, np.zeros((1, 2)), np.zeros(6))
+            run_batch(config, np.zeros((1, 2)), np.zeros(6))
         with pytest.raises(UsageError):
-            run_batch(fused, np.zeros((1, 3)), np.zeros(5))
+            run_batch(config, np.zeros((1, 3)), np.zeros(5))
 
 
-class TestBindAndRun:
-    def test_bind_is_deterministic(self):
-        fused = qnn_blocks(2, ("Y",), True, ANSATZ_ROTATIONS["basic"], 2)
+class TestRunBatch:
+    def test_run_is_deterministic(self):
+        config = QnnConfig(2, ("Y",), True, "basic", 2)
         X = np.array([[0.2, -0.4]])
         theta = (0.1, 0.2, 0.3, 0.4)
-        np.testing.assert_array_equal(run_batch(fused, X, theta),
-                                      run_batch(fused, X, theta))
-
-    def test_bind_checks_lengths(self):
-        with pytest.raises(UsageError):
-            feature_map("angle", [0.1, 0.2])
-        config = QnnConfig(2, n_layers=1)
-        with pytest.raises(UsageError):
-            reference.qnn_gates(config, (0.1,), (0.5, 0.5))
-        with pytest.raises(UsageError):
-            reference.qnn_gates(config, (0.1, 0.2), (0.5,))
+        np.testing.assert_array_equal(run_batch(config, X, theta),
+                                      run_batch(config, X, theta))
 
     def test_run_batch_matches_scalar_run(self):
         # every row of a batch vs its own dense unitary
         config = QnnConfig(3, ("X", "Y"), True, "strongly", 2)
-        fused = qnn_blocks(3, ("X", "Y"), True,
-                           ANSATZ_ROTATIONS["strongly"], 2)
         rng = np.random.default_rng(22)
         X = rng.uniform(-1, 1, (6, 3))
         theta = rng.uniform(-np.pi, np.pi, config.n_parameters())
-        amps = run_batch(fused, X, theta)
+        amps = run_batch(config, X, theta)
         for i in range(len(X)):
             np.testing.assert_allclose(amps[i], dense_state(config, X[i], theta),
                                        atol=1e-13)

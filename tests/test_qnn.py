@@ -6,7 +6,7 @@ import pytest
 
 from qmlgrid import qnn, reference
 from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
-from qmlgrid.fusion import FUSE_MAX_QUBITS, QnnCircuit
+from qmlgrid.fusion import FUSE_MAX_QUBITS, resolve_fused
 from qmlgrid.metrics import evaluate
 from qmlgrid.qkernel import embed
 from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, expectations, forward_batch, grow_layers,
@@ -178,17 +178,29 @@ class TestFusedGradient:
                                         reupload, ansatz, n_layers,
                                         seed=int(rng.integers(1000)))
                         model = init_model(cfg, (0.35, 0.65))
-                        assert isinstance(model.circuit, QnnCircuit)
                         X = rng.uniform(-1, 1, (4, n))
                         y = rng.integers(0, 2, 4)
-                        kinds = [op[0] for op in model.circuit.resolve(
-                            X, model.parameters)]
+                        kinds = [op[0] for op in resolve_fused(
+                            cfg, X, model.parameters)[0]]
                         layer = (["local"] if reupload else []) + ["unitary"]
                         assert kinds == (["product", "unitary"]
                                          + layer * (n_layers - 1))
                         got = parameter_shift_gradient(model, X, y)
                         want = reference.shift_rule_gradient(model, X, y)
                         assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_widest_model_matches_gate_by_gate_parameter_shift(self):
+        # n = FUSE_MAX_QUBITS: a split re-upload block and the widest
+        # dense layers on the backward sweep
+        cfg = QnnConfig(FUSE_MAX_QUBITS, ("Y", "X"), True, "strongly", 2,
+                        seed=3)
+        model = init_model(cfg, (0.35, 0.65))
+        rng = np.random.default_rng(50)
+        X = rng.uniform(-1, 1, (4, FUSE_MAX_QUBITS))
+        y = np.array([0, 1, 1, 0])
+        got = parameter_shift_gradient(model, X, y)
+        want = reference.shift_rule_gradient(model, X, y)
+        assert np.max(np.abs(got - want)) <= 1e-10
 
 
 class TestTraining:
@@ -205,7 +217,7 @@ class TestTraining:
         X, y = toy_sign_task()
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 2, seed=0),
                            (0.5, 0.5))
-        fitted, report = train(model, (X, y), (X, y))
+        fitted, report = train(model, (X, y), (X, y), epochs=100)
         f1 = evaluate(y, predict(fitted, X)).f1
         assert f1 >= 0.95
         assert report.stopped_epoch <= 100
