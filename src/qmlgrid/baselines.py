@@ -367,19 +367,26 @@ def fit_forest(X, y, class_weights=(1.0, 1.0), seed: int = 0) -> ForestModel:
     """100 bagged trees: same-size bootstrap resamples, ceil(sqrt(d))
     feature candidates per split, per-tree rng derived from the seed.
     Each tree's rng draws its resample, then the candidates of as many
-    nodes as the tree can have; nothing reads the rng after that."""
+    nodes as the tree can score; nothing reads the rng after that.
+
+    A scored node is impure, so it holds two distinct resample rows, and
+    rows with one index never part. A node of r distinct rows therefore
+    roots at most r - 1 scored nodes: one if it stays a leaf (r >= 2),
+    else 1 + (r_left - 1) + (r_right - 1) by induction. Entries past a
+    tree's bound stay unset and unread."""
     X, y = _check_xy(X, y)
     n, d = X.shape
     k = math.ceil(math.sqrt(d))
     samples = np.empty((100, n), dtype=np.int64)
     candidates = None
     if k < d:
-        candidates = np.empty((100, max(2 * n - 1, 1), k), dtype=np.int16)
+        candidates = np.empty((100, n, k), dtype=np.int16)
     for t in range(100):
         rng = np.random.default_rng([seed, t])
         samples[t] = rng.integers(0, n, n)
         if candidates is not None:
-            candidates[t] = _candidates(rng, d, k, candidates.shape[1])
+            scored = np.count_nonzero(np.bincount(samples[t])) - 1
+            candidates[t, :scored] = _candidates(rng, d, k, scored)
     return _grow(X, y, class_weights, samples, candidates)
 
 

@@ -29,7 +29,7 @@ from . import baselines, qnn, svm
 from .circuit import FEATURE_MAPS
 from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
-from .fusion import ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS
+from .fusion import ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS, encode
 from .metrics import Metrics, evaluate
 from .pipeline import SplitBundle, stratified_split
 from .qkernel import cross_gram, embed, gram_matrix
@@ -382,15 +382,18 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
                 ansatz=config["ansatz"],
                 n_layers=settings.qnn_start_layers,
                 seed=seed)
+            # one encoding per split serves every batch, epoch, layer
+            # trial and prediction of the cell
+            encoded = {s: (encode(cfg, X), y) for s, (X, y) in arrays.items()}
             growth = qnn.grow_layers(
-                cfg, weights, arrays["train"], arrays["val"],
+                cfg, weights, encoded["train"], encoded["val"],
                 start_layers=settings.qnn_start_layers,
                 max_layers=settings.qnn_max_layers,
                 epochs=settings.qnn_epochs)
             best = growth.best_trial()
             model = best.model
-            split_metrics = {s: evaluate(y, qnn.predict(model, X))
-                             for s, (X, y) in arrays.items()}
+            split_metrics = {s: evaluate(y, qnn.predict(model, E))
+                             for s, (E, y) in encoded.items()}
             n_par = len(model.parameters)
             extra = {"n_layers": growth.best_n_layers,
                      "layer_trials": len(growth.trials),

@@ -4,7 +4,8 @@ FEATURE_MAPS holds each kernel embedding's gate and pair shift, and
 feature_map writes an embedding out as concrete ops for every row of a
 feature matrix, as statevec.apply_ops takes them; qkernel.embed runs
 them. run_batch runs a qnn.QnnConfig's fused blocks, which
-fusion.resolve_fused builds straight from the config.
+fusion.resolve_fused builds straight from the config and the
+fusion.encode of the features.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .fusion import resolve_fused
+from .fusion import Encoding, resolve_fused
 from .statevec import apply_ops, zero_states
 
 # kernel feature map kind -> (single-qubit gate, pair shift); a None
@@ -57,9 +58,10 @@ def feature_map(kind: str, X: np.ndarray, repetitions: int = 1) -> list:
     return block * repetitions
 
 
-def run_batch(config, X: np.ndarray, theta) -> np.ndarray:
+def run_batch(config, X: Encoding, theta) -> np.ndarray:
     """Execute the QNN of a qnn.QnnConfig with parameters theta for
-    every row of X at once; returns (len(X), 2**n) amplitudes."""
+    every row of X, the fusion.encode of the features, at once; returns
+    (len(X), 2**n) amplitudes."""
     ops = resolve_fused(config, X, theta)[0]
     amps = zero_states(config.n_features, len(X))
     apply_ops(amps, config.n_features, ops)

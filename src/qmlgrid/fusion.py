@@ -4,18 +4,23 @@ Every QNN has one shape: an angle-encoding block R_a(pi * x_q) on each
 qubit q for every axis a of the encoding sequence, then trainable
 layers, each a chain of ansatz rotations on every qubit closed by a
 CNOT ring, with the encoding block again before every further layer
-when it is re-uploaded. resolve_fused reads that shape off a
-qnn.QnnConfig and turns it into one op per block (see statevec for the
+when it is re-uploaded. Each block becomes one op (see statevec for the
 op kinds):
 
-* a trainable layer: its rotations multiply into one 2x2 per qubit,
-  their Kronecker product K is one 2**n x 2**n matrix, and the ring's
-  CNOTs permute its rows: a "unitary" op P K.
 * an encoding block: one 2x2 per qubit and sample, and their Kronecker
   product (over all qubits up to LOCAL_DENSE_QUBITS, else over the high
   and the low half) makes a "local" op. The block that opens the
   circuit acts on |0...0>, so the first columns of its 2x2s make a
   "product" op. Re-uploads share one payload.
+* a trainable layer: its rotations multiply into one 2x2 per qubit,
+  their Kronecker product K is one 2**n x 2**n matrix, and the ring's
+  CNOTs permute its rows: a "unitary" op P K.
+
+The encoding payloads depend only on the row and on the width, encoding
+sequence and re-upload setting, so encode computes them once for a
+whole feature matrix; every step is elementwise per row, so a gather of
+its rows equals a fresh encode of those rows bit for bit. resolve_fused
+then builds only the layer unitaries from theta, once per call.
 
 Rotation d on qubit q of layer r takes parameter (r * n + q) * depth + d,
 so theta is a (layers, n, depth) array flattened.
@@ -26,6 +31,7 @@ oracles; nothing here reads it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -75,14 +81,22 @@ def _ring_perm(n_qubits: int) -> np.ndarray:
     return perm
 
 
-def _rotation_factors(kinds, angles: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _pauli_stack(kinds: tuple) -> np.ndarray:
+    """Read-only (len(kinds), 2, 2) generators of a rotation tuple."""
+    stack = np.stack([_PAULIS[kind] for kind in kinds])
+    stack.flags.writeable = False
+    return stack
+
+
+def _rotation_factors(kinds: tuple, angles: np.ndarray) -> np.ndarray:
     """(..., len(kinds), 2, 2): every rotation as a 2x2 closed form
     cos(t/2) I - i sin(t/2) P, angles[..., d] (broadcast over d) the
     angle t of a rotation of kind kinds[d]."""
     half = angles / 2.0
     c = np.cos(half)[..., None, None]
     s = np.sin(half)[..., None, None]
-    return c * _I2 - 1j * s * np.stack([_PAULIS[kind] for kind in kinds])
+    return c * _I2 - 1j * s * _pauli_stack(kinds)
 
 
 def _chain_products(factors: np.ndarray) -> np.ndarray:
@@ -113,18 +127,62 @@ def _kron(u: np.ndarray) -> np.ndarray:
         hi.shape[:-2] + (size, size))
 
 
-def resolve_fused(config, X: np.ndarray, theta) -> tuple:
-    """(ops, layer_factors) of a qnn.QnnConfig. ops holds one concrete
-    (kind, targets, payload) op per block, in circuit order, as
-    apply_ops takes it for every row of X: "product" for the opening
-    encoding, "unitary" for each layer, "local" for each re-upload.
-    layer_factors are the layers' rotation matrices,
-    (layers, n, depth, 2, 2)."""
+@dataclass(frozen=True)
+class Encoding:
+    """The encoding payloads of every row of a feature matrix, for QNNs
+    of one `layout` (width, encoding rotation kinds, re-upload): the
+    "product" columns (rows, n, 2) and, with re-upload, the "local"
+    matrices, else (). encoded[rows] gathers rows; len() counts them."""
+    layout: tuple
+    product: np.ndarray
+    local: tuple
+
+    def __len__(self) -> int:
+        return len(self.product)
+
+    def __getitem__(self, rows) -> "Encoding":
+        return Encoding(self.layout, self.product[rows],
+                        tuple(m[rows] for m in self.local))
+
+
+def _encoding_layout(config) -> tuple:
+    return (config.n_features,
+            tuple("r" + str(axis).lower() for axis in config.encoding_sequence),
+            config.reupload)
+
+
+def encode(config, X: np.ndarray) -> Encoding:
+    """The Encoding of every row of X for a qnn.QnnConfig; it serves the
+    config with any layer count."""
     n = config.n_features
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n:
         raise UsageError(f"expected feature matrix with {n} columns, "
                          f"got shape {X.shape}")
+    layout = _encoding_layout(config)
+    chains = _chain_products(_rotation_factors(layout[1],
+                                               math.pi * X[:, :, None]))
+    local = ()
+    if config.reupload:
+        split = n // 2 if n > LOCAL_DENSE_QUBITS else 0
+        groups = ((chains[:, split:], chains[:, :split]) if split
+                  else (chains,))
+        local = tuple(map(_kron, groups))
+    return Encoding(layout, chains[..., 0], local)
+
+
+def resolve_fused(config, encoded: Encoding, theta) -> tuple:
+    """(ops, layer_factors) of a qnn.QnnConfig. ops holds one concrete
+    (kind, targets, payload) op per block, in circuit order, as
+    apply_ops takes it for every row of `encoded`, the encode() of the
+    features for this config: "product" for the opening encoding,
+    "unitary" for each layer, "local" for each re-upload. layer_factors
+    are the layers' rotation matrices, (layers, n, depth, 2, 2)."""
+    n = config.n_features
+    if (not isinstance(encoded, Encoding)
+            or encoded.layout != _encoding_layout(config)):
+        raise UsageError("expected the encode() of a feature matrix for "
+                         "this QNN's width, encoding and re-upload setting")
     if len(theta) != config.n_parameters():
         raise UsageError(f"expected {config.n_parameters()} parameters, "
                          f"got {len(theta)}")
@@ -132,19 +190,11 @@ def resolve_fused(config, X: np.ndarray, theta) -> tuple:
     factors = _rotation_factors(rotations, np.asarray(
         theta, dtype=np.float64).reshape(config.n_layers, n, len(rotations)))
     unitaries = _kron(_chain_products(factors))[:, _ring_perm(n)]
-    kinds = ["r" + str(axis).lower() for axis in config.encoding_sequence]
-    encoding = _chain_products(_rotation_factors(
-        kinds, math.pi * X[:, :, None]))
     qubits = tuple(range(n))
-    ops = [("product", qubits, encoding[..., 0])]
-    if config.reupload and len(unitaries) > 1:
-        split = n // 2 if n > LOCAL_DENSE_QUBITS else 0
-        groups = ((encoding[:, split:], encoding[:, :split]) if split
-                  else (encoding,))
-        local = ("local", qubits, tuple(map(_kron, groups)))
+    ops = [("product", qubits, encoded.product)]
     for r, unitary in enumerate(unitaries):
         if r and config.reupload:
-            ops.append(local)
+            ops.append(("local", qubits, encoded.local))
         ops.append(("unitary", qubits, unitary))
     return ops, factors
 
@@ -158,5 +208,6 @@ def _layer_gradients(config, factors, reduced) -> np.ndarray:
     for d in range(1, factors.shape[2]):
         chains[:, :, d] = factors[:, :, d] @ chains[:, :, d - 1]
     moved = chains @ reduced[:, :, None] @ chains.conj().swapaxes(-1, -2)
-    paulis = np.stack([_PAULIS[k] for k in ANSATZ_ROTATIONS[config.ansatz]])
-    return np.einsum("dab,rqdba->rqd", paulis, moved).imag.ravel()
+    return np.einsum("dab,rqdba->rqd",
+                     _pauli_stack(ANSATZ_ROTATIONS[config.ansatz]),
+                     moved).imag.ravel()

@@ -4,13 +4,15 @@ One qubit per feature; qubits 0 and 1 are read out, softmax over
 (<Z_0>, <Z_1>) gives the two class probabilities. The loss is class-
 weighted cross-entropy. Gradients are adjoint-mode (Jones & Gacon,
 arXiv:2009.02823): one forward pass, then one backward sweep that reads
-every parameter's derivative off the stored state. The model runs as
-fused blocks that fusion.resolve_fused builds straight from its config
-on every call: a layer costs one matrix product forward and one back,
-and its derivatives come from n reduced 2x2 matrices, so a gradient
-costs 2.2 to 2.9 forward passes whatever the parameter count (n = 4..6,
-up to 180 parameters, batch 32). The chain through softmax and the loss
-is analytic.
+every parameter's derivative off the stored state. Features come in as
+fusion.encode wrote them, once per feature matrix, so a batch is
+encoded[idx] and no call here recomputes the encoding. The model
+runs as fused blocks that fusion.resolve_fused builds from its config
+and parameters on every call: a layer costs one matrix product forward
+and one back, and its derivatives come from n reduced 2x2 matrices, so
+a gradient costs 2.0 to 2.7 forward passes whatever the parameter count
+(n = 4..6, up to 180 parameters, batch 32). The chain through softmax
+and the loss is analytic.
 `reference.shift_rule_gradient` keeps the parameter-shift rule on the
 gate-by-gate reference.qnn_gates as the oracle.
 """
@@ -22,10 +24,10 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import run_batch
-from .errors import ConfigurationError, TrainingDivergedError
-from .fusion import (ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS,
+from .errors import ConfigurationError, TrainingDivergedError, UsageError
+from .fusion import (ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS, Encoding,
                      _layer_gradients, resolve_fused)
-from .statevec import _z_signs, apply_ops, expectation_z_batch, zero_states
+from .statevec import _z_signs, apply_ops, zero_states
 
 PROB_FLOOR = 1e-12
 
@@ -99,30 +101,31 @@ def softmax_pair(e: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=1, keepdims=True)
 
 
-def expectations(model: QnnModel, X: np.ndarray,
+def expectations(model: QnnModel, X: Encoding,
                  parameters: np.ndarray | None = None) -> np.ndarray:
-    """(<Z_0>, <Z_1>) per sample, shape (B, 2)."""
+    """(<Z_0>, <Z_1>) per encoded sample, shape (B, 2)."""
     theta = model.parameters if parameters is None else parameters
     return _readout(run_batch(model.config, X, theta),
                     model.config.n_features)
 
 
 def _readout(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    return np.stack([expectation_z_batch(amps, n_qubits, 0),
-                     expectation_z_batch(amps, n_qubits, 1)], axis=1)
+    probs = np.abs(amps) ** 2
+    return np.stack([probs @ _z_signs(n_qubits, 0),
+                     probs @ _z_signs(n_qubits, 1)], axis=1)
 
 
-def forward_batch(model: QnnModel, X: np.ndarray) -> np.ndarray:
+def forward_batch(model: QnnModel, X: Encoding) -> np.ndarray:
     """Class probabilities per sample, shape (B, 2)."""
     return softmax_pair(expectations(model, X))
 
 
-def predict(model: QnnModel, X: np.ndarray) -> np.ndarray:
+def predict(model: QnnModel, X: Encoding) -> np.ndarray:
     probs = forward_batch(model, X)
     return (probs[:, 1] >= probs[:, 0]).astype(int)
 
 
-def batch_loss(model: QnnModel, X: np.ndarray, y: np.ndarray,
+def batch_loss(model: QnnModel, X: Encoding, y: np.ndarray,
                parameters: np.ndarray | None = None) -> float:
     e = expectations(model, X, parameters)
     probs = softmax_pair(e)
@@ -132,7 +135,7 @@ def batch_loss(model: QnnModel, X: np.ndarray, y: np.ndarray,
     return float(np.mean(-w * np.log(picked)))
 
 
-def parameter_shift_gradient(model: QnnModel, X: np.ndarray,
+def parameter_shift_gradient(model: QnnModel, X: Encoding,
                              y: np.ndarray) -> np.ndarray:
     """Gradient of batch_loss w.r.t. the parameter vector, adjoint mode.
 
@@ -220,13 +223,16 @@ class TrainReport:
 def train(model: QnnModel, train_set, val_set, *, epochs: int) -> tuple:
     """Mini-batch Adam with early stopping on validation loss.
 
+    train_set and val_set are (fusion.encode of the features, labels).
     Returns (model with the best-epoch parameters, TrainReport). Epochs
     are 1-based in the report. Training stops once validation loss has
     not improved for PATIENCE consecutive epochs, so a model already at
     a plateau stops exactly PATIENCE epochs past its best.
     """
-    X_tr, y_tr = np.asarray(train_set[0], dtype=np.float64), np.asarray(train_set[1], dtype=int)
-    X_va, y_va = np.asarray(val_set[0], dtype=np.float64), np.asarray(val_set[1], dtype=int)
+    if epochs < 1:
+        raise UsageError(f"epochs must be >= 1, got {epochs}")
+    X_tr, y_tr = train_set[0], np.asarray(train_set[1], dtype=int)
+    X_va, y_va = val_set[0], np.asarray(val_set[1], dtype=int)
     rng = np.random.default_rng([model.config.seed, 1])
 
     params = model.parameters.copy()
@@ -299,7 +305,11 @@ def grow_layers(config: QnnConfig, class_weights, train_set, val_set, *,
                 epochs: int) -> GrowthResult:
     """Incremental layer search: train a fresh model per layer count,
     stop once validation loss has not improved for as many consecutive
-    counts as there are qubits, or the cap is hit."""
+    counts as there are qubits, or the cap is hit. The sets are as
+    train takes them, so one encoding serves every layer count."""
+    if start_layers > max_layers:
+        raise UsageError(f"start_layers {start_layers} exceeds max_layers "
+                         f"{max_layers}")
     best_val = np.inf
     best_layers = start_layers
     stale = 0

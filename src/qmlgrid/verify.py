@@ -18,7 +18,7 @@ import numpy as np
 
 from . import baselines, datasets, qnn, reference, svm
 from .circuit import FEATURE_MAPS, run_batch
-from .fusion import ANSATZ_ROTATIONS
+from .fusion import ANSATZ_ROTATIONS, encode
 from .pipeline import pca_fit, standardize_apply, standardize_fit
 from .qkernel import embed, gram_matrix
 from .statevec import Gate, apply_ops, zero_states
@@ -79,7 +79,8 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
             qnn.QnnConfig(n, sequence, reupload, ansatz, n_layers,
                           seed=int(rng.integers(100_000))), (0.5, 0.5))
         x = rng.uniform(-1, 1, size=n)
-        got = run_batch(model.config, x[None], model.parameters)[0]
+        got = run_batch(model.config, encode(model.config, x[None]),
+                        model.parameters)[0]
         gates = reference.qnn_gates(model.config, x, model.parameters)
         want = reference.circuit_unitary(n, gates)[:, 0]
         fused_worst = max(fused_worst, float(np.max(np.abs(got - want))))
@@ -111,9 +112,10 @@ def check_gradients(n_configs: int = 50, seed: int = 102) -> CheckResult:
         model = qnn.init_model(cfg, (0.35, 0.65))
         X = rng.uniform(-1, 1, size=(5, n))
         y = rng.integers(0, 2, size=5)
-        got = qnn.parameter_shift_gradient(model, X, y)
+        encoded = encode(cfg, X)
+        got = qnn.parameter_shift_gradient(model, encoded, y)
         want = reference.finite_difference_gradient(
-            lambda t: qnn.batch_loss(model, X, y, t),
+            lambda t: qnn.batch_loss(model, encoded, y, t),
             model.parameters, eps=1e-4)
         worst = max(worst, float(np.max(np.abs(got - want))))
         shift = reference.shift_rule_gradient(model, X, y)

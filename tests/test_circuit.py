@@ -6,7 +6,7 @@ import pytest
 from qmlgrid import reference
 from qmlgrid.circuit import feature_map, run_batch
 from qmlgrid.errors import ConfigurationError, UsageError
-from qmlgrid.fusion import ANSATZ_ROTATIONS, _ring_perm, resolve_fused
+from qmlgrid.fusion import ANSATZ_ROTATIONS, _ring_perm, encode, resolve_fused
 from qmlgrid.qkernel import embed
 from qmlgrid.qnn import QnnConfig
 from qmlgrid.statevec import apply_ops, zero_states
@@ -249,12 +249,13 @@ class TestFusion:
                         X = rng.uniform(-1, 1, (3, n))
                         theta = rng.uniform(-np.pi, np.pi,
                                             config.n_parameters())
+                        encoded = encode(config, X)
                         kinds = [op[0] for op in
-                                 resolve_fused(config, X, theta)[0]]
+                                 resolve_fused(config, encoded, theta)[0]]
                         layer = (["local"] if reupload else []) + ["unitary"]
                         assert kinds == (["product", "unitary"]
                                          + layer * (n_layers - 1))
-                        amps = run_batch(config, X, theta)
+                        amps = run_batch(config, encoded, theta)
                         for x, got in zip(X, amps):
                             want = dense_state(config, x, theta)
                             assert np.max(np.abs(got - want)) <= 1e-12
@@ -269,7 +270,8 @@ class TestFusion:
                     config = QnnConfig(n, ("X", "Z"), reupload, ansatz, 2)
                     x = rng.uniform(-1, 1, n)
                     theta = rng.uniform(-np.pi, np.pi, config.n_parameters())
-                    got = run_batch(config, x[None], theta)[0]
+                    got = run_batch(config, encode(config, x[None]),
+                                    theta)[0]
                     want = dense_state(config, x, theta)
                     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -287,9 +289,26 @@ class TestFusion:
     def test_fused_circuit_checks_lengths(self):
         config = QnnConfig(3, ("Y",), True, "basic", 2)
         with pytest.raises(UsageError):
-            run_batch(config, np.zeros((1, 2)), np.zeros(6))
+            encode(config, np.zeros((1, 2)))
         with pytest.raises(UsageError):
-            run_batch(config, np.zeros((1, 3)), np.zeros(5))
+            run_batch(config, encode(config, np.zeros((1, 3))), np.zeros(5))
+
+    def test_fused_circuit_checks_its_encoding(self):
+        # raw features, or an encoding for another width, sequence or
+        # re-upload setting; a layer count of its own is fine
+        config = QnnConfig(3, ("Y",), True, "basic", 2)
+        theta = np.zeros(6)
+        for other in (QnnConfig(4, ("Y",), True), QnnConfig(3, ("X",), True),
+                      QnnConfig(3, ("Y",), False)):
+            with pytest.raises(UsageError):
+                run_batch(config, encode(other, np.zeros((1, other.n_features))),
+                          theta)
+        with pytest.raises(UsageError):
+            run_batch(config, np.zeros((1, 3)), theta)
+        deeper = QnnConfig(3, ("y",), True, "strongly", 5)
+        np.testing.assert_array_equal(
+            run_batch(config, encode(deeper, np.zeros((1, 3))), theta),
+            run_batch(config, encode(config, np.zeros((1, 3))), theta))
 
 
 class TestRunBatch:
@@ -297,8 +316,9 @@ class TestRunBatch:
         config = QnnConfig(2, ("Y",), True, "basic", 2)
         X = np.array([[0.2, -0.4]])
         theta = (0.1, 0.2, 0.3, 0.4)
-        np.testing.assert_array_equal(run_batch(config, X, theta),
-                                      run_batch(config, X, theta))
+        np.testing.assert_array_equal(
+            run_batch(config, encode(config, X), theta),
+            run_batch(config, encode(config, X), theta))
 
     def test_run_batch_matches_scalar_run(self):
         # every row of a batch vs its own dense unitary
@@ -306,7 +326,7 @@ class TestRunBatch:
         rng = np.random.default_rng(22)
         X = rng.uniform(-1, 1, (6, 3))
         theta = rng.uniform(-np.pi, np.pi, config.n_parameters())
-        amps = run_batch(config, X, theta)
+        amps = run_batch(config, encode(config, X), theta)
         for i in range(len(X)):
             np.testing.assert_allclose(amps[i], dense_state(config, X[i], theta),
                                        atol=1e-13)

@@ -4,10 +4,11 @@ import time
 import numpy as np
 import pytest
 
-from qmlgrid import qnn, reference
+from qmlgrid import bench, datasets, qnn, reference
 from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
-from qmlgrid.fusion import FUSE_MAX_QUBITS, resolve_fused
+from qmlgrid.fusion import FUSE_MAX_QUBITS, encode, resolve_fused
 from qmlgrid.metrics import evaluate
+from qmlgrid.pipeline import stratified_split
 from qmlgrid.qkernel import embed
 from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, expectations, forward_batch, grow_layers,
                          init_model, parameter_shift_gradient, predict,
@@ -75,7 +76,7 @@ class TestForward:
         model = init_model(QnnConfig(3, ("X", "Y"), True, "strongly", 2, seed=3),
                            (0.4, 0.6))
         X = np.random.default_rng(7).uniform(-1, 1, (10, 3))
-        probs = forward_batch(model, X)
+        probs = forward_batch(model, encode(model.config, X))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert probs.min() > 0.0
 
@@ -85,7 +86,8 @@ class TestForward:
         # x = (1, -1) ties exactly after the encoding; with zeroed
         # parameters the ansatz rotations are identity up to the CNOT
         model.parameters[:] = 0.0
-        assert predict(model, np.array([[1.0, -1.0]]))[0] == 1
+        assert predict(model, encode(model.config,
+                                     np.array([[1.0, -1.0]])))[0] == 1
 
 
 class TestLoss:
@@ -108,10 +110,11 @@ class TestLoss:
         rng = np.random.default_rng(8)
         X = rng.uniform(-1, 1, (6, 2))
         y = rng.integers(0, 2, 6)
-        per_sample = [weighted_cross_entropy(forward_batch(model, X[i:i + 1])[0],
+        encoded = encode(model.config, X)
+        per_sample = [weighted_cross_entropy(forward_batch(model, encoded[i:i + 1])[0],
                                              int(y[i]), model.class_weights)
                       for i in range(6)]
-        assert abs(batch_loss(model, X, y) - np.mean(per_sample)) < 1e-12
+        assert abs(batch_loss(model, encoded, y) - np.mean(per_sample)) < 1e-12
 
 
 class TestGradient:
@@ -127,9 +130,10 @@ class TestGradient:
             model = init_model(cfg, (0.35, 0.65))
             X = rng.uniform(-1, 1, (5, cfg.n_features))
             y = rng.integers(0, 2, 5)
-            analytic = parameter_shift_gradient(model, X, y)
+            encoded = encode(cfg, X)
+            analytic = parameter_shift_gradient(model, encoded, y)
             numeric = reference.finite_difference_gradient(
-                lambda th: batch_loss(model, X, y, parameters=th),
+                lambda th: batch_loss(model, encoded, y, parameters=th),
                 model.parameters, eps=1e-4)
             assert np.max(np.abs(analytic - numeric)) <= 1e-6
 
@@ -145,16 +149,17 @@ class TestGradient:
 
     def test_matches_parameter_shift_at_72_parameters(self):
         model, X, y = self.seventy_two_parameters()
-        adjoint = parameter_shift_gradient(model, X, y)
+        adjoint = parameter_shift_gradient(model, encode(model.config, X), y)
         shift = reference.shift_rule_gradient(model, X, y)
         assert np.max(np.abs(adjoint - shift)) <= 1e-10
 
     def test_costs_at_most_four_forward_passes(self):
         model, X, y = self.seventy_two_parameters()
+        encoded = encode(model.config, X)
         forward, gradient = [], []
         for _ in range(15):
-            for fn, times in ((lambda: expectations(model, X), forward),
-                              (lambda: parameter_shift_gradient(model, X, y),
+            for fn, times in ((lambda: expectations(model, encoded), forward),
+                              (lambda: parameter_shift_gradient(model, encoded, y),
                                gradient)):
                 started = time.perf_counter()
                 fn()
@@ -180,12 +185,13 @@ class TestFusedGradient:
                         model = init_model(cfg, (0.35, 0.65))
                         X = rng.uniform(-1, 1, (4, n))
                         y = rng.integers(0, 2, 4)
+                        encoded = encode(cfg, X)
                         kinds = [op[0] for op in resolve_fused(
-                            cfg, X, model.parameters)[0]]
+                            cfg, encoded, model.parameters)[0]]
                         layer = (["local"] if reupload else []) + ["unitary"]
                         assert kinds == (["product", "unitary"]
                                          + layer * (n_layers - 1))
-                        got = parameter_shift_gradient(model, X, y)
+                        got = parameter_shift_gradient(model, encoded, y)
                         want = reference.shift_rule_gradient(model, X, y)
                         assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -198,7 +204,7 @@ class TestFusedGradient:
         rng = np.random.default_rng(50)
         X = rng.uniform(-1, 1, (4, FUSE_MAX_QUBITS))
         y = np.array([0, 1, 1, 0])
-        got = parameter_shift_gradient(model, X, y)
+        got = parameter_shift_gradient(model, encode(cfg, X), y)
         want = reference.shift_rule_gradient(model, X, y)
         assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -209,7 +215,8 @@ class TestTraining:
         X, y = toy_sign_task(16)
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=2),
                            (0.5, 0.5))
-        _, report = train(model, (X, y), (X, y), epochs=50)
+        data = encode(model.config, X), y
+        _, report = train(model, data, data, epochs=50)
         assert report.best_epoch == 1
         assert report.stopped_epoch == 6
 
@@ -217,8 +224,9 @@ class TestTraining:
         X, y = toy_sign_task()
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 2, seed=0),
                            (0.5, 0.5))
-        fitted, report = train(model, (X, y), (X, y), epochs=100)
-        f1 = evaluate(y, predict(fitted, X)).f1
+        data = encode(model.config, X), y
+        fitted, report = train(model, data, data, epochs=100)
+        f1 = evaluate(y, predict(fitted, data[0])).f1
         assert f1 >= 0.95
         assert report.stopped_epoch <= 100
 
@@ -227,23 +235,26 @@ class TestTraining:
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=2),
                            (0.5, 0.5))
         broken = replace_params(model, np.full_like(model.parameters, np.nan))
+        data = encode(model.config, X), y
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
-            train(broken, (X, y), (X, y), epochs=3)
+            train(broken, data, data, epochs=3)
 
     def test_returns_best_epoch_parameters(self):
         X, y = toy_sign_task(24)
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 2, seed=1),
                            (0.5, 0.5))
-        fitted, report = train(model, (X, y), (X, y), epochs=12)
-        assert abs(batch_loss(fitted, X, y)
+        data = encode(model.config, X), y
+        fitted, report = train(model, data, data, epochs=12)
+        assert abs(batch_loss(fitted, *data)
                    - report.val_loss[report.best_epoch - 1]) < 1e-12
 
 
 class TestLayerGrowth:
     def test_growth_follows_stall_rule(self):
         X, y = toy_sign_task(20)
-        result = grow_layers(QnnConfig(2, ("Y",), False, "basic", 1, seed=4),
-                             (0.5, 0.5), (X, y), (X, y),
+        cfg = QnnConfig(2, ("Y",), False, "basic", 1, seed=4)
+        data = encode(cfg, X), y
+        result = grow_layers(cfg, (0.5, 0.5), data, data,
                              start_layers=2, max_layers=8, epochs=4)
         assert isinstance(result, GrowthResult)
         counts = [t.n_layers for t in result.trials]
@@ -261,3 +272,63 @@ class TestLayerGrowth:
         assert result.best_n_layers == best_layers
         assert result.best_trial().n_layers == best_layers
         assert counts[-1] == (8 if stop_at is None else stop_at)
+
+    def test_refuses_an_empty_search(self):
+        # no layer count to try, or no epoch to train: both would leave
+        # no trial or no validation loss to select on
+        X, y = toy_sign_task(8)
+        cfg = QnnConfig(2, ("Y",), False, "basic", 1, seed=4)
+        data = encode(cfg, X), y
+        with pytest.raises(UsageError, match="max_layers"):
+            grow_layers(cfg, (0.5, 0.5), data, data,
+                        start_layers=3, max_layers=2, epochs=1)
+        with pytest.raises(UsageError, match="epochs"):
+            grow_layers(cfg, (0.5, 0.5), data, data,
+                        start_layers=1, max_layers=2, epochs=0)
+
+
+class TestEncodingCache:
+    SEQUENCES = (("Y",), ("X",), ("Z",), ("X", "Z"), ("Z", "Y", "X"),
+                 ("Y", "X", "Z"))
+
+    def test_gathered_rows_equal_a_fresh_encode(self):
+        # every step of encode is elementwise per row, so rows gathered
+        # from one encoding match an encoding of those rows alone, bit
+        # for bit, whatever the row count
+        rng = np.random.default_rng(51)
+        X = rng.uniform(-1, 1, (37, FUSE_MAX_QUBITS))
+        idx = rng.permutation(np.concatenate([np.arange(37), [3, 3, 20]]))
+        for n in range(2, FUSE_MAX_QUBITS + 1):
+            for sequence in self.SEQUENCES:
+                for reupload in (False, True):
+                    cfg = QnnConfig(n, sequence, reupload)
+                    Xn = X[:, :n]
+                    gathered, fresh = encode(cfg, Xn)[idx], encode(cfg, Xn[idx])
+                    assert len(gathered) == len(idx)
+                    assert gathered.layout == fresh.layout
+                    assert np.array_equal(gathered.product, fresh.product)
+                    assert len(gathered.local) == len(fresh.local) == (
+                        0 if not reupload else 1 if n <= 4 else 2)
+                    for a, b in zip(gathered.local, fresh.local):
+                        assert np.array_equal(a, b)
+
+    def test_one_qnn_cell_encodes_each_split_once(self, monkeypatch):
+        # train, val and test are encoded once each, however many
+        # batches, epochs, layer trials and predictions use them
+        calls = []
+
+        def spy(config, X):
+            calls.append(len(X))
+            return encode(config, X)
+
+        monkeypatch.setattr(bench, "encode", spy)
+        bundle = stratified_split(datasets.synthetic("prostate"), 0)
+        settings = bench.RunSettings(qnn_epochs=2, qnn_start_layers=1,
+                                     qnn_max_layers=2)
+        record = bench.run_cell("prostate", bundle, "qnn",
+                                {"sequence": ["X", "Z"], "reupload": True,
+                                 "ansatz": "strongly"}, 2, 0, settings)
+        assert record.error is None
+        assert record.extra["layer_trials"] == 2
+        assert sorted(calls) == sorted(len(bundle.labels(s))
+                                       for s in ("train", "val", "test"))
