@@ -22,6 +22,7 @@ import re
 import time
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -189,8 +190,9 @@ class RecordStore:
     """Append-only line store; loading an existing file makes reruns skip
     completed cells. Errored records stay in the file but do not count as
     done, so a rerun retries their cells. A torn last line is cut off with
-    a warning; a malformed complete line raises IngestionError and leaves
-    the file as it is."""
+    a warning; a malformed complete line, or a second error-free record
+    of one cell (two stores joined, say), raises IngestionError and
+    leaves the file as it is."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -201,6 +203,7 @@ class RecordStore:
         with open(self.path, "rb") as fh:
             data = fh.read()
         whole = data.rfind(b"\n") + 1
+        done_at = {}        # key -> line of its error-free record
         for n, line in enumerate(data[:whole].splitlines(), start=1):
             if not line.strip():
                 continue
@@ -209,6 +212,12 @@ class RecordStore:
             except (ValueError, KeyError, TypeError) as exc:
                 raise IngestionError(f"{self.path}: line {n}: not a record: "
                                      f"{type(exc).__name__}: {exc}") from None
+            if record.error is None:
+                first = done_at.setdefault(record.key(), n)
+                if first != n:
+                    raise IngestionError(
+                        f"{self.path}: line {n}: repeats the cell of line "
+                        f"{first}: {record.key()}")
             self._append_memory(record)
         if whole < len(data):
             # a crash mid-append leaves an unterminated last line
@@ -311,9 +320,34 @@ CELL_ERRORS = (ConfigurationError, UsageError, IngestionError,
                TrainingDivergedError, np.linalg.LinAlgError)
 
 
-def _split_arrays(bundle: SplitBundle, k: int):
-    return {s: (bundle.features(s, k), bundle.labels(s))
-            for s in SplitBundle.SPLITS}
+# A grid runs every cell of one k in a row, and the QNN grid puts the
+# ansaetze of one encoding layout side by side, so each memo holds one
+# entry. Its keys hold the bundle itself (hashed by identity), so a
+# freed bundle's id can never hit, and its arrays are read-only, as
+# every cell of the key shares them.
+
+@lru_cache(maxsize=1)
+def _split_arrays(bundle: SplitBundle, k: int) -> dict:
+    """split -> (features at k, labels), shared by a (bundle, k)'s cells."""
+    arrays = {}
+    for split in SplitBundle.SPLITS:
+        X, y = bundle.features(split, k), bundle.labels(split)
+        X.flags.writeable = y.flags.writeable = False
+        arrays[split] = (X, y)
+    return arrays
+
+
+@lru_cache(maxsize=1)
+def _qnn_encoding(bundle: SplitBundle, k: int, sequence: tuple,
+                  reupload: bool):
+    """One fusion.encode of the val, train and test rows at k, stacked in
+    that order, for the QNNs of this width, encoding sequence and
+    re-upload setting. A split is a slice of it, equal bit for bit to an
+    encode of that split alone, as encoding is elementwise per row; train
+    and test sit side by side, so one pass predicts both."""
+    arrays = _split_arrays(bundle, k)
+    return encode(qnn.QnnConfig(k, sequence, reupload), np.concatenate(
+        [arrays[s][0] for s in ("val", "train", "test")]))
 
 
 def _svm_eval(gram, ytr, rows_by_split, labels_by_split, weights):
@@ -330,6 +364,12 @@ def _svm_eval(gram, ytr, rows_by_split, labels_by_split, weights):
 def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
              config: dict, k: int, seed: int,
              settings: RunSettings) -> ExperimentRecord:
+    """The record of one grid cell; a failure in CELL_ERRORS becomes its
+    error. The split features at k, and a QNN's encoding of them, come
+    from memos of the last (bundle, k) and the last QNN layout, so the
+    cells of one grid compute them once. A QNN cell reads its val
+    predictions off the training report and runs one pass over its
+    train and test rows."""
     record = ExperimentRecord(dataset_key, family, k, config,
                               bundle.seed, seed)
     started = time.perf_counter()
@@ -382,18 +422,22 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
                 ansatz=config["ansatz"],
                 n_layers=settings.qnn_start_layers,
                 seed=seed)
-            # one encoding per split serves every batch, epoch, layer
-            # trial and prediction of the cell
-            encoded = {s: (encode(cfg, X), y) for s, (X, y) in arrays.items()}
+            encoded = _qnn_encoding(bundle, k, cfg.encoding_sequence,
+                                    cfg.reupload)
+            n_val, n_tr = len(labels_by_split["val"]), len(ytr)
             growth = qnn.grow_layers(
-                cfg, weights, encoded["train"], encoded["val"],
+                cfg, weights, (encoded[n_val:n_val + n_tr], ytr),
+                (encoded[:n_val], labels_by_split["val"]),
                 start_layers=settings.qnn_start_layers,
                 max_layers=settings.qnn_max_layers,
                 epochs=settings.qnn_epochs)
             best = growth.best_trial()
             model = best.model
-            split_metrics = {s: evaluate(y, qnn.predict(model, E))
-                             for s, (E, y) in encoded.items()}
+            probs = {"val": best.report.val_probs}
+            probs["train"], probs["test"] = qnn.forward_blocks(
+                model, encoded[n_val:], [n_tr])
+            split_metrics = {s: evaluate(y, qnn.predict(probs[s]))
+                             for s, y in labels_by_split.items()}
             n_par = len(model.parameters)
             extra = {"n_layers": growth.best_n_layers,
                      "layer_trials": len(growth.trials),

@@ -132,7 +132,9 @@ class Encoding:
     """The encoding payloads of every row of a feature matrix, for QNNs
     of one `layout` (width, encoding rotation kinds, re-upload): the
     "product" columns (rows, n, 2) and, with re-upload, the "local"
-    matrices, else (). encoded[rows] gathers rows; len() counts them."""
+    matrices, else (). encoded[rows] gathers rows, or views a slice;
+    len() counts them. encode's payloads are read-only, as every QNN of
+    the layout may share them."""
     layout: tuple
     product: np.ndarray
     local: tuple
@@ -168,7 +170,10 @@ def encode(config, X: np.ndarray) -> Encoding:
         groups = ((chains[:, split:], chains[:, :split]) if split
                   else (chains,))
         local = tuple(map(_kron, groups))
-    return Encoding(layout, chains[..., 0], local)
+    encoded = Encoding(layout, chains[..., 0], local)
+    for payload in (encoded.product, *local):
+        payload.flags.writeable = False
+    return encoded
 
 
 def resolve_fused(config, encoded: Encoding, theta) -> tuple:

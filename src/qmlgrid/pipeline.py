@@ -184,7 +184,7 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass
+@dataclass(eq=False)       # hashed by identity: bench memoizes per bundle
 class SplitBundle:
     dataset: Dataset
     seed: int

@@ -120,15 +120,30 @@ def forward_batch(model: QnnModel, X: Encoding) -> np.ndarray:
     return softmax_pair(expectations(model, X))
 
 
-def predict(model: QnnModel, X: Encoding) -> np.ndarray:
-    probs = forward_batch(model, X)
+def forward_blocks(model: QnnModel, X: Encoding, cuts) -> list:
+    """forward_batch of each block np.split(X, cuts) of rows of X, from
+    one run_batch. apply_ops gives a row the same amplitudes in any
+    batch, but the readout's BLAS matrix-vector product may round a row
+    by its place in the batch (OpenBLAS 0.3.31 does, by row index mod
+    4), so each block is read out on its own: a block's probabilities
+    equal forward_batch of its rows bit for bit."""
+    amps = run_batch(model.config, X, model.parameters)
+    return [softmax_pair(_readout(block, model.config.n_features))
+            for block in np.split(amps, cuts)]
+
+
+def predict(probs: np.ndarray) -> np.ndarray:
+    """Class labels of (B, 2) class probabilities; a tie goes to 1."""
     return (probs[:, 1] >= probs[:, 0]).astype(int)
 
 
 def batch_loss(model: QnnModel, X: Encoding, y: np.ndarray,
                parameters: np.ndarray | None = None) -> float:
     e = expectations(model, X, parameters)
-    probs = softmax_pair(e)
+    return _weighted_loss(model, softmax_pair(e), y)
+
+
+def _weighted_loss(model: QnnModel, probs: np.ndarray, y) -> float:
     y = np.asarray(y, dtype=int)
     picked = np.maximum(probs[np.arange(len(y)), y], PROB_FLOOR)
     w = model.class_weights[y]
@@ -212,9 +227,12 @@ def _reduction_indices(n_qubits: int):
 
 @dataclass
 class TrainReport:
+    """Per-epoch validation losses, and the validation rows' class
+    probabilities at the best epoch, the pass that scored its loss."""
     val_loss: list
     best_epoch: int
     stopped_epoch: int
+    val_probs: np.ndarray = None
 
     def best_val_loss(self) -> float:
         return self.val_loss[self.best_epoch - 1]
@@ -225,9 +243,11 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int) -> tuple:
 
     train_set and val_set are (fusion.encode of the features, labels).
     Returns (model with the best-epoch parameters, TrainReport). Epochs
-    are 1-based in the report. Training stops once validation loss has
-    not improved for PATIENCE consecutive epochs, so a model already at
-    a plateau stops exactly PATIENCE epochs past its best.
+    are 1-based in the report, and its val_probs equal forward_batch of
+    the returned model on the validation rows bit for bit, so a caller
+    needs no second pass. Training stops once validation loss has not
+    improved for PATIENCE consecutive epochs, so a model already at a
+    plateau stops exactly PATIENCE epochs past its best.
     """
     if epochs < 1:
         raise UsageError(f"epochs must be >= 1, got {epochs}")
@@ -259,7 +279,8 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int) -> tuple:
             params = params - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             work = replace_params(work, params)
 
-        va_loss = batch_loss(work, X_va, y_va)
+        va_probs = forward_batch(work, X_va)
+        va_loss = _weighted_loss(work, va_probs, y_va)
         if not np.isfinite(va_loss):
             raise TrainingDivergedError(
                 f"non-finite validation loss at epoch {epoch} ({va_loss})")
@@ -269,6 +290,7 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int) -> tuple:
             best_val = va_loss
             best_params = params.copy()
             history.best_epoch = epoch
+            history.val_probs = va_probs
             stale = 0
         else:
             stale += 1

@@ -10,7 +10,8 @@ from qmlgrid import bench, datasets, qkernel, qnn, svm
 from qmlgrid.bench import (ExperimentRecord, RecordStore, RunSettings,
                            canonical, cell_seed, select_best)
 from qmlgrid.errors import IngestionError, UsageError
-from qmlgrid.metrics import Metrics
+from qmlgrid.fusion import encode
+from qmlgrid.metrics import Metrics, evaluate
 from qmlgrid.pipeline import stratified_split
 
 
@@ -151,6 +152,28 @@ class TestRecordStore:
         assert path.read_text() == full + "\n"
         store.append(fake_record(k=3))
         assert len(RecordStore(path)) == 2
+
+    def test_repeated_cell_is_refused_naming_both_lines(self, tmp_path):
+        # a store joined with itself (cat s.jsonl s.jsonl) would list
+        # every row twice in the reports
+        path = tmp_path / "s.jsonl"
+        lines = [fake_record(k=2).to_line(), fake_record(k=3).to_line()]
+        path.write_text("\n".join(lines + lines) + "\n")
+        before = path.read_bytes()
+        with pytest.raises(IngestionError,
+                           match="line 3: repeats the cell of line 1"):
+            RecordStore(path)
+        assert path.read_bytes() == before
+
+    def test_errored_records_may_repeat(self, tmp_path):
+        # a cell that failed on two runs, then succeeded on a third
+        path = tmp_path / "s.jsonl"
+        failed = fake_record(k=2, error="UsageError: no").to_line()
+        path.write_text("\n".join([failed, failed,
+                                   fake_record(k=2).to_line()]) + "\n")
+        store = RecordStore(path)
+        assert len(store) == 3
+        assert store.cell_counts() == (1, 0)
 
     def test_malformed_complete_line_raises(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -443,6 +466,60 @@ class TestRunCell:
         for r in store.records():
             if r.family == "qsvm":
                 assert 0 < r.n_parameters <= 64    # train split size
+
+
+class TestCellInputs:
+    def test_memoized_inputs_are_read_only(self, small_run):
+        # every cell of a (bundle, k) or of a QNN layout shares them
+        bundle = stratified_split(small_run[0], 0)
+        for X, y in bench._split_arrays(bundle, 2).values():
+            for shared in (X, y):
+                with pytest.raises(ValueError, match="read-only"):
+                    shared[0] = 0
+        encoded = bench._qnn_encoding(bundle, 2, ("X", "Z"), True)
+        for payload in (encoded.product, *encoded.local,
+                        encoded[3:].product):
+            with pytest.raises(ValueError, match="read-only"):
+                payload[0] = 0
+
+    def test_memos_never_serve_another_bundle_or_k(self, small_run):
+        ds = small_run[0]
+        first = stratified_split(ds, 0)
+        arrays = bench._split_arrays(first, 2)
+        encoded = bench._qnn_encoding(first, 2, ("Y",), False)
+        # the same split, so equal values, but not the same arrays
+        twin = stratified_split(ds, 0)
+        assert bench._split_arrays(twin, 2)["train"][0] is not arrays[
+            "train"][0]
+        assert bench._qnn_encoding(twin, 2, ("Y",), False) is not encoded
+        other = stratified_split(ds, 1)
+        assert not np.array_equal(bench._split_arrays(other, 2)["train"][0],
+                                  arrays["train"][0])
+        wider = bench._split_arrays(first, 3)
+        assert wider["train"][0].shape[1] == 3
+        assert bench._qnn_encoding(first, 3, ("Y",), False).layout[0] == 3
+        assert bench._qnn_encoding(first, 2, ("Y",), True).local
+
+    def test_qnn_cell_matches_per_split_passes(self):
+        # the record equals one built with a fresh encode and a forward
+        # pass per split, as cells were run before the memos
+        bundle = stratified_split(datasets.synthetic("diabetes"), 0)
+        settings = RunSettings(qnn_epochs=2, qnn_start_layers=1,
+                               qnn_max_layers=3)
+        rec = bench.run_cell("diabetes", bundle, "qnn",
+                             {"sequence": "XZ", "reupload": True,
+                              "ansatz": "strongly"}, 2, 5, settings)
+        cfg = qnn.QnnConfig(2, ("X", "Z"), True, "strongly", 1, seed=5)
+        sets = {s: (encode(cfg, bundle.features(s, 2)), bundle.labels(s))
+                for s in bundle.SPLITS}
+        growth = qnn.grow_layers(cfg, bundle.class_weights(), sets["train"],
+                                 sets["val"], start_layers=1, max_layers=3,
+                                 epochs=2)
+        model = growth.best_trial().model
+        for split, (E, y) in sets.items():
+            want = evaluate(y, qnn.predict(qnn.forward_batch(model, E)))
+            assert getattr(rec, split) == want
+        assert rec.extra["layer_trials"] == len(growth.trials)
 
 
 class TestReports:

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from qmlgrid import bench, datasets, qnn, reference
+from qmlgrid.circuit import run_batch
 from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
 from qmlgrid.fusion import FUSE_MAX_QUBITS, encode, resolve_fused
 from qmlgrid.metrics import evaluate
 from qmlgrid.pipeline import stratified_split
 from qmlgrid.qkernel import embed
-from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, expectations, forward_batch, grow_layers,
+from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, expectations,
+                         forward_batch, forward_blocks, grow_layers,
                          init_model, parameter_shift_gradient, predict,
                          replace_params, softmax_pair, train)
 from qmlgrid.reference import weighted_cross_entropy
@@ -86,8 +88,8 @@ class TestForward:
         # x = (1, -1) ties exactly after the encoding; with zeroed
         # parameters the ansatz rotations are identity up to the CNOT
         model.parameters[:] = 0.0
-        assert predict(model, encode(model.config,
-                                     np.array([[1.0, -1.0]])))[0] == 1
+        assert predict(forward_batch(model, encode(
+            model.config, np.array([[1.0, -1.0]]))))[0] == 1
 
 
 class TestLoss:
@@ -226,7 +228,7 @@ class TestTraining:
                            (0.5, 0.5))
         data = encode(model.config, X), y
         fitted, report = train(model, data, data, epochs=100)
-        f1 = evaluate(y, predict(fitted, data[0])).f1
+        f1 = evaluate(y, predict(forward_batch(fitted, data[0]))).f1
         assert f1 >= 0.95
         assert report.stopped_epoch <= 100
 
@@ -238,6 +240,19 @@ class TestTraining:
         data = encode(model.config, X), y
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train(broken, data, data, epochs=3)
+
+    def test_report_keeps_the_best_epochs_val_probabilities(self):
+        # the pass that scored the best epoch's loss is the prediction
+        # of the returned model on the validation rows, bit for bit
+        X, y = toy_sign_task(40)
+        model = init_model(QnnConfig(2, ("X", "Y"), True, "strongly", 2,
+                                     seed=3), (0.4, 0.6))
+        train_set = encode(model.config, X[:28]), y[:28]
+        val_set = encode(model.config, X[28:]), y[28:]
+        fitted, report = train(model, train_set, val_set, epochs=8)
+        assert report.val_probs.shape == (12, 2)
+        assert np.array_equal(report.val_probs,
+                              forward_batch(fitted, val_set[0]))
 
     def test_returns_best_epoch_parameters(self):
         X, y = toy_sign_task(24)
@@ -312,23 +327,59 @@ class TestEncodingCache:
                     for a, b in zip(gathered.local, fresh.local):
                         assert np.array_equal(a, b)
 
-    def test_one_qnn_cell_encodes_each_split_once(self, monkeypatch):
-        # train, val and test are encoded once each, however many
-        # batches, epochs, layer trials and predictions use them
+    def test_a_grid_encodes_each_layout_once(self, monkeypatch, tmp_path):
+        # one encode per (k, layout) over the stacked rows of all three
+        # splits serves both ansaetze and every batch, epoch, layer
+        # trial and prediction of their cells
         calls = []
 
         def spy(config, X):
-            calls.append(len(X))
+            calls.append((config.n_features,
+                          "".join(config.encoding_sequence),
+                          config.reupload, len(X)))
             return encode(config, X)
 
         monkeypatch.setattr(bench, "encode", spy)
-        bundle = stratified_split(datasets.synthetic("prostate"), 0)
-        settings = bench.RunSettings(qnn_epochs=2, qnn_start_layers=1,
-                                     qnn_max_layers=2)
-        record = bench.run_cell("prostate", bundle, "qnn",
-                                {"sequence": ["X", "Z"], "reupload": True,
-                                 "ansatz": "strongly"}, 2, 0, settings)
-        assert record.error is None
-        assert record.extra["layer_trials"] == 2
-        assert sorted(calls) == sorted(len(bundle.labels(s))
-                                       for s in ("train", "val", "test"))
+        dataset = datasets.synthetic("prostate")
+        rows = len(dataset.labels)
+        settings = bench.RunSettings(qnn_epochs=1, qnn_start_layers=1,
+                                     qnn_max_layers=1)
+        new = bench.run_grid("prostate", dataset,
+                             bench.RecordStore(tmp_path / "q.jsonl"),
+                             settings, families=("qnn",),
+                             feature_range=(2, 3))
+        assert [r.error for r in new] == [None] * 121
+        assert calls == [(k, sequence, reupload, rows) for k in (2, 3)
+                         for sequence in bench.axis_sequences()
+                         for reupload in (False, True)]
+
+    def test_stacked_pass_equals_per_split_passes(self):
+        # a QNN cell predicts its train and test rows in one run_batch
+        # over their stacked encoding. That assumes BLAS gives a row the
+        # same amplitudes whatever the batch; the readout's product does
+        # not (a row's bits follow its index mod 4 there), so each block
+        # is read out alone. Cuts 41 and 40 put the test rows off and on
+        # that period
+        rng = np.random.default_rng(53)
+        X = rng.uniform(-1, 1, (67, FUSE_MAX_QUBITS))
+        for n in range(2, FUSE_MAX_QUBITS + 1):
+            for sequence in bench.axis_sequences():
+                for reupload in (False, True):
+                    encoded = encode(QnnConfig(n, tuple(sequence), reupload),
+                                     X[:, :n])
+                    for ansatz in ("basic", "strongly"):
+                        model = init_model(
+                            QnnConfig(n, tuple(sequence), reupload, ansatz,
+                                      2, seed=n), (0.4, 0.6))
+                        amps = run_batch(model.config, encoded,
+                                         model.parameters)
+                        for cut in (41, 40):
+                            assert np.array_equal(amps[cut:], run_batch(
+                                model.config, encoded[cut:],
+                                model.parameters))
+                            head, tail = forward_blocks(model, encoded,
+                                                        [cut])
+                            assert np.array_equal(head, forward_batch(
+                                model, encoded[:cut]))
+                            assert np.array_equal(tail, forward_batch(
+                                model, encoded[cut:]))
