@@ -192,7 +192,8 @@ class RecordStore:
     done, so a rerun retries their cells. A torn last line is cut off with
     a warning; a malformed complete line, or a second error-free record
     of one cell (two stores joined, say), raises IngestionError and
-    leaves the file as it is."""
+    leaves the file as it is, and append refuses such a second record
+    before writing it."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -212,23 +213,24 @@ class RecordStore:
             except (ValueError, KeyError, TypeError) as exc:
                 raise IngestionError(f"{self.path}: line {n}: not a record: "
                                      f"{type(exc).__name__}: {exc}") from None
+            key = record.key()
             if record.error is None:
-                first = done_at.setdefault(record.key(), n)
+                first = done_at.setdefault(key, n)
                 if first != n:
                     raise IngestionError(
                         f"{self.path}: line {n}: repeats the cell of line "
-                        f"{first}: {record.key()}")
-            self._append_memory(record)
+                        f"{first}: {key}")
+            self._append_memory(record, key)
         if whole < len(data):
             # a crash mid-append leaves an unterminated last line
             os.truncate(self.path, whole)
             warnings.warn(f"{self.path}: dropped an unterminated last line "
                           f"of {len(data) - whole} bytes")
 
-    def _append_memory(self, record):
+    def _append_memory(self, record, key):
         self._records.append(record)
         if record.error is None:
-            self._keys.add(record.key())
+            self._keys.add(key)
 
     def __len__(self):
         return len(self._records)
@@ -246,12 +248,19 @@ class RecordStore:
         return record_key in self._keys
 
     def append(self, record: ExperimentRecord) -> None:
+        """Writes the record; an error-free record of a cell already done
+        raises IngestionError and writes nothing, as the store would then
+        refuse to load."""
+        key = record.key()
+        if record.error is None and key in self._keys:
+            raise IngestionError(f"{self.path}: the cell is already done: "
+                                 f"{key}")
         with open(self.path, "a") as fh:
             fh.write(record.to_line() + "\n")
         if record.wall_clock is not None:
             with open(self.path + ".timings", "a") as fh:
-                fh.write(f"{record.key()}\t{record.wall_clock:.6f}\n")
-        self._append_memory(record)
+                fh.write(f"{key}\t{record.wall_clock:.6f}\n")
+        self._append_memory(record, key)
 
 
 # ---------------------------------------------------------------- settings
@@ -320,7 +329,8 @@ CELL_ERRORS = (ConfigurationError, UsageError, IngestionError,
                TrainingDivergedError, np.linalg.LinAlgError)
 
 
-# A grid runs every cell of one k in a row, and the QNN grid puts the
+# A grid runs every cell of one k in a row, the QSVM grid runs the
+# repetitions of one encoding in a row, and the QNN grid puts the
 # ansaetze of one encoding layout side by side, so each memo holds one
 # entry. Its keys hold the bundle itself (hashed by identity), so a
 # freed bundle's id can never hit, and its arrays are read-only, as
@@ -350,6 +360,24 @@ def _qnn_encoding(bundle: SplitBundle, k: int, sequence: tuple,
         [arrays[s][0] for s in ("val", "train", "test")]))
 
 
+@lru_cache(maxsize=1)
+def _qsvm_states(bundle: SplitBundle, k: int, encoding: str,
+                 repetitions: int) -> np.ndarray:
+    """qkernel.embed of the val, train and test rows at k, stacked in
+    that order, under this encoding and repetition count. Repetition r
+    continues from the states of r - 1 with one more block, and the
+    grid runs 1, 2, 3 in a row, so each is one embed and a memo hit. A
+    split is a slice, equal bit for bit to an embed of that split alone,
+    as embedding acts on each row alone."""
+    arrays = _split_arrays(bundle, k)
+    X = np.concatenate([arrays[s][0] for s in ("val", "train", "test")])
+    start = (None if repetitions == 1 else
+             _qsvm_states(bundle, k, encoding, repetitions - 1))
+    states = embed(encoding, X, 1, start)
+    states.flags.writeable = False
+    return states
+
+
 def _svm_eval(gram, ytr, rows_by_split, labels_by_split, weights):
     ypm = np.where(ytr == 1, 1, -1)
     model = svm.solve_dual(svm.SvmProblem(gram, ypm, SVM_C, weights))
@@ -365,9 +393,11 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
              config: dict, k: int, seed: int,
              settings: RunSettings) -> ExperimentRecord:
     """The record of one grid cell; a failure in CELL_ERRORS becomes its
-    error. The split features at k, and a QNN's encoding of them, come
-    from memos of the last (bundle, k) and the last QNN layout, so the
-    cells of one grid compute them once. A QNN cell reads its val
+    error. The split features at k, a QSVM's embedding of them and a
+    QNN's encoding of them come from memos of the last (bundle, k), the
+    last QSVM (encoding, repetitions) and the last QNN layout, so the
+    cells of one grid compute each once; a cell takes every split as a
+    slice of the val, train, test stack. A QNN cell reads its val
     predictions off the training report and runs one pass over its
     train and test rows."""
     record = ExperimentRecord(dataset_key, family, k, config,
@@ -379,13 +409,15 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
         weights = bundle.class_weights()
         labels_by_split = {s: arrays[s][1] for s in arrays}
 
+        n_val, n_tr = len(labels_by_split["val"]), len(ytr)
         if family == "qsvm":
-            states = {s: embed(config["encoding"], X, config["repetitions"])
-                      for s, (X, _) in arrays.items()}
-            gram = gram_matrix(states["train"])
+            states = _qsvm_states(bundle, k, config["encoding"],
+                                  config["repetitions"])
+            train = states[n_val:n_val + n_tr]
+            gram = gram_matrix(train)
             rows = {"train": gram,
-                    "val": cross_gram(states["val"], states["train"]),
-                    "test": cross_gram(states["test"], states["train"])}
+                    "val": cross_gram(states[:n_val], train),
+                    "test": cross_gram(states[n_val + n_tr:], train)}
             n_par, split_metrics, extra = _svm_eval(
                 gram, ytr, rows, labels_by_split, weights)
 
@@ -424,7 +456,6 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
                 seed=seed)
             encoded = _qnn_encoding(bundle, k, cfg.encoding_sequence,
                                     cfg.reupload)
-            n_val, n_tr = len(labels_by_split["val"]), len(ytr)
             growth = qnn.grow_layers(
                 cfg, weights, (encoded[n_val:n_val + n_tr], ytr),
                 (encoded[:n_val], labels_by_split["val"]),

@@ -1,13 +1,18 @@
 """Fidelity quantum kernel: k(x, y) = |<phi(y)|phi(x)>|^2.
 
-embed turns every sample into its statevector once on the batched
-simulator, running the concrete ops of circuit.feature_map;
+embed turns every sample into its statevector on the batched
+simulator, running the concrete ops of circuit.feature_map. A feature
+map of r repetitions is r copies of one block, so embed can also
+continue from the states of r - 1 repetitions and run one more block.
+An embedding acts on each row alone, so a caller embeds all of its
+splits stacked, once per repetition, and slices each split out.
 gram_matrix and cross_gram take squared inner products of embedded
-states, so a caller embeds each split once and builds every Gram from
-those states. The dense-unitary oracle for one entry is
+states. The dense-unitary oracle for one entry is
 reference.kernel_value.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,31 +21,44 @@ from .errors import UsageError
 from .statevec import apply_ops, zero_states
 
 
-def embed(kind: str, X: np.ndarray, repetitions: int = 1) -> np.ndarray:
+def embed(kind: str, X: np.ndarray, repetitions: int = 1,
+          start: np.ndarray | None = None) -> np.ndarray:
     """Statevectors phi(x) for every row of X under feature map `kind`,
     shape (len(X), 2**d) for d columns.
 
-    Runs the ops of circuit.feature_map on the batched simulator; it
-    does not go through circuit.run_batch, so perfbench's tracer counts
-    embeddings apart from QNN circuit runs."""
+    With `start`, the embedding of X under r repetitions, it returns the
+    embedding under r + `repetitions`, bit for bit as from |0...0>: the
+    ops run in the same order on a copy of `start`. Runs the ops of
+    circuit.feature_map on the batched simulator; it does not go
+    through circuit.run_batch, so perfbench's tracer counts embeddings
+    apart from QNN circuit runs."""
     X = np.asarray(X, dtype=np.float64)
     ops = feature_map(kind, X, repetitions)
-    amps = zero_states(X.shape[1], len(X))
+    amps = (zero_states(X.shape[1], len(X)) if start is None
+            else np.array(start, dtype=np.complex128))
     apply_ops(amps, X.shape[1], ops)
     return amps
+
+
+@lru_cache(maxsize=4)
+def _strict_lower(n: int) -> np.ndarray:
+    """Read-only (n, n) mask of the entries below the diagonal."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def gram_matrix(states: np.ndarray) -> np.ndarray:
     """Symmetric kernel matrix over embedded states (rows of embed).
 
-    Off-diagonal entries are computed once for i < j and mirrored; the
-    diagonal is exactly 1 by construction (unit-norm states), no
-    simulation needed.
+    Entries i < j are taken as computed and mirrored into j > i in
+    place; the diagonal is exactly 1 by construction (unit-norm
+    states), no simulation needed.
     """
-    overlaps = states @ states.conj().T
-    gram = np.abs(overlaps) ** 2
-    upper = np.triu(gram, k=1)
-    gram = upper + upper.T
+    # overlaps are freed before the mirror, whose copy of gram.T then
+    # reuses their memory instead of fresh pages
+    gram = np.abs(states @ states.conj().T) ** 2
+    np.copyto(gram, gram.T, where=_strict_lower(len(gram)))
     np.fill_diagonal(gram, 1.0)
     return gram
 

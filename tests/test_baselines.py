@@ -84,6 +84,50 @@ class TestLogistic:
         with pytest.raises(TrainingDivergedError):
             fit_logistic(X, y, class_weights=(1.0, 1.02))
 
+    @staticmethod
+    def stepwise_fit(X, y, class_weights):
+        """fit_logistic as a loss and a divergence check after every
+        step; (weights, bias, losses), or the divergence message."""
+        w, b = np.zeros(X.shape[1]), 0.0
+        sw = np.asarray(class_weights, dtype=np.float64)[y]
+        losses, rising = [], 0
+        for it in range(1000):
+            p = np.clip(0.5 * (1.0 + np.tanh(0.5 * (X @ w + b))),
+                        1e-12, 1.0 - 1e-12)
+            loss = float(np.mean(-sw * (y * np.log(p)
+                                        + (1 - y) * np.log(1 - p))))
+            if losses and loss > losses[-1]:
+                rising += 1
+                if rising >= 10:
+                    return (f"loss rose for 10 straight iterations "
+                            f"(iteration {it}, loss {loss:.6g}); lower the "
+                            f"learning rate")
+            else:
+                rising = 0
+            losses.append(loss)
+            residual = sw * (p - y)
+            w = w - 0.1 * (X.T @ residual) / len(y)
+            b = b - 0.1 * float(residual.sum()) / len(y)
+        return w, b, losses
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_blocked_losses_equal_a_check_after_every_step(self, k):
+        bundle = stratified_split(datasets.synthetic("diabetes"), 0)
+        X, y = bundle.features("train", k), bundle.labels("train")
+        w, b, losses = self.stepwise_fit(X, y, bundle.class_weights())
+        model = fit_logistic(X, y, bundle.class_weights())
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias == b
+        assert model.losses == losses
+
+    def test_divergence_names_the_stepwise_iteration_and_loss(self):
+        X = np.array([[10.0], [10.0]])
+        y = np.array([0, 1])
+        want = self.stepwise_fit(X, y, (1.0, 1.02))
+        with pytest.raises(TrainingDivergedError) as info:
+            fit_logistic(X, y, class_weights=(1.0, 1.02))
+        assert str(info.value) == want
+
     def test_rejects_bad_labels(self):
         X, _ = blobs(n=10)
         with pytest.raises(UsageError):

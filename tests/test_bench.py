@@ -165,6 +165,23 @@ class TestRecordStore:
             RecordStore(path)
         assert path.read_bytes() == before
 
+    def test_append_refuses_a_done_cell_before_writing(self, tmp_path):
+        # a repeat would stop the next load of the store
+        path = tmp_path / "s.jsonl"
+        store = RecordStore(path)
+        done = fake_record(k=2)
+        done.wall_clock = 0.5
+        store.append(done)
+        before = path.read_bytes(), (tmp_path / "s.jsonl.timings").read_bytes()
+        with pytest.raises(IngestionError, match="already done") as info:
+            store.append(done)
+        assert done.key() in str(info.value)
+        assert (path.read_bytes(),
+                (tmp_path / "s.jsonl.timings").read_bytes()) == before
+        assert len(store) == 1
+        store.append(fake_record(k=2, error="UsageError: no"))
+        assert len(RecordStore(path)) == 2
+
     def test_errored_records_may_repeat(self, tmp_path):
         # a cell that failed on two runs, then succeeded on a third
         path = tmp_path / "s.jsonl"
@@ -470,12 +487,16 @@ class TestRunCell:
 
 class TestCellInputs:
     def test_memoized_inputs_are_read_only(self, small_run):
-        # every cell of a (bundle, k) or of a QNN layout shares them
+        # every cell of a (bundle, k), a QSVM encoding or a QNN layout
+        # shares them
         bundle = stratified_split(small_run[0], 0)
         for X, y in bench._split_arrays(bundle, 2).values():
             for shared in (X, y):
                 with pytest.raises(ValueError, match="read-only"):
                     shared[0] = 0
+        for reps in (1, 2):
+            with pytest.raises(ValueError, match="read-only"):
+                bench._qsvm_states(bundle, 2, "zz_a", reps)[0] = 0
         encoded = bench._qnn_encoding(bundle, 2, ("X", "Z"), True)
         for payload in (encoded.product, *encoded.local,
                         encoded[3:].product):
@@ -497,8 +518,76 @@ class TestCellInputs:
                                   arrays["train"][0])
         wider = bench._split_arrays(first, 3)
         assert wider["train"][0].shape[1] == 3
+        states = bench._qsvm_states(first, 2, "z", 1)
+        assert bench._qsvm_states(twin, 2, "z", 1) is not states
+        assert bench._qsvm_states(first, 3, "z", 1).shape[1] == 8
+        assert not np.array_equal(bench._qsvm_states(first, 2, "zz_a", 1),
+                                  states)
         assert bench._qnn_encoding(first, 3, ("Y",), False).layout[0] == 3
         assert bench._qnn_encoding(first, 2, ("Y",), True).local
+
+    def test_a_grid_embeds_each_encoding_once_per_repetition(
+            self, small_run, tmp_path, monkeypatch):
+        # repetition r continues from the states of r - 1, and every
+        # embed covers the val, train and test rows at once
+        ds = small_run[0]
+        calls = []
+        real = bench.embed
+
+        def spy(kind, X, repetitions=1, start=None):
+            calls.append((kind, len(X), repetitions, start is None))
+            return real(kind, X, repetitions, start)
+
+        monkeypatch.setattr(bench, "embed", spy)
+        new = bench.run_grid("prostate", ds,
+                             RecordStore(tmp_path / "q.jsonl"), RunSettings(),
+                             families=("qsvm",), feature_range=(2, 3))
+        assert [r.error for r in new] == [None] * 25
+        rows = len(ds.labels)
+        want = [(kind, rows, 1, reps == 1) for k in (2, 3)
+                for kind in ("angle", "z", "zz_a", "zz_b")
+                for reps in (1, 2, 3)]
+        assert calls == want
+
+    def test_qsvm_cells_match_per_split_embeds(self):
+        # the record equals one built from a fresh embed per split, as
+        # cells were run before the stacked memo
+        bundle = stratified_split(datasets.synthetic("heart_failure"), 0)
+        config = {"encoding": "zz_b", "repetitions": 3}
+        rec = bench.run_cell("heart_failure", bundle, "qsvm", config, 4, 0,
+                             RunSettings())
+        states = {s: qkernel.embed("zz_b", bundle.features(s, 4), 3)
+                  for s in bundle.SPLITS}
+        gram = qkernel.gram_matrix(states["train"])
+        ytr = bundle.labels("train")
+        model = svm.solve_dual(svm.SvmProblem(
+            gram, np.where(ytr == 1, 1, -1), bench.SVM_C,
+            bundle.class_weights()))
+        for split, X in states.items():
+            rows = (gram if split == "train" else
+                    qkernel.cross_gram(X, states["train"]))
+            pred = (svm.predict(model, rows) > 0).astype(int)
+            assert getattr(rec, split) == evaluate(bundle.labels(split), pred)
+        assert rec.extra == {"converged": bool(model.converged),
+                             "sweeps": int(model.sweeps)}
+
+    @pytest.mark.parametrize("kept", [1, 2, 3, 5, 9])
+    def test_qsvm_store_resumed_mid_encoding_is_byte_identical(
+            self, small_run, tmp_path, kept):
+        # a resumed grid starts an encoding at a repetition above 1, so
+        # the memo builds the repetitions below it first
+        ds = small_run[0]
+        full = tmp_path / "full.jsonl"
+        bench.run_grid("prostate", ds, RecordStore(full), RunSettings(),
+                       families=("qsvm",), feature_range=(2, 2))
+        lines = full.read_bytes().splitlines(keepends=True)
+        part = tmp_path / "part.jsonl"
+        part.write_bytes(b"".join(lines[:1 + kept]))     # pca + kept cells
+        new = bench.run_grid("prostate", ds, RecordStore(part),
+                             RunSettings(), families=("qsvm",),
+                             feature_range=(2, 2))
+        assert len(new) == 12 - kept
+        assert part.read_bytes() == full.read_bytes()
 
     def test_qnn_cell_matches_per_split_passes(self):
         # the record equals one built with a fresh encode and a forward

@@ -71,6 +71,20 @@ class TestGram:
             assert gram.min() >= 0.0 and gram.max() <= 1.0 + 1e-12
             assert np.linalg.eigvalsh(gram)[0] >= -1e-8
 
+    def test_in_place_mirror_equals_the_triu_formula(self):
+        # the mirror as it was: upper triangle plus its transpose, where
+        # u + 0.0 == u keeps every entry
+        rng = np.random.default_rng(37)
+        for n in (1, 2, 5, 12, 33):
+            for enc in ALL_ENCODINGS:
+                states = embed_rows(enc, rng.uniform(-1, 1, (n, 3)))
+                gram = np.abs(states @ states.conj().T) ** 2
+                upper = np.triu(gram, k=1)
+                want = upper + upper.T
+                np.fill_diagonal(want, 1.0)
+                got = gram_matrix(states)
+                assert got.tobytes() == want.tobytes(), (n, enc)
+
     def test_cross_gram_consistent_with_gram(self):
         rng = np.random.default_rng(36)
         X = rng.uniform(-1, 1, (6, 2))
@@ -82,3 +96,34 @@ class TestGram:
         with pytest.raises(UsageError):
             cross_gram(embed("angle", np.zeros((2, 3))),
                        embed("angle", np.zeros((2, 2))))
+
+
+class TestStackedEmbedding:
+    # A grid embeds the val, train and test rows of a k stacked, and
+    # builds repetition r from the states of r - 1 with one more block.
+    # Each split's slice must equal a fresh embed of that split alone,
+    # bit for bit: it assumes np.cos / np.sin and the gate arithmetic
+    # give a row the same bits whatever the batch length.
+    @pytest.mark.parametrize("sizes", [(4, 16, 8), (5, 13, 7), (47, 180, 1)],
+                             ids=["on-4", "off-4", "heart-failure"])
+    def test_extended_stack_equals_fresh_per_split_embeds(self, sizes):
+        rng = np.random.default_rng(38)
+        for kind in ("angle", "z", "zz_a", "zz_b"):
+            for n in range(2, 7):
+                parts = [rng.uniform(-1, 1, (m, n)) for m in sizes]
+                cuts = np.cumsum(sizes)[:-1]
+                states = None
+                for reps in (1, 2, 3):
+                    states = embed(kind, np.concatenate(parts), 1, states)
+                    states.flags.writeable = False
+                    for X, got in zip(parts, np.split(states, cuts)):
+                        want = embed(kind, X, reps)
+                        assert got.tobytes() == want.tobytes(), (kind, n,
+                                                                  reps)
+
+    def test_start_states_are_left_as_they_are(self):
+        X = np.random.default_rng(39).uniform(-1, 1, (6, 3))
+        start = embed("zz_b", X)
+        before = start.copy()
+        embed("zz_b", X, 2, start)
+        np.testing.assert_array_equal(start, before)
