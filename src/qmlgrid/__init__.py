@@ -8,4 +8,3 @@ __version__ = "0.1.0"
 
 from .metrics import Metrics, evaluate  # noqa: F401
 from .pipeline import Dataset, stratified_split  # noqa: F401
-from .statevec import Gate  # noqa: F401

@@ -329,53 +329,40 @@ CELL_ERRORS = (ConfigurationError, UsageError, IngestionError,
                TrainingDivergedError, np.linalg.LinAlgError)
 
 
-# A grid runs every cell of one k in a row, the QSVM grid runs the
-# repetitions of one encoding in a row, and the QNN grid puts the
+# A grid runs every cell of one k in a row, and the QNN grid puts the
 # ansaetze of one encoding layout side by side, so each memo holds one
 # entry. Its keys hold the bundle itself (hashed by identity), so a
 # freed bundle's id can never hit, and its arrays are read-only, as
 # every cell of the key shares them.
 
+# the order of the splits in a stack; a split of it is a slice
+STACK = ("val", "train", "test")
+
+
 @lru_cache(maxsize=1)
-def _split_arrays(bundle: SplitBundle, k: int) -> dict:
-    """split -> (features at k, labels), shared by a (bundle, k)'s cells."""
+def _split_arrays(bundle: SplitBundle, k: int) -> tuple:
+    """(split -> (features at k, labels), the features of STACK's splits
+    stacked in that order), shared by a (bundle, k)'s cells."""
     arrays = {}
     for split in SplitBundle.SPLITS:
         X, y = bundle.features(split, k), bundle.labels(split)
         X.flags.writeable = y.flags.writeable = False
         arrays[split] = (X, y)
-    return arrays
+    stacked = np.concatenate([arrays[s][0] for s in STACK])
+    stacked.flags.writeable = False
+    return arrays, stacked
 
 
 @lru_cache(maxsize=1)
 def _qnn_encoding(bundle: SplitBundle, k: int, sequence: tuple,
                   reupload: bool):
-    """One fusion.encode of the val, train and test rows at k, stacked in
-    that order, for the QNNs of this width, encoding sequence and
-    re-upload setting. A split is a slice of it, equal bit for bit to an
-    encode of that split alone, as encoding is elementwise per row; train
-    and test sit side by side, so one pass predicts both."""
-    arrays = _split_arrays(bundle, k)
-    return encode(qnn.QnnConfig(k, sequence, reupload), np.concatenate(
-        [arrays[s][0] for s in ("val", "train", "test")]))
-
-
-@lru_cache(maxsize=1)
-def _qsvm_states(bundle: SplitBundle, k: int, encoding: str,
-                 repetitions: int) -> np.ndarray:
-    """qkernel.embed of the val, train and test rows at k, stacked in
-    that order, under this encoding and repetition count. Repetition r
-    continues from the states of r - 1 with one more block, and the
-    grid runs 1, 2, 3 in a row, so each is one embed and a memo hit. A
-    split is a slice, equal bit for bit to an embed of that split alone,
-    as embedding acts on each row alone."""
-    arrays = _split_arrays(bundle, k)
-    X = np.concatenate([arrays[s][0] for s in ("val", "train", "test")])
-    start = (None if repetitions == 1 else
-             _qsvm_states(bundle, k, encoding, repetitions - 1))
-    states = embed(encoding, X, 1, start)
-    states.flags.writeable = False
-    return states
+    """One fusion.encode of the stacked splits at k, for the QNNs of this
+    width, encoding sequence and re-upload setting. A split is a slice
+    of it, equal bit for bit to an encode of that split alone, as
+    encoding is elementwise per row; train and test sit side by side, so
+    one pass predicts both."""
+    return encode(qnn.QnnConfig(k, sequence, reupload),
+                  _split_arrays(bundle, k)[1])
 
 
 def _svm_eval(gram, ytr, rows_by_split, labels_by_split, weights):
@@ -393,26 +380,25 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
              config: dict, k: int, seed: int,
              settings: RunSettings) -> ExperimentRecord:
     """The record of one grid cell; a failure in CELL_ERRORS becomes its
-    error. The split features at k, a QSVM's embedding of them and a
-    QNN's encoding of them come from memos of the last (bundle, k), the
-    last QSVM (encoding, repetitions) and the last QNN layout, so the
-    cells of one grid compute each once; a cell takes every split as a
-    slice of the val, train, test stack. A QNN cell reads its val
-    predictions off the training report and runs one pass over its
-    train and test rows."""
+    error. The split features at k and a QNN's encoding of them come
+    from memos of the last (bundle, k) and the last QNN layout, so the
+    cells of one grid compute each once. A QSVM cell embeds the stacked
+    splits in one qkernel.embed, and a cell takes every split as a slice
+    of the STACK. A QNN cell reads its val predictions off the training
+    report and runs one pass over its train and test rows."""
     record = ExperimentRecord(dataset_key, family, k, config,
                               bundle.seed, seed)
     started = time.perf_counter()
     try:
-        arrays = _split_arrays(bundle, k)
+        arrays, stacked = _split_arrays(bundle, k)
         (Xtr, ytr) = arrays["train"]
         weights = bundle.class_weights()
         labels_by_split = {s: arrays[s][1] for s in arrays}
 
         n_val, n_tr = len(labels_by_split["val"]), len(ytr)
         if family == "qsvm":
-            states = _qsvm_states(bundle, k, config["encoding"],
-                                  config["repetitions"])
+            states = embed(config["encoding"], stacked,
+                           config["repetitions"])
             train = states[n_val:n_val + n_tr]
             gram = gram_matrix(train)
             rows = {"train": gram,
@@ -516,6 +502,9 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
     if not 1 <= lo <= hi <= dataset.n_features:
         raise UsageError(f"bad feature range {feature_range} for "
                          f"{dataset.n_features} features")
+    if lo < 2 and {"qnn", "qsvm"} & set(families):
+        raise UsageError(f"QNN and QSVM cells take at least 2 features, got "
+                         f"feature range {feature_range}")
     if "qnn" in families and hi > FUSE_MAX_QUBITS:
         raise UsageError(f"QNN cells take at most {FUSE_MAX_QUBITS} "
                          f"features, got feature range {feature_range}")

@@ -127,6 +127,19 @@ def _kron(u: np.ndarray) -> np.ndarray:
         hi.shape[:-2] + (size, size))
 
 
+def _local_payload(chains: np.ndarray) -> tuple:
+    """The read-only "local" payload of per-qubit 2x2s (..., n, 2, 2):
+    their Kronecker product, or above LOCAL_DENSE_QUBITS qubits the
+    products over the high and the low half."""
+    n = chains.shape[-3]
+    groups = ((chains[..., n // 2:, :, :], chains[..., :n // 2, :, :])
+              if n > LOCAL_DENSE_QUBITS else (chains,))
+    payload = tuple(map(_kron, groups))
+    for factor in payload:
+        factor.flags.writeable = False
+    return payload
+
+
 @dataclass(frozen=True)
 class Encoding:
     """The encoding payloads of every row of a feature matrix, for QNNs
@@ -164,15 +177,9 @@ def encode(config, X: np.ndarray) -> Encoding:
     layout = _encoding_layout(config)
     chains = _chain_products(_rotation_factors(layout[1],
                                                math.pi * X[:, :, None]))
-    local = ()
-    if config.reupload:
-        split = n // 2 if n > LOCAL_DENSE_QUBITS else 0
-        groups = ((chains[:, split:], chains[:, :split]) if split
-                  else (chains,))
-        local = tuple(map(_kron, groups))
+    local = _local_payload(chains) if config.reupload else ()
     encoded = Encoding(layout, chains[..., 0], local)
-    for payload in (encoded.product, *local):
-        payload.flags.writeable = False
+    encoded.product.flags.writeable = False
     return encoded
 
 

@@ -1,13 +1,11 @@
 """Fidelity quantum kernel: k(x, y) = |<phi(y)|phi(x)>|^2.
 
 embed turns every sample into its statevector on the batched
-simulator, running the concrete ops of circuit.feature_map. A feature
-map of r repetitions is r copies of one block, so embed can also
-continue from the states of r - 1 repetitions and run one more block.
-An embedding acts on each row alone, so a caller embeds all of its
-splits stacked, once per repetition, and slices each split out.
-gram_matrix and cross_gram take squared inner products of embedded
-states. The dense-unitary oracle for one entry is
+simulator, running the whole-register ops of circuit.feature_map. Those
+ops act on each row alone and give it the same bits whatever the batch,
+so a caller embeds all of its splits stacked, once, and slices each
+split out. gram_matrix and cross_gram take squared inner products of
+embedded states. The dense-unitary oracle for one entry is
 reference.kernel_value.
 """
 from __future__ import annotations
@@ -21,21 +19,16 @@ from .errors import UsageError
 from .statevec import apply_ops, zero_states
 
 
-def embed(kind: str, X: np.ndarray, repetitions: int = 1,
-          start: np.ndarray | None = None) -> np.ndarray:
+def embed(kind: str, X: np.ndarray, repetitions: int = 1) -> np.ndarray:
     """Statevectors phi(x) for every row of X under feature map `kind`,
     shape (len(X), 2**d) for d columns.
 
-    With `start`, the embedding of X under r repetitions, it returns the
-    embedding under r + `repetitions`, bit for bit as from |0...0>: the
-    ops run in the same order on a copy of `start`. Runs the ops of
-    circuit.feature_map on the batched simulator; it does not go
-    through circuit.run_batch, so perfbench's tracer counts embeddings
-    apart from QNN circuit runs."""
+    Runs the ops of circuit.feature_map on the batched simulator; it
+    does not go through circuit.run_batch, so perfbench's tracer counts
+    embeddings apart from QNN circuit runs."""
     X = np.asarray(X, dtype=np.float64)
     ops = feature_map(kind, X, repetitions)
-    amps = (zero_states(X.shape[1], len(X)) if start is None
-            else np.array(start, dtype=np.complex128))
+    amps = zero_states(X.shape[1], len(X))
     apply_ops(amps, X.shape[1], ops)
     return amps
 

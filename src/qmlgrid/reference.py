@@ -1,33 +1,35 @@
 """Slow, independent reference routes used only for cross-checking.
 
-Nothing here shares code with the modules it checks, except the kernel
-oracle, which reads the ops of circuit.feature_map at one sample, and
-qnn_gates, which reads each ansatz's rotations from the table
-fusion.ANSATZ_ROTATIONS:
-circuits become dense unitaries via Kronecker products and matrix
-multiplication, kernel entries and QNN losses are computed from those
-unitaries and probabilities one sample at a time, qnn_gates writes a
-QNN out gate by gate from its config (never through fusion), gradients
-come from central finite differences or from parameter shifts of a
+Nothing here shares code with the modules it checks, except that
+kernel_gates reads each kernel feature map's gate and pair shift (not
+its phase offset) from circuit.FEATURE_MAPS, and qnn_gates each
+ansatz's rotations from fusion.ANSATZ_ROTATIONS:
+kernel_gates and qnn_gates write a kernel embedding and a QNN out gate
+by gate (never through whole-register ops), apply_gates simulates gates
+one by one, circuits become dense unitaries via Kronecker products and
+matrix multiplication, kernel entries and QNN losses are computed from
+those unitaries and probabilities one sample at a time, gradients come
+from central finite differences or from parameter shifts of a
 gate-by-gate forward pass (never fusion or the adjoint sweep), the SVM
 dual is solved by projected gradient ascent and by a
 maximal-violating-pair loop that rebuilds its working sets every step
 (sharing only the final bias rule with `svm`), and CART trees grow node
 by node by recursion.
-Deliberately brute force; do not optimize,
-except by early exits that leave every output bit-identical.
+Deliberately brute force; do not optimize, except by early exits and
+caches of fixed matrices that leave every output bit-identical.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .circuit import feature_map
+from .circuit import FEATURE_MAPS
 from .errors import UsageError
 from .fusion import ANSATZ_ROTATIONS
-from .statevec import apply_ops, expectation_z_batch, zero_states
+from .statevec import expectation_z_batch, zero_states
 from .svm import SvmModel, _final_bias
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -79,11 +81,33 @@ def gate_unitary(n_qubits: int, kind: str, targets, angle=None) -> np.ndarray:
 
 def circuit_unitary(n_qubits: int, gates) -> np.ndarray:
     """Product of per-gate unitaries; gates is a sequence of
-    (kind, targets, angle) triples, such as statevec.Gate."""
+    (kind, targets, angle) triples with scalar or None angles."""
     u = np.eye(1 << n_qubits, dtype=np.complex128)
     for kind, targets, angle in gates:
         u = gate_unitary(n_qubits, kind, tuple(targets), angle) @ u
     return u
+
+
+# gate_unitary of a two-qubit gate, built once per (n, kind, targets):
+# the shift-rule passes would otherwise spend most of their time on it
+_two_qubit_unitary = lru_cache(maxsize=None)(gate_unitary)
+
+
+def apply_gates(amps: np.ndarray, n_qubits: int, gates) -> None:
+    """Run (kind, targets, angle) gates one by one, in place, on a
+    (batch, 2**n_qubits) buffer; an angle is None, a float, or a
+    (batch,) array with one 2x2 matrix per sample."""
+    for kind, targets, angle in gates:
+        if kind in ("cnot", "cz"):
+            amps[:] = amps @ _two_qubit_unitary(n_qubits, kind,
+                                                tuple(targets)).T
+            continue
+        mats = (np.array([single_qubit_matrix(kind, a) for a in angle])
+                if np.ndim(angle) else single_qubit_matrix(kind, angle)[None])
+        q = targets[0]
+        view = amps.reshape(len(amps), 1 << (n_qubits - q - 1), 2, 1 << q)
+        view[:] = np.einsum("bij,bhjl->bhil",
+                            np.broadcast_to(mats, (len(amps), 2, 2)), view)
 
 
 def qnn_gates(config, X, theta) -> list:
@@ -116,18 +140,39 @@ def qnn_gates(config, X, theta) -> list:
     return gates
 
 
+def kernel_gates(kind: str, X, repetitions: int = 1) -> list:
+    """A kernel feature map as concrete (kind, targets, angle) gates:
+    "angle" is RY(pi * x_i) on qubit i; a circuit.FEATURE_MAPS kind with
+    gate G and pair shift s is H on every qubit, then G(2 * x_i) on
+    qubit i, then, unless s is None, CNOT / G(2 * (s - x_i) * (s - x_j))
+    / CNOT on every adjacent pair (i, j = i + 1). The block repeats
+    `repetitions` times. X is one feature vector (scalar angles) or a
+    matrix (an angle row per gate)."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[-1]
+    if kind == "angle":
+        return [("ry", (q,), math.pi * X[..., q])
+                for q in range(n)] * repetitions
+    gate, shift, _ = FEATURE_MAPS[kind]
+    block = [("h", (q,), None) for q in range(n)]
+    block += [(gate, (q,), 2.0 * X[..., q]) for q in range(n)]
+    for q in range(n - 1 if shift is not None else 0):
+        angle = 2.0 * ((shift - X[..., q]) * (shift - X[..., q + 1]))
+        block += [("cnot", (q, q + 1), None), (gate, (q + 1,), angle),
+                  ("cnot", (q, q + 1), None)]
+    return block * repetitions
+
+
 def kernel_value(kind: str, repetitions: int, x, y) -> float:
     """Fidelity |<0| U(y)^dagger U(x) |0>|^2 of a kernel feature map,
-    from its dense unitaries at x and at y."""
+    from the dense unitaries of its kernel_gates at x and at y."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise UsageError(f"feature vectors must match, got {x.shape} / {y.shape}")
 
     def unitary(v):
-        ops = feature_map(kind, v[None], repetitions)
-        return circuit_unitary(len(v), [
-            (k, t, None if a is None else float(a[0])) for k, t, a in ops])
+        return circuit_unitary(len(v), kernel_gates(kind, v, repetitions))
 
     return float(np.abs((unitary(y).conj().T @ unitary(x))[0, 0]) ** 2)
 
@@ -143,13 +188,13 @@ def weighted_cross_entropy(probs, label: int, class_weights) -> float:
 
 def gate_by_gate_expectations(config, X, theta) -> np.ndarray:
     """(<Z_0>, <Z_1>) per row of X, shape (len(X), 2): the gates of
-    qnn_gates run one by one through statevec.apply_ops. Criterion 1
-    checks that per-gate route against dense unitaries; dense unitaries
-    here would make the 2P + 1 passes of shift_rule_gradient too slow
-    for the property suite."""
+    qnn_gates run one by one through apply_gates. Criterion 1 checks
+    apply_gates against dense unitaries; dense unitaries here would make
+    the 2P + 1 passes of shift_rule_gradient too slow for the property
+    suite."""
     n = config.n_features
     amps = zero_states(n, len(X))
-    apply_ops(amps, n, qnn_gates(config, X, theta))
+    apply_gates(amps, n, qnn_gates(config, X, theta))
     return np.stack([expectation_z_batch(amps, n, q) for q in (0, 1)],
                     axis=1)
 

@@ -21,7 +21,7 @@ from .circuit import FEATURE_MAPS, run_batch
 from .fusion import ANSATZ_ROTATIONS, encode
 from .pipeline import pca_fit, standardize_apply, standardize_fit
 from .qkernel import embed, gram_matrix
-from .statevec import Gate, apply_ops, zero_states
+from .statevec import zero_states
 
 PCA_TARGETS = {"heart_failure": (5, 0.90), "diabetes": (6, 0.90),
                "prostate": (6, 0.99)}
@@ -36,7 +36,8 @@ class CheckResult:
 
 
 def random_gates(rng, n_qubits, depth) -> list:
-    """depth random gates on n_qubits; rotations get angles in +-2 pi."""
+    """depth random (kind, targets, angle) gates on n_qubits; rotations
+    get angles in +-2 pi, other gates None."""
     kinds = ["h", "rx", "ry", "rz", "phase"]
     if n_qubits >= 2:
         kinds += ["cnot", "cz"]
@@ -45,30 +46,33 @@ def random_gates(rng, n_qubits, depth) -> list:
         kind = kinds[rng.integers(len(kinds))]
         if kind in ("cnot", "cz"):
             a, b = rng.choice(n_qubits, size=2, replace=False)
-            gates.append(Gate(kind, (int(a), int(b))))
+            gates.append((kind, (int(a), int(b)), None))
         elif kind == "h":
-            gates.append(Gate(kind, (int(rng.integers(n_qubits)),)))
+            gates.append((kind, (int(rng.integers(n_qubits)),), None))
         else:
             # angle before target: this draw order fixes the seeded
             # instances of acceptance criterion 1
             angle = float(rng.uniform(-2 * np.pi, 2 * np.pi))
-            gates.append(Gate(kind, (int(rng.integers(n_qubits)),), angle))
+            gates.append((kind, (int(rng.integers(n_qubits)),), angle))
     return gates
 
 
 def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
-    """Random circuits (n <= 4, depth <= 50) on a batch of one vs the
-    dense Kronecker unitary, gate by gate; then every QNN shape, again on
-    a batch of one, as the fused blocks its model runs vs the dense
-    unitary of reference.qnn_gates. All 1e-10 elementwise."""
+    """Random circuits (n <= 4, depth <= 50) run by reference.apply_gates
+    on a batch of one vs the dense Kronecker unitary; then every QNN
+    shape, again on a batch of one, as the fused blocks its model runs
+    vs the dense unitary of reference.qnn_gates; then every kernel
+    feature map (n 2..6, repetitions 1..3) as the ops qkernel.embed runs
+    vs the dense unitary of reference.kernel_gates. All 1e-10
+    elementwise."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst = fused_worst = 0.0
+    worst = fused_worst = kernel_worst = 0.0
     for _ in range(n_circuits):
         n = int(rng.integers(1, 5))
         gates = random_gates(rng, n, int(rng.integers(1, 51)))
         amps = zero_states(n, 1)
-        apply_ops(amps, n, gates)
+        reference.apply_gates(amps, n, gates)
         want = reference.circuit_unitary(n, gates)[:, 0]
         worst = max(worst, float(np.max(np.abs(amps[0] - want))))
     shapes = list(itertools.product(
@@ -84,10 +88,20 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
         gates = reference.qnn_gates(model.config, x, model.parameters)
         want = reference.circuit_unitary(n, gates)[:, 0]
         fused_worst = max(fused_worst, float(np.max(np.abs(got - want))))
+    maps = list(itertools.product(("angle", *FEATURE_MAPS), range(2, 7),
+                                  range(1, 4)))
+    for kind, n, reps in maps:
+        x = rng.uniform(-1, 1, size=n)
+        got = embed(kind, x[None], reps)[0]
+        want = reference.circuit_unitary(
+            n, reference.kernel_gates(kind, x, reps))[:, 0]
+        kernel_worst = max(kernel_worst, float(np.max(np.abs(got - want))))
     return CheckResult(
-        "simulator", max(worst, fused_worst) <= 1e-10,
-        f"{n_circuits} circuits (n<=4, depth<=50), max |amp error| "
-        f"{worst:.2e}, tol 1e-10; fused {fused_worst:.2e} over {len(shapes)} QNN shapes (n 2..6, L 1..3)",
+        "simulator", max(worst, fused_worst, kernel_worst) <= 1e-10,
+        f"{n_circuits} gate-by-gate circuits (n<=4, depth<=50), max |amp "
+        f"error| {worst:.2e}, tol 1e-10; fused {fused_worst:.2e} over "
+        f"{len(shapes)} QNN shapes (n 2..6, L 1..3); kernel "
+        f"{kernel_worst:.2e} over {len(maps)} feature maps (n 2..6, r 1..3)",
         time.perf_counter() - started)
 
 

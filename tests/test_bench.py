@@ -418,6 +418,26 @@ class TestRunGrid:
                            RecordStore(tmp_path / "x.jsonl"), settings,
                            families=("qsvm", "quantum_forest"))
 
+    @pytest.mark.parametrize("families", [("qsvm",), ("qnn",),
+                                          ("qsvm", "qnn", "classical")])
+    def test_quantum_range_below_two_refused_before_appending(
+            self, small_run, tmp_path, families):
+        # a one-qubit QNN and a one-qubit ZZ map fail in every cell, and
+        # each rerun would retry them all
+        ds, _, _, settings, _ = small_run
+        path = tmp_path / "one.jsonl"
+        with pytest.raises(UsageError, match="at least 2 features"):
+            bench.run_grid("prostate", ds, RecordStore(path), settings,
+                           families=families, feature_range=(1, 2))
+        assert not path.exists()
+
+    def test_classical_range_may_start_at_one(self, small_run, tmp_path):
+        ds, _, _, settings, _ = small_run
+        new = bench.run_grid("prostate", ds,
+                             RecordStore(tmp_path / "c.jsonl"), settings,
+                             families=("classical",), feature_range=(1, 1))
+        assert len(new) == 8 and all(r.error is None for r in new)
+
     def test_bad_feature_range_rejected(self, small_run, tmp_path):
         ds, _, _, settings, _ = small_run
         with pytest.raises(Exception, match="feature range"):
@@ -490,13 +510,10 @@ class TestCellInputs:
         # every cell of a (bundle, k), a QSVM encoding or a QNN layout
         # shares them
         bundle = stratified_split(small_run[0], 0)
-        for X, y in bench._split_arrays(bundle, 2).values():
-            for shared in (X, y):
-                with pytest.raises(ValueError, match="read-only"):
-                    shared[0] = 0
-        for reps in (1, 2):
+        arrays, stacked = bench._split_arrays(bundle, 2)
+        for shared in (stacked, *(a for X_y in arrays.values() for a in X_y)):
             with pytest.raises(ValueError, match="read-only"):
-                bench._qsvm_states(bundle, 2, "zz_a", reps)[0] = 0
+                shared[0] = 0
         encoded = bench._qnn_encoding(bundle, 2, ("X", "Z"), True)
         for payload in (encoded.product, *encoded.local,
                         encoded[3:].product):
@@ -506,48 +523,47 @@ class TestCellInputs:
     def test_memos_never_serve_another_bundle_or_k(self, small_run):
         ds = small_run[0]
         first = stratified_split(ds, 0)
-        arrays = bench._split_arrays(first, 2)
+        arrays, stacked = bench._split_arrays(first, 2)
         encoded = bench._qnn_encoding(first, 2, ("Y",), False)
         # the same split, so equal values, but not the same arrays
         twin = stratified_split(ds, 0)
-        assert bench._split_arrays(twin, 2)["train"][0] is not arrays[
+        assert bench._split_arrays(twin, 2)[0]["train"][0] is not arrays[
             "train"][0]
+        assert bench._split_arrays(twin, 2)[1] is not stacked
         assert bench._qnn_encoding(twin, 2, ("Y",), False) is not encoded
         other = stratified_split(ds, 1)
-        assert not np.array_equal(bench._split_arrays(other, 2)["train"][0],
+        assert not np.array_equal(bench._split_arrays(other, 2)[0]["train"][0],
                                   arrays["train"][0])
-        wider = bench._split_arrays(first, 3)
-        assert wider["train"][0].shape[1] == 3
-        states = bench._qsvm_states(first, 2, "z", 1)
-        assert bench._qsvm_states(twin, 2, "z", 1) is not states
-        assert bench._qsvm_states(first, 3, "z", 1).shape[1] == 8
-        assert not np.array_equal(bench._qsvm_states(first, 2, "zz_a", 1),
-                                  states)
+        wider_arrays, wider = bench._split_arrays(first, 3)
+        assert wider_arrays["train"][0].shape[1] == 3
+        assert wider.shape == (len(ds.labels), 3)
         assert bench._qnn_encoding(first, 3, ("Y",), False).layout[0] == 3
         assert bench._qnn_encoding(first, 2, ("Y",), True).local
 
-    def test_a_grid_embeds_each_encoding_once_per_repetition(
+    def test_a_qsvm_cell_embeds_the_stacked_splits_once(
             self, small_run, tmp_path, monkeypatch):
-        # repetition r continues from the states of r - 1, and every
-        # embed covers the val, train and test rows at once
+        # one embed per cell, over the val, train and test rows at once,
+        # in that order
         ds = small_run[0]
         calls = []
         real = bench.embed
 
-        def spy(kind, X, repetitions=1, start=None):
-            calls.append((kind, len(X), repetitions, start is None))
-            return real(kind, X, repetitions, start)
+        def spy(kind, X, repetitions=1):
+            calls.append((kind, X, repetitions))
+            return real(kind, X, repetitions)
 
         monkeypatch.setattr(bench, "embed", spy)
         new = bench.run_grid("prostate", ds,
                              RecordStore(tmp_path / "q.jsonl"), RunSettings(),
                              families=("qsvm",), feature_range=(2, 3))
         assert [r.error for r in new] == [None] * 25
-        rows = len(ds.labels)
-        want = [(kind, rows, 1, reps == 1) for k in (2, 3)
-                for kind in ("angle", "z", "zz_a", "zz_b")
-                for reps in (1, 2, 3)]
-        assert calls == want
+        assert [(kind, reps) for kind, _, reps in calls] == [
+            (c["encoding"], c["repetitions"]) for _ in (2, 3)
+            for c in bench.qsvm_grid()]
+        bundle = stratified_split(ds, 0)
+        for (_, X, _), k in zip(calls, [2] * 12 + [3] * 12):
+            np.testing.assert_array_equal(X, np.concatenate(
+                [bundle.features(s, k) for s in ("val", "train", "test")]))
 
     def test_qsvm_cells_match_per_split_embeds(self):
         # the record equals one built from a fresh embed per split, as
@@ -574,8 +590,7 @@ class TestCellInputs:
     @pytest.mark.parametrize("kept", [1, 2, 3, 5, 9])
     def test_qsvm_store_resumed_mid_encoding_is_byte_identical(
             self, small_run, tmp_path, kept):
-        # a resumed grid starts an encoding at a repetition above 1, so
-        # the memo builds the repetitions below it first
+        # a resumed grid starts an encoding at a repetition above 1
         ds = small_run[0]
         full = tmp_path / "full.jsonl"
         bench.run_grid("prostate", ds, RecordStore(full), RunSettings(),

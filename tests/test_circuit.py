@@ -9,7 +9,8 @@ from qmlgrid.errors import ConfigurationError, UsageError
 from qmlgrid.fusion import ANSATZ_ROTATIONS, _ring_perm, encode, resolve_fused
 from qmlgrid.qkernel import embed
 from qmlgrid.qnn import QnnConfig
-from qmlgrid.statevec import apply_ops, zero_states
+from qmlgrid.reference import apply_gates, kernel_gates
+from qmlgrid.statevec import zero_states
 
 # a fixed two-row feature matrix for the exact op lists
 X2 = np.array([[0.3, -0.8], [0.5, 0.1]])
@@ -88,7 +89,7 @@ class TestEncodings:
 
     def test_z_feature_map_structure(self):
         X = np.random.default_rng(20).uniform(-1, 1, (4, 3))
-        ops = feature_map("z", X, repetitions=2)
+        ops = kernel_gates("z", X, repetitions=2)
         assert data_bound_count(ops) == 6
         for kind, (q,), angle in ops:
             if kind == "rz":
@@ -101,18 +102,18 @@ class TestEncodings:
         assert abs(np.abs(s[0]) ** 2 - 0.25) < 1e-12
 
     def test_zz_variant_a_cnot_count(self):
-        assert cnot_count(feature_map("zz_a", np.zeros((1, 2)))) == 2
-        assert cnot_count(feature_map("zz_a", np.zeros((1, 4)))) == 6
-        assert cnot_count(feature_map("zz_a", np.zeros((1, 4)),
-                                      repetitions=3)) == 18
+        assert cnot_count(kernel_gates("zz_a", np.zeros((1, 2)))) == 2
+        assert cnot_count(kernel_gates("zz_a", np.zeros((1, 4)))) == 6
+        assert cnot_count(kernel_gates("zz_a", np.zeros((1, 4)),
+                                       repetitions=3)) == 18
 
     def test_zz_variant_b_cnot_count(self):
-        assert cnot_count(feature_map("zz_b", np.zeros((1, 3)))) == 4
-        assert cnot_count(feature_map("zz_b", np.zeros((1, 3)),
-                                      repetitions=2)) == 8
+        assert cnot_count(kernel_gates("zz_b", np.zeros((1, 3)))) == 4
+        assert cnot_count(kernel_gates("zz_b", np.zeros((1, 3)),
+                                       repetitions=2)) == 8
 
     def test_zz_variant_b_pair_angle_uses_shifted_product(self):
-        ops = feature_map("zz_b", np.array([[0.3, -0.8]]))
+        ops = kernel_gates("zz_b", np.array([[0.3, -0.8]]))
         pair_ops = [op for prev, op in zip(ops, ops[1:])
                     if prev[0] == "cnot" and op[0] != "cnot"]
         assert len(pair_ops) == 1
@@ -125,15 +126,16 @@ class TestEncodings:
 
 
 class TestExactOps:
-    """Each table row written out gate by gate at a fixed X."""
+    """Each table row written out gate by gate at a fixed X, by
+    reference.kernel_gates and reference.qnn_gates."""
 
     def test_z_map_two_repetitions(self):
         block = [("h", (0,), None), ("h", (1,), None),
                  ("rz", (0,), 2.0 * X2[:, 0]), ("rz", (1,), 2.0 * X2[:, 1])]
-        assert_same_ops(feature_map("z", X2, 2), block * 2)
+        assert_same_ops(kernel_gates("z", X2, 2), block * 2)
 
     def test_zz_a_map(self):
-        assert_same_ops(feature_map("zz_a", X2), [
+        assert_same_ops(kernel_gates("zz_a", X2), [
             ("h", (0,), None), ("h", (1,), None),
             ("rz", (0,), 2.0 * X2[:, 0]), ("rz", (1,), 2.0 * X2[:, 1]),
             ("cnot", (0, 1), None),
@@ -141,7 +143,7 @@ class TestExactOps:
             ("cnot", (0, 1), None)])
 
     def test_zz_b_map(self):
-        assert_same_ops(feature_map("zz_b", X2), [
+        assert_same_ops(kernel_gates("zz_b", X2), [
             ("h", (0,), None), ("h", (1,), None),
             ("phase", (0,), 2.0 * X2[:, 0]), ("phase", (1,), 2.0 * X2[:, 1]),
             ("cnot", (0, 1), None),
@@ -194,7 +196,7 @@ class TestAnsatzLayers:
 
 
 class TestGateWriters:
-    """reference.qnn_gates and circuit.feature_map, the writers of
+    """reference.qnn_gates and reference.kernel_gates, the writers of
     concrete gate lists."""
 
     def test_parameter_counts(self):
@@ -219,7 +221,7 @@ class TestGateWriters:
             x = rng.uniform(-1, 1, 2)
             theta = rng.uniform(-np.pi, np.pi, config.n_parameters())
             got = zero_states(2, 1)
-            apply_ops(got, 2, reference.qnn_gates(config, x[None], theta))
+            apply_gates(got, 2, reference.qnn_gates(config, x[None], theta))
             assert np.max(np.abs(got[0] - dense_state(config, x, theta))) < 1e-10
 
     def test_gate_writers_check_lengths(self):
@@ -283,7 +285,7 @@ class TestFusion:
             perm[0] = 1
 
     def test_encoding_only_circuits_stay_gate_by_gate(self):
-        ops = feature_map("angle", np.zeros((2, 3)), repetitions=2)
+        ops = kernel_gates("angle", np.zeros((2, 3)), repetitions=2)
         assert [op[0] for op in ops] == ["ry"] * 6
 
     def test_fused_circuit_checks_lengths(self):
@@ -340,5 +342,69 @@ class TestFeatureMapArguments:
             feature_map("angle", np.zeros((1, 2)), repetitions=0)
 
     def test_angle_repetitions_stack_blocks(self):
-        ops = feature_map("angle", np.zeros((1, 2)), repetitions=3)
+        ops = kernel_gates("angle", np.zeros((1, 2)), repetitions=3)
         assert data_bound_count(ops) == 6
+
+
+class TestWholeRegisterFeatureMaps:
+    """circuit.feature_map against the gates reference.kernel_gates
+    writes for the same map."""
+
+    def test_only_whole_register_ops(self):
+        # product maps are one op; a ZZ map is |+...+>, then per
+        # repetition a diagonal, with a Hadamard layer before each further
+        # one
+        X = np.random.default_rng(25).uniform(-1, 1, (3, 4))
+        for reps in (1, 2, 3):
+            for kind in ("angle", "z"):
+                assert [op[0] for op in feature_map(kind, X, reps)] == [
+                    "product"]
+            for kind in ("zz_a", "zz_b"):
+                ops = feature_map(kind, X, reps)
+                assert [op[0] for op in ops] == (
+                    ["product", "diagonal"] + ["local", "diagonal"] * (reps - 1))
+                assert all(op[1] == (0, 1, 2, 3) for op in ops)
+
+    def test_hadamard_layer_is_one_shared_read_only_matrix(self):
+        ops = feature_map("zz_b", np.zeros((5, 3)), 2)
+        (layer,) = ops[2][2]
+        assert layer.shape == (1, 8, 8) and not layer.flags.writeable
+        assert feature_map("zz_a", np.ones((2, 3)), 3)[4][2][0] is layer
+
+    @pytest.mark.parametrize("n, hi, lo", [(5, 8, 4), (8, 16, 16),
+                                           (13, 128, 64)])
+    def test_wide_hadamard_layer_splits_into_halves(self, n, hi, lo):
+        # above fusion.LOCAL_DENSE_QUBITS the layer is two small factors,
+        # as an encoding block's, never one 2**n x 2**n matrix
+        layer = feature_map("zz_a", np.zeros((1, n)), 2)[2][2]
+        assert [f.shape for f in layer] == [(1, hi, hi), (1, lo, lo)]
+        assert not any(f.flags.writeable for f in layer)
+
+    def test_ops_match_the_gates_they_replace(self):
+        # every kind, n = 2..6, r = 1..3: amplitudes of the whole-register
+        # ops vs the reference gates run one by one and vs their dense
+        # unitary
+        rng = np.random.default_rng(26)
+        for kind in ("angle", "z", "zz_a", "zz_b"):
+            for n in range(2, 7):
+                for reps in (1, 2, 3):
+                    X = rng.uniform(-1, 1, (3, n))
+                    got = embed(kind, X, reps)
+                    gates = kernel_gates(kind, X, reps)
+                    by_gate = zero_states(n, 3)
+                    apply_gates(by_gate, n, gates)
+                    assert np.max(np.abs(got - by_gate)) <= 1e-13
+                    for x, row in zip(X, got):
+                        u = reference.circuit_unitary(
+                            n, kernel_gates(kind, x, reps))
+                        assert np.max(np.abs(row - u[:, 0])) <= 1e-13
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_wide_zz_maps_match_the_gates_they_replace(self, n):
+        rng = np.random.default_rng(27)
+        for kind in ("zz_a", "zz_b"):
+            for reps in (1, 2, 3):
+                X = rng.uniform(-1, 1, (3, n))
+                by_gate = zero_states(n, 3)
+                apply_gates(by_gate, n, kernel_gates(kind, X, reps))
+                assert np.max(np.abs(embed(kind, X, reps) - by_gate)) <= 1e-13

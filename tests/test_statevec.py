@@ -3,69 +3,75 @@ import pytest
 
 from qmlgrid import reference
 from qmlgrid.errors import ConfigurationError, UsageError
-from qmlgrid.statevec import Gate, apply_ops, expectation_z_batch, zero_states
+from qmlgrid.reference import apply_gates
+from qmlgrid.statevec import apply_ops, expectation_z_batch, zero_states
 from qmlgrid.verify import random_gates
 
 
+def gate(kind, targets, angle=None):
+    return (kind, targets, angle)
+
+
 def run_gates(n_qubits, gates, start=None):
-    """Amplitudes after gates on a batch of one, from |0...0> or start."""
+    """Amplitudes after reference.apply_gates on a batch of one, from
+    |0...0> or start."""
     if start is None:
         amps = zero_states(n_qubits, 1)
     else:
         amps = np.array([start], dtype=np.complex128)
-    apply_ops(amps, n_qubits, gates)
+    apply_gates(amps, n_qubits, gates)
     return amps[0]
 
 
 class TestKnownStates:
     def test_h_then_cnot_gives_bell_state(self):
-        s = run_gates(2, [Gate("h", (0,)), Gate("cnot", (0, 1))])
+        s = run_gates(2, [gate("h", (0,)), gate("cnot", (0, 1))])
         h = np.sqrt(2.0) / 2.0
         np.testing.assert_allclose(s, [h, 0, 0, h], atol=1e-15)
 
     def test_rx_pi_flips_with_minus_i(self):
-        s = run_gates(1, [Gate("rx", (0,), np.pi)])
+        s = run_gates(1, [gate("rx", (0,), np.pi)])
         np.testing.assert_allclose(s, [0, -1j], atol=1e-15)
 
     def test_ry_half_pi(self):
-        s = run_gates(1, [Gate("ry", (0,), np.pi / 2)])
+        s = run_gates(1, [gate("ry", (0,), np.pi / 2)])
         np.testing.assert_allclose(
             s, [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15)
 
     def test_rz_adds_opposite_half_phases(self):
-        s = run_gates(1, [Gate("h", (0,)), Gate("rz", (0,), 0.7)])
+        s = run_gates(1, [gate("h", (0,)), gate("rz", (0,), 0.7)])
         h = np.sqrt(0.5)
         expected = [h * np.exp(-0.35j), h * np.exp(0.35j)]
         np.testing.assert_allclose(s, expected, atol=1e-15)
 
     def test_phase_differs_from_rz_by_global_phase(self):
         theta = 1.3
-        via_phase = run_gates(1, [Gate("h", (0,)), Gate("phase", (0,), theta)])
-        via_rz = run_gates(1, [Gate("h", (0,)), Gate("rz", (0,), theta)])
+        via_phase = run_gates(1, [gate("h", (0,)), gate("phase", (0,), theta)])
+        via_rz = run_gates(1, [gate("h", (0,)), gate("rz", (0,), theta)])
         np.testing.assert_allclose(via_phase,
                                    np.exp(1j * theta / 2) * via_rz, atol=1e-14)
 
     def test_cnot_qubit0_is_least_significant(self):
         # |q1 q0> = |01> has index 1; CNOT(0 -> 1) maps it to |11> = index 3
-        s = run_gates(2, [Gate("cnot", (0, 1))], start=[0, 1, 0, 0])
+        s = run_gates(2, [gate("cnot", (0, 1))], start=[0, 1, 0, 0])
         np.testing.assert_allclose(s, [0, 0, 0, 1], atol=1e-15)
 
     def test_cz_flips_sign_only_on_11(self):
-        s = run_gates(2, [Gate("cz", (0, 1))], start=[0.5] * 4)
+        s = run_gates(2, [gate("cz", (0, 1))], start=[0.5] * 4)
         np.testing.assert_allclose(s, [0.5, 0.5, 0.5, -0.5], atol=1e-15)
 
     def test_expectation_z_plus_state_is_zero(self):
-        s = run_gates(1, [Gate("h", (0,))])
+        s = run_gates(1, [gate("h", (0,))])
         assert abs(expectation_z_batch(s[None], 1, 0)[0]) < 1e-15
 
     def test_expectation_z_basis_states(self):
         assert expectation_z_batch(zero_states(3, 1), 3, 1)[0] == 1.0
-        s = run_gates(3, [Gate("rx", (1,), np.pi)])[None]
+        s = run_gates(3, [gate("rx", (1,), np.pi)])[None]
         assert abs(expectation_z_batch(s, 3, 1)[0] + 1.0) < 1e-12
         assert abs(expectation_z_batch(s, 3, 0)[0] - 1.0) < 1e-12
 
     def test_ground_state_probability(self):
-        s = run_gates(2, [Gate("h", (0,))])
+        s = run_gates(2, [gate("h", (0,))])
         assert abs(np.abs(s[0]) ** 2 - 0.5) < 1e-15
 
 
@@ -77,8 +83,28 @@ class TestValidation:
             zero_states(25, 1)
 
     def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            run_gates(1, [Gate("t", (0,))])
+        # apply_ops runs whole-register ops only; gates are refused
+        for kind in ("t", "h", "cnot"):
+            with pytest.raises(UsageError):
+                apply_ops(zero_states(2, 1), 2, [(kind, (0, 1), None)])
+
+
+class TestWholeRegisterOps:
+    def test_diagonal_multiplies_every_row_elementwise(self):
+        rng = np.random.default_rng(15)
+        amps = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+        phases = np.exp(1j * rng.uniform(-3, 3, (3, 8)))
+        want = amps * phases
+        apply_ops(amps, 3, [("diagonal", (0, 1, 2), phases)])
+        np.testing.assert_array_equal(amps, want)
+
+    def test_one_local_matrix_serves_every_row(self):
+        rng = np.random.default_rng(16)
+        amps = rng.normal(size=(5, 4)) + 0j
+        u = rng.normal(size=(1, 4, 4)) + 0j
+        want = amps @ u[0].T
+        apply_ops(amps, 2, [("local", (0, 1), (u,))])
+        np.testing.assert_allclose(amps, want, atol=1e-14)
 
 
 class TestAgainstUnitaryOracle:
@@ -112,9 +138,9 @@ class TestBatchedEngine:
                ("phase", (2,), rng.uniform(-3, 3, batch)),
                ("cz", (1, 2), None)]
         amps = zero_states(n, batch)
-        apply_ops(amps, n, ops)
+        apply_gates(amps, n, ops)
         for b in range(batch):
-            gates = [Gate(kind, targets,
+            gates = [gate(kind, targets,
                           angle if angle is None or np.isscalar(angle)
                           else float(angle[b]))
                      for kind, targets, angle in ops]
@@ -125,7 +151,7 @@ class TestBatchedEngine:
         # RY(theta) on qubit 0 then CNOT(0 -> 1): <Z_0> = <Z_1> = cos(theta)
         theta = np.random.default_rng(14).uniform(-3, 3, 5)
         amps = zero_states(2, 5)
-        apply_ops(amps, 2, [("ry", (0,), theta), ("cnot", (0, 1), None)])
+        apply_gates(amps, 2, [("ry", (0,), theta), ("cnot", (0, 1), None)])
         np.testing.assert_allclose(expectation_z_batch(amps, 2, 0),
                                    np.cos(theta), atol=1e-14)
         np.testing.assert_allclose(expectation_z_batch(amps, 2, 1),
