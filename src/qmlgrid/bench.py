@@ -27,10 +27,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import baselines, qnn, svm
-from .circuit import FEATURE_MAPS
+from .circuit import (ANSATZ_ROTATIONS, AXES, FEATURE_MAPS, FUSE_MAX_QUBITS,
+                      encode)
 from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
-from .fusion import ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS, encode
 from .metrics import Metrics, evaluate
 from .pipeline import SplitBundle, stratified_split
 from .qkernel import cross_gram, embed, gram_matrix
@@ -270,8 +270,9 @@ _KEY = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
 
 def _read_document(path) -> dict:
     """Parses a flat `key = value` file: one JSON value per line, blank
-    lines and `#` comments skipped."""
+    lines and `#` comments skipped; a key set twice is refused."""
     out = {}
+    lines = {}          # key -> line that set it
     with open(path) as fh:
         for n, line in enumerate(fh, start=1):
             line = line.strip()
@@ -282,6 +283,10 @@ def _read_document(path) -> dict:
             if not sep or not _KEY.match(key):
                 raise IngestionError(f"{path}: line {n}: expected 'key = "
                                      f"value', got {line!r}")
+            if key in lines:
+                raise IngestionError(f"{path}: line {n}: repeats {key!r} of "
+                                     f"line {lines[key]}")
+            lines[key] = n
             try:
                 out[key] = json.loads(raw.strip())
             except json.JSONDecodeError as exc:
@@ -356,7 +361,7 @@ def _split_arrays(bundle: SplitBundle, k: int) -> tuple:
 @lru_cache(maxsize=1)
 def _qnn_encoding(bundle: SplitBundle, k: int, sequence: tuple,
                   reupload: bool):
-    """One fusion.encode of the stacked splits at k, for the QNNs of this
+    """One circuit.encode of the stacked splits at k, for the QNNs of this
     width, encoding sequence and re-upload setting. A split is a slice
     of it, equal bit for bit to an encode of that split alone, as
     encoding is elementwise per row; train and test sit side by side, so

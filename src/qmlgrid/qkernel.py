@@ -1,12 +1,12 @@
 """Fidelity quantum kernel: k(x, y) = |<phi(y)|phi(x)>|^2.
 
 embed turns every sample into its statevector on the batched
-simulator, running the whole-register ops of circuit.feature_map. Those
-ops act on each row alone and give it the same bits whatever the batch,
-so a caller embeds all of its splits stacked, once, and slices each
-split out. gram_matrix and cross_gram take squared inner products of
-embedded states. The dense-unitary oracle for one entry is
-reference.kernel_value.
+simulator: the product state of circuit.feature_map's columns, then its
+whole-register ops. Both act on each row alone and give it the same
+bits whatever the batch, so a caller embeds all of its splits stacked,
+once, and slices each split out. gram_matrix and cross_gram take
+squared inner products of embedded states. The dense-unitary oracle for
+one entry is reference.kernel_value.
 """
 from __future__ import annotations
 
@@ -16,19 +16,19 @@ import numpy as np
 
 from .circuit import feature_map
 from .errors import UsageError
-from .statevec import apply_ops, zero_states
+from .statevec import apply_ops, product_states
 
 
 def embed(kind: str, X: np.ndarray, repetitions: int = 1) -> np.ndarray:
     """Statevectors phi(x) for every row of X under feature map `kind`,
     shape (len(X), 2**d) for d columns.
 
-    Runs the ops of circuit.feature_map on the batched simulator; it
-    does not go through circuit.run_batch, so perfbench's tracer counts
-    embeddings apart from QNN circuit runs."""
+    Runs the columns and ops of circuit.feature_map on the batched
+    simulator; it does not go through circuit.run_batch, so perfbench's
+    tracer counts embeddings apart from QNN circuit runs."""
     X = np.asarray(X, dtype=np.float64)
-    ops = feature_map(kind, X, repetitions)
-    amps = zero_states(X.shape[1], len(X))
+    columns, ops = feature_map(kind, X, repetitions)
+    amps = product_states(columns)
     apply_ops(amps, X.shape[1], ops)
     return amps
 

@@ -5,14 +5,15 @@ One qubit per feature; qubits 0 and 1 are read out, softmax over
 weighted cross-entropy. Gradients are adjoint-mode (Jones & Gacon,
 arXiv:2009.02823): one forward pass, then one backward sweep that reads
 every parameter's derivative off the stored state. Features come in as
-fusion.encode wrote them, once per feature matrix, so a batch is
+circuit.encode wrote them, once per feature matrix, so a batch is
 encoded[idx] and no call here recomputes the encoding. The model
-runs as fused blocks that fusion.resolve_fused builds from its config
-and parameters on every call: a layer costs one matrix product forward
-and one back, and its derivatives come from n reduced 2x2 matrices, so
-a gradient costs 2.0 to 2.7 forward passes whatever the parameter count
-(n = 4..6, up to 180 parameters, batch 32). The chain through softmax
-and the loss is analytic.
+starts from the encoding's product state and runs as fused blocks that
+circuit.resolve_fused builds from its config and parameters on every
+call: a layer costs one matrix product forward and one back, and its
+derivatives come from n reduced 2x2 matrices, so a gradient costs 2.0
+to 2.7 forward passes whatever the parameter count (n = 4..6, up to
+180 parameters, batch 32). The chain through softmax and the loss is
+analytic.
 `reference.shift_rule_gradient` keeps the parameter-shift rule on the
 gate-by-gate reference.qnn_gates as the oracle.
 """
@@ -23,11 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import run_batch
+from .circuit import (ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS, Encoding,
+                      _layer_gradients, resolve_fused, run_batch)
 from .errors import ConfigurationError, TrainingDivergedError, UsageError
-from .fusion import (ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS, Encoding,
-                     _layer_gradients, resolve_fused)
-from .statevec import _z_signs, apply_ops, zero_states
+from .statevec import apply_ops, product_states
 
 PROB_FLOOR = 1e-12
 
@@ -109,6 +109,12 @@ def expectations(model: QnnModel, X: Encoding,
                     model.config.n_features)
 
 
+@lru_cache(maxsize=None)
+def _z_signs(n_qubits: int, qubit: int) -> np.ndarray:
+    idx = np.arange(1 << n_qubits)
+    return 1.0 - 2.0 * ((idx >> qubit) & 1)
+
+
 def _readout(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     probs = np.abs(amps) ** 2
     return np.stack([probs @ _z_signs(n_qubits, 0),
@@ -169,7 +175,7 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
     batch = len(y)
     n = model.config.n_features
     ops, layer_factors = resolve_fused(model.config, X, model.parameters)
-    psi = zero_states(n, batch)
+    psi = product_states(X.product)
     apply_ops(psi, n, ops)
     probs = softmax_pair(_readout(psi, n))
     onehot = np.zeros_like(probs)
@@ -185,7 +191,7 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
     reduced = np.empty(layer_factors.shape[:2] + (2, 2), dtype=complex)
     layer = len(reduced)
     # ops to undo collect in `undo` and run only when a layer needs the
-    # states at its input; the opening encoding never runs
+    # states at its input; the opening product state is never undone
     undo = []
     for op in reversed(ops):
         undo.append(op)
@@ -202,10 +208,10 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
 def _inverse(op) -> tuple:
     """The op undoing a "unitary" or "local" op on the stacked
     (psi, lam) buffer: a "local" payload serves both halves."""
-    kind, targets, payload = op
+    kind, payload = op
     if kind == "unitary":
-        return kind, targets, payload.conj().T
-    return kind, targets, tuple(m.conj().swapaxes(-1, -2) for m in payload)
+        return kind, payload.conj().T
+    return kind, tuple(m.conj().swapaxes(-1, -2) for m in payload)
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +247,7 @@ class TrainReport:
 def train(model: QnnModel, train_set, val_set, *, epochs: int) -> tuple:
     """Mini-batch Adam with early stopping on validation loss.
 
-    train_set and val_set are (fusion.encode of the features, labels).
+    train_set and val_set are (circuit.encode of the features, labels).
     Returns (model with the best-epoch parameters, TrainReport). Epochs
     are 1-based in the report, and its val_probs equal forward_batch of
     the returned model on the validation rows bit for bit, so a caller

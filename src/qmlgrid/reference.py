@@ -3,18 +3,19 @@
 Nothing here shares code with the modules it checks, except that
 kernel_gates reads each kernel feature map's gate and pair shift (not
 its phase offset) from circuit.FEATURE_MAPS, and qnn_gates each
-ansatz's rotations from fusion.ANSATZ_ROTATIONS:
+ansatz's rotations from circuit.ANSATZ_ROTATIONS:
 kernel_gates and qnn_gates write a kernel embedding and a QNN out gate
-by gate (never through whole-register ops), apply_gates simulates gates
-one by one, circuits become dense unitaries via Kronecker products and
-matrix multiplication, kernel entries and QNN losses are computed from
-those unitaries and probabilities one sample at a time, gradients come
-from central finite differences or from parameter shifts of a
-gate-by-gate forward pass (never fusion or the adjoint sweep), the SVM
-dual is solved by projected gradient ascent and by a
-maximal-violating-pair loop that rebuilds its working sets every step
-(sharing only the final bias rule with `svm`), and CART trees grow node
-by node by recursion.
+by gate (never through product states or whole-register ops),
+apply_gates simulates gates one by one from the zero_states |0...0>
+(read out by expectation_z_batch), circuits become dense unitaries via
+Kronecker products and matrix multiplication, kernel entries and QNN
+losses are computed from those unitaries and probabilities one sample
+at a time, gradients come from central finite differences or from
+parameter shifts of a gate-by-gate forward pass (never fused blocks or
+the adjoint sweep), the SVM dual is solved by projected gradient ascent
+and by a maximal-violating-pair loop that rebuilds its working sets
+every step (sharing only the final bias rule with `svm`), and CART
+trees grow node by node by recursion.
 Deliberately brute force; do not optimize, except by early exits and
 caches of fixed matrices that leave every output bit-identical.
 """
@@ -26,10 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import FEATURE_MAPS
+from .circuit import ANSATZ_ROTATIONS, FEATURE_MAPS
 from .errors import UsageError
-from .fusion import ANSATZ_ROTATIONS
-from .statevec import expectation_z_batch, zero_states
 from .svm import SvmModel, _final_bias
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -38,6 +37,20 @@ _P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 _P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
 
 _PROB_FLOOR = 1e-12
+
+
+def zero_states(n_qubits: int, batch: int) -> np.ndarray:
+    """Batch of |0...0> states, shape (batch, 2**n_qubits)."""
+    amps = np.zeros((batch, 1 << n_qubits), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    return amps
+
+
+def expectation_z_batch(amps: np.ndarray, n_qubits: int,
+                        qubit: int) -> np.ndarray:
+    """<Z_qubit> of every row of a (batch, 2**n_qubits) buffer."""
+    idx = np.arange(1 << n_qubits)
+    return np.abs(amps) ** 2 @ (1.0 - 2.0 * ((idx >> qubit) & 1))
 
 
 def single_qubit_matrix(kind: str, angle: float | None = None) -> np.ndarray:
@@ -206,8 +219,8 @@ def shift_rule_gradient(model, X, y) -> np.ndarray:
     Every trainable parameter of a QNN circuit sits in one rotation, so
     d<Z_q>/d theta_k = (<Z_q>(theta_k + pi/2) - <Z_q>(theta_k - pi/2)) / 2
     is exact. The forward passes are gate_by_gate_expectations of the
-    gates qnn_gates writes from model.config; none of fusion or the
-    adjoint sweep is used.
+    gates qnn_gates writes from model.config; none of the fused blocks or
+    the adjoint sweep is used.
     """
     y = np.asarray(y, dtype=int)
     c = model.config

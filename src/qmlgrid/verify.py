@@ -17,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, datasets, qnn, reference, svm
-from .circuit import FEATURE_MAPS, run_batch
-from .fusion import ANSATZ_ROTATIONS, encode
+from .circuit import ANSATZ_ROTATIONS, FEATURE_MAPS, encode, run_batch
 from .pipeline import pca_fit, standardize_apply, standardize_fit
 from .qkernel import embed, gram_matrix
-from .statevec import zero_states
 
 PCA_TARGETS = {"heart_failure": (5, 0.90), "diabetes": (6, 0.90),
                "prostate": (6, 0.99)}
@@ -71,7 +69,7 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
     for _ in range(n_circuits):
         n = int(rng.integers(1, 5))
         gates = random_gates(rng, n, int(rng.integers(1, 51)))
-        amps = zero_states(n, 1)
+        amps = reference.zero_states(n, 1)
         reference.apply_gates(amps, n, gates)
         want = reference.circuit_unitary(n, gates)[:, 0]
         worst = max(worst, float(np.max(np.abs(amps[0] - want))))

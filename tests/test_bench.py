@@ -9,8 +9,8 @@ import pytest
 from qmlgrid import bench, datasets, qkernel, qnn, svm
 from qmlgrid.bench import (ExperimentRecord, RecordStore, RunSettings,
                            canonical, cell_seed, select_best)
+from qmlgrid.circuit import encode
 from qmlgrid.errors import IngestionError, UsageError
-from qmlgrid.fusion import encode
 from qmlgrid.metrics import Metrics, evaluate
 from qmlgrid.pipeline import stratified_split
 
@@ -252,6 +252,14 @@ class TestRunSettings:
         path = tmp_path / "run.conf"
         path.write_text("master_seed = {not json\n")
         with pytest.raises(IngestionError, match="'master_seed'"):
+            RunSettings.from_document(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # a key set twice would otherwise keep its last value unseen
+        path = tmp_path / "run.conf"
+        path.write_text("qnn_epochs = 1\n# note\nqnn_epochs = 7\n")
+        with pytest.raises(IngestionError,
+                           match="line 3: repeats 'qnn_epochs' of line 1"):
             RunSettings.from_document(path)
 
     def test_equals_inside_value_survives(self, tmp_path):

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from qmlgrid import reference
-from qmlgrid.circuit import feature_map, run_batch
+from qmlgrid.circuit import (ANSATZ_ROTATIONS, _ring_perm, encode,
+                             feature_map, resolve_fused, run_batch)
 from qmlgrid.errors import ConfigurationError, UsageError
-from qmlgrid.fusion import ANSATZ_ROTATIONS, _ring_perm, encode, resolve_fused
 from qmlgrid.qkernel import embed
 from qmlgrid.qnn import QnnConfig
-from qmlgrid.reference import apply_gates, kernel_gates
-from qmlgrid.statevec import zero_states
+from qmlgrid.reference import apply_gates, kernel_gates, zero_states
 
 # a fixed two-row feature matrix for the exact op lists
 X2 = np.array([[0.3, -0.8], [0.5, 0.1]])
@@ -224,6 +223,10 @@ class TestGateWriters:
             apply_gates(got, 2, reference.qnn_gates(config, x[None], theta))
             assert np.max(np.abs(got[0] - dense_state(config, x, theta))) < 1e-10
 
+    def test_encoding_only_circuits_stay_gate_by_gate(self):
+        ops = kernel_gates("angle", np.zeros((2, 3)), repetitions=2)
+        assert [op[0] for op in ops] == ["ry"] * 6
+
     def test_gate_writers_check_lengths(self):
         with pytest.raises(UsageError):
             feature_map("angle", [0.1, 0.2])
@@ -255,8 +258,7 @@ class TestFusion:
                         kinds = [op[0] for op in
                                  resolve_fused(config, encoded, theta)[0]]
                         layer = (["local"] if reupload else []) + ["unitary"]
-                        assert kinds == (["product", "unitary"]
-                                         + layer * (n_layers - 1))
+                        assert kinds == ["unitary"] + layer * (n_layers - 1)
                         amps = run_batch(config, encoded, theta)
                         for x, got in zip(X, amps):
                             want = dense_state(config, x, theta)
@@ -283,10 +285,6 @@ class TestFusion:
         assert not perm.flags.writeable
         with pytest.raises(ValueError):
             perm[0] = 1
-
-    def test_encoding_only_circuits_stay_gate_by_gate(self):
-        ops = kernel_gates("angle", np.zeros((2, 3)), repetitions=2)
-        assert [op[0] for op in ops] == ["ry"] * 6
 
     def test_fused_circuit_checks_lengths(self):
         config = QnnConfig(3, ("Y",), True, "basic", 2)
@@ -351,32 +349,34 @@ class TestWholeRegisterFeatureMaps:
     writes for the same map."""
 
     def test_only_whole_register_ops(self):
-        # product maps are one op; a ZZ map is |+...+>, then per
-        # repetition a diagonal, with a Hadamard layer before each further
-        # one
+        # product maps are their product state alone; a ZZ map is
+        # |+...+>, then per repetition a diagonal, with a Hadamard layer
+        # before each further one
         X = np.random.default_rng(25).uniform(-1, 1, (3, 4))
+        h = 1.0 / math.sqrt(2.0)
         for reps in (1, 2, 3):
             for kind in ("angle", "z"):
-                assert [op[0] for op in feature_map(kind, X, reps)] == [
-                    "product"]
+                columns, ops = feature_map(kind, X, reps)
+                assert columns.shape == (3, 4, 2) and ops == []
             for kind in ("zz_a", "zz_b"):
-                ops = feature_map(kind, X, reps)
+                columns, ops = feature_map(kind, X, reps)
+                assert np.array_equal(columns, np.full((3, 4, 2), h + 0j))
                 assert [op[0] for op in ops] == (
-                    ["product", "diagonal"] + ["local", "diagonal"] * (reps - 1))
-                assert all(op[1] == (0, 1, 2, 3) for op in ops)
+                    ["diagonal"] + ["local", "diagonal"] * (reps - 1))
+                assert all(len(op) == 2 for op in ops)
 
     def test_hadamard_layer_is_one_shared_read_only_matrix(self):
-        ops = feature_map("zz_b", np.zeros((5, 3)), 2)
-        (layer,) = ops[2][2]
+        ops = feature_map("zz_b", np.zeros((5, 3)), 2)[1]
+        (layer,) = ops[1][1]
         assert layer.shape == (1, 8, 8) and not layer.flags.writeable
-        assert feature_map("zz_a", np.ones((2, 3)), 3)[4][2][0] is layer
+        assert feature_map("zz_a", np.ones((2, 3)), 3)[1][3][1][0] is layer
 
     @pytest.mark.parametrize("n, hi, lo", [(5, 8, 4), (8, 16, 16),
                                            (13, 128, 64)])
     def test_wide_hadamard_layer_splits_into_halves(self, n, hi, lo):
-        # above fusion.LOCAL_DENSE_QUBITS the layer is two small factors,
+        # above circuit.LOCAL_DENSE_QUBITS the layer is two small factors,
         # as an encoding block's, never one 2**n x 2**n matrix
-        layer = feature_map("zz_a", np.zeros((1, n)), 2)[2][2]
+        layer = feature_map("zz_a", np.zeros((1, n)), 2)[1][1][1]
         assert [f.shape for f in layer] == [(1, hi, hi), (1, lo, lo)]
         assert not any(f.flags.writeable for f in layer)
 

@@ -95,8 +95,10 @@ class TestRunAndReport:
         (None, ["--seed", "-1"]),
         (None, ["--split-seed", "-3"]),
         (None, ["--dataset", "heart_failure", "--features", "9"]),
+        ("qnn_epochs = 1\nqnn_epochs = 7", []),
     ], ids=["float-epochs", "zero-epochs", "cap-below-start", "text-seed",
-            "negative-seed", "negative-split-seed", "qnn-wider-than-fused"])
+            "negative-seed", "negative-split-seed", "qnn-wider-than-fused",
+            "repeated-key"])
     def test_bad_input_is_refused_before_the_store(self, tmp_path, capsys,
                                                    conf, flags):
         store = tmp_path / "s.jsonl"

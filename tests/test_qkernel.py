@@ -105,7 +105,7 @@ class TestStackedEmbedding:
     # elementwise, that np.cos / np.sin give a row the same bits whatever
     # the batch length, and that the ZZ Hadamard layer multiplies each
     # row on its own: one matrix-vector product, or above
-    # fusion.LOCAL_DENSE_QUBITS a high and a low factor (a shared gemm
+    # circuit.LOCAL_DENSE_QUBITS a high and a low factor (a shared gemm
     # rounds a row by its place in the batch).
     @pytest.mark.parametrize("sizes", [(4, 16, 8), (5, 13, 7), (47, 180, 1)],
                              ids=["on-4", "off-4", "heart-failure"])

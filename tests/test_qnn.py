@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from qmlgrid import bench, datasets, qnn, reference
-from qmlgrid.circuit import run_batch
+from qmlgrid.circuit import FUSE_MAX_QUBITS, encode, resolve_fused, run_batch
 from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
-from qmlgrid.fusion import FUSE_MAX_QUBITS, encode, resolve_fused
 from qmlgrid.metrics import evaluate
 from qmlgrid.pipeline import stratified_split
 from qmlgrid.qkernel import embed
@@ -15,8 +14,7 @@ from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, expectations,
                          forward_batch, forward_blocks, grow_layers,
                          init_model, parameter_shift_gradient, predict,
                          replace_params, softmax_pair, train)
-from qmlgrid.reference import weighted_cross_entropy
-from qmlgrid.statevec import expectation_z_batch
+from qmlgrid.reference import expectation_z_batch, weighted_cross_entropy
 
 
 def toy_sign_task(n=48, seed=5):
@@ -191,8 +189,7 @@ class TestFusedGradient:
                         kinds = [op[0] for op in resolve_fused(
                             cfg, encoded, model.parameters)[0]]
                         layer = (["local"] if reupload else []) + ["unitary"]
-                        assert kinds == (["product", "unitary"]
-                                         + layer * (n_layers - 1))
+                        assert kinds == ["unitary"] + layer * (n_layers - 1)
                         got = parameter_shift_gradient(model, encoded, y)
                         want = reference.shift_rule_gradient(model, X, y)
                         assert np.max(np.abs(got - want)) <= 1e-10

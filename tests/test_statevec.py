@@ -3,8 +3,9 @@ import pytest
 
 from qmlgrid import reference
 from qmlgrid.errors import ConfigurationError, UsageError
-from qmlgrid.reference import apply_gates
-from qmlgrid.statevec import apply_ops, expectation_z_batch, zero_states
+from qmlgrid.circuit import feature_map
+from qmlgrid.reference import apply_gates, expectation_z_batch, zero_states
+from qmlgrid.statevec import apply_ops, product_states
 from qmlgrid.verify import random_gates
 
 
@@ -78,15 +79,68 @@ class TestKnownStates:
 class TestValidation:
     def test_qubit_count_bounds(self):
         with pytest.raises(ConfigurationError):
-            zero_states(0, 1)
+            product_states(np.ones((1, 0, 2)))
         with pytest.raises(ConfigurationError):
-            zero_states(25, 1)
+            product_states(np.ones((1, 25, 2)))
 
     def test_unknown_kind(self):
         # apply_ops runs whole-register ops only; gates are refused
         for kind in ("t", "h", "cnot"):
             with pytest.raises(UsageError):
-                apply_ops(zero_states(2, 1), 2, [(kind, (0, 1), None)])
+                apply_ops(zero_states(2, 1), 2, [(kind, None)])
+
+    def test_product_is_not_an_op(self):
+        # a product state opens a circuit through product_states only
+        with pytest.raises(UsageError):
+            apply_ops(zero_states(2, 1), 2,
+                      [("product", np.full((1, 2, 2), 0.5 ** 0.5))])
+
+
+def product_loop(columns):
+    """The product state as apply_ops built it before product_states: a
+    |0...0> buffer overwritten by the product of the columns."""
+    batch, n = columns.shape[:2]
+    amps = zero_states(n, batch)
+    state = columns[:, n - 1]
+    for q in range(n - 2, -1, -1):
+        state = (state[:, :, None] * columns[:, q, None, :]).reshape(
+            batch, -1)
+    amps[:] = state
+    return amps
+
+
+class TestProductStates:
+    def test_equals_the_overwritten_zero_buffer_bit_for_bit(self):
+        # random columns at n = 1..8, as contiguous arrays and as the
+        # strided first-column views that encodings hold
+        rng = np.random.default_rng(17)
+        for n in range(1, 9):
+            for batch in (1, 5, 33):
+                chains = (rng.normal(size=(batch, n, 2, 2))
+                          + 1j * rng.normal(size=(batch, n, 2, 2)))
+                for columns in (chains[..., 0], chains[..., 0].copy()):
+                    got = product_states(columns)
+                    assert got.flags.c_contiguous
+                    assert np.array_equal(got, product_loop(columns))
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 13])
+    def test_plus_states_of_the_zz_maps(self, n):
+        # the |+...+> columns a ZZ feature map opens with; n = 13 is the
+        # widest kernel width in the grids
+        columns, _ = feature_map("zz_a", np.zeros((3, max(n, 2))))
+        columns = columns[:, :n]
+        got = product_states(columns)
+        assert np.array_equal(got, product_loop(columns))
+        assert np.allclose(got, 2.0 ** (-n / 2))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_fresh_writeable_buffer_from_read_only_columns(self, n):
+        columns = np.full((2, n, 2), 0.5 ** 0.5, dtype=np.complex128)
+        columns.flags.writeable = False
+        got = product_states(columns)
+        assert got.flags.writeable and not np.shares_memory(got, columns)
+        got[:] = 0.0
+        assert np.all(columns == 0.5 ** 0.5)
 
 
 class TestWholeRegisterOps:
@@ -95,7 +149,7 @@ class TestWholeRegisterOps:
         amps = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
         phases = np.exp(1j * rng.uniform(-3, 3, (3, 8)))
         want = amps * phases
-        apply_ops(amps, 3, [("diagonal", (0, 1, 2), phases)])
+        apply_ops(amps, 3, [("diagonal", phases)])
         np.testing.assert_array_equal(amps, want)
 
     def test_one_local_matrix_serves_every_row(self):
@@ -103,7 +157,7 @@ class TestWholeRegisterOps:
         amps = rng.normal(size=(5, 4)) + 0j
         u = rng.normal(size=(1, 4, 4)) + 0j
         want = amps @ u[0].T
-        apply_ops(amps, 2, [("local", (0, 1), (u,))])
+        apply_ops(amps, 2, [("local", (u,))])
         np.testing.assert_allclose(amps, want, atol=1e-14)
 
 
