@@ -5,7 +5,11 @@ A record store is one append-only file of line-delimited JSON records,
 one per grid cell, written in deterministic enumeration order so two runs
 with the same master seed produce byte-identical stores. Wall-clock
 timings never enter the store (they would break that guarantee); they go
-to a sidecar file next to it.
+to a sidecar file next to it. A line holds every ExperimentRecord field
+but wall_clock, each of the JSON type _RECORD_TYPES gives it.
+
+A grid stacks the val, train and test rows of a feature count once, and
+every cell of that count takes its splits as slices of the stack.
 
 A settings file is flat `key = value` text whose keys are RunSettings
 fields and whose values are JSON. Every value is checked before a run
@@ -23,6 +27,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from typing import get_type_hints
 
 import numpy as np
 
@@ -55,7 +60,9 @@ SVM_C = 1.0
 
 
 def canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Sorted compact JSON; a nested Metrics is written by its fields."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=vars)
 
 
 def cell_seed(master_seed: int, dataset: str, family: str, config: dict,
@@ -100,32 +107,26 @@ GRIDS = {"qnn": qnn_grid, "qsvm": qsvm_grid, "classical": classical_grid}
 
 # ----------------------------------------------------------------- records
 
-def metrics_dict(m: Metrics) -> dict:
-    return {"tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn,
-            "precision": m.precision, "recall": m.recall, "f1": m.f1}
-
-
-def metrics_from_dict(d) -> Metrics:
-    return Metrics(**d) if d is not None else None
-
-
 _OR_NULL = type(None)
 _RECORD_TYPES = {"dataset": str, "family": str, "k": int, "split_seed": int,
                  "seed": int, "n_parameters": int, "config": dict,
                  "extra": dict, "error": (str, _OR_NULL),
                  "train": (dict, _OR_NULL), "val": (dict, _OR_NULL),
                  "test": (dict, _OR_NULL)}
-_METRIC_TYPES = {"tp": int, "fp": int, "fn": int, "tn": int,
-                 "precision": float, "recall": float, "f1": float}
+_METRIC_TYPES = get_type_hints(Metrics)
 
 
 def _check_types(d: dict, types: dict, prefix: str = "") -> None:
+    """Refuses d unless it has exactly the keys of types, typed as given."""
     for key, kind in types.items():
         value = d[key]
         # bool is an int subclass, and json true is no count or seed
         if not isinstance(value, kind) or isinstance(value, bool):
             raise TypeError(f"{prefix + key!r} may not be "
                             f"{type(value).__name__}")
+    unknown = sorted(prefix + key for key in d.keys() - types.keys())
+    if unknown:
+        raise ValueError(f"unknown fields {unknown}")
 
 
 @dataclass
@@ -149,15 +150,8 @@ class ExperimentRecord:
                           self.split_seed])
 
     def to_line(self) -> str:
-        return canonical({
-            "dataset": self.dataset, "family": self.family, "k": self.k,
-            "config": self.config, "split_seed": self.split_seed,
-            "seed": self.seed, "n_parameters": self.n_parameters,
-            "train": metrics_dict(self.train) if self.train else None,
-            "val": metrics_dict(self.val) if self.val else None,
-            "test": metrics_dict(self.test) if self.test else None,
-            "extra": self.extra, "error": self.error,
-        })
+        return canonical({name: value for name, value in vars(self).items()
+                          if name != "wall_clock"})
 
     @staticmethod
     def from_line(line: str) -> "ExperimentRecord":
@@ -169,6 +163,7 @@ class ExperimentRecord:
         for split in ("train", "val", "test"):
             if d[split] is not None:
                 _check_types(d[split], _METRIC_TYPES, split + ".")
+                d[split] = Metrics(**d[split])
         family = d["family"]
         if family != "pca" and family not in GRIDS:
             raise ValueError(f"unknown family {family!r}")
@@ -176,14 +171,7 @@ class ExperimentRecord:
                 GRIDS[family]() if family in GRIDS else [{}]):
             raise ValueError(f"{family} config {d['config']} is not on "
                              f"the grid")
-        return ExperimentRecord(
-            dataset=d["dataset"], family=d["family"], k=d["k"],
-            config=d["config"], split_seed=d["split_seed"], seed=d["seed"],
-            n_parameters=d["n_parameters"],
-            train=metrics_from_dict(d["train"]),
-            val=metrics_from_dict(d["val"]),
-            test=metrics_from_dict(d["test"]),
-            extra=d["extra"], error=d["error"])
+        return ExperimentRecord(**d)
 
 
 class RecordStore:
@@ -345,94 +333,87 @@ STACK = ("val", "train", "test")
 
 
 @lru_cache(maxsize=1)
-def _split_arrays(bundle: SplitBundle, k: int) -> tuple:
-    """(split -> (features at k, labels), the features of STACK's splits
-    stacked in that order), shared by a (bundle, k)'s cells."""
-    arrays = {}
-    for split in SplitBundle.SPLITS:
-        X, y = bundle.features(split, k), bundle.labels(split)
-        X.flags.writeable = y.flags.writeable = False
-        arrays[split] = (X, y)
-    stacked = np.concatenate([arrays[s][0] for s in STACK])
-    stacked.flags.writeable = False
-    return arrays, stacked
+def _stacked(bundle: SplitBundle, k: int) -> tuple:
+    """(features at k, labels, split -> slice) of STACK's splits stacked
+    in that order, shared by a (bundle, k)'s cells."""
+    X = np.concatenate([bundle.features(s, k) for s in STACK])
+    y = np.concatenate([bundle.labels(s) for s in STACK])
+    X.flags.writeable = y.flags.writeable = False
+    ends = [0, *itertools.accumulate(len(bundle.indices(s)) for s in STACK)]
+    rows = {s: slice(a, b) for s, a, b in zip(STACK, ends, ends[1:])}
+    return X, y, rows
 
 
 @lru_cache(maxsize=1)
 def _qnn_encoding(bundle: SplitBundle, k: int, sequence: tuple,
                   reupload: bool):
-    """One circuit.encode of the stacked splits at k, for the QNNs of this
-    width, encoding sequence and re-upload setting. A split is a slice
-    of it, equal bit for bit to an encode of that split alone, as
+    """One circuit.encode of the _stacked features at k, for the QNNs of
+    this width, encoding sequence and re-upload setting. A split is a
+    slice of it, equal bit for bit to an encode of that split alone, as
     encoding is elementwise per row; train and test sit side by side, so
     one pass predicts both."""
     return encode(qnn.QnnConfig(k, sequence, reupload),
-                  _split_arrays(bundle, k)[1])
+                  _stacked(bundle, k)[0])
 
 
-def _svm_eval(gram, ytr, rows_by_split, labels_by_split, weights):
-    ypm = np.where(ytr == 1, 1, -1)
-    model = svm.solve_dual(svm.SvmProblem(gram, ypm, SVM_C, weights))
-    out = {}
-    for split, rows in rows_by_split.items():
-        pred = (svm.predict(model, rows) > 0).astype(int)
-        out[split] = evaluate(labels_by_split[split], pred)
+def _svm_predictions(gram, kernel_rows, y, rows, weights):
+    """(support size, split -> 0/1 predictions, extra) of the SVM fit on
+    the train Gram; kernel_rows(r) gives stack rows r against train."""
+    tr = rows["train"]
+    model = svm.solve_dual(svm.SvmProblem(
+        gram, np.where(y[tr] == 1, 1, -1), SVM_C, weights))
+    preds = {s: (svm.predict(model, gram if s == "train" else
+                             kernel_rows(r)) > 0).astype(int)
+             for s, r in rows.items()}
     extra = {"converged": bool(model.converged), "sweeps": int(model.sweeps)}
-    return len(model.support), out, extra
+    return len(model.support), preds, extra
 
 
 def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
              config: dict, k: int, seed: int,
              settings: RunSettings) -> ExperimentRecord:
     """The record of one grid cell; a failure in CELL_ERRORS becomes its
-    error. The split features at k and a QNN's encoding of them come
-    from memos of the last (bundle, k) and the last QNN layout, so the
-    cells of one grid compute each once. A QSVM cell embeds the stacked
-    splits in one qkernel.embed, and a cell takes every split as a slice
-    of the STACK. A QNN cell reads its val predictions off the training
-    report and runs one pass over its train and test rows."""
+    error. Every family takes each split as a slice of the stacked splits
+    at k, or of a QNN's encoding of them; memos of the last (bundle, k)
+    and the last QNN layout compute each once per grid. A QSVM cell embeds
+    the stack in one qkernel.embed; a QNN cell reads its val predictions
+    off the training report and runs one pass over its train and test
+    rows. Each family's per-split 0/1 predictions are scored here."""
     record = ExperimentRecord(dataset_key, family, k, config,
                               bundle.seed, seed)
     started = time.perf_counter()
     try:
-        arrays, stacked = _split_arrays(bundle, k)
-        (Xtr, ytr) = arrays["train"]
+        X, y, rows = _stacked(bundle, k)
+        tr = rows["train"]
         weights = bundle.class_weights()
-        labels_by_split = {s: arrays[s][1] for s in arrays}
 
-        n_val, n_tr = len(labels_by_split["val"]), len(ytr)
         if family == "qsvm":
-            states = embed(config["encoding"], stacked,
-                           config["repetitions"])
-            train = states[n_val:n_val + n_tr]
-            gram = gram_matrix(train)
-            rows = {"train": gram,
-                    "val": cross_gram(states[:n_val], train),
-                    "test": cross_gram(states[n_val + n_tr:], train)}
-            n_par, split_metrics, extra = _svm_eval(
-                gram, ytr, rows, labels_by_split, weights)
+            states = embed(config["encoding"], X, config["repetitions"])
+            train = states[tr]
+            n_par, preds, extra = _svm_predictions(
+                gram_matrix(train), lambda r: cross_gram(states[r], train),
+                y, rows, weights)
 
         elif family == "classical":
             model_kind = config["model"]
+            Xtr = X[tr]
             if model_kind == "svm":
                 kind = config["kernel"]
-                gram = svm.kernel_matrix(kind, Xtr, Xtr)
-                rows = {"train": gram,
-                        "val": svm.kernel_matrix(kind, arrays["val"][0], Xtr),
-                        "test": svm.kernel_matrix(kind, arrays["test"][0], Xtr)}
-                n_par, split_metrics, extra = _svm_eval(
-                    gram, ytr, rows, labels_by_split, weights)
+                n_par, preds, extra = _svm_predictions(
+                    svm.kernel_matrix(kind, Xtr, Xtr),
+                    lambda r: svm.kernel_matrix(kind, X[r], Xtr),
+                    y, rows, weights)
             elif model_kind == "logistic":
-                model = baselines.fit_logistic(Xtr, ytr, weights)
-                split_metrics = {s: evaluate(y, baselines.predict_logistic(model, X))
-                                 for s, (X, y) in arrays.items()}
+                model = baselines.fit_logistic(Xtr, y[tr], weights)
+                preds = {s: baselines.predict_logistic(model, X[r])
+                         for s, r in rows.items()}
                 n_par, extra = k + 1, {}
             elif model_kind in ("tree", "forest"):
-                model = (baselines.fit_tree(Xtr, ytr, weights)
+                model = (baselines.fit_tree(Xtr, y[tr], weights)
                          if model_kind == "tree" else
-                         baselines.fit_forest(Xtr, ytr, weights, seed=seed))
-                split_metrics = {s: evaluate(y, baselines.predict_forest(model, X))
-                                 for s, (X, y) in arrays.items()}
+                         baselines.fit_forest(Xtr, y[tr], weights, seed=seed))
+                preds = {s: baselines.predict_forest(model, X[r])
+                         for s, r in rows.items()}
                 n_par, extra = model.n_splits(), {}
             else:
                 raise UsageError(f"unknown classical model {model_kind!r}")
@@ -447,20 +428,19 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
                 seed=seed)
             encoded = _qnn_encoding(bundle, k, cfg.encoding_sequence,
                                     cfg.reupload)
+            va = rows["val"]
             growth = qnn.grow_layers(
-                cfg, weights, (encoded[n_val:n_val + n_tr], ytr),
-                (encoded[:n_val], labels_by_split["val"]),
+                cfg, weights, (encoded[tr], y[tr]), (encoded[va], y[va]),
                 start_layers=settings.qnn_start_layers,
                 max_layers=settings.qnn_max_layers,
                 epochs=settings.qnn_epochs)
             best = growth.best_trial()
-            model = best.model
             probs = {"val": best.report.val_probs}
+            # train and test are the stack's last two splits
             probs["train"], probs["test"] = qnn.forward_blocks(
-                model, encoded[n_val:], [n_tr])
-            split_metrics = {s: evaluate(y, qnn.predict(probs[s]))
-                             for s, y in labels_by_split.items()}
-            n_par = len(model.parameters)
+                best.model, encoded[tr.start:], [tr.stop - tr.start])
+            preds = {s: qnn.predict(p) for s, p in probs.items()}
+            n_par = len(best.model.parameters)
             extra = {"n_layers": growth.best_n_layers,
                      "layer_trials": len(growth.trials),
                      "best_epoch": best.report.best_epoch}
@@ -468,9 +448,8 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
             raise UsageError(f"unknown family {family!r}")
 
         record.n_parameters = int(n_par)
-        record.train = split_metrics["train"]
-        record.val = split_metrics["val"]
-        record.test = split_metrics["test"]
+        for split, r in rows.items():
+            setattr(record, split, evaluate(y[r], preds[split]))
         record.extra = extra
     except CELL_ERRORS as exc:         # cell failures are data; bugs raise
         record.error = f"{type(exc).__name__}: {exc}"

@@ -101,11 +101,9 @@ def softmax_pair(e: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=1, keepdims=True)
 
 
-def expectations(model: QnnModel, X: Encoding,
-                 parameters: np.ndarray | None = None) -> np.ndarray:
+def expectations(model: QnnModel, X: Encoding) -> np.ndarray:
     """(<Z_0>, <Z_1>) per encoded sample, shape (B, 2)."""
-    theta = model.parameters if parameters is None else parameters
-    return _readout(run_batch(model.config, X, theta),
+    return _readout(run_batch(model.config, X, model.parameters),
                     model.config.n_features)
 
 
@@ -143,10 +141,8 @@ def predict(probs: np.ndarray) -> np.ndarray:
     return (probs[:, 1] >= probs[:, 0]).astype(int)
 
 
-def batch_loss(model: QnnModel, X: Encoding, y: np.ndarray,
-               parameters: np.ndarray | None = None) -> float:
-    e = expectations(model, X, parameters)
-    return _weighted_loss(model, softmax_pair(e), y)
+def batch_loss(model: QnnModel, X: Encoding, y: np.ndarray) -> float:
+    return _weighted_loss(model, forward_batch(model, X), y)
 
 
 def _weighted_loss(model: QnnModel, probs: np.ndarray, y) -> float:

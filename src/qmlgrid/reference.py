@@ -29,7 +29,7 @@ import numpy as np
 
 from .circuit import ANSATZ_ROTATIONS, FEATURE_MAPS
 from .errors import UsageError
-from .svm import SvmModel, _final_bias
+from .svm import TOL, SvmModel, _final_bias
 
 _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -330,8 +330,7 @@ def bias_from_alpha(gram: np.ndarray, labels: np.ndarray, alpha: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def solve_dual_mvp(problem, tol: float = 1e-4,
-                   max_iter: int | None = None) -> SvmModel:
+def solve_dual_mvp(problem, max_iter: int | None = None) -> SvmModel:
     """svm.solve_dual's iterates the direct way: every step rebuilds
     I_up, I_low, the gains and the curvatures over all n samples and
     takes j by argmin of -gain^2 / curv over I_low with gain > 0."""
@@ -354,7 +353,7 @@ def solve_dual_mvp(problem, tol: float = 1e-4,
         i = int(np.argmax(np.where(up, g, -np.inf)))
         m_up = g[i]
         m_low = float(np.min(np.where(low, g, np.inf)))
-        if m_up - m_low <= tol:
+        if m_up - m_low <= TOL:
             converged = True
             break
         if steps == max_iter:

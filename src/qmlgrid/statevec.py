@@ -52,7 +52,7 @@ def product_states(columns) -> np.ndarray:
     state = columns[:, n - 1]
     for q in range(n - 2, -1, -1):
         state = (state[:, :, None] * columns[:, q, None, :]).reshape(
-            len(columns), -1)
+            len(columns), 2 * state.shape[1])
     return state
 
 

@@ -14,9 +14,9 @@ may still shrink. Each step takes i as the largest g over I_up and j
 over I_low by the second-order rule: with b = g_i - g_j > 0 and
 eta = K_ii + K_jj - 2 K_ij, j minimises -b^2 / eta. It then makes the
 clipped two-variable step and updates g from kernel columns i and j.
-The solver stops when m - M <= tol, where m is the largest g over I_up
+The solver stops when m - M <= TOL, where m is the largest g over I_up
 and M the smallest over I_low. Free samples lie in both sets, so the
-bias from their mean leaves every KKT violation <= tol.
+bias from their mean leaves every KKT violation <= TOL.
 `SvmModel.sweeps` counts these steps.
 
 A step costs a few passes over n-vectors. As LIBSVM's alpha_status
@@ -30,8 +30,8 @@ of the solve: a solve picks far fewer distinct i than it takes steps
 (about 60 in 180 on a heart_failure QSVM Gram), and a full n x n table
 would mostly hold rows it never reads. j is the first argmax of
 max(b, 0)^2 / eta with b = m - (g + pen_low): entries off I_low or with
-b <= 0 score 0, and while m - M > tol > 0 some entry of I_low has
-b > tol, so this is the first index the direct rule picks. Scalar
+b <= 0 score 0, and while m - M > TOL > 0 some entry of I_low has
+b > TOL, so this is the first index the direct rule picks. Scalar
 updates run on Python floats. The iterates (alphas, bias, steps) are bit for bit those
 of `reference.solve_dual_mvp`, which rebuilds every set each step.
 
@@ -50,6 +50,9 @@ import numpy as np
 from .errors import UsageError
 
 KERNEL_KINDS = ("linear", "poly3", "rbf", "sigmoid")
+
+# the solver stops once the largest KKT violation m - M is at most TOL
+TOL = 1e-4
 
 # curvature floor for pairs with K_ii + K_jj - 2 K_ij <= 0 (non-PSD kernels)
 _TAU = 1e-12
@@ -123,11 +126,10 @@ class SvmModel:
             self.support = np.flatnonzero(self.alphas > 1e-10)
 
 
-def solve_dual(problem: SvmProblem, tol: float = 1e-4,
-               max_iter: int | None = None) -> SvmModel:
+def solve_dual(problem: SvmProblem, max_iter: int | None = None) -> SvmModel:
     """Maximal-violating-pair SMO on the dual. Returns the last iterate
     with converged=False if max_iter steps (default max(10000, 100 n))
-    did not close the gap m - M to tol."""
+    did not close the gap m - M to TOL."""
     k = problem.gram
     y = problem.labels
     box = problem.box()
@@ -153,7 +155,7 @@ def solve_dual(problem: SvmProblem, tol: float = 1e-4,
         i = int(np.add(g, pen_up, out=up_g).argmax())
         m_up = g[i]
         np.add(g, pen_low, out=low_g)
-        if m_up - low_g[low_g.argmin()] <= tol:
+        if m_up - low_g[low_g.argmin()] <= TOL:
             converged = True
             break
         if steps == max_iter:
@@ -171,7 +173,7 @@ def solve_dual(problem: SvmProblem, tol: float = 1e-4,
             curvature[i] = curv
         # max(gain, 0)^2 / curv is 0 off I_low and for gain <= 0, so its
         # first argmax is the first argmin of -gain^2 / curv over
-        # I_low & (gain > 0): that set holds a gain > tol once m - M > tol
+        # I_low & (gain > 0): that set holds a gain > TOL once m - M > TOL
         np.subtract(m_up, low_g, out=work)
         np.maximum(work, 0.0, out=work)
         np.square(work, out=work)
@@ -217,7 +219,7 @@ def _final_bias(k, y, a, box, sv_tol=1e-8) -> float:
 
 
 def kkt_violation(problem: SvmProblem, model: SvmModel) -> float:
-    """Largest violation of the optimality conditions; <= tol at a solution."""
+    """Largest violation of the optimality conditions; <= TOL at a solution."""
     y = problem.labels
     box = problem.box()
     margins = y * (problem.gram @ (model.alphas * y) + model.bias)

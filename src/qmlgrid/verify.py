@@ -127,7 +127,7 @@ def check_gradients(n_configs: int = 50, seed: int = 102) -> CheckResult:
         encoded = encode(cfg, X)
         got = qnn.parameter_shift_gradient(model, encoded, y)
         want = reference.finite_difference_gradient(
-            lambda t: qnn.batch_loss(model, encoded, y, t),
+            lambda t: qnn.batch_loss(qnn.replace_params(model, t), encoded, y),
             model.parameters, eps=1e-4)
         worst = max(worst, float(np.max(np.abs(got - want))))
         shift = reference.shift_rule_gradient(model, X, y)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from qmlgrid import bench, datasets, qkernel, qnn, svm
+from qmlgrid import baselines, bench, datasets, qkernel, qnn, svm
 from qmlgrid.bench import (ExperimentRecord, RecordStore, RunSettings,
                            canonical, cell_seed, select_best)
 from qmlgrid.circuit import encode
@@ -105,6 +105,33 @@ class TestRecordLines:
         back = ExperimentRecord.from_line(rec.to_line())
         assert back.error == "UsageError: boom"
         assert back.train is None and back.test is None
+
+    def test_line_is_the_field_by_field_formula(self):
+        # the line each field was once written into by hand
+        def metrics(m):
+            return {"tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn,
+                    "precision": m.precision, "recall": m.recall,
+                    "f1": m.f1}
+
+        full = ExperimentRecord(
+            "toy", "classical", 3, {"model": "svm", "kernel": "rbf"}, 2, 7,
+            n_parameters=11, train=Metrics.from_counts(5, 1, 2, 9),
+            val=Metrics.from_counts(1, 2, 0, 4),
+            test=Metrics.from_counts(0, 0, 3, 6),
+            extra={"converged": True, "sweeps": 12}, wall_clock=0.5)
+        failed = ExperimentRecord("toy", "qsvm", 4, {}, 0, 0,
+                                  error="UsageError: boom", wall_clock=0.5)
+        for rec in (full, failed):
+            want = json.dumps({
+                "dataset": rec.dataset, "family": rec.family, "k": rec.k,
+                "config": rec.config, "split_seed": rec.split_seed,
+                "seed": rec.seed, "n_parameters": rec.n_parameters,
+                "train": metrics(rec.train) if rec.train else None,
+                "val": metrics(rec.val) if rec.val else None,
+                "test": metrics(rec.test) if rec.test else None,
+                "extra": rec.extra, "error": rec.error,
+            }, sort_keys=True, separators=(",", ":"))
+            assert rec.to_line() == want
 
 
 class TestRecordStore:
@@ -219,6 +246,20 @@ class TestRecordStore:
         with pytest.raises(IngestionError, match="line 3"):
             RecordStore(path)
         assert path.read_bytes() == data + b'{"torn'
+
+    @pytest.mark.parametrize("key, split", [
+        ("note", None), ("auc", "test"), ("wall_clock", None)],
+        ids=["record-field", "metric-field", "wall-clock"])
+    def test_unknown_field_is_refused_naming_its_line(self, tmp_path, key,
+                                                      split):
+        # a field from_line would drop, or wall_clock, which lives in the
+        # timings sidecar only; the first line holds another cell
+        path = tmp_path / "s.jsonl"
+        path.write_text(fake_record(k=3).to_line() + "\n\n"
+                        + retyped(key, 0.5, split) + "\n")
+        name = key if split is None else f"{split}.{key}"
+        with pytest.raises(IngestionError, match=f"line 3: .*'{name}'"):
+            RecordStore(path)
 
 
 class TestRunSettings:
@@ -518,8 +559,8 @@ class TestCellInputs:
         # every cell of a (bundle, k), a QSVM encoding or a QNN layout
         # shares them
         bundle = stratified_split(small_run[0], 0)
-        arrays, stacked = bench._split_arrays(bundle, 2)
-        for shared in (stacked, *(a for X_y in arrays.values() for a in X_y)):
+        X, y, _ = bench._stacked(bundle, 2)
+        for shared in (X, y):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0
         encoded = bench._qnn_encoding(bundle, 2, ("X", "Z"), True)
@@ -528,23 +569,36 @@ class TestCellInputs:
             with pytest.raises(ValueError, match="read-only"):
                 payload[0] = 0
 
+    def test_slices_tile_the_stack_in_split_order(self, small_run):
+        bundle = stratified_split(small_run[0], 0)
+        X, y, rows = bench._stacked(bundle, 3)
+        assert list(rows) == list(bench.STACK)
+        start = 0
+        for split, r in rows.items():
+            n = len(bundle.indices(split))
+            assert (r.start, r.stop, r.step) == (start, start + n, None)
+            np.testing.assert_array_equal(X[r], bundle.features(split, 3))
+            np.testing.assert_array_equal(y[r], bundle.labels(split))
+            start += n
+        assert start == len(X) == len(y) == len(small_run[0].labels)
+
     def test_memos_never_serve_another_bundle_or_k(self, small_run):
         ds = small_run[0]
         first = stratified_split(ds, 0)
-        arrays, stacked = bench._split_arrays(first, 2)
+        X, y, rows = bench._stacked(first, 2)
         encoded = bench._qnn_encoding(first, 2, ("Y",), False)
         # the same split, so equal values, but not the same arrays
         twin = stratified_split(ds, 0)
-        assert bench._split_arrays(twin, 2)[0]["train"][0] is not arrays[
-            "train"][0]
-        assert bench._split_arrays(twin, 2)[1] is not stacked
+        assert bench._stacked(twin, 2)[0] is not X
+        assert bench._stacked(twin, 2)[1] is not y
         assert bench._qnn_encoding(twin, 2, ("Y",), False) is not encoded
         other = stratified_split(ds, 1)
-        assert not np.array_equal(bench._split_arrays(other, 2)[0]["train"][0],
-                                  arrays["train"][0])
-        wider_arrays, wider = bench._split_arrays(first, 3)
-        assert wider_arrays["train"][0].shape[1] == 3
+        X_other, _, rows_other = bench._stacked(other, 2)
+        assert not np.array_equal(X_other[rows_other["train"]],
+                                  X[rows["train"]])
+        wider, _, wider_rows = bench._stacked(first, 3)
         assert wider.shape == (len(ds.labels), 3)
+        assert wider_rows == rows
         assert bench._qnn_encoding(first, 3, ("Y",), False).layout[0] == 3
         assert bench._qnn_encoding(first, 2, ("Y",), True).local
 
@@ -594,6 +648,48 @@ class TestCellInputs:
             assert getattr(rec, split) == evaluate(bundle.labels(split), pred)
         assert rec.extra == {"converged": bool(model.converged),
                              "sweeps": int(model.sweeps)}
+
+    def test_classical_cells_match_per_split_fits(self):
+        # the records equal ones fit and scored on a copy of each split,
+        # as cells were run before they took views of the stack
+        bundle = stratified_split(datasets.synthetic("diabetes"), 1)
+        k = 5
+        sets = {s: (bundle.features(s, k), bundle.labels(s))
+                for s in bundle.SPLITS}
+        Xtr, ytr = sets["train"]
+        weights = bundle.class_weights()
+        for config in bench.classical_grid():
+            seed = cell_seed(0, "diabetes", "classical", config, 1)
+            rec = bench.run_cell("diabetes", bundle, "classical", config, k,
+                                 seed, RunSettings())
+            model_kind = config["model"]
+            if model_kind == "svm":
+                kind = config["kernel"]
+                model = svm.solve_dual(svm.SvmProblem(
+                    svm.kernel_matrix(kind, Xtr, Xtr),
+                    np.where(ytr == 1, 1, -1), bench.SVM_C, weights))
+                preds = {s: (svm.predict(model, svm.kernel_matrix(
+                             kind, X, Xtr)) > 0).astype(int)
+                         for s, (X, _) in sets.items()}
+                n_par, extra = len(model.support), {
+                    "converged": bool(model.converged),
+                    "sweeps": int(model.sweeps)}
+            elif model_kind == "logistic":
+                model = baselines.fit_logistic(Xtr, ytr, weights)
+                preds = {s: baselines.predict_logistic(model, X)
+                         for s, (X, _) in sets.items()}
+                n_par, extra = k + 1, {}
+            else:
+                model = (baselines.fit_tree(Xtr, ytr, weights)
+                         if model_kind == "tree" else
+                         baselines.fit_forest(Xtr, ytr, weights, seed=seed))
+                preds = {s: baselines.predict_forest(model, X)
+                         for s, (X, _) in sets.items()}
+                n_par, extra = model.n_splits(), {}
+            for split, (_, y) in sets.items():
+                assert getattr(rec, split) == evaluate(y, preds[split]), (
+                    config, split)
+            assert (rec.n_parameters, rec.extra) == (n_par, extra), config
 
     @pytest.mark.parametrize("kept", [1, 2, 3, 5, 9])
     def test_qsvm_store_resumed_mid_encoding_is_byte_identical(

@@ -97,6 +97,11 @@ class TestGram:
             cross_gram(embed("angle", np.zeros((2, 3))),
                        embed("angle", np.zeros((2, 2))))
 
+    @pytest.mark.parametrize("enc", ALL_ENCODINGS,
+                             ids=[f"{k}-r{r}" for k, r in ALL_ENCODINGS])
+    def test_no_rows_embed_to_no_states(self, enc):
+        assert embed_rows(enc, np.zeros((0, 3))).shape == (0, 8)
+
 
 class TestStackedEmbedding:
     # A grid embeds the val, train and test rows of a k stacked, in one

@@ -80,6 +80,12 @@ class TestForward:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert probs.min() > 0.0
 
+    def test_no_rows_give_no_probabilities(self):
+        model = init_model(QnnConfig(3, ("X", "Y"), False, "strongly", 2),
+                           (0.5, 0.5))
+        probs = forward_batch(model, encode(model.config, np.zeros((0, 3))))
+        assert probs.shape == (0, 2)
+
     def test_predict_ties_go_to_class_one(self):
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=0),
                            (0.5, 0.5))
@@ -133,7 +139,7 @@ class TestGradient:
             encoded = encode(cfg, X)
             analytic = parameter_shift_gradient(model, encoded, y)
             numeric = reference.finite_difference_gradient(
-                lambda th: batch_loss(model, encoded, y, parameters=th),
+                lambda th: batch_loss(replace_params(model, th), encoded, y),
                 model.parameters, eps=1e-4)
             assert np.max(np.abs(analytic - numeric)) <= 1e-6
 

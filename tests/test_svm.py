@@ -87,7 +87,7 @@ class TestSolverAgainstOracle:
         rng = np.random.default_rng(42)
         for _ in range(12):
             problem = random_problem(rng)
-            model = solve_dual(problem, tol=1e-4)
+            model = solve_dual(problem)
             box = problem.box()
             oracle = reference.solve_dual_projected_gradient(
                 problem.gram, problem.labels, box)
@@ -106,7 +106,7 @@ class TestSolverAgainstOracle:
         rng = np.random.default_rng(43)
         for _ in range(12):
             problem = random_problem(rng)
-            model = solve_dual(problem, tol=1e-4)
+            model = solve_dual(problem)
             box = problem.box()
             assert np.all(model.alphas >= -1e-12)
             assert np.all(model.alphas <= box + 1e-12)
@@ -268,7 +268,7 @@ class TestSolverBehavior:
     def test_non_convergence_returns_flagged_iterate(self):
         rng = np.random.default_rng(44)
         problem = random_problem(rng)
-        model = solve_dual(problem, tol=1e-10, max_iter=1)
+        model = solve_dual(problem, max_iter=1)
         assert not model.converged
         assert model.sweeps == 1
 
