@@ -350,8 +350,7 @@ def _qnn_encoding(bundle: SplitBundle, k: int, sequence: tuple,
     """One circuit.encode of the _stacked features at k, for the QNNs of
     this width, encoding sequence and re-upload setting. A split is a
     slice of it, equal bit for bit to an encode of that split alone, as
-    encoding is elementwise per row; train and test sit side by side, so
-    one pass predicts both."""
+    encoding is elementwise per row, so one pass predicts every split."""
     return encode(qnn.QnnConfig(k, sequence, reupload),
                   _stacked(bundle, k)[0])
 
@@ -376,9 +375,9 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
     error. Every family takes each split as a slice of the stacked splits
     at k, or of a QNN's encoding of them; memos of the last (bundle, k)
     and the last QNN layout compute each once per grid. A QSVM cell embeds
-    the stack in one qkernel.embed; a QNN cell reads its val predictions
-    off the training report and runs one pass over its train and test
-    rows. Each family's per-split 0/1 predictions are scored here."""
+    the stack in one qkernel.embed, and a QNN cell predicts it in one
+    qnn.forward_batch. Each family's per-split 0/1 predictions are scored
+    here."""
     record = ExperimentRecord(dataset_key, family, k, config,
                               bundle.seed, seed)
     started = time.perf_counter()
@@ -435,11 +434,8 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
                 max_layers=settings.qnn_max_layers,
                 epochs=settings.qnn_epochs)
             best = growth.best_trial()
-            probs = {"val": best.report.val_probs}
-            # train and test are the stack's last two splits
-            probs["train"], probs["test"] = qnn.forward_blocks(
-                best.model, encoded[tr.start:], [tr.stop - tr.start])
-            preds = {s: qnn.predict(p) for s, p in probs.items()}
+            probs = qnn.forward_batch(best.model, encoded)
+            preds = {s: qnn.predict(probs[r]) for s, r in rows.items()}
             n_par = len(best.model.parameters)
             extra = {"n_layers": growth.best_n_layers,
                      "layer_trials": len(growth.trials),

@@ -1,7 +1,9 @@
 """Variational quantum classifier with adjoint-mode training.
 
 One qubit per feature; qubits 0 and 1 are read out, softmax over
-(<Z_0>, <Z_1>) gives the two class probabilities. The loss is class-
+(<Z_0>, <Z_1>) gives the two class probabilities. The readout reduces
+each row on its own, so one forward_batch over stacked splits gives
+each split the bits of a pass over its rows alone. The loss is class-
 weighted cross-entropy. Gradients are adjoint-mode (Jones & Gacon,
 arXiv:2009.02823): one forward pass, then one backward sweep that reads
 every parameter's derivative off the stored state. Features come in as
@@ -101,12 +103,6 @@ def softmax_pair(e: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=1, keepdims=True)
 
 
-def expectations(model: QnnModel, X: Encoding) -> np.ndarray:
-    """(<Z_0>, <Z_1>) per encoded sample, shape (B, 2)."""
-    return _readout(run_batch(model.config, X, model.parameters),
-                    model.config.n_features)
-
-
 @lru_cache(maxsize=None)
 def _z_signs(n_qubits: int, qubit: int) -> np.ndarray:
     idx = np.arange(1 << n_qubits)
@@ -114,26 +110,21 @@ def _z_signs(n_qubits: int, qubit: int) -> np.ndarray:
 
 
 def _readout(amps: np.ndarray, n_qubits: int) -> np.ndarray:
+    """(<Z_0>, <Z_1>) per row of amps, shape (B, 2). Each row is reduced
+    on its own, so a row reads the same bits in any batch; a BLAS
+    matrix-vector product would round it by its place in the batch."""
     probs = np.abs(amps) ** 2
-    return np.stack([probs @ _z_signs(n_qubits, 0),
-                     probs @ _z_signs(n_qubits, 1)], axis=1)
+    return np.stack([(probs * _z_signs(n_qubits, 0)).sum(axis=1),
+                     (probs * _z_signs(n_qubits, 1)).sum(axis=1)], axis=1)
 
 
 def forward_batch(model: QnnModel, X: Encoding) -> np.ndarray:
-    """Class probabilities per sample, shape (B, 2)."""
-    return softmax_pair(expectations(model, X))
-
-
-def forward_blocks(model: QnnModel, X: Encoding, cuts) -> list:
-    """forward_batch of each block np.split(X, cuts) of rows of X, from
-    one run_batch. apply_ops gives a row the same amplitudes in any
-    batch, but the readout's BLAS matrix-vector product may round a row
-    by its place in the batch (OpenBLAS 0.3.31 does, by row index mod
-    4), so each block is read out on its own: a block's probabilities
-    equal forward_batch of its rows bit for bit."""
-    amps = run_batch(model.config, X, model.parameters)
-    return [softmax_pair(_readout(block, model.config.n_features))
-            for block in np.split(amps, cuts)]
+    """Class probabilities per encoded sample, shape (B, 2). A slice of
+    rows of the result equals forward_batch of those rows bit for bit,
+    for slices of 2 or more rows: numpy's complex matmul may round a
+    one-row product apart from the same row in a larger one."""
+    return softmax_pair(_readout(run_batch(model.config, X, model.parameters),
+                                 model.config.n_features))
 
 
 def predict(probs: np.ndarray) -> np.ndarray:
@@ -142,11 +133,9 @@ def predict(probs: np.ndarray) -> np.ndarray:
 
 
 def batch_loss(model: QnnModel, X: Encoding, y: np.ndarray) -> float:
-    return _weighted_loss(model, forward_batch(model, X), y)
-
-
-def _weighted_loss(model: QnnModel, probs: np.ndarray, y) -> float:
+    """Class-weighted cross-entropy of forward_batch, mean over rows."""
     y = np.asarray(y, dtype=int)
+    probs = forward_batch(model, X)
     picked = np.maximum(probs[np.arange(len(y)), y], PROB_FLOOR)
     w = model.class_weights[y]
     return float(np.mean(-w * np.log(picked)))
@@ -229,12 +218,10 @@ def _reduction_indices(n_qubits: int):
 
 @dataclass
 class TrainReport:
-    """Per-epoch validation losses, and the validation rows' class
-    probabilities at the best epoch, the pass that scored its loss."""
+    """Per-epoch validation losses; epochs are 1-based."""
     val_loss: list
     best_epoch: int
     stopped_epoch: int
-    val_probs: np.ndarray = None
 
     def best_val_loss(self) -> float:
         return self.val_loss[self.best_epoch - 1]
@@ -244,12 +231,11 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int) -> tuple:
     """Mini-batch Adam with early stopping on validation loss.
 
     train_set and val_set are (circuit.encode of the features, labels).
-    Returns (model with the best-epoch parameters, TrainReport). Epochs
-    are 1-based in the report, and its val_probs equal forward_batch of
-    the returned model on the validation rows bit for bit, so a caller
-    needs no second pass. Training stops once validation loss has not
-    improved for PATIENCE consecutive epochs, so a model already at a
-    plateau stops exactly PATIENCE epochs past its best.
+    Returns (model with the best-epoch parameters, TrainReport); a caller
+    predicts any split with forward_batch of that model. Training stops
+    once validation loss has not improved for PATIENCE consecutive
+    epochs, so a model already at a plateau stops exactly PATIENCE epochs
+    past its best.
     """
     if epochs < 1:
         raise UsageError(f"epochs must be >= 1, got {epochs}")
@@ -281,8 +267,7 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int) -> tuple:
             params = params - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             work = replace_params(work, params)
 
-        va_probs = forward_batch(work, X_va)
-        va_loss = _weighted_loss(work, va_probs, y_va)
+        va_loss = batch_loss(work, X_va, y_va)
         if not np.isfinite(va_loss):
             raise TrainingDivergedError(
                 f"non-finite validation loss at epoch {epoch} ({va_loss})")
@@ -292,7 +277,6 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int) -> tuple:
             best_val = va_loss
             best_params = params.copy()
             history.best_epoch = epoch
-            history.val_probs = va_probs
             stale = 0
         else:
             stale += 1

@@ -60,8 +60,12 @@ def apply_ops(amps: np.ndarray, n_qubits: int, ops) -> None:
     """Apply whole-register ops in place to a (batch, 2**n_qubits) buffer.
 
     ops is an iterable of (kind, payload) pairs, with the kinds and
-    payloads of the module docstring; no kind reads n_qubits.
+    payloads of the module docstring; no kind reads n_qubits. An empty
+    buffer is left as it is (a "local" reshape could not infer its
+    stacked copies from 0 rows).
     """
+    if not amps.size:
+        return
     for kind, payload in ops:
         if kind == "unitary":
             amps[:] = amps @ payload.T

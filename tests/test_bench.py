@@ -708,17 +708,19 @@ class TestCellInputs:
         assert len(new) == 12 - kept
         assert part.read_bytes() == full.read_bytes()
 
-    def test_qnn_cell_matches_per_split_passes(self):
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_qnn_cell_matches_per_split_passes(self, k):
         # the record equals one built with a fresh encode and a forward
-        # pass per split, as cells were run before the memos
+        # pass per split, as cells were run before the memos; at k = 6
+        # the re-upload payload is split into a high and a low factor
         bundle = stratified_split(datasets.synthetic("diabetes"), 0)
         settings = RunSettings(qnn_epochs=2, qnn_start_layers=1,
                                qnn_max_layers=3)
         rec = bench.run_cell("diabetes", bundle, "qnn",
                              {"sequence": "XZ", "reupload": True,
-                              "ansatz": "strongly"}, 2, 5, settings)
-        cfg = qnn.QnnConfig(2, ("X", "Z"), True, "strongly", 1, seed=5)
-        sets = {s: (encode(cfg, bundle.features(s, 2)), bundle.labels(s))
+                              "ansatz": "strongly"}, k, 5, settings)
+        cfg = qnn.QnnConfig(k, ("X", "Z"), True, "strongly", 1, seed=5)
+        sets = {s: (encode(cfg, bundle.features(s, k)), bundle.labels(s))
                 for s in bundle.SPLITS}
         growth = qnn.grow_layers(cfg, bundle.class_weights(), sets["train"],
                                  sets["val"], start_layers=1, max_layers=3,
@@ -806,7 +808,7 @@ def test_perfbench_tracer_binds_every_site(monkeypatch):
     try:
         tracer.install()    # raises if a BINDING_SITES entry stayed unwrapped
         for fn in (qkernel.embed, svm.kkt_violation,
-                   qnn.parameter_shift_gradient, qnn.expectations):
+                   qnn.parameter_shift_gradient):
             assert hasattr(fn, "__wrapped__"), fn.__name__
     finally:
         tracer.uninstall()

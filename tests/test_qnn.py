@@ -10,10 +10,9 @@ from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
 from qmlgrid.metrics import evaluate
 from qmlgrid.pipeline import stratified_split
 from qmlgrid.qkernel import embed
-from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, expectations,
-                         forward_batch, forward_blocks, grow_layers,
-                         init_model, parameter_shift_gradient, predict,
-                         replace_params, softmax_pair, train)
+from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, forward_batch,
+                         grow_layers, init_model, parameter_shift_gradient,
+                         predict, replace_params, softmax_pair, train)
 from qmlgrid.reference import expectation_z_batch, weighted_cross_entropy
 
 
@@ -80,11 +79,30 @@ class TestForward:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert probs.min() > 0.0
 
-    def test_no_rows_give_no_probabilities(self):
-        model = init_model(QnnConfig(3, ("X", "Y"), False, "strongly", 2),
+    @pytest.mark.parametrize("n, reupload", [(3, False), (3, True),
+                                             (6, True)])
+    def test_no_rows_give_no_probabilities(self, n, reupload):
+        # a re-upload op carries a dense payload at n = 3 and a high and
+        # a low factor at n = 6; neither may trip on 0 rows
+        model = init_model(QnnConfig(n, ("X", "Y"), reupload, "strongly", 2),
                            (0.5, 0.5))
-        probs = forward_batch(model, encode(model.config, np.zeros((0, 3))))
+        probs = forward_batch(model, encode(model.config, np.zeros((0, n))))
         assert probs.shape == (0, 2)
+
+    def test_readout_reads_a_row_the_same_in_any_batch(self):
+        # each part of a cut batch reads out the bits of the matching
+        # slice of the whole batch's readout, whatever the cut; a BLAS
+        # matrix-vector product rounds a row by its index in the batch
+        rng = np.random.default_rng(54)
+        for n in range(2, 9):
+            amps = (rng.standard_normal((131, 1 << n))
+                    + 1j * rng.standard_normal((131, 1 << n)))
+            whole = qnn._readout(amps, n)
+            for cut in range(1, 131):
+                assert np.array_equal(qnn._readout(amps[:cut], n),
+                                      whole[:cut]), (n, cut)
+                assert np.array_equal(qnn._readout(amps[cut:], n),
+                                      whole[cut:]), (n, cut)
 
     def test_predict_ties_go_to_class_one(self):
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=0),
@@ -164,7 +182,7 @@ class TestGradient:
         encoded = encode(model.config, X)
         forward, gradient = [], []
         for _ in range(15):
-            for fn, times in ((lambda: expectations(model, encoded), forward),
+            for fn, times in ((lambda: forward_batch(model, encoded), forward),
                               (lambda: parameter_shift_gradient(model, encoded, y),
                                gradient)):
                 started = time.perf_counter()
@@ -243,19 +261,6 @@ class TestTraining:
         data = encode(model.config, X), y
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train(broken, data, data, epochs=3)
-
-    def test_report_keeps_the_best_epochs_val_probabilities(self):
-        # the pass that scored the best epoch's loss is the prediction
-        # of the returned model on the validation rows, bit for bit
-        X, y = toy_sign_task(40)
-        model = init_model(QnnConfig(2, ("X", "Y"), True, "strongly", 2,
-                                     seed=3), (0.4, 0.6))
-        train_set = encode(model.config, X[:28]), y[:28]
-        val_set = encode(model.config, X[28:]), y[28:]
-        fitted, report = train(model, train_set, val_set, epochs=8)
-        assert report.val_probs.shape == (12, 2)
-        assert np.array_equal(report.val_probs,
-                              forward_batch(fitted, val_set[0]))
 
     def test_returns_best_epoch_parameters(self):
         X, y = toy_sign_task(24)
@@ -357,12 +362,13 @@ class TestEncodingCache:
                          for reupload in (False, True)]
 
     def test_stacked_pass_equals_per_split_passes(self):
-        # a QNN cell predicts its train and test rows in one run_batch
-        # over their stacked encoding. That assumes BLAS gives a row the
-        # same amplitudes whatever the batch; the readout's product does
-        # not (a row's bits follow its index mod 4 there), so each block
-        # is read out alone. Cuts 41 and 40 put the test rows off and on
-        # that period
+        # a QNN cell predicts all its splits in one forward_batch over
+        # their stacked encoding. That assumes BLAS gives a row the same
+        # amplitudes whatever the batch, and a readout that reduces each
+        # row on its own. Cuts 41 and 40 put the second block off and on
+        # the period 4 by which a BLAS matrix-vector product rounds a
+        # row; every block keeps 2 or more rows, as a one-row complex
+        # matmul may round apart from the same row in a larger product
         rng = np.random.default_rng(53)
         X = rng.uniform(-1, 1, (67, FUSE_MAX_QUBITS))
         for n in range(2, FUSE_MAX_QUBITS + 1):
@@ -376,13 +382,12 @@ class TestEncodingCache:
                                       2, seed=n), (0.4, 0.6))
                         amps = run_batch(model.config, encoded,
                                          model.parameters)
+                        probs = forward_batch(model, encoded)
                         for cut in (41, 40):
                             assert np.array_equal(amps[cut:], run_batch(
                                 model.config, encoded[cut:],
                                 model.parameters))
-                            head, tail = forward_blocks(model, encoded,
-                                                        [cut])
-                            assert np.array_equal(head, forward_batch(
+                            assert np.array_equal(probs[:cut], forward_batch(
                                 model, encoded[:cut]))
-                            assert np.array_equal(tail, forward_batch(
+                            assert np.array_equal(probs[cut:], forward_batch(
                                 model, encoded[cut:]))
