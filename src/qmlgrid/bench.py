@@ -8,7 +8,7 @@ timings never enter the store (they would break that guarantee); they go
 to a sidecar file next to it. A line holds every ExperimentRecord field
 but wall_clock, each of the JSON type _RECORD_TYPES gives it.
 
-A grid stacks the val, train and test rows of a feature count once, and
+A grid stacks the train, val and test rows of a feature count once, and
 every cell of that count takes its splits as slices of the stack.
 
 A settings file is flat `key = value` text whose keys are RunSettings
@@ -328,19 +328,16 @@ CELL_ERRORS = (ConfigurationError, UsageError, IngestionError,
 # freed bundle's id can never hit, and its arrays are read-only, as
 # every cell of the key shares them.
 
-# the order of the splits in a stack; a split of it is a slice
-STACK = ("val", "train", "test")
-
-
 @lru_cache(maxsize=1)
 def _stacked(bundle: SplitBundle, k: int) -> tuple:
-    """(features at k, labels, split -> slice) of STACK's splits stacked
-    in that order, shared by a (bundle, k)'s cells."""
-    X = np.concatenate([bundle.features(s, k) for s in STACK])
-    y = np.concatenate([bundle.labels(s) for s in STACK])
+    """(features at k, labels, split -> slice) of the bundle's SPLITS
+    stacked in that order, shared by a (bundle, k)'s cells."""
+    splits = bundle.SPLITS
+    X = np.concatenate([bundle.features(s, k) for s in splits])
+    y = np.concatenate([bundle.labels(s) for s in splits])
     X.flags.writeable = y.flags.writeable = False
-    ends = [0, *itertools.accumulate(len(bundle.indices(s)) for s in STACK)]
-    rows = {s: slice(a, b) for s, a, b in zip(STACK, ends, ends[1:])}
+    ends = [0, *itertools.accumulate(len(bundle.indices(s)) for s in splits)]
+    rows = {s: slice(a, b) for s, a, b in zip(splits, ends, ends[1:])}
     return X, y, rows
 
 
@@ -375,9 +372,10 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
     error. Every family takes each split as a slice of the stacked splits
     at k, or of a QNN's encoding of them; memos of the last (bundle, k)
     and the last QNN layout compute each once per grid. A QSVM cell embeds
-    the stack in one qkernel.embed, and a QNN cell predicts it in one
-    qnn.forward_batch. Each family's per-split 0/1 predictions are scored
-    here."""
+    the stack in one qkernel.embed; a QNN cell grows layers from
+    settings.qnn_start_layers and predicts it with the best trial's
+    model in one qnn.forward_batch. Each family's per-split 0/1
+    predictions are scored here."""
     record = ExperimentRecord(dataset_key, family, k, config,
                               bundle.seed, seed)
     started = time.perf_counter()
@@ -430,14 +428,13 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
             va = rows["val"]
             growth = qnn.grow_layers(
                 cfg, weights, (encoded[tr], y[tr]), (encoded[va], y[va]),
-                start_layers=settings.qnn_start_layers,
                 max_layers=settings.qnn_max_layers,
                 epochs=settings.qnn_epochs)
-            best = growth.best_trial()
+            best = growth.best
             probs = qnn.forward_batch(best.model, encoded)
             preds = {s: qnn.predict(probs[r]) for s, r in rows.items()}
             n_par = len(best.model.parameters)
-            extra = {"n_layers": growth.best_n_layers,
+            extra = {"n_layers": best.model.config.n_layers,
                      "layer_trials": len(growth.trials),
                      "best_epoch": best.report.best_epoch}
         else:

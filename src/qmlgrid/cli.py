@@ -69,6 +69,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if not os.path.exists(args.store):
+        raise UsageError(f"store {args.store} does not exist")
     store = RecordStore(args.store)
     if len(store) == 0:
         print(f"store {args.store} is empty", file=sys.stderr)
@@ -146,7 +148,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, IngestionError, ConfigurationError) as exc:
+    except (UsageError, IngestionError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

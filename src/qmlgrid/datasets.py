@@ -106,13 +106,14 @@ def data_dir():
     return Path(value) if value else None
 
 
-def load_real(key: str, directory=None) -> Dataset:
-    """Loads and verifies a locally downloaded copy of a profiled dataset."""
+def load_real(key: str) -> Dataset:
+    """Loads and verifies a locally downloaded copy of a profiled dataset
+    from the $QMLGRID_DATA_DIR directory."""
     p = profile(key)
-    directory = Path(directory) if directory else data_dir()
+    directory = data_dir()
     if directory is None:
         raise IngestionError(
-            f"no data directory; set ${DATA_DIR_ENV} or pass one.\n"
+            f"no data directory; set ${DATA_DIR_ENV}.\n"
             + fetch_instructions(key))
     path = directory / p.filename
     if not path.exists():
@@ -198,11 +199,12 @@ def synthetic(key: str) -> Dataset:
     return Dataset(X, labels)
 
 
-def resolve(key: str, directory=None):
+def resolve(key: str):
     """Returns (dataset, origin) where origin is 'real' or 'synthetic'.
-    A local verified download wins whenever one can be found."""
+    A verified download in the $QMLGRID_DATA_DIR directory wins whenever
+    one is there."""
     p = profile(key)
-    directory = Path(directory) if directory else data_dir()
+    directory = data_dir()
     if directory is not None and (directory / p.filename).exists():
-        return load_real(key, directory), "real"
+        return load_real(key), "real"
     return synthetic(key), "synthetic"

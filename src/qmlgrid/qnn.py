@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,15 +228,22 @@ class TrainReport:
         return self.val_loss[self.best_epoch - 1]
 
 
-def train(model: QnnModel, train_set, val_set, *, epochs: int) -> tuple:
+class LayerTrial(NamedTuple):
+    """A trained model and its TrainReport, as train returns them; its
+    layer count is model.config.n_layers."""
+    model: QnnModel
+    report: TrainReport
+
+
+def train(model: QnnModel, train_set, val_set, *, epochs: int) -> LayerTrial:
     """Mini-batch Adam with early stopping on validation loss.
 
     train_set and val_set are (circuit.encode of the features, labels).
-    Returns (model with the best-epoch parameters, TrainReport); a caller
-    predicts any split with forward_batch of that model. Training stops
-    once validation loss has not improved for PATIENCE consecutive
-    epochs, so a model already at a plateau stops exactly PATIENCE epochs
-    past its best.
+    Returns the LayerTrial (model with the best-epoch parameters,
+    TrainReport); a caller predicts any split with forward_batch of that
+    model. Training stops once validation loss has not improved for
+    PATIENCE consecutive epochs, so a model already at a plateau stops
+    exactly PATIENCE epochs past its best.
     """
     if epochs < 1:
         raise UsageError(f"epochs must be >= 1, got {epochs}")
@@ -284,7 +292,7 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int) -> tuple:
         if stale >= PATIENCE:
             break
 
-    return replace_params(model, best_params), history
+    return LayerTrial(replace_params(model, best_params), history)
 
 
 def replace_params(model: QnnModel, params: np.ndarray) -> QnnModel:
@@ -292,48 +300,36 @@ def replace_params(model: QnnModel, params: np.ndarray) -> QnnModel:
 
 
 @dataclass
-class LayerTrial:
-    n_layers: int
-    val_loss: float
-    model: QnnModel
-    report: TrainReport
-
-
-@dataclass
 class GrowthResult:
-    best_n_layers: int
+    """Every layer trial in the order trained, and the best of them."""
+    best: LayerTrial
     trials: list
-
-    def best_trial(self) -> LayerTrial:
-        return next(t for t in self.trials if t.n_layers == self.best_n_layers)
 
 
 def grow_layers(config: QnnConfig, class_weights, train_set, val_set, *,
-                start_layers: int, max_layers: int,
-                epochs: int) -> GrowthResult:
-    """Incremental layer search: train a fresh model per layer count,
-    stop once validation loss has not improved for as many consecutive
-    counts as there are qubits, or the cap is hit. The sets are as
-    train takes them, so one encoding serves every layer count."""
-    if start_layers > max_layers:
-        raise UsageError(f"start_layers {start_layers} exceeds max_layers "
+                max_layers: int, epochs: int) -> GrowthResult:
+    """Incremental layer search: train a fresh model per layer count from
+    config.n_layers up, stop once validation loss has not improved for as
+    many consecutive counts as there are qubits, or max_layers is hit.
+    The best trial has the lowest best_val_loss, the first on a tie. The
+    sets are as train takes them, so one encoding serves every count."""
+    if config.n_layers > max_layers:
+        raise UsageError(f"n_layers {config.n_layers} exceeds max_layers "
                          f"{max_layers}")
-    best_val = np.inf
-    best_layers = start_layers
+    best = None
     stale = 0
     trials = []
-    for n_layers in range(start_layers, max_layers + 1):
+    for n_layers in range(config.n_layers, max_layers + 1):
         cfg = replace(config, n_layers=n_layers)
-        model, report = train(init_model(cfg, class_weights),
-                              train_set, val_set, epochs=epochs)
-        val = report.best_val_loss()
-        trials.append(LayerTrial(n_layers, val, model, report))
-        if val < best_val:
-            best_val = val
-            best_layers = n_layers
+        trial = train(init_model(cfg, class_weights), train_set, val_set,
+                      epochs=epochs)
+        trials.append(trial)
+        if best is None or (trial.report.best_val_loss()
+                            < best.report.best_val_loss()):
+            best = trial
             stale = 0
         else:
             stale += 1
         if stale >= config.n_features:
             break
-    return GrowthResult(best_layers, trials)
+    return GrowthResult(best, trials)

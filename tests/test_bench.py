@@ -572,7 +572,7 @@ class TestCellInputs:
     def test_slices_tile_the_stack_in_split_order(self, small_run):
         bundle = stratified_split(small_run[0], 0)
         X, y, rows = bench._stacked(bundle, 3)
-        assert list(rows) == list(bench.STACK)
+        assert list(rows) == list(bundle.SPLITS)
         start = 0
         for split, r in rows.items():
             n = len(bundle.indices(split))
@@ -604,8 +604,8 @@ class TestCellInputs:
 
     def test_a_qsvm_cell_embeds_the_stacked_splits_once(
             self, small_run, tmp_path, monkeypatch):
-        # one embed per cell, over the val, train and test rows at once,
-        # in that order
+        # one embed per cell, over the rows of every split at once, in
+        # SplitBundle.SPLITS order
         ds = small_run[0]
         calls = []
         real = bench.embed
@@ -625,7 +625,7 @@ class TestCellInputs:
         bundle = stratified_split(ds, 0)
         for (_, X, _), k in zip(calls, [2] * 12 + [3] * 12):
             np.testing.assert_array_equal(X, np.concatenate(
-                [bundle.features(s, k) for s in ("val", "train", "test")]))
+                [bundle.features(s, k) for s in bundle.SPLITS]))
 
     def test_qsvm_cells_match_per_split_embeds(self):
         # the record equals one built from a fresh embed per split, as
@@ -723,9 +723,8 @@ class TestCellInputs:
         sets = {s: (encode(cfg, bundle.features(s, k)), bundle.labels(s))
                 for s in bundle.SPLITS}
         growth = qnn.grow_layers(cfg, bundle.class_weights(), sets["train"],
-                                 sets["val"], start_layers=1, max_layers=3,
-                                 epochs=2)
-        model = growth.best_trial().model
+                                 sets["val"], max_layers=3, epochs=2)
+        model = growth.best.model
         for split, (E, y) in sets.items():
             want = evaluate(y, qnn.predict(qnn.forward_batch(model, E)))
             assert getattr(rec, split) == want

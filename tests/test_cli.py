@@ -153,6 +153,40 @@ class TestRunAndReport:
         assert main(argv + ["--seed", "0"]) == 0
         assert "0 new records" in capsys.readouterr().out
 
+    def test_missing_config_file_is_refused(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        conf = tmp_path / "missing.conf"
+        assert main(["run", "--dataset", "prostate", "--features", "2",
+                     "--families", "classical", "--config", str(conf),
+                     "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(conf) in err
+        assert "Traceback" not in err
+        assert not store.exists()
+
+    def test_store_in_a_missing_directory_is_refused(self, tmp_path, capsys):
+        store = tmp_path / "no" / "such" / "s.jsonl"
+        assert main(["run", "--dataset", "prostate", "--features", "2",
+                     "--families", "classical", "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(store) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "no").exists()
+
+    def test_report_refuses_a_missing_store(self, tmp_path, capsys):
+        out_dir = tmp_path / "rep"
+        store = tmp_path / "typo.jsonl"
+        assert main(["report", "--store", str(store),
+                     "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(store) in err
+        assert not store.exists() and not out_dir.exists()
+        # a store that exists but holds no record still reports
+        store.write_text("")
+        assert main(["report", "--store", str(store),
+                     "--out", str(out_dir)]) == 0
+        assert f"store {store} is empty" in capsys.readouterr().err
+
     def test_unknown_dataset_is_usage_error(self, tmp_path, capsys):
         assert main(["run", "--dataset", "lungs",
                      "--store", str(tmp_path / "x.jsonl")]) == 2

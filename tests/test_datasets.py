@@ -77,25 +77,28 @@ class TestCsvRoundTrip:
 
 
 class TestLoadReal:
-    def test_loads_verified_file(self, tmp_path):
+    def test_loads_verified_file(self, monkeypatch, tmp_path):
         p = PROFILES["heart_failure"]
         ds = synthetic("heart_failure")
         save_csv(ds, tmp_path / p.filename, label_column=p.label_column)
-        got = load_real("heart_failure", tmp_path)
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        got = load_real("heart_failure")
         assert got.n_rows == p.n_rows
         assert got.positive_count() == p.n_positive
 
-    def test_rejects_wrong_counts(self, tmp_path):
+    def test_rejects_wrong_counts(self, monkeypatch, tmp_path):
         p = PROFILES["heart_failure"]
         ds = synthetic("heart_failure")
         short = Dataset(ds.features[:150], ds.labels[:150])
         save_csv(short, tmp_path / p.filename, label_column=p.label_column)
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
         with pytest.raises(IngestionError, match="expected 299"):
-            load_real("heart_failure", tmp_path)
+            load_real("heart_failure")
 
-    def test_missing_file_mentions_instructions(self, tmp_path):
+    def test_missing_file_mentions_instructions(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
         with pytest.raises(IngestionError, match="not found"):
-            load_real("diabetes", tmp_path)
+            load_real("diabetes")
 
     def test_no_directory_configured(self, monkeypatch):
         monkeypatch.delenv(DATA_DIR_ENV, raising=False)
@@ -110,17 +113,11 @@ class TestResolve:
         assert origin == "synthetic"
         assert ds.n_rows == 768
 
-    def test_prefers_local_file(self, tmp_path):
-        p = PROFILES["diabetes"]
-        save_csv(synthetic("diabetes"), tmp_path / p.filename,
-                 label_column=p.label_column)
-        ds, origin = resolve("diabetes", tmp_path)
-        assert origin == "real"
-
     def test_env_var_is_honored(self, monkeypatch, tmp_path):
-        p = PROFILES["heart_failure"]
-        save_csv(synthetic("heart_failure"), tmp_path / p.filename,
-                 label_column=p.label_column)
         monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
-        ds, origin = resolve("heart_failure")
-        assert origin == "real"
+        for key in ("heart_failure", "diabetes"):
+            p = PROFILES[key]
+            save_csv(synthetic(key), tmp_path / p.filename,
+                     label_column=p.label_column)
+            ds, origin = resolve(key)
+            assert origin == "real"

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
 from qmlgrid.metrics import evaluate
 from qmlgrid.pipeline import stratified_split
 from qmlgrid.qkernel import embed
-from qmlgrid.qnn import (GrowthResult, QnnConfig, batch_loss, forward_batch,
-                         grow_layers, init_model, parameter_shift_gradient,
-                         predict, replace_params, softmax_pair, train)
+from qmlgrid.qnn import (GrowthResult, LayerTrial, QnnConfig, batch_loss,
+                         forward_batch, grow_layers, init_model,
+                         parameter_shift_gradient, predict, replace_params,
+                         softmax_pair, train)
 from qmlgrid.reference import expectation_z_batch, weighted_cross_entropy
 
 
@@ -275,25 +277,25 @@ class TestTraining:
 class TestLayerGrowth:
     def test_growth_follows_stall_rule(self):
         X, y = toy_sign_task(20)
-        cfg = QnnConfig(2, ("Y",), False, "basic", 1, seed=4)
+        cfg = QnnConfig(2, ("Y",), False, "basic", 2, seed=4)
         data = encode(cfg, X), y
         result = grow_layers(cfg, (0.5, 0.5), data, data,
-                             start_layers=2, max_layers=8, epochs=4)
+                             max_layers=8, epochs=4)
         assert isinstance(result, GrowthResult)
-        counts = [t.n_layers for t in result.trials]
+        assert all(isinstance(t, LayerTrial) for t in result.trials)
+        counts = [t.model.config.n_layers for t in result.trials]
         assert counts == list(range(2, 2 + len(counts)))
         # replay the stopping rule from the recorded losses
-        best, best_layers, stale, stop_at = np.inf, None, 0, None
-        for t in result.trials:
-            if t.val_loss < best:
-                best, best_layers, stale = t.val_loss, t.n_layers, 0
+        best, best_at, stale, stop_at = np.inf, None, 0, None
+        for i, t in enumerate(result.trials):
+            if t.report.best_val_loss() < best:
+                best, best_at, stale = t.report.best_val_loss(), i, 0
             else:
                 stale += 1
             if stale >= 2:                # the qubit count
-                stop_at = t.n_layers
+                stop_at = counts[i]
                 break
-        assert result.best_n_layers == best_layers
-        assert result.best_trial().n_layers == best_layers
+        assert result.best is result.trials[best_at]
         assert counts[-1] == (8 if stop_at is None else stop_at)
 
     def test_refuses_an_empty_search(self):
@@ -302,12 +304,13 @@ class TestLayerGrowth:
         X, y = toy_sign_task(8)
         cfg = QnnConfig(2, ("Y",), False, "basic", 1, seed=4)
         data = encode(cfg, X), y
-        with pytest.raises(UsageError, match="max_layers"):
-            grow_layers(cfg, (0.5, 0.5), data, data,
-                        start_layers=3, max_layers=2, epochs=1)
+        with pytest.raises(UsageError,
+                           match="n_layers 3 exceeds max_layers 2"):
+            grow_layers(replace(cfg, n_layers=3), (0.5, 0.5), data, data,
+                        max_layers=2, epochs=1)
         with pytest.raises(UsageError, match="epochs"):
             grow_layers(cfg, (0.5, 0.5), data, data,
-                        start_layers=1, max_layers=2, epochs=0)
+                        max_layers=2, epochs=0)
 
 
 class TestEncodingCache:
