@@ -113,11 +113,19 @@ class TestResolve:
         assert origin == "synthetic"
         assert ds.n_rows == 768
 
-    def test_env_var_is_honored(self, monkeypatch, tmp_path):
+    def test_prefers_local_file(self, monkeypatch, tmp_path):
         monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
-        for key in ("heart_failure", "diabetes"):
-            p = PROFILES[key]
-            save_csv(synthetic(key), tmp_path / p.filename,
-                     label_column=p.label_column)
-            ds, origin = resolve(key)
-            assert origin == "real"
+        assert resolve("diabetes")[1] == "synthetic"
+        p = PROFILES["diabetes"]
+        save_csv(synthetic("diabetes"), tmp_path / p.filename,
+                 label_column=p.label_column)
+        ds, origin = resolve("diabetes")
+        assert origin == "real"
+
+    def test_env_var_is_honored(self, monkeypatch, tmp_path):
+        p = PROFILES["heart_failure"]
+        save_csv(synthetic("heart_failure"), tmp_path / p.filename,
+                 label_column=p.label_column)
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        ds, origin = resolve("heart_failure")
+        assert origin == "real"
