@@ -8,8 +8,9 @@ timings never enter the store (they would break that guarantee); they go
 to a sidecar file next to it. A line holds every ExperimentRecord field
 but wall_clock, each of the JSON type _RECORD_TYPES gives it.
 
-A grid stacks the train, val and test rows of a feature count once, and
-every cell of that count takes its splits as slices of the stack.
+A grid's split bundle holds the train, val and test rows stacked once at
+every component; a cell at k takes the first k columns of that stack,
+and its splits as slices of them.
 
 A settings file is flat `key = value` text whose keys are RunSettings
 fields and whose values are JSON. Every value is checked before a run
@@ -323,33 +324,19 @@ CELL_ERRORS = (ConfigurationError, UsageError, IngestionError,
 
 
 # A grid runs every cell of one k in a row, and the QNN grid puts the
-# ansaetze of one encoding layout side by side, so each memo holds one
-# entry. Its keys hold the bundle itself (hashed by identity), so a
-# freed bundle's id can never hit, and its arrays are read-only, as
-# every cell of the key shares them.
-
-@lru_cache(maxsize=1)
-def _stacked(bundle: SplitBundle, k: int) -> tuple:
-    """(features at k, labels, split -> slice) of the bundle's SPLITS
-    stacked in that order, shared by a (bundle, k)'s cells."""
-    splits = bundle.SPLITS
-    X = np.concatenate([bundle.features(s, k) for s in splits])
-    y = np.concatenate([bundle.labels(s) for s in splits])
-    X.flags.writeable = y.flags.writeable = False
-    ends = [0, *itertools.accumulate(len(bundle.indices(s)) for s in splits)]
-    rows = {s: slice(a, b) for s, a, b in zip(splits, ends, ends[1:])}
-    return X, y, rows
-
+# ansaetze of one encoding layout side by side, so the memo holds one
+# entry. Its key holds the bundle itself (hashed by identity), so a freed
+# bundle's id can never hit, and its arrays are read-only, as every cell
+# of the key shares them.
 
 @lru_cache(maxsize=1)
 def _qnn_encoding(bundle: SplitBundle, k: int, sequence: tuple,
                   reupload: bool):
-    """One circuit.encode of the _stacked features at k, for the QNNs of
+    """One circuit.encode of the bundle's features at k, for the QNNs of
     this width, encoding sequence and re-upload setting. A split is a
     slice of it, equal bit for bit to an encode of that split alone, as
     encoding is elementwise per row, so one pass predicts every split."""
-    return encode(qnn.QnnConfig(k, sequence, reupload),
-                  _stacked(bundle, k)[0])
+    return encode(qnn.QnnConfig(k, sequence, reupload), bundle.features(k))
 
 
 def _svm_predictions(gram, kernel_rows, y, rows, weights):
@@ -369,9 +356,9 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
              config: dict, k: int, seed: int,
              settings: RunSettings) -> ExperimentRecord:
     """The record of one grid cell; a failure in CELL_ERRORS becomes its
-    error. Every family takes each split as a slice of the stacked splits
-    at k, or of a QNN's encoding of them; memos of the last (bundle, k)
-    and the last QNN layout compute each once per grid. A QSVM cell embeds
+    error. Every family takes each split as a slice of the bundle's
+    features at k, or of a QNN's encoding of them; a memo of the last QNN
+    layout encodes each once per grid. A QSVM cell embeds
     the stack in one qkernel.embed; a QNN cell grows layers from
     settings.qnn_start_layers and predicts it with the best trial's
     model in one qnn.forward_batch. Each family's per-split 0/1
@@ -380,7 +367,7 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
                               bundle.seed, seed)
     started = time.perf_counter()
     try:
-        X, y, rows = _stacked(bundle, k)
+        X, y, rows = bundle.features(k), bundle.y, bundle.rows
         tr = rows["train"]
         weights = bundle.class_weights()
 

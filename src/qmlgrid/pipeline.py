@@ -3,13 +3,16 @@
 The chain applied to every dataset: standardize per feature, project with
 PCA, rescale each component to [-1, 1], all fitted on the training split
 only. Splitting is stratified 20% test, then 20% of the remainder to
-validation (64/16/20 overall), rounded to nearest per class. A split and
-its fitted transforms are a function of the dataset and the seed, so
-nothing about them is saved: a run that needs one recomputes it.
+validation (64/16/20 overall), rounded to nearest per class. The chain
+runs once over every row at all d components, and a model at k reads the
+first k columns. A split and its features are a function of the dataset
+and the seed, so nothing about them is saved: a run that needs one
+recomputes it.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,15 +28,16 @@ class Dataset:
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=int)
+        y = np.asarray(self.labels)
         if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
             raise UsageError(f"misaligned dataset: {X.shape} vs {y.shape}")
         if not np.all(np.isfinite(X)):
             raise UsageError("dataset contains non-finite features")
+        # checked before the cast, which would make 0.5 a 0
         if not np.all(np.isin(y, (0, 1))):
             raise UsageError("labels must be 0/1")
         object.__setattr__(self, "features", X)
-        object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "labels", y.astype(int))
 
     @property
     def n_rows(self) -> int:
@@ -143,11 +147,8 @@ def pca_fit(X) -> PcaModel:
     return PcaModel(mean, comps, vals, ratio)
 
 
-def pca_transform(model: PcaModel, X, k: int):
-    d = model.components.shape[0]
-    if not 1 <= k <= d:
-        raise UsageError(f"k must be in 1..{d}, got {k}")
-    return (np.asarray(X, dtype=np.float64) - model.mean) @ model.components[:k].T
+def pca_transform(model: PcaModel, X):
+    return (np.asarray(X, dtype=np.float64) - model.mean) @ model.components.T
 
 
 def minmax_fit(X):
@@ -184,36 +185,33 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass(eq=False)       # hashed by identity: bench memoizes per bundle
+@dataclass(frozen=True, eq=False)   # hashed by identity, as a memo key
 class SplitBundle:
-    dataset: Dataset
+    """A seed's split, transformed once: the rows of every split stacked
+    in SPLITS order, at all d components of the train-fitted chain."""
     seed: int
-    train_idx: np.ndarray
-    val_idx: np.ndarray
-    test_idx: np.ndarray
-    mean: np.ndarray = field(repr=False, default=None)
-    std: np.ndarray = field(repr=False, default=None)
-    pca: PcaModel = field(repr=False, default=None)
-    component_lo: np.ndarray = field(repr=False, default=None)
-    component_hi: np.ndarray = field(repr=False, default=None)
+    index: np.ndarray       # dataset row of each stacked row
+    rows: dict              # split -> its slice of the stack
+    stack: np.ndarray = field(repr=False)     # (rows, d), read-only
+    y: np.ndarray = field(repr=False)         # read-only
+    pca: PcaModel = field(repr=False)
 
     SPLITS = ("train", "val", "test")
 
     def indices(self, split: str) -> np.ndarray:
-        try:
-            return {"train": self.train_idx, "val": self.val_idx,
-                    "test": self.test_idx}[split]
-        except KeyError:
-            raise UsageError(f"unknown split {split!r}") from None
+        if split not in self.rows:
+            raise UsageError(f"unknown split {split!r}")
+        return self.index[self.rows[split]]
 
     def labels(self, split: str) -> np.ndarray:
-        return self.dataset.labels[self.indices(split)]
+        return self.y[self.rows[split]]
 
-    def features(self, split: str, k: int) -> np.ndarray:
-        raw = self.dataset.features[self.indices(split)]
-        z = standardize_apply(raw, self.mean, self.std)
-        proj = pca_transform(self.pca, z, k)
-        return minmax_apply(proj, self.component_lo[:k], self.component_hi[:k])
+    def features(self, k: int) -> np.ndarray:
+        """The read-only (rows, k) view of the stack's first k columns."""
+        d = self.stack.shape[1]
+        if not 1 <= k <= d:
+            raise UsageError(f"k must be in 1..{d}, got {k}")
+        return self.stack[:, :k]
 
     def class_weights(self):
         return class_weights(self.labels("train"))
@@ -222,10 +220,11 @@ class SplitBundle:
 def stratified_split(dataset: Dataset, seed: int) -> SplitBundle:
     """20% of each class to test, then 20% of each class's remainder to
     validation, nearest-integer per class. One generator drives both class
-    shuffles (class 0 first), so membership is a function of seed alone."""
+    shuffles (class 0 first), so membership is a function of seed alone.
+    The chain is fitted on the train rows and applied to every row."""
     y = dataset.labels
     rng = np.random.default_rng(seed)
-    parts = {"train": [], "val": [], "test": []}
+    parts = {s: [] for s in SplitBundle.SPLITS}
     for cls in (0, 1):
         idx = np.flatnonzero(y == cls)
         if len(idx) < 3:
@@ -236,14 +235,20 @@ def stratified_split(dataset: Dataset, seed: int) -> SplitBundle:
         parts["test"].append(perm[:n_test])
         parts["val"].append(perm[n_test:n_test + n_val])
         parts["train"].append(perm[n_test + n_val:])
-    picked = {k: np.sort(np.concatenate(v)) for k, v in parts.items()}
+    picked = [np.sort(np.concatenate(v)) for v in parts.values()]
+    ends = [0, *itertools.accumulate(map(len, picked))]
+    rows = {s: slice(a, b)
+            for s, a, b in zip(SplitBundle.SPLITS, ends, ends[1:])}
+    index = np.concatenate(picked)
+    tr = rows["train"]
 
-    bundle = SplitBundle(dataset, seed, picked["train"], picked["val"],
-                         picked["test"])
-    train_raw = dataset.features[bundle.train_idx]
-    bundle.mean, bundle.std = standardize_fit(train_raw)
-    z = standardize_apply(train_raw, bundle.mean, bundle.std)
-    bundle.pca = pca_fit(z)
-    proj = pca_transform(bundle.pca, z, dataset.n_features)
-    bundle.component_lo, bundle.component_hi = minmax_fit(proj)
-    return bundle
+    raw = dataset.features[index]
+    mean, std = standardize_fit(raw[tr])
+    z = standardize_apply(raw, mean, std)
+    pca = pca_fit(z[tr])
+    proj = pca_transform(pca, z)
+    stack = minmax_apply(proj, *minmax_fit(proj[tr]))
+    labels = y[index]
+    for shared in (index, stack, labels):
+        shared.flags.writeable = False
+    return SplitBundle(seed, index, rows, stack, labels, pca)

@@ -113,7 +113,8 @@ class TestLogistic:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_blocked_losses_equal_a_check_after_every_step(self, k):
         bundle = stratified_split(datasets.synthetic("diabetes"), 0)
-        X, y = bundle.features("train", k), bundle.labels("train")
+        X = bundle.features(k)[bundle.rows["train"]]
+        y = bundle.labels("train")
         w, b, losses = self.stepwise_fit(X, y, bundle.class_weights())
         model = fit_logistic(X, y, bundle.class_weights())
         assert model.weights.tobytes() == w.tobytes()
@@ -242,8 +243,9 @@ class TestStepBound:
     def test_one_node_and_every_node_per_step(self, k, monkeypatch):
         bundle = stratified_split(datasets.synthetic("diabetes"), 0)
         weights = bundle.class_weights()
-        X, y = bundle.features("train", k), bundle.labels("train")
-        probe = bundle.features("test", k)
+        X = bundle.features(k)[bundle.rows["train"]]
+        y = bundle.labels("train")
+        probe = bundle.features(k)[bundle.rows["test"]]
         seed = bench.cell_seed(0, "diabetes", "classical",
                                {"model": "forest"}, 0)
         want = reference.grow_tree(X, y, weights)
@@ -272,8 +274,8 @@ class TestAgainstRecursiveReference:
         weights = bundle.class_weights()
         y = bundle.labels("train")
         for k in range(2, 7):
-            X = bundle.features("train", k)
-            probe = bundle.features("test", k)
+            X = bundle.features(k)[bundle.rows["train"]]
+            probe = bundle.features(k)[bundle.rows["test"]]
             tree, want = fit_tree(X, y, weights), reference.grow_tree(X, y,
                                                                       weights)
             assert verify.same_tree(tree, tree.roots[0], want), k

@@ -36,6 +36,11 @@ def retyped(key, value, split=None) -> str:
     return json.dumps(d)
 
 
+def split_copy(bundle, split, k):
+    """A contiguous copy of a split's features at k."""
+    return np.array(bundle.features(k)[bundle.rows[split]])
+
+
 class TestGrids:
     def test_sizes(self):
         assert len(bench.qnn_grid()) == 60
@@ -556,13 +561,15 @@ class TestRunCell:
 
 class TestCellInputs:
     def test_memoized_inputs_are_read_only(self, small_run):
-        # every cell of a (bundle, k), a QSVM encoding or a QNN layout
+        # every cell of a bundle, a QSVM encoding or a QNN layout
         # shares them
         bundle = stratified_split(small_run[0], 0)
-        X, y, _ = bench._stacked(bundle, 2)
-        for shared in (X, y):
+        for shared in (bundle.stack, bundle.features(2), bundle.y,
+                       bundle.index, bundle.indices("val")):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0
+        with pytest.raises(AttributeError):
+            bundle.stack = bundle.stack.copy()
         encoded = bench._qnn_encoding(bundle, 2, ("X", "Z"), True)
         for payload in (encoded.product, *encoded.local,
                         encoded[3:].product):
@@ -570,37 +577,51 @@ class TestCellInputs:
                 payload[0] = 0
 
     def test_slices_tile_the_stack_in_split_order(self, small_run):
-        bundle = stratified_split(small_run[0], 0)
-        X, y, rows = bench._stacked(bundle, 3)
+        ds = small_run[0]
+        bundle = stratified_split(ds, 0)
+        X, y, rows = bundle.stack, bundle.y, bundle.rows
         assert list(rows) == list(bundle.SPLITS)
         start = 0
         for split, r in rows.items():
-            n = len(bundle.indices(split))
+            idx = bundle.indices(split)
+            n = len(idx)
             assert (r.start, r.stop, r.step) == (start, start + n, None)
-            np.testing.assert_array_equal(X[r], bundle.features(split, 3))
-            np.testing.assert_array_equal(y[r], bundle.labels(split))
+            np.testing.assert_array_equal(idx, np.sort(idx))
+            np.testing.assert_array_equal(bundle.index[r], idx)
+            np.testing.assert_array_equal(y[r], ds.labels[idx])
             start += n
-        assert start == len(X) == len(y) == len(small_run[0].labels)
+        assert start == len(X) == len(y) == len(ds.labels)
+        assert X.shape[1] == ds.n_features
 
     def test_memos_never_serve_another_bundle_or_k(self, small_run):
         ds = small_run[0]
         first = stratified_split(ds, 0)
-        X, y, rows = bench._stacked(first, 2)
         encoded = bench._qnn_encoding(first, 2, ("Y",), False)
         # the same split, so equal values, but not the same arrays
         twin = stratified_split(ds, 0)
-        assert bench._stacked(twin, 2)[0] is not X
-        assert bench._stacked(twin, 2)[1] is not y
+        for name in ("index", "stack", "y"):
+            a, b = getattr(first, name), getattr(twin, name)
+            np.testing.assert_array_equal(a, b)
+            assert not np.shares_memory(a, b), name
+        assert not np.shares_memory(first.pca.components,
+                                    twin.pca.components)
         assert bench._qnn_encoding(twin, 2, ("Y",), False) is not encoded
         other = stratified_split(ds, 1)
-        X_other, _, rows_other = bench._stacked(other, 2)
-        assert not np.array_equal(X_other[rows_other["train"]],
-                                  X[rows["train"]])
-        wider, _, wider_rows = bench._stacked(first, 3)
-        assert wider.shape == (len(ds.labels), 3)
-        assert wider_rows == rows
+        assert not np.array_equal(other.features(2)[other.rows["train"]],
+                                  first.features(2)[first.rows["train"]])
+        assert first.features(3).shape == (len(ds.labels), 3)
         assert bench._qnn_encoding(first, 3, ("Y",), False).layout[0] == 3
         assert bench._qnn_encoding(first, 2, ("Y",), True).local
+
+    def test_a_cell_past_the_last_component_is_an_error(self, small_run):
+        # X[:, :k] past d would quietly give d columns
+        ds = small_run[0]
+        d = ds.n_features
+        rec = bench.run_cell("prostate", stratified_split(ds, 0),
+                             "classical", {"model": "logistic"}, d + 1, 0,
+                             RunSettings())
+        assert rec.error == f"UsageError: k must be in 1..{d}, got {d + 1}"
+        assert (rec.train, rec.val, rec.test) == (None, None, None)
 
     def test_a_qsvm_cell_embeds_the_stacked_splits_once(
             self, small_run, tmp_path, monkeypatch):
@@ -624,8 +645,7 @@ class TestCellInputs:
             for c in bench.qsvm_grid()]
         bundle = stratified_split(ds, 0)
         for (_, X, _), k in zip(calls, [2] * 12 + [3] * 12):
-            np.testing.assert_array_equal(X, np.concatenate(
-                [bundle.features(s, k) for s in bundle.SPLITS]))
+            np.testing.assert_array_equal(X, bundle.features(k))
 
     def test_qsvm_cells_match_per_split_embeds(self):
         # the record equals one built from a fresh embed per split, as
@@ -634,7 +654,7 @@ class TestCellInputs:
         config = {"encoding": "zz_b", "repetitions": 3}
         rec = bench.run_cell("heart_failure", bundle, "qsvm", config, 4, 0,
                              RunSettings())
-        states = {s: qkernel.embed("zz_b", bundle.features(s, 4), 3)
+        states = {s: qkernel.embed("zz_b", split_copy(bundle, s, 4), 3)
                   for s in bundle.SPLITS}
         gram = qkernel.gram_matrix(states["train"])
         ytr = bundle.labels("train")
@@ -650,12 +670,14 @@ class TestCellInputs:
                              "sweeps": int(model.sweeps)}
 
     def test_classical_cells_match_per_split_fits(self):
-        # the records equal ones fit and scored on a copy of each split,
-        # as cells were run before they took views of the stack
+        # the records equal ones fit and scored on a contiguous copy of
+        # each split, so strided column views of the stack give the bits
+        # of copies
         bundle = stratified_split(datasets.synthetic("diabetes"), 1)
         k = 5
-        sets = {s: (bundle.features(s, k), bundle.labels(s))
+        sets = {s: (split_copy(bundle, s, k), bundle.labels(s))
                 for s in bundle.SPLITS}
+        assert not bundle.features(k).flags.c_contiguous
         Xtr, ytr = sets["train"]
         weights = bundle.class_weights()
         for config in bench.classical_grid():
@@ -720,7 +742,7 @@ class TestCellInputs:
                              {"sequence": "XZ", "reupload": True,
                               "ansatz": "strongly"}, k, 5, settings)
         cfg = qnn.QnnConfig(k, ("X", "Z"), True, "strongly", 1, seed=5)
-        sets = {s: (encode(cfg, bundle.features(s, k)), bundle.labels(s))
+        sets = {s: (encode(cfg, split_copy(bundle, s, k)), bundle.labels(s))
                 for s in bundle.SPLITS}
         growth = qnn.grow_layers(cfg, bundle.class_weights(), sets["train"],
                                  sets["val"], max_layers=3, epochs=2)

@@ -70,6 +70,16 @@ class TestLoadCsv:
             load_csv(write(tmp_path, "x,y\n"), "y", "1")
 
 
+class TestDataset:
+    def test_labels_must_be_exactly_0_or_1(self):
+        # checked before the cast to int, which would read 0.5 as 0
+        with pytest.raises(UsageError, match="labels must be 0/1"):
+            Dataset(np.zeros((4, 2)), [0.5, 1.7, 0.0, 1.0])
+        ds = Dataset(np.zeros((3, 2)), [1.0, 0.0, True])
+        assert ds.labels.tolist() == [1, 0, 1]
+        assert ds.labels.dtype == int
+
+
 class TestStandardize:
     def test_train_moments(self):
         rng = np.random.default_rng(0)
@@ -115,13 +125,13 @@ class TestPca:
 
     def test_reconstruction_with_all_components(self):
         model = pca_fit(self.X)
-        proj = pca_transform(model, self.X, self.X.shape[1])
+        proj = pca_transform(model, self.X)
         back = proj @ model.components + model.mean
         assert np.max(np.abs(back - self.X)) < 1e-8
 
     def test_projection_variance_matches_eigenvalue(self):
         model = pca_fit(self.X)
-        proj = pca_transform(model, self.X, 1)
+        proj = pca_transform(model, self.X)
         assert np.var(proj[:, 0], ddof=1) == pytest.approx(
             model.eigenvalues[0], rel=1e-10)
 
@@ -136,12 +146,6 @@ class TestPca:
         for row in model.components:
             assert row[np.argmax(np.abs(row))] > 0
 
-    def test_k_bounds(self):
-        model = pca_fit(self.X)
-        with pytest.raises(UsageError):
-            pca_transform(model, self.X, 0)
-        with pytest.raises(UsageError):
-            pca_transform(model, self.X, 7)
 
 
 class TestMinmax:
@@ -188,26 +192,29 @@ class TestStratifiedSplit:
     def test_partition_is_exact(self):
         ds = toy_dataset()
         b = stratified_split(ds, 3)
-        merged = np.sort(np.concatenate([b.train_idx, b.val_idx, b.test_idx]))
+        merged = np.sort(np.concatenate([b.indices(s) for s in b.SPLITS]))
         assert np.array_equal(merged, np.arange(ds.n_rows))
+        with pytest.raises(UsageError, match="unknown split 'dev'"):
+            b.indices("dev")
 
     def test_deterministic(self):
         ds = toy_dataset()
         a = stratified_split(ds, 3)
         b = stratified_split(ds, 3)
-        assert np.array_equal(a.train_idx, b.train_idx)
-        assert np.array_equal(a.test_idx, b.test_idx)
+        assert np.array_equal(a.index, b.index)
+        assert a.rows == b.rows
+        assert np.array_equal(a.stack, b.stack)
 
     def test_seed_changes_membership(self):
         ds = toy_dataset()
         a = stratified_split(ds, 3)
         b = stratified_split(ds, 4)
-        assert not np.array_equal(a.test_idx, b.test_idx)
+        assert not np.array_equal(a.indices("test"), b.indices("test"))
 
     def test_documented_split_counts(self):
         dia = synthetic("diabetes")
         b = stratified_split(dia, 0)
-        assert (len(b.train_idx), len(b.val_idx), len(b.test_idx)) == (491, 123, 154)
+        assert [len(b.indices(s)) for s in b.SPLITS] == [491, 123, 154]
         assert int(b.labels("test").sum()) == 54
         assert int(b.labels("val").sum()) == 43
 
@@ -235,27 +242,52 @@ class TestStratifiedSplit:
     def test_outputs_stay_in_unit_box(self):
         ds = synthetic("heart_failure")
         b = stratified_split(ds, 1)
-        for split in ("train", "val", "test"):
-            F = b.features(split, 4)
-            assert F.shape == (len(b.indices(split)), 4)
-            assert np.all(F >= -1.0) and np.all(F <= 1.0)
+        F = b.features(4)
+        assert F.shape == (ds.n_rows, 4)
+        assert np.all(F >= -1.0) and np.all(F <= 1.0)
+        # the train rows span [-1, 1] in every component
+        train = b.stack[b.rows["train"]]
+        assert np.all(train.min(axis=0) == -1.0)
+        assert np.all(train.max(axis=0) == 1.0)
+
+    def test_features_refuse_k_outside_1_to_d(self):
+        # features at k view the first k of the d components
+        b = stratified_split(toy_dataset(), 0)
+        assert b.stack.shape == (120, 5)
+        for k in (1, 5):
+            assert np.shares_memory(b.features(k), b.stack)
+            np.testing.assert_array_equal(b.features(k), b.stack[:, :k])
+        for k in (0, 6):
+            with pytest.raises(UsageError, match=rf"in 1\.\.5, got {k}$"):
+                b.features(k)
 
     def test_no_leakage_from_held_out_rows(self):
-        # fitted parameters must be a pure function of the train rows:
-        # corrupting every val/test row changes nothing
+        # the fitted chain must be a pure function of the train rows:
+        # corrupting every val/test row changes no train feature, and
+        # corrupting the val rows changes no test feature
         ds = toy_dataset()
         b1 = stratified_split(ds, 7)
-        X2 = ds.features.copy()
-        held = np.concatenate([b1.val_idx, b1.test_idx])
-        X2[held] *= 100.0
-        X2[held] += 5.0
-        b2 = stratified_split(Dataset(X2, ds.labels), 7)
-        assert np.array_equal(b1.train_idx, b2.train_idx)
-        assert np.array_equal(b1.mean, b2.mean)
-        assert np.array_equal(b1.std, b2.std)
-        assert np.array_equal(b1.pca.components, b2.pca.components)
-        assert np.array_equal(b1.component_lo, b2.component_lo)
-        assert np.array_equal(b1.component_hi, b2.component_hi)
+
+        def corrupted(*splits):
+            X2 = ds.features.copy()
+            held = np.concatenate([b1.indices(s) for s in splits])
+            X2[held] *= 100.0
+            X2[held] += 5.0
+            return stratified_split(Dataset(X2, ds.labels), 7)
+
+        b2 = corrupted("val", "test")
+        tr = b1.rows["train"]
+        assert np.array_equal(b1.index, b2.index) and b1.rows == b2.rows
+        assert b1.stack[tr].tobytes() == b2.stack[tr].tobytes()
+        assert not np.array_equal(b1.stack[b1.rows["val"]],
+                                  b2.stack[b2.rows["val"]])
+        for name in ("mean", "components", "eigenvalues", "cumulative_ratio"):
+            assert (getattr(b1.pca, name).tobytes()
+                    == getattr(b2.pca, name).tobytes()), name
+
+        b3 = corrupted("val")
+        te = b1.rows["test"]
+        assert b1.stack[te].tobytes() == b3.stack[te].tobytes()
 
     def test_split_weights_match_train_labels(self):
         ds = toy_dataset()

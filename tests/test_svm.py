@@ -157,7 +157,7 @@ class TestProjectionOracle:
 def grid_problem(dataset_key, k, encoding, repetitions):
     """The QSVM cell's training problem at split seed 0 and C = 1."""
     bundle = stratified_split(datasets.synthetic(dataset_key), 0)
-    X = bundle.features("train", k)
+    X = bundle.features(k)[bundle.rows["train"]]
     y = np.where(bundle.labels("train") == 1, 1.0, -1.0)
     gram = gram_matrix(embed(encoding, X, repetitions))
     return SvmProblem(gram, y, 1.0, bundle.class_weights())
@@ -188,7 +188,7 @@ class TestSolverOnGridGrams:
 def classical_problem(k, kind):
     """The classical SVM cell's training problem on diabetes at split 0."""
     bundle = stratified_split(datasets.synthetic("diabetes"), 0)
-    X = bundle.features("train", k)
+    X = bundle.features(k)[bundle.rows["train"]]
     y = np.where(bundle.labels("train") == 1, 1.0, -1.0)
     return SvmProblem(kernel_matrix(kind, X, X), y, 1.0,
                       bundle.class_weights())
