@@ -404,16 +404,21 @@ def fit_forest(X, y, class_weights=(1.0, 1.0), seed: int = 0) -> ForestModel:
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:
     """Majority vote of the trees, an exact tie resolving to class 1 (so a
-    one-tree model from fit_tree predicts its leaf labels). All rows walk
-    down all trees together, one level per pass."""
+    one-tree model from fit_tree predicts its leaf labels). Every (row,
+    tree) pair walks down together, one level per pass, and a pass steps
+    only the pairs still at an inner node."""
     X = np.asarray(X, dtype=np.float64)
-    rows = np.arange(len(X))[:, None]
-    at = np.broadcast_to(model.roots, (len(X), len(model.roots)))
-    while True:
-        step = np.where(X[rows, model.feature[at]] <= model.threshold[at],
-                        model.left[at], model.right[at])
-        if np.array_equal(step, at):
-            break
-        at = step
-    ones = model.label[at].sum(axis=1)
-    return (2 * ones >= len(model.roots)).astype(int)
+    n_trees = len(model.roots)
+    at = np.tile(model.roots, len(X))       # pair p: row p // n_trees
+    start = np.repeat(np.arange(len(X)) * X.shape[1], n_trees)
+    flat = X.ravel()
+    live = np.flatnonzero(model.feature[at] >= 0)
+    while live.size:
+        node = at[live]
+        step = np.where(flat[start[live] + model.feature[node]]
+                        <= model.threshold[node],
+                        model.left[node], model.right[node])
+        at[live] = step
+        live = live[model.feature[step] >= 0]
+    ones = model.label[at].reshape(len(X), n_trees).sum(axis=1)
+    return (2 * ones >= n_trees).astype(int)

@@ -18,6 +18,7 @@ appends anything, so bad input leaves the store untouched.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -188,6 +189,7 @@ class RecordStore:
         self.path = str(path)
         self._records = []
         self._keys = set()
+        self._files = None      # suffix -> open file, inside writing()
         if not os.path.exists(self.path):
             return
         with open(self.path, "rb") as fh:
@@ -244,12 +246,35 @@ class RecordStore:
         if record.error is None and key in self._keys:
             raise IngestionError(f"{self.path}: the cell is already done: "
                                  f"{key}")
-        with open(self.path, "a") as fh:
-            fh.write(record.to_line() + "\n")
-        if record.wall_clock is not None:
-            with open(self.path + ".timings", "a") as fh:
-                fh.write(f"{key}\t{record.wall_clock:.6f}\n")
+        with self.writing():
+            self._write("", record.to_line())
+            if record.wall_clock is not None:
+                self._write(".timings", f"{key}\t{record.wall_clock:.6f}")
         self._append_memory(record, key)
+
+    @contextlib.contextmanager
+    def writing(self):
+        """Keeps the files that appends open (the store, and its timings
+        sidecar once a timed record comes) until the block ends, so a
+        grid opens each once; every line is flushed as it is written, so
+        another open() reads it at once. Blocks nest."""
+        if self._files is not None:
+            yield
+            return
+        self._files = {}
+        try:
+            yield
+        finally:
+            files, self._files = self._files, None
+            for fh in files.values():
+                fh.close()
+
+    def _write(self, suffix: str, line: str) -> None:
+        fh = self._files.get(suffix)
+        if fh is None:
+            fh = self._files[suffix] = open(self.path + suffix, "a")
+        fh.write(line + "\n")
+        fh.flush()
 
 
 # ---------------------------------------------------------------- settings
@@ -491,19 +516,20 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
             progress(record)
 
     meta = variance_record(dataset_key, bundle)
-    if not store.has(meta.key()):
-        keep(meta)
-    for k in range(lo, hi + 1):
-        for family in (f for f in FAMILIES if f in families):
-            for config in GRIDS[family]():
-                probe = ExperimentRecord(dataset_key, family, k, config,
-                                         split_seed, 0)
-                if store.has(probe.key()):
-                    continue
-                seed = cell_seed(settings.master_seed, dataset_key, family,
-                                 config, split_seed)
-                keep(run_cell(dataset_key, bundle, family, config, k, seed,
-                              settings))
+    with store.writing():
+        if not store.has(meta.key()):
+            keep(meta)
+        for k in range(lo, hi + 1):
+            for family in (f for f in FAMILIES if f in families):
+                for config in GRIDS[family]():
+                    probe = ExperimentRecord(dataset_key, family, k, config,
+                                             split_seed, 0)
+                    if store.has(probe.key()):
+                        continue
+                    seed = cell_seed(settings.master_seed, dataset_key,
+                                     family, config, split_seed)
+                    keep(run_cell(dataset_key, bundle, family, config, k,
+                                  seed, settings))
     return new_records
 
 

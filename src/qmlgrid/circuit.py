@@ -28,8 +28,10 @@ The encoding payloads depend only on the row and on the width, encoding
 sequence and re-upload setting, so encode computes them once for a
 whole feature matrix; every step is elementwise per row, so a gather of
 its rows equals a fresh encode of those rows bit for bit. resolve_fused
-then builds only the layer unitaries from theta, once per call, and
-run_batch runs the QNN.
+then builds only the layers from theta, once per call: every layer's
+rotation chain prefixes in one stacked pass, the unitaries from the last
+prefixes, and hands the prefixes on for the adjoint gradient. run_batch
+runs the QNN.
 
 Rotation d on qubit q of layer r takes parameter (r * n + q) * depth + d,
 so theta is a (layers, n, depth) array flattened.
@@ -130,6 +132,26 @@ def _chain_products(factors: np.ndarray) -> np.ndarray:
                 u[..., i, j] = (a[..., i, 0] * b[..., 0, j]
                                 + a[..., i, 1] * b[..., 1, j])
     return u
+
+
+def _chain_prefixes(factors: np.ndarray) -> np.ndarray:
+    """(..., depth, 2, 2) -> the same shape: entry d is the product of
+    rotations 0..d, the first rightmost, with the bits of
+    _chain_products on those rotations (the same float operations). A
+    step is two broadcast products over the whole stack: on a layer
+    stack (2 layers, 4 qubits, depth 3) 10 us against 25 us entry by
+    entry, but 2x slower on a 299-row encoding, so encode and
+    feature_map keep _chain_products. A depth of one is its own
+    prefix."""
+    if factors.shape[-3] == 1:
+        return factors
+    prefixes = np.empty_like(factors)
+    prefixes[..., 0, :, :] = factors[..., 0, :, :]
+    for d in range(1, factors.shape[-3]):
+        a, u = factors[..., d, :, :], prefixes[..., d - 1, :, :]
+        prefixes[..., d, :, :] = (a[..., :, 0, None] * u[..., None, 0, :]
+                                  + a[..., :, 1, None] * u[..., None, 1, :])
+    return prefixes
 
 
 def _kron(u: np.ndarray) -> np.ndarray:
@@ -260,12 +282,15 @@ def encode(config, X: np.ndarray) -> Encoding:
 
 
 def resolve_fused(config, encoded: Encoding, theta) -> tuple:
-    """(ops, layer_factors) of a qnn.QnnConfig. ops holds one concrete
+    """(ops, chains) of a qnn.QnnConfig. ops holds one concrete
     (kind, payload) op per block after the opening encoding, in circuit
     order, as apply_ops takes it for every row of `encoded`, the
     encode() of the features for this config: "unitary" for each layer,
-    "local" for each re-upload. layer_factors are the layers' rotation
-    matrices, (layers, n, depth, 2, 2)."""
+    "local" for each re-upload. chains are the layers' rotation chain
+    prefixes, (layers, n, depth, 2, 2): entry [r, q, d] is the product
+    of qubit q's rotations 0..d in layer r, built once per call for
+    every layer in one stacked pass; a layer's unitary takes the last
+    prefix of each qubit, and _layer_gradients reads them all."""
     n = config.n_features
     if (not isinstance(encoded, Encoding)
             or encoded.layout != _encoding_layout(config)):
@@ -275,15 +300,15 @@ def resolve_fused(config, encoded: Encoding, theta) -> tuple:
         raise UsageError(f"expected {config.n_parameters()} parameters, "
                          f"got {len(theta)}")
     rotations = ANSATZ_ROTATIONS[config.ansatz]
-    factors = _rotation_factors(rotations, np.asarray(
-        theta, dtype=np.float64).reshape(config.n_layers, n, len(rotations)))
-    unitaries = _kron(_chain_products(factors))[:, _ring_perm(n)]
+    chains = _chain_prefixes(_rotation_factors(rotations, np.asarray(
+        theta, dtype=np.float64).reshape(config.n_layers, n, len(rotations))))
+    unitaries = _kron(chains[:, :, -1])[:, _ring_perm(n)]
     ops = []
     for r, unitary in enumerate(unitaries):
         if r and config.reupload:
             ops.append(("local", encoded.local))
         ops.append(("unitary", unitary))
-    return ops, factors
+    return ops, chains
 
 
 def run_batch(config, X: Encoding, theta) -> np.ndarray:
@@ -296,14 +321,10 @@ def run_batch(config, X: Encoding, theta) -> np.ndarray:
     return amps
 
 
-def _layer_gradients(config, factors, reduced) -> np.ndarray:
+def _layer_gradients(config, chains, reduced) -> np.ndarray:
     """The derivatives of qnn.parameter_shift_gradient in parameter
-    order: factors are the layer_factors of resolve_fused and reduced[r]
-    the R_q at layer r's input."""
-    chains = np.empty_like(factors)     # rotations up to and including d
-    chains[:, :, 0] = factors[:, :, 0]
-    for d in range(1, factors.shape[2]):
-        chains[:, :, d] = factors[:, :, d] @ chains[:, :, d - 1]
+    order: chains are the chain prefixes of resolve_fused, so no chain
+    is built here, and reduced[r] the R_q at layer r's input."""
     moved = chains @ reduced[:, :, None] @ chains.conj().swapaxes(-1, -2)
     return np.einsum("dab,rqdba->rqd",
                      _pauli_stack(ANSATZ_ROTATIONS[config.ansatz]),

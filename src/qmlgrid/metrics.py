@@ -37,13 +37,24 @@ class Metrics:
         return Metrics(tp, fp, fn, tn, p, r, f1_score(p, r))
 
 
+def _zero_one(y, name: str) -> np.ndarray:
+    """y as an int array; any value but 0 and 1 is a ValueError."""
+    y = np.asarray(y)
+    bits = y.astype(int, copy=False)
+    if np.count_nonzero(bits >> 1) or (bits is not y
+                                       and np.count_nonzero(bits != y)):
+        raise ValueError(f"{name} must be 0 or 1, got "
+                         f"{sorted(set(y.ravel().tolist()) - {0, 1})}")
+    return bits
+
+
 def evaluate(y_true, y_pred) -> Metrics:
-    t = np.asarray(y_true).astype(int)
-    p = np.asarray(y_pred).astype(int)
+    """Confusion counts and scores of 0/1 predictions against 0/1 labels.
+    Any other value is a ValueError: counts that skipped it would fall
+    short of the split."""
+    t, p = _zero_one(y_true, "labels"), _zero_one(y_pred, "predictions")
     if t.shape != p.shape:
         raise ValueError(f"shape mismatch: {t.shape} vs {p.shape}")
-    tp = int(np.sum((t == 1) & (p == 1)))
-    fp = int(np.sum((t == 0) & (p == 1)))
-    fn = int(np.sum((t == 1) & (p == 0)))
-    tn = int(np.sum((t == 0) & (p == 0)))
+    # cell 2 * label + prediction
+    tn, fp, fn, tp = np.bincount((2 * t + p).ravel(), minlength=4).tolist()
     return Metrics.from_counts(tp, fp, fn, tn)

@@ -11,10 +11,13 @@ circuit.encode wrote them, once per feature matrix, so a batch is
 encoded[idx] and no call here recomputes the encoding. The model
 starts from the encoding's product state and runs as fused blocks that
 circuit.resolve_fused builds from its config and parameters on every
-call: a layer costs one matrix product forward and one back, and its
-derivatives come from n reduced 2x2 matrices, so a gradient costs 2.0
-to 2.7 forward passes whatever the parameter count (n = 4..6, up to
-180 parameters, batch 32). The chain through softmax and the loss is
+call, together with each layer's rotation chain prefixes: a forward
+pass and a gradient each build the chains once per parameter vector,
+and the gradient reads its derivatives off those same prefixes. A layer
+costs one matrix product forward and one back, and its derivatives
+come from n reduced 2x2 matrices, so a gradient costs 2.0 to 2.7
+forward passes whatever the parameter count (n = 4..6, up to 180
+parameters, batch 32). The chain through softmax and the loss is
 analytic.
 `reference.shift_rule_gradient` keeps the parameter-shift rule on the
 gate-by-gate reference.qnn_gates as the oracle.
@@ -105,18 +108,22 @@ def softmax_pair(e: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _z_signs(n_qubits: int, qubit: int) -> np.ndarray:
+def _z_signs(n_qubits: int) -> np.ndarray:
+    """Read-only (2, 2**n) table: row q holds the sign of Z_q on each
+    basis state."""
     idx = np.arange(1 << n_qubits)
-    return 1.0 - 2.0 * ((idx >> qubit) & 1)
+    signs = 1.0 - 2.0 * ((idx >> np.arange(2)[:, None]) & 1)
+    signs.flags.writeable = False
+    return signs
 
 
 def _readout(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    """(<Z_0>, <Z_1>) per row of amps, shape (B, 2). Each row is reduced
-    on its own, so a row reads the same bits in any batch; a BLAS
-    matrix-vector product would round it by its place in the batch."""
+    """(<Z_0>, <Z_1>) per row of amps, shape (B, 2), as one broadcast
+    product and row sum. Each row is reduced on its own, so a row reads
+    the same bits in any batch; a BLAS matrix-vector product would round
+    it by its place in the batch."""
     probs = np.abs(amps) ** 2
-    return np.stack([(probs * _z_signs(n_qubits, 0)).sum(axis=1),
-                     (probs * _z_signs(n_qubits, 1)).sum(axis=1)], axis=1)
+    return (probs[:, None, :] * _z_signs(n_qubits)).sum(axis=2)
 
 
 def forward_batch(model: QnnModel, X: Encoding) -> np.ndarray:
@@ -153,14 +160,16 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
     input from the per-qubit 2x2 matrices R_q = sum_b Tr_{not q}
     |psi_b><lam_b|: the rotation at position d of qubit q's chain, with T
     the chain up to and including it, contributes
-    Im tr(P T R_q T^dagger). The name predates the adjoint method
+    Im tr(P T R_q T^dagger). Every T is a chain prefix that
+    resolve_fused built for the layer unitaries, so a gradient builds
+    its chains once. The name predates the adjoint method
     and is kept for the benchmark's span; `reference.shift_rule_gradient`
     is the oracle.
     """
     y = np.asarray(y, dtype=int)
     batch = len(y)
     n = model.config.n_features
-    ops, layer_factors = resolve_fused(model.config, X, model.parameters)
+    ops, chains = resolve_fused(model.config, X, model.parameters)
     psi = product_states(X.product)
     apply_ops(psi, n, ops)
     probs = softmax_pair(_readout(psi, n))
@@ -168,13 +177,14 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
     onehot[np.arange(batch), y] = 1.0
     # d loss_i / d e_q = w_{y_i} (p_q - [q == y_i]); mean over the batch
     dl_de = (model.class_weights[y][:, None] * (probs - onehot)) / batch
-    observable = dl_de[:, :1] * _z_signs(n, 0) + dl_de[:, 1:] * _z_signs(n, 1)
+    signs = _z_signs(n)
+    observable = dl_de[:, :1] * signs[0] + dl_de[:, 1:] * signs[1]
     # psi and lam share one buffer, so one apply_ops call undoes both
     both = np.concatenate([psi, observable * psi])
     psi, lam = both[:batch], both[batch:]
 
     rows, cols = _reduction_indices(n)
-    reduced = np.empty(layer_factors.shape[:2] + (2, 2), dtype=complex)
+    reduced = np.empty(chains.shape[:2] + (2, 2), dtype=complex)
     layer = len(reduced)
     # ops to undo collect in `undo` and run only when a layer needs the
     # states at its input; the opening product state is never undone
@@ -188,7 +198,7 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
             # R_q[a, b] sums C[i, j] = sum_b psi_b[i] conj(lam_b[j])
             # over the pairs of _reduction_indices
             reduced[layer] = (psi.T @ lam.conj())[rows, cols].sum(-1)
-    return _layer_gradients(model.config, layer_factors, reduced)
+    return _layer_gradients(model.config, chains, reduced)
 
 
 def _inverse(op) -> tuple:

@@ -213,6 +213,80 @@ class TestForest:
         assert predict_forest(forest, [[0.5], [-3.0]]).tolist() == [1, 1]
 
 
+def _caterpillar(depth: int):
+    """(model, tree): one tree as a ForestModel and as a reference.TreeNode
+    chain. Inner node i cuts column 1 at i + 0.5 and sends the rows below
+    to a leaf of label i % 2, so a row at x = i stops at depth i + 1."""
+    feature, threshold, left, right, label = [], [], [], [], []
+    for i in range(depth):          # inner node at 2i, its leaf at 2i + 1
+        feature += [1, -1]
+        threshold += [i + 0.5, 0.0]
+        left += [2 * i + 1, 2 * i + 1]
+        right += [2 * i + 2, 2 * i + 1]
+        label += [0, i % 2]
+    feature.append(-1)
+    threshold.append(0.0)
+    left.append(2 * depth)
+    right.append(2 * depth)
+    label.append(depth % 2)
+    model = ForestModel(np.array(feature), np.array(threshold),
+                        np.array(left), np.array(right), np.array(label),
+                        roots=np.array([0]))
+    tree = reference.TreeNode(label=depth % 2)
+    for i in reversed(range(depth)):
+        tree = reference.TreeNode(1, i + 0.5,
+                                  reference.TreeNode(label=i % 2), tree)
+    return model, tree
+
+
+class TestPredictForest:
+    """predict_forest steps only the (row, tree) pairs still at an inner
+    node; it votes as the recursive reference.predict_trees."""
+
+    def test_zero_rows(self):
+        X, y = blobs(seed=9)
+        forest = fit_forest(X, y, seed=4)
+        wants = reference.grow_forest(X, y, seed=4)
+        empty = np.zeros((0, 2))
+        got = predict_forest(forest, empty)
+        assert got.shape == (0,)
+        assert np.array_equal(got, reference.predict_trees(wants, empty))
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_root_only_tree(self, label):
+        X, _ = blobs(seed=9)
+        y = np.full(len(X), label)
+        tree, want = fit_tree(X, y), reference.grow_tree(X, y)
+        assert tree.n_splits() == 0 and want.left is None
+        probe = np.random.default_rng(2).normal(size=(30, 2))
+        got = predict_forest(tree, probe)
+        assert np.array_equal(got, reference.predict_trees([want], probe))
+        assert np.array_equal(got, np.full(30, label))
+
+    def test_rows_stop_at_very_different_depths(self):
+        depth = 40
+        model, want = _caterpillar(depth)
+        x = np.random.default_rng(3).permutation(np.arange(-2, depth + 3))
+        probe = np.column_stack([np.sin(x), x]).astype(float)
+        got = predict_forest(model, probe)
+        assert np.array_equal(got, reference.predict_trees([want], probe))
+        assert np.array_equal(got, np.where(x < depth, np.maximum(x, 0) % 2,
+                                            depth % 2))
+        # beside a one-leaf tree voting 0, the tree's vote decides, as a
+        # tie goes to class 1
+        nodes = len(model.feature)
+        forest = ForestModel(np.append(model.feature, -1),
+                             np.append(model.threshold, 0.0),
+                             np.append(model.left, nodes),
+                             np.append(model.right, nodes),
+                             np.append(model.label, 0),
+                             roots=np.array([nodes, 0]))
+        leaf = reference.TreeNode(label=0)
+        assert np.array_equal(predict_forest(forest, probe),
+                              reference.predict_trees([leaf, want], probe))
+        assert np.array_equal(predict_forest(forest, probe), got)
+
+
 class TestCandidates:
     """_candidates gives the sorted results of successive rng.choice calls
     and leaves the rng where those calls would."""

@@ -421,6 +421,64 @@ class TestRunGrid:
                        progress=lambda record: seen.append(len(store)))
         assert seen == list(range(1, len(store) + 1))
 
+    def test_each_line_reads_at_once_from_another_open(self, small_run,
+                                                       tmp_path, monkeypatch):
+        # the store and its timings sidecar open once for the grid, every
+        # line flushed before progress sees its record, and both closed
+        # when run_grid returns
+        ds, _, _, settings, _ = small_run
+        path = tmp_path / "p.jsonl"
+        sidecar = tmp_path / "p.jsonl.timings"
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(bench, "open", tracking_open, raising=False)
+        store = RecordStore(path)
+        reads = []
+
+        def progress(record):
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            timings = (sidecar.read_text().splitlines() if sidecar.exists()
+                       else [])
+            reads.append((lines, timings))
+
+        new = bench.run_grid("prostate", ds, store, settings,
+                             families=("classical",), feature_range=(2, 2),
+                             progress=progress)
+        assert len(new) == 8
+        for i, (lines, timings) in enumerate(reads):
+            assert lines == [r.to_line() for r in new[:i + 1]]
+            assert [t.split("\t")[0] for t in timings] == [
+                r.key() for r in new[:i + 1] if r.wall_clock is not None]
+        assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+    def test_files_close_when_the_grid_raises(self, small_run, tmp_path,
+                                              monkeypatch):
+        ds, _, _, settings, _ = small_run
+        path = tmp_path / "p.jsonl"
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        def progress(record):
+            if len(store) == 3:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench, "open", tracking_open, raising=False)
+        store = RecordStore(path)
+        with pytest.raises(KeyboardInterrupt):
+            bench.run_grid("prostate", ds, store, settings,
+                           families=("classical",), feature_range=(2, 2),
+                           progress=progress)
+        assert opened and all(fh.closed for fh in opened)
+        assert len(RecordStore(path)) == 3
+
     def test_resume_retries_errored_cell(self, small_run, tmp_path):
         ds, _, _, settings, _ = small_run
         path = tmp_path / "retry.jsonl"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qmlgrid import reference
-from qmlgrid.circuit import (ANSATZ_ROTATIONS, _ring_perm, encode,
+from qmlgrid.circuit import (ANSATZ_ROTATIONS, _chain_products,
+                             _rotation_factors, _ring_perm, encode,
                              feature_map, resolve_fused, run_batch)
 from qmlgrid.errors import ConfigurationError, UsageError
 from qmlgrid.qkernel import embed
@@ -309,6 +310,34 @@ class TestFusion:
         np.testing.assert_array_equal(
             run_batch(config, encode(deeper, np.zeros((1, 3))), theta),
             run_batch(config, encode(config, np.zeros((1, 3))), theta))
+
+
+class TestChainPrefixes:
+    def test_prefixes_equal_chain_products_bit_for_bit(self):
+        # the prefixes resolve_fused builds (two broadcast products per
+        # rotation) vs _chain_products on the same factors, every prefix
+        # of every qubit and layer, signs of zeros included
+        rng = np.random.default_rng(25)
+        for n in range(2, 9):
+            for ansatz in ("basic", "strongly"):
+                depth = len(ANSATZ_ROTATIONS[ansatz])
+                config = QnnConfig(n, ("Y",), False, ansatz, 3)
+                theta = rng.uniform(-np.pi, np.pi, config.n_parameters())
+                # exact zeros and sign flips where sin and cos vanish
+                theta[::5] = rng.choice([0.0, np.pi, -np.pi], len(theta[::5]))
+                chains = resolve_fused(config, encode(config, np.zeros((1, n))),
+                                       theta)[1]
+                assert chains.shape == (3, n, depth, 2, 2)
+                factors = _rotation_factors(ANSATZ_ROTATIONS[ansatz],
+                                            theta.reshape(3, n, depth))
+                for d in range(depth):
+                    got = chains[:, :, d]
+                    want = _chain_products(factors[:, :, :d + 1])
+                    assert np.array_equal(got, want), (n, ansatz, d)
+                    for part in ("real", "imag"):
+                        assert np.array_equal(
+                            np.signbit(getattr(got, part)),
+                            np.signbit(getattr(want, part))), (n, ansatz, d)
 
 
 class TestRunBatch:

@@ -43,3 +43,25 @@ def test_from_counts_matches_evaluate():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         evaluate([1, 0], [1, 0, 1])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
+def test_values_outside_0_1_refused(bad):
+    # a 2 once fell in no confusion cell, so the counts fell short
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        evaluate([0, 1, bad], [0, 1, 1])
+    with pytest.raises(ValueError, match="predictions must be 0 or 1"):
+        evaluate([0, 1, 1], [0, bad, 1])
+
+
+def test_counts_equal_four_mask_counts():
+    rng = np.random.default_rng(4)
+    for n in (0, 1, 7, 300):
+        y = rng.integers(0, 2, size=n)
+        pred = rng.integers(0, 2, size=n)
+        m = evaluate(y, pred)
+        want = [int(np.sum((y == t) & (pred == p)))
+                for t, p in ((1, 1), (0, 1), (1, 0), (0, 0))]
+        assert [m.tp, m.fp, m.fn, m.tn] == want
+        assert m == evaluate(y.astype(bool), pred.astype(float))
