@@ -20,20 +20,26 @@ bias from their mean leaves every KKT violation <= TOL.
 `SvmModel.sweeps` counts these steps.
 
 A step costs a few passes over n-vectors. As LIBSVM's alpha_status
-does, the solver keeps I_up and I_low between steps, as additive
-penalties (0 or -inf, 0 or +inf) that it updates only at i and j, the
-two samples whose a moved. m and M come from g + penalty in buffers
-allocated once. Kernel columns are rows of one contiguous copy of K^T,
-so the solver makes no symmetry assumption. The floored curvature row
-eta of an i is built the first time i is picked and kept for the rest
-of the solve: a solve picks far fewer distinct i than it takes steps
-(about 60 in 180 on a heart_failure QSVM Gram), and a full n x n table
-would mostly hold rows it never reads. j is the first argmax of
-max(b, 0)^2 / eta with b = m - (g + pen_low): entries off I_low or with
-b <= 0 score 0, and while m - M > TOL > 0 some entry of I_low has
-b > TOL, so this is the first index the direct rule picks. Scalar
-updates run on Python floats. The iterates (alphas, bias, steps) are bit for bit those
-of `reference.solve_dual_mvp`, which rebuilds every set each step.
+does, the solver keeps I_up and I_low between steps and updates them
+only at i and j, the two samples whose a moved. Its state is two
+buffers, updated in place by the same step: up is g on I_up and -inf
+off it, low is g on I_low and +inf off it. Every box is > 0, so every
+sample is in I_up or I_low and its g is the finite one of up and low.
+m and M are read straight off the buffers. Every ufunc gets array or
+np.float64 operands (a zero buffer for the clamp, m as read off up,
+lam as np.float64): they give the bits of the Python-float forms at a
+smaller call cost. Kernel columns are rows of one contiguous copy of
+K^T, so the solver makes no symmetry assumption. The floored curvature
+row eta of an i is built the first time i is picked and kept for the
+rest of the solve: a solve picks far fewer distinct i than it takes
+steps (about 60 in 180 on a heart_failure QSVM Gram), and a full n x n
+table would mostly hold rows it never reads. j is the first argmax of
+max(b, 0)^2 / eta with b = m - low: entries off I_low or with b <= 0
+score 0, and while m - M > TOL > 0 some entry of I_low has b > TOL, so
+this is the first index the direct rule picks. The step is clipped and
+the memberships updated on Python floats. The iterates (alphas, bias,
+steps) are bit for bit those of `reference.solve_dual_mvp`, which keeps
+g and rebuilds every set each step.
 
 References: Keerthi et al., "Improvements to Platt's SMO algorithm for
 SVM classifier design", Neural Computation 13 (2001); Fan, Chen & Lin,
@@ -102,9 +108,16 @@ class SvmProblem:
             raise UsageError("gram has non-finite entries")
         if not (np.isfinite(self.C) and self.C > 0):
             raise UsageError(f"C must be finite and positive, not {self.C}")
+        if np.shape(self.class_weights) != (2,):
+            raise UsageError("class weights must be a pair (class 0, "
+                             f"class 1), not {self.class_weights}")
         if not all(np.isfinite(w) and w > 0 for w in self.class_weights):
             raise UsageError("class weights must be finite and positive, "
                              f"not {self.class_weights}")
+        # solve_dual puts every sample in I_up or I_low, which needs C_i > 0
+        if not self.C * min(self.class_weights) > 0.0:
+            raise UsageError("C * class weight underflows to 0: "
+                             f"{self.C} * {min(self.class_weights)}")
 
     def box(self) -> np.ndarray:
         w = np.where(self.labels > 0, self.class_weights[1], self.class_weights[0])
@@ -129,33 +142,34 @@ class SvmModel:
 def solve_dual(problem: SvmProblem, max_iter: int | None = None) -> SvmModel:
     """Maximal-violating-pair SMO on the dual. Returns the last iterate
     with converged=False if max_iter steps (default max(10000, 100 n))
-    did not close the gap m - M to TOL."""
+    did not close the gap m - M to TOL; refuses a negative max_iter."""
     k = problem.gram
     y = problem.labels
     box = problem.box()
     n = y.size
     if max_iter is None:
         max_iter = max(10_000, 100 * n)
+    elif max_iter < 0:
+        raise UsageError(f"max_iter must be >= 0, not {max_iter}")
     cols = np.ascontiguousarray(k.T)    # cols[t] is column t of k
     diag = k.diagonal().copy()
     pos = y > 0
-    # g + pen_up is g on I_up and -inf off it, g + pen_low is g on I_low
-    # and +inf off it; at a = 0 a positive sample is in I_up and a
-    # negative one in I_low if its box leaves room
-    pen_up = np.where(pos & (box > 0.0), 0.0, -np.inf)
-    pen_low = np.where(~pos & (box > 0.0), 0.0, np.inf)
+    # up is g on I_up and -inf off it, low is g on I_low and +inf off
+    # it; at a = 0, g = y and a positive sample is in I_up only, a
+    # negative one in I_low only
+    up = np.where(pos, y, -np.inf)
+    low = np.where(pos, np.inf, y)
     a = [0.0] * n
     y_f, box_f, pos_f = y.tolist(), box.tolist(), pos.tolist()
-    g = y.copy()          # -y * G = y - K(a*y); every sample starts at 0
-    up_g, low_g, work = (np.empty(n) for _ in range(3))
+    work = np.empty(n)
+    zero = np.zeros(n)
     curvature = {}      # i -> its floored row of K_ii + K_jj - 2 K_ij
     converged = False
     steps = 0
     while True:
-        i = int(np.add(g, pen_up, out=up_g).argmax())
-        m_up = g[i]
-        np.add(g, pen_low, out=low_g)
-        if m_up - low_g[low_g.argmin()] <= TOL:
+        i = int(up.argmax())
+        m_up = up[i]
+        if m_up - low[low.argmin()] <= TOL:
             converged = True
             break
         if steps == max_iter:
@@ -165,37 +179,49 @@ def solve_dual(problem: SvmProblem, max_iter: int | None = None) -> SvmModel:
         curv = curvature.get(i)
         if curv is None:
             curv = np.add(diag, diag[i])
-            curv -= np.multiply(k_i, 2.0, out=work)
+            curv -= np.add(k_i, k_i, out=work)
             # curv[i] is K_ii + K_ii - 2 K_ii = 0; floor the rest if needed
             curv[i] = _TAU
             if not curv[curv.argmin()] > 0.0:
-                curv = np.where(curv > 0.0, curv, _TAU)
+                curv = np.where(curv > zero, curv, _TAU)
             curvature[i] = curv
         # max(gain, 0)^2 / curv is 0 off I_low and for gain <= 0, so its
         # first argmax is the first argmin of -gain^2 / curv over
         # I_low & (gain > 0): that set holds a gain > TOL once m - M > TOL
-        np.subtract(m_up, low_g, out=work)
-        np.maximum(work, 0.0, out=work)
+        np.subtract(m_up, low, out=work)
+        np.maximum(work, zero, out=work)
         np.square(work, out=work)
         work /= curv
         j = int(work.argmax())
         # a_i moves by y_i * lam and a_j by -y_j * lam, each towards the
         # bound named by its label; the step keeps sum(a * y) fixed
-        to_i = box_f[i] if pos_f[i] else 0.0
-        to_j = 0.0 if pos_f[j] else box_f[j]
-        room_i, room_j = abs(to_i - a[i]), abs(to_j - a[j])
-        lam = min(float(m_up - g[j]) / float(curv[j]), room_i, room_j)
-        a[i] = to_i if lam == room_i else a[i] + y_f[i] * lam
-        a[j] = to_j if lam == room_j else a[j] - y_f[j] * lam
+        a_i, a_j, box_i, box_j = a[i], a[j], box_f[i], box_f[j]
+        pos_i, pos_j = pos_f[i], pos_f[j]
+        to_i = box_i if pos_i else 0.0
+        to_j = 0.0 if pos_j else box_j
+        room_i, room_j = abs(to_i - a_i), abs(to_j - a_j)
+        lam = float(m_up - low[j]) / float(curv[j])
+        if room_i < lam:
+            lam = room_i
+        if room_j < lam:
+            lam = room_j
+        a_i = a[i] = to_i if lam == room_i else a_i + y_f[i] * lam
+        a_j = a[j] = to_j if lam == room_j else a_j - y_f[j] * lam
         np.subtract(k_i, cols[j], out=work)
-        work *= lam
-        g -= work
-        # only a_i and a_j moved, so only their set memberships can change
-        for t in (i, j):
-            below, above = a[t] < box_f[t], a[t] > 0.0
-            grows, shrinks = (below, above) if pos_f[t] else (above, below)
-            pen_up[t] = 0.0 if grows else -np.inf
-            pen_low[t] = 0.0 if shrinks else np.inf
+        np.multiply(work, np.float64(lam), out=work)
+        up -= work
+        low -= work
+        # only a_i and a_j moved, so only their memberships can change;
+        # i was in I_up and j in I_low, so g_i is up[i] and g_j is low[j]
+        g_i, g_j = up[i], low[j]
+        below, above = a_i < box_i, a_i > 0.0
+        if not (below if pos_i else above):
+            up[i] = -np.inf
+        low[i] = g_i if (above if pos_i else below) else np.inf
+        below, above = a_j < box_j, a_j > 0.0
+        if not (above if pos_j else below):
+            low[j] = np.inf
+        up[j] = g_j if (below if pos_j else above) else -np.inf
 
     a = np.array(a)
     bias = _final_bias(k, y, a, box)

@@ -211,6 +211,12 @@ class TestSolverMatchesReferenceLoop:
             assert_same_iterates(grid_problem(
                 "heart_failure", 4, config["encoding"], config["repetitions"]))
 
+    @pytest.mark.parametrize("dataset_key", ["prostate", "diabetes"])
+    def test_qsvm_grams_at_k6(self, dataset_key):
+        for config in bench.qsvm_grid():
+            assert_same_iterates(grid_problem(
+                dataset_key, 6, config["encoding"], config["repetitions"]))
+
     def test_diabetes_classical_grams(self):
         for k in range(2, 7):
             for kind in KERNEL_KINDS:
@@ -237,6 +243,42 @@ class TestSolverMatchesReferenceLoop:
                                float(rng.uniform(0.4, 1.6)))))
         # the sigmoid Grams are not PSD: their pairs reach the _TAU floor
         assert floored >= 10
+
+    def test_samples_leave_and_reenter_their_sets(self):
+        # small C and skewed weights put many a_t at 0 or at their box,
+        # so i and j leave I_up or I_low and come back; a returning
+        # sample's g is read from the other buffer
+        rng = np.random.default_rng(51)
+        at_zero = at_box = free = reentries = 0
+        for _ in range(30):
+            n = int(rng.integers(20, 61))
+            y = np.where(np.arange(n) % 3 == 0, 1.0, -1.0)
+            X = rng.normal(scale=float(rng.uniform(0.5, 2.0)), size=(n, 3))
+            heavy = float(rng.uniform(2.0, 8.0))
+            weights = (1.0, heavy) if rng.random() < 0.5 else (heavy, 1.0)
+            problem = SvmProblem(kernel_matrix("rbf", X, X), y,
+                                 C=float(rng.uniform(0.01, 0.2)),
+                                 class_weights=weights)
+            model = assert_same_iterates(problem)
+            box = problem.box()
+            at_zero += int(np.sum(model.alphas == 0.0))
+            at_box += int(np.sum(model.alphas == box))
+            free += int(np.sum((model.alphas > 0.0) & (model.alphas < box)))
+            # memberships after every step, from the capped iterates
+            was_up = was_low = np.zeros(n, dtype=bool)
+            left_up = left_low = np.zeros(n, dtype=bool)
+            for steps in range(model.sweeps + 1):
+                a = solve_dual(problem, max_iter=steps).alphas
+                below, above = a < box, a > 0.0
+                in_up = np.where(y > 0, below, above)
+                in_low = np.where(y > 0, above, below)
+                reentries += int(np.sum(left_up & in_up)
+                                 + np.sum(left_low & in_low))
+                left_up = (left_up | (was_up & ~in_up)) & ~in_up
+                left_low = (left_low | (was_low & ~in_low)) & ~in_low
+                was_up, was_low = in_up, in_low
+        assert at_zero and at_box and free
+        assert reentries >= 5
 
     def test_near_duplicate_points(self):
         # rows 1e-9 apart put curvatures in (0, _TAU), which stay unfloored
@@ -272,6 +314,12 @@ class TestSolverBehavior:
         assert not model.converged
         assert model.sweeps == 1
 
+    @pytest.mark.parametrize("max_iter", [-1, -5])
+    def test_rejects_negative_max_iter(self, max_iter):
+        problem = random_problem(np.random.default_rng(44))
+        with pytest.raises(UsageError, match="max_iter"):
+            solve_dual(problem, max_iter=max_iter)
+
     def test_rejects_single_class(self):
         with pytest.raises(UsageError):
             SvmProblem(np.eye(3), np.ones(3))
@@ -303,6 +351,18 @@ class TestProblemValidation:
         gram, y = eight_point_rbf()
         with pytest.raises(UsageError, match="class weights"):
             SvmProblem(gram, y, class_weights=weights)
+
+    @pytest.mark.parametrize("weights", [(2.0,), (1.0, 1.0, 5.0), 2.0,
+                                         ((1.0, 1.0),)])
+    def test_rejects_class_weights_not_a_pair(self, weights):
+        gram, y = eight_point_rbf()
+        with pytest.raises(UsageError, match="pair"):
+            SvmProblem(gram, y, class_weights=weights)
+
+    def test_rejects_boxes_that_underflow(self):
+        gram, y = eight_point_rbf()
+        with pytest.raises(UsageError, match="underflows"):
+            SvmProblem(gram, y, C=1e-200, class_weights=(1e-200, 1.0))
 
     @pytest.mark.parametrize("C", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_C_not_finite_and_positive(self, C):
