@@ -35,7 +35,7 @@ import numpy as np
 
 from . import baselines, qnn, svm
 from .circuit import (ANSATZ_ROTATIONS, AXES, FEATURE_MAPS, FUSE_MAX_QUBITS,
-                      encode)
+                      encoding_chains, from_chains)
 from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
 from .metrics import Metrics, evaluate
@@ -349,19 +349,31 @@ CELL_ERRORS = (ConfigurationError, UsageError, IngestionError,
 
 
 # A grid runs every cell of one k in a row, and the QNN grid puts the
-# ansaetze of one encoding layout side by side, so the memo holds one
-# entry. Its key holds the bundle itself (hashed by identity), so a freed
-# bundle's id can never hit, and its arrays are read-only, as every cell
-# of the key shares them.
+# cells of one encoding sequence side by side, re-upload off then on,
+# each with both ansaetze. So one memo holds the chains of the last
+# (k, sequence), which both layouts build from, and another the
+# payloads of the last layout, each built at its first cell: the
+# re-upload-free one holds no "local" matrices, so the memos never hold
+# two sequences' re-upload payloads at once. Their keys hold the bundle
+# itself (hashed by identity), so a freed bundle's id can never hit,
+# and their arrays are read-only, as every cell of the key shares them.
+
+@lru_cache(maxsize=1)
+def _qnn_chains(bundle: SplitBundle, k: int, sequence: tuple):
+    """circuit.encoding_chains of the bundle's features at k for this
+    encoding sequence."""
+    return encoding_chains(qnn.QnnConfig(k, sequence), bundle.features(k))
+
 
 @lru_cache(maxsize=1)
 def _qnn_encoding(bundle: SplitBundle, k: int, sequence: tuple,
                   reupload: bool):
-    """One circuit.encode of the bundle's features at k, for the QNNs of
-    this width, encoding sequence and re-upload setting. A split is a
-    slice of it, equal bit for bit to an encode of that split alone, as
+    """The Encoding of the bundle's features at k, for the QNNs of this
+    width, encoding sequence and re-upload setting. A split is a slice
+    of it, equal bit for bit to an encode of that split alone, as
     encoding is elementwise per row, so one pass predicts every split."""
-    return encode(qnn.QnnConfig(k, sequence, reupload), bundle.features(k))
+    return from_chains(qnn.QnnConfig(k, sequence, reupload),
+                       _qnn_chains(bundle, k, sequence))
 
 
 def _svm_predictions(gram, kernel_rows, y, rows, weights):
@@ -382,8 +394,9 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
              settings: RunSettings) -> ExperimentRecord:
     """The record of one grid cell; a failure in CELL_ERRORS becomes its
     error. Every family takes each split as a slice of the bundle's
-    features at k, or of a QNN's encoding of them; a memo of the last QNN
-    layout encodes each once per grid. A QSVM cell embeds
+    features at k, or of a QNN's encoding of them; memos of the last
+    encoding sequence and layout compute each sequence's encoding chains
+    and each layout's payloads once per k. A QSVM cell embeds
     the stack in one qkernel.embed; a QNN cell grows layers from
     settings.qnn_start_layers and predicts it with the best trial's
     model in one qnn.forward_batch. Each family's per-split 0/1
@@ -531,6 +544,30 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
                     keep(run_cell(dataset_key, bundle, family, config, k,
                                   seed, settings))
     return new_records
+
+
+def record_differences(expected, actual) -> list:
+    """Lines telling two record lists apart, matched by key(): each cell
+    that only one list holds, then each cell both hold whose fields
+    (wall_clock aside) differ, with every such field as expected ->
+    actual. Empty when they agree; a cell listed twice counts its last
+    record."""
+    ours = {r.key(): r for r in expected}
+    theirs = {r.key(): r for r in actual}
+    lines = [f"only in {side}: {key}"
+             for side, a, b in (("expected", ours, theirs),
+                                ("actual", theirs, ours))
+             for key in a if key not in b]
+    for key, record in ours.items():
+        other = theirs.get(key)
+        if other is None:
+            continue
+        changed = [f"{name} {value!r} -> {getattr(other, name)!r}"
+                   for name, value in vars(record).items()
+                   if name != "wall_clock" and value != getattr(other, name)]
+        if changed:
+            lines.append(f"{key}: " + "; ".join(changed))
+    return lines
 
 
 # --------------------------------------------------------------- selection

@@ -1,8 +1,9 @@
 """Every circuit as a product state and whole-register ops.
 
 Each circuit opens with single-qubit gates on |0...0>, so it starts
-from a product state, per-qubit columns for statevec.product_states;
-the rest are (kind, payload) ops for statevec.apply_ops.
+from a product state, which statevec.product_states builds from
+per-qubit columns; the rest are (kind, payload) ops for
+statevec.apply_ops.
 
 FEATURE_MAPS holds each kernel embedding's gate, pair shift and the
 gate's phase offset, and feature_map turns an embedding of every row of
@@ -15,23 +16,27 @@ layers, each a chain of ansatz rotations on every qubit closed by a
 CNOT ring, with the encoding block again before every further layer
 when it is re-uploaded. The blocks fuse:
 
-* an encoding block: one 2x2 per qubit and sample. The opening block
-  is the product state of their first columns; a re-upload is a
-  "local" op of their Kronecker product (over all qubits up to
-  LOCAL_DENSE_QUBITS, else over the high and the low half), and
-  re-uploads share one payload.
+* an encoding block: one 2x2 per qubit and sample, its encoding
+  chains. The opening block is the product state of their first
+  columns; a re-upload is a "local" op of their Kronecker product
+  (over all qubits up to LOCAL_DENSE_QUBITS, else over the high and
+  the low half), and re-uploads share one payload.
 * a trainable layer: its rotations multiply into one 2x2 per qubit,
   their Kronecker product K is one 2**n x 2**n matrix, and the ring's
   CNOTs permute its rows: a "unitary" op P K.
 
-The encoding payloads depend only on the row and on the width, encoding
-sequence and re-upload setting, so encode computes them once for a
-whole feature matrix; every step is elementwise per row, so a gather of
-its rows equals a fresh encode of those rows bit for bit. resolve_fused
-then builds only the layers from theta, once per call: every layer's
-rotation chain prefixes in one stacked pass, the unitaries from the last
-prefixes, and hands the prefixes on for the adjoint gradient. run_batch
-runs the QNN.
+The encoding depends only on the row and on the width, encoding
+sequence and re-upload setting, so it is computed once for a whole
+feature matrix: encoding_chains builds the chains, which both re-upload
+settings share, and from_chains an Encoding from them: every row's
+opening product state, from one statevec.product_states call, and with
+re-upload the "local" payload; encode does both. Every step is
+elementwise per row, so a gather of its rows equals a fresh encode of
+those rows bit for bit. resolve_fused then builds only the layers from
+theta, once per call: every layer's rotation chain prefixes in one
+stacked pass, the unitaries from the last prefixes, and hands the
+prefixes on for the adjoint gradient. run_batch runs the QNN from a
+copy of the encoding's opening states.
 
 Rotation d on qubit q of layer r takes parameter (r * n + q) * depth + d,
 so theta is a (layers, n, depth) array flattened.
@@ -140,8 +145,8 @@ def _chain_prefixes(factors: np.ndarray) -> np.ndarray:
     _chain_products on those rotations (the same float operations). A
     step is two broadcast products over the whole stack: on a layer
     stack (2 layers, 4 qubits, depth 3) 10 us against 25 us entry by
-    entry, but 2x slower on a 299-row encoding, so encode and
-    feature_map keep _chain_products. A depth of one is its own
+    entry, but 2x slower on a 299-row encoding, so encoding_chains
+    and feature_map keep _chain_products. A depth of one is its own
     prefix."""
     if factors.shape[-3] == 1:
         return factors
@@ -242,19 +247,19 @@ def feature_map(kind: str, X: np.ndarray, repetitions: int = 1) -> tuple:
 class Encoding:
     """The encoding payloads of every row of a feature matrix, for QNNs
     of one `layout` (width, encoding rotation kinds, re-upload): the
-    product-state columns (rows, n, 2) and, with re-upload, the "local"
-    matrices, else (). encoded[rows] gathers rows, or views a slice;
-    len() counts them. encode's payloads are read-only, as every QNN of
-    the layout may share them."""
+    opening product states (rows, 2**n) and, with re-upload, the
+    "local" matrices, else (). encoded[rows] gathers rows, or views a
+    slice; len() counts them. from_chains' payloads are read-only, as
+    every QNN of the layout may share them."""
     layout: tuple
-    product: np.ndarray
+    states: np.ndarray
     local: tuple
 
     def __len__(self) -> int:
-        return len(self.product)
+        return len(self.states)
 
     def __getitem__(self, rows) -> "Encoding":
-        return Encoding(self.layout, self.product[rows],
+        return Encoding(self.layout, self.states[rows],
                         tuple(m[rows] for m in self.local))
 
 
@@ -264,21 +269,36 @@ def _encoding_layout(config) -> tuple:
             config.reupload)
 
 
-def encode(config, X: np.ndarray) -> Encoding:
-    """The Encoding of every row of X for a qnn.QnnConfig; it serves the
-    config with any layer count."""
+def encoding_chains(config, X: np.ndarray) -> np.ndarray:
+    """Read-only (rows, n, 2, 2): the encoding block of every row of X
+    for a qnn.QnnConfig as one 2x2 per qubit. They depend on the width
+    and encoding sequence only, so one serves both re-upload settings
+    through from_chains."""
     n = config.n_features
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n:
         raise UsageError(f"expected feature matrix with {n} columns, "
                          f"got shape {X.shape}")
-    layout = _encoding_layout(config)
-    chains = _chain_products(_rotation_factors(layout[1],
+    chains = _chain_products(_rotation_factors(_encoding_layout(config)[1],
                                                math.pi * X[:, :, None]))
+    chains.flags.writeable = False
+    return chains
+
+
+def from_chains(config, chains: np.ndarray) -> Encoding:
+    """The Encoding of a qnn.QnnConfig from the encoding_chains of its
+    width and encoding sequence; it serves the config with any layer
+    count."""
     local = _local_payload(chains) if config.reupload else ()
-    encoded = Encoding(layout, chains[..., 0], local)
-    encoded.product.flags.writeable = False
+    encoded = Encoding(_encoding_layout(config),
+                       product_states(chains[..., 0]), local)
+    encoded.states.flags.writeable = False
     return encoded
+
+
+def encode(config, X: np.ndarray) -> Encoding:
+    """The Encoding of every row of X for a qnn.QnnConfig."""
+    return from_chains(config, encoding_chains(config, X))
 
 
 def resolve_fused(config, encoded: Encoding, theta) -> tuple:
@@ -313,10 +333,10 @@ def resolve_fused(config, encoded: Encoding, theta) -> tuple:
 
 def run_batch(config, X: Encoding, theta) -> np.ndarray:
     """Execute the QNN of a qnn.QnnConfig with parameters theta for
-    every row of X, the encode() of the features, at once; returns
-    (len(X), 2**n) amplitudes."""
+    every row of X, the encode() of the features, at once, from a copy
+    of its opening states; returns (len(X), 2**n) amplitudes."""
     ops = resolve_fused(config, X, theta)[0]
-    amps = product_states(X.product)
+    amps = X.states.copy()
     apply_ops(amps, config.n_features, ops)
     return amps
 

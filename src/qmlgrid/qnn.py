@@ -9,13 +9,14 @@ arXiv:2009.02823): one forward pass, then one backward sweep that reads
 every parameter's derivative off the stored state. Features come in as
 circuit.encode wrote them, once per feature matrix, so a batch is
 encoded[idx] and no call here recomputes the encoding. The model
-starts from the encoding's product state and runs as fused blocks that
-circuit.resolve_fused builds from its config and parameters on every
-call, together with each layer's rotation chain prefixes: a forward
-pass and a gradient each build the chains once per parameter vector,
-and the gradient reads its derivatives off those same prefixes. A layer
-costs one matrix product forward and one back, and its derivatives
-come from n reduced 2x2 matrices, so a gradient costs 2.0 to 2.7
+starts from a copy of the encoding's stored opening states and runs as
+fused blocks that circuit.resolve_fused builds from its config and
+parameters on every call, together with each layer's rotation chain
+prefixes: a forward pass and a gradient each build the chains once per
+parameter vector, and the gradient reads its derivatives off those same
+prefixes. A layer costs one matrix product forward and one back, and
+its derivatives come from n reduced 2x2 matrices, each layer's in one
+gather of a cached index table, so a gradient costs 2.0 to 2.7
 forward passes whatever the parameter count (n = 4..6, up to 180
 parameters, batch 32). The chain through softmax and the loss is
 analytic.
@@ -33,7 +34,7 @@ import numpy as np
 from .circuit import (ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS, Encoding,
                       _layer_gradients, resolve_fused, run_batch)
 from .errors import ConfigurationError, TrainingDivergedError, UsageError
-from .statevec import apply_ops, product_states
+from .statevec import apply_ops
 
 PROB_FLOOR = 1e-12
 
@@ -153,9 +154,11 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
                              y: np.ndarray) -> np.ndarray:
     """Gradient of batch_loss w.r.t. the parameter vector, adjoint mode.
 
-    The forward pass keeps the final states psi and seeds
-    lam = sum_q (d loss / d<Z_q>) Z_q psi per sample. The backward sweep
-    undoes the fused blocks on psi and lam in reverse order. A layer is
+    The forward pass runs psi from the encoding's opening states in the
+    first half of one (2B, 2**n) buffer and writes
+    lam = sum_q (d loss / d<Z_q>) Z_q psi per sample into the second.
+    The backward sweep undoes the fused blocks on both halves at once,
+    in reverse order. A layer is
     undone as one matrix, and its derivatives are read at the layer's
     input from the per-qubit 2x2 matrices R_q = sum_b Tr_{not q}
     |psi_b><lam_b|: the rotation at position d of qubit q's chain, with T
@@ -170,20 +173,21 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
     batch = len(y)
     n = model.config.n_features
     ops, chains = resolve_fused(model.config, X, model.parameters)
-    psi = product_states(X.product)
+    # psi and lam are the halves of one buffer, so one apply_ops call
+    # undoes both; psi runs forward from the encoding's opening states
+    both = np.empty((2 * batch, 1 << n), dtype=complex)
+    psi, lam = both[:batch], both[batch:]
+    psi[:] = X.states
     apply_ops(psi, n, ops)
-    probs = softmax_pair(_readout(psi, n))
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(batch), y] = 1.0
     # d loss_i / d e_q = w_{y_i} (p_q - [q == y_i]); mean over the batch
-    dl_de = (model.class_weights[y][:, None] * (probs - onehot)) / batch
+    delta = softmax_pair(_readout(psi, n))
+    delta[np.arange(batch), y] -= 1.0
+    dl_de = (model.class_weights[y][:, None] * delta) / batch
     signs = _z_signs(n)
     observable = dl_de[:, :1] * signs[0] + dl_de[:, 1:] * signs[1]
-    # psi and lam share one buffer, so one apply_ops call undoes both
-    both = np.concatenate([psi, observable * psi])
-    psi, lam = both[:batch], both[batch:]
+    np.multiply(observable, psi, out=lam)
 
-    rows, cols = _reduction_indices(n)
+    pairs = _reduction_indices(n)
     reduced = np.empty(chains.shape[:2] + (2, 2), dtype=complex)
     layer = len(reduced)
     # ops to undo collect in `undo` and run only when a layer needs the
@@ -197,7 +201,7 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
             undo = []
             # R_q[a, b] sums C[i, j] = sum_b psi_b[i] conj(lam_b[j])
             # over the pairs of _reduction_indices
-            reduced[layer] = (psi.T @ lam.conj())[rows, cols].sum(-1)
+            reduced[layer] = np.take(psi.T @ lam.conj(), pairs).sum(-1)
     return _layer_gradients(model.config, chains, reduced)
 
 
@@ -211,20 +215,20 @@ def _inverse(op) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _reduction_indices(n_qubits: int):
-    """(rows, cols), each (n, 2, 2, 2**(n-1)): entry [q, a, b] lists the
-    pairs (i, j) of basis states that agree off qubit q and have bit q
-    equal to a in i and to b in j."""
+def _reduction_indices(n_qubits: int) -> np.ndarray:
+    """Read-only flat indices i * 2**n + j into a (2**n, 2**n) matrix,
+    shape (n, 2, 2, 2**(n-1)): entry [q, a, b] lists the pairs (i, j) of
+    basis states that agree off qubit q and have bit q equal to a in i
+    and to b in j."""
     idx = np.arange(1 << n_qubits)
-    rows = np.empty((n_qubits, 2, 2, 1 << (n_qubits - 1)), dtype=np.intp)
-    cols = np.empty_like(rows)
+    pairs = np.empty((n_qubits, 2, 2, 1 << (n_qubits - 1)), dtype=np.intp)
     for q in range(n_qubits):
         for a in (0, 1):
             i = idx[(idx >> q) & 1 == a]
             for b in (0, 1):
-                rows[q, a, b] = i
-                cols[q, a, b] = i ^ ((a ^ b) << q)
-    return rows, cols
+                pairs[q, a, b] = (i << n_qubits) | (i ^ ((a ^ b) << q))
+    pairs.flags.writeable = False
+    return pairs
 
 
 @dataclass

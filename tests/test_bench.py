@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import importlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -629,8 +631,11 @@ class TestCellInputs:
         with pytest.raises(AttributeError):
             bundle.stack = bundle.stack.copy()
         encoded = bench._qnn_encoding(bundle, 2, ("X", "Z"), True)
-        for payload in (encoded.product, *encoded.local,
-                        encoded[3:].product):
+        for payload in (encoded.states, *encoded.local,
+                        encoded[3:].states,
+                        bench._qnn_chains(bundle, 2, ("X", "Z")),
+                        bench._qnn_encoding(bundle, 2, ("X", "Z"),
+                                            False).states):
             with pytest.raises(ValueError, match="read-only"):
                 payload[0] = 0
 
@@ -809,6 +814,59 @@ class TestCellInputs:
             want = evaluate(y, qnn.predict(qnn.forward_batch(model, E)))
             assert getattr(rec, split) == want
         assert rec.extra["layer_trials"] == len(growth.trials)
+
+
+class TestRecordDifferences:
+    def test_names_lone_cells_and_differing_fields(self):
+        a = fake_record(config={"encoding": "z", "repetitions": 1})
+        b = fake_record(config={"encoding": "z", "repetitions": 2})
+        c = fake_record(config={"encoding": "z", "repetitions": 3})
+        changed = fake_record(config={"encoding": "z", "repetitions": 2},
+                              n_parameters=11)
+        changed.wall_clock = 1.0
+        lines = bench.record_differences([a, b], [changed, c])
+        assert lines == [f"only in expected: {a.key()}",
+                         f"only in actual: {c.key()}",
+                         f"{b.key()}: n_parameters 10 -> 11"]
+        assert bench.record_differences([a, b], [b, a]) == []
+
+
+def _pinned_record(pinned: dict) -> ExperimentRecord:
+    """The record whose pinned fields (key, seed, parameter count, error,
+    each split's confusion counts, extra) tests/data/qnn_records.json
+    holds."""
+    dataset, family, k, config, split_seed = json.loads(pinned["key"])
+    splits = {s: None if pinned[s] is None else Metrics.from_counts(*pinned[s])
+              for s in ("train", "val", "test")}
+    return ExperimentRecord(dataset, family, k, config, split_seed,
+                            pinned["seed"], pinned["n_parameters"],
+                            extra=pinned["extra"], error=pinned["error"],
+                            **splits)
+
+
+class TestPinnedQnnRecords:
+    def test_grids_reproduce_the_pinned_records(self, tmp_path):
+        # every QNN record of two one-epoch grids on the synthetic
+        # heart_failure split 0: k = 4 at two layers, the grid of
+        # perfbench's qnn_hf4, and k = 5 at one to two layers, which
+        # takes the split re-upload payload and trains two layer trials
+        # per cell. Speed-ups must leave what the records say as it is
+        path = Path(__file__).parent / "data" / "qnn_records.json"
+        failures, shas = [], []
+        for i, pinned in enumerate(json.loads(path.read_text())):
+            grid = dict(pinned["grid"])
+            dataset, k = grid.pop("dataset"), grid.pop("k")
+            store = RecordStore(tmp_path / f"{i}.jsonl")
+            new = bench.run_grid(dataset, datasets.synthetic(dataset), store,
+                                 RunSettings(**grid), families=("qnn",),
+                                 feature_range=(k, k))
+            lines = bench.record_differences(
+                [_pinned_record(r) for r in pinned["records"]],
+                [r for r in new if r.family == "qnn"])
+            failures += [f"{dataset} k={k}: {line}" for line in lines]
+            digest = hashlib.sha256(Path(store.path).read_bytes()).hexdigest()
+            shas.append(f"{dataset} k={k}: store sha256 {digest}")
+        assert not failures, "\n".join(failures + shas)
 
 
 class TestReports:

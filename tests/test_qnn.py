@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qmlgrid import bench, datasets, qnn, reference
-from qmlgrid.circuit import FUSE_MAX_QUBITS, encode, resolve_fused, run_batch
+from qmlgrid.circuit import (FUSE_MAX_QUBITS, encode, encoding_chains,
+                             resolve_fused, run_batch)
 from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
 from qmlgrid.metrics import evaluate
 from qmlgrid.pipeline import stratified_split
@@ -16,6 +17,7 @@ from qmlgrid.qnn import (GrowthResult, LayerTrial, QnnConfig, batch_loss,
                          parameter_shift_gradient, predict, replace_params,
                          softmax_pair, train)
 from qmlgrid.reference import expectation_z_batch, weighted_cross_entropy
+from qmlgrid.statevec import apply_ops, product_states
 
 
 def toy_sign_task(n=48, seed=5):
@@ -319,8 +321,8 @@ class TestEncodingCache:
 
     def test_gathered_rows_equal_a_fresh_encode(self):
         # every step of encode is elementwise per row, so rows gathered
-        # from one encoding match an encoding of those rows alone, bit
-        # for bit, whatever the row count
+        # or sliced from one encoding match an encoding of those rows
+        # alone, bit for bit, whatever the row count
         rng = np.random.default_rng(51)
         X = rng.uniform(-1, 1, (37, FUSE_MAX_QUBITS))
         idx = rng.permutation(np.concatenate([np.arange(37), [3, 3, 20]]))
@@ -329,28 +331,81 @@ class TestEncodingCache:
                 for reupload in (False, True):
                     cfg = QnnConfig(n, sequence, reupload)
                     Xn = X[:, :n]
-                    gathered, fresh = encode(cfg, Xn)[idx], encode(cfg, Xn[idx])
-                    assert len(gathered) == len(idx)
-                    assert gathered.layout == fresh.layout
-                    assert np.array_equal(gathered.product, fresh.product)
-                    assert len(gathered.local) == len(fresh.local) == (
-                        0 if not reupload else 1 if n <= 4 else 2)
-                    for a, b in zip(gathered.local, fresh.local):
-                        assert np.array_equal(a, b)
+                    for rows in (idx, slice(5, 30)):
+                        gathered = encode(cfg, Xn)[rows]
+                        fresh = encode(cfg, Xn[rows])
+                        assert len(gathered) == len(Xn[rows])
+                        assert gathered.layout == fresh.layout
+                        assert np.array_equal(gathered.states, fresh.states)
+                        assert len(gathered.local) == len(fresh.local) == (
+                            0 if not reupload else 1 if n <= 4 else 2)
+                        for a, b in zip(gathered.local, fresh.local):
+                            assert np.array_equal(a, b)
+
+    def test_states_are_the_product_states_of_the_chains(self):
+        # an encoding stores its opening states, built once from the
+        # chains' first columns; a pass copies them instead of building
+        # them again, so the stored bits must be product_states' bits,
+        # signed zeros included
+        rng = np.random.default_rng(52)
+        X = rng.uniform(-1, 1, (37, FUSE_MAX_QUBITS))
+        X[:4] = 0.0
+        for n in range(2, FUSE_MAX_QUBITS + 1):
+            for sequence in self.SEQUENCES:
+                for reupload in (False, True):
+                    cfg = QnnConfig(n, sequence, reupload)
+                    chains = encoding_chains(cfg, X[:, :n])
+                    got = encode(cfg, X[:, :n]).states
+                    want = product_states(chains[..., 0])
+                    assert got.shape == (37, 1 << n)
+                    assert np.array_equal(got, want)
+                    for part in (np.real, np.imag):
+                        assert np.array_equal(np.signbit(part(got)),
+                                              np.signbit(part(want)))
+
+    def test_run_batch_starts_from_the_opening_states(self):
+        # run_batch equals building the product states and applying
+        # resolve_fused's ops, on a whole encoding and on gathered and
+        # sliced rows of it
+        rng = np.random.default_rng(54)
+        X = rng.uniform(-1, 1, (37, FUSE_MAX_QUBITS))
+        idx = rng.permutation(37)[:19]
+        for n in range(2, FUSE_MAX_QUBITS + 1):
+            for sequence in self.SEQUENCES:
+                for reupload in (False, True):
+                    cfg = QnnConfig(n, sequence, reupload, "strongly", 2,
+                                    seed=n)
+                    theta = init_model(cfg, (0.5, 0.5)).parameters
+                    encoded = encode(cfg, X[:, :n])
+                    for rows in (slice(None), idx, slice(5, 30)):
+                        part = encoded[rows]
+                        want = product_states(
+                            encoding_chains(cfg, X[rows, :n])[..., 0])
+                        apply_ops(want, n, resolve_fused(cfg, part, theta)[0])
+                        assert np.array_equal(run_batch(cfg, part, theta),
+                                              want)
 
     def test_a_grid_encodes_each_layout_once(self, monkeypatch, tmp_path):
-        # one encode per (k, layout) over the stacked rows of all three
-        # splits serves both ansaetze and every batch, epoch, layer
-        # trial and prediction of their cells
-        calls = []
+        # each (k, sequence) computes its chains once over the stacked
+        # rows of all three splits, and each (k, layout) builds its
+        # payloads from them once; they serve both ansaetze and every
+        # batch, epoch, layer trial and prediction of their cells
+        chain_calls, payload_calls = [], []
+        real_chains, real_payloads = bench.encoding_chains, bench.from_chains
 
-        def spy(config, X):
-            calls.append((config.n_features,
-                          "".join(config.encoding_sequence),
-                          config.reupload, len(X)))
-            return encode(config, X)
+        def chains_spy(config, X):
+            chain_calls.append((config.n_features,
+                                "".join(config.encoding_sequence), len(X)))
+            return real_chains(config, X)
 
-        monkeypatch.setattr(bench, "encode", spy)
+        def payloads_spy(config, chains):
+            payload_calls.append((config.n_features,
+                                  "".join(config.encoding_sequence),
+                                  config.reupload, len(chains)))
+            return real_payloads(config, chains)
+
+        monkeypatch.setattr(bench, "encoding_chains", chains_spy)
+        monkeypatch.setattr(bench, "from_chains", payloads_spy)
         dataset = datasets.synthetic("prostate")
         rows = len(dataset.labels)
         settings = bench.RunSettings(qnn_epochs=1, qnn_start_layers=1,
@@ -360,9 +415,12 @@ class TestEncodingCache:
                              settings, families=("qnn",),
                              feature_range=(2, 3))
         assert [r.error for r in new] == [None] * 121
-        assert calls == [(k, sequence, reupload, rows) for k in (2, 3)
-                         for sequence in bench.axis_sequences()
-                         for reupload in (False, True)]
+        assert chain_calls == [(k, sequence, rows) for k in (2, 3)
+                               for sequence in bench.axis_sequences()]
+        assert payload_calls == [(k, sequence, reupload, rows)
+                                 for k in (2, 3)
+                                 for sequence in bench.axis_sequences()
+                                 for reupload in (False, True)]
 
     def test_stacked_pass_equals_per_split_passes(self):
         # a QNN cell predicts all its splits in one forward_batch over
