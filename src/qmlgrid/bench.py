@@ -28,7 +28,7 @@ import re
 import time
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import wraps
 from typing import get_type_hints
 
 import numpy as np
@@ -176,14 +176,39 @@ class ExperimentRecord:
         return ExperimentRecord(**d)
 
 
+def parse_store(data: bytes, path) -> list:
+    """The records of the whole lines of data, a store file's bytes
+    (what follows its last newline is left out). A malformed whole line,
+    or a second error-free record of one cell (two stores joined, say),
+    raises IngestionError naming path."""
+    records = []
+    done_at = {}        # key -> line of its error-free record
+    whole = data.rfind(b"\n") + 1
+    for n, line in enumerate(data[:whole].splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = ExperimentRecord.from_line(line.decode())
+        except (ValueError, KeyError, TypeError) as exc:
+            raise IngestionError(f"{path}: line {n}: not a record: "
+                                 f"{type(exc).__name__}: {exc}") from None
+        if record.error is None:
+            key = record.key()
+            first = done_at.setdefault(key, n)
+            if first != n:
+                raise IngestionError(f"{path}: line {n}: repeats the cell "
+                                     f"of line {first}: {key}")
+        records.append(record)
+    return records
+
+
 class RecordStore:
     """Append-only line store; loading an existing file makes reruns skip
     completed cells. Errored records stay in the file but do not count as
     done, so a rerun retries their cells. A torn last line is cut off with
-    a warning; a malformed complete line, or a second error-free record
-    of one cell (two stores joined, say), raises IngestionError and
-    leaves the file as it is, and append refuses such a second record
-    before writing it."""
+    a warning; a store that parse_store refuses raises IngestionError and
+    is left as it is, and append refuses a second error-free record of a
+    cell before writing it."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -194,24 +219,9 @@ class RecordStore:
             return
         with open(self.path, "rb") as fh:
             data = fh.read()
+        for record in parse_store(data, self.path):
+            self._append_memory(record, record.key())
         whole = data.rfind(b"\n") + 1
-        done_at = {}        # key -> line of its error-free record
-        for n, line in enumerate(data[:whole].splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = ExperimentRecord.from_line(line.decode())
-            except (ValueError, KeyError, TypeError) as exc:
-                raise IngestionError(f"{self.path}: line {n}: not a record: "
-                                     f"{type(exc).__name__}: {exc}") from None
-            key = record.key()
-            if record.error is None:
-                first = done_at.setdefault(key, n)
-                if first != n:
-                    raise IngestionError(
-                        f"{self.path}: line {n}: repeats the cell of line "
-                        f"{first}: {key}")
-            self._append_memory(record, key)
         if whole < len(data):
             # a crash mid-append leaves an unterminated last line
             os.truncate(self.path, whole)
@@ -348,24 +358,57 @@ CELL_ERRORS = (ConfigurationError, UsageError, IngestionError,
                TrainingDivergedError, np.linalg.LinAlgError)
 
 
-# A grid runs every cell of one k in a row, and the QNN grid puts the
-# cells of one encoding sequence side by side, re-upload off then on,
-# each with both ansaetze. So one memo holds the chains of the last
-# (k, sequence), which both layouts build from, and another the
-# payloads of the last layout, each built at its first cell: the
-# re-upload-free one holds no "local" matrices, so the memos never hold
-# two sequences' re-upload payloads at once. Their keys hold the bundle
-# itself (hashed by identity), so a freed bundle's id can never hit,
-# and their arrays are read-only, as every cell of the key shares them.
+# A grid runs every cell of one k in a row. The QSVM grid puts the
+# cells of one feature map side by side, repetitions 1 to 3, so one
+# memo holds the last (k, feature map)'s embedding at every repetition
+# count, built at its first cell, and each cell reads its count's
+# entry. The QNN grid puts the cells of one encoding sequence side by
+# side, re-upload off then on, each with both ansaetze. So one memo
+# holds the chains of the last (k, sequence), which both layouts build
+# from, and another the payloads of the last layout, each built at its
+# first cell: the re-upload-free one holds no "local" matrices, so the
+# memos never hold two sequences' re-upload payloads at once. Their
+# keys hold the bundle itself (hashed by identity), so a freed bundle's
+# id can never hit, and their arrays are read-only, as every cell of
+# the key shares them. A memo lets go of its last arrays before it
+# computes the next key's, and run_grid clears the memos as it ends.
+# The QSVM stack is the largest: (3, rows, 2**k) complex128, 117 MB on
+# heart_failure's 299 rows at k = 13, three times the one repetition
+# count's states a cell would embed for itself.
 
-@lru_cache(maxsize=1)
+def _last_call(fn):
+    """fn memoized on its last call alone, as lru_cache(maxsize=1), but
+    the last value is dropped before a new key's is computed, so two
+    keys' arrays are never held at once; clear() drops it outright."""
+    last = {}
+
+    @wraps(fn)
+    def memo(*key):
+        if key not in last:
+            last.clear()
+            last[key] = fn(*key)
+        return last[key]
+    memo.clear = last.clear
+    return memo
+
+
+@_last_call
+def _qsvm_states(bundle: SplitBundle, k: int, encoding: str):
+    """qkernel.embed of the bundle's features at k under this feature
+    map, up to the QSVM grid's largest repetition count: entry r - 1
+    serves the cells at r repetitions."""
+    return embed(encoding, bundle.features(k),
+                 max(c["repetitions"] for c in qsvm_grid()))
+
+
+@_last_call
 def _qnn_chains(bundle: SplitBundle, k: int, sequence: tuple):
     """circuit.encoding_chains of the bundle's features at k for this
     encoding sequence."""
     return encoding_chains(qnn.QnnConfig(k, sequence), bundle.features(k))
 
 
-@lru_cache(maxsize=1)
+@_last_call
 def _qnn_encoding(bundle: SplitBundle, k: int, sequence: tuple,
                   reupload: bool):
     """The Encoding of the bundle's features at k, for the QNNs of this
@@ -394,10 +437,11 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
              settings: RunSettings) -> ExperimentRecord:
     """The record of one grid cell; a failure in CELL_ERRORS becomes its
     error. Every family takes each split as a slice of the bundle's
-    features at k, or of a QNN's encoding of them; memos of the last
-    encoding sequence and layout compute each sequence's encoding chains
-    and each layout's payloads once per k. A QSVM cell embeds
-    the stack in one qkernel.embed; a QNN cell grows layers from
+    features at k, or of their embedding or QNN encoding; memos of the
+    last feature map, encoding sequence and layout embed each feature
+    map, compute each sequence's encoding chains and build each layout's
+    payloads once per k. A QSVM cell reads its repetition count's entry
+    of the stack's one qkernel.embed; a QNN cell grows layers from
     settings.qnn_start_layers and predicts it with the best trial's
     model in one qnn.forward_batch. Each family's per-split 0/1
     predictions are scored here."""
@@ -410,7 +454,12 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
         weights = bundle.class_weights()
 
         if family == "qsvm":
-            states = embed(config["encoding"], X, config["repetitions"])
+            stack = _qsvm_states(bundle, k, config["encoding"])
+            reps = config["repetitions"]
+            if not 1 <= reps <= len(stack):
+                raise ConfigurationError(f"repetitions must be in "
+                                         f"1..{len(stack)}, got {reps}")
+            states = stack[reps - 1]
             train = states[tr]
             n_par, preds, extra = _svm_predictions(
                 gram_matrix(train), lambda r: cross_gram(states[r], train),
@@ -529,34 +578,41 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
             progress(record)
 
     meta = variance_record(dataset_key, bundle)
-    with store.writing():
-        if not store.has(meta.key()):
-            keep(meta)
-        for k in range(lo, hi + 1):
-            for family in (f for f in FAMILIES if f in families):
-                for config in GRIDS[family]():
-                    probe = ExperimentRecord(dataset_key, family, k, config,
-                                             split_seed, 0)
-                    if store.has(probe.key()):
-                        continue
-                    seed = cell_seed(settings.master_seed, dataset_key,
-                                     family, config, split_seed)
-                    keep(run_cell(dataset_key, bundle, family, config, k,
-                                  seed, settings))
+    try:
+        with store.writing():
+            if not store.has(meta.key()):
+                keep(meta)
+            for k in range(lo, hi + 1):
+                for family in (f for f in FAMILIES if f in families):
+                    for config in GRIDS[family]():
+                        probe = ExperimentRecord(dataset_key, family, k,
+                                                 config, split_seed, 0)
+                        if store.has(probe.key()):
+                            continue
+                        seed = cell_seed(settings.master_seed, dataset_key,
+                                         family, config, split_seed)
+                        keep(run_cell(dataset_key, bundle, family, config,
+                                      k, seed, settings))
+    finally:
+        # every memo key holds this grid's bundle, which no later call sees
+        for memo in (_qsvm_states, _qnn_chains, _qnn_encoding):
+            memo.clear()
     return new_records
 
 
-def record_differences(expected, actual) -> list:
+def record_differences(expected, actual,
+                       sides: tuple = ("expected", "actual")) -> list:
     """Lines telling two record lists apart, matched by key(): each cell
-    that only one list holds, then each cell both hold whose fields
-    (wall_clock aside) differ, with every such field as expected ->
-    actual. Empty when they agree; a cell listed twice counts its last
-    record."""
+    that only one list holds, named by its list's entry in `sides`,
+    then each cell both hold whose fields (wall_clock aside) differ as
+    written to a store line, with every such field as expected ->
+    actual. Empty when every cell's line is byte-equal; a cell listed
+    twice counts its last record."""
     ours = {r.key(): r for r in expected}
     theirs = {r.key(): r for r in actual}
     lines = [f"only in {side}: {key}"
-             for side, a, b in (("expected", ours, theirs),
-                                ("actual", theirs, ours))
+             for side, a, b in ((sides[0], ours, theirs),
+                                (sides[1], theirs, ours))
              for key in a if key not in b]
     for key, record in ours.items():
         other = theirs.get(key)
@@ -564,7 +620,8 @@ def record_differences(expected, actual) -> list:
             continue
         changed = [f"{name} {value!r} -> {getattr(other, name)!r}"
                    for name, value in vars(record).items()
-                   if name != "wall_clock" and value != getattr(other, name)]
+                   if name != "wall_clock"
+                   and canonical(value) != canonical(getattr(other, name))]
         if changed:
             lines.append(f"{key}: " + "; ".join(changed))
     return lines

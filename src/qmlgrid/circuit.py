@@ -7,7 +7,8 @@ statevec.apply_ops.
 
 FEATURE_MAPS holds each kernel embedding's gate, pair shift and the
 gate's phase offset, and feature_map turns an embedding of every row of
-a feature matrix into its columns and ops; qkernel.embed runs them.
+a feature matrix into one step of columns and ops per repetition count,
+each going on from the one before; qkernel.embed runs them.
 reference.kernel_gates writes the same embedding out gate by gate.
 
 QNNs have one shape: an angle-encoding block R_a(pi * x_q) on each
@@ -124,12 +125,15 @@ def _rotation_factors(kinds: tuple, angles: np.ndarray) -> np.ndarray:
     return c * _I2 - 1j * s * _pauli_stack(kinds)
 
 
-def _chain_products(factors: np.ndarray) -> np.ndarray:
+def _chain_products(factors: np.ndarray, u: np.ndarray = None) -> np.ndarray:
     """(..., n, depth, 2, 2) -> (..., n, 2, 2), the first rotation
-    rightmost. The 2x2 products go entry by entry: np.matmul pays a
-    fixed cost per matrix, and an encoding holds batch x n x depth."""
-    u = factors[..., 0, :, :]
-    for d in range(1, factors.shape[-3]):
+    rightmost; given chains u (..., n, 2, 2), the product goes on from
+    them, with the bits of one call over u's rotations and these. The
+    2x2 products go entry by entry: np.matmul pays a fixed cost per
+    matrix, and an encoding holds batch x n x depth."""
+    if u is None:
+        u, factors = factors[..., 0, :, :], factors[..., 1:, :, :]
+    for d in range(factors.shape[-3]):
         a, b = factors[..., d, :, :], u
         u = np.empty_like(b)
         for i in (0, 1):
@@ -194,19 +198,25 @@ def _hadamards(n_qubits: int) -> tuple:
     return _local_payload(np.broadcast_to(_H, (1, n_qubits, 2, 2)))
 
 
-def feature_map(kind: str, X: np.ndarray, repetitions: int = 1) -> tuple:
+def feature_map(kind: str, X: np.ndarray, repetitions: int = 1) -> list:
     """The embedding reference.kernel_gates writes out gate by gate, for
-    every row of X (one qubit per column), as (columns, ops): the
-    product-state columns (rows, n, 2) for statevec.product_states and
-    the whole-register ops that follow, for statevec.apply_ops.
+    every row of X (one qubit per column), at each repetition count up
+    to `repetitions`, as one (columns, ops) step per count: step r - 1
+    turns the states after r - 1 repetitions into those after r. Its
+    columns (rows, n, 2) are a product state for
+    statevec.product_states to start afresh from, or None to go on from
+    the previous step's states; its ops are the whole-register ops that
+    follow, for statevec.apply_ops.
 
     Without pair terms every qubit sees its own 2x2 chain, so the state
-    is the product of the chains' first columns and there are no ops.
-    With them, the gates after the Hadamards are all diagonal: a ZZ map
-    is |+...+>, then per repetition a "diagonal" op of the summed
-    phases, with a Hadamard layer before each further one. Every step is
-    elementwise per row or a row's own matrix products, so a row gets
-    the same bits whatever the batch.
+    is the product of the chains' first columns and there are no ops;
+    each step's chains go on from the previous step's with one more
+    block. With them, the gates after the Hadamards are all diagonal: a
+    ZZ map is |+...+>, then a "diagonal" op of the summed phases, and
+    each further step is a Hadamard layer and the same op. Either way a
+    step's states have the bits of a fresh embedding at its count, and
+    every step is elementwise per row or a row's own matrix products, so
+    a row gets the same bits whatever the batch.
     """
     if kind != "angle" and kind not in FEATURE_MAPS:
         raise ConfigurationError(f"unknown encoding kind {kind!r}")
@@ -228,8 +238,11 @@ def feature_map(kind: str, X: np.ndarray, repetitions: int = 1) -> tuple:
             rotation = _rotation_factors((gate,), 2.0 * X[:, :, None])
             block = np.concatenate(
                 [np.broadcast_to(_H, rotation.shape), rotation], axis=2)
-        chains = _chain_products(np.concatenate([block] * repetitions, axis=2))
-        return chains[..., 0], []
+        steps, chains = [], None
+        for _ in range(repetitions):
+            chains = _chain_products(block, chains)
+            steps.append((chains[..., 0], []))
+        return steps
     bits = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
     phases = np.zeros((len(X), 1 << n))
     for q in range(n):
@@ -239,8 +252,8 @@ def feature_map(kind: str, X: np.ndarray, repetitions: int = 1) -> tuple:
         phases += angle[:, None] * ((bits[q] ^ bits[q + 1]) - offset)
     diagonal = ("diagonal", np.cos(phases) + 1j * np.sin(phases))
     plus = np.full((len(X), n, 2), _H[0, 0])
-    return plus, [diagonal] + [("local", _hadamards(n)),
-                               diagonal] * (repetitions - 1)
+    return [(plus, [diagonal])] + [
+        (None, [("local", _hadamards(n)), diagonal])] * (repetitions - 1)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: run (grid search into a record store), report (CSV tables,
-PCA curve included, from a store), verify (property suite), datasets
-(profiles and where to get the real files).
+PCA curve included, from a store), compare (what two stores say
+differently), verify (property suite), datasets (profiles and where to
+get the real files).
 """
 from __future__ import annotations
 
@@ -81,6 +82,34 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _cmd_compare(args) -> int:
+    """Prints bench.record_differences of two stores, then a line that
+    counts them; exits 0 only when the two files are byte-equal. Reads
+    the stores only, so a torn last line stays in its file and counts
+    as a difference."""
+    records, data = [], []
+    for path in (args.a, args.b):
+        if not os.path.exists(path):
+            raise UsageError(f"store {path} does not exist")
+        with open(path, "rb") as fh:
+            data.append(fh.read())
+        records.append(bench.parse_store(data[-1], path))
+    lines = bench.record_differences(*records, sides=(args.a, args.b))
+    for path, raw in zip((args.a, args.b), data):
+        torn = len(raw) - raw.rfind(b"\n") - 1
+        if torn:
+            lines.append(f"{path}: an unterminated last line of {torn} "
+                         f"bytes")
+    if not lines and data[0] != data[1]:
+        lines = ["every cell agrees, but the files differ in order, in "
+                 "retried cells or in blank lines"]
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} differences: {args.a} ({len(records[0])} records) "
+          f"vs {args.b} ({len(records[1])} records)")
+    return 1 if lines else 0
+
+
 def _cmd_verify(args) -> int:
     results = verify.run_property_suite(fast=args.fast)
     for r in results:
@@ -130,6 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", action="append",
                    help="restrict to this dataset (repeatable)")
     p.set_defaults(func=_cmd_report)
+
+    p = sub.add_parser("compare", help="list the cells and fields in "
+                       "which two record stores differ")
+    p.add_argument("a", help="expected store")
+    p.add_argument("b", help="actual store")
+    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("verify", help="run the property suite")
     p.add_argument("--fast", action="store_true",

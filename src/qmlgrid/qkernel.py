@@ -1,12 +1,16 @@
 """Fidelity quantum kernel: k(x, y) = |<phi(y)|phi(x)>|^2.
 
 embed turns every sample into its statevector on the batched
-simulator: the product state of circuit.feature_map's columns, then its
-whole-register ops. Both act on each row alone and give it the same
-bits whatever the batch, so a caller embeds all of its splits stacked,
-once, and slices each split out. gram_matrix and cross_gram take
-squared inner products of embedded states. The dense-unitary oracle for
-one entry is reference.kernel_value.
+simulator, at every repetition count of the feature map up to the one
+asked for: circuit.feature_map's steps, each the product state of its
+columns or the previous count's states, then its whole-register ops.
+Every entry has the bits of a fresh embedding at its count, so a caller
+embeds once at its largest count and reads each count's entry. The
+steps act on each row alone and give it the same bits whatever the
+batch, so a caller embeds all of its splits stacked, once, and slices
+each split out. gram_matrix and cross_gram take squared inner products
+of embedded states. The dense-unitary oracle for one entry is
+reference.kernel_value.
 """
 from __future__ import annotations
 
@@ -20,17 +24,24 @@ from .statevec import apply_ops, product_states
 
 
 def embed(kind: str, X: np.ndarray, repetitions: int = 1) -> np.ndarray:
-    """Statevectors phi(x) for every row of X under feature map `kind`,
-    shape (len(X), 2**d) for d columns.
+    """Read-only statevectors phi(x) for every row of X under feature
+    map `kind` at 1..repetitions repetitions, shape (repetitions,
+    len(X), 2**d) for d columns: entry r - 1 holds the states after r
+    repetitions, extended from entry r - 2 with the bits of a fresh
+    embedding at r.
 
-    Runs the columns and ops of circuit.feature_map on the batched
-    simulator; it does not go through circuit.run_batch, so perfbench's
-    tracer counts embeddings apart from QNN circuit runs."""
+    Runs the steps of circuit.feature_map on the batched simulator; it
+    does not go through circuit.run_batch, so perfbench's tracer counts
+    embeddings apart from QNN circuit runs."""
     X = np.asarray(X, dtype=np.float64)
-    columns, ops = feature_map(kind, X, repetitions)
-    amps = product_states(columns)
-    apply_ops(amps, X.shape[1], ops)
-    return amps
+    steps = feature_map(kind, X, repetitions)
+    stack = np.empty((repetitions, len(X), 1 << X.shape[1]),
+                     dtype=np.complex128)
+    for r, (columns, ops) in enumerate(steps):
+        stack[r] = stack[r - 1] if columns is None else product_states(columns)
+        apply_ops(stack[r], X.shape[1], ops)
+    stack.flags.writeable = False
+    return stack
 
 
 @lru_cache(maxsize=4)

@@ -86,20 +86,21 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
         gates = reference.qnn_gates(model.config, x, model.parameters)
         want = reference.circuit_unitary(n, gates)[:, 0]
         fused_worst = max(fused_worst, float(np.max(np.abs(got - want))))
-    maps = list(itertools.product(("angle", *FEATURE_MAPS), range(2, 7),
-                                  range(1, 4)))
-    for kind, n, reps in maps:
+    maps = list(itertools.product(("angle", *FEATURE_MAPS), range(2, 7)))
+    for kind, n in maps:
         x = rng.uniform(-1, 1, size=n)
-        got = embed(kind, x[None], reps)[0]
-        want = reference.circuit_unitary(
-            n, reference.kernel_gates(kind, x, reps))[:, 0]
-        kernel_worst = max(kernel_worst, float(np.max(np.abs(got - want))))
+        for reps, got in enumerate(embed(kind, x[None], 3)[:, 0], start=1):
+            want = reference.circuit_unitary(
+                n, reference.kernel_gates(kind, x, reps))[:, 0]
+            kernel_worst = max(kernel_worst,
+                               float(np.max(np.abs(got - want))))
     return CheckResult(
         "simulator", max(worst, fused_worst, kernel_worst) <= 1e-10,
         f"{n_circuits} gate-by-gate circuits (n<=4, depth<=50), max |amp "
         f"error| {worst:.2e}, tol 1e-10; fused {fused_worst:.2e} over "
         f"{len(shapes)} QNN shapes (n 2..6, L 1..3); kernel "
-        f"{kernel_worst:.2e} over {len(maps)} feature maps (n 2..6, r 1..3)",
+        f"{kernel_worst:.2e} over {3 * len(maps)} feature maps (n 2..6, "
+        f"r 1..3)",
         time.perf_counter() - started)
 
 
@@ -141,7 +142,8 @@ def check_gradients(n_configs: int = 50, seed: int = 102) -> CheckResult:
 
 def check_kernel_properties(n_samples: int = 30, seed: int = 103) -> CheckResult:
     """Unit diagonal, symmetry, PSD spectrum for every encoding x reps,
-    plus the closed form for the single-feature Y-angle kernel on the
+    on every entry of each embed stack (the Grams at 1..reps), plus the
+    closed form for the single-feature Y-angle kernel on the
     dense-unitary oracle."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -149,13 +151,14 @@ def check_kernel_properties(n_samples: int = 30, seed: int = 103) -> CheckResult
     for name in ("angle", *FEATURE_MAPS):
         for reps in (1, 2, 3):
             X = rng.uniform(-1, 1, size=(n_samples, 3))
-            gram = gram_matrix(embed(name, X, reps))
-            diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
-            sym = float(np.max(np.abs(gram - gram.T)))
-            min_eig = float(np.min(np.linalg.eigvalsh(gram)))
-            if diag > 1e-10 or sym > 1e-10 or min_eig < -1e-8:
-                problems.append(f"{name}/r{reps} diag={diag:.1e} "
-                                f"sym={sym:.1e} eig={min_eig:.1e}")
+            for r, states in enumerate(embed(name, X, reps), start=1):
+                gram = gram_matrix(states)
+                diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
+                sym = float(np.max(np.abs(gram - gram.T)))
+                min_eig = float(np.min(np.linalg.eigvalsh(gram)))
+                if diag > 1e-10 or sym > 1e-10 or min_eig < -1e-8:
+                    problems.append(f"{name}/r{r} of {reps} diag={diag:.1e} "
+                                    f"sym={sym:.1e} eig={min_eig:.1e}")
     closed = 0.0
     for _ in range(200):
         x, y = rng.uniform(-1, 1, size=2)
@@ -164,7 +167,8 @@ def check_kernel_properties(n_samples: int = 30, seed: int = 103) -> CheckResult
     if closed > 1e-10:
         problems.append(f"closed-form angle kernel error {closed:.1e}")
     detail = "; ".join(problems) if problems else (
-        f"12 encoding/reps combos on {n_samples}x{n_samples} Grams ok, "
+        f"12 encoding/reps combos, 24 stack entries, on "
+        f"{n_samples}x{n_samples} Grams ok, "
         f"closed-form error {closed:.2e}")
     return CheckResult("kernel-properties", not problems, detail,
                        time.perf_counter() - started)

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -635,7 +636,9 @@ class TestCellInputs:
                         encoded[3:].states,
                         bench._qnn_chains(bundle, 2, ("X", "Z")),
                         bench._qnn_encoding(bundle, 2, ("X", "Z"),
-                                            False).states):
+                                            False).states,
+                        bench._qsvm_states(bundle, 2, "zz_a"),
+                        bench._qsvm_states(bundle, 2, "zz_a")[1]):
             with pytest.raises(ValueError, match="read-only"):
                 payload[0] = 0
 
@@ -669,6 +672,9 @@ class TestCellInputs:
         assert not np.shares_memory(first.pca.components,
                                     twin.pca.components)
         assert bench._qnn_encoding(twin, 2, ("Y",), False) is not encoded
+        states = bench._qsvm_states(first, 2, "z")
+        assert bench._qsvm_states(twin, 2, "z") is not states
+        assert bench._qsvm_states(first, 3, "z").shape[-1] == 8
         other = stratified_split(ds, 1)
         assert not np.array_equal(other.features(2)[other.rows["train"]],
                                   first.features(2)[first.rows["train"]])
@@ -686,10 +692,12 @@ class TestCellInputs:
         assert rec.error == f"UsageError: k must be in 1..{d}, got {d + 1}"
         assert (rec.train, rec.val, rec.test) == (None, None, None)
 
-    def test_a_qsvm_cell_embeds_the_stacked_splits_once(
+    def test_a_qsvm_grid_embeds_each_feature_map_once_per_k(
             self, small_run, tmp_path, monkeypatch):
-        # one embed per cell, over the rows of every split at once, in
-        # SplitBundle.SPLITS order
+        # one embed per (k, feature map), at the grid's largest
+        # repetition count, over the rows of every split at once, in
+        # SplitBundle.SPLITS order; the map's cells read their counts'
+        # entries of that one stack
         ds = small_run[0]
         calls = []
         real = bench.embed
@@ -703,12 +711,46 @@ class TestCellInputs:
                              RecordStore(tmp_path / "q.jsonl"), RunSettings(),
                              families=("qsvm",), feature_range=(2, 3))
         assert [r.error for r in new] == [None] * 25
+        grid = bench.qsvm_grid()
+        kinds = list(dict.fromkeys(c["encoding"] for c in grid))
+        most = max(c["repetitions"] for c in grid)
         assert [(kind, reps) for kind, _, reps in calls] == [
-            (c["encoding"], c["repetitions"]) for _ in (2, 3)
-            for c in bench.qsvm_grid()]
+            (kind, most) for _ in (2, 3) for kind in kinds]
         bundle = stratified_split(ds, 0)
-        for (_, X, _), k in zip(calls, [2] * 12 + [3] * 12):
+        for (_, X, _), k in zip(calls, [2] * 4 + [3] * 4):
             np.testing.assert_array_equal(X, bundle.features(k))
+
+    def test_the_qsvm_memo_holds_one_stack_and_ends_with_the_grid(
+            self, small_run, tmp_path, monkeypatch):
+        # the memo drops the last feature map's stack before it embeds
+        # the next, and run_grid clears it as it ends
+        refs = []
+        real = bench.embed
+
+        def spy(kind, X, repetitions=1):
+            assert [ref() for ref in refs] == [None] * len(refs)
+            stack = real(kind, X, repetitions)
+            refs.append(weakref.ref(stack))
+            return stack
+
+        monkeypatch.setattr(bench, "embed", spy)
+        bench.run_grid("prostate", small_run[0],
+                       RecordStore(tmp_path / "q.jsonl"), RunSettings(),
+                       families=("qsvm",), feature_range=(2, 3))
+        assert len(refs) == 8
+        assert [ref() for ref in refs] == [None] * 8
+
+    @pytest.mark.parametrize("reps", [0, 4])
+    def test_a_qsvm_cell_off_the_repetition_range_is_an_error(self, reps):
+        # entry reps - 1 of the memoized stack would be another count's
+        # states, or none
+        bundle = stratified_split(datasets.synthetic("prostate"), 0)
+        rec = bench.run_cell("prostate", bundle, "qsvm",
+                             {"encoding": "z", "repetitions": reps}, 2, 0,
+                             RunSettings())
+        assert rec.error == ("ConfigurationError: repetitions must be in "
+                             f"1..3, got {reps}")
+        assert (rec.train, rec.val, rec.test) == (None, None, None)
 
     def test_qsvm_cells_match_per_split_embeds(self):
         # the record equals one built from a fresh embed per split, as
@@ -717,7 +759,7 @@ class TestCellInputs:
         config = {"encoding": "zz_b", "repetitions": 3}
         rec = bench.run_cell("heart_failure", bundle, "qsvm", config, 4, 0,
                              RunSettings())
-        states = {s: qkernel.embed("zz_b", split_copy(bundle, s, 4), 3)
+        states = {s: qkernel.embed("zz_b", split_copy(bundle, s, 4), 3)[-1]
                   for s in bundle.SPLITS}
         gram = qkernel.gram_matrix(states["train"])
         ytr = bundle.labels("train")
@@ -833,8 +875,8 @@ class TestRecordDifferences:
 
 def _pinned_record(pinned: dict) -> ExperimentRecord:
     """The record whose pinned fields (key, seed, parameter count, error,
-    each split's confusion counts, extra) tests/data/qnn_records.json
-    holds."""
+    each split's confusion counts, extra) a golden file under
+    tests/data/ holds."""
     dataset, family, k, config, split_seed = json.loads(pinned["key"])
     splits = {s: None if pinned[s] is None else Metrics.from_counts(*pinned[s])
               for s in ("train", "val", "test")}
@@ -844,6 +886,32 @@ def _pinned_record(pinned: dict) -> ExperimentRecord:
                             **splits)
 
 
+def _pinned_differences(name: str, tmp_path, unpinned=()) -> list:
+    """Reruns every grid of the golden file tests/data/<name> and returns
+    bench.record_differences' lines between its pinned records and the
+    rerun's records of the grid's family, each extra key in `unpinned`
+    dropped, followed by every store's sha256 when any line differs."""
+    path = Path(__file__).parent / "data" / name
+    failures, shas = [], []
+    for i, pinned in enumerate(json.loads(path.read_text())):
+        grid = dict(pinned["grid"])
+        dataset, family = grid.pop("dataset"), grid.pop("family")
+        lo, hi = grid.pop("features")
+        store = RecordStore(tmp_path / f"{i}.jsonl")
+        new = [r for r in bench.run_grid(
+            dataset, datasets.synthetic(dataset), store, RunSettings(**grid),
+            families=(family,), feature_range=(lo, hi)) if r.family == family]
+        for r in new:
+            r.extra = {k: v for k, v in r.extra.items() if k not in unpinned}
+        lines = bench.record_differences(
+            [_pinned_record(r) for r in pinned["records"]], new)
+        failures += [f"{dataset} {family} k={lo}..{hi}: {line}"
+                     for line in lines]
+        digest = hashlib.sha256(Path(store.path).read_bytes()).hexdigest()
+        shas.append(f"{dataset} {family} k={lo}..{hi}: store sha256 {digest}")
+    return failures + shas if failures else []
+
+
 class TestPinnedQnnRecords:
     def test_grids_reproduce_the_pinned_records(self, tmp_path):
         # every QNN record of two one-epoch grids on the synthetic
@@ -851,22 +919,21 @@ class TestPinnedQnnRecords:
         # perfbench's qnn_hf4, and k = 5 at one to two layers, which
         # takes the split re-upload payload and trains two layer trials
         # per cell. Speed-ups must leave what the records say as it is
-        path = Path(__file__).parent / "data" / "qnn_records.json"
-        failures, shas = [], []
-        for i, pinned in enumerate(json.loads(path.read_text())):
-            grid = dict(pinned["grid"])
-            dataset, k = grid.pop("dataset"), grid.pop("k")
-            store = RecordStore(tmp_path / f"{i}.jsonl")
-            new = bench.run_grid(dataset, datasets.synthetic(dataset), store,
-                                 RunSettings(**grid), families=("qnn",),
-                                 feature_range=(k, k))
-            lines = bench.record_differences(
-                [_pinned_record(r) for r in pinned["records"]],
-                [r for r in new if r.family == "qnn"])
-            failures += [f"{dataset} k={k}: {line}" for line in lines]
-            digest = hashlib.sha256(Path(store.path).read_bytes()).hexdigest()
-            shas.append(f"{dataset} k={k}: store sha256 {digest}")
-        assert not failures, "\n".join(failures + shas)
+        failures = _pinned_differences("qnn_records.json", tmp_path)
+        assert not failures, "\n".join(failures)
+
+
+class TestPinnedQsvmAndClassicalRecords:
+    def test_grids_reproduce_the_pinned_records(self, tmp_path):
+        # every QSVM record of heart_failure k = 2..5, whose n = 5 ZZ
+        # maps take the split Hadamard payload, and every classical
+        # record of diabetes k = 2..6, the grid of perfbench's
+        # classical_diabetes, both on split 0 at master seed 0. An SVM's
+        # sweep count moves with BLAS round-off, so it is not pinned,
+        # and the store sha256s are reported but not asserted
+        failures = _pinned_differences("qsvm_classical_records.json",
+                                       tmp_path, unpinned=("sweeps",))
+        assert not failures, "\n".join(failures)
 
 
 class TestReports:

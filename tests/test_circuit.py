@@ -64,12 +64,12 @@ def dense_state(config, x, theta):
 
 class TestEncodings:
     def test_angle_encoding_identity_at_zero(self):
-        s = embed("angle", [[0.0, 0.0, 0.0]])[0]
+        s = embed("angle", [[0.0, 0.0, 0.0]])[-1, 0]
         assert abs(np.abs(s[0]) ** 2 - 1.0) < 1e-12
 
     def test_angle_encoding_scale_is_pi(self):
         x = 0.37
-        s = embed("angle", [[x]])[0]
+        s = embed("angle", [[x]])[-1, 0]
         np.testing.assert_allclose(
             s, [np.cos(np.pi * x / 2), np.sin(np.pi * x / 2)],
             atol=1e-14)
@@ -98,7 +98,7 @@ class TestEncodings:
 
     def test_zz_variant_a_uniform_at_zero(self):
         # all angles vanish at x = 0; two H gates leave |++>
-        s = embed("zz_a", [[0.0, 0.0]])[0]
+        s = embed("zz_a", [[0.0, 0.0]])[-1, 0]
         assert abs(np.abs(s[0]) ** 2 - 0.25) < 1e-12
 
     def test_zz_variant_a_cnot_count(self):
@@ -373,52 +373,66 @@ class TestFeatureMapArguments:
         assert data_bound_count(ops) == 6
 
 
+def hadamard_layer(steps):
+    """The "local" payload of a ZZ map's Hadamard layer: the first op of
+    feature_map's second step."""
+    kind, payload = steps[1][1][0]
+    assert kind == "local"
+    return payload
+
+
 class TestWholeRegisterFeatureMaps:
     """circuit.feature_map against the gates reference.kernel_gates
     writes for the same map."""
 
     def test_only_whole_register_ops(self):
-        # product maps are their product state alone; a ZZ map is
-        # |+...+>, then per repetition a diagonal, with a Hadamard layer
-        # before each further one
+        # one step per repetition count. Product maps are a product
+        # state alone at every count; a ZZ map is |+...+> and a
+        # diagonal, then per further repetition a Hadamard layer and the
+        # same diagonal on the previous count's states
         X = np.random.default_rng(25).uniform(-1, 1, (3, 4))
         h = 1.0 / math.sqrt(2.0)
         for reps in (1, 2, 3):
             for kind in ("angle", "z"):
-                columns, ops = feature_map(kind, X, reps)
-                assert columns.shape == (3, 4, 2) and ops == []
+                steps = feature_map(kind, X, reps)
+                assert len(steps) == reps
+                for columns, ops in steps:
+                    assert columns.shape == (3, 4, 2) and ops == []
             for kind in ("zz_a", "zz_b"):
-                columns, ops = feature_map(kind, X, reps)
+                (columns, ops), *further = feature_map(kind, X, reps)
                 assert np.array_equal(columns, np.full((3, 4, 2), h + 0j))
-                assert [op[0] for op in ops] == (
-                    ["diagonal"] + ["local", "diagonal"] * (reps - 1))
-                assert all(len(op) == 2 for op in ops)
+                assert [op[0] for op in ops] == ["diagonal"]
+                assert len(further) == reps - 1
+                for start, more in further:
+                    assert start is None
+                    assert [op[0] for op in more] == ["local", "diagonal"]
+                    assert more[1][1] is ops[0][1]
+                assert all(len(op) == 2 for _, ops in further for op in ops)
 
     def test_hadamard_layer_is_one_shared_read_only_matrix(self):
-        ops = feature_map("zz_b", np.zeros((5, 3)), 2)[1]
-        (layer,) = ops[1][1]
+        (layer,) = hadamard_layer(feature_map("zz_b", np.zeros((5, 3)), 2))
         assert layer.shape == (1, 8, 8) and not layer.flags.writeable
-        assert feature_map("zz_a", np.ones((2, 3)), 3)[1][3][1][0] is layer
+        assert hadamard_layer(feature_map("zz_a", np.ones((2, 3)), 3))[0] \
+            is layer
 
     @pytest.mark.parametrize("n, hi, lo", [(5, 8, 4), (8, 16, 16),
                                            (13, 128, 64)])
     def test_wide_hadamard_layer_splits_into_halves(self, n, hi, lo):
         # above circuit.LOCAL_DENSE_QUBITS the layer is two small factors,
         # as an encoding block's, never one 2**n x 2**n matrix
-        layer = feature_map("zz_a", np.zeros((1, n)), 2)[1][1][1]
+        layer = hadamard_layer(feature_map("zz_a", np.zeros((1, n)), 2))
         assert [f.shape for f in layer] == [(1, hi, hi), (1, lo, lo)]
         assert not any(f.flags.writeable for f in layer)
 
     def test_ops_match_the_gates_they_replace(self):
         # every kind, n = 2..6, r = 1..3: amplitudes of the whole-register
-        # ops vs the reference gates run one by one and vs their dense
-        # unitary
+        # ops, every entry of one embed's stack, vs the reference gates
+        # run one by one and vs their dense unitary
         rng = np.random.default_rng(26)
         for kind in ("angle", "z", "zz_a", "zz_b"):
             for n in range(2, 7):
-                for reps in (1, 2, 3):
-                    X = rng.uniform(-1, 1, (3, n))
-                    got = embed(kind, X, reps)
+                X = rng.uniform(-1, 1, (3, n))
+                for reps, got in enumerate(embed(kind, X, 3), start=1):
                     gates = kernel_gates(kind, X, reps)
                     by_gate = zero_states(n, 3)
                     apply_gates(by_gate, n, gates)
@@ -432,8 +446,8 @@ class TestWholeRegisterFeatureMaps:
     def test_wide_zz_maps_match_the_gates_they_replace(self, n):
         rng = np.random.default_rng(27)
         for kind in ("zz_a", "zz_b"):
-            for reps in (1, 2, 3):
-                X = rng.uniform(-1, 1, (3, n))
+            X = rng.uniform(-1, 1, (3, n))
+            for reps, got in enumerate(embed(kind, X, 3), start=1):
                 by_gate = zero_states(n, 3)
                 apply_gates(by_gate, n, kernel_gates(kind, X, reps))
-                assert np.max(np.abs(embed(kind, X, reps) - by_gate)) <= 1e-13
+                assert np.max(np.abs(got - by_gate)) <= 1e-13

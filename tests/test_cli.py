@@ -4,6 +4,7 @@ import os
 import pytest
 
 from qmlgrid import baselines, datasets
+from qmlgrid.bench import ExperimentRecord, canonical
 from qmlgrid.cli import main, parse_feature_range
 from qmlgrid.errors import ConfigurationError
 
@@ -191,6 +192,58 @@ class TestRunAndReport:
         assert main(["run", "--dataset", "lungs",
                      "--store", str(tmp_path / "x.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestCompareCommand:
+    def test_names_what_moved(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        assert main(["run", "--dataset", "prostate", "--features", "2",
+                     "--families", "qsvm,classical", "--store",
+                     str(store)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(store), str(store)]) == 0
+        assert capsys.readouterr().out == (
+            f"0 differences: {store} (20 records) vs {store} (20 records)\n")
+
+        lines = store.read_text().splitlines(keepends=True)
+        moved = json.loads(lines[5])
+        assert canonical(moved) + "\n" == lines[5]
+        moved["test"]["tp"] += 1
+        key = ExperimentRecord.from_line(lines[5]).key()
+        copy = tmp_path / "moved.jsonl"
+        copy.write_text("".join(lines[:5] + [canonical(moved) + "\n"]
+                                + lines[6:]))
+        assert main(["compare", str(store), str(copy)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and out[0].startswith(f"{key}: test Metrics(")
+        assert out[1].startswith("1 differences:")
+
+        copy.write_text("".join(lines[:5] + lines[6:]))
+        assert main(["compare", str(store), str(copy)]) == 1
+        assert f"only in {store}: {key}" in capsys.readouterr().out
+
+        copy.write_text("".join(lines[:5] + lines[6:] + lines[5:6]))
+        assert main(["compare", str(store), str(copy)]) == 1
+        assert "differ in order" in capsys.readouterr().out
+
+    def test_a_torn_last_line_differs_and_stays(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        store.write_text(ExperimentRecord("toy", "pca", 2, {}, 0, 0)
+                         .to_line() + "\n")
+        torn = tmp_path / "torn.jsonl"
+        data = store.read_bytes() + b'{"torn'
+        torn.write_bytes(data)
+        assert main(["compare", str(store), str(torn)]) == 1
+        out = capsys.readouterr().out
+        assert f"{torn}: an unterminated last line of 6 bytes" in out
+        assert torn.read_bytes() == data
+
+    def test_refuses_a_missing_store(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        store.write_text("")
+        assert main(["compare", str(store), str(tmp_path / "typo")]) == 2
+        assert "typo does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "typo").exists()
 
 
 class TestVerifyCommand:

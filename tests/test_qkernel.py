@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from qmlgrid import reference
+from qmlgrid.circuit import (FEATURE_MAPS, _chain_products, _H,
+                             _rotation_factors, feature_map)
 from qmlgrid.errors import UsageError
 from qmlgrid.qkernel import cross_gram, embed, gram_matrix
+from qmlgrid.statevec import apply_ops, product_states
 
 # (kind, repetitions) of every QSVM grid encoding
 ALL_ENCODINGS = [(kind, reps) for kind in ("angle", "z", "zz_a", "zz_b")
@@ -16,7 +21,9 @@ def kernel_value(enc, x, y):
 
 
 def embed_rows(enc, X):
-    return embed(enc[0], X, enc[1])
+    """The states at the encoding's repetition count: the last entry of
+    embed's stack."""
+    return embed(enc[0], X, enc[1])[-1]
 
 
 def closed_form_angle_y(x, y):
@@ -54,12 +61,14 @@ class TestGram:
     def test_gram_matches_pairwise_kernel_value(self):
         # embedding route vs the dense-unitary oracle
         rng = np.random.default_rng(34)
-        for enc in (("angle", 2), ("z", 2), ("zz_a", 1), ("zz_b", 2)):
+        for kind, most in (("angle", 2), ("z", 2), ("zz_a", 1), ("zz_b", 2)):
             X = rng.uniform(-1, 1, (5, 2))
-            gram = gram_matrix(embed_rows(enc, X))
-            for i in range(5):
-                for j in range(5):
-                    assert abs(gram[i, j] - kernel_value(enc, X[i], X[j])) < 1e-12
+            for reps, states in enumerate(embed(kind, X, most), start=1):
+                gram = gram_matrix(states)
+                for i in range(5):
+                    for j in range(5):
+                        want = kernel_value((kind, reps), X[i], X[j])
+                        assert abs(gram[i, j] - want) < 1e-12
 
     def test_gram_properties(self):
         rng = np.random.default_rng(35)
@@ -88,19 +97,20 @@ class TestGram:
     def test_cross_gram_consistent_with_gram(self):
         rng = np.random.default_rng(36)
         X = rng.uniform(-1, 1, (6, 2))
-        full = gram_matrix(embed("zz_b", X))
-        rect = cross_gram(embed("zz_b", X[:2]), embed("zz_b", X[2:]))
+        full = gram_matrix(embed("zz_b", X)[-1])
+        rect = cross_gram(embed("zz_b", X[:2])[-1], embed("zz_b", X[2:])[-1])
         np.testing.assert_allclose(rect, full[:2, 2:], atol=1e-12)
 
     def test_cross_gram_checks_dimensions(self):
         with pytest.raises(UsageError):
-            cross_gram(embed("angle", np.zeros((2, 3))),
-                       embed("angle", np.zeros((2, 2))))
+            cross_gram(embed("angle", np.zeros((2, 3)))[-1],
+                       embed("angle", np.zeros((2, 2)))[-1])
 
     @pytest.mark.parametrize("enc", ALL_ENCODINGS,
                              ids=[f"{k}-r{r}" for k, r in ALL_ENCODINGS])
     def test_no_rows_embed_to_no_states(self, enc):
-        assert embed_rows(enc, np.zeros((0, 3))).shape == (0, 8)
+        assert embed(enc[0], np.zeros((0, 3)), enc[1]).shape == (
+            enc[1], 0, 8)
 
 
 class TestStackedEmbedding:
@@ -122,7 +132,55 @@ class TestStackedEmbedding:
                 cuts = np.cumsum(sizes)[:-1]
                 for reps in (1, 2, 3):
                     states = embed(kind, np.concatenate(parts), reps)
-                    for X, got in zip(parts, np.split(states, cuts)):
+                    for X, got in zip(parts, np.split(states, cuts, axis=1)):
                         want = embed(kind, X, reps)
                         assert got.tobytes() == want.tobytes(), (kind, n,
                                                                   reps)
+
+
+def one_pass(kind, X, reps):
+    """The embedding at `reps` repetitions built as it was before embed
+    went on from the previous count: a product map's chains as one
+    product over all reps blocks, a ZZ map's states as one apply_ops
+    over [D] + [H, D] * (reps - 1) from |+...+>."""
+    if kind not in ("zz_a", "zz_b"):
+        if kind == "angle":
+            block = _rotation_factors(("ry",), math.pi * X[:, :, None])
+        else:
+            rotation = _rotation_factors((FEATURE_MAPS[kind][0],),
+                                         2.0 * X[:, :, None])
+            block = np.concatenate(
+                [np.broadcast_to(_H, rotation.shape), rotation], axis=2)
+        chains = _chain_products(np.concatenate([block] * reps, axis=2))
+        return product_states(chains[..., 0])
+    (plus, (diagonal,)), (_, (layer, _)) = feature_map(kind, X, 2)
+    amps = product_states(plus)
+    apply_ops(amps, X.shape[1], [diagonal] + [layer, diagonal] * (reps - 1))
+    return amps
+
+
+class TestRepetitionStack:
+    # embed's entry r - 1 goes on from entry r - 2: a product map's
+    # chains by one more block, a ZZ map's states by one more Hadamard
+    # layer and diagonal. Every entry must keep the bits of the one-pass
+    # form, which assumes a row gets the same bits whether its chain or
+    # state goes on from a stored repetition or starts afresh; the signs
+    # of zeros count too, so features hold exact zeros and +-1
+    def test_entries_equal_the_one_pass_form(self):
+        rng = np.random.default_rng(39)
+        for n in range(2, 7):
+            X = rng.uniform(-1, 1, (16, n))
+            X[:3] = np.array([0.0, 1.0, -1.0])[:, None]
+            exact = rng.random(X[3:].shape) < 0.4
+            X[3:][exact] = rng.choice([0.0, 1.0, -1.0], size=exact.sum())
+            for kind in ("angle", *FEATURE_MAPS):
+                stack = embed(kind, X, 3)
+                assert stack.shape == (3, 16, 1 << n)
+                assert not stack.flags.writeable
+                for reps, got in enumerate(stack, start=1):
+                    want = one_pass(kind, X, reps)
+                    for part in (np.real, np.imag):
+                        np.testing.assert_array_equal(part(got), part(want))
+                        np.testing.assert_array_equal(
+                            np.signbit(part(got)), np.signbit(part(want)),
+                            err_msg=f"{kind} n={n} r={reps}")

@@ -69,7 +69,7 @@ class TestForward:
         # the angle feature map is the QNN's Y encoding RY(pi * x_q);
         # x = (1, -1): <Z_0> = cos(pi) = -1 and <Z_1> = cos(-pi) = -1,
         # so the two classes tie at (0.5, 0.5)
-        amps = embed("angle", np.array([[1.0, -1.0]]))
+        amps = embed("angle", np.array([[1.0, -1.0]]))[-1]
         e = np.array([[expectation_z_batch(amps, 2, 0)[0],
                        expectation_z_batch(amps, 2, 1)[0]]])
         np.testing.assert_allclose(e, [[-1.0, -1.0]], atol=1e-12)

@@ -127,7 +127,7 @@ class TestProductStates:
     def test_plus_states_of_the_zz_maps(self, n):
         # the |+...+> columns a ZZ feature map opens with; n = 13 is the
         # widest kernel width in the grids
-        columns, _ = feature_map("zz_a", np.zeros((3, max(n, 2))))
+        [(columns, _)] = feature_map("zz_a", np.zeros((3, max(n, 2))))
         columns = columns[:, :n]
         got = product_states(columns)
         assert np.array_equal(got, product_loop(columns))

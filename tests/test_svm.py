@@ -159,7 +159,7 @@ def grid_problem(dataset_key, k, encoding, repetitions):
     bundle = stratified_split(datasets.synthetic(dataset_key), 0)
     X = bundle.features(k)[bundle.rows["train"]]
     y = np.where(bundle.labels("train") == 1, 1.0, -1.0)
-    gram = gram_matrix(embed(encoding, X, repetitions))
+    gram = gram_matrix(embed(encoding, X, repetitions)[-1])
     return SvmProblem(gram, y, 1.0, bundle.class_weights())
 
 
