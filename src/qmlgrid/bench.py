@@ -35,7 +35,7 @@ import numpy as np
 
 from . import baselines, qnn, svm
 from .circuit import (ANSATZ_ROTATIONS, AXES, FEATURE_MAPS, FUSE_MAX_QUBITS,
-                      encoding_chains, from_chains)
+                      encode)
 from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
 from .metrics import Metrics, evaluate
@@ -362,16 +362,14 @@ CELL_ERRORS = (ConfigurationError, UsageError, IngestionError,
 # cells of one feature map side by side, repetitions 1 to 3, so one
 # memo holds the last (k, feature map)'s embedding at every repetition
 # count, built at its first cell, and each cell reads its count's
-# entry. The QNN grid puts the cells of one encoding sequence side by
-# side, re-upload off then on, each with both ansaetze. So one memo
-# holds the chains of the last (k, sequence), which both layouts build
-# from, and another the payloads of the last layout, each built at its
-# first cell: the re-upload-free one holds no "local" matrices, so the
-# memos never hold two sequences' re-upload payloads at once. Their
-# keys hold the bundle itself (hashed by identity), so a freed bundle's
-# id can never hit, and their arrays are read-only, as every cell of
-# the key shares them. A memo lets go of its last arrays before it
-# computes the next key's, and run_grid clears the memos as it ends.
+# entry. The QNN grid puts the four cells of one encoding sequence
+# (re-upload off and on, each with both ansaetze) side by side, so one
+# memo holds the last (k, sequence)'s encoding with its re-upload
+# payload, which all four read. Their keys hold the bundle itself
+# (hashed by identity), so a freed bundle's id can never hit, and their
+# arrays are read-only, as every cell of the key shares them. A memo
+# lets go of its last arrays before it computes the next key's, and
+# run_grid clears the memos as it ends.
 # The QSVM stack is the largest: (3, rows, 2**k) complex128, 117 MB on
 # heart_failure's 299 rows at k = 13, three times the one repetition
 # count's states a cell would embed for itself.
@@ -402,21 +400,14 @@ def _qsvm_states(bundle: SplitBundle, k: int, encoding: str):
 
 
 @_last_call
-def _qnn_chains(bundle: SplitBundle, k: int, sequence: tuple):
-    """circuit.encoding_chains of the bundle's features at k for this
-    encoding sequence."""
-    return encoding_chains(qnn.QnnConfig(k, sequence), bundle.features(k))
-
-
-@_last_call
-def _qnn_encoding(bundle: SplitBundle, k: int, sequence: tuple,
-                  reupload: bool):
-    """The Encoding of the bundle's features at k, for the QNNs of this
-    width, encoding sequence and re-upload setting. A split is a slice
-    of it, equal bit for bit to an encode of that split alone, as
-    encoding is elementwise per row, so one pass predicts every split."""
-    return from_chains(qnn.QnnConfig(k, sequence, reupload),
-                       _qnn_chains(bundle, k, sequence))
+def _qnn_encoding(bundle: SplitBundle, k: int, sequence: tuple):
+    """The circuit.encode of the bundle's features at k for this
+    encoding sequence, with the re-upload payload, so it serves both
+    re-upload settings. A split is a slice of it, equal bit for bit to
+    an encode of that split alone, as encoding is elementwise per row,
+    so one pass predicts every split."""
+    return encode(qnn.QnnConfig(k, sequence, reupload=True),
+                  bundle.features(k))
 
 
 def _svm_predictions(gram, kernel_rows, y, rows, weights):
@@ -438,10 +429,9 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
     """The record of one grid cell; a failure in CELL_ERRORS becomes its
     error. Every family takes each split as a slice of the bundle's
     features at k, or of their embedding or QNN encoding; memos of the
-    last feature map, encoding sequence and layout embed each feature
-    map, compute each sequence's encoding chains and build each layout's
-    payloads once per k. A QSVM cell reads its repetition count's entry
-    of the stack's one qkernel.embed; a QNN cell grows layers from
+    last feature map and encoding sequence embed or encode each once
+    per k. A QSVM cell reads its repetition count's entry of the
+    stack's one qkernel.embed; a QNN cell grows layers from
     settings.qnn_start_layers and predicts it with the best trial's
     model in one qnn.forward_batch. Each family's per-split 0/1
     predictions are scored here."""
@@ -497,8 +487,7 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
                 ansatz=config["ansatz"],
                 n_layers=settings.qnn_start_layers,
                 seed=seed)
-            encoded = _qnn_encoding(bundle, k, cfg.encoding_sequence,
-                                    cfg.reupload)
+            encoded = _qnn_encoding(bundle, k, cfg.encoding_sequence)
             va = rows["val"]
             growth = qnn.grow_layers(
                 cfg, weights, (encoded[tr], y[tr]), (encoded[va], y[va]),
@@ -595,7 +584,7 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
                                       k, seed, settings))
     finally:
         # every memo key holds this grid's bundle, which no later call sees
-        for memo in (_qsvm_states, _qnn_chains, _qnn_encoding):
+        for memo in (_qsvm_states, _qnn_encoding):
             memo.clear()
     return new_records
 

@@ -26,18 +26,18 @@ when it is re-uploaded. The blocks fuse:
   their Kronecker product K is one 2**n x 2**n matrix, and the ring's
   CNOTs permute its rows: a "unitary" op P K.
 
-The encoding depends only on the row and on the width, encoding
-sequence and re-upload setting, so it is computed once for a whole
-feature matrix: encoding_chains builds the chains, which both re-upload
-settings share, and from_chains an Encoding from them: every row's
-opening product state, from one statevec.product_states call, and with
-re-upload the "local" payload; encode does both. Every step is
-elementwise per row, so a gather of its rows equals a fresh encode of
-those rows bit for bit. resolve_fused then builds only the layers from
-theta, once per call: every layer's rotation chain prefixes in one
-stacked pass, the unitaries from the last prefixes, and hands the
-prefixes on for the adjoint gradient. run_batch runs the QNN from a
-copy of the encoding's opening states.
+The encoding block depends only on the row and on the width and
+encoding sequence, so encode computes it once for a whole feature
+matrix: the chains, every row's opening product state from one
+statevec.product_states call, and with re-upload the "local" payload.
+An Encoding with the payload also serves the re-upload-free QNNs of its
+width and sequence. Every step is elementwise per row, so a gather of
+its rows equals a fresh encode of those rows bit for bit.
+resolve_fused then builds only the layers from theta, once per call:
+every layer's rotation chain prefixes in one stacked pass, the
+unitaries from the last prefixes, and hands the prefixes on for the
+adjoint gradient. run_batch runs the QNN from a copy of the encoding's
+opening states.
 
 Rotation d on qubit q of layer r takes parameter (r * n + q) * depth + d,
 so theta is a (layers, n, depth) array flattened.
@@ -149,8 +149,8 @@ def _chain_prefixes(factors: np.ndarray) -> np.ndarray:
     _chain_products on those rotations (the same float operations). A
     step is two broadcast products over the whole stack: on a layer
     stack (2 layers, 4 qubits, depth 3) 10 us against 25 us entry by
-    entry, but 2x slower on a 299-row encoding, so encoding_chains
-    and feature_map keep _chain_products. A depth of one is its own
+    entry, but 2x slower on a 299-row encoding, so encode and
+    feature_map keep _chain_products. A depth of one is its own
     prefix."""
     if factors.shape[-3] == 1:
         return factors
@@ -259,11 +259,11 @@ def feature_map(kind: str, X: np.ndarray, repetitions: int = 1) -> list:
 @dataclass(frozen=True)
 class Encoding:
     """The encoding payloads of every row of a feature matrix, for QNNs
-    of one `layout` (width, encoding rotation kinds, re-upload): the
-    opening product states (rows, 2**n) and, with re-upload, the
-    "local" matrices, else (). encoded[rows] gathers rows, or views a
-    slice; len() counts them. from_chains' payloads are read-only, as
-    every QNN of the layout may share them."""
+    of one `layout` (width, encoding rotation kinds): the opening
+    product states (rows, 2**n) and the "local" matrices of a re-upload,
+    or () if encode's config did not re-upload. encoded[rows] gathers
+    rows, or views a slice; len() counts them. encode's payloads are
+    read-only, as every QNN of the layout may share them."""
     layout: tuple
     states: np.ndarray
     local: tuple
@@ -278,40 +278,25 @@ class Encoding:
 
 def _encoding_layout(config) -> tuple:
     return (config.n_features,
-            tuple("r" + str(axis).lower() for axis in config.encoding_sequence),
-            config.reupload)
+            tuple("r" + str(axis).lower() for axis in config.encoding_sequence))
 
 
-def encoding_chains(config, X: np.ndarray) -> np.ndarray:
-    """Read-only (rows, n, 2, 2): the encoding block of every row of X
-    for a qnn.QnnConfig as one 2x2 per qubit. They depend on the width
-    and encoding sequence only, so one serves both re-upload settings
-    through from_chains."""
+def encode(config, X: np.ndarray) -> Encoding:
+    """The Encoding of every row of X for a qnn.QnnConfig; it serves
+    the config with any layer count or ansatz, and with the re-upload
+    payload also without re-upload."""
     n = config.n_features
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n:
         raise UsageError(f"expected feature matrix with {n} columns, "
                          f"got shape {X.shape}")
-    chains = _chain_products(_rotation_factors(_encoding_layout(config)[1],
+    layout = _encoding_layout(config)
+    chains = _chain_products(_rotation_factors(layout[1],
                                                math.pi * X[:, :, None]))
-    chains.flags.writeable = False
-    return chains
-
-
-def from_chains(config, chains: np.ndarray) -> Encoding:
-    """The Encoding of a qnn.QnnConfig from the encoding_chains of its
-    width and encoding sequence; it serves the config with any layer
-    count."""
-    local = _local_payload(chains) if config.reupload else ()
-    encoded = Encoding(_encoding_layout(config),
-                       product_states(chains[..., 0]), local)
+    encoded = Encoding(layout, product_states(chains[..., 0]),
+                       _local_payload(chains) if config.reupload else ())
     encoded.states.flags.writeable = False
     return encoded
-
-
-def encode(config, X: np.ndarray) -> Encoding:
-    """The Encoding of every row of X for a qnn.QnnConfig."""
-    return from_chains(config, encoding_chains(config, X))
 
 
 def resolve_fused(config, encoded: Encoding, theta) -> tuple:
@@ -326,9 +311,11 @@ def resolve_fused(config, encoded: Encoding, theta) -> tuple:
     prefix of each qubit, and _layer_gradients reads them all."""
     n = config.n_features
     if (not isinstance(encoded, Encoding)
-            or encoded.layout != _encoding_layout(config)):
+            or encoded.layout != _encoding_layout(config)
+            or (config.reupload and not encoded.local)):
         raise UsageError("expected the encode() of a feature matrix for "
-                         "this QNN's width, encoding and re-upload setting")
+                         "this QNN's width and encoding, with the "
+                         "re-upload payload if it re-uploads")
     if len(theta) != config.n_parameters():
         raise UsageError(f"expected {config.n_parameters()} parameters, "
                          f"got {len(theta)}")

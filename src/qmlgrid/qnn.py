@@ -262,6 +262,9 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int) -> LayerTrial:
     if epochs < 1:
         raise UsageError(f"epochs must be >= 1, got {epochs}")
     X_tr, y_tr = train_set[0], np.asarray(train_set[1], dtype=int)
+    if not model.config.reupload:
+        # a batch gather then copies the opening states alone
+        X_tr = replace(X_tr, local=())
     X_va, y_va = val_set[0], np.asarray(val_set[1], dtype=int)
     rng = np.random.default_rng([model.config.seed, 1])
 

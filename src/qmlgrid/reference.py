@@ -92,18 +92,22 @@ def gate_unitary(n_qubits: int, kind: str, targets, angle=None) -> np.ndarray:
     return embed(n_qubits, {targets[0]: single_qubit_matrix(kind, angle)})
 
 
+# gate_unitary of a two-qubit gate, built once per (n, kind, targets):
+# the shift-rule passes and circuit_unitary would otherwise spend most
+# of their time on it
+_two_qubit_unitary = lru_cache(maxsize=None)(gate_unitary)
+
+
 def circuit_unitary(n_qubits: int, gates) -> np.ndarray:
     """Product of per-gate unitaries; gates is a sequence of
     (kind, targets, angle) triples with scalar or None angles."""
     u = np.eye(1 << n_qubits, dtype=np.complex128)
     for kind, targets, angle in gates:
-        u = gate_unitary(n_qubits, kind, tuple(targets), angle) @ u
+        gate = (_two_qubit_unitary(n_qubits, kind, tuple(targets))
+                if kind in ("cnot", "cz") else
+                gate_unitary(n_qubits, kind, tuple(targets), angle))
+        u = gate @ u
     return u
-
-
-# gate_unitary of a two-qubit gate, built once per (n, kind, targets):
-# the shift-rule passes would otherwise spend most of their time on it
-_two_qubit_unitary = lru_cache(maxsize=None)(gate_unitary)
 
 
 def apply_gates(amps: np.ndarray, n_qubits: int, gates) -> None:

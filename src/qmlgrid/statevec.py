@@ -11,8 +11,8 @@ There is one simulation path. Every circuit opens with a product state,
 and product_states builds a (batch, 2**n) buffer of them straight from
 per-qubit columns; apply_ops then runs whole-register ops on it, many
 statevectors side by side. circuit.feature_map emits the columns and
-ops of the kernel embeddings; circuit.from_chains builds a QNN
-encoding's product states once, and circuit.resolve_fused a QNN's ops.
+ops of the kernel embeddings; circuit.encode builds a QNN encoding's
+product states once, and circuit.resolve_fused a QNN's ops.
 apply_ops trusts its ops: it refuses an unknown kind but checks no
 payload shapes. Gate-by-gate simulation lives in reference.apply_gates,
 for the oracles only. An op is a (kind, payload) pair:

@@ -622,8 +622,8 @@ class TestRunCell:
 
 class TestCellInputs:
     def test_memoized_inputs_are_read_only(self, small_run):
-        # every cell of a bundle, a QSVM encoding or a QNN layout
-        # shares them
+        # every cell of a bundle, a QSVM encoding or a QNN encoding
+        # sequence shares them
         bundle = stratified_split(small_run[0], 0)
         for shared in (bundle.stack, bundle.features(2), bundle.y,
                        bundle.index, bundle.indices("val")):
@@ -631,12 +631,10 @@ class TestCellInputs:
                 shared[0] = 0
         with pytest.raises(AttributeError):
             bundle.stack = bundle.stack.copy()
-        encoded = bench._qnn_encoding(bundle, 2, ("X", "Z"), True)
+        encoded = bench._qnn_encoding(bundle, 2, ("X", "Z"))
+        assert encoded.local
         for payload in (encoded.states, *encoded.local,
                         encoded[3:].states,
-                        bench._qnn_chains(bundle, 2, ("X", "Z")),
-                        bench._qnn_encoding(bundle, 2, ("X", "Z"),
-                                            False).states,
                         bench._qsvm_states(bundle, 2, "zz_a"),
                         bench._qsvm_states(bundle, 2, "zz_a")[1]):
             with pytest.raises(ValueError, match="read-only"):
@@ -662,7 +660,7 @@ class TestCellInputs:
     def test_memos_never_serve_another_bundle_or_k(self, small_run):
         ds = small_run[0]
         first = stratified_split(ds, 0)
-        encoded = bench._qnn_encoding(first, 2, ("Y",), False)
+        encoded = bench._qnn_encoding(first, 2, ("Y",))
         # the same split, so equal values, but not the same arrays
         twin = stratified_split(ds, 0)
         for name in ("index", "stack", "y"):
@@ -671,7 +669,7 @@ class TestCellInputs:
             assert not np.shares_memory(a, b), name
         assert not np.shares_memory(first.pca.components,
                                     twin.pca.components)
-        assert bench._qnn_encoding(twin, 2, ("Y",), False) is not encoded
+        assert bench._qnn_encoding(twin, 2, ("Y",)) is not encoded
         states = bench._qsvm_states(first, 2, "z")
         assert bench._qsvm_states(twin, 2, "z") is not states
         assert bench._qsvm_states(first, 3, "z").shape[-1] == 8
@@ -679,8 +677,8 @@ class TestCellInputs:
         assert not np.array_equal(other.features(2)[other.rows["train"]],
                                   first.features(2)[first.rows["train"]])
         assert first.features(3).shape == (len(ds.labels), 3)
-        assert bench._qnn_encoding(first, 3, ("Y",), False).layout[0] == 3
-        assert bench._qnn_encoding(first, 2, ("Y",), True).local
+        assert bench._qnn_encoding(first, 3, ("Y",)).layout[0] == 3
+        assert bench._qnn_encoding(first, 2, ("X",)).layout[1] == ("rx",)
 
     def test_a_cell_past_the_last_component_is_an_error(self, small_run):
         # X[:, :k] past d would quietly give d columns

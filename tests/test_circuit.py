@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -295,8 +296,9 @@ class TestFusion:
             run_batch(config, encode(config, np.zeros((1, 3))), np.zeros(5))
 
     def test_fused_circuit_checks_its_encoding(self):
-        # raw features, or an encoding for another width, sequence or
-        # re-upload setting; a layer count of its own is fine
+        # raw features, an encoding for another width or sequence, or
+        # one without the re-upload payload that this QNN reads; a
+        # layer count of its own is fine
         config = QnnConfig(3, ("Y",), True, "basic", 2)
         theta = np.zeros(6)
         for other in (QnnConfig(4, ("Y",), True), QnnConfig(3, ("X",), True),
@@ -304,6 +306,9 @@ class TestFusion:
             with pytest.raises(UsageError):
                 run_batch(config, encode(other, np.zeros((1, other.n_features))),
                           theta)
+        with pytest.raises(UsageError):
+            run_batch(config, replace(encode(config, np.zeros((1, 3))),
+                                      local=()), theta)
         with pytest.raises(UsageError):
             run_batch(config, np.zeros((1, 3)), theta)
         deeper = QnnConfig(3, ("y",), True, "strongly", 5)

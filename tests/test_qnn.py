@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from qmlgrid import bench, datasets, qnn, reference
-from qmlgrid.circuit import (FUSE_MAX_QUBITS, encode, encoding_chains,
-                             resolve_fused, run_batch)
+from qmlgrid.circuit import (FUSE_MAX_QUBITS, _chain_products,
+                             _rotation_factors, encode, resolve_fused,
+                             run_batch)
 from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
 from qmlgrid.metrics import evaluate
 from qmlgrid.pipeline import stratified_split
@@ -315,6 +316,13 @@ class TestLayerGrowth:
                         max_layers=2, epochs=0)
 
 
+def encoding_block(sequence, X):
+    """(rows, n, 2, 2): every row's encoding block as one 2x2 per qubit,
+    the rotations of the sequence multiplied in order."""
+    kinds = tuple("r" + axis.lower() for axis in sequence)
+    return _chain_products(_rotation_factors(kinds, math.pi * X[:, :, None]))
+
+
 class TestEncodingCache:
     SEQUENCES = (("Y",), ("X",), ("Z",), ("X", "Z"), ("Z", "Y", "X"),
                  ("Y", "X", "Z"))
@@ -354,7 +362,7 @@ class TestEncodingCache:
             for sequence in self.SEQUENCES:
                 for reupload in (False, True):
                     cfg = QnnConfig(n, sequence, reupload)
-                    chains = encoding_chains(cfg, X[:, :n])
+                    chains = encoding_block(sequence, X[:, :n])
                     got = encode(cfg, X[:, :n]).states
                     want = product_states(chains[..., 0])
                     assert got.shape == (37, 1 << n)
@@ -380,32 +388,53 @@ class TestEncodingCache:
                     for rows in (slice(None), idx, slice(5, 30)):
                         part = encoded[rows]
                         want = product_states(
-                            encoding_chains(cfg, X[rows, :n])[..., 0])
+                            encoding_block(sequence, X[rows, :n])[..., 0])
                         apply_ops(want, n, resolve_fused(cfg, part, theta)[0])
                         assert np.array_equal(run_batch(cfg, part, theta),
                                               want)
 
-    def test_a_grid_encodes_each_layout_once(self, monkeypatch, tmp_path):
-        # each (k, sequence) computes its chains once over the stacked
-        # rows of all three splits, and each (k, layout) builds its
-        # payloads from them once; they serve both ansaetze and every
-        # batch, epoch, layer trial and prediction of their cells
-        chain_calls, payload_calls = [], []
-        real_chains, real_payloads = bench.encoding_chains, bench.from_chains
+    def test_a_reupload_payload_leaves_a_reupload_free_qnn_unchanged(self):
+        # a grid hands both re-upload settings the encoding with the
+        # payload; without re-upload the payload is never read, so a
+        # pass and a gradient have the bits of a payload-free encoding
+        rng = np.random.default_rng(55)
+        X = rng.uniform(-1, 1, (37, FUSE_MAX_QUBITS))
+        y = rng.integers(0, 2, 37)
+        idx = rng.permutation(37)[:19]
+        for n in range(2, FUSE_MAX_QUBITS + 1):
+            for sequence in self.SEQUENCES:
+                bare = encode(QnnConfig(n, sequence), X[:, :n])
+                carrying = encode(QnnConfig(n, sequence, True), X[:, :n])
+                assert carrying.local and not bare.local
+                for ansatz in ("basic", "strongly"):
+                    model = init_model(QnnConfig(n, sequence, False, ansatz,
+                                                 2, seed=n), (0.4, 0.6))
+                    for rows in (slice(None), idx):
+                        a, b = bare[rows], carrying[rows]
+                        assert np.array_equal(
+                            run_batch(model.config, a, model.parameters),
+                            run_batch(model.config, b, model.parameters))
+                        assert np.array_equal(forward_batch(model, a),
+                                              forward_batch(model, b))
+                        assert np.array_equal(
+                            parameter_shift_gradient(model, a, y[rows]),
+                            parameter_shift_gradient(model, b, y[rows]))
 
-        def chains_spy(config, X):
-            chain_calls.append((config.n_features,
-                                "".join(config.encoding_sequence), len(X)))
-            return real_chains(config, X)
+    def test_a_grid_encodes_each_sequence_once(self, monkeypatch, tmp_path):
+        # each (k, sequence) encodes once, with the re-upload payload,
+        # over the stacked rows of all three splits, in grid order; the
+        # encoding serves both re-upload settings, both ansaetze and
+        # every batch, epoch, layer trial and prediction of their cells
+        calls = []
+        real_encode = bench.encode
 
-        def payloads_spy(config, chains):
-            payload_calls.append((config.n_features,
-                                  "".join(config.encoding_sequence),
-                                  config.reupload, len(chains)))
-            return real_payloads(config, chains)
+        def encode_spy(config, X):
+            calls.append((config.n_features,
+                          "".join(config.encoding_sequence),
+                          config.reupload, len(X)))
+            return real_encode(config, X)
 
-        monkeypatch.setattr(bench, "encoding_chains", chains_spy)
-        monkeypatch.setattr(bench, "from_chains", payloads_spy)
+        monkeypatch.setattr(bench, "encode", encode_spy)
         dataset = datasets.synthetic("prostate")
         rows = len(dataset.labels)
         settings = bench.RunSettings(qnn_epochs=1, qnn_start_layers=1,
@@ -415,12 +444,8 @@ class TestEncodingCache:
                              settings, families=("qnn",),
                              feature_range=(2, 3))
         assert [r.error for r in new] == [None] * 121
-        assert chain_calls == [(k, sequence, rows) for k in (2, 3)
-                               for sequence in bench.axis_sequences()]
-        assert payload_calls == [(k, sequence, reupload, rows)
-                                 for k in (2, 3)
-                                 for sequence in bench.axis_sequences()
-                                 for reupload in (False, True)]
+        assert calls == [(k, sequence, True, rows) for k in (2, 3)
+                         for sequence in bench.axis_sequences()]
 
     def test_stacked_pass_equals_per_split_passes(self):
         # a QNN cell predicts all its splits in one forward_batch over
