@@ -20,6 +20,8 @@ def _check_xy(X, y):
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
         raise UsageError(f"bad training data shapes: {X.shape}, {y.shape}")
+    if not np.isfinite(X).all():
+        raise UsageError("training features must be finite")
     if not np.all(np.isin(y, (0, 1))):
         raise UsageError("labels must be 0/1")
     return X, y
@@ -87,7 +89,9 @@ def predict_logistic(model: LogisticModel, X) -> np.ndarray:
 
 # ------------------------------------------------------------ tree, forest
 
-STEP_ROWS = 1 << 14     # rows x candidate features per step; bounds memory
+STEP_ROWS = 1 << 14     # entries x candidate features per step; bounds memory
+COUNT_SHIFT = 32        # packed counts: class-1 rows above COUNT_SHIFT, rows below
+_COUNT_MASK = (1 << COUNT_SHIFT) - 1
 
 
 @dataclass
@@ -133,45 +137,67 @@ def _node_gini(t0, t1) -> np.ndarray:
     return 1.0 - (frac.reshape(-1, 1, 2) @ frac.reshape(-1, 2, 1)).ravel()
 
 
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """True where a run of equal values of a nonempty a begins."""
-    return np.concatenate(([True], a[1:] != a[:-1]))
+def _masses(table, counts) -> tuple:
+    """The class-0 and class-1 entries of a (2, m + 1) table at packed
+    counts: resample rows below COUNT_SHIFT, class-1 rows above."""
+    ones = counts >> COUNT_SHIFT
+    return table[0].take((counts & _COUNT_MASK) - ones), table[1].take(ones)
 
 
-def _best_splits(y, order, tables, tree, lo, size, n_ones, feats) -> tuple:
+def _gini(c0, c1, total) -> np.ndarray:
+    """1 - (c0 ** 2 + c1 ** 2) / total ** 2, overwriting c0 and c1."""
+    np.square(c0, out=c0)
+    np.square(c1, out=c1)
+    c0 += c1
+    c0 /= np.square(total, out=c1)
+    return np.subtract(1.0, c0, out=c0)
+
+
+def _best_splits(order, tables, tree, lo, size, counts, feats,
+                 bits) -> tuple:
     """(feature, threshold) of the best cut of each open node, feature -1
     where no candidate feature has two distinct values.
 
+    A node owns distinct rows, each an entry of `order` that packs the
+    row, its label and its multiplicity (see _grow); `size` counts its
+    entries, and `counts` holds its packed resample and class-1 rows.
     One group per (node, candidate feature). All groups are scored at
-    once: their rows sort by (group, value rank, class), integer class
-    counts of every prefix look up their weights, and every cut between
-    distinct values gets its Gini gain. A group keeps its first best
-    cut; a node keeps its first candidate that beats the ones before it
-    by more than 1e-15."""
-    values, ranks, totals, prefixes = tables
+    once: their entries sort by (group, value rank, label,
+    multiplicity); one cumsum of the packed counts that `masses` gives
+    each entry's low bits yields the resample rows and class-1 rows of
+    every prefix, whose weights are looked up in turn; and every cut
+    between distinct values gets its Gini gain. A group keeps its first
+    best cut; a node keeps its first candidate that beats the ones
+    before it by more than 1e-15."""
+    values, ranks, totals, prefixes, masses = tables
     n_open, n_feats = feats.shape
+    n_groups = n_open * n_feats
     width = values.shape[1]
+    low = (1 << bits) - 1
     gsize = np.repeat(size, n_feats)
     gend = np.cumsum(gsize)
     gstart = gend - gsize
-    group = np.repeat(np.arange(len(gsize)), gsize)
-    at = np.arange(len(group)) - gstart[group]
-    at += np.repeat(lo, n_feats)[group]
-    rows = order[np.repeat(tree, n_feats)[group], at]
+    # each group's node slice, and then its (feature, row) ranks, by
+    # flat index
+    at = np.repeat(np.repeat(tree * order.shape[1] + lo, n_feats) - gstart,
+                   gsize)
+    at += np.arange(len(at))
+    packed = order.take(at)
+    at = np.repeat(feats.ravel() * ranks.shape[1], gsize)
+    at += packed >> bits
+    key = ranks.take(at)
     del at      # the dels and in-place ops keep a step's peak memory low
-    key = ranks[feats.ravel()[group], rows]
-    key += group * width
-    key <<= 1
-    key += y[rows]
-    del rows
+    key += np.repeat(np.arange(n_groups) * width, gsize)
+    key <<= bits
+    packed &= low
+    key |= packed
+    del packed
     key.sort()
-    ones = key & 1
-    head = ones[gstart]
-    np.cumsum(ones, out=ones)
-    ones -= (ones[gstart] - head)[group]      # class-1 rows so far
-    rank = np.remainder(key >> 1, width, out=key)
+    # (class-1 rows << COUNT_SHIFT) + rows, so far in the step
+    sofar = np.cumsum(masses[key & low])
+    key >>= bits        # group * width + value rank
     valid = np.zeros(len(key), dtype=bool)
-    valid[:-1] = rank[:-1] != rank[1:]
+    np.not_equal(key[:-1], key[1:], out=valid[:-1])
     valid[gend - 1] = False
     cut = np.flatnonzero(valid)
     del valid
@@ -180,35 +206,45 @@ def _best_splits(y, order, tables, tree, lo, size, n_ones, feats) -> tuple:
     if not cut.size:
         return chosen, threshold
 
-    t0, t1 = totals[0, size - n_ones], totals[1, n_ones]
+    # group g's cuts are cut[first[g]:first[g] + n_cuts[g]]
+    first = np.searchsorted(cut, gstart)
+    n_cuts = np.searchsorted(cut, gend - 1) - first
+    t0, t1 = _masses(totals, counts)
     grand = t0 + t1
     parent = _node_gini(t0, t1)
-    g = group[cut]
-    s = g // n_feats
-    left1 = prefixes[1, ones[cut]]
-    left0 = prefixes[0, cut - gstart[g] + 1 - ones[cut]]
-    del group, ones
+    per_node = n_cuts.reshape(n_open, n_feats).sum(axis=1)
+    t0, t1, grand, parent = (np.repeat(a, per_node)
+                             for a in (t0, t1, grand, parent))
+    whole = np.repeat(counts, n_feats)
+    left = sofar[cut]
+    del sofar
+    left -= np.repeat(np.cumsum(whole) - whole, n_cuts)
+    left0, left1 = _masses(prefixes, left)
+    del left
+    # the recursion's Gini gain, op for op, in place where a value is
+    # not read again
     ls = left0 + left1
-    rs = grand[s] - ls
-    right0 = t0[s] - left0
-    right1 = t1[s] - left1
-    gini_l = 1.0 - (left0 ** 2 + left1 ** 2) / ls ** 2
-    gini_r = 1.0 - (right0 ** 2 + right1 ** 2) / rs ** 2
-    gain = parent[s] - (ls * gini_l + rs * gini_r) / grand[s]
+    rs = grand - ls
+    right0 = np.subtract(t0, left0, out=t0)
+    right1 = np.subtract(t1, left1, out=t1)
+    gini_l = _gini(left0, left1, ls)
+    gini_r = _gini(right0, right1, rs)
+    ls *= gini_l
+    rs *= gini_r
+    ls += rs
+    ls /= grand
+    gain = np.subtract(parent, ls, out=parent)
 
-    opens = _run_starts(g)
-    run = np.cumsum(opens) - 1
-    top = np.maximum.reduceat(gain, np.flatnonzero(opens))
-    hits = np.flatnonzero(gain == top[run])
-    first = hits[_run_starts(run[hits])]
-    g, i = g[first], cut[first]
+    has = n_cuts > 0
+    best = np.zeros(n_groups)
+    best[has] = np.maximum.reduceat(gain, first[has])
+    hits = np.flatnonzero(gain == np.repeat(best, n_cuts))
+    i = cut[hits[np.searchsorted(hits, first[has])]]
+    g = np.flatnonzero(has)
     feat = feats.ravel()[g]
-    has = np.zeros(n_open * n_feats, dtype=bool)
-    has[g] = True
-    best = np.zeros(n_open * n_feats)
-    best[g] = top
-    mids = np.zeros(n_open * n_feats)
-    mids[g] = 0.5 * (values[feat, rank[i]] + values[feat, rank[i + 1]])
+    mids = np.zeros(n_groups)
+    mids[g] = 0.5 * (values[feat, key[i] - g * width]
+                     + values[feat, key[i + 1] - g * width])
     has, best, mids = (a.reshape(n_open, n_feats) for a in (has, best, mids))
     score = np.zeros(n_open)
     for f in range(n_feats):
@@ -221,22 +257,31 @@ def _best_splits(y, order, tables, tree, lo, size, n_ones, feats) -> tuple:
     return chosen, threshold
 
 
-def _partition(X, y, order, tree, lo, size, feat, thr) -> tuple:
-    """Move the rows of each node that go left (x[feat] <= thr) to the
-    front of its slice order[tree, lo:lo + size]. Returns the number of
-    rows and of class-1 rows that go left, per node."""
-    part = np.repeat(np.arange(len(size)), size)
+def _partition(X, order, masses, tree, lo, size, feat, thr, bits) -> tuple:
+    """Move the entries of each node whose rows go left (x[feat] <= thr)
+    to the front of its slice order[tree, lo:lo + size]. Returns the
+    number of entries (distinct rows) and the packed counts that go
+    left, per node."""
     start = np.cumsum(size) - size
-    offset = np.arange(len(part)) - start[part]
-    rows = order[tree[part], lo[part] + offset]
-    go = X[rows, feat[part]] <= thr[part]
-    lefts = np.cumsum(go)
-    lefts -= (lefts - go)[start][part]        # left rows so far
-    n_left = np.add.reduceat(go.astype(np.int64), start)
-    ones_left = np.add.reduceat(go & (y[rows] == 1), start, dtype=np.int64)
-    offset = np.where(go, lefts - 1, n_left[part] + offset - lefts)
-    order[tree[part], lo[part] + offset] = rows
-    return n_left, ones_left
+    first = tree * order.shape[1] + lo      # flat index of each slice
+    at = np.repeat(first - start, size)
+    at += np.arange(len(at))
+    packed = order.take(at)
+    rows = packed >> bits
+    rows *= X.shape[1]
+    rows += np.repeat(feat, size)
+    go = X.take(rows) <= np.repeat(thr, size)
+    del rows
+    n_left = np.add.reduceat(go, start, dtype=np.int64)
+    counts = np.add.reduceat(masses[packed & ((1 << bits) - 1)] * go, start)
+    lefts = np.cumsum(go)                   # left entries so far
+    before = lefts[start] - go[start]
+    # lefts to the front of their slice, rights after them, in step order
+    at += np.repeat(n_left + before, size)
+    at -= lefts
+    lefts += np.repeat(first - before - 1, size)
+    order.ravel()[np.where(go, lefts, at)] = packed   # order is C-contiguous
+    return n_left, counts
 
 
 def _candidates(rng, d: int, k: int, n: int) -> np.ndarray:
@@ -259,23 +304,46 @@ def _candidates(rng, d: int, k: int, n: int) -> np.ndarray:
     return picks
 
 
-def _grow(X, y, class_weights, samples, candidates=None) -> ForestModel:
-    """CART with weighted Gini, one tree per row of `samples` (row indices
-    into X, repeats allowed), grown until leaves are pure or no split
-    helps.
+def _check_packing(groups: int, width: int, bits: int, rows: int) -> None:
+    """Refuse a step whose packed int64s could overflow. Its sort keys
+    reach (groups * width << bits) - 1; its packed counts add up to rows
+    resample rows over all groups, below and above COUNT_SHIFT."""
+    if (groups * width) << bits > 1 << 63 or rows >> (63 - COUNT_SHIFT):
+        raise UsageError(
+            f"a tree-growing step of {groups} (node, feature) groups, "
+            f"{width} distinct values and {rows} resample rows overflows "
+            f"int64; use fewer rows or features")
+
+
+def _grow(X, y, class_weights, mult, candidates=None) -> ForestModel:
+    """CART with weighted Gini, one tree per row of `mult` (tree t's
+    resample holds row j of X mult[t, j] times), grown until leaves are
+    pure or no split helps.
+
+    A tree owns only its distinct rows. Each is one int64 entry of
+    `order`, (row << bits) | (label << S) | multiplicity, where S =
+    m.bit_length() holds any multiplicity of the longest resample, m
+    rows, and bits = S + 1. A node has two sizes: its entries (distinct
+    rows), which its slice and the step budget count, and its resample
+    rows, which its masses count; the latter are packed with its class-1
+    rows in one int64, class-1 rows above COUNT_SHIFT. Cuts fall only
+    between distinct values, and every mass is a table lookup at integer
+    resample counts, so the trees are those grown on the resample rows
+    themselves.
 
     With `candidates` (n_trees, draws, k), tree t visits its nodes
     depth-first in pre-order and scores its i-th node on the features
     candidates[t, i], as a node-by-node recursion drawing them from the
     tree's rng would. A step takes the next node of each tree, in tree
-    order, until their rows times candidate features would pass
+    order, until their entries times candidate features would pass
     STEP_ROWS (at least one node). Without `candidates` every feature is
     a candidate, node order does not matter, and a step takes every
     open node of each tree under the same bound. Each step scores its
-    nodes with _best_splits and partitions their rows in place: a node
-    owns a slice of its tree's row of `order`, lefts first after its
-    split."""
-    n_trees, m = samples.shape
+    nodes with _best_splits and partitions their entries in place: a
+    node owns a slice of its tree's row of `order`, lefts first after
+    its split."""
+    X = np.ascontiguousarray(X)     # _partition reads it by flat index
+    n_trees, n = mult.shape
     d = X.shape[1]
     uniques = [np.unique(X[:, f], return_inverse=True) for f in range(d)]
     values = np.zeros((d, max([len(u) for u, _ in uniques], default=0)))
@@ -283,32 +351,48 @@ def _grow(X, y, class_weights, samples, candidates=None) -> ForestModel:
     for f, (u, inverse) in enumerate(uniques):
         values[f, :len(u)] = u
         ranks[f] = inverse
+    width = values.shape[1]
+    resample = mult.sum(axis=1)
+    m = int(resample.max(initial=0))
+    bits = m.bit_length() + 1
+    # a low-bits entry (label << S) | multiplicity -> its packed counts
+    tail = np.arange(1 << bits)
+    masses = tail % (1 << (bits - 1))
+    masses += (masses * (tail >> (bits - 1))) << COUNT_SHIFT
     totals, prefixes = _mass_tables(*map(float, class_weights), m)
-    tables = (values, ranks, totals, prefixes)
+    tables = (values, ranks, totals, prefixes, masses)
 
-    capacity = n_trees * max(2 * m - 1, 1)
+    distinct = np.count_nonzero(mult, axis=1)
+    r = int(distinct.max(initial=0))
+    order = np.zeros((n_trees, r), dtype=np.int64)
+    entries = (np.arange(n) << bits) | (y << (bits - 1)) | mult
+    order[np.arange(r) < distinct[:, None]] = entries[mult > 0]
+    del entries
+
+    capacity = n_trees * max(2 * r - 1, 1)
     feature = np.empty(capacity, dtype=np.int64)
     threshold = np.empty(capacity)
     left = np.empty(capacity, dtype=np.int64)
     right = np.empty(capacity, dtype=np.int64)
     label = np.empty(capacity, dtype=np.int64)
-    n_ones = np.empty(capacity, dtype=np.int64)
+    counts = np.empty(capacity, dtype=np.int64)
 
-    def add_leaves(ids, n, n1) -> list:
-        """Store new nodes as leaves; True where a node is impure."""
+    def add_leaves(ids, packed) -> list:
+        """Store new nodes with packed counts as leaves; True where a
+        node is impure."""
         feature[ids] = -1
         threshold[ids] = 0.0
         left[ids] = right[ids] = ids
-        n_ones[ids] = n1
-        t0, t1 = totals[0, n - n1], totals[1, n1]
+        counts[ids] = packed
+        t0, t1 = _masses(totals, packed)
         label[ids] = t1 >= t0
         return (np.minimum(t0, t1) > 0.0).tolist()
 
-    order = samples.copy()
     roots = np.arange(n_trees)
-    impure = add_leaves(roots, m, y[samples].sum(axis=1))
+    impure = add_leaves(roots, resample + ((mult @ y) << COUNT_SHIFT))
     # open nodes per tree as (id, lo, hi): the node owns order[t, lo:hi]
-    stacks = [[(t, 0, m)] if impure[t] else [] for t in range(n_trees)]
+    stacks = [[(t, 0, r_t)] if impure[t] else []
+              for t, r_t in enumerate(distinct.tolist())]
     n_feats = d if candidates is None else candidates.shape[2]
     drawn = np.zeros(n_trees, dtype=np.int64)
     n_nodes = n_trees
@@ -329,31 +413,32 @@ def _grow(X, y, class_weights, samples, candidates=None) -> ForestModel:
             break
         tree, node, lo, hi = np.array(opened).T
         size = hi - lo
+        _check_packing(len(node) * n_feats, width, bits,
+                       int((counts[node] & _COUNT_MASK).sum()) * n_feats)
         if candidates is None:
             feats = np.broadcast_to(np.arange(d), (len(node), d))
         else:
             feats = candidates[tree, drawn[tree]]
             drawn[tree] += 1
-        feat, thr = _best_splits(y, order, tables, tree, lo, size,
-                                 n_ones[node], feats)
+        feat, thr = _best_splits(order, tables, tree, lo, size, counts[node],
+                                 feats, bits)
         split = np.flatnonzero(feat >= 0)
         tree, node, lo, size, feat, thr = (
             a[split] for a in (tree, node, lo, size, feat, thr))
-        n_left, ones_left = _partition(X, y, order, tree, lo, size,
-                                       feat, thr)
+        n_left, counts_left = _partition(X, order, masses, tree, lo, size,
+                                         feat, thr, bits)
         # the midpoint of two adjacent floats can round onto the upper
         # one and leave the right child empty: then the node stays a leaf
         split = n_left < size
-        tree, node, lo, size, feat, thr, n_left, ones_left = (
+        tree, node, lo, size, feat, thr, n_left, counts_left = (
             a[split] for a in (tree, node, lo, size, feat, thr, n_left,
-                               ones_left))
+                               counts_left))
         ids = n_nodes + 2 * np.arange(len(node))
         n_nodes += 2 * len(node)
         feature[node], threshold[node] = feat, thr
         left[node], right[node] = ids, ids + 1
-        open_left = add_leaves(ids, n_left, ones_left)
-        open_right = add_leaves(ids + 1, size - n_left,
-                                n_ones[node] - ones_left)
+        open_left = add_leaves(ids, counts_left)
+        open_right = add_leaves(ids + 1, counts[node] - counts_left)
         # pre-order: the left child is popped first
         for t, i, a, b, c, go_left, go_right in zip(
                 tree.tolist(), ids.tolist(), lo.tolist(),
@@ -372,34 +457,36 @@ def fit_tree(X, y, class_weights=(1.0, 1.0)) -> ForestModel:
     """One CART tree (weighted Gini, grown until leaves are pure or no
     split helps) on every row, every feature a candidate at every split."""
     X, y = _check_xy(X, y)
-    return _grow(X, y, class_weights, np.arange(len(y))[None, :])
+    return _grow(X, y, class_weights, np.ones((1, len(y)), dtype=np.int64))
 
 
 def fit_forest(X, y, class_weights=(1.0, 1.0), seed: int = 0) -> ForestModel:
     """100 bagged trees: same-size bootstrap resamples, ceil(sqrt(d))
     feature candidates per split, per-tree rng derived from the seed.
     Each tree's rng draws its resample, then the candidates of as many
-    nodes as the tree can score; nothing reads the rng after that.
+    nodes as the tree can score; nothing reads the rng after that. A
+    tree is grown on its resample's distinct rows, each carrying its
+    multiplicity (np.bincount of the resample).
 
     A scored node is impure, so it holds two distinct resample rows, and
     rows with one index never part. A node of r distinct rows therefore
     roots at most r - 1 scored nodes: one if it stays a leaf (r >= 2),
-    else 1 + (r_left - 1) + (r_right - 1) by induction. Entries past a
-    tree's bound stay unset and unread."""
+    else 1 + (r_left - 1) + (r_right - 1) by induction. Candidate rows
+    past a tree's bound stay unset and unread."""
     X, y = _check_xy(X, y)
     n, d = X.shape
     k = math.ceil(math.sqrt(d))
-    samples = np.empty((100, n), dtype=np.int64)
+    mult = np.empty((100, n), dtype=np.int64)
     candidates = None
     if k < d:
         candidates = np.empty((100, n, k), dtype=np.int16)
     for t in range(100):
         rng = np.random.default_rng([seed, t])
-        samples[t] = rng.integers(0, n, n)
+        mult[t] = np.bincount(rng.integers(0, n, n), minlength=n)
         if candidates is not None:
-            scored = np.count_nonzero(np.bincount(samples[t])) - 1
+            scored = np.count_nonzero(mult[t]) - 1
             candidates[t, :scored] = _candidates(rng, d, k, scored)
-    return _grow(X, y, class_weights, samples, candidates)
+    return _grow(X, y, class_weights, mult, candidates)
 
 
 def predict_forest(model: ForestModel, X) -> np.ndarray:

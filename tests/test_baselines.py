@@ -3,8 +3,11 @@ import pytest
 
 from qmlgrid import baselines, bench, datasets, reference, verify
 from qmlgrid.baselines import (
+    COUNT_SHIFT,
     ForestModel,
     _candidates,
+    _check_packing,
+    _grow,
     _mass_tables,
     _node_gini,
     LogisticModel,
@@ -28,6 +31,15 @@ def blobs(n=80, seed=3, gap=2.0):
     ])
     y = np.concatenate([np.zeros(half, dtype=int), np.ones(n - half, dtype=int)])
     return X, y
+
+
+@pytest.mark.parametrize("fit", [fit_logistic, fit_tree, fit_forest])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fits_refuse_non_finite_features(fit, bad):
+    X, y = blobs(n=12)
+    X[5, 1] = bad
+    with pytest.raises(UsageError, match="finite"):
+        fit(X, y)
 
 
 class TestLogistic:
@@ -335,6 +347,70 @@ class TestStepBound:
             assert all(verify.same_tree(forest, root, w)
                        for root, w in zip(forest.roots, wants)), rows
             assert np.array_equal(predict_forest(forest, probe), want_votes)
+
+
+class TestMultiplicities:
+    """A tree grows on its resample's distinct rows, each carrying its
+    multiplicity, and still grows the recursion's tree on the resample
+    rows themselves."""
+
+    @staticmethod
+    def assert_forest_matches(X, y, weights, seed):
+        forest = fit_forest(X, y, weights, seed=seed)
+        wants = reference.grow_forest(X, y, weights, seed=seed)
+        assert all(verify.same_tree(forest, root, want)
+                   for root, want in zip(forest.roots, wants))
+        probe = np.vstack([X, X + 0.25])
+        assert np.array_equal(predict_forest(forest, probe),
+                              reference.predict_trees(wants, probe))
+
+    def test_heavy_duplicates(self):
+        # few levels per column, every row twice, conflicting labels on
+        # equal rows: nodes that cannot split, cuts with many copies
+        rng = np.random.default_rng(21)
+        half = rng.integers(0, 3, size=(40, 3)) / 2.0
+        X = np.vstack([half, half])
+        y = rng.integers(0, 2, size=80)
+        weights = (0.7, 1.9)
+        self.assert_forest_matches(X, y, weights, seed=5)
+        tree = fit_tree(X, y, weights)
+        assert verify.same_tree(tree, tree.roots[0],
+                                reference.grow_tree(X, y, weights))
+
+    def test_resample_past_a_power_of_two(self):
+        rng = np.random.default_rng(22)
+        X = rng.integers(0, 4, size=(1100, 3)).astype(float)
+        y = ((X[:, 0] + rng.integers(0, 3, size=1100)) > 3).astype(int)
+        self.assert_forest_matches(X, y, (0.6, 1.4), seed=9)
+
+    def test_multiplicity_past_a_power_of_two(self):
+        # one row drawn 1024 times: a multiplicity field narrower than
+        # the resample length would spill into the label bit
+        X = np.array([[0.0, 2.0], [1.0, 1.0], [1.0, 0.0], [2.0, 2.0],
+                      [3.0, 1.0], [3.0, 0.0]])
+        y = np.array([0, 1, 0, 1, 1, 0])
+        mult = np.array([[1024, 1, 3, 2, 1, 5], [2, 1500, 0, 1, 1, 3]])
+        weights = (0.8, 1.3)
+        forest = _grow(X, y, weights, mult)
+        for root, counts in zip(forest.roots, mult):
+            rows = np.repeat(np.arange(len(y)), counts)
+            want = reference.grow_tree(X[rows], y[rows], weights)
+            assert verify.same_tree(forest, root, want)
+
+    def test_packing_guard(self):
+        top = 1 << 63
+        # the largest sort key is (groups * width << bits) - 1
+        _check_packing(1, top >> 11, 11, 1)
+        _check_packing(top >> 20, 1, 20, 1)
+        with pytest.raises(UsageError, match="int64"):
+            _check_packing(1, (top >> 11) + 1, 11, 1)
+        with pytest.raises(UsageError, match="int64"):
+            _check_packing(3, top >> 12, 11, 1)
+        # packed counts hold rows below and above COUNT_SHIFT
+        rows = (1 << (63 - COUNT_SHIFT)) - 1
+        _check_packing(1, 1, 1, rows)
+        with pytest.raises(UsageError, match="int64"):
+            _check_packing(1, 1, 1, rows + 1)
 
 
 class TestAgainstRecursiveReference:
