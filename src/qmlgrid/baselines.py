@@ -15,16 +15,29 @@ import numpy as np
 from .errors import TrainingDivergedError, UsageError
 
 
-def _check_xy(X, y):
+def _check_xy(X, y, class_weights):
+    """X, y and the class weights as arrays, once each is known to fit:
+    at least one row, finite features, 0/1 labels, and two finite,
+    non-negative weights with a positive sum (one may be zero)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
         raise UsageError(f"bad training data shapes: {X.shape}, {y.shape}")
+    if not len(y):
+        raise UsageError("no training rows")
     if not np.isfinite(X).all():
         raise UsageError("training features must be finite")
     if not np.all(np.isin(y, (0, 1))):
         raise UsageError("labels must be 0/1")
-    return X, y
+    try:
+        weights = np.asarray(class_weights, dtype=np.float64)
+    except (TypeError, ValueError):
+        weights = np.empty(0)
+    if not (weights.shape == (2,) and np.isfinite(weights).all()
+            and weights.min() >= 0.0 and weights.sum() > 0.0):
+        raise UsageError("class weights must be two finite, non-negative "
+                         f"numbers with a positive sum, not {class_weights}")
+    return X, y, weights
 
 
 # ---------------------------------------------------------------- logistic
@@ -53,10 +66,10 @@ def fit_logistic(X, y, class_weights=(1.0, 1.0)) -> LogisticModel:
     LOSS_BLOCK keep their clipped probabilities, and the block's losses
     are computed in one pass and checked in step order; a diverging fit
     raises at the same iteration and loss as a check after every step."""
-    X, y = _check_xy(X, y)
+    X, y, class_weights = _check_xy(X, y, class_weights)
     w = np.zeros(X.shape[1])
     b = 0.0
-    sw = np.asarray(class_weights, dtype=np.float64)[y]
+    sw = class_weights[y]
     n = len(y)
     losses = []
     rising = 0
@@ -456,7 +469,7 @@ def _grow(X, y, class_weights, mult, candidates=None) -> ForestModel:
 def fit_tree(X, y, class_weights=(1.0, 1.0)) -> ForestModel:
     """One CART tree (weighted Gini, grown until leaves are pure or no
     split helps) on every row, every feature a candidate at every split."""
-    X, y = _check_xy(X, y)
+    X, y, class_weights = _check_xy(X, y, class_weights)
     return _grow(X, y, class_weights, np.ones((1, len(y)), dtype=np.int64))
 
 
@@ -473,7 +486,7 @@ def fit_forest(X, y, class_weights=(1.0, 1.0), seed: int = 0) -> ForestModel:
     roots at most r - 1 scored nodes: one if it stays a leaf (r >= 2),
     else 1 + (r_left - 1) + (r_right - 1) by induction. Candidate rows
     past a tree's bound stay unset and unread."""
-    X, y = _check_xy(X, y)
+    X, y, class_weights = _check_xy(X, y, class_weights)
     n, d = X.shape
     k = math.ceil(math.sqrt(d))
     mult = np.empty((100, n), dtype=np.int64)

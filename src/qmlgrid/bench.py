@@ -34,13 +34,12 @@ from typing import get_type_hints
 import numpy as np
 
 from . import baselines, qnn, svm
-from .circuit import (ANSATZ_ROTATIONS, AXES, FEATURE_MAPS, FUSE_MAX_QUBITS,
-                      encode)
+from .circuit import ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS, encode
 from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
 from .metrics import Metrics, evaluate
 from .pipeline import SplitBundle, stratified_split
-from .qkernel import cross_gram, embed, gram_matrix
+from .qkernel import FEATURE_MAPS, cross_gram, embed, gram_matrix
 
 FAMILIES = ("qnn", "qsvm", "classical")
 

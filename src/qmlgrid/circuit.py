@@ -1,15 +1,10 @@
-"""Every circuit as a product state and whole-register ops.
+"""QNN circuits as a product state and whole-register ops.
 
-Each circuit opens with single-qubit gates on |0...0>, so it starts
-from a product state, which statevec.product_states builds from
-per-qubit columns; the rest are (kind, payload) ops for
-statevec.apply_ops.
-
-FEATURE_MAPS holds each kernel embedding's gate, pair shift and the
-gate's phase offset, and feature_map turns an embedding of every row of
-a feature matrix into one step of columns and ops per repetition count,
-each going on from the one before; qkernel.embed runs them.
-reference.kernel_gates writes the same embedding out gate by gate.
+Each QNN opens with single-qubit gates on |0...0>, so it starts from a
+product state, which statevec.product_states builds from per-qubit
+columns; the rest are (kind, payload) ops for statevec.apply_ops. The
+2x2 primitives here (_rotation_factors, _chain_products and
+_local_payload) also build qkernel.embed's feature maps.
 
 QNNs have one shape: an angle-encoding block R_a(pi * x_q) on each
 qubit q for every axis a of the encoding sequence, then trainable
@@ -53,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import UsageError
 from .statevec import apply_ops, product_states
 
 AXES = ("X", "Y", "Z")
@@ -77,19 +72,11 @@ FUSE_MAX_QUBITS = 8
 # split 1.1-1.2x at diabetes k=5 and 2.2-2.9x at k=6
 LOCAL_DENSE_QUBITS = 4
 
-# kernel feature map kind -> (single-qubit gate, pair shift, phase
-# offset); a None shift means no pair terms (see reference.kernel_gates),
-# and the diagonal gate G(theta) multiplies a basis state whose target
-# bit is b by e^{i theta (b - offset)}; "angle" is the fourth kind
-FEATURE_MAPS = {"z": ("rz", None, 0.5), "zz_a": ("rz", 0.0, 0.5),
-                "zz_b": ("phase", math.pi, 0.0)}
-
 # the generator P of each rotation R_P(theta) = exp(-i theta P / 2)
 _PAULIS = {"rx": np.array([[0, 1], [1, 0]], dtype=np.complex128),
            "ry": np.array([[0, -1j], [1j, 0]]),
            "rz": np.array([[1, 0], [0, -1]], dtype=np.complex128)}
 _I2 = np.eye(2, dtype=np.complex128)
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +137,7 @@ def _chain_prefixes(factors: np.ndarray) -> np.ndarray:
     step is two broadcast products over the whole stack: on a layer
     stack (2 layers, 4 qubits, depth 3) 10 us against 25 us entry by
     entry, but 2x slower on a 299-row encoding, so encode and
-    feature_map keep _chain_products. A depth of one is its own
+    qkernel.embed keep _chain_products. A depth of one is its own
     prefix."""
     if factors.shape[-3] == 1:
         return factors
@@ -187,73 +174,6 @@ def _local_payload(chains: np.ndarray) -> tuple:
     for factor in payload:
         factor.flags.writeable = False
     return payload
-
-
-@lru_cache(maxsize=None)
-def _hadamards(n_qubits: int) -> tuple:
-    """Read-only "local" payload of H on every qubit, grouped as an
-    encoding block's (one matrix, or a high and a low half above
-    LOCAL_DENSE_QUBITS), with one copy that each row multiplies on its
-    own."""
-    return _local_payload(np.broadcast_to(_H, (1, n_qubits, 2, 2)))
-
-
-def feature_map(kind: str, X: np.ndarray, repetitions: int = 1) -> list:
-    """The embedding reference.kernel_gates writes out gate by gate, for
-    every row of X (one qubit per column), at each repetition count up
-    to `repetitions`, as one (columns, ops) step per count: step r - 1
-    turns the states after r - 1 repetitions into those after r. Its
-    columns (rows, n, 2) are a product state for
-    statevec.product_states to start afresh from, or None to go on from
-    the previous step's states; its ops are the whole-register ops that
-    follow, for statevec.apply_ops.
-
-    Without pair terms every qubit sees its own 2x2 chain, so the state
-    is the product of the chains' first columns and there are no ops;
-    each step's chains go on from the previous step's with one more
-    block. With them, the gates after the Hadamards are all diagonal: a
-    ZZ map is |+...+>, then a "diagonal" op of the summed phases, and
-    each further step is a Hadamard layer and the same op. Either way a
-    step's states have the bits of a fresh embedding at its count, and
-    every step is elementwise per row or a row's own matrix products, so
-    a row gets the same bits whatever the batch.
-    """
-    if kind != "angle" and kind not in FEATURE_MAPS:
-        raise ConfigurationError(f"unknown encoding kind {kind!r}")
-    if repetitions < 1:
-        raise ConfigurationError("repetitions must be >= 1")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise UsageError(f"expected a feature matrix, got shape {X.shape}")
-    n = X.shape[1]
-    gate, shift, offset = FEATURE_MAPS.get(kind, (None, None, None))
-    least = 1 if shift is None else 2
-    if n < least:
-        raise ConfigurationError(
-            f"{kind} feature map on {n} features needs at least {least}")
-    if shift is None:
-        if kind == "angle":
-            block = _rotation_factors(("ry",), math.pi * X[:, :, None])
-        else:
-            rotation = _rotation_factors((gate,), 2.0 * X[:, :, None])
-            block = np.concatenate(
-                [np.broadcast_to(_H, rotation.shape), rotation], axis=2)
-        steps, chains = [], None
-        for _ in range(repetitions):
-            chains = _chain_products(block, chains)
-            steps.append((chains[..., 0], []))
-        return steps
-    bits = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
-    phases = np.zeros((len(X), 1 << n))
-    for q in range(n):
-        phases += (2.0 * X[:, q])[:, None] * (bits[q] - offset)
-    for q in range(n - 1):
-        angle = 2.0 * ((shift - X[:, q]) * (shift - X[:, q + 1]))
-        phases += angle[:, None] * ((bits[q] ^ bits[q + 1]) - offset)
-    diagonal = ("diagonal", np.cos(phases) + 1j * np.sin(phases))
-    plus = np.full((len(X), n, 2), _H[0, 0])
-    return [(plus, [diagonal])] + [
-        (None, [("local", _hadamards(n)), diagonal])] * (repetitions - 1)
 
 
 @dataclass(frozen=True)

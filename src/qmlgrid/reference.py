@@ -2,7 +2,7 @@
 
 Nothing here shares code with the modules it checks, except that
 kernel_gates reads each kernel feature map's gate and pair shift (not
-its phase offset) from circuit.FEATURE_MAPS, and qnn_gates each
+its phase offset) from qkernel.FEATURE_MAPS, and qnn_gates each
 ansatz's rotations from circuit.ANSATZ_ROTATIONS:
 kernel_gates and qnn_gates write a kernel embedding and a QNN out gate
 by gate (never through product states or whole-register ops),
@@ -27,8 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import ANSATZ_ROTATIONS, FEATURE_MAPS
+from .circuit import ANSATZ_ROTATIONS
 from .errors import UsageError
+from .qkernel import FEATURE_MAPS
 from .svm import TOL, SvmModel, _final_bias
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -159,7 +160,7 @@ def qnn_gates(config, X, theta) -> list:
 
 def kernel_gates(kind: str, X, repetitions: int = 1) -> list:
     """A kernel feature map as concrete (kind, targets, angle) gates:
-    "angle" is RY(pi * x_i) on qubit i; a circuit.FEATURE_MAPS kind with
+    "angle" is RY(pi * x_i) on qubit i; a qkernel.FEATURE_MAPS kind with
     gate G and pair shift s is H on every qubit, then G(2 * x_i) on
     qubit i, then, unless s is None, CNOT / G(2 * (s - x_i) * (s - x_j))
     / CNOT on every adjacent pair (i, j = i + 1). The block repeats

@@ -10,9 +10,10 @@ Conventions, fixed once here and relied on everywhere else:
 There is one simulation path. Every circuit opens with a product state,
 and product_states builds a (batch, 2**n) buffer of them straight from
 per-qubit columns; apply_ops then runs whole-register ops on it, many
-statevectors side by side. circuit.feature_map emits the columns and
-ops of the kernel embeddings; circuit.encode builds a QNN encoding's
-product states once, and circuit.resolve_fused a QNN's ops.
+statevectors side by side. qkernel.embed builds the kernel
+embeddings from both (a ZZ map's phase diagonal it multiplies in
+itself); circuit.encode builds a QNN encoding's product states once,
+and circuit.resolve_fused a QNN's ops.
 apply_ops trusts its ops: it refuses an unknown kind but checks no
 payload shapes. Gate-by-gate simulation lives in reference.apply_gates,
 for the oracles only. An op is a (kind, payload) pair:
@@ -22,12 +23,10 @@ for the oracles only. An op is a (kind, payload) pair:
 * "local": per-sample matrices (hi,) of shape (m, 2**n, 2**n), or
   (hi, lo) of shapes (m, 2**(n-h), 2**(n-h)) and (m, 2**h, 2**h): row b
   becomes hi_j row b, or (hi_j (x) lo_j) row b with hi on the high
-  qubits and lo on the h low ones, where j = b mod m (an encoding block;
-  m below the row count lets one payload serve stacked copies of the
-  batch, and m = 1 applies one payload to every row by the row's own
-  matrix products).
-* "diagonal": per-sample phases d, shape (batch, 2**n): amps <- d * amps
-  elementwise (the single-qubit and pair terms of a ZZ feature map).
+  qubits and lo on the h low ones, where j = b mod m (an encoding block
+  or a ZZ feature map's Hadamard layer; m below the row count lets one
+  payload serve stacked copies of the batch, and m = 1 applies one
+  payload to every row by the row's own matrix products).
 """
 from __future__ import annotations
 
@@ -78,7 +77,5 @@ def apply_ops(amps: np.ndarray, n_qubits: int, ops) -> None:
             if lo:
                 rows = rows @ lo[0].swapaxes(-1, -2)
             amps[:] = rows.reshape(amps.shape)
-        elif kind == "diagonal":
-            amps *= payload
         else:
             raise UsageError(f"unknown op kind {kind!r}")

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, datasets, qnn, reference, svm
-from .circuit import ANSATZ_ROTATIONS, FEATURE_MAPS, encode, run_batch
+from .circuit import ANSATZ_ROTATIONS, encode, run_batch
 from .pipeline import pca_fit, standardize_apply, standardize_fit
-from .qkernel import embed, gram_matrix
+from .qkernel import FEATURE_MAPS, embed, gram_matrix
 
 PCA_TARGETS = {"heart_failure": (5, 0.90), "diabetes": (6, 0.90),
                "prostate": (6, 0.99)}

@@ -42,6 +42,19 @@ def test_fits_refuse_non_finite_features(fit, bad):
         fit(X, y)
 
 
+@pytest.mark.parametrize("fit", [fit_logistic, fit_tree, fit_forest])
+@pytest.mark.parametrize("rows, weights", [
+    (40, (np.inf, 1.0)), (40, (-1.0, 1.0)), (40, (np.nan, 1.0)),
+    (40, (1.0,)), (40, (0.0, 0.0)), (40, ("a", 1.0)), (0, (1.0, 1.0))],
+    ids=["inf", "negative", "nan", "one", "zero-sum", "text", "no-rows"])
+def test_fits_refuse_bad_weights_and_empty_sets(fit, rows, weights):
+    # unchecked, these raised IndexError, TypeError or ZeroDivisionError,
+    # returned a NaN bias, or grew trees of no splits or one leaf
+    X, y = blobs(n=40)
+    with pytest.raises(UsageError):
+        fit(X[:rows], y[:rows], weights)
+
+
 class TestLogistic:
     def test_learns_separated_blobs(self):
         X, y = blobs(gap=4.0)

@@ -690,7 +690,7 @@ class TestCellInputs:
         assert rec.error == f"UsageError: k must be in 1..{d}, got {d + 1}"
         assert (rec.train, rec.val, rec.test) == (None, None, None)
 
-    def test_a_qsvm_grid_embeds_each_feature_map_once_per_k(
+    def test_a_qsvm_grid_embeds_each_kernel_map_once_per_k(
             self, small_run, tmp_path, monkeypatch):
         # one embed per (k, feature map), at the grid's largest
         # repetition count, over the rows of every split at once, in

@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmlgrid import reference
+from qmlgrid import qkernel, reference
 from qmlgrid.circuit import (ANSATZ_ROTATIONS, _chain_products,
                              _rotation_factors, _ring_perm, encode,
-                             feature_map, resolve_fused, run_batch)
+                             resolve_fused, run_batch)
 from qmlgrid.errors import ConfigurationError, UsageError
-from qmlgrid.qkernel import embed
+from qmlgrid.qkernel import _hadamards, embed
 from qmlgrid.qnn import QnnConfig
 from qmlgrid.reference import apply_gates, kernel_gates, zero_states
 
@@ -88,7 +88,7 @@ class TestEncodings:
         with pytest.raises(ConfigurationError):
             QnnConfig(2, ("Q",))
 
-    def test_z_feature_map_structure(self):
+    def test_z_map_structure(self):
         X = np.random.default_rng(20).uniform(-1, 1, (4, 3))
         ops = kernel_gates("z", X, repetitions=2)
         assert data_bound_count(ops) == 6
@@ -123,7 +123,7 @@ class TestEncodings:
 
     def test_zz_needs_two_features(self):
         with pytest.raises(ConfigurationError):
-            feature_map("zz_a", np.zeros((1, 1)))
+            embed("zz_a", np.zeros((1, 1)))
 
 
 class TestExactOps:
@@ -231,7 +231,7 @@ class TestGateWriters:
 
     def test_gate_writers_check_lengths(self):
         with pytest.raises(UsageError):
-            feature_map("angle", [0.1, 0.2])
+            embed("angle", [0.1, 0.2])
         config = QnnConfig(2, n_layers=1)
         with pytest.raises(UsageError):
             reference.qnn_gates(config, (0.1,), (0.5, 0.5))
@@ -369,63 +369,55 @@ class TestRunBatch:
 class TestFeatureMapArguments:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            feature_map("bogus", np.zeros((1, 2)))
+            embed("bogus", np.zeros((1, 2)))
         with pytest.raises(ConfigurationError):
-            feature_map("angle", np.zeros((1, 2)), repetitions=0)
+            embed("angle", np.zeros((1, 2)), repetitions=0)
 
     def test_angle_repetitions_stack_blocks(self):
         ops = kernel_gates("angle", np.zeros((1, 2)), repetitions=3)
         assert data_bound_count(ops) == 6
 
 
-def hadamard_layer(steps):
-    """The "local" payload of a ZZ map's Hadamard layer: the first op of
-    feature_map's second step."""
-    kind, payload = steps[1][1][0]
-    assert kind == "local"
-    return payload
-
-
 class TestWholeRegisterFeatureMaps:
-    """circuit.feature_map against the gates reference.kernel_gates
-    writes for the same map."""
+    """qkernel.embed against the gates reference.kernel_gates writes for
+    the same map, and the Hadamard layer of its ZZ maps."""
 
-    def test_only_whole_register_ops(self):
-        # one step per repetition count. Product maps are a product
-        # state alone at every count; a ZZ map is |+...+> and a
-        # diagonal, then per further repetition a Hadamard layer and the
-        # same diagonal on the previous count's states
+    def test_only_whole_register_ops(self, monkeypatch):
+        # a product map is its product state alone at every count, with
+        # no simulator call; a ZZ map hands statevec.apply_ops one
+        # Hadamard layer per further count and nothing else
+        calls = []
+
+        def spy(amps, n_qubits, ops):
+            calls.append((amps.shape, n_qubits, list(ops)))
+            real(amps, n_qubits, ops)
+
+        real = qkernel.apply_ops
+        monkeypatch.setattr(qkernel, "apply_ops", spy)
         X = np.random.default_rng(25).uniform(-1, 1, (3, 4))
-        h = 1.0 / math.sqrt(2.0)
         for reps in (1, 2, 3):
-            for kind in ("angle", "z"):
-                steps = feature_map(kind, X, reps)
-                assert len(steps) == reps
-                for columns, ops in steps:
-                    assert columns.shape == (3, 4, 2) and ops == []
-            for kind in ("zz_a", "zz_b"):
-                (columns, ops), *further = feature_map(kind, X, reps)
-                assert np.array_equal(columns, np.full((3, 4, 2), h + 0j))
-                assert [op[0] for op in ops] == ["diagonal"]
-                assert len(further) == reps - 1
-                for start, more in further:
-                    assert start is None
-                    assert [op[0] for op in more] == ["local", "diagonal"]
-                    assert more[1][1] is ops[0][1]
-                assert all(len(op) == 2 for _, ops in further for op in ops)
+            for kind in ("angle", "z", "zz_a", "zz_b"):
+                calls.clear()
+                embed(kind, X, reps)
+                assert len(calls) == (reps - 1 if kind[:2] == "zz" else 0)
+                for shape, n, ops in calls:
+                    assert shape == (3, 16) and n == 4
+                    [(op, payload)] = ops
+                    assert op == "local" and payload is _hadamards(4)
 
     def test_hadamard_layer_is_one_shared_read_only_matrix(self):
-        (layer,) = hadamard_layer(feature_map("zz_b", np.zeros((5, 3)), 2))
+        (layer,) = _hadamards(3)
         assert layer.shape == (1, 8, 8) and not layer.flags.writeable
-        assert hadamard_layer(feature_map("zz_a", np.ones((2, 3)), 3))[0] \
-            is layer
+        np.testing.assert_allclose(layer[0] @ layer[0], np.eye(8),
+                                   atol=1e-15)
+        assert _hadamards(3)[0] is layer
 
     @pytest.mark.parametrize("n, hi, lo", [(5, 8, 4), (8, 16, 16),
                                            (13, 128, 64)])
     def test_wide_hadamard_layer_splits_into_halves(self, n, hi, lo):
         # above circuit.LOCAL_DENSE_QUBITS the layer is two small factors,
         # as an encoding block's, never one 2**n x 2**n matrix
-        layer = hadamard_layer(feature_map("zz_a", np.zeros((1, n)), 2))
+        layer = _hadamards(n)
         assert [f.shape for f in layer] == [(1, hi, hi), (1, lo, lo)]
         assert not any(f.flags.writeable for f in layer)
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qmlgrid import reference
-from qmlgrid.circuit import (FEATURE_MAPS, _chain_products, _H,
-                             _rotation_factors, feature_map)
+from qmlgrid.circuit import _chain_products, _rotation_factors
 from qmlgrid.errors import UsageError
-from qmlgrid.qkernel import cross_gram, embed, gram_matrix
+from qmlgrid.qkernel import (FEATURE_MAPS, _H, _hadamards, _zz_diagonal,
+                             cross_gram, embed, gram_matrix)
 from qmlgrid.statevec import apply_ops, product_states
 
 # (kind, repetitions) of every QSVM grid encoding
@@ -141,8 +141,9 @@ class TestStackedEmbedding:
 def one_pass(kind, X, reps):
     """The embedding at `reps` repetitions built as it was before embed
     went on from the previous count: a product map's chains as one
-    product over all reps blocks, a ZZ map's states as one apply_ops
-    over [D] + [H, D] * (reps - 1) from |+...+>."""
+    product over all reps blocks, a ZZ map's states as one buffer from
+    |+...+> taken through D, then (H, D) reps - 1 times in place, with
+    D the diagonal embed reads from _zz_diagonal."""
     if kind not in ("zz_a", "zz_b"):
         if kind == "angle":
             block = _rotation_factors(("ry",), math.pi * X[:, :, None])
@@ -153,9 +154,12 @@ def one_pass(kind, X, reps):
                 [np.broadcast_to(_H, rotation.shape), rotation], axis=2)
         chains = _chain_products(np.concatenate([block] * reps, axis=2))
         return product_states(chains[..., 0])
-    (plus, (diagonal,)), (_, (layer, _)) = feature_map(kind, X, 2)
-    amps = product_states(plus)
-    apply_ops(amps, X.shape[1], [diagonal] + [layer, diagonal] * (reps - 1))
+    n = X.shape[1]
+    diagonal = _zz_diagonal(kind, X)
+    amps = product_states(np.full((len(X), n, 2), _H[0, 0])) * diagonal
+    for _ in range(reps - 1):
+        apply_ops(amps, n, [("local", _hadamards(n))])
+        amps *= diagonal
     return amps
 
 

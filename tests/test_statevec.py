@@ -3,7 +3,7 @@ import pytest
 
 from qmlgrid import reference
 from qmlgrid.errors import ConfigurationError, UsageError
-from qmlgrid.circuit import feature_map
+from qmlgrid.qkernel import _H
 from qmlgrid.reference import apply_gates, expectation_z_batch, zero_states
 from qmlgrid.statevec import apply_ops, product_states
 from qmlgrid.verify import random_gates
@@ -127,8 +127,7 @@ class TestProductStates:
     def test_plus_states_of_the_zz_maps(self, n):
         # the |+...+> columns a ZZ feature map opens with; n = 13 is the
         # widest kernel width in the grids
-        [(columns, _)] = feature_map("zz_a", np.zeros((3, max(n, 2))))
-        columns = columns[:, :n]
+        columns = np.full((3, n, 2), _H[0, 0])
         got = product_states(columns)
         assert np.array_equal(got, product_loop(columns))
         assert np.allclose(got, 2.0 ** (-n / 2))
@@ -144,14 +143,6 @@ class TestProductStates:
 
 
 class TestWholeRegisterOps:
-    def test_diagonal_multiplies_every_row_elementwise(self):
-        rng = np.random.default_rng(15)
-        amps = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
-        phases = np.exp(1j * rng.uniform(-3, 3, (3, 8)))
-        want = amps * phases
-        apply_ops(amps, 3, [("diagonal", phases)])
-        np.testing.assert_array_equal(amps, want)
-
     def test_one_local_matrix_serves_every_row(self):
         rng = np.random.default_rng(16)
         amps = rng.normal(size=(5, 4)) + 0j
