@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingDivergedError, UsageError
+from .errors import UsageError
 
 
 def _check_xy(X, y, class_weights):
@@ -46,53 +46,73 @@ def _check_xy(X, y, class_weights):
 class LogisticModel:
     weights: np.ndarray
     bias: float
-    losses: list
+    converged: bool
+    steps: int
 
 
 def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-# gradient steps whose losses are computed in one pass
-LOSS_BLOCK = 50
+TOL = 1e-8          # max |gradient| of the weighted mean log-loss at a fit
+MAX_STEPS = 50      # Newton steps
+MAX_HALVINGS = 30   # of one Newton step, before the fit gives up
+ROUNDOFF = 16 * np.finfo(np.float64).eps    # of the loss, relative
 
 
 def fit_logistic(X, y, class_weights=(1.0, 1.0)) -> LogisticModel:
-    """Full-batch gradient descent from zero weights, no regularization:
-    1000 steps at learning rate 0.1. Aborts if the weighted loss
-    increases 10 iterations in a row.
-
-    Only that check reads the losses, so the steps of a block of
-    LOSS_BLOCK keep their clipped probabilities, and the block's losses
-    are computed in one pass and checked in step order; a diverging fit
-    raises at the same iteration and loss as a check after every step."""
+    """Newton's method (IRLS) on the weighted mean log-loss, from zero
+    weights, no regularization; zero-weight rows are left out, and a
+    singular Hessian takes its least-squares step. A step is halved
+    until the loss does not rise or, where it rises by no more than its
+    round-off (ROUNDOFF of it), until max |gradient| falls. The fit
+    converges at max |gradient| <= TOL. It stops unconverged at
+    MAX_STEPS, after MAX_HALVINGS halvings, or at the first weights that
+    strictly separate the classes: such rows have no finite optimum, and
+    only saturated probabilities would take their gradient below TOL.
+    No weights separate rows that are not separable."""
     X, y, class_weights = _check_xy(X, y, class_weights)
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    sw = class_weights[y]
-    n = len(y)
-    losses = []
-    rising = 0
-    probs = np.empty((LOSS_BLOCK, n))
-    for first in range(0, 1000, LOSS_BLOCK):
-        for p in probs:
-            np.clip(_sigmoid(X @ w + b), 1e-12, 1.0 - 1e-12, out=p)
-            residual = sw * (p - y)
-            w = w - 0.1 * (X.T @ residual) / n
-            b = b - 0.1 * float(residual.sum()) / n
-        block = np.mean(
-            -sw * (y * np.log(probs) + (1 - y) * np.log(1 - probs)), axis=1)
-        for it, loss in enumerate(block.tolist(), start=first):
-            if losses and loss > losses[-1]:
-                rising += 1
-                if rising >= 10:
-                    raise TrainingDivergedError(
-                        f"loss rose for 10 straight iterations (iteration "
-                        f"{it}, loss {loss:.6g}); lower the learning rate")
-            else:
-                rising = 0
-            losses.append(loss)
-    return LogisticModel(w, b, losses)
+    live = class_weights[y] > 0.0
+    k = X.shape[1]
+    design = np.ones((np.count_nonzero(live), k + 1))    # bias column last
+    design[:, :k] = X[live]
+    scaled = np.empty_like(design)
+    sw = class_weights[y[live]] / len(y)
+    y = y[live]
+    sign = 2.0 * y - 1.0
+
+    def at(theta) -> tuple:
+        """(theta, margins, loss, probabilities, gradient, max |gradient|)"""
+        z = design @ theta
+        p = _sigmoid(z)
+        grad = design.T @ (sw * (p - y))
+        margin = sign * z
+        return (theta, margin, sw @ np.logaddexp(0.0, -margin), p, grad,
+                np.abs(grad).max())
+
+    theta, margin, loss, p, grad, size = at(np.zeros(k + 1))
+    for steps in range(MAX_STEPS + 1):
+        if (margin > 0.0).all():
+            break
+        if size <= TOL:
+            return LogisticModel(theta[:k], float(theta[k]), True, steps)
+        if steps == MAX_STEPS:
+            break
+        np.multiply(design, (sw * p * (1.0 - p))[:, None], out=scaled)
+        hessian = design.T @ scaled
+        try:
+            step = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        for halving in range(MAX_HALVINGS + 1):
+            trial = at(theta - 0.5 ** halving * step)
+            rise = trial[2] - loss
+            if rise <= 0.0 or (rise <= ROUNDOFF * loss and trial[5] < size):
+                break
+        else:
+            break
+        theta, margin, loss, p, grad, size = trial
+    return LogisticModel(theta[:k], float(theta[k]), False, steps)
 
 
 def predict_logistic(model: LogisticModel, X) -> np.ndarray:

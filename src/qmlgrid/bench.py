@@ -432,7 +432,9 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
     per k. A QSVM cell reads its repetition count's entry of the
     stack's one qkernel.embed; a QNN cell grows layers from
     settings.qnn_start_layers and predicts it with the best trial's
-    model in one qnn.forward_batch. Each family's per-split 0/1
+    model in one qnn.forward_batch. An SVM cell's extra holds its
+    solver's converged flag and sweeps, a logistic cell's its fit's
+    converged flag and Newton steps. Each family's per-split 0/1
     predictions are scored here."""
     record = ExperimentRecord(dataset_key, family, k, config,
                               bundle.seed, seed)
@@ -467,7 +469,8 @@ def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
                 model = baselines.fit_logistic(Xtr, y[tr], weights)
                 preds = {s: baselines.predict_logistic(model, X[r])
                          for s, r in rows.items()}
-                n_par, extra = k + 1, {}
+                n_par = k + 1
+                extra = {"converged": model.converged, "steps": model.steps}
             elif model_kind in ("tree", "forest"):
                 model = (baselines.fit_tree(Xtr, y[tr], weights)
                          if model_kind == "tree" else
@@ -619,7 +622,8 @@ def record_differences(expected, actual,
 
 def select_best(records, train_f1_threshold: float = 0.5):
     """Argmax validation F1 over the error-free records whose solver
-    converged (an SVM stopped by its step cap has extra.converged False).
+    converged (an SVM stopped by its step cap, or a logistic fit stopped
+    unconverged, has extra.converged False).
     QNN records below the train-F1 threshold are dropped first; the
     paper's table captions gate the QNN sweep only, so other families are
     never gated. Ties go to the model with fewer parameters, then the

@@ -191,17 +191,21 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
     reduced = np.empty(chains.shape[:2] + (2, 2), dtype=complex)
     layer = len(reduced)
     # ops to undo collect in `undo` and run only when a layer needs the
-    # states at its input; the opening product state is never undone
-    undo = []
+    # states at its input; the opening product state is never undone.
+    # Every re-upload is the same "local" op, so its inverse is built once
+    undo, undo_local = [], None
     for op in reversed(ops):
-        undo.append(op)
-        if op[0] == "unitary":
-            layer -= 1
-            apply_ops(both, n, [_inverse(o) for o in undo])
-            undo = []
-            # R_q[a, b] sums C[i, j] = sum_b psi_b[i] conj(lam_b[j])
-            # over the pairs of _reduction_indices
-            reduced[layer] = np.take(psi.T @ lam.conj(), pairs).sum(-1)
+        if op[0] == "local":
+            undo_local = undo_local or _inverse(op)
+            undo.append(undo_local)
+            continue
+        layer -= 1
+        undo.append(_inverse(op))
+        apply_ops(both, n, undo)
+        undo = []
+        # R_q[a, b] sums C[i, j] = sum_b psi_b[i] conj(lam_b[j])
+        # over the pairs of _reduction_indices
+        reduced[layer] = np.take(psi.T @ lam.conj(), pairs).sum(-1)
     return _layer_gradients(model.config, chains, reduced)
 
 
