@@ -40,6 +40,18 @@ def _check_xy(X, y, class_weights):
     return X, y, weights
 
 
+def _check_rows(X, width: int, exact: bool) -> np.ndarray:
+    """X as a float array, once it is 2-D with finite entries and, as
+    `exact` says, exactly or at least the `width` columns a model reads."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] < width or (exact and X.shape[1] > width):
+        raise UsageError(f"rows of shape {X.shape} do not fit a model "
+                         f"reading {width} columns")
+    if not np.isfinite(X).all():
+        raise UsageError("features to predict must be finite")
+    return X
+
+
 # ---------------------------------------------------------------- logistic
 
 @dataclass
@@ -116,7 +128,8 @@ def fit_logistic(X, y, class_weights=(1.0, 1.0)) -> LogisticModel:
 
 
 def predict_logistic(model: LogisticModel, X) -> np.ndarray:
-    p = _sigmoid(np.asarray(X, dtype=np.float64) @ model.weights + model.bias)
+    X = _check_rows(X, len(model.weights), exact=True)
+    p = _sigmoid(X @ model.weights + model.bias)
     return (p >= 0.5).astype(int)
 
 
@@ -129,16 +142,16 @@ _COUNT_MASK = (1 << COUNT_SHIFT) - 1
 
 @dataclass
 class ForestModel:
-    """One or more trees as flat node arrays. Node i sends a row left when
-    row[feature[i]] <= threshold[i]; a leaf has feature -1 and is its own
-    left and right child. roots[t] is tree t's root. Every node carries
-    the weighted-majority label of its training samples (exact tie: 1)."""
+    """n_trees trees as flat node arrays; node t is tree t's root. Split
+    node i sends a row to left[i] when row[feature[i]] <= threshold[i],
+    else to left[i] + 1. A leaf has feature -1 and left -1. Every node
+    carries the weighted-majority label of its training samples (exact
+    tie: 1)."""
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     label: np.ndarray
-    roots: np.ndarray
+    n_trees: int
 
     def n_splits(self) -> int:
         return int(np.count_nonzero(self.feature >= 0))
@@ -406,7 +419,6 @@ def _grow(X, y, class_weights, mult, candidates=None) -> ForestModel:
     feature = np.empty(capacity, dtype=np.int64)
     threshold = np.empty(capacity)
     left = np.empty(capacity, dtype=np.int64)
-    right = np.empty(capacity, dtype=np.int64)
     label = np.empty(capacity, dtype=np.int64)
     counts = np.empty(capacity, dtype=np.int64)
 
@@ -415,14 +427,14 @@ def _grow(X, y, class_weights, mult, candidates=None) -> ForestModel:
         node is impure."""
         feature[ids] = -1
         threshold[ids] = 0.0
-        left[ids] = right[ids] = ids
+        left[ids] = -1
         counts[ids] = packed
         t0, t1 = _masses(totals, packed)
         label[ids] = t1 >= t0
         return (np.minimum(t0, t1) > 0.0).tolist()
 
-    roots = np.arange(n_trees)
-    impure = add_leaves(roots, resample + ((mult @ y) << COUNT_SHIFT))
+    impure = add_leaves(np.arange(n_trees),
+                        resample + ((mult @ y) << COUNT_SHIFT))
     # open nodes per tree as (id, lo, hi): the node owns order[t, lo:hi]
     stacks = [[(t, 0, r_t)] if impure[t] else []
               for t, r_t in enumerate(distinct.tolist())]
@@ -469,7 +481,7 @@ def _grow(X, y, class_weights, mult, candidates=None) -> ForestModel:
         ids = n_nodes + 2 * np.arange(len(node))
         n_nodes += 2 * len(node)
         feature[node], threshold[node] = feat, thr
-        left[node], right[node] = ids, ids + 1
+        left[node] = ids
         open_left = add_leaves(ids, counts_left)
         open_right = add_leaves(ids + 1, counts[node] - counts_left)
         # pre-order: the left child is popped first
@@ -482,8 +494,7 @@ def _grow(X, y, class_weights, mult, candidates=None) -> ForestModel:
             if go_left:
                 stacks[t].append((i, a, b))
     return ForestModel(feature[:n_nodes].copy(), threshold[:n_nodes].copy(),
-                       left[:n_nodes].copy(), right[:n_nodes].copy(),
-                       label[:n_nodes].copy(), roots)
+                       left[:n_nodes].copy(), label[:n_nodes].copy(), n_trees)
 
 
 def fit_tree(X, y, class_weights=(1.0, 1.0)) -> ForestModel:
@@ -495,7 +506,8 @@ def fit_tree(X, y, class_weights=(1.0, 1.0)) -> ForestModel:
 
 def fit_forest(X, y, class_weights=(1.0, 1.0), seed: int = 0) -> ForestModel:
     """100 bagged trees: same-size bootstrap resamples, ceil(sqrt(d))
-    feature candidates per split, per-tree rng derived from the seed.
+    feature candidates per split, per-tree rng derived from the seed, a
+    non-negative integer.
     Each tree's rng draws its resample, then the candidates of as many
     nodes as the tree can score; nothing reads the rng after that. A
     tree is grown on its resample's distinct rows, each carrying its
@@ -507,6 +519,9 @@ def fit_forest(X, y, class_weights=(1.0, 1.0), seed: int = 0) -> ForestModel:
     else 1 + (r_left - 1) + (r_right - 1) by induction. Candidate rows
     past a tree's bound stay unset and unread."""
     X, y, class_weights = _check_xy(X, y, class_weights)
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise UsageError(f"seed must be a non-negative integer, not {seed!r}")
     n, d = X.shape
     k = math.ceil(math.sqrt(d))
     mult = np.empty((100, n), dtype=np.int64)
@@ -526,18 +541,18 @@ def predict_forest(model: ForestModel, X) -> np.ndarray:
     """Majority vote of the trees, an exact tie resolving to class 1 (so a
     one-tree model from fit_tree predicts its leaf labels). Every (row,
     tree) pair walks down together, one level per pass, and a pass steps
-    only the pairs still at an inner node."""
-    X = np.asarray(X, dtype=np.float64)
-    n_trees = len(model.roots)
-    at = np.tile(model.roots, len(X))       # pair p: row p // n_trees
+    only the pairs still at an inner node. Rows must be finite and as
+    wide as the highest split feature reads."""
+    X = _check_rows(X, int(model.feature.max()) + 1, exact=False)
+    n_trees = model.n_trees
+    at = np.tile(np.arange(n_trees), len(X))    # pair p: row p // n_trees
     start = np.repeat(np.arange(len(X)) * X.shape[1], n_trees)
     flat = X.ravel()
     live = np.flatnonzero(model.feature[at] >= 0)
     while live.size:
         node = at[live]
-        step = np.where(flat[start[live] + model.feature[node]]
-                        <= model.threshold[node],
-                        model.left[node], model.right[node])
+        step = model.left[node] + (flat[start[live] + model.feature[node]]
+                                   > model.threshold[node])
         at[live] = step
         live = live[model.feature[step] >= 0]
     ones = model.label[at].reshape(len(X), n_trees).sum(axis=1)

@@ -56,9 +56,6 @@ ENCODING_LABELS = {"angle": "Angle", "z": "Z", "zz_a": "ZZ",
 MODEL_LABELS = {"logistic": "LogisticRegression", "tree": "DecisionTree",
                 "forest": "RandomForest"}
 
-# soft-margin C of every SVM cell, quantum and classical
-SVM_C = 1.0
-
 
 def canonical(obj) -> str:
     """Sorted compact JSON; a nested Metrics is written by its fields."""
@@ -99,7 +96,7 @@ def qsvm_grid():
 def classical_grid():
     cells = [{"model": m} for m in ("logistic", "tree", "forest")]
     cells += [{"model": "svm", "kernel": k}
-              for k in ("linear", "poly3", "rbf", "sigmoid")]
+              for k in svm.KERNEL_KINDS]
     return cells
 
 
@@ -161,7 +158,7 @@ class ExperimentRecord:
         or {} for "pca"; other families are refused."""
         d = json.loads(line)
         _check_types(d, _RECORD_TYPES)
-        for split in ("train", "val", "test"):
+        for split in SplitBundle.SPLITS:
             if d[split] is not None:
                 _check_types(d[split], _METRIC_TYPES, split + ".")
                 d[split] = Metrics(**d[split])
@@ -321,7 +318,8 @@ def _read_document(path) -> dict:
 @dataclass(frozen=True)
 class RunSettings:
     """What a grid run may vary; model constants live in their modules
-    (SVM_C here, qnn.LEARNING_RATE, qnn.BATCH_SIZE, qnn.PATIENCE)."""
+    (qnn.LEARNING_RATE, qnn.BATCH_SIZE, qnn.PATIENCE; an SVM sample's
+    box is its class weight)."""
     master_seed: int = 0
     qnn_epochs: int = 100
     qnn_start_layers: int = 2
@@ -414,7 +412,7 @@ def _svm_predictions(gram, kernel_rows, y, rows, weights):
     the train Gram; kernel_rows(r) gives stack rows r against train."""
     tr = rows["train"]
     model = svm.solve_dual(svm.SvmProblem(
-        gram, np.where(y[tr] == 1, 1, -1), SVM_C, weights))
+        gram, np.where(y[tr] == 1, 1, -1), weights))
     preds = {s: (svm.predict(model, gram if s == "train" else
                              kernel_rows(r)) > 0).astype(int)
              for s, r in rows.items()}

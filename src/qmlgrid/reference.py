@@ -379,7 +379,7 @@ def solve_dual_mvp(problem, max_iter: int | None = None) -> SvmModel:
         g -= lam * (k_i - k[:, j])
 
     bias = _final_bias(k, y, a, box)
-    return SvmModel(alphas=a, bias=bias, labels=y.copy(), box=box,
+    return SvmModel(alphas=a, bias=bias, labels=y.copy(),
                     converged=converged, sweeps=steps)
 
 

@@ -1,7 +1,7 @@
 """Weighted soft-margin SVM on a precomputed kernel matrix.
 
 Labels are -1/+1 (+1 is class 1 throughout the package). Class weighting
-enters through per-sample box constraints C_i = C * class_weights[class_i].
+enters through per-sample box constraints C_i = class_weights[class_i].
 The dual, written as a minimisation with Q = yy^T * K,
 
     min  1/2 a^T Q a - sum(a)
@@ -63,6 +63,9 @@ TOL = 1e-4
 # curvature floor for pairs with K_ii + K_jj - 2 K_ij <= 0 (non-PSD kernels)
 _TAU = 1e-12
 
+# an alpha within SV_TOL of 0 or of its box sits at that bound
+SV_TOL = 1e-8
+
 
 def kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Classical kernels k(a_i, b_j) with gamma = 1 / n_features:
@@ -90,8 +93,7 @@ def kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class SvmProblem:
     gram: np.ndarray
     labels: np.ndarray          # -1 / +1
-    C: float = 1.0
-    class_weights: tuple = (1.0, 1.0)   # (class 0, class 1)
+    class_weights: tuple = (1.0, 1.0)   # (class 0, class 1): the boxes
 
     def __post_init__(self):
         self.gram = np.asarray(self.gram, dtype=np.float64)
@@ -106,22 +108,17 @@ class SvmProblem:
             raise UsageError("need both classes to train")
         if not np.all(np.isfinite(self.gram)):
             raise UsageError("gram has non-finite entries")
-        if not (np.isfinite(self.C) and self.C > 0):
-            raise UsageError(f"C must be finite and positive, not {self.C}")
         if np.shape(self.class_weights) != (2,):
             raise UsageError("class weights must be a pair (class 0, "
                              f"class 1), not {self.class_weights}")
+        # solve_dual puts every sample in I_up or I_low, which needs C_i > 0
         if not all(np.isfinite(w) and w > 0 for w in self.class_weights):
             raise UsageError("class weights must be finite and positive, "
                              f"not {self.class_weights}")
-        # solve_dual puts every sample in I_up or I_low, which needs C_i > 0
-        if not self.C * min(self.class_weights) > 0.0:
-            raise UsageError("C * class weight underflows to 0: "
-                             f"{self.C} * {min(self.class_weights)}")
 
     def box(self) -> np.ndarray:
-        w = np.where(self.labels > 0, self.class_weights[1], self.class_weights[0])
-        return self.C * w
+        return np.where(self.labels > 0, self.class_weights[1],
+                        self.class_weights[0])
 
 
 @dataclass
@@ -129,7 +126,6 @@ class SvmModel:
     alphas: np.ndarray
     bias: float
     labels: np.ndarray
-    box: np.ndarray
     support: np.ndarray = field(default=None)
     converged: bool = True
     sweeps: int = 0
@@ -225,20 +221,20 @@ def solve_dual(problem: SvmProblem, max_iter: int | None = None) -> SvmModel:
 
     a = np.array(a)
     bias = _final_bias(k, y, a, box)
-    return SvmModel(alphas=a, bias=bias, labels=y.copy(), box=box,
+    return SvmModel(alphas=a, bias=bias, labels=y.copy(),
                     converged=converged, sweeps=steps)
 
 
-def _final_bias(k, y, a, box, sv_tol=1e-8) -> float:
+def _final_bias(k, y, a, box) -> float:
     # average over free support vectors; with none, midpoint of the
     # interval the KKT conditions leave feasible
     f = k @ (a * y)
     g = y - f
-    free = (a > sv_tol) & (a < box - sv_tol)
+    free = (a > SV_TOL) & (a < box - SV_TOL)
     if free.any():
         return float(g[free].mean())
-    lower = g[((y > 0) & (a <= sv_tol)) | ((y < 0) & (a >= box - sv_tol))]
-    upper = g[((y > 0) & (a >= box - sv_tol)) | ((y < 0) & (a <= sv_tol))]
+    lower = g[((y > 0) & (a <= SV_TOL)) | ((y < 0) & (a >= box - SV_TOL))]
+    upper = g[((y > 0) & (a >= box - SV_TOL)) | ((y < 0) & (a <= SV_TOL))]
     if lower.size and upper.size:
         return 0.5 * (float(lower.max()) + float(upper.min()))
     return 0.0
@@ -249,8 +245,8 @@ def kkt_violation(problem: SvmProblem, model: SvmModel) -> float:
     y = problem.labels
     box = problem.box()
     margins = y * (problem.gram @ (model.alphas * y) + model.bias)
-    at_zero = model.alphas <= 1e-8
-    at_box = model.alphas >= box - 1e-8
+    at_zero = model.alphas <= SV_TOL
+    at_box = model.alphas >= box - SV_TOL
     free = ~at_zero & ~at_box
     worst = 0.0
     if at_zero.any():
@@ -263,13 +259,19 @@ def kkt_violation(problem: SvmProblem, model: SvmModel) -> float:
 
 
 def decision_function(model: SvmModel, kernel_rows: np.ndarray) -> np.ndarray:
-    """kernel_rows[i, j] = k(x_i, train_j) for the points to score."""
+    """kernel_rows[i, j] = k(x_i, train_j) for the points to score. A row
+    with a non-finite entry gets a non-finite value (0 * inf and 0 * NaN
+    are NaN), so refusing those values refuses such rows in a pass over
+    the rows, not over every entry."""
     kernel_rows = np.asarray(kernel_rows, dtype=np.float64)
     if kernel_rows.ndim != 2 or kernel_rows.shape[1] != model.alphas.size:
         raise UsageError(
             f"kernel rows shape {kernel_rows.shape} does not match "
             f"{model.alphas.size} training points")
-    return kernel_rows @ (model.alphas * model.labels) + model.bias
+    values = kernel_rows @ (model.alphas * model.labels) + model.bias
+    if not np.isfinite(values).all():
+        raise UsageError("kernel rows give non-finite decision values")
+    return values
 
 
 def predict(model: SvmModel, kernel_rows: np.ndarray) -> np.ndarray:

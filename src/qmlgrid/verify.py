@@ -189,10 +189,11 @@ def check_svm_oracle(n_problems: int = 30, seed: int = 104) -> CheckResult:
         gram = M @ M.T + 1e-8 * np.eye(n)
         labels = np.ones(n)
         labels[rng.permutation(n)[:max(1, n // 2)]] = -1.0
+        # a soft-margin C folded into both class weights
+        C = float(rng.uniform(0.5, 4.0))
         problem = svm.SvmProblem(gram, labels,
-                                 float(rng.uniform(0.5, 4.0)),
-                                 (float(rng.uniform(0.5, 1.5)),
-                                  float(rng.uniform(0.5, 1.5))))
+                                 (C * float(rng.uniform(0.5, 1.5)),
+                                  C * float(rng.uniform(0.5, 1.5))))
         model = svm.solve_dual(problem)
         direct = reference.solve_dual_mvp(problem)
         differ += not (np.array_equal(model.alphas, direct.alphas)
@@ -228,7 +229,8 @@ def same_tree(model, root: int, node) -> bool:
         if node.left is not None:
             if model.threshold[i] != node.threshold:
                 return False
-            pending += [(model.left[i], node.left), (model.right[i], node.right)]
+            pending += [(model.left[i], node.left),
+                        (model.left[i] + 1, node.right)]
     return True
 
 
@@ -276,10 +278,9 @@ def check_trees(n_problems: int = 12, seed: int = 107) -> CheckResult:
         want = reference.grow_tree(X, y, weights)
         forest = baselines.fit_forest(X, y, weights, seed=forest_seed)
         wants = reference.grow_forest(X, y, weights, seed=forest_seed)
-        same = (len(forest.roots) == len(wants)
-                and same_tree(tree, tree.roots[0], want)
-                and all(same_tree(forest, r, w)
-                        for r, w in zip(forest.roots, wants)))
+        same = (forest.n_trees == len(wants)
+                and same_tree(tree, 0, want)
+                and all(same_tree(forest, r, w) for r, w in enumerate(wants)))
         agree = (np.array_equal(baselines.predict_forest(tree, probe),
                                 reference.predict_trees([want], probe))
                  and np.array_equal(baselines.predict_forest(forest, probe),

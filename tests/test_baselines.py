@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmlgrid import baselines, bench, datasets, reference, verify
+from qmlgrid import baselines, bench, datasets, reference, svm, verify
 from qmlgrid.baselines import (
     COUNT_SHIFT,
     ForestModel,
@@ -53,6 +53,74 @@ def test_fits_refuse_bad_weights_and_empty_sets(fit, rows, weights):
     X, y = blobs(n=40)
     with pytest.raises(UsageError):
         fit(X[:rows], y[:rows], weights)
+
+
+def _column_3_fits():
+    """(rows, predictor -> (model, predict)): a logistic fit, a tree, a
+    forest and an rbf SVM on 4 columns whose labels follow column 3, so
+    the trees split on it."""
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(60, 4))
+    y = (X[:, 3] > 0.0).astype(int)
+    svm_model = svm.solve_dual(svm.SvmProblem(
+        svm.kernel_matrix("rbf", X, X), 2.0 * y - 1.0))
+    return X, {"logistic": (fit_logistic(X, y), predict_logistic),
+               "tree": (fit_tree(X, y), predict_forest),
+               "forest": (fit_forest(X, y, seed=3), predict_forest),
+               "svm": (svm_model, svm.predict)}
+
+
+def _with_nan(X):
+    X = X.copy()
+    X[7, 2] = np.nan
+    return X
+
+
+@pytest.mark.parametrize("predictor, probe", [
+    ("logistic", lambda X: X[:, :3]), ("logistic", lambda X: X[None]),
+    ("logistic", lambda X: X[0]), ("logistic", _with_nan),
+    ("logistic", lambda X: np.hstack([X, X[:, :1]])),
+    ("tree", lambda X: X[:, :3]), ("tree", lambda X: X[None]),
+    ("tree", lambda X: X[0]), ("tree", _with_nan),
+    ("forest", lambda X: X[:, :3]), ("forest", lambda X: X[None]),
+    ("forest", lambda X: X[0]), ("forest", _with_nan),
+    ("svm", lambda X: _with_nan(svm.kernel_matrix("rbf", X, X)))],
+    ids=["logistic-narrow", "logistic-3d", "logistic-1d", "logistic-nan",
+         "logistic-wide", "tree-narrow", "tree-3d", "tree-1d", "tree-nan",
+         "forest-narrow", "forest-3d", "forest-1d", "forest-nan",
+         "svm-nan-kernel-row"])
+def test_predictors_refuse_rows_they_cannot_read(predictor, probe):
+    # unchecked, a narrow row that reached a column-3 split read the
+    # next row's first value (the last one raised IndexError), a 3-D
+    # batch got one forest prediction, and a NaN row got a label
+    X, fits = _column_3_fits()
+    model, predict = fits[predictor]
+    with pytest.raises(UsageError):
+        predict(model, probe(X))
+
+
+def test_forest_reads_up_to_its_highest_split_feature():
+    X, fits = _column_3_fits()
+    model, predict = fits["forest"]
+    assert model.feature.max() == 3
+    wide = np.hstack([X, np.ones((len(X), 2))])
+    assert np.array_equal(predict(model, wide), predict(model, X))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_fit_forest_refuses_bad_seed(seed):
+    X, y = blobs(n=20)
+    with pytest.raises(UsageError, match="seed"):
+        fit_forest(X, y, seed=seed)
+
+
+def test_fit_forest_takes_numpy_and_cell_seeds():
+    X, y = blobs(n=20)
+    probe = np.random.default_rng(1).normal(size=(30, 2))
+    votes = predict_forest(fit_forest(X, y, seed=4), probe)
+    assert np.array_equal(
+        predict_forest(fit_forest(X, y, seed=np.int64(4)), probe), votes)
+    fit_forest(X, y, seed=2 ** 64 - 1)      # cell_seed's largest
 
 
 class TestLogistic:
@@ -235,7 +303,7 @@ class TestTree:
         X = np.array([[1.0], [3.0], [5.0], [7.0]])
         y = np.array([0, 0, 1, 1])
         tree = fit_tree(X, y)
-        assert tree.threshold[tree.roots[0]] == pytest.approx(4.0)
+        assert tree.threshold[0] == pytest.approx(4.0)
 
     def test_weighted_majority_leaf(self):
         # 3 zeros vs 1 one on identical rows: unweighted leaf says 0,
@@ -244,8 +312,8 @@ class TestTree:
         y = np.array([0, 0, 0, 1])
         plain = fit_tree(X, y)
         weighted = fit_tree(X, y, class_weights=(0.2, 0.8))
-        assert plain.label[plain.roots[0]] == 0
-        assert weighted.label[weighted.roots[0]] == 1
+        assert plain.label[0] == 0
+        assert weighted.label[0] == 1
 
     def test_midpoint_rounding_onto_upper_value_gives_leaf(self):
         # adjacent floats whose midpoint rounds onto the upper one: the
@@ -254,7 +322,7 @@ class TestTree:
         b = np.nextafter(a, 2.0)
         assert 0.5 * (a + b) == b
         tree = fit_tree(np.array([[a], [b]]), np.array([0, 1]))
-        assert tree.feature[tree.roots[0]] == -1
+        assert tree.feature[0] == -1
         assert tree.n_splits() == 0
 
 
@@ -282,11 +350,9 @@ class TestForest:
 
     def test_tie_votes_positive(self):
         # two one-leaf trees voting 0 and 1
-        leaves = np.array([0, 1])
         forest = ForestModel(feature=np.array([-1, -1]),
-                             threshold=np.zeros(2), left=leaves,
-                             right=leaves, label=np.array([0, 1]),
-                             roots=leaves)
+                             threshold=np.zeros(2), left=np.array([-1, -1]),
+                             label=np.array([0, 1]), n_trees=2)
         assert predict_forest(forest, [[0.5], [-3.0]]).tolist() == [1, 1]
 
 
@@ -294,21 +360,19 @@ def _caterpillar(depth: int):
     """(model, tree): one tree as a ForestModel and as a reference.TreeNode
     chain. Inner node i cuts column 1 at i + 0.5 and sends the rows below
     to a leaf of label i % 2, so a row at x = i stops at depth i + 1."""
-    feature, threshold, left, right, label = [], [], [], [], []
-    for i in range(depth):          # inner node at 2i, its leaf at 2i + 1
+    feature, threshold, left, label = [], [], [], []
+    for i in range(depth):
+        # inner node at 2i; its leaf at 2i + 1 beside the next inner node
         feature += [1, -1]
         threshold += [i + 0.5, 0.0]
-        left += [2 * i + 1, 2 * i + 1]
-        right += [2 * i + 2, 2 * i + 1]
+        left += [2 * i + 1, -1]
         label += [0, i % 2]
     feature.append(-1)
     threshold.append(0.0)
-    left.append(2 * depth)
-    right.append(2 * depth)
+    left.append(-1)
     label.append(depth % 2)
     model = ForestModel(np.array(feature), np.array(threshold),
-                        np.array(left), np.array(right), np.array(label),
-                        roots=np.array([0]))
+                        np.array(left), np.array(label), n_trees=1)
     tree = reference.TreeNode(label=depth % 2)
     for i in reversed(range(depth)):
         tree = reference.TreeNode(1, i + 0.5,
@@ -350,14 +414,13 @@ class TestPredictForest:
         assert np.array_equal(got, np.where(x < depth, np.maximum(x, 0) % 2,
                                             depth % 2))
         # beside a one-leaf tree voting 0, the tree's vote decides, as a
-        # tie goes to class 1
-        nodes = len(model.feature)
-        forest = ForestModel(np.append(model.feature, -1),
-                             np.append(model.threshold, 0.0),
-                             np.append(model.left, nodes),
-                             np.append(model.right, nodes),
-                             np.append(model.label, 0),
-                             roots=np.array([nodes, 0]))
+        # tie goes to class 1; the leaf is root 0 and every caterpillar
+        # node moves up by one
+        forest = ForestModel(np.append(-1, model.feature),
+                             np.append(0.0, model.threshold),
+                             np.append(-1, np.where(model.left >= 0,
+                                                    model.left + 1, -1)),
+                             np.append(0, model.label), n_trees=2)
         leaf = reference.TreeNode(label=0)
         assert np.array_equal(predict_forest(forest, probe),
                               reference.predict_trees([leaf, want], probe))
@@ -405,12 +468,12 @@ class TestStepBound:
         for rows in (1, 10 ** 9):
             monkeypatch.setattr(baselines, "STEP_ROWS", rows)
             tree = fit_tree(X, y, weights)
-            assert verify.same_tree(tree, tree.roots[0], want), rows
+            assert verify.same_tree(tree, 0, want), rows
             assert np.array_equal(predict_forest(tree, probe),
                                   reference.predict_trees([want], probe))
             forest = fit_forest(X, y, weights, seed=seed)
             assert all(verify.same_tree(forest, root, w)
-                       for root, w in zip(forest.roots, wants)), rows
+                       for root, w in enumerate(wants)), rows
             assert np.array_equal(predict_forest(forest, probe), want_votes)
 
 
@@ -424,7 +487,7 @@ class TestMultiplicities:
         forest = fit_forest(X, y, weights, seed=seed)
         wants = reference.grow_forest(X, y, weights, seed=seed)
         assert all(verify.same_tree(forest, root, want)
-                   for root, want in zip(forest.roots, wants))
+                   for root, want in enumerate(wants))
         probe = np.vstack([X, X + 0.25])
         assert np.array_equal(predict_forest(forest, probe),
                               reference.predict_trees(wants, probe))
@@ -439,8 +502,7 @@ class TestMultiplicities:
         weights = (0.7, 1.9)
         self.assert_forest_matches(X, y, weights, seed=5)
         tree = fit_tree(X, y, weights)
-        assert verify.same_tree(tree, tree.roots[0],
-                                reference.grow_tree(X, y, weights))
+        assert verify.same_tree(tree, 0, reference.grow_tree(X, y, weights))
 
     def test_resample_past_a_power_of_two(self):
         rng = np.random.default_rng(22)
@@ -457,7 +519,7 @@ class TestMultiplicities:
         mult = np.array([[1024, 1, 3, 2, 1, 5], [2, 1500, 0, 1, 1, 3]])
         weights = (0.8, 1.3)
         forest = _grow(X, y, weights, mult)
-        for root, counts in zip(forest.roots, mult):
+        for root, counts in enumerate(mult):
             rows = np.repeat(np.arange(len(y)), counts)
             want = reference.grow_tree(X[rows], y[rows], weights)
             assert verify.same_tree(forest, root, want)
@@ -493,7 +555,7 @@ class TestAgainstRecursiveReference:
             probe = bundle.features(k)[bundle.rows["test"]]
             tree, want = fit_tree(X, y, weights), reference.grow_tree(X, y,
                                                                       weights)
-            assert verify.same_tree(tree, tree.roots[0], want), k
+            assert verify.same_tree(tree, 0, want), k
             assert np.array_equal(predict_forest(tree, probe),
                                   reference.predict_trees([want], probe))
             for master in (0, 1):
@@ -501,8 +563,8 @@ class TestAgainstRecursiveReference:
                                        {"model": "forest"}, 0)
                 forest = fit_forest(X, y, weights, seed=seed)
                 wants = reference.grow_forest(X, y, weights, seed=seed)
-                assert len(forest.roots) == len(wants) == 100
-                for root, want in zip(forest.roots, wants):
+                assert forest.n_trees == len(wants) == 100
+                for root, want in enumerate(wants):
                     assert verify.same_tree(forest, root, want), (k, master)
                 assert np.array_equal(predict_forest(forest, probe),
                                       reference.predict_trees(wants, probe))

@@ -775,8 +775,7 @@ class TestCellInputs:
         gram = qkernel.gram_matrix(states["train"])
         ytr = bundle.labels("train")
         model = svm.solve_dual(svm.SvmProblem(
-            gram, np.where(ytr == 1, 1, -1), bench.SVM_C,
-            bundle.class_weights()))
+            gram, np.where(ytr == 1, 1, -1), bundle.class_weights()))
         for split, X in states.items():
             rows = (gram if split == "train" else
                     qkernel.cross_gram(X, states["train"]))
@@ -805,7 +804,7 @@ class TestCellInputs:
                 kind = config["kernel"]
                 model = svm.solve_dual(svm.SvmProblem(
                     svm.kernel_matrix(kind, Xtr, Xtr),
-                    np.where(ytr == 1, 1, -1), bench.SVM_C, weights))
+                    np.where(ytr == 1, 1, -1), weights))
                 preds = {s: (svm.predict(model, svm.kernel_matrix(
                              kind, X, Xtr)) > 0).astype(int)
                          for s, (X, _) in sets.items()}

@@ -24,9 +24,15 @@ def random_problem(rng, n_max=8):
     # rbf with gamma = 1/3 on X scaled by sqrt(3 g) is the rbf kernel at g
     X = X * np.sqrt(3.0 * float(rng.uniform(0.2, 1.5)))
     gram = kernel_matrix("rbf", X, X)
-    return SvmProblem(gram, y, C=float(rng.uniform(0.5, 4.0)),
-                      class_weights=(float(rng.uniform(0.4, 1.6)),
-                                     float(rng.uniform(0.4, 1.6))))
+    return SvmProblem(gram, y, class_weights=folded_weights(rng))
+
+
+def folded_weights(rng):
+    """Two class weights in [0.4, 1.6), each times one soft-margin C in
+    [0.5, 4), drawn C first."""
+    C = float(rng.uniform(0.5, 4.0))
+    return (C * float(rng.uniform(0.4, 1.6)),
+            C * float(rng.uniform(0.4, 1.6)))
 
 
 class TestClassicalKernels:
@@ -68,7 +74,8 @@ class TestSolverOnKnownProblem:
         # bias 0, dual objective 0.5
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([-1.0, -1.0, 1.0, 1.0])
-        problem = SvmProblem(kernel_matrix("linear", x, x), y, C=10.0)
+        problem = SvmProblem(kernel_matrix("linear", x, x), y,
+                             class_weights=(10.0, 10.0))
         model = solve_dual(problem)
         np.testing.assert_allclose(model.alphas, [0, 0.5, 0.5, 0], atol=1e-6)
         assert abs(model.bias) < 1e-6
@@ -78,8 +85,8 @@ class TestSolverOnKnownProblem:
 
     def test_weighted_boxes(self):
         y = np.array([-1.0, 1.0, 1.0, -1.0])
-        problem = SvmProblem(np.eye(4), y, C=2.0, class_weights=(0.25, 0.75))
-        np.testing.assert_allclose(problem.box(), [0.5, 1.5, 1.5, 0.5])
+        problem = SvmProblem(np.eye(4), y, class_weights=(0.5, 1.5))
+        np.testing.assert_array_equal(problem.box(), [0.5, 1.5, 1.5, 0.5])
 
 
 class TestSolverAgainstOracle:
@@ -155,12 +162,12 @@ class TestProjectionOracle:
 
 
 def grid_problem(dataset_key, k, encoding, repetitions):
-    """The QSVM cell's training problem at split seed 0 and C = 1."""
+    """The QSVM cell's training problem at split seed 0."""
     bundle = stratified_split(datasets.synthetic(dataset_key), 0)
     X = bundle.features(k)[bundle.rows["train"]]
     y = np.where(bundle.labels("train") == 1, 1.0, -1.0)
     gram = gram_matrix(embed(encoding, X, repetitions)[-1])
-    return SvmProblem(gram, y, 1.0, bundle.class_weights())
+    return SvmProblem(gram, y, bundle.class_weights())
 
 
 class TestSolverOnGridGrams:
@@ -190,8 +197,7 @@ def classical_problem(k, kind):
     bundle = stratified_split(datasets.synthetic("diabetes"), 0)
     X = bundle.features(k)[bundle.rows["train"]]
     y = np.where(bundle.labels("train") == 1, 1.0, -1.0)
-    return SvmProblem(kernel_matrix(kind, X, X), y, 1.0,
-                      bundle.class_weights())
+    return SvmProblem(kernel_matrix(kind, X, X), y, bundle.class_weights())
 
 
 def assert_same_iterates(problem, **kwargs):
@@ -238,14 +244,12 @@ class TestSolverMatchesReferenceLoop:
             curv = d[:, None] + d[None, :] - 2.0 * gram
             floored += int(np.any(curv[~np.eye(n, dtype=bool)] <= 0.0))
             assert_same_iterates(SvmProblem(
-                gram, y, C=float(rng.uniform(0.5, 4.0)),
-                class_weights=(float(rng.uniform(0.4, 1.6)),
-                               float(rng.uniform(0.4, 1.6)))))
+                gram, y, class_weights=folded_weights(rng)))
         # the sigmoid Grams are not PSD: their pairs reach the _TAU floor
         assert floored >= 10
 
     def test_samples_leave_and_reenter_their_sets(self):
-        # small C and skewed weights put many a_t at 0 or at their box,
+        # small boxes and skewed weights put many a_t at 0 or at their box,
         # so i and j leave I_up or I_low and come back; a returning
         # sample's g is read from the other buffer
         rng = np.random.default_rng(51)
@@ -256,9 +260,10 @@ class TestSolverMatchesReferenceLoop:
             X = rng.normal(scale=float(rng.uniform(0.5, 2.0)), size=(n, 3))
             heavy = float(rng.uniform(2.0, 8.0))
             weights = (1.0, heavy) if rng.random() < 0.5 else (heavy, 1.0)
+            C = float(rng.uniform(0.01, 0.2))
             problem = SvmProblem(kernel_matrix("rbf", X, X), y,
-                                 C=float(rng.uniform(0.01, 0.2)),
-                                 class_weights=weights)
+                                 class_weights=(C * weights[0],
+                                                C * weights[1]))
             model = assert_same_iterates(problem)
             box = problem.box()
             at_zero += int(np.sum(model.alphas == 0.0))
@@ -289,14 +294,14 @@ class TestSolverMatchesReferenceLoop:
             y = rng.choice([-1.0, 1.0], size=24)
             y[:2] = (-1.0, 1.0)
             assert_same_iterates(SvmProblem(kernel_matrix("rbf", X, X), y,
-                                            C=2.0))
+                                            class_weights=(2.0, 2.0)))
 
     def test_non_symmetric_gram(self):
         rng = np.random.default_rng(47)
         problem = random_problem(rng, n_max=12)
         gram = problem.gram + 0.05 * rng.normal(size=problem.gram.shape)
         assert not np.array_equal(gram, gram.T)
-        assert_same_iterates(SvmProblem(gram, problem.labels, problem.C,
+        assert_same_iterates(SvmProblem(gram, problem.labels,
                                         problem.class_weights))
 
     @pytest.mark.parametrize("max_iter", [0, 1, 5])
@@ -359,27 +364,17 @@ class TestProblemValidation:
         with pytest.raises(UsageError, match="pair"):
             SvmProblem(gram, y, class_weights=weights)
 
-    def test_rejects_boxes_that_underflow(self):
-        gram, y = eight_point_rbf()
-        with pytest.raises(UsageError, match="underflows"):
-            SvmProblem(gram, y, C=1e-200, class_weights=(1e-200, 1.0))
-
-    @pytest.mark.parametrize("C", [np.nan, np.inf, 0.0, -1.0])
-    def test_rejects_C_not_finite_and_positive(self, C):
-        gram, y = eight_point_rbf()
-        with pytest.raises(UsageError, match="C must be"):
-            SvmProblem(gram, y, C=C)
 
 
 class TestPrediction:
     def test_zero_decision_goes_positive(self):
         model = SvmModel(alphas=np.zeros(2), bias=0.0,
-                         labels=np.array([-1.0, 1.0]), box=np.ones(2))
+                         labels=np.array([-1.0, 1.0]))
         assert predict(model, np.zeros((1, 2)))[0] == 1.0
 
     def test_decision_function_shape_check(self):
         model = SvmModel(alphas=np.zeros(3), bias=0.0,
-                         labels=np.array([-1.0, 1.0, 1.0]), box=np.ones(3))
+                         labels=np.array([-1.0, 1.0, 1.0]))
         with pytest.raises(UsageError):
             decision_function(model, np.zeros((2, 2)))
 
@@ -388,5 +383,5 @@ class TestPrediction:
         X = np.vstack([rng.normal(-3, 0.3, (10, 2)), rng.normal(3, 0.3, (10, 2))])
         y = np.array([-1.0] * 10 + [1.0] * 10)
         gram = kernel_matrix("rbf", X, X)    # gamma = 1/2
-        model = solve_dual(SvmProblem(gram, y, C=5.0))
+        model = solve_dual(SvmProblem(gram, y, class_weights=(5.0, 5.0)))
         np.testing.assert_array_equal(predict(model, gram), y)
