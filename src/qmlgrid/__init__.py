@@ -1,8 +1,8 @@
 """Statevector quantum classifiers and classical baselines on one
 benchmarking harness: simulator, kernel feature maps, fused QNN,
 fidelity-kernel QSVM, weighted SVM solver, reference models,
-preprocessing pipeline, grid runner with its settings file, and the CLI
-(run, report, verify, datasets)."""
+preprocessing pipeline, grid runner, and the CLI (run, report, compare,
+verify, datasets)."""
 
 __version__ = "0.1.0"
 

@@ -11,10 +11,6 @@ but wall_clock, each of the JSON type _RECORD_TYPES gives it.
 A grid's split bundle holds the train, val and test rows stacked once at
 every component; a cell at k takes the first k columns of that stack,
 and its splits as slices of them.
-
-A settings file is flat `key = value` text whose keys are RunSettings
-fields and whose values are JSON. Every value is checked before a run
-appends anything, so bad input leaves the store untouched.
 """
 from __future__ import annotations
 
@@ -24,7 +20,6 @@ import hashlib
 import itertools
 import json
 import os
-import re
 import time
 import warnings
 from dataclasses import dataclass, field, fields
@@ -39,7 +34,7 @@ from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
 from .metrics import Metrics, evaluate
 from .pipeline import SplitBundle, stratified_split
-from .qkernel import FEATURE_MAPS, cross_gram, embed, gram_matrix
+from .qkernel import KINDS, cross_gram, embed, gram_matrix
 
 FAMILIES = ("qnn", "qsvm", "classical")
 
@@ -89,7 +84,7 @@ def qnn_grid():
 
 def qsvm_grid():
     return [{"encoding": e, "repetitions": r}
-            for e in ("angle", *FEATURE_MAPS)
+            for e in KINDS
             for r in (1, 2, 3)]
 
 
@@ -285,36 +280,6 @@ class RecordStore:
 
 # ---------------------------------------------------------------- settings
 
-_KEY = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
-
-
-def _read_document(path) -> dict:
-    """Parses a flat `key = value` file: one JSON value per line, blank
-    lines and `#` comments skipped; a key set twice is refused."""
-    out = {}
-    lines = {}          # key -> line that set it
-    with open(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, raw = line.partition("=")
-            key = key.strip()
-            if not sep or not _KEY.match(key):
-                raise IngestionError(f"{path}: line {n}: expected 'key = "
-                                     f"value', got {line!r}")
-            if key in lines:
-                raise IngestionError(f"{path}: line {n}: repeats {key!r} of "
-                                     f"line {lines[key]}")
-            lines[key] = n
-            try:
-                out[key] = json.loads(raw.strip())
-            except json.JSONDecodeError as exc:
-                raise IngestionError(
-                    f"{path}: line {n}: bad value for {key!r}: {exc}") from None
-    return out
-
-
 @dataclass(frozen=True)
 class RunSettings:
     """What a grid run may vary; model constants live in their modules
@@ -336,16 +301,6 @@ class RunSettings:
             if value < lowest[f.name]:
                 raise UsageError(f"{f.name} must be >= {lowest[f.name]}, "
                                  f"got {value}")
-
-    @staticmethod
-    def from_document(path) -> "RunSettings":
-        doc = _read_document(path)
-        known = set(RunSettings.__dataclass_fields__)
-        bad = set(doc) - known
-        if bad:
-            raise UsageError(f"{path}: unknown settings {sorted(bad)}, "
-                             f"known: {sorted(known)}")
-        return RunSettings(**doc)
 
 
 # ------------------------------------------------------------------- cells

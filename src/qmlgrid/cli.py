@@ -1,14 +1,13 @@
 """Command-line entry point.
 
-Subcommands: run (grid search into a record store), report (CSV tables,
-PCA curve included, from a store), compare (what two stores say
-differently), verify (property suite), datasets (profiles and where to
-get the real files).
+Subcommands: run (grid search into a record store, its settings given
+as flags), report (CSV tables, PCA curve included, from a store),
+compare (what two stores say differently), verify (property suite),
+datasets (profiles and where to get the real files).
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -32,10 +31,8 @@ def parse_feature_range(text: str) -> tuple:
 
 
 def _cmd_run(args) -> int:
-    settings = (RunSettings.from_document(args.config) if args.config
-                else RunSettings())
-    if args.seed is not None:
-        settings = dataclasses.replace(settings, master_seed=args.seed)
+    settings = RunSettings(master_seed=args.seed, qnn_epochs=args.qnn_epochs,
+                           qnn_max_layers=args.qnn_max_layers)
     families = tuple(args.families.split(","))
     feature_range = (parse_feature_range(args.features)
                      if args.features else None)
@@ -75,8 +72,13 @@ def _cmd_report(args) -> int:
     store = RecordStore(args.store)
     if len(store) == 0:
         print(f"store {args.store} is empty", file=sys.stderr)
-    only = args.dataset or None
-    files = bench.emit_reports(store.records(), args.out, datasets=only)
+    records = store.records()
+    held = {r.dataset for r in records}
+    absent = sorted(set(args.dataset or ()) - held)
+    if absent:
+        raise UsageError(f"store {args.store} holds no {absent}, only "
+                         f"{sorted(held)}")
+    files = bench.emit_reports(records, args.out, datasets=args.dataset)
     for f in files:
         print(f"wrote {f}")
     return 0
@@ -142,15 +144,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "clinical tabular datasets.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = RunSettings()
     p = sub.add_parser("run", help="run grid cells into a record store")
     p.add_argument("--dataset", required=True)
     p.add_argument("--features", help="feature counts, e.g. 2..6 or 4")
     p.add_argument("--families", default="qnn,qsvm,classical")
-    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--seed", type=int, default=defaults.master_seed,
+                   help="master seed")
     p.add_argument("--split-seed", type=int, default=None,
                    help="split seed (defaults to the master seed)")
+    p.add_argument("--qnn-epochs", type=int, default=defaults.qnn_epochs,
+                   help="most epochs per QNN training")
+    p.add_argument("--qnn-max-layers", type=int,
+                   default=defaults.qnn_max_layers,
+                   help="layer cap of QNN growth")
     p.add_argument("--store", default="records.jsonl")
-    p.add_argument("--config", help="settings document (key = value lines)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="emit CSV tables from a record store")

@@ -25,9 +25,11 @@ from .statevec import apply_ops, product_states
 # kernel feature map kind -> (single-qubit gate, pair shift, phase
 # offset); a None shift means no pair terms (see reference.kernel_gates),
 # and the diagonal gate G(theta) multiplies a basis state whose target
-# bit is b by e^{i theta (b - offset)}; "angle" is the fourth kind
+# bit is b by e^{i theta (b - offset)}; KINDS is every kernel kind in
+# the QSVM grid's order, "angle" first
 FEATURE_MAPS = {"z": ("rz", None, 0.5), "zz_a": ("rz", 0.0, 0.5),
                 "zz_b": ("phase", math.pi, 0.0)}
+KINDS = ("angle", *FEATURE_MAPS)
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -72,7 +74,7 @@ def embed(kind: str, X: np.ndarray, repetitions: int = 1) -> np.ndarray:
     previous count's states. It does not go through circuit.run_batch,
     so perfbench's tracer counts embeddings apart from QNN circuit
     runs."""
-    if kind != "angle" and kind not in FEATURE_MAPS:
+    if kind not in KINDS:
         raise ConfigurationError(f"unknown encoding kind {kind!r}")
     if repetitions < 1:
         raise ConfigurationError("repetitions must be >= 1")

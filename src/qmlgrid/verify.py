@@ -19,7 +19,7 @@ import numpy as np
 from . import baselines, datasets, qnn, reference, svm
 from .circuit import ANSATZ_ROTATIONS, encode, run_batch
 from .pipeline import pca_fit, standardize_apply, standardize_fit
-from .qkernel import FEATURE_MAPS, embed, gram_matrix
+from .qkernel import KINDS, embed, gram_matrix
 
 PCA_TARGETS = {"heart_failure": (5, 0.90), "diabetes": (6, 0.90),
                "prostate": (6, 0.99)}
@@ -86,7 +86,7 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
         gates = reference.qnn_gates(model.config, x, model.parameters)
         want = reference.circuit_unitary(n, gates)[:, 0]
         fused_worst = max(fused_worst, float(np.max(np.abs(got - want))))
-    maps = list(itertools.product(("angle", *FEATURE_MAPS), range(2, 7)))
+    maps = list(itertools.product(KINDS, range(2, 7)))
     for kind, n in maps:
         x = rng.uniform(-1, 1, size=n)
         for reps, got in enumerate(embed(kind, x[None], 3)[:, 0], start=1):
@@ -148,7 +148,7 @@ def check_kernel_properties(n_samples: int = 30, seed: int = 103) -> CheckResult
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     problems = []
-    for name in ("angle", *FEATURE_MAPS):
+    for name in KINDS:
         for reps in (1, 2, 3):
             X = rng.uniform(-1, 1, size=(n_samples, 3))
             for r, states in enumerate(embed(name, X, reps), start=1):

@@ -271,50 +271,17 @@ class TestRecordStore:
 
 
 class TestRunSettings:
-    def test_document_round_trip(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text("master_seed = 7\nqnn_epochs = 3\n")
-        s = RunSettings.from_document(path)
-        assert (s.master_seed, s.qnn_epochs) == (7, 3)
-        assert s.qnn_max_layers == 100     # defaults fill the rest
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text("master_sneed = 7\n")
-        with pytest.raises(Exception, match="master_sneed"):
-            RunSettings.from_document(path)
-
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text("# header\n\nmaster_seed = 1\n  # indented "
-                        "comment\nqnn_epochs = 2\n")
-        assert RunSettings.from_document(path) == RunSettings(
-            master_seed=1, qnn_epochs=2)
-
-    def test_missing_equals_names_line(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text("master_seed = 1\njunk line\n")
-        with pytest.raises(IngestionError, match="line 2"):
-            RunSettings.from_document(path)
-
-    def test_bad_json_value_names_key(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text("master_seed = {not json\n")
-        with pytest.raises(IngestionError, match="'master_seed'"):
-            RunSettings.from_document(path)
-
-    def test_repeated_key_names_both_lines(self, tmp_path):
-        # a key set twice would otherwise keep its last value unseen
-        path = tmp_path / "run.conf"
-        path.write_text("qnn_epochs = 1\n# note\nqnn_epochs = 7\n")
-        with pytest.raises(IngestionError,
-                           match="line 3: repeats 'qnn_epochs' of line 1"):
-            RunSettings.from_document(path)
-
-    def test_equals_inside_value_survives(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text('s = "a = b"\n')
-        assert bench._read_document(path) == {"s": "a = b"}
+    @pytest.mark.parametrize("values", [
+        {"qnn_epochs": 2.5}, {"qnn_epochs": True}, {"master_seed": "9"},
+        {"master_seed": -1}, {"qnn_epochs": 0}, {"qnn_start_layers": 0},
+        {"qnn_max_layers": 1},
+        {"qnn_start_layers": 4, "qnn_max_layers": 3},
+    ], ids=["float", "bool", "text", "negative-seed", "zero-epochs",
+            "zero-start", "cap-below-default-start", "cap-below-start"])
+    def test_refuses_bad_values(self, values):
+        # the field named last is the one refused
+        with pytest.raises(UsageError, match=f"^{list(values)[-1]} must"):
+            RunSettings(**values)
 
 
 class TestSelectBest:

@@ -68,13 +68,11 @@ class TestRunAndReport:
             f"store {store}: 7 completed cells, 1 errored to retry, resuming"
         ] * 2
 
-    def test_config_file_sets_master_seed(self, tmp_path, capsys):
-        conf = tmp_path / "run.conf"
-        conf.write_text("master_seed = 9\n")
+    def test_seed_flag_sets_master_seed(self, tmp_path, capsys):
         store = tmp_path / "s9.jsonl"
         code = main(["run", "--dataset", "prostate", "--features", "2",
                      "--families", "classical", "--store", str(store),
-                     "--config", str(conf)])
+                     "--seed", "9"])
         assert code == 0
         first = json.loads(store.read_text().splitlines()[0])
         assert first["split_seed"] == 9
@@ -88,41 +86,44 @@ class TestRunAndReport:
                      "--store", str(tmp_path / "s.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("conf, flags", [
-        ("qnn_epochs = 2.5", []),
-        ("qnn_epochs = 0", []),
-        ("qnn_max_layers = 1", []),
-        ('master_seed = "x"', []),
-        (None, ["--seed", "-1"]),
-        (None, ["--split-seed", "-3"]),
-        (None, ["--dataset", "heart_failure", "--features", "9"]),
-        ("qnn_epochs = 1\nqnn_epochs = 7", []),
+    @pytest.mark.parametrize("flags, by_argparse", [
+        (["--qnn-epochs", "2.5"], True),
+        (["--qnn-epochs", "0"], False),
+        (["--qnn-max-layers", "1"], False),
+        (["--seed", "x"], True),
+        (["--seed", "-1"], False),
+        (["--split-seed", "-3"], False),
+        (["--dataset", "heart_failure", "--features", "9"], False),
     ], ids=["float-epochs", "zero-epochs", "cap-below-start", "text-seed",
-            "negative-seed", "negative-split-seed", "qnn-wider-than-fused",
-            "repeated-key"])
+            "negative-seed", "negative-split-seed", "qnn-wider-than-fused"])
     def test_bad_input_is_refused_before_the_store(self, tmp_path, capsys,
-                                                   conf, flags):
+                                                   flags, by_argparse):
         store = tmp_path / "s.jsonl"
         argv = ["run", "--dataset", "prostate", "--features", "2",
                 "--families", "qnn", "--store", str(store)] + flags
-        if conf is not None:
-            (tmp_path / "run.conf").write_text(conf + "\n")
-            argv += ["--config", str(tmp_path / "run.conf")]
-        assert main(argv) == 2
-        assert "error:" in capsys.readouterr().err
+        if by_argparse:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "invalid int value" in capsys.readouterr().err
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error:")
         assert not store.exists()
 
     def test_removed_surface_is_refused(self, tmp_path, capsys):
-        conf = tmp_path / "run.conf"
-        conf.write_text("svm_c = 2.0\n")
-        assert main(["run", "--dataset", "prostate", "--config", str(conf),
-                     "--store", str(tmp_path / "s.jsonl")]) == 2
-        assert "unknown settings ['svm_c']" in capsys.readouterr().err
-        for command in ("prepare", "pca-variance"):
+        store = tmp_path / "s.jsonl"
+        run = ["run", "--dataset", "prostate", "--store", str(store)]
+        for argv, message in (
+                (run + ["--svm-c", "2.0"], "unrecognized arguments"),
+                (run + ["--config", "run.conf"], "unrecognized arguments"),
+                (["prepare"], "invalid choice"),
+                (["pca-variance"], "invalid choice")):
             with pytest.raises(SystemExit) as exc:
-                main([command])
+                main(argv)
             assert exc.value.code == 2
-            assert "invalid choice" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
+        assert not store.exists()
 
     def test_corrupt_store_is_refused(self, tmp_path, capsys):
         wrong_type = ('{"config":{},"dataset":"prostate","error":null,'
@@ -154,17 +155,6 @@ class TestRunAndReport:
         assert main(argv + ["--seed", "0"]) == 0
         assert "0 new records" in capsys.readouterr().out
 
-    def test_missing_config_file_is_refused(self, tmp_path, capsys):
-        store = tmp_path / "s.jsonl"
-        conf = tmp_path / "missing.conf"
-        assert main(["run", "--dataset", "prostate", "--features", "2",
-                     "--families", "classical", "--config", str(conf),
-                     "--store", str(store)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and str(conf) in err
-        assert "Traceback" not in err
-        assert not store.exists()
-
     def test_store_in_a_missing_directory_is_refused(self, tmp_path, capsys):
         store = tmp_path / "no" / "such" / "s.jsonl"
         assert main(["run", "--dataset", "prostate", "--features", "2",
@@ -187,6 +177,23 @@ class TestRunAndReport:
         assert main(["report", "--store", str(store),
                      "--out", str(out_dir)]) == 0
         assert f"store {store} is empty" in capsys.readouterr().err
+
+    def test_report_refuses_a_dataset_the_store_lacks(self, tmp_path,
+                                                       capsys):
+        store = tmp_path / "s.jsonl"
+        assert main(["run", "--dataset", "prostate", "--features", "2",
+                     "--families", "classical", "--store", str(store)]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "rep"
+        for names in (["prostat"], ["prostate", "prostat"]):
+            argv = ["report", "--store", str(store), "--out", str(out_dir)]
+            for name in names:
+                argv += ["--dataset", name]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: store {store} holds no "
+                                  f"['prostat'], only ['prostate']")
+            assert not out_dir.exists()
 
     def test_unknown_dataset_is_usage_error(self, tmp_path, capsys):
         assert main(["run", "--dataset", "lungs",
