@@ -167,14 +167,17 @@ class ExperimentRecord:
         return ExperimentRecord(**d)
 
 
-def parse_store(data: bytes, path) -> list:
-    """The records of the whole lines of data, a store file's bytes
-    (what follows its last newline is left out). A malformed whole line,
-    or a second error-free record of one cell (two stores joined, say),
-    raises IngestionError naming path."""
+def read_store(path) -> tuple:
+    """(records, torn) of a store file: the records of its whole lines,
+    and the count of bytes after its last newline, which a crash
+    mid-append leaves. Reads the file and leaves it as it is. A
+    malformed whole line, or a second error-free record of one cell (two
+    stores joined, say), raises IngestionError naming path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    whole = data.rfind(b"\n") + 1
     records = []
     done_at = {}        # key -> line of its error-free record
-    whole = data.rfind(b"\n") + 1
     for n, line in enumerate(data[:whole].splitlines(), start=1):
         if not line.strip():
             continue
@@ -190,16 +193,16 @@ def parse_store(data: bytes, path) -> list:
                 raise IngestionError(f"{path}: line {n}: repeats the cell "
                                      f"of line {first}: {key}")
         records.append(record)
-    return records
+    return records, len(data) - whole
 
 
 class RecordStore:
     """Append-only line store; loading an existing file makes reruns skip
     completed cells. Errored records stay in the file but do not count as
     done, so a rerun retries their cells. A torn last line is cut off with
-    a warning; a store that parse_store refuses raises IngestionError and
-    is left as it is, and append refuses a second error-free record of a
-    cell before writing it."""
+    a warning, as appends go on after it; a store that read_store refuses
+    raises IngestionError and is left as it is, and append refuses a
+    second error-free record of a cell before writing it."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -208,16 +211,13 @@ class RecordStore:
         self._files = None      # suffix -> open file, inside writing()
         if not os.path.exists(self.path):
             return
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        for record in parse_store(data, self.path):
+        records, torn = read_store(self.path)
+        for record in records:
             self._append_memory(record, record.key())
-        whole = data.rfind(b"\n") + 1
-        if whole < len(data):
-            # a crash mid-append leaves an unterminated last line
-            os.truncate(self.path, whole)
+        if torn:
+            os.truncate(self.path, os.path.getsize(self.path) - torn)
             warnings.warn(f"{self.path}: dropped an unterminated last line "
-                          f"of {len(data) - whole} bytes")
+                          f"of {torn} bytes")
 
     def _append_memory(self, record, key):
         self._records.append(record)
@@ -306,8 +306,8 @@ class RunSettings:
 # ------------------------------------------------------------------- cells
 
 # what a cell may fail with and still be a result; anything else is a bug
-CELL_ERRORS = (ConfigurationError, UsageError, IngestionError,
-               TrainingDivergedError, np.linalg.LinAlgError)
+CELL_ERRORS = (ConfigurationError, UsageError, TrainingDivergedError,
+               np.linalg.LinAlgError)
 
 
 # A grid runs every cell of one k in a row. The QSVM grid puts the

@@ -3,13 +3,16 @@
 Subcommands: run (grid search into a record store, its settings given
 as flags), report (CSV tables, PCA curve included, from a store),
 compare (what two stores say differently), verify (property suite),
-datasets (profiles and where to get the real files).
+datasets (profiles, and where to get each real file not yet present).
+report and compare read stores through bench.read_store and never
+write them; only run, through RecordStore, cuts a torn last line.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from . import bench, datasets, verify
 from .bench import RecordStore, RunSettings
@@ -69,16 +72,20 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     if not os.path.exists(args.store):
         raise UsageError(f"store {args.store} does not exist")
-    store = RecordStore(args.store)
-    if len(store) == 0:
+    records, torn = bench.read_store(args.store)
+    if torn:
+        print(f"store {args.store}: skipped an unterminated last line of "
+              f"{torn} bytes", file=sys.stderr)
+    if not records:
         print(f"store {args.store} is empty", file=sys.stderr)
-    records = store.records()
+    # each dataset once, in the order first given
+    names = list(dict.fromkeys(args.dataset)) if args.dataset else None
     held = {r.dataset for r in records}
-    absent = sorted(set(args.dataset or ()) - held)
+    absent = sorted(set(names or ()) - held)
     if absent:
         raise UsageError(f"store {args.store} holds no {absent}, only "
                          f"{sorted(held)}")
-    files = bench.emit_reports(records, args.out, datasets=args.dataset)
+    files = bench.emit_reports(records, args.out, datasets=names)
     for f in files:
         print(f"wrote {f}")
     return 0
@@ -89,31 +96,28 @@ def _cmd_compare(args) -> int:
     counts them; exits 0 only when the two files are byte-equal. Reads
     the stores only, so a torn last line stays in its file and counts
     as a difference."""
-    records, data = [], []
-    for path in (args.a, args.b):
+    paths = (args.a, args.b)
+    for path in paths:
         if not os.path.exists(path):
             raise UsageError(f"store {path} does not exist")
-        with open(path, "rb") as fh:
-            data.append(fh.read())
-        records.append(bench.parse_store(data[-1], path))
-    lines = bench.record_differences(*records, sides=(args.a, args.b))
-    for path, raw in zip((args.a, args.b), data):
-        torn = len(raw) - raw.rfind(b"\n") - 1
+    (a, torn_a), (b, torn_b) = map(bench.read_store, paths)
+    lines = bench.record_differences(a, b, sides=paths)
+    for path, torn in zip(paths, (torn_a, torn_b)):
         if torn:
             lines.append(f"{path}: an unterminated last line of {torn} "
                          f"bytes")
-    if not lines and data[0] != data[1]:
+    if not lines and Path(args.a).read_bytes() != Path(args.b).read_bytes():
         lines = ["every cell agrees, but the files differ in order, in "
                  "retried cells or in blank lines"]
     for line in lines:
         print(line)
-    print(f"{len(lines)} differences: {args.a} ({len(records[0])} records) "
-          f"vs {args.b} ({len(records[1])} records)")
+    print(f"{len(lines)} differences: {args.a} ({len(a)} records) "
+          f"vs {args.b} ({len(b)} records)")
     return 1 if lines else 0
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_property_suite(fast=args.fast)
+    results = verify.run_property_suite()
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         print(f"{mark}  {r.name:18s} {r.elapsed:7.2f}s  {r.detail}")
@@ -124,15 +128,14 @@ def _cmd_datasets(args) -> int:
     directory = datasets.data_dir()
     print(f"data directory ({datasets.DATA_DIR_ENV}): "
           f"{directory or 'not set'}")
-    for key in datasets.PROFILES:
-        p = datasets.profile(key)
-        path = os.path.join(directory, p.filename) if directory else None
-        origin = "real file present" if path and os.path.exists(path) \
-            else "will use synthetic stand-in"
+    for key, p in datasets.PROFILES.items():
+        present = directory is not None and (directory / p.filename).exists()
+        origin = ("real file present" if present
+                  else "will use synthetic stand-in")
         print(f"\n{key}: {p.title}")
         print(f"  {p.n_rows} rows, {p.n_features} features, "
               f"{p.n_positive} positive; {origin}")
-        if args.fetch:
+        if not present:
             print(datasets.fetch_instructions(key))
     return 0
 
@@ -145,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     defaults = RunSettings()
-    p = sub.add_parser("run", help="run grid cells into a record store")
+    p = sub.add_parser("run", help="run grid cells into a record store",
+                       allow_abbrev=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--features", help="feature counts, e.g. 2..6 or 4")
     p.add_argument("--families", default="qnn,qsvm,classical")
@@ -161,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", default="records.jsonl")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("report", help="emit CSV tables from a record store")
+    p = sub.add_parser("report", help="emit CSV tables from a record store",
+                       allow_abbrev=False)
     p.add_argument("--store", default="records.jsonl")
     p.add_argument("--out", default="reports")
     p.add_argument("--dataset", action="append",
@@ -169,19 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("compare", help="list the cells and fields in "
-                       "which two record stores differ")
+                       "which two record stores differ", allow_abbrev=False)
     p.add_argument("a", help="expected store")
     p.add_argument("b", help="actual store")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("verify", help="run the property suite")
-    p.add_argument("--fast", action="store_true",
-                   help="smaller instance counts")
+    p = sub.add_parser("verify", help="run the property suite",
+                       allow_abbrev=False)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("datasets", help="list dataset profiles")
-    p.add_argument("--fetch", action="store_true",
-                   help="print download instructions")
+    p = sub.add_parser("datasets", help="list dataset profiles, with "
+                       "download instructions for each file not present",
+                       allow_abbrev=False)
     p.set_defaults(func=_cmd_datasets)
     return parser
 

@@ -23,7 +23,6 @@ DATA_DIR_ENV = "QMLGRID_DATA_DIR"
 
 @dataclass(frozen=True)
 class DatasetProfile:
-    key: str
     title: str
     filename: str
     label_column: str
@@ -43,7 +42,6 @@ class DatasetProfile:
 
 PROFILES = {
     "heart_failure": DatasetProfile(
-        key="heart_failure",
         title="Heart Failure",
         filename="heart_failure_clinical_records_dataset.csv",
         label_column="DEATH_EVENT",
@@ -56,7 +54,6 @@ PROFILES = {
                 "(also on Kaggle as andrewmvd/heart-failure-clinical-data)"),
     ),
     "diabetes": DatasetProfile(
-        key="diabetes",
         title="Diabetes",
         filename="diabetes.csv",
         label_column="Outcome",
@@ -68,7 +65,6 @@ PROFILES = {
                 "(Kaggle uciml/pima-indians-diabetes-database)"),
     ),
     "prostate": DatasetProfile(
-        key="prostate",
         title="Prostate Cancer",
         filename="Prostate_Cancer.csv",
         label_column="diagnosis_result",

@@ -5,8 +5,8 @@ Each check rebuilds its own seeded random instances and compares the fast
 implementations against the slow oracles in `reference`, so a passing
 suite means the simulator, gradients, kernels, solver, and PCA pipeline
 agree with independent reference computations where it runs. The
-default counts and seeds are the acceptance criteria's; `fast` shrinks
-the counts.
+counts and seeds are the acceptance criteria's, so `qmlgrid verify` and
+the acceptance tests run the same instances.
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ def random_gates(rng, n_qubits, depth) -> list:
     return gates
 
 
-def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
+def check_simulator() -> CheckResult:
     """Random circuits (n <= 4, depth <= 50) run by reference.apply_gates
     on a batch of one vs the dense Kronecker unitary; then every QNN
     shape, again on a batch of one, as the fused blocks its model runs
@@ -64,9 +64,9 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
     vs the dense unitary of reference.kernel_gates. All 1e-10
     elementwise."""
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(101)
     worst = fused_worst = kernel_worst = 0.0
-    for _ in range(n_circuits):
+    for _ in range(200):
         n = int(rng.integers(1, 5))
         gates = random_gates(rng, n, int(rng.integers(1, 51)))
         amps = reference.zero_states(n, 1)
@@ -96,7 +96,7 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
                                float(np.max(np.abs(got - want))))
     return CheckResult(
         "simulator", max(worst, fused_worst, kernel_worst) <= 1e-10,
-        f"{n_circuits} gate-by-gate circuits (n<=4, depth<=50), max |amp "
+        f"200 gate-by-gate circuits (n<=4, depth<=50), max |amp "
         f"error| {worst:.2e}, tol 1e-10; fused {fused_worst:.2e} over "
         f"{len(shapes)} QNN shapes (n 2..6, L 1..3); kernel "
         f"{kernel_worst:.2e} over {3 * len(maps)} feature maps (n 2..6, "
@@ -104,14 +104,14 @@ def check_simulator(n_circuits: int = 200, seed: int = 101) -> CheckResult:
         time.perf_counter() - started)
 
 
-def check_gradients(n_configs: int = 50, seed: int = 102) -> CheckResult:
+def check_gradients() -> CheckResult:
     """Adjoint-mode gradients, which run through fused layers, vs central
     finite differences, 1e-6 absolute, and vs the parameter-shift rule on
     a gate-by-gate forward pass, 1e-10 absolute."""
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(102)
     worst = shift_worst = 0.0
-    for _ in range(n_configs):
+    for _ in range(50):
         n = int(rng.integers(2, 5))
         cfg = qnn.QnnConfig(
             n_features=n,
@@ -135,22 +135,22 @@ def check_gradients(n_configs: int = 50, seed: int = 102) -> CheckResult:
         shift_worst = max(shift_worst, float(np.max(np.abs(got - shift))))
     return CheckResult(
         "gradients", worst <= 1e-6 and shift_worst <= 1e-10,
-        f"{n_configs} configs (n<=4, L<=3), max |grad error| {worst:.2e}, "
+        f"50 configs (n<=4, L<=3), max |grad error| {worst:.2e}, "
         f"tol 1e-6; vs parameter shift {shift_worst:.2e}, tol 1e-10",
         time.perf_counter() - started)
 
 
-def check_kernel_properties(n_samples: int = 30, seed: int = 103) -> CheckResult:
+def check_kernel_properties() -> CheckResult:
     """Unit diagonal, symmetry, PSD spectrum for every encoding x reps,
     on every entry of each embed stack (the Grams at 1..reps), plus the
     closed form for the single-feature Y-angle kernel on the
     dense-unitary oracle."""
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(103)
     problems = []
     for name in KINDS:
         for reps in (1, 2, 3):
-            X = rng.uniform(-1, 1, size=(n_samples, 3))
+            X = rng.uniform(-1, 1, size=(30, 3))
             for r, states in enumerate(embed(name, X, reps), start=1):
                 gram = gram_matrix(states)
                 diag = float(np.max(np.abs(np.diag(gram) - 1.0)))
@@ -167,23 +167,22 @@ def check_kernel_properties(n_samples: int = 30, seed: int = 103) -> CheckResult
     if closed > 1e-10:
         problems.append(f"closed-form angle kernel error {closed:.1e}")
     detail = "; ".join(problems) if problems else (
-        f"12 encoding/reps combos, 24 stack entries, on "
-        f"{n_samples}x{n_samples} Grams ok, "
+        f"12 encoding/reps combos, 24 stack entries, on 30x30 Grams ok, "
         f"closed-form error {closed:.2e}")
     return CheckResult("kernel-properties", not problems, detail,
                        time.perf_counter() - started)
 
 
-def check_svm_oracle(n_problems: int = 30, seed: int = 104) -> CheckResult:
+def check_svm_oracle() -> CheckResult:
     """SMO dual objective within 1e-4 of projected gradient; identical
     training-point predictions; alphas, bias, sweeps and convergence
     identical to the reference loop that rebuilds its working sets."""
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(104)
     worst = 0.0
     mismatches = 0
     differ = 0
-    for _ in range(n_problems):
+    for _ in range(30):
         n = int(rng.integers(4, 9))
         M = rng.normal(size=(n, n + 3))
         gram = M @ M.T + 1e-8 * np.eye(n)
@@ -211,7 +210,7 @@ def check_svm_oracle(n_problems: int = 30, seed: int = 104) -> CheckResult:
         mismatches += int(np.sum(svm.predict(model, gram) != pred_pg))
     return CheckResult(
         "svm-oracle", worst <= 1e-4 and mismatches == 0 and differ == 0,
-        f"{n_problems} PSD problems (n<=8), max dual gap {worst:.2e} "
+        f"30 PSD problems (n<=8), max dual gap {worst:.2e} "
         f"(tol 1e-4), {mismatches} train-prediction mismatches, "
         f"{differ} differ from the reference loop",
         time.perf_counter() - started)
@@ -261,15 +260,15 @@ def _tree_problem(rng, kind: str) -> tuple:
     return X, y, weights
 
 
-def check_trees(n_problems: int = 12, seed: int = 107) -> CheckResult:
+def check_trees() -> CheckResult:
     """fit_tree and fit_forest vs the recursive reference builder: the
     same trees (shape, feature, threshold, node label) and the same
     predictions on the training rows and on a random probe."""
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(107)
     kinds = ("repeats", "xor", "adjacent")
     problems = []
-    for p in range(n_problems):
+    for p in range(12):
         kind = kinds[p % len(kinds)]
         X, y, weights = _tree_problem(rng, kind)
         forest_seed = int(rng.integers(2 ** 63))
@@ -290,7 +289,7 @@ def check_trees(n_problems: int = 12, seed: int = 107) -> CheckResult:
         elif not agree:
             problems.append(f"{kind} problem {p}: predictions differ")
     detail = "; ".join(problems) if problems else (
-        f"{n_problems} problems (repeated values, XOR, adjacent floats), "
+        f"12 problems (repeated values, XOR, adjacent floats), "
         f"tree and 100-tree forest identical to the recursive builder")
     return CheckResult("trees", not problems, detail,
                        time.perf_counter() - started)
@@ -312,12 +311,8 @@ def check_pca() -> CheckResult:
                        time.perf_counter() - started)
 
 
-def run_property_suite(fast: bool = False) -> list:
-    """All checks; `fast` shrinks instance counts for a quick smoke pass."""
-    if fast:
-        return [check_simulator(40), check_gradients(8),
-                check_kernel_properties(12), check_svm_oracle(8),
-                check_pca(), check_trees(3)]
+def run_property_suite() -> list:
+    """All checks, on the acceptance criteria's instances."""
     return [check_simulator(), check_gradients(),
             check_kernel_properties(), check_svm_oracle(), check_pca(),
             check_trees()]

@@ -580,6 +580,20 @@ class TestRunCell:
                              settings)
         assert rec.error == "LinAlgError: singular"
 
+    def test_ingestion_error_in_a_cell_is_a_bug(self, small_run,
+                                                monkeypatch):
+        ds, _, _, settings, _ = small_run
+        bundle = stratified_split(ds, 0)
+
+        def reads_a_file(*args, **kwargs):
+            raise IngestionError("no cell reads a file")
+
+        monkeypatch.setattr(bench.svm, "solve_dual", reads_a_file)
+        with pytest.raises(IngestionError, match="no cell reads a file"):
+            bench.run_cell("prostate", bundle, "qsvm",
+                           {"encoding": "z", "repetitions": 1}, 2, 0,
+                           settings)
+
     def test_qnn_cell_smoke(self, small_run):
         ds, _, _, _, _ = small_run
         bundle = stratified_split(ds, 0)

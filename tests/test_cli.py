@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from qmlgrid import baselines, datasets
+from qmlgrid import baselines, datasets, verify
 from qmlgrid.bench import ExperimentRecord, canonical
 from qmlgrid.cli import main, parse_feature_range
 from qmlgrid.errors import ConfigurationError
@@ -124,6 +124,45 @@ class TestRunAndReport:
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
         assert not store.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--qnn-e", "1"], ["--se", "4"], ["--qnn-max", "2"],
+        ["--sto", "t.jsonl"]])
+    def test_abbreviated_flag_is_refused(self, tmp_path, capsys,
+                                         monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--dataset", "prostate", "--features", "2",
+                  "--families", "qnn", "--store", "s.jsonl"] + flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_report_leaves_a_torn_store_as_it_is(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        assert main(["run", "--dataset", "prostate", "--features", "2",
+                     "--families", "classical", "--store", str(store)]) == 0
+        data = store.read_bytes() + b'{"torn'
+        store.write_bytes(data)
+        capsys.readouterr()
+        out_dir = tmp_path / "rep"
+        assert main(["report", "--store", str(store),
+                     "--out", str(out_dir)]) == 0
+        assert (f"store {store}: skipped an unterminated last line of 6 "
+                f"bytes") in capsys.readouterr().err
+        assert store.read_bytes() == data
+        with open(out_dir / "prostate_classical.csv") as fh:
+            assert len(fh.read().splitlines()) == 1 + 7    # header, cells
+
+    def test_report_writes_a_repeated_dataset_once(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        assert main(["run", "--dataset", "prostate", "--features", "2",
+                     "--families", "classical", "--store", str(store)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--store", str(store), "--out",
+                     str(tmp_path / "rep"), "--dataset", "prostate",
+                     "--dataset", "prostate"]) == 0
+        assert capsys.readouterr().out.count("wrote ") == 5
 
     def test_corrupt_store_is_refused(self, tmp_path, capsys):
         wrong_type = ('{"config":{},"dataset":"prostate","error":null,'
@@ -254,10 +293,24 @@ class TestCompareCommand:
 
 
 class TestVerifyCommand:
-    def test_fast_suite_passes(self, capsys):
-        assert main(["verify", "--fast"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 6 and "FAIL" not in out
+    CHECKS = ("check_simulator", "check_gradients",
+              "check_kernel_properties", "check_svm_oracle", "check_pca",
+              "check_trees")
+
+    @pytest.mark.parametrize("failing", [None, "check_svm_oracle"])
+    def test_exit_code_follows_the_checks(self, capsys, monkeypatch,
+                                          failing):
+        for name in self.CHECKS:
+            result = verify.CheckResult(name, name != failing, "stub", 0.0)
+            monkeypatch.setattr(verify, name, lambda r=result: r)
+        assert main(["verify"]) == (1 if failing else 0)
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 6
+        assert [line.split()[0] for line in out].count("FAIL") == (
+            1 if failing else 0)
+        if failing:
+            assert any(line.startswith("FAIL  check_svm_oracle")
+                       for line in out)
 
 
 class TestDatasetsCommand:
@@ -267,6 +320,17 @@ class TestDatasetsCommand:
         for key in datasets.PROFILES:
             assert key in out
 
-    def test_fetch_instructions(self, capsys):
-        assert main(["datasets", "--fetch"]) == 0
+    def test_fetch_instructions(self, capsys, monkeypatch):
+        monkeypatch.delenv(datasets.DATA_DIR_ENV, raising=False)
+        assert main(["datasets"]) == 0
         assert "kaggle" in capsys.readouterr().out.lower()
+
+    def test_instructions_only_for_absent_files(self, tmp_path, capsys,
+                                                monkeypatch):
+        (tmp_path / "Prostate_Cancer.csv").write_text("")
+        monkeypatch.setenv(datasets.DATA_DIR_ENV, str(tmp_path))
+        assert main(["datasets"]) == 0
+        out = capsys.readouterr().out
+        assert "real file present" in out
+        assert "download 'Prostate_Cancer.csv'" not in out
+        assert "download 'diabetes.csv'" in out
