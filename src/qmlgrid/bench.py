@@ -1,5 +1,6 @@
 """Grid-search orchestration, run settings, the record store, selection,
-and reports.
+and reports. A dataset's default feature sweep and QNN train-F1 gate
+are read from its datasets.PROFILES entry.
 
 A record store is one append-only file of line-delimited JSON records,
 one per grid cell, written in deterministic enumeration order so two runs
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import baselines, qnn, svm
 from .circuit import ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS, encode
+from .datasets import profile
 from .errors import (ConfigurationError, IngestionError,
                      TrainingDivergedError, UsageError)
 from .metrics import Metrics, evaluate
@@ -37,13 +39,6 @@ from .pipeline import SplitBundle, stratified_split
 from .qkernel import KINDS, cross_gram, embed, gram_matrix
 
 FAMILIES = ("qnn", "qsvm", "classical")
-
-# train-set F1 gate applied to QNN candidates per dataset
-THRESHOLDS = {"heart_failure": 0.50, "diabetes": 0.65, "prostate": 0.75}
-
-# inclusive feature-count sweep per dataset
-FEATURE_RANGES = {"heart_failure": (2, 5), "diabetes": (2, 6),
-                  "prostate": (2, 6)}
 
 ENCODING_LABELS = {"angle": "Angle", "z": "Z", "zz_a": "ZZ",
                    "zz_b": "ZZ-qiskit"}
@@ -229,9 +224,11 @@ class RecordStore:
 
     def cell_counts(self) -> tuple:
         """(completed cells, errored cells still to retry); a cell that
-        failed on several runs counts once."""
+        failed on several runs counts once, and a PCA record is no cell."""
         errored = {r.key() for r in self._records if r.error is not None}
-        return len(self._keys), len(errored - self._keys)
+        done = sum(1 for r in self._records
+                   if r.error is None and r.family != "pca")
+        return done, len(errored - self._keys)
 
     def records(self):
         return list(self._records)
@@ -482,7 +479,11 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
              feature_range: tuple = None, split_seed: int = None,
              progress=None) -> list:
     """Runs every (k, family, config) cell not already in the store, in
-    a fixed enumeration order, and returns the new records."""
+    a fixed enumeration order, and returns the new records. An unknown
+    dataset_key is refused before anything is written; the feature range
+    defaults to the key's profile's."""
+    default_range = profile(dataset_key).feature_range
+    feature_range = feature_range or default_range
     unknown = set(families) - set(FAMILIES)
     if unknown:
         raise UsageError(f"unknown families {sorted(unknown)}")
@@ -490,9 +491,6 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
         split_seed = settings.master_seed
     if split_seed < 0:
         raise UsageError(f"split seed must be >= 0, got {split_seed}")
-    if feature_range is None:
-        feature_range = FEATURE_RANGES.get(
-            dataset_key, (2, min(6, dataset.n_features)))
     lo, hi = feature_range
     if not 1 <= lo <= hi <= dataset.n_features:
         raise UsageError(f"bad feature range {feature_range} for "
@@ -573,19 +571,20 @@ def record_differences(expected, actual,
 
 # --------------------------------------------------------------- selection
 
-def select_best(records, train_f1_threshold: float = 0.5):
+def select_best(records):
     """Argmax validation F1 over the error-free records whose solver
     converged (an SVM stopped by its step cap, or a logistic fit stopped
     unconverged, has extra.converged False).
-    QNN records below the train-F1 threshold are dropped first; the
-    paper's table captions gate the QNN sweep only, so other families are
-    never gated. Ties go to the model with fewer parameters, then the
-    lexicographically smaller config."""
+    QNN records whose train F1 is below their dataset profile's
+    qnn_train_f1 are dropped first; the paper's table captions gate the
+    QNN sweep only, so other families are never gated. Ties go to the
+    model with fewer parameters, then the lexicographically smaller
+    config."""
     survivors = [r for r in records
                  if r.error is None and r.val is not None
                  and r.extra.get("converged") is not False
-                 and not (r.family == "qnn"
-                          and r.train.f1 < train_f1_threshold)]
+                 and not (r.family == "qnn" and r.train.f1
+                          < profile(r.dataset).qnn_train_f1)]
     if not survivors:
         return None
     return min(survivors, key=lambda r: (-r.val.f1, r.n_parameters,
@@ -649,7 +648,6 @@ def emit_reports(records, out_dir, datasets=None) -> list:
             _write_csv(path, _HEADERS[family] + _METRIC_COLS, out_rows)
             written.append(path)
 
-        threshold = THRESHOLDS.get(dataset_key, 0.5)
         ks = sorted({r.k for r in rows_of if r.family in FAMILIES})
         comp_rows = []
         for k in ks:
@@ -657,7 +655,7 @@ def emit_reports(records, out_dir, datasets=None) -> list:
             for family in FAMILIES:
                 winner = select_best(
                     [r for r in rows_of
-                     if r.family == family and r.k == k], threshold)
+                     if r.family == family and r.k == k])
                 if winner is None:
                     cells += ["", ""]
                 else:

@@ -85,6 +85,11 @@ def _cmd_report(args) -> int:
     if absent:
         raise UsageError(f"store {args.store} holds no {absent}, only "
                          f"{sorted(held)}")
+    # a QNN record is gated by its dataset's profile
+    unknown = sorted(held - set(datasets.PROFILES))
+    if unknown:
+        raise UsageError(f"store {args.store} holds datasets no profile "
+                         f"names: {unknown}")
     files = bench.emit_reports(records, args.out, datasets=names)
     for f in files:
         print(f"wrote {f}")

@@ -1,11 +1,13 @@
 """Built-in dataset profiles.
 
 The three benchmark datasets are public downloads we do not redistribute.
-Each profile records where to get the file, how to ingest it, and the
-row/positive counts used to verify a download. When no local copy exists,
-`resolve` falls back to a deterministic synthetic stand-in with the same
-shape, imbalance, and a comparable principal-variance profile, so every
-pipeline stage stays runnable offline.
+A profile is the one place that holds a fact about its dataset: where to
+get the file, how to ingest it, the row/positive counts used to verify a
+download, the grid's feature sweep, the QNN train-F1 gate, the PCA
+variance target and the synthetic stand-in's spec. When no local copy
+exists, `resolve` falls back to that deterministic stand-in, which has
+the same shape, imbalance, and a comparable principal-variance profile,
+so every pipeline stage stays runnable offline.
 """
 from __future__ import annotations
 
@@ -22,6 +24,26 @@ DATA_DIR_ENV = "QMLGRID_DATA_DIR"
 
 
 @dataclass(frozen=True)
+class SurrogateSpec:
+    """Low-rank factor model with a class-dependent factor shift.
+
+    Features are x = A z + noise, A built from an orthonormal frame with
+    decaying column scales so the standardized covariance spectrum matches
+    the profiled dataset's cumulative-variance curve. delta controls class
+    separation along a random factor direction; spread widens the positive
+    class. Constants were tuned against the pipeline's acceptance bands
+    and are part of the frozen surrogate definition.
+    """
+    m: int
+    scales: tuple
+    noise: float
+    delta: float
+    spread: float = 1.0
+    tail: float = 0.0
+    seed: int = 0
+
+
+@dataclass(frozen=True)
 class DatasetProfile:
     title: str
     filename: str
@@ -31,6 +53,10 @@ class DatasetProfile:
     n_positive: int
     n_features: int
     source: str
+    surrogate: SurrogateSpec
+    feature_range: tuple    # inclusive feature-count sweep of the grid
+    qnn_train_f1: float     # train-F1 gate on QNN candidates
+    pca_target: tuple       # (k, ratio): k components explain >= ratio
     drop_columns: tuple = ()
     # real files occasionally differ from the documented feature count
     # (e.g. whether follow-up time is counted); accept these widths
@@ -52,6 +78,9 @@ PROFILES = {
         accepted_feature_counts=(13, 12),
         source=("UCI ML repository 'Heart failure clinical records' "
                 "(also on Kaggle as andrewmvd/heart-failure-clinical-data)"),
+        surrogate=SurrogateSpec(m=5, scales=(2.4, 2.0, 1.7, 1.4, 1.2),
+            noise=0.33, delta=1.35, spread=1.25, tail=1.0, seed=20_01),
+        feature_range=(2, 5), qnn_train_f1=0.50, pca_target=(5, 0.90),
     ),
     "diabetes": DatasetProfile(
         title="Diabetes",
@@ -63,6 +92,9 @@ PROFILES = {
         n_features=8,
         source=("Pima Indians Diabetes Database "
                 "(Kaggle uciml/pima-indians-diabetes-database)"),
+        surrogate=SurrogateSpec(m=6, scales=(1.9, 1.6, 1.35, 1.15, 1.0, 0.85),
+            noise=0.6, delta=1.4, spread=1.1, tail=0.9, seed=20_02),
+        feature_range=(2, 6), qnn_train_f1=0.65, pca_target=(6, 0.90),
     ),
     "prostate": DatasetProfile(
         title="Prostate Cancer",
@@ -74,6 +106,9 @@ PROFILES = {
         n_features=8,
         drop_columns=("id",),
         source="Kaggle sajidsaifi/prostate-cancer",
+        surrogate=SurrogateSpec(m=4, scales=(2.2, 1.8, 1.3, 0.9),
+            noise=0.08, delta=2.1, spread=1.0, tail=1.2, seed=20_03),
+        feature_range=(2, 6), qnn_train_f1=0.75, pca_target=(6, 0.99),
     ),
 }
 
@@ -83,7 +118,8 @@ def fetch_instructions(key: str) -> str:
     return (
         f"{p.title}: download {p.filename!r} from {p.source} and place it\n"
         f"in the directory pointed to by ${DATA_DIR_ENV}. Expected shape:\n"
-        f"{p.n_rows} rows, {p.n_features} feature columns, label column\n"
+        f"{p.n_rows} rows, {' or '.join(map(str, p.accepted()))} feature "
+        f"columns, label column\n"
         f"{p.label_column!r} with {p.n_positive} rows equal to "
         f"{p.positive_value!r}."
     )
@@ -98,7 +134,11 @@ def profile(key: str) -> DatasetProfile:
 
 
 def data_dir():
+    """The $QMLGRID_DATA_DIR directory, None when unset; a value that
+    is not a directory raises UsageError."""
     value = os.environ.get(DATA_DIR_ENV, "")
+    if value and not os.path.isdir(value):
+        raise UsageError(f"${DATA_DIR_ENV}={value!r} is not a directory")
     return Path(value) if value else None
 
 
@@ -128,45 +168,10 @@ def load_real(key: str) -> Dataset:
     return ds
 
 
-# ------------------------------------------------------------- surrogates
-
-@dataclass(frozen=True)
-class SurrogateSpec:
-    """Low-rank factor model with a class-dependent factor shift.
-
-    Features are x = A z + noise, A built from an orthonormal frame with
-    decaying column scales so the standardized covariance spectrum matches
-    the profiled dataset's cumulative-variance curve. delta controls class
-    separation along a random factor direction; spread widens the positive
-    class. Constants were tuned against the pipeline's acceptance bands
-    and are part of the frozen surrogate definition.
-    """
-    m: int
-    scales: tuple
-    noise: float
-    delta: float
-    spread: float = 1.0
-    tail: float = 0.0
-    seed: int = 0
-
-
-SURROGATES = {
-    "heart_failure": SurrogateSpec(
-        m=5, scales=(2.4, 2.0, 1.7, 1.4, 1.2), noise=0.33,
-        delta=1.35, spread=1.25, tail=1.0, seed=20_01),
-    "diabetes": SurrogateSpec(
-        m=6, scales=(1.9, 1.6, 1.35, 1.15, 1.0, 0.85), noise=0.6,
-        delta=1.4, spread=1.1, tail=0.9, seed=20_02),
-    "prostate": SurrogateSpec(
-        m=4, scales=(2.2, 1.8, 1.3, 0.9), noise=0.08,
-        delta=2.1, spread=1.0, tail=1.2, seed=20_03),
-}
-
-
 def synthetic(key: str) -> Dataset:
     """Deterministic stand-in dataset for a profile; same call, same bytes."""
     p = profile(key)
-    spec = SURROGATES[key]
+    spec = p.surrogate
     rng = np.random.default_rng([7_417, spec.seed])
     n, d, m = p.n_rows, p.n_features, spec.m
 

@@ -6,7 +6,8 @@ implementations against the slow oracles in `reference`, so a passing
 suite means the simulator, gradients, kernels, solver, and PCA pipeline
 agree with independent reference computations where it runs. The
 counts and seeds are the acceptance criteria's, so `qmlgrid verify` and
-the acceptance tests run the same instances.
+the acceptance tests run the same instances; the PCA targets are the
+dataset profiles'.
 """
 from __future__ import annotations
 
@@ -20,9 +21,6 @@ from . import baselines, datasets, qnn, reference, svm
 from .circuit import ANSATZ_ROTATIONS, encode, run_batch
 from .pipeline import pca_fit, standardize_apply, standardize_fit
 from .qkernel import KINDS, embed, gram_matrix
-
-PCA_TARGETS = {"heart_failure": (5, 0.90), "diabetes": (6, 0.90),
-               "prostate": (6, 0.99)}
 
 
 @dataclass
@@ -296,10 +294,11 @@ def check_trees() -> CheckResult:
 
 
 def check_pca() -> CheckResult:
-    """Cumulative explained-variance targets per dataset."""
+    """Each dataset profile's cumulative explained-variance target."""
     started = time.perf_counter()
     parts, ok = [], True
-    for key, (k, threshold) in PCA_TARGETS.items():
+    for key, p in datasets.PROFILES.items():
+        k, threshold = p.pca_target
         dataset, origin = datasets.resolve(key)
         mean, std = standardize_fit(dataset.features)
         model = pca_fit(standardize_apply(dataset.features, mean, std))

@@ -106,8 +106,7 @@ def test_criterion_7_selection_protocol_and_reports(capsys, tmp_path):
     winners = []
     for key, k in picked_k.items():
         recs = [r for r in store.records() if r.dataset == key]
-        best = bench.select_best([r for r in recs if r.family == "qsvm"],
-                                 bench.THRESHOLDS[key])
+        best = bench.select_best([r for r in recs if r.family == "qsvm"])
         if best is None:
             problems.append(f"{key}: no QSVM winner after filter")
             continue
@@ -139,11 +138,8 @@ def test_criterion_8_heart_failure_noninferiority(capsys, tmp_path):
                        families=("qsvm", "classical"), feature_range=(4, 4),
                        split_seed=seed)
         recs = [r for r in store.records() if r.split_seed == seed]
-        threshold = bench.THRESHOLDS["heart_failure"]
-        bq = bench.select_best([r for r in recs if r.family == "qsvm"],
-                               threshold)
-        bc = bench.select_best([r for r in recs if r.family == "classical"],
-                               threshold)
+        bq = bench.select_best([r for r in recs if r.family == "qsvm"])
+        bc = bench.select_best([r for r in recs if r.family == "classical"])
         quantum.append(bq.test.f1)
         classical.append(bc.test.f1)
     mq, mc = float(np.mean(quantum)), float(np.mean(classical))

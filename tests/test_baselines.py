@@ -232,7 +232,8 @@ class TestLogistic:
         # a fit reaches TOL, or its weights separate the rows, which only
         # six prostate splits allow
         unconverged = []
-        for key, (lo, hi) in bench.FEATURE_RANGES.items():
+        for key, p in datasets.PROFILES.items():
+            lo, hi = p.feature_range
             ds = datasets.synthetic(key)
             for split in range(10):
                 bundle = stratified_split(ds, split)

@@ -26,7 +26,8 @@ def fake_record(family="qsvm", config=None, f1=0.8, train_f1=0.9,
                 n_parameters=10, error=None, k=4):
     m = fake_metrics(f1)
     return ExperimentRecord(
-        "toy", family, k, config or {"encoding": "z", "repetitions": 1},
+        "heart_failure", family, k,
+        config or {"encoding": "z", "repetitions": 1},
         0, 0, n_parameters=n_parameters,
         train=fake_metrics(train_f1), val=m, test=m, error=error)
 
@@ -299,8 +300,19 @@ class TestSelectBest:
         weak_qnn = fake_record(family="qnn", f1=0.9, train_f1=0.3,
                                config={"sequence": "Y"})
         ok_qsvm = fake_record(family="qsvm", f1=0.5, train_f1=0.3)
-        pick = select_best([weak_qnn, ok_qsvm], train_f1_threshold=0.5)
+        pick = select_best([weak_qnn, ok_qsvm])
         assert pick is ok_qsvm
+
+    def test_each_qnn_record_is_gated_by_its_dataset(self):
+        # train F1 0.6 clears heart_failure's gate (0.50) but not
+        # prostate's (0.75)
+        hf = fake_record(family="qnn", f1=0.7, train_f1=0.6,
+                         config={"sequence": "Y"})
+        pr = fake_record(family="qnn", f1=0.9, train_f1=0.6,
+                         config={"sequence": "Y"})
+        pr.dataset = "prostate"
+        assert select_best([pr, hf]) is hf
+        assert select_best([pr]) is None
 
     def test_tie_prefers_fewer_parameters(self):
         big = fake_record(f1=0.8, n_parameters=50)
@@ -361,6 +373,14 @@ def small_run(tmp_path_factory):
 
 
 class TestRunGrid:
+    def test_unknown_dataset_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        with pytest.raises(UsageError, match="unknown dataset 'nosuch'"):
+            bench.run_grid("nosuch", datasets.synthetic("prostate"),
+                           RecordStore(path), RunSettings(),
+                           families=("classical",), feature_range=(2, 2))
+        assert not path.exists()
+
     def test_cell_count(self, small_run):
         _, _, store, _, new = small_run
         # 12 qsvm + 7 classical + 1 pca meta record

@@ -58,14 +58,14 @@ class TestRunAndReport:
             assert main(argv) == 0
             text = capsys.readouterr().out
             # the cell is retried each run
-            assert ("(1 failed), store now 7 completed cells, 1 errored"
+            assert ("(1 failed), store now 6 completed cells, 1 errored"
                     in text)
             resumes += [line for line in text.splitlines()
                         if "resuming" in line]
         # the store holds one error line per run, but the cell counts once
         assert len(store.read_text().splitlines()) == 10
         assert resumes == [
-            f"store {store}: 7 completed cells, 1 errored to retry, resuming"
+            f"store {store}: 6 completed cells, 1 errored to retry, resuming"
         ] * 2
 
     def test_seed_flag_sets_master_seed(self, tmp_path, capsys):
@@ -234,6 +234,27 @@ class TestRunAndReport:
                                   f"['prostat'], only ['prostate']")
             assert not out_dir.exists()
 
+    def test_report_refuses_a_dataset_without_a_profile(self, tmp_path,
+                                                         capsys):
+        store = tmp_path / "s.jsonl"
+        assert main(["run", "--dataset", "prostate", "--features", "2",
+                     "--families", "classical", "--store", str(store)]) == 0
+        capsys.readouterr()
+        lines = store.read_text().splitlines(keepends=True)
+        alien = json.loads(lines[1])
+        alien["dataset"] = "lungs"
+        store.write_text("".join(lines) + canonical(alien) + "\n")
+        out_dir = tmp_path / "rep"
+        for names in ([], ["prostate"]):
+            argv = ["report", "--store", str(store), "--out", str(out_dir)]
+            for name in names:
+                argv += ["--dataset", name]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: store {store} holds datasets no "
+                                  f"profile names: ['lungs']")
+            assert not out_dir.exists()
+
     def test_unknown_dataset_is_usage_error(self, tmp_path, capsys):
         assert main(["run", "--dataset", "lungs",
                      "--store", str(tmp_path / "x.jsonl")]) == 2
@@ -319,6 +340,20 @@ class TestDatasetsCommand:
         out = capsys.readouterr().out
         for key in datasets.PROFILES:
             assert key in out
+
+    def test_data_directory_that_is_not_a_directory(self, tmp_path, capsys,
+                                                    monkeypatch):
+        missing = tmp_path / "no" / "such"
+        monkeypatch.setenv(datasets.DATA_DIR_ENV, str(missing))
+        store = tmp_path / "s.jsonl"
+        for argv in (["run", "--dataset", "prostate", "--features", "2",
+                      "--families", "classical", "--store", str(store)],
+                     ["datasets"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == (f"error: ${datasets.DATA_DIR_ENV}="
+                           f"{str(missing)!r} is not a directory\n")
+        assert not store.exists()
 
     def test_fetch_instructions(self, capsys, monkeypatch):
         monkeypatch.delenv(datasets.DATA_DIR_ENV, raising=False)

@@ -46,6 +46,10 @@ class TestProfiles:
         text = fetch_instructions("diabetes")
         assert "diabetes.csv" in text
         assert DATA_DIR_ENV in text
+        assert "768 rows, 8 feature columns" in text
+        # every width load_real accepts is named
+        text = fetch_instructions("heart_failure")
+        assert "299 rows, 13 or 12 feature columns" in text
 
 
 class TestSynthetic:
@@ -121,6 +125,15 @@ class TestResolve:
                  label_column=p.label_column)
         ds, origin = resolve("diabetes")
         assert origin == "real"
+
+    def test_refuses_a_data_directory_that_is_not_one(self, monkeypatch,
+                                                      tmp_path):
+        regular = tmp_path / "file.csv"
+        regular.write_text("")
+        for value in (tmp_path / "absent", regular):
+            monkeypatch.setenv(DATA_DIR_ENV, str(value))
+            with pytest.raises(UsageError, match=DATA_DIR_ENV):
+                resolve("prostate")
 
     def test_env_var_is_honored(self, monkeypatch, tmp_path):
         p = PROFILES["heart_failure"]
