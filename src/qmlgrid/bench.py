@@ -3,8 +3,9 @@ and reports. A dataset's default feature sweep and QNN train-F1 gate
 are read from its datasets.PROFILES entry.
 
 A record store is one append-only file of line-delimited JSON records,
-one per grid cell, written in deterministic enumeration order so two runs
-with the same master seed produce byte-identical stores. Wall-clock
+one per completed grid cell, written in deterministic enumeration order
+so two runs with the same master seed produce byte-identical stores. A
+cell that raises writes nothing, so a rerun retries it. Wall-clock
 timings never enter the store (they would break that guarantee); they go
 to a sidecar file next to it. A line holds every ExperimentRecord field
 but wall_clock, each of the JSON type _RECORD_TYPES gives it.
@@ -32,8 +33,7 @@ import numpy as np
 from . import baselines, qnn, svm
 from .circuit import ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS, encode
 from .datasets import profile
-from .errors import (ConfigurationError, IngestionError,
-                     TrainingDivergedError, UsageError)
+from .errors import ConfigurationError, IngestionError, UsageError
 from .metrics import Metrics, evaluate
 from .pipeline import SplitBundle, stratified_split
 from .qkernel import KINDS, cross_gram, embed, gram_matrix
@@ -98,7 +98,7 @@ GRIDS = {"qnn": qnn_grid, "qsvm": qsvm_grid, "classical": classical_grid}
 _OR_NULL = type(None)
 _RECORD_TYPES = {"dataset": str, "family": str, "k": int, "split_seed": int,
                  "seed": int, "n_parameters": int, "config": dict,
-                 "extra": dict, "error": (str, _OR_NULL),
+                 "extra": dict, "error": _OR_NULL,
                  "train": (dict, _OR_NULL), "val": (dict, _OR_NULL),
                  "test": (dict, _OR_NULL)}
 _METRIC_TYPES = get_type_hints(Metrics)
@@ -130,7 +130,8 @@ class ExperimentRecord:
     val: Metrics = None
     test: Metrics = None
     extra: dict = field(default_factory=dict)
-    error: str = None
+    # always None: every store line holds the key, and perfbench reads it
+    error: None = None
     wall_clock: float = None    # sidecar only, never serialized
 
     def key(self) -> str:
@@ -144,19 +145,22 @@ class ExperimentRecord:
     @staticmethod
     def from_line(line: str) -> "ExperimentRecord":
         """The record of a store line. The reports read every config key,
-        so a record without error must hold a cell of its family's grid,
-        or {} for "pca"; other families are refused."""
+        so a record must hold a cell of its family's grid, or {} for
+        "pca"; other families are refused. A grid cell's record holds
+        the metrics of every split, and a "pca" record none."""
         d = json.loads(line)
         _check_types(d, _RECORD_TYPES)
-        for split in SplitBundle.SPLITS:
-            if d[split] is not None:
-                _check_types(d[split], _METRIC_TYPES, split + ".")
-                d[split] = Metrics(**d[split])
         family = d["family"]
         if family != "pca" and family not in GRIDS:
             raise ValueError(f"unknown family {family!r}")
-        if d["error"] is None and d["config"] not in (
-                GRIDS[family]() if family in GRIDS else [{}]):
+        for split in SplitBundle.SPLITS:
+            if (d[split] is None) != (family == "pca"):
+                raise ValueError(f"{split} must be null in a pca record "
+                                 f"and only there")
+            if d[split] is not None:
+                _check_types(d[split], _METRIC_TYPES, split + ".")
+                d[split] = Metrics(**d[split])
+        if d["config"] not in (GRIDS[family]() if family in GRIDS else [{}]):
             raise ValueError(f"{family} config {d['config']} is not on "
                              f"the grid")
         return ExperimentRecord(**d)
@@ -166,13 +170,13 @@ def read_store(path) -> tuple:
     """(records, torn) of a store file: the records of its whole lines,
     and the count of bytes after its last newline, which a crash
     mid-append leaves. Reads the file and leaves it as it is. A
-    malformed whole line, or a second error-free record of one cell (two
-    stores joined, say), raises IngestionError naming path."""
+    malformed whole line, or a second record of one cell (two stores
+    joined, say), raises IngestionError naming path."""
     with open(path, "rb") as fh:
         data = fh.read()
     whole = data.rfind(b"\n") + 1
     records = []
-    done_at = {}        # key -> line of its error-free record
+    line_of = {}        # key -> line of its record
     for n, line in enumerate(data[:whole].splitlines(), start=1):
         if not line.strip():
             continue
@@ -181,23 +185,21 @@ def read_store(path) -> tuple:
         except (ValueError, KeyError, TypeError) as exc:
             raise IngestionError(f"{path}: line {n}: not a record: "
                                  f"{type(exc).__name__}: {exc}") from None
-        if record.error is None:
-            key = record.key()
-            first = done_at.setdefault(key, n)
-            if first != n:
-                raise IngestionError(f"{path}: line {n}: repeats the cell "
-                                     f"of line {first}: {key}")
+        key = record.key()
+        first = line_of.setdefault(key, n)
+        if first != n:
+            raise IngestionError(f"{path}: line {n}: repeats the cell "
+                                 f"of line {first}: {key}")
         records.append(record)
     return records, len(data) - whole
 
 
 class RecordStore:
     """Append-only line store; loading an existing file makes reruns skip
-    completed cells. Errored records stay in the file but do not count as
-    done, so a rerun retries their cells. A torn last line is cut off with
-    a warning, as appends go on after it; a store that read_store refuses
-    raises IngestionError and is left as it is, and append refuses a
-    second error-free record of a cell before writing it."""
+    the cells it holds. A torn last line is cut off with a warning, as
+    appends go on after it; a store that read_store refuses raises
+    IngestionError and is left as it is, and append refuses a second
+    record of a cell before writing it."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -216,19 +218,14 @@ class RecordStore:
 
     def _append_memory(self, record, key):
         self._records.append(record)
-        if record.error is None:
-            self._keys.add(key)
+        self._keys.add(key)
 
     def __len__(self):
         return len(self._records)
 
-    def cell_counts(self) -> tuple:
-        """(completed cells, errored cells still to retry); a cell that
-        failed on several runs counts once, and a PCA record is no cell."""
-        errored = {r.key() for r in self._records if r.error is not None}
-        done = sum(1 for r in self._records
-                   if r.error is None and r.family != "pca")
-        return done, len(errored - self._keys)
+    def completed_cells(self) -> int:
+        """The grid cells held; a PCA record is no cell."""
+        return sum(1 for r in self._records if r.family != "pca")
 
     def records(self):
         return list(self._records)
@@ -237,11 +234,11 @@ class RecordStore:
         return record_key in self._keys
 
     def append(self, record: ExperimentRecord) -> None:
-        """Writes the record; an error-free record of a cell already done
-        raises IngestionError and writes nothing, as the store would then
-        refuse to load."""
+        """Writes the record; a record of a cell already held raises
+        IngestionError and writes nothing, as the store would then refuse
+        to load."""
         key = record.key()
-        if record.error is None and key in self._keys:
+        if key in self._keys:
             raise IngestionError(f"{self.path}: the cell is already done: "
                                  f"{key}")
         with self.writing():
@@ -301,11 +298,6 @@ class RunSettings:
 
 
 # ------------------------------------------------------------------- cells
-
-# what a cell may fail with and still be a result; anything else is a bug
-CELL_ERRORS = (ConfigurationError, UsageError, TrainingDivergedError,
-               np.linalg.LinAlgError)
-
 
 # A grid runs every cell of one k in a row. The QSVM grid puts the
 # cells of one feature map side by side, repetitions 1 to 3, so one
@@ -375,94 +367,89 @@ def _svm_predictions(gram, kernel_rows, y, rows, weights):
 def run_cell(dataset_key: str, bundle: SplitBundle, family: str,
              config: dict, k: int, seed: int,
              settings: RunSettings) -> ExperimentRecord:
-    """The record of one grid cell; a failure in CELL_ERRORS becomes its
-    error. Every family takes each split as a slice of the bundle's
-    features at k, or of their embedding or QNN encoding; memos of the
-    last feature map and encoding sequence embed or encode each once
-    per k. A QSVM cell reads its repetition count's entry of the
-    stack's one qkernel.embed; a QNN cell grows layers from
+    """The record of one grid cell; whatever the cell raises propagates,
+    as no cell of the grids on valid data fails. Every family takes
+    each split as a slice of the bundle's features at k, or of their
+    embedding or QNN encoding; memos of the last feature map and
+    encoding sequence embed or encode each once per k. A QSVM cell
+    reads its repetition count's entry of the stack's one
+    qkernel.embed; a QNN cell grows layers from
     settings.qnn_start_layers and predicts it with the best trial's
     model in one qnn.forward_batch. An SVM cell's extra holds its
     solver's converged flag and sweeps, a logistic cell's its fit's
     converged flag and Newton steps. Each family's per-split 0/1
     predictions are scored here."""
-    record = ExperimentRecord(dataset_key, family, k, config,
-                              bundle.seed, seed)
     started = time.perf_counter()
-    try:
-        X, y, rows = bundle.features(k), bundle.y, bundle.rows
-        tr = rows["train"]
-        weights = bundle.class_weights()
+    X, y, rows = bundle.features(k), bundle.y, bundle.rows
+    tr = rows["train"]
+    weights = bundle.class_weights()
 
-        if family == "qsvm":
-            stack = _qsvm_states(bundle, k, config["encoding"])
-            reps = config["repetitions"]
-            if not 1 <= reps <= len(stack):
-                raise ConfigurationError(f"repetitions must be in "
-                                         f"1..{len(stack)}, got {reps}")
-            states = stack[reps - 1]
-            train = states[tr]
+    if family == "qsvm":
+        stack = _qsvm_states(bundle, k, config["encoding"])
+        reps = config["repetitions"]
+        if not 1 <= reps <= len(stack):
+            raise ConfigurationError(f"repetitions must be in "
+                                     f"1..{len(stack)}, got {reps}")
+        states = stack[reps - 1]
+        train = states[tr]
+        n_par, preds, extra = _svm_predictions(
+            gram_matrix(train), lambda r: cross_gram(states[r], train),
+            y, rows, weights)
+
+    elif family == "classical":
+        model_kind = config["model"]
+        Xtr = X[tr]
+        if model_kind == "svm":
+            kind = config["kernel"]
             n_par, preds, extra = _svm_predictions(
-                gram_matrix(train), lambda r: cross_gram(states[r], train),
+                svm.kernel_matrix(kind, Xtr, Xtr),
+                lambda r: svm.kernel_matrix(kind, X[r], Xtr),
                 y, rows, weights)
-
-        elif family == "classical":
-            model_kind = config["model"]
-            Xtr = X[tr]
-            if model_kind == "svm":
-                kind = config["kernel"]
-                n_par, preds, extra = _svm_predictions(
-                    svm.kernel_matrix(kind, Xtr, Xtr),
-                    lambda r: svm.kernel_matrix(kind, X[r], Xtr),
-                    y, rows, weights)
-            elif model_kind == "logistic":
-                model = baselines.fit_logistic(Xtr, y[tr], weights)
-                preds = {s: baselines.predict_logistic(model, X[r])
-                         for s, r in rows.items()}
-                n_par = k + 1
-                extra = {"converged": model.converged, "steps": model.steps}
-            elif model_kind in ("tree", "forest"):
-                model = (baselines.fit_tree(Xtr, y[tr], weights)
-                         if model_kind == "tree" else
-                         baselines.fit_forest(Xtr, y[tr], weights, seed=seed))
-                preds = {s: baselines.predict_forest(model, X[r])
-                         for s, r in rows.items()}
-                n_par, extra = model.n_splits(), {}
-            else:
-                raise UsageError(f"unknown classical model {model_kind!r}")
-
-        elif family == "qnn":
-            cfg = qnn.QnnConfig(
-                n_features=k,
-                encoding_sequence=tuple(config["sequence"]),
-                reupload=config["reupload"],
-                ansatz=config["ansatz"],
-                n_layers=settings.qnn_start_layers,
-                seed=seed)
-            encoded = _qnn_encoding(bundle, k, cfg.encoding_sequence)
-            va = rows["val"]
-            growth = qnn.grow_layers(
-                cfg, weights, (encoded[tr], y[tr]), (encoded[va], y[va]),
-                max_layers=settings.qnn_max_layers,
-                epochs=settings.qnn_epochs)
-            best = growth.best
-            probs = qnn.forward_batch(best.model, encoded)
-            preds = {s: qnn.predict(probs[r]) for s, r in rows.items()}
-            n_par = len(best.model.parameters)
-            extra = {"n_layers": best.model.config.n_layers,
-                     "layer_trials": len(growth.trials),
-                     "best_epoch": best.report.best_epoch}
+        elif model_kind == "logistic":
+            model = baselines.fit_logistic(Xtr, y[tr], weights)
+            preds = {s: baselines.predict_logistic(model, X[r])
+                     for s, r in rows.items()}
+            n_par = k + 1
+            extra = {"converged": model.converged, "steps": model.steps}
+        elif model_kind in ("tree", "forest"):
+            model = (baselines.fit_tree(Xtr, y[tr], weights)
+                     if model_kind == "tree" else
+                     baselines.fit_forest(Xtr, y[tr], weights, seed=seed))
+            preds = {s: baselines.predict_forest(model, X[r])
+                     for s, r in rows.items()}
+            n_par, extra = model.n_splits(), {}
         else:
-            raise UsageError(f"unknown family {family!r}")
+            raise UsageError(f"unknown classical model {model_kind!r}")
 
-        record.n_parameters = int(n_par)
-        for split, r in rows.items():
-            setattr(record, split, evaluate(y[r], preds[split]))
-        record.extra = extra
-    except CELL_ERRORS as exc:         # cell failures are data; bugs raise
-        record.error = f"{type(exc).__name__}: {exc}"
-    record.wall_clock = time.perf_counter() - started
-    return record
+    elif family == "qnn":
+        cfg = qnn.QnnConfig(
+            n_features=k,
+            encoding_sequence=tuple(config["sequence"]),
+            reupload=config["reupload"],
+            ansatz=config["ansatz"],
+            n_layers=settings.qnn_start_layers,
+            seed=seed)
+        encoded = _qnn_encoding(bundle, k, cfg.encoding_sequence)
+        va = rows["val"]
+        growth = qnn.grow_layers(
+            cfg, weights, (encoded[tr], y[tr]), (encoded[va], y[va]),
+            max_layers=settings.qnn_max_layers,
+            epochs=settings.qnn_epochs)
+        best = growth.best
+        probs = qnn.forward_batch(best.model, encoded)
+        preds = {s: qnn.predict(probs[r]) for s, r in rows.items()}
+        n_par = len(best.model.parameters)
+        extra = {"n_layers": best.model.config.n_layers,
+                 "layer_trials": len(growth.trials),
+                 "best_epoch": best.report.best_epoch}
+    else:
+        raise UsageError(f"unknown family {family!r}")
+
+    scores = {split: evaluate(y[r], preds[split]) for split, r in rows.items()}
+    return ExperimentRecord(dataset_key, family, k, config, bundle.seed, seed,
+                            n_parameters=int(n_par), extra=extra,
+                            wall_clock=time.perf_counter() - started,
+                            **scores)
 
 
 def variance_record(dataset_key: str, bundle: SplitBundle) -> ExperimentRecord:
@@ -479,7 +466,9 @@ def run_grid(dataset_key: str, dataset, store: RecordStore,
              feature_range: tuple = None, split_seed: int = None,
              progress=None) -> list:
     """Runs every (k, family, config) cell not already in the store, in
-    a fixed enumeration order, and returns the new records. An unknown
+    a fixed enumeration order, and returns the new records. A cell that
+    raises ends the grid, with the records before it kept, so a rerun
+    starts at that cell. An unknown
     dataset_key is refused before anything is written; the feature range
     defaults to the key's profile's."""
     default_range = profile(dataset_key).feature_range
@@ -572,7 +561,7 @@ def record_differences(expected, actual,
 # --------------------------------------------------------------- selection
 
 def select_best(records):
-    """Argmax validation F1 over the error-free records whose solver
+    """Argmax validation F1 over the grid-cell records whose solver
     converged (an SVM stopped by its step cap, or a logistic fit stopped
     unconverged, has extra.converged False).
     QNN records whose train F1 is below their dataset profile's
@@ -581,8 +570,7 @@ def select_best(records):
     model with fewer parameters, then the lexicographically smaller
     config."""
     survivors = [r for r in records
-                 if r.error is None and r.val is not None
-                 and r.extra.get("converged") is not False
+                 if r.extra.get("converged") is not False
                  and not (r.family == "qnn" and r.train.f1
                           < profile(r.dataset).qnn_train_f1)]
     if not survivors:
@@ -637,8 +625,7 @@ def emit_reports(records, out_dir, datasets=None) -> list:
     for dataset_key in datasets:
         rows_of = [r for r in records if r.dataset == dataset_key]
         for family in FAMILIES:
-            fam = [r for r in rows_of
-                   if r.family == family and r.error is None]
+            fam = [r for r in rows_of if r.family == family]
             out_rows = []
             for r in fam:
                 metric_cells = [_fmt(v) for m in (r.train, r.val, r.test)

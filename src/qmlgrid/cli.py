@@ -45,27 +45,19 @@ def _cmd_run(args) -> int:
           f"{dataset.positive_count()} positive ({origin})")
     store = RecordStore(args.store)
     if len(store):
-        done, retry = store.cell_counts()
-        print(f"store {args.store}: {done} completed cells, {retry} errored "
-              f"to retry, resuming")
+        print(f"store {args.store}: {store.completed_cells()} completed "
+              f"cells, resuming")
 
     def progress(record):
-        if record.error:
-            tag = "ERROR " + record.error
-        elif record.val is not None:
-            tag = f"val F1 {record.val.f1:.3f}"
-        else:
-            tag = "meta"
+        tag = "meta" if record.val is None else f"val F1 {record.val.f1:.3f}"
         print(f"  k={record.k} {record.family} "
               f"{bench.canonical(record.config)} {tag}")
 
     new = bench.run_grid(args.dataset, dataset, store, settings,
                          families=families, feature_range=feature_range,
                          split_seed=args.split_seed, progress=progress)
-    failed = sum(1 for r in new if r.error)
-    done, retry = store.cell_counts()
-    print(f"{len(new)} new records ({failed} failed), store now {done} "
-          f"completed cells, {retry} errored")
+    print(f"{len(new)} new records, store now {store.completed_cells()} "
+          f"completed cells")
     return 0
 
 
@@ -112,8 +104,8 @@ def _cmd_compare(args) -> int:
             lines.append(f"{path}: an unterminated last line of {torn} "
                          f"bytes")
     if not lines and Path(args.a).read_bytes() != Path(args.b).read_bytes():
-        lines = ["every cell agrees, but the files differ in order, in "
-                 "retried cells or in blank lines"]
+        lines = ["every cell agrees, but the files differ in order or in "
+                 "blank lines"]
     for line in lines:
         print(line)
     print(f"{len(lines)} differences: {args.a} ({len(a)} records) "
@@ -122,6 +114,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    datasets.data_dir()     # refuses a bad data directory before any check
     results = verify.run_property_suite()
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

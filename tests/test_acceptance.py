@@ -59,7 +59,6 @@ def _qsvm_test_f1(dataset_key, dataset, k, encoding, reps, split_seed):
     rec = bench.run_cell(dataset_key, bundle, "qsvm",
                          {"encoding": encoding, "repetitions": reps},
                          k, 0, RunSettings())
-    assert rec.error is None, rec.error
     return rec.test.f1
 
 
@@ -185,14 +184,11 @@ def test_criterion_10_qnn_grid_through_run_grid(capsys, tmp_path):
     problems = []
     if len(cells) != 60:
         problems.append(f"{len(cells)} QNN cells, expected 60")
-    errors = [r.error for r in cells if r.error is not None]
-    if errors:
-        problems.append(f"{len(errors)} errored cells, first: {errors[0]}")
-    layers = [r.extra.get("n_layers") for r in cells if r.error is None]
+    layers = [r.extra["n_layers"] for r in cells]
     if not set(layers) <= {2, 3}:
         problems.append(f"best layer counts {sorted(set(layers))} "
                         f"outside 2..3")
-    wrong_size = [r.key() for r in cells if r.error is None and
+    wrong_size = [r.key() for r in cells if
                   r.n_parameters != qnn.QnnConfig(
                       4, tuple(r.config["sequence"]), r.config["reupload"],
                       r.config["ansatz"], r.extra["n_layers"]).n_parameters()]

@@ -13,7 +13,8 @@ from qmlgrid import baselines, bench, datasets, qkernel, qnn, svm
 from qmlgrid.bench import (ExperimentRecord, RecordStore, RunSettings,
                            canonical, cell_seed, select_best)
 from qmlgrid.circuit import encode
-from qmlgrid.errors import IngestionError, UsageError
+from qmlgrid.errors import (ConfigurationError, IngestionError,
+                            TrainingDivergedError, UsageError)
 from qmlgrid.metrics import Metrics, evaluate
 from qmlgrid.pipeline import stratified_split
 
@@ -23,13 +24,13 @@ def fake_metrics(f1, precision=0.5, recall=0.5):
 
 
 def fake_record(family="qsvm", config=None, f1=0.8, train_f1=0.9,
-                n_parameters=10, error=None, k=4):
+                n_parameters=10, k=4):
     m = fake_metrics(f1)
     return ExperimentRecord(
         "heart_failure", family, k,
         config or {"encoding": "z", "repetitions": 1},
         0, 0, n_parameters=n_parameters,
-        train=fake_metrics(train_f1), val=m, test=m, error=error)
+        train=fake_metrics(train_f1), val=m, test=m)
 
 
 def retyped(key, value, split=None) -> str:
@@ -108,13 +109,6 @@ class TestRecordLines:
         b = fake_record(f1=0.9)
         assert a.key() == b.key()
 
-    def test_error_record_round_trip(self):
-        rec = ExperimentRecord("toy", "qsvm", 4, {}, 0, 0,
-                               error="UsageError: boom")
-        back = ExperimentRecord.from_line(rec.to_line())
-        assert back.error == "UsageError: boom"
-        assert back.train is None and back.test is None
-
     def test_line_is_the_field_by_field_formula(self):
         # the line each field was once written into by hand
         def metrics(m):
@@ -128,9 +122,10 @@ class TestRecordLines:
             val=Metrics.from_counts(1, 2, 0, 4),
             test=Metrics.from_counts(0, 0, 3, 6),
             extra={"converged": True, "sweeps": 12}, wall_clock=0.5)
-        failed = ExperimentRecord("toy", "qsvm", 4, {}, 0, 0,
-                                  error="UsageError: boom", wall_clock=0.5)
-        for rec in (full, failed):
+        pca = ExperimentRecord("toy", "pca", 0, {}, 2, 0,
+                               extra={"cumulative_ratio": [0.5, 1.0]},
+                               wall_clock=0.5)
+        for rec in (full, pca):
             want = json.dumps({
                 "dataset": rec.dataset, "family": rec.family, "k": rec.k,
                 "config": rec.config, "split_seed": rec.split_seed,
@@ -214,19 +209,7 @@ class TestRecordStore:
         assert done.key() in str(info.value)
         assert (path.read_bytes(),
                 (tmp_path / "s.jsonl.timings").read_bytes()) == before
-        assert len(store) == 1
-        store.append(fake_record(k=2, error="UsageError: no"))
-        assert len(RecordStore(path)) == 2
-
-    def test_errored_records_may_repeat(self, tmp_path):
-        # a cell that failed on two runs, then succeeded on a third
-        path = tmp_path / "s.jsonl"
-        failed = fake_record(k=2, error="UsageError: no").to_line()
-        path.write_text("\n".join([failed, failed,
-                                   fake_record(k=2).to_line()]) + "\n")
-        store = RecordStore(path)
-        assert len(store) == 3
-        assert store.cell_counts() == (1, 0)
+        assert len(store) == 1 and len(RecordStore(path)) == 1
 
     def test_malformed_complete_line_raises(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -238,15 +221,19 @@ class TestRecordStore:
         '{"dataset": "x"}', "[1, 2]", '"text"', "\udcff",
         retyped("k", "2"), retyped("seed", 1.5), retyped("config", []),
         retyped("n_parameters", True), retyped("error", 3),
+        retyped("error", "UsageError: boom"),
         retyped("test", [1]), retyped("precision", "0.5", "val"),
         retyped("tp", True, "train"), retyped("family", "qsv"),
         retyped("config", {"repetitions": 1}),
-        retyped("config", {"encoding": "zz", "repetitions": 1})],
+        retyped("config", {"encoding": "zz", "repetitions": 1}),
+        retyped("val", None),
+        json.dumps({**json.loads(retyped("config", {})), "family": "pca"})],
         ids=["missing-keys", "list", "string", "not-utf8", "text-k",
              "float-seed", "list-config", "bool-count", "number-error",
-             "list-metrics", "text-ratio", "bool-metric-count",
-             "unknown-family", "config-without-encoding",
-             "unknown-encoding"])
+             "text-error", "list-metrics", "text-ratio",
+             "bool-metric-count", "unknown-family",
+             "config-without-encoding", "unknown-encoding",
+             "cell-without-metrics", "pca-with-metrics"])
     def test_line_that_is_no_record_names_its_line(self, tmp_path, bad):
         path = tmp_path / "s.jsonl"
         data = (fake_record(k=2).to_line() + "\n\n" + bad + "\n").encode(
@@ -289,12 +276,6 @@ class TestSelectBest:
     def test_argmax_val_f1(self):
         recs = [fake_record(f1=0.6), fake_record(f1=0.9), fake_record(f1=0.7)]
         assert select_best(recs) is recs[1]
-
-    def test_error_and_missing_metrics_skipped(self):
-        bad = fake_record(f1=0.99, error="boom")
-        empty = ExperimentRecord("toy", "qsvm", 4, {}, 0, 0)
-        good = fake_record(f1=0.5)
-        assert select_best([bad, empty, good]) is good
 
     def test_train_gate_applies_only_to_listed_families(self):
         weak_qnn = fake_record(family="qnn", f1=0.9, train_f1=0.3,
@@ -388,7 +369,8 @@ class TestRunGrid:
 
     def test_all_cells_clean(self, small_run):
         _, _, store, _, _ = small_run
-        assert [r.error for r in store.records()] == [None] * 20
+        assert all(r.test is not None for r in store.records()
+                   if r.family != "pca")
 
     def test_pca_meta_record_present(self, small_run):
         _, _, store, _, _ = small_run
@@ -482,31 +464,30 @@ class TestRunGrid:
         assert opened and all(fh.closed for fh in opened)
         assert len(RecordStore(path)) == 3
 
-    def test_resume_retries_errored_cell(self, small_run, tmp_path):
+    def test_resume_retries_errored_cell(self, small_run, tmp_path,
+                                         monkeypatch):
+        # the logistic cell is the grid's first, so only the PCA record
+        # is written before it raises
         ds, _, _, settings, _ = small_run
         path = tmp_path / "retry.jsonl"
-        config = {"model": "logistic"}
-        failed = ExperimentRecord(
-            "prostate", "classical", 2, config, 0,
-            cell_seed(0, "prostate", "classical", config, 0),
-            error="LinAlgError: boom")
-        RecordStore(path).append(failed)
+        run = dict(families=("classical",), feature_range=(2, 2))
 
-        store = RecordStore(path)
-        assert not store.has(failed.key())
-        new = bench.run_grid("prostate", ds, store, settings,
-                             families=("classical",), feature_range=(2, 2))
-        redone = [r for r in new if r.key() == failed.key()]
-        assert len(redone) == 1 and redone[0].error is None
-        assert redone[0].test is not None
-        # 7 classical cells + pca meta, on top of the errored record
-        assert len(new) == 8 and len(RecordStore(path)) == 9
+        def broken(*args, **kwargs):
+            raise ConfigurationError("logistic cell broken on purpose")
 
-        before = path.read_bytes()
-        again = bench.run_grid("prostate", ds, RecordStore(path), settings,
-                               families=("classical",), feature_range=(2, 2))
-        assert again == []
-        assert path.read_bytes() == before
+        with monkeypatch.context() as patch:
+            patch.setattr(baselines, "fit_logistic", broken)
+            with pytest.raises(ConfigurationError, match="on purpose"):
+                bench.run_grid("prostate", ds, RecordStore(path), settings,
+                               **run)
+        assert [r.family for r in RecordStore(path).records()] == ["pca"]
+
+        new = bench.run_grid("prostate", ds, RecordStore(path), settings,
+                             **run)
+        assert [r.config for r in new] == bench.classical_grid()
+        whole = tmp_path / "whole.jsonl"
+        bench.run_grid("prostate", ds, RecordStore(whole), settings, **run)
+        assert path.read_bytes() == whole.read_bytes()
 
     def test_resume_under_another_master_seed_is_refused(self, small_run,
                                                          tmp_path):
@@ -551,7 +532,7 @@ class TestRunGrid:
         new = bench.run_grid("prostate", ds,
                              RecordStore(tmp_path / "c.jsonl"), settings,
                              families=("classical",), feature_range=(1, 1))
-        assert len(new) == 8 and all(r.error is None for r in new)
+        assert len(new) == 8
 
     def test_bad_feature_range_rejected(self, small_run, tmp_path):
         ds, _, _, settings, _ = small_run
@@ -562,32 +543,33 @@ class TestRunGrid:
 
 
 class TestRunCell:
-    def test_failure_becomes_error_record(self, small_run):
+    def test_unknown_model_raises(self, small_run):
         ds, _, _, settings, _ = small_run
         bundle = stratified_split(ds, 0)
-        rec = bench.run_cell("prostate", bundle, "classical",
-                             {"model": "perceptron"}, 2, 0, settings)
-        assert rec.error is not None and "perceptron" in rec.error
-        assert rec.test is None
-        assert rec.wall_clock is not None
+        with pytest.raises(UsageError, match="'perceptron'"):
+            bench.run_cell("prostate", bundle, "classical",
+                           {"model": "perceptron"}, 2, 0, settings)
+        with pytest.raises(UsageError, match="unknown family 'quantum'"):
+            bench.run_cell("prostate", bundle, "quantum", {}, 2, 0, settings)
 
     def test_gradient_bug_raises_out_of_run_grid(self, small_run, tmp_path,
                                                  monkeypatch):
+        # a NaN loss is a bug too, as every feature is finite and in
+        # [-1, 1] and the probabilities are floored
         ds, _, _, _, _ = small_run
+        for error in (IndexError("bug"), TrainingDivergedError("NaN loss")):
+            def broken(*args, error=error, **kwargs):
+                raise error
 
-        def broken(*args, **kwargs):
-            raise IndexError("bug")
+            monkeypatch.setattr(qnn, "parameter_shift_gradient", broken)
+            store = RecordStore(tmp_path / f"{type(error).__name__}.jsonl")
+            with pytest.raises(type(error)):
+                bench.run_grid("prostate", ds, store,
+                               RunSettings(qnn_epochs=1, qnn_max_layers=2),
+                               families=("qnn",), feature_range=(2, 2))
+            assert [r.family for r in store.records()] == ["pca"]
 
-        monkeypatch.setattr(qnn, "parameter_shift_gradient", broken)
-        store = RecordStore(tmp_path / "qnn.jsonl")
-        with pytest.raises(IndexError):
-            bench.run_grid("prostate", ds, store,
-                           RunSettings(qnn_epochs=1, qnn_max_layers=2),
-                           families=("qnn",), feature_range=(2, 2))
-        assert [r.family for r in store.records()] == ["pca"]
-
-    def test_solver_failure_becomes_error_record(self, small_run,
-                                                 monkeypatch):
+    def test_solver_failure_raises(self, small_run, monkeypatch):
         ds, _, _, settings, _ = small_run
         bundle = stratified_split(ds, 0)
 
@@ -595,10 +577,10 @@ class TestRunCell:
             raise np.linalg.LinAlgError("singular")
 
         monkeypatch.setattr(bench.svm, "solve_dual", singular)
-        rec = bench.run_cell("prostate", bundle, "qsvm",
-                             {"encoding": "z", "repetitions": 1}, 2, 0,
-                             settings)
-        assert rec.error == "LinAlgError: singular"
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            bench.run_cell("prostate", bundle, "qsvm",
+                           {"encoding": "z", "repetitions": 1}, 2, 0,
+                           settings)
 
     def test_ingestion_error_in_a_cell_is_a_bug(self, small_run,
                                                 monkeypatch):
@@ -622,7 +604,6 @@ class TestRunCell:
             "prostate", bundle, "qnn",
             {"sequence": "Y", "reupload": False, "ansatz": "basic"},
             2, 11, fast)
-        assert rec.error is None
         assert rec.n_parameters == 4       # basic ansatz, 2 qubits, 2 layers
         assert rec.extra["n_layers"] == 2
         assert rec.train is not None and rec.test is not None
@@ -698,11 +679,11 @@ class TestCellInputs:
         # X[:, :k] past d would quietly give d columns
         ds = small_run[0]
         d = ds.n_features
-        rec = bench.run_cell("prostate", stratified_split(ds, 0),
-                             "classical", {"model": "logistic"}, d + 1, 0,
-                             RunSettings())
-        assert rec.error == f"UsageError: k must be in 1..{d}, got {d + 1}"
-        assert (rec.train, rec.val, rec.test) == (None, None, None)
+        with pytest.raises(UsageError,
+                           match=rf"^k must be in 1\.\.{d}, got {d + 1}$"):
+            bench.run_cell("prostate", stratified_split(ds, 0),
+                           "classical", {"model": "logistic"}, d + 1, 0,
+                           RunSettings())
 
     def test_a_qsvm_grid_embeds_each_kernel_map_once_per_k(
             self, small_run, tmp_path, monkeypatch):
@@ -722,7 +703,7 @@ class TestCellInputs:
         new = bench.run_grid("prostate", ds,
                              RecordStore(tmp_path / "q.jsonl"), RunSettings(),
                              families=("qsvm",), feature_range=(2, 3))
-        assert [r.error for r in new] == [None] * 25
+        assert len(new) == 25
         grid = bench.qsvm_grid()
         kinds = list(dict.fromkeys(c["encoding"] for c in grid))
         most = max(c["repetitions"] for c in grid)
@@ -757,12 +738,12 @@ class TestCellInputs:
         # entry reps - 1 of the memoized stack would be another count's
         # states, or none
         bundle = stratified_split(datasets.synthetic("prostate"), 0)
-        rec = bench.run_cell("prostate", bundle, "qsvm",
-                             {"encoding": "z", "repetitions": reps}, 2, 0,
-                             RunSettings())
-        assert rec.error == ("ConfigurationError: repetitions must be in "
-                             f"1..3, got {reps}")
-        assert (rec.train, rec.val, rec.test) == (None, None, None)
+        with pytest.raises(ConfigurationError,
+                           match=rf"^repetitions must be in 1\.\.3, "
+                                 rf"got {reps}$"):
+            bench.run_cell("prostate", bundle, "qsvm",
+                           {"encoding": "z", "repetitions": reps}, 2, 0,
+                           RunSettings())
 
     def test_qsvm_cells_match_per_split_embeds(self):
         # the record equals one built from a fresh embed per split, as

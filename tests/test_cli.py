@@ -28,7 +28,8 @@ class TestRunAndReport:
                      "--families", "classical", "--store", str(store)])
         assert code == 0
         text = capsys.readouterr().out
-        assert "8 new records (0 failed)" in text    # 7 cells + pca meta
+        # 7 cells + pca meta
+        assert "8 new records, store now 7 completed cells" in text
 
         # resume: nothing new
         code = main(["run", "--dataset", "prostate", "--features", "2",
@@ -44,29 +45,28 @@ class TestRunAndReport:
             "prostate_pca_variance.csv", "prostate_qnn.csv",
             "prostate_qsvm.csv"]
 
-    def test_resume_counts_a_failing_cell_once(self, tmp_path, capsys,
-                                               monkeypatch):
+    def test_a_cell_that_raises_exits_2_and_is_retried(self, tmp_path,
+                                                        capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ConfigurationError("logistic cell broken on purpose")
 
-        monkeypatch.setattr(baselines, "fit_logistic", broken)
-        store = tmp_path / "s.jsonl"
+        store, whole = tmp_path / "s.jsonl", tmp_path / "whole.jsonl"
         argv = ["run", "--dataset", "prostate", "--features", "2",
-                "--families", "classical", "--store", str(store)]
-        resumes = []
-        for _ in range(3):
-            assert main(argv) == 0
-            text = capsys.readouterr().out
-            # the cell is retried each run
-            assert ("(1 failed), store now 6 completed cells, 1 errored"
-                    in text)
-            resumes += [line for line in text.splitlines()
-                        if "resuming" in line]
-        # the store holds one error line per run, but the cell counts once
-        assert len(store.read_text().splitlines()) == 10
-        assert resumes == [
-            f"store {store}: 6 completed cells, 1 errored to retry, resuming"
-        ] * 2
+                "--families", "classical", "--store"]
+        with monkeypatch.context() as patch:
+            patch.setattr(baselines, "fit_logistic", broken)
+            assert main(argv + [str(store)]) == 2
+        assert capsys.readouterr().err == (
+            "error: logistic cell broken on purpose\n")
+        assert [json.loads(line)["family"]
+                for line in store.read_text().splitlines()] == ["pca"]
+
+        assert main(argv + [str(store)]) == 0
+        out = capsys.readouterr().out
+        assert f"store {store}: 0 completed cells, resuming" in out
+        assert "7 new records, store now 7 completed cells" in out
+        assert main(argv + [str(whole)]) == 0
+        assert store.read_bytes() == whole.read_bytes()
 
     def test_seed_flag_sets_master_seed(self, tmp_path, capsys):
         store = tmp_path / "s9.jsonl"
@@ -332,6 +332,27 @@ class TestVerifyCommand:
         if failing:
             assert any(line.startswith("FAIL  check_svm_oracle")
                        for line in out)
+
+
+    def test_a_bad_data_directory_is_refused_before_any_check(
+            self, tmp_path, capsys, monkeypatch):
+        called = []
+
+        def check(name):
+            called.append(name)
+            return verify.CheckResult(name, True, "stub", 0.0)
+
+        for name in self.CHECKS:
+            monkeypatch.setattr(verify, name, lambda n=name: check(n))
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        monkeypatch.setenv(datasets.DATA_DIR_ENV, str(not_a_dir))
+        assert main(["verify"]) == 2
+        assert called == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: ${datasets.DATA_DIR_ENV}="
+                       f"{str(not_a_dir)!r} is not a directory\n")
 
 
 class TestDatasetsCommand:
