@@ -19,7 +19,11 @@ when it is re-uploaded. The blocks fuse:
   the low half), and re-uploads share one payload.
 * a trainable layer: its rotations multiply into one 2x2 per qubit,
   their Kronecker product K is one 2**n x 2**n matrix, and the ring's
-  CNOTs permute its rows: a "unitary" op P K.
+  CNOTs permute its rows: a "unitary" op P K. A plan cached per width
+  (_layer_plan) gathers the entries of K's high and low half from the
+  2x2s by flat index tables, in _kron's association, and folds P into
+  the rows the halves give, so P K comes out of one product with
+  _kron's bits.
 
 The encoding block depends only on the row and on the width and
 encoding sequence, so encode computes it once for a whole feature
@@ -30,9 +34,11 @@ width and sequence. Every step is elementwise per row, so a gather of
 its rows equals a fresh encode of those rows bit for bit.
 resolve_fused then builds only the layers from theta, once per call:
 every layer's rotation chain prefixes in one stacked pass, the
-unitaries from the last prefixes, and hands the prefixes on for the
-adjoint gradient. run_batch runs the QNN from a copy of the encoding's
-opening states.
+unitaries from the last prefixes by the plan, and hands the prefixes on
+for the adjoint gradient. run_batch runs the QNN from a copy of the
+encoding's opening states. _kron still builds the per-row encoding
+payloads: on their widest dense factor (4 qubits) a gather plan was
+1.7-2.3x slower at 100 to 768 rows.
 
 Rotation d on qubit q of layer r takes parameter (r * n + q) * depth + d,
 so theta is a (layers, n, depth) array flattened.
@@ -60,7 +66,10 @@ ANSATZ_ROTATIONS = {"basic": ("rx",), "strongly": ("rz", "ry", "rz")}
 # batch of 32 through two layers, fused vs gate by gate: a one-rotation
 # (basic) layer gains 1.1x at n = 8 (its forward pass loses, 0.7x) and
 # loses at n = 9 (0.8x); a three-rotation re-upload layer gains 2.3x at
-# n = 9 and breaks even at n = 10. No grid cell is wider than 6 qubits
+# n = 9 and breaks even at n = 10. These ratios date from when _kron and
+# a row gather built the layers; the gather plan builds two n = 8 layers
+# 1.4x faster and 31 of them 2.2-2.9x, so the fused side has only gained
+# since. No grid cell is wider than 6 qubits
 FUSE_MAX_QUBITS = 8
 
 # widest encoding block applied as one dense per-sample matrix; wider
@@ -163,6 +172,76 @@ def _kron(u: np.ndarray) -> np.ndarray:
         hi.shape[:-2] + (size, size))
 
 
+def _gather_tree(first: int, k: int, depth: int, rows, cols,
+                 tables) -> slice | tuple:
+    """_kron's product tree over qubits first..first+k-1 for the entries
+    (rows, cols) of their Kronecker product: a leaf is the slice of the
+    flat gather table, appended to `tables`, that picks its qubit's 2x2
+    entries from the flat (layers, n * depth * 4) chain prefixes (the
+    last prefix of each qubit); a node is the (high, low) pair that
+    _kron multiplies in that order."""
+    if k == 1:
+        start = sum(map(len, tables))
+        tables.append((first * depth + depth - 1) * 4 + 2 * (rows & 1)
+                      + (cols & 1))
+        return slice(start, start + len(rows))
+    half = k // 2
+    low = (1 << half) - 1
+    return (_gather_tree(first + half, k - half, depth, rows >> half,
+                         cols >> half, tables),
+            _gather_tree(first, half, depth, rows & low, cols & low, tables))
+
+
+def _tree_product(gathered: np.ndarray, tree) -> np.ndarray:
+    """The entries of a _gather_tree over gathered (layers, entries)."""
+    if isinstance(tree, slice):
+        return gathered[:, tree]
+    return _tree_product(gathered, tree[0]) * _tree_product(gathered, tree[1])
+
+
+@lru_cache(maxsize=None)
+def _layer_plan(n_qubits: int, depth: int) -> tuple:
+    """(table, factors) that build the layer unitaries P K of
+    _layer_unitaries: one read-only flat gather table over the chain
+    prefixes, and for the high and the low half of the qubits, as _kron
+    splits them, the (tree, rows, width) of their Kronecker factor. A
+    factor's entries are products of gathered 2x2 entries in _kron's
+    association, so every entry of K gets _kron's bits; rows are the
+    factor's rows that the CNOT ring P picks."""
+    perm = _ring_perm(n_qubits)
+    half = n_qubits // 2
+    tables, factors = [], []
+    for first, k, rows in ((half, n_qubits - half, perm >> half),
+                           (0, half, perm & ((1 << half) - 1))):
+        width = 1 << k
+        entries = np.arange(width * width)
+        tree = _gather_tree(first, k, depth, entries // width,
+                            entries % width, tables)
+        rows.flags.writeable = False
+        factors.append((tree, rows, width))
+    table = np.concatenate(tables)
+    table.flags.writeable = False
+    return table, tuple(factors)
+
+
+def _layer_unitaries(chains: np.ndarray) -> np.ndarray:
+    """(layers, 2**n, 2**n): layer r's unitary P K, K the Kronecker
+    product of the last prefixes chains[r, :, -1] and P the CNOT ring,
+    with the bits of _kron(chains[:, :, -1])[:, _ring_perm(n)]. Row i of
+    P K is row perm[i] of K: the product of the high half's row
+    perm[i] >> n//2 and the low half's row perm[i] mod 2**(n//2). So the
+    ring's permutation folds into the halves' rows, and one broadcast
+    product, _kron's last, writes every entry once."""
+    layers, n, depth = chains.shape[:3]
+    table, factors = _layer_plan(n, depth)
+    gathered = chains.reshape(layers, -1).take(table, axis=1)
+    hi, lo = [_tree_product(gathered, tree).reshape(layers, width, width)
+              .take(rows, axis=1) for tree, rows, width in factors]
+    size = 1 << n
+    return (hi[:, :, :, None] * lo[:, :, None, :]).reshape(layers, size,
+                                                           size)
+
+
 def _local_payload(chains: np.ndarray) -> tuple:
     """The read-only "local" payload of per-qubit 2x2s (..., n, 2, 2):
     their Kronecker product, or above LOCAL_DENSE_QUBITS qubits the
@@ -242,7 +321,7 @@ def resolve_fused(config, encoded: Encoding, theta) -> tuple:
     rotations = ANSATZ_ROTATIONS[config.ansatz]
     chains = _chain_prefixes(_rotation_factors(rotations, np.asarray(
         theta, dtype=np.float64).reshape(config.n_layers, n, len(rotations))))
-    unitaries = _kron(chains[:, :, -1])[:, _ring_perm(n)]
+    unitaries = _layer_unitaries(chains)
     ops = []
     for r, unitary in enumerate(unitaries):
         if r and config.reupload:

@@ -15,11 +15,13 @@ parameters on every call, together with each layer's rotation chain
 prefixes: a forward pass and a gradient each build the chains once per
 parameter vector, and the gradient reads its derivatives off those same
 prefixes. A layer costs one matrix product forward and one back, and
-its derivatives come from n reduced 2x2 matrices, each layer's in one
-gather of a cached index table, so a gradient costs 2.0 to 2.7
-forward passes whatever the parameter count (n = 4..6, up to 180
-parameters, batch 32). The chain through softmax and the loss is
-analytic.
+its derivatives come from n reduced 2x2 matrices: the layers' products
+stack up to REDUCE_ENTRIES entries and reduce in one gather of a cached
+index table and one sum. A gradient costs 2.2 to 3.4 forward passes
+(median 2.8) whatever the parameter count (n = 4..6, up to 180
+parameters, batch 32, min of 25 interleaved runs). The chain through
+softmax and the loss is analytic. Labels are 0/1; train and batch_loss
+refuse any other.
 `reference.shift_rule_gradient` keeps the parameter-shift rule on the
 gate-by-gate reference.qnn_gates as the oracle.
 """
@@ -37,6 +39,19 @@ from .errors import ConfigurationError, TrainingDivergedError, UsageError
 from .statevec import apply_ops
 
 PROB_FLOOR = 1e-12
+
+# row y is the one-hot of label y: subtracting its gather takes 1.0 off
+# the label's probability and 0.0, exactly, off the other
+_ONE_HOT = np.eye(2)
+_ONE_HOT.flags.writeable = False
+
+# entries of the per-layer products C that a gradient stacks before it
+# reduces them: up to 64 layers at n = 4, 4 at n = 6, one at n >= 7.
+# Gradients of a batch of 32 with 2 to 10 layers, min of 11 runs: this
+# bound is 4-12% faster than one reduction per layer at n = 4 to 7; a
+# bound of 1 << 16 (a 640 KiB stack at n = 6 with 10 layers) made that
+# gradient 1.3x slower than one reduction per layer
+REDUCE_ENTRIES = 1 << 14
 
 # Adam moment decay rates and denominator floor (Kingma & Ba defaults)
 ADAM_BETA1 = 0.9
@@ -102,10 +117,11 @@ def init_model(config: QnnConfig, class_weights) -> QnnModel:
 
 
 def softmax_pair(e: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a (B, 2) array, numerically stable."""
-    shifted = e - e.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    """Row-wise softmax of a (B, 2) array, numerically stable. The two
+    columns' maximum and sum are elementwise ops, with the bits of the
+    row-wise max and sum reductions (and not their per-call cost)."""
+    ex = np.exp(e - np.maximum(e[:, :1], e[:, 1:]))
+    return ex / (ex[:, :1] + ex[:, 1:])
 
 
 @lru_cache(maxsize=None)
@@ -141,9 +157,22 @@ def predict(probs: np.ndarray) -> np.ndarray:
     return (probs[:, 1] >= probs[:, 0]).astype(int)
 
 
+def _labels(y) -> np.ndarray:
+    """y as an int array of 0/1 class labels. Any other label is
+    refused: a -1 would index the class weights and probabilities as
+    class 1, and a 2 past them."""
+    labels = np.asarray(y)
+    wrong = (labels != 0) & (labels != 1)
+    if wrong.any():
+        raise UsageError(f"expected 0/1 class labels, got "
+                         f"{np.unique(labels[wrong]).tolist()}")
+    return labels.astype(int)
+
+
 def batch_loss(model: QnnModel, X: Encoding, y: np.ndarray) -> float:
-    """Class-weighted cross-entropy of forward_batch, mean over rows."""
-    y = np.asarray(y, dtype=int)
+    """Class-weighted cross-entropy of forward_batch, mean over rows;
+    labels other than 0 and 1 are refused."""
+    y = _labels(y)
     probs = forward_batch(model, X)
     picked = np.maximum(probs[np.arange(len(y)), y], PROB_FLOOR)
     w = model.class_weights[y]
@@ -167,7 +196,8 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
     resolve_fused built for the layer unitaries, so a gradient builds
     its chains once. The name predates the adjoint method
     and is kept for the benchmark's span; `reference.shift_rule_gradient`
-    is the oracle.
+    is the oracle. It trusts its caller's labels to be 0 or 1: train
+    checks them once per call, so no step pays for the check.
     """
     y = np.asarray(y, dtype=int)
     batch = len(y)
@@ -180,16 +210,20 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
     psi[:] = X.states
     apply_ops(psi, n, ops)
     # d loss_i / d e_q = w_{y_i} (p_q - [q == y_i]); mean over the batch
-    delta = softmax_pair(_readout(psi, n))
-    delta[np.arange(batch), y] -= 1.0
-    dl_de = (model.class_weights[y][:, None] * delta) / batch
+    delta = softmax_pair(_readout(psi, n)) - _ONE_HOT.take(y, axis=0)
+    dl_de = (model.class_weights.take(y)[:, None] * delta) / batch
     signs = _z_signs(n)
     observable = dl_de[:, :1] * signs[0] + dl_de[:, 1:] * signs[1]
     np.multiply(observable, psi, out=lam)
 
     pairs = _reduction_indices(n)
+    layers = len(chains)
     reduced = np.empty(chains.shape[:2] + (2, 2), dtype=complex)
-    layer = len(reduced)
+    # the layers' products C stack in `products`, span layers at a
+    # time, and each span reduces in one gather and one sum
+    span = max(1, REDUCE_ENTRIES >> 2 * n)
+    products = np.empty((min(span, layers), 1 << n, 1 << n), dtype=complex)
+    layer = layers
     # ops to undo collect in `undo` and run only when a layer needs the
     # states at its input; the opening product state is never undone.
     # Every re-upload is the same "local" op, so its inverse is built once
@@ -205,7 +239,12 @@ def parameter_shift_gradient(model: QnnModel, X: Encoding,
         undo = []
         # R_q[a, b] sums C[i, j] = sum_b psi_b[i] conj(lam_b[j])
         # over the pairs of _reduction_indices
-        reduced[layer] = np.take(psi.T @ lam.conj(), pairs).sum(-1)
+        np.matmul(psi.T, lam.conj(), out=products[layer % span])
+        if not layer % span:
+            stop = min(layer + span, layers)
+            np.add.reduce(products[:stop - layer].reshape(stop - layer, -1)
+                          .take(pairs, axis=1), axis=-1,
+                          out=reduced[layer:stop])
     return _layer_gradients(model.config, chains, reduced)
 
 
@@ -261,15 +300,16 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int) -> LayerTrial:
     TrainReport); a caller predicts any split with forward_batch of that
     model. Training stops once validation loss has not improved for
     PATIENCE consecutive epochs, so a model already at a plateau stops
-    exactly PATIENCE epochs past its best.
+    exactly PATIENCE epochs past its best. Labels other than 0 and 1 are
+    refused before the first step.
     """
     if epochs < 1:
         raise UsageError(f"epochs must be >= 1, got {epochs}")
-    X_tr, y_tr = train_set[0], np.asarray(train_set[1], dtype=int)
+    X_tr, y_tr = train_set[0], _labels(train_set[1])
     if not model.config.reupload:
         # a batch gather then copies the opening states alone
         X_tr = replace(X_tr, local=())
-    X_va, y_va = val_set[0], np.asarray(val_set[1], dtype=int)
+    X_va, y_va = val_set[0], _labels(val_set[1])
     rng = np.random.default_rng([model.config.seed, 1])
 
     params = model.parameters.copy()

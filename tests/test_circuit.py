@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmlgrid import qkernel, reference
-from qmlgrid.circuit import (ANSATZ_ROTATIONS, _chain_products,
+from qmlgrid import circuit, qkernel, reference
+from qmlgrid.circuit import (ANSATZ_ROTATIONS, _chain_products, _kron,
                              _rotation_factors, _ring_perm, encode,
                              resolve_fused, run_batch)
 from qmlgrid.errors import ConfigurationError, UsageError
@@ -343,6 +343,35 @@ class TestChainPrefixes:
                         assert np.array_equal(
                             np.signbit(getattr(got, part)),
                             np.signbit(getattr(want, part))), (n, ansatz, d)
+
+
+class TestLayerPlan:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_unitaries_equal_the_permuted_kronecker_product(self, n):
+        # every layer unitary resolve_fused hands out vs _kron of the
+        # last chain prefixes with the ring's rows gathered after, by
+        # bytes
+        rng = np.random.default_rng(40 + n)
+        for n_layers in (1, 2, 11, 31):
+            for ansatz in ("basic", "strongly"):
+                config = QnnConfig(n, ("Y",), False, ansatz, n_layers)
+                theta = rng.uniform(-np.pi, np.pi, config.n_parameters())
+                # exact zeros and sign flips where sin and cos vanish
+                theta[::5] = rng.choice([0.0, np.pi, -np.pi],
+                                        len(theta[::5]))
+                encoded = encode(config, np.zeros((1, n)))
+                ops, chains = resolve_fused(config, encoded, theta)
+                want = _kron(chains[:, :, -1])[:, _ring_perm(n)]
+                got = np.stack([payload for _, payload in ops])
+                assert got.tobytes() == want.tobytes(), (n_layers, ansatz)
+                assert all(payload.flags.c_contiguous for _, payload in ops)
+
+    def test_plan_is_cached_and_read_only(self):
+        plan = circuit._layer_plan(5, 3)
+        assert circuit._layer_plan(5, 3) is plan
+        table, factors = plan
+        assert not table.flags.writeable
+        assert not any(rows.flags.writeable for _, rows, _ in factors)
 
 
 class TestRunBatch:

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmlgrid import bench, datasets, qnn, reference
-from qmlgrid.circuit import (FUSE_MAX_QUBITS, _chain_products,
-                             _rotation_factors, encode, resolve_fused,
-                             run_batch)
+from qmlgrid import bench, circuit, datasets, qnn, reference
+from qmlgrid.circuit import (FUSE_MAX_QUBITS, _chain_products, _kron,
+                             _ring_perm, _rotation_factors, encode,
+                             resolve_fused, run_batch)
 from qmlgrid.errors import ConfigurationError, TrainingDivergedError, UsageError
 from qmlgrid.metrics import evaluate
 from qmlgrid.pipeline import stratified_split
@@ -109,6 +109,27 @@ class TestForward:
                 assert np.array_equal(qnn._readout(amps[cut:], n),
                                       whole[cut:]), (n, cut)
 
+    def test_softmax_pair_keeps_the_reductions_bits(self):
+        # the column-wise maximum and sum against the row-wise max and
+        # sum reductions they replace, by bytes, on zeros of both signs,
+        # infinities, subnormals and every scale; a NaN stays a NaN
+        def reduced(e):
+            ex = np.exp(e - e.max(axis=1, keepdims=True))
+            return ex / ex.sum(axis=1, keepdims=True)
+
+        rng = np.random.default_rng(12)
+        special = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324,
+                   1e308, -1e308]
+        inputs = [rng.normal(size=(200, 2)) * scale
+                  for scale in (1e-300, 1e-10, 1.0, 10.0, 700.0, 1e300)]
+        inputs.append(np.array([[a, b] for a in special for b in special]))
+        with np.errstate(all="ignore"):
+            for e in inputs:
+                got, want = softmax_pair(e), reduced(e)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan)
+                assert got[~nan].tobytes() == want[~nan].tobytes()
+
     def test_predict_ties_go_to_class_one(self):
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=0),
                            (0.5, 0.5))
@@ -132,6 +153,19 @@ class TestLoss:
     def test_label_validation(self):
         with pytest.raises(UsageError):
             weighted_cross_entropy((0.5, 0.5), 2, (0.5, 0.5))
+
+    @pytest.mark.parametrize("labels", ([1, -1, 1, -1], [0, 2, 1, 0],
+                                        [0.5, 1, 0, 0]))
+    def test_batch_loss_refuses_labels_but_zero_and_one(self, labels):
+        # -1/+1 labels once read every -1 as class 1, and a 2 ran past
+        # the class weights with a bare IndexError
+        model = init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=1),
+                           (0.3, 0.7))
+        encoded = encode(model.config, np.zeros((4, 2)))
+        with pytest.raises(UsageError, match="0/1 class labels"):
+            batch_loss(model, encoded, np.array(labels))
+        assert np.isfinite(batch_loss(model, encoded,
+                                      np.array([1, 0, True, False])))
 
     def test_batch_loss_is_mean_of_sample_losses(self):
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 2, seed=1),
@@ -237,6 +271,35 @@ class TestFusedGradient:
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
+class TestLayerBuild:
+    @pytest.mark.parametrize("n", range(2, FUSE_MAX_QUBITS + 1))
+    def test_gradient_and_forward_keep_their_bits(self, n, monkeypatch):
+        # the gather plan and the stacked reductions against the layer
+        # build they replace (_kron, then the ring's rows) with every
+        # layer reduced alone, by bytes: the golden records pin only
+        # n = 4 and 5
+        rng = np.random.default_rng(60 + n)
+        models = []
+        for reupload in (False, True):
+            for ansatz in ("basic", "strongly"):
+                cfg = QnnConfig(n, ("Y", "X"), reupload, ansatz, 3,
+                                seed=int(rng.integers(1000)))
+                X = encode(cfg, rng.uniform(-1, 1, (6, n)))
+                models.append((init_model(cfg, (0.35, 0.65)), X,
+                               rng.integers(0, 2, 6)))
+
+        def outputs():
+            return [(parameter_shift_gradient(model, X, y).tobytes(),
+                     forward_batch(model, X).tobytes())
+                    for model, X, y in models]
+
+        got = outputs()
+        monkeypatch.setattr(circuit, "_layer_unitaries", lambda chains: _kron(
+            chains[:, :, -1])[:, _ring_perm(chains.shape[1])])
+        monkeypatch.setattr(qnn, "REDUCE_ENTRIES", 0)
+        assert got == outputs()
+
+
 class TestTraining:
     def test_plateau_stops_patience_epochs_past_best(self, monkeypatch):
         monkeypatch.setattr(qnn, "LEARNING_RATE", 0.0)
@@ -257,6 +320,21 @@ class TestTraining:
         f1 = evaluate(y, predict(forward_batch(fitted, data[0]))).f1
         assert f1 >= 0.95
         assert report.stopped_epoch <= 100
+
+    def test_refuses_labels_but_zero_and_one_before_a_step(self,
+                                                           monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(qnn, "parameter_shift_gradient", no_step)
+        X, y = toy_sign_task(16)
+        model = init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=2),
+                           (0.5, 0.5))
+        encoded = encode(model.config, X)
+        for bad_train, bad_val in ((2 * y - 1, y), (y, 2 * y)):
+            with pytest.raises(UsageError, match="0/1 class labels"):
+                train(model, (encoded, bad_train), (encoded, bad_val),
+                      epochs=1)
 
     def test_non_finite_validation_loss_aborts(self):
         X, y = toy_sign_task(16)
