@@ -13,31 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
+from .pipeline import weight_pair, zero_one
 
 
 def _check_xy(X, y, class_weights):
     """X, y and the class weights as arrays, once each is known to fit:
-    at least one row, finite features, 0/1 labels, and two finite,
-    non-negative weights with a positive sum (one may be zero)."""
+    at least one row, finite features, and labels and weights as
+    pipeline.zero_one and pipeline.weight_pair take them."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=int)
+    y = zero_one(y)
     if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
         raise UsageError(f"bad training data shapes: {X.shape}, {y.shape}")
     if not len(y):
         raise UsageError("no training rows")
     if not np.isfinite(X).all():
         raise UsageError("training features must be finite")
-    if not np.all(np.isin(y, (0, 1))):
-        raise UsageError("labels must be 0/1")
-    try:
-        weights = np.asarray(class_weights, dtype=np.float64)
-    except (TypeError, ValueError):
-        weights = np.empty(0)
-    if not (weights.shape == (2,) and np.isfinite(weights).all()
-            and weights.min() >= 0.0 and weights.sum() > 0.0):
-        raise UsageError("class weights must be two finite, non-negative "
-                         f"numbers with a positive sum, not {class_weights}")
-    return X, y, weights
+    return X, y, weight_pair(class_weights)
 
 
 def _check_rows(X, width: int, exact: bool) -> np.ndarray:
@@ -74,23 +65,20 @@ ROUNDOFF = 16 * np.finfo(np.float64).eps    # of the loss, relative
 
 def fit_logistic(X, y, class_weights=(1.0, 1.0)) -> LogisticModel:
     """Newton's method (IRLS) on the weighted mean log-loss, from zero
-    weights, no regularization; zero-weight rows are left out, and a
-    singular Hessian takes its least-squares step. A step is halved
-    until the loss does not rise or, where it rises by no more than its
-    round-off (ROUNDOFF of it), until max |gradient| falls. The fit
-    converges at max |gradient| <= TOL. It stops unconverged at
-    MAX_STEPS, after MAX_HALVINGS halvings, or at the first weights that
-    strictly separate the classes: such rows have no finite optimum, and
-    only saturated probabilities would take their gradient below TOL.
-    No weights separate rows that are not separable."""
+    weights, no regularization; a singular Hessian takes its least-squares
+    step. A step is halved until the loss does not rise or, where it rises
+    by no more than its round-off (ROUNDOFF of it), until max |gradient|
+    falls. The fit converges at max |gradient| <= TOL. It stops
+    unconverged at MAX_STEPS, after MAX_HALVINGS halvings, or at the first
+    weights that strictly separate the classes: such rows have no finite
+    optimum, and only saturated probabilities would take their gradient
+    below TOL. No weights separate rows that are not separable."""
     X, y, class_weights = _check_xy(X, y, class_weights)
-    live = class_weights[y] > 0.0
     k = X.shape[1]
-    design = np.ones((np.count_nonzero(live), k + 1))    # bias column last
-    design[:, :k] = X[live]
+    design = np.ones((len(y), k + 1))    # bias column last
+    design[:, :k] = X
     scaled = np.empty_like(design)
-    sw = class_weights[y[live]] / len(y)
-    y = y[live]
+    sw = class_weights[y] / len(y)
     sign = 2.0 * y - 1.0
 
     def at(theta) -> tuple:

@@ -5,6 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
+from .pipeline import zero_one
+
 
 def precision_score(tp: int, fp: int) -> float:
     return tp / (tp + fp) if tp + fp else 0.0
@@ -37,24 +40,13 @@ class Metrics:
         return Metrics(tp, fp, fn, tn, p, r, f1_score(p, r))
 
 
-def _zero_one(y, name: str) -> np.ndarray:
-    """y as an int array; any value but 0 and 1 is a ValueError."""
-    y = np.asarray(y)
-    bits = y.astype(int, copy=False)
-    if np.count_nonzero(bits >> 1) or (bits is not y
-                                       and np.count_nonzero(bits != y)):
-        raise ValueError(f"{name} must be 0 or 1, got "
-                         f"{sorted(set(y.ravel().tolist()) - {0, 1})}")
-    return bits
-
-
 def evaluate(y_true, y_pred) -> Metrics:
     """Confusion counts and scores of 0/1 predictions against 0/1 labels.
-    Any other value is a ValueError: counts that skipped it would fall
-    short of the split."""
-    t, p = _zero_one(y_true, "labels"), _zero_one(y_pred, "predictions")
+    Any other value is a UsageError (pipeline.zero_one): counts that
+    skipped it would fall short of the split."""
+    t, p = zero_one(y_true), zero_one(y_pred, "predictions")
     if t.shape != p.shape:
-        raise ValueError(f"shape mismatch: {t.shape} vs {p.shape}")
+        raise UsageError(f"shape mismatch: {t.shape} vs {p.shape}")
     # cell 2 * label + prediction
     tn, fp, fn, tp = np.bincount((2 * t + p).ravel(), minlength=4).tolist()
     return Metrics.from_counts(tp, fp, fn, tn)

@@ -7,7 +7,8 @@ validation (64/16/20 overall), rounded to nearest per class. The chain
 runs once over every row at all d components, and a model at k reads the
 first k columns. A split and its features are a function of the dataset
 and the seed, so nothing about them is saved: a run that needs one
-recomputes it.
+recomputes it. Labels and the grid's class weights enter here, so the
+rules every model calls on them live here too: zero_one and weight_pair.
 """
 from __future__ import annotations
 
@@ -33,11 +34,8 @@ class Dataset:
             raise UsageError(f"misaligned dataset: {X.shape} vs {y.shape}")
         if not np.all(np.isfinite(X)):
             raise UsageError("dataset contains non-finite features")
-        # checked before the cast, which would make 0.5 a 0
-        if not np.all(np.isin(y, (0, 1))):
-            raise UsageError("labels must be 0/1")
         object.__setattr__(self, "features", X)
-        object.__setattr__(self, "labels", y.astype(int))
+        object.__setattr__(self, "labels", zero_one(y))
 
     @property
     def n_rows(self) -> int:
@@ -167,16 +165,44 @@ def minmax_apply(X, lo, hi):
     return np.clip(out, -1.0, 1.0)
 
 
+def zero_one(y, name: str = "labels") -> np.ndarray:
+    """y as an int array, once every entry is 0 or 1: checked before any
+    cast, which would read 0.5 as 0. An int array is not copied."""
+    y = np.asarray(y)
+    if y.dtype.kind in "biu":
+        bits = y.astype(int, copy=False)
+        if not np.count_nonzero(bits >> 1):     # -1 >> 1 is -1
+            return bits
+    elif y.dtype.kind not in "fc":  # str != 0 is one scalar before numpy 1.25
+        y = y.astype(object)        # objects compare elementwise
+    wrong = (y != 0) & (y != 1)
+    if np.any(wrong):
+        bad = sorted({repr(v) for v in y[wrong].tolist()})
+        raise UsageError(f"{name} must be 0 or 1, got {', '.join(bad)}")
+    return y.astype(int)
+
+
+def weight_pair(class_weights) -> np.ndarray:
+    """The class weights (class 0, class 1) as a float array, once they
+    are two finite, positive numbers (an SVM box of 0 cannot move)."""
+    try:
+        weights = np.asarray(class_weights, dtype=np.float64)
+    except (TypeError, ValueError):
+        weights = np.empty(0)
+    if weights.shape != (2,) or not np.all((0 < weights) & (weights < np.inf)):
+        raise UsageError("class weights must be a pair of finite, positive "
+                         f"numbers (class 0, class 1), not {class_weights}")
+    return weights
+
+
 def class_weights(labels):
     """Each class is weighted by the opposite class's share of the data,
     so the minority class gets the larger weight."""
-    y = np.asarray(labels, dtype=int)
-    n0 = int(np.sum(y == 0))
-    n1 = int(np.sum(y == 1))
-    if n0 == 0 or n1 == 0:
+    y = zero_one(labels)
+    n, n1 = y.size, int(y.sum())
+    if n1 in (0, n):
         raise UsageError("class weights need both classes present")
-    n = n0 + n1
-    return (n1 / n, n0 / n)
+    return (n1 / n, (n - n1) / n)
 
 
 # ------------------------------------------------------------------ splits

@@ -20,8 +20,8 @@ stack up to REDUCE_ENTRIES entries and reduce in one gather of a cached
 index table and one sum. A gradient costs 2.2 to 3.4 forward passes
 (median 2.8) whatever the parameter count (n = 4..6, up to 180
 parameters, batch 32, min of 25 interleaved runs). The chain through
-softmax and the loss is analytic. Labels are 0/1; train and batch_loss
-refuse any other.
+softmax and the loss is analytic. Labels pass pipeline.zero_one, one
+per encoded row, and class weights pipeline.weight_pair.
 `reference.shift_rule_gradient` keeps the parameter-shift rule on the
 gate-by-gate reference.qnn_gates as the oracle.
 """
@@ -36,6 +36,7 @@ import numpy as np
 from .circuit import (ANSATZ_ROTATIONS, AXES, FUSE_MAX_QUBITS, Encoding,
                       _layer_gradients, resolve_fused, run_batch)
 from .errors import ConfigurationError, TrainingDivergedError, UsageError
+from .pipeline import weight_pair, zero_one
 from .statevec import apply_ops
 
 PROB_FLOOR = 1e-12
@@ -113,7 +114,7 @@ class QnnModel:
 def init_model(config: QnnConfig, class_weights) -> QnnModel:
     rng = np.random.default_rng(config.seed)
     params = rng.uniform(-np.pi, np.pi, config.n_parameters())
-    return QnnModel(config, params, np.asarray(class_weights, dtype=np.float64))
+    return QnnModel(config, params, weight_pair(class_weights))
 
 
 def softmax_pair(e: np.ndarray) -> np.ndarray:
@@ -157,22 +158,18 @@ def predict(probs: np.ndarray) -> np.ndarray:
     return (probs[:, 1] >= probs[:, 0]).astype(int)
 
 
-def _labels(y) -> np.ndarray:
-    """y as an int array of 0/1 class labels. Any other label is
-    refused: a -1 would index the class weights and probabilities as
-    class 1, and a 2 past them."""
-    labels = np.asarray(y)
-    wrong = (labels != 0) & (labels != 1)
-    if wrong.any():
-        raise UsageError(f"expected 0/1 class labels, got "
-                         f"{np.unique(labels[wrong]).tolist()}")
-    return labels.astype(int)
+def _row_labels(X: Encoding, y) -> np.ndarray:
+    """y as pipeline.zero_one takes it, once it has one per encoded row."""
+    y = zero_one(y)
+    if y.shape != (len(X),):
+        raise UsageError(f"{y.shape} labels for {len(X)} encoded rows")
+    return y
 
 
 def batch_loss(model: QnnModel, X: Encoding, y: np.ndarray) -> float:
     """Class-weighted cross-entropy of forward_batch, mean over rows;
-    labels other than 0 and 1 are refused."""
-    y = _labels(y)
+    labels other than one 0 or 1 per row are refused."""
+    y = _row_labels(X, y)
     probs = forward_batch(model, X)
     picked = np.maximum(probs[np.arange(len(y)), y], PROB_FLOOR)
     w = model.class_weights[y]
@@ -300,16 +297,16 @@ def train(model: QnnModel, train_set, val_set, *, epochs: int) -> LayerTrial:
     TrainReport); a caller predicts any split with forward_batch of that
     model. Training stops once validation loss has not improved for
     PATIENCE consecutive epochs, so a model already at a plateau stops
-    exactly PATIENCE epochs past its best. Labels other than 0 and 1 are
-    refused before the first step.
+    exactly PATIENCE epochs past its best. Labels other than one 0 or 1
+    per row are refused before the first step.
     """
     if epochs < 1:
         raise UsageError(f"epochs must be >= 1, got {epochs}")
-    X_tr, y_tr = train_set[0], _labels(train_set[1])
+    X_tr, y_tr = train_set[0], _row_labels(*train_set)
     if not model.config.reupload:
         # a batch gather then copies the opening states alone
         X_tr = replace(X_tr, local=())
-    X_va, y_va = val_set[0], _labels(val_set[1])
+    X_va, y_va = val_set[0], _row_labels(*val_set)
     rng = np.random.default_rng([model.config.seed, 1])
 
     params = model.parameters.copy()

@@ -1,7 +1,8 @@
 """Weighted soft-margin SVM on a precomputed kernel matrix.
 
 Labels are -1/+1 (+1 is class 1 throughout the package). Class weighting
-enters through per-sample box constraints C_i = class_weights[class_i].
+enters through per-sample box constraints C_i = class_weights[class_i],
+each > 0 by pipeline.weight_pair.
 The dual, written as a minimisation with Q = yy^T * K,
 
     min  1/2 a^T Q a - sum(a)
@@ -54,6 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
+from .pipeline import weight_pair
 
 KERNEL_KINDS = ("linear", "poly3", "rbf", "sigmoid")
 
@@ -93,7 +95,7 @@ def kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class SvmProblem:
     gram: np.ndarray
     labels: np.ndarray          # -1 / +1
-    class_weights: tuple = (1.0, 1.0)   # (class 0, class 1): the boxes
+    class_weights: np.ndarray = (1.0, 1.0)  # (class 0, class 1): the boxes
 
     def __post_init__(self):
         self.gram = np.asarray(self.gram, dtype=np.float64)
@@ -108,13 +110,7 @@ class SvmProblem:
             raise UsageError("need both classes to train")
         if not np.all(np.isfinite(self.gram)):
             raise UsageError("gram has non-finite entries")
-        if np.shape(self.class_weights) != (2,):
-            raise UsageError("class weights must be a pair (class 0, "
-                             f"class 1), not {self.class_weights}")
-        # solve_dual puts every sample in I_up or I_low, which needs C_i > 0
-        if not all(np.isfinite(w) and w > 0 for w in self.class_weights):
-            raise UsageError("class weights must be finite and positive, "
-                             f"not {self.class_weights}")
+        self.class_weights = weight_pair(self.class_weights)
 
     def box(self) -> np.ndarray:
         return np.where(self.labels > 0, self.class_weights[1],
@@ -138,15 +134,15 @@ class SvmModel:
 def solve_dual(problem: SvmProblem, max_iter: int | None = None) -> SvmModel:
     """Maximal-violating-pair SMO on the dual. Returns the last iterate
     with converged=False if max_iter steps (default max(10000, 100 n))
-    did not close the gap m - M to TOL; refuses a negative max_iter."""
+    did not close the gap m - M to TOL; max_iter must be an int >= 0."""
     k = problem.gram
     y = problem.labels
     box = problem.box()
     n = y.size
     if max_iter is None:
         max_iter = max(10_000, 100 * n)
-    elif max_iter < 0:
-        raise UsageError(f"max_iter must be >= 0, not {max_iter}")
+    elif type(max_iter) is not int or max_iter < 0:
+        raise UsageError(f"max_iter must be an int >= 0, not {max_iter!r}")
     cols = np.ascontiguousarray(k.T)    # cols[t] is column t of k
     diag = k.diagonal().copy()
     pos = y > 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmlgrid.errors import UsageError
 from qmlgrid.metrics import (Metrics, evaluate, f1_score, precision_score,
                              recall_score)
 
@@ -45,13 +46,14 @@ def test_shape_mismatch_rejected():
         evaluate([1, 0], [1, 0, 1])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
-@pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
+@pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan"), "a", None])
 def test_values_outside_0_1_refused(bad):
-    # a 2 once fell in no confusion cell, so the counts fell short
-    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+    # a 2 once fell in no confusion cell, so the counts fell short; a
+    # string or None failed in the cast to int with a bare ValueError or
+    # TypeError (UsageError is a ValueError)
+    with pytest.raises(UsageError, match="labels must be 0 or 1"):
         evaluate([0, 1, bad], [0, 1, 1])
-    with pytest.raises(ValueError, match="predictions must be 0 or 1"):
+    with pytest.raises(UsageError, match="predictions must be 0 or 1"):
         evaluate([0, 1, 1], [0, bad, 1])
 
 

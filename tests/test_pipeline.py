@@ -14,6 +14,8 @@ from qmlgrid.pipeline import (
     standardize_apply,
     standardize_fit,
     stratified_split,
+    weight_pair,
+    zero_one,
 )
 
 
@@ -73,11 +75,47 @@ class TestLoadCsv:
 class TestDataset:
     def test_labels_must_be_exactly_0_or_1(self):
         # checked before the cast to int, which would read 0.5 as 0
-        with pytest.raises(UsageError, match="labels must be 0/1"):
+        with pytest.raises(UsageError,
+                           match="labels must be 0 or 1, got 0.5, 1.7"):
             Dataset(np.zeros((4, 2)), [0.5, 1.7, 0.0, 1.0])
         ds = Dataset(np.zeros((3, 2)), [1.0, 0.0, True])
         assert ds.labels.tolist() == [1, 0, 1]
         assert ds.labels.dtype == int
+
+
+class TestLabelRule:
+    @pytest.mark.parametrize("bad, named", [
+        ([0, 1, 0.5], "0.5"), ([1.9, 0], "1.9"), ([0, -1], "-1"),
+        ([2, 1], "2"), (np.array([0, 3], dtype=np.uint8), "3"),
+        ([0, float("nan")], "nan"), (["0", "1"], "'0', '1'"),
+        ([0, 1, "a"], "'0', '1', 'a'"), ([0, None], "None")],
+        ids=["half", "1.9", "minus-one", "two", "uint8", "nan", "digits",
+             "text", "none"])
+    def test_zero_one_refuses_and_names_values_but_0_and_1(self, bad, named):
+        # each is checked before the cast to int, which reads 0.5 and 1.9
+        # as 0 and 1, the strings as numbers, and fails on None
+        with pytest.raises(UsageError, match=f"^y must be 0 or 1, got "
+                                             f"{named}$"):
+            zero_one(bad, "y")
+
+    def test_zero_one_gives_ints_and_keeps_an_int_array(self):
+        y = np.array([0, 1, 1])
+        assert zero_one(y) is y
+        for same in ([0.0, 1.0, 1.0], [False, True, True],
+                     np.array([0, 1, 1], dtype=np.int8), [0, 1, True]):
+            got = zero_one(same)
+            assert got.dtype == int and got.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("weights", [
+        (0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (np.nan, 1.0), (1.0, np.inf),
+        (1.0,), (1.0, 1.0, 1.0), 1.0, ((1.0, 1.0),), ("a", 1.0), None])
+    def test_weight_pair_refuses_all_but_two_positive_numbers(self, weights):
+        with pytest.raises(UsageError, match="class weights must be a pair"):
+            weight_pair(weights)
+
+    def test_weight_pair_gives_floats(self):
+        got = weight_pair([1, 3])
+        assert got.dtype == np.float64 and got.tolist() == [1.0, 3.0]
 
 
 class TestStandardize:

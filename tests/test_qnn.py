@@ -64,6 +64,17 @@ class TestConfig:
         c = init_model(QnnConfig(2, n_layers=3, seed=10), (0.5, 0.5))
         assert not np.array_equal(a.parameters, c.parameters)
 
+    @pytest.mark.parametrize("weights", [(-1.0, 1.0), (0.0, 0.0),
+                                         (np.nan, 1.0), (0.3, 0.7, 1.0),
+                                         (0.5,)])
+    def test_init_model_refuses_class_weights_but_two_positive(self,
+                                                               weights):
+        # batch_loss once read these as 0.0883, 0.0, nan and 1.152, and
+        # the 1-tuple ran out of range with a bare IndexError
+        with pytest.raises(UsageError, match="class weights must be a pair"):
+            init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=1),
+                       weights)
+
 
 class TestForward:
     def test_encoding_only_readout(self):
@@ -162,10 +173,19 @@ class TestLoss:
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=1),
                            (0.3, 0.7))
         encoded = encode(model.config, np.zeros((4, 2)))
-        with pytest.raises(UsageError, match="0/1 class labels"):
+        with pytest.raises(UsageError, match="labels must be 0 or 1"):
             batch_loss(model, encoded, np.array(labels))
         assert np.isfinite(batch_loss(model, encoded,
                                       np.array([1, 0, True, False])))
+
+    @pytest.mark.parametrize("labels", ([0, 1, 1], [0, 1, 1, 0, 1], [[0, 1]]))
+    def test_batch_loss_refuses_a_label_count_but_one_per_row(self, labels):
+        # 3 labels for 4 rows once gave the loss of the first 3 rows
+        model = init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=1),
+                           (0.3, 0.7))
+        encoded = encode(model.config, np.zeros((4, 2)))
+        with pytest.raises(UsageError, match="labels for 4 encoded rows"):
+            batch_loss(model, encoded, labels)
 
     def test_batch_loss_is_mean_of_sample_losses(self):
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 2, seed=1),
@@ -331,8 +351,14 @@ class TestTraining:
         model = init_model(QnnConfig(2, ("Y",), False, "basic", 1, seed=2),
                            (0.5, 0.5))
         encoded = encode(model.config, X)
-        for bad_train, bad_val in ((2 * y - 1, y), (y, 2 * y)):
-            with pytest.raises(UsageError, match="0/1 class labels"):
+        # with more rows than labels, train once never trained on the
+        # rows past the last label
+        for bad_train, bad_val, match in (
+                (2 * y - 1, y, "labels must be 0 or 1"),
+                (y, 2 * y, "labels must be 0 or 1"),
+                (y[:-1], y, "labels for 16 encoded rows"),
+                (y, y[:-1], "labels for 16 encoded rows")):
+            with pytest.raises(UsageError, match=match):
                 train(model, (encoded, bad_train), (encoded, bad_val),
                       epochs=1)
 

@@ -319,7 +319,10 @@ class TestSolverBehavior:
         assert not model.converged
         assert model.sweeps == 1
 
-    @pytest.mark.parametrize("max_iter", [-1, -5])
+    # a 2.5 never equalled a step count, so the solve ran uncapped to
+    # convergence; True capped it at one step
+    @pytest.mark.parametrize("max_iter", [-1, -5, 2.5, 1.0, True, False,
+                                          np.int64(3), "3"])
     def test_rejects_negative_max_iter(self, max_iter):
         problem = random_problem(np.random.default_rng(44))
         with pytest.raises(UsageError, match="max_iter"):
