@@ -13,34 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .pipeline import weight_pair, zero_one
+from .pipeline import feature_matrix, weight_pair, zero_one
 
 
 def _check_xy(X, y, class_weights):
     """X, y and the class weights as arrays, once each is known to fit:
-    at least one row, finite features, and labels and weights as
-    pipeline.zero_one and pipeline.weight_pair take them."""
-    X = np.asarray(X, dtype=np.float64)
-    y = zero_one(y)
-    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
+    at least one row, and features, labels and weights as
+    pipeline.feature_matrix, zero_one and weight_pair take them."""
+    X, y = feature_matrix(X), zero_one(y)
+    if y.ndim != 1 or len(X) != len(y):
         raise UsageError(f"bad training data shapes: {X.shape}, {y.shape}")
     if not len(y):
         raise UsageError("no training rows")
-    if not np.isfinite(X).all():
-        raise UsageError("training features must be finite")
     return X, y, weight_pair(class_weights)
-
-
-def _check_rows(X, width: int, exact: bool) -> np.ndarray:
-    """X as a float array, once it is 2-D with finite entries and, as
-    `exact` says, exactly or at least the `width` columns a model reads."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] < width or (exact and X.shape[1] > width):
-        raise UsageError(f"rows of shape {X.shape} do not fit a model "
-                         f"reading {width} columns")
-    if not np.isfinite(X).all():
-        raise UsageError("features to predict must be finite")
-    return X
 
 
 # ---------------------------------------------------------------- logistic
@@ -79,14 +64,13 @@ def fit_logistic(X, y, class_weights=(1.0, 1.0)) -> LogisticModel:
     design[:, :k] = X
     scaled = np.empty_like(design)
     sw = class_weights[y] / len(y)
-    sign = 2.0 * y - 1.0
 
     def at(theta) -> tuple:
         """(theta, margins, loss, probabilities, gradient, max |gradient|)"""
         z = design @ theta
         p = _sigmoid(z)
         grad = design.T @ (sw * (p - y))
-        margin = sign * z
+        margin = np.where(y, z, -z)     # z signed by each row's label
         return (theta, margin, sw @ np.logaddexp(0.0, -margin), p, grad,
                 np.abs(grad).max())
 
@@ -116,7 +100,10 @@ def fit_logistic(X, y, class_weights=(1.0, 1.0)) -> LogisticModel:
 
 
 def predict_logistic(model: LogisticModel, X) -> np.ndarray:
-    X = _check_rows(X, len(model.weights), exact=True)
+    X = feature_matrix(X)
+    if X.shape[1] != len(model.weights):
+        raise UsageError(f"rows of shape {X.shape} do not fit a model "
+                         f"reading {len(model.weights)} columns")
     p = _sigmoid(X @ model.weights + model.bias)
     return (p >= 0.5).astype(int)
 
@@ -531,7 +518,10 @@ def predict_forest(model: ForestModel, X) -> np.ndarray:
     tree) pair walks down together, one level per pass, and a pass steps
     only the pairs still at an inner node. Rows must be finite and as
     wide as the highest split feature reads."""
-    X = _check_rows(X, int(model.feature.max()) + 1, exact=False)
+    X = feature_matrix(X)
+    if X.shape[1] <= model.feature.max():
+        raise UsageError(f"rows of shape {X.shape} do not reach split "
+                         f"feature {model.feature.max()}")
     n_trees = model.n_trees
     at = np.tile(np.arange(n_trees), len(X))    # pair p: row p // n_trees
     start = np.repeat(np.arange(len(X)) * X.shape[1], n_trees)

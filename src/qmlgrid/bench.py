@@ -355,10 +355,8 @@ def _svm_predictions(gram, kernel_rows, y, rows, weights):
     """(support size, split -> 0/1 predictions, extra) of the SVM fit on
     the train Gram; kernel_rows(r) gives stack rows r against train."""
     tr = rows["train"]
-    model = svm.solve_dual(svm.SvmProblem(
-        gram, np.where(y[tr] == 1, 1, -1), weights))
-    preds = {s: (svm.predict(model, gram if s == "train" else
-                             kernel_rows(r)) > 0).astype(int)
+    model = svm.solve_dual(svm.SvmProblem(gram, y[tr], weights))
+    preds = {s: svm.predict(model, gram if s == "train" else kernel_rows(r))
              for s, r in rows.items()}
     extra = {"converged": bool(model.converged), "sweeps": int(model.sweeps)}
     return len(model.support), preds, extra

@@ -55,6 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UsageError
+from .pipeline import feature_matrix
 from .statevec import apply_ops, product_states
 
 AXES = ("X", "Y", "Z")
@@ -285,8 +286,8 @@ def encode(config, X: np.ndarray) -> Encoding:
     the config with any layer count or ansatz, and with the re-upload
     payload also without re-upload."""
     n = config.n_features
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != n:
+    X = feature_matrix(X)
+    if X.shape[1] != n:
         raise UsageError(f"expected feature matrix with {n} columns, "
                          f"got shape {X.shape}")
     layout = _encoding_layout(config)

@@ -7,8 +7,8 @@ validation (64/16/20 overall), rounded to nearest per class. The chain
 runs once over every row at all d components, and a model at k reads the
 first k columns. A split and its features are a function of the dataset
 and the seed, so nothing about them is saved: a run that needs one
-recomputes it. Labels and the grid's class weights enter here, so the
-rules every model calls on them live here too: zero_one and weight_pair.
+recomputes it. Features, labels and class weights enter here, and so do
+the rules every model checks them by: feature_matrix, zero_one, weight_pair.
 """
 from __future__ import annotations
 
@@ -28,12 +28,10 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=np.float64)
+        X = feature_matrix(self.features)
         y = np.asarray(self.labels)
-        if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
+        if y.ndim != 1 or len(X) != len(y):
             raise UsageError(f"misaligned dataset: {X.shape} vs {y.shape}")
-        if not np.all(np.isfinite(X)):
-            raise UsageError("dataset contains non-finite features")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", zero_one(y))
 
@@ -163,6 +161,16 @@ def minmax_apply(X, lo, hi):
     out = 2.0 * (X - lo) / safe - 1.0
     out = np.where(span == 0.0, 0.0, out)
     return np.clip(out, -1.0, 1.0)
+
+
+def feature_matrix(X) -> np.ndarray:
+    """X as a float array, once it is 2-D with every entry finite."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise UsageError(f"features must be a 2-D matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise UsageError("features must be finite")
+    return X
 
 
 def zero_one(y, name: str = "labels") -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .circuit import _chain_products, _local_payload, _rotation_factors
 from .errors import ConfigurationError, UsageError
+from .pipeline import feature_matrix
 from .statevec import apply_ops, product_states
 
 # kernel feature map kind -> (single-qubit gate, pair shift, phase
@@ -76,11 +77,10 @@ def embed(kind: str, X: np.ndarray, repetitions: int = 1) -> np.ndarray:
     runs."""
     if kind not in KINDS:
         raise ConfigurationError(f"unknown encoding kind {kind!r}")
-    if repetitions < 1:
-        raise ConfigurationError("repetitions must be >= 1")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise UsageError(f"expected a feature matrix, got shape {X.shape}")
+    if type(repetitions) is not int or repetitions < 1:
+        raise ConfigurationError(
+            f"repetitions must be an int >= 1, not {repetitions!r}")
+    X = feature_matrix(X)
     n = X.shape[1]
     gate, shift, _ = FEATURE_MAPS.get(kind, (None, None, None))
     least = 1 if shift is None else 2

@@ -340,7 +340,7 @@ def solve_dual_mvp(problem, max_iter: int | None = None) -> SvmModel:
     I_up, I_low, the gains and the curvatures over all n samples and
     takes j by argmin of -gain^2 / curv over I_low with gain > 0."""
     k = problem.gram
-    y = problem.labels
+    y = np.where(problem.labels == 1, 1.0, -1.0)
     box = problem.box()
     n = y.size
     if max_iter is None:
@@ -379,7 +379,7 @@ def solve_dual_mvp(problem, max_iter: int | None = None) -> SvmModel:
         g -= lam * (k_i - k[:, j])
 
     bias = _final_bias(k, y, a, box)
-    return SvmModel(alphas=a, bias=bias, labels=y.copy(),
+    return SvmModel(alphas=a, bias=bias, signs=y,
                     converged=converged, sweeps=steps)
 
 

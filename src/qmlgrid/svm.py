@@ -1,8 +1,9 @@
 """Weighted soft-margin SVM on a precomputed kernel matrix.
 
-Labels are -1/+1 (+1 is class 1 throughout the package). Class weighting
-enters through per-sample box constraints C_i = class_weights[class_i],
-each > 0 by pipeline.weight_pair.
+Labels are 0/1 by pipeline.zero_one, and predict gives 0/1. The dual
+reads them as signs y_i = 2 label_i - 1, formed by SvmProblem.signs and
+kept as SvmModel.signs. Class weighting enters through per-sample box
+constraints C_i = class_weights[label_i], each > 0 by weight_pair.
 The dual, written as a minimisation with Q = yy^T * K,
 
     min  1/2 a^T Q a - sum(a)
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .pipeline import weight_pair
+from .pipeline import feature_matrix, weight_pair, zero_one
 
 KERNEL_KINDS = ("linear", "poly3", "rbf", "sigmoid")
 
@@ -73,9 +74,8 @@ def kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Classical kernels k(a_i, b_j) with gamma = 1 / n_features:
     linear a.b, poly3 (gamma a.b)^3, rbf exp(-gamma |a - b|^2) and
     sigmoid tanh(gamma a.b)."""
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+    A, B = feature_matrix(A), feature_matrix(B)
+    if A.shape[1] != B.shape[1]:
         raise UsageError(f"bad kernel operands: {A.shape} / {B.shape}")
     gamma = 1.0 / A.shape[1]
     if kind == "linear":
@@ -94,34 +94,35 @@ def kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 @dataclass
 class SvmProblem:
     gram: np.ndarray
-    labels: np.ndarray          # -1 / +1
+    labels: np.ndarray          # 0 / 1
     class_weights: np.ndarray = (1.0, 1.0)  # (class 0, class 1): the boxes
 
     def __post_init__(self):
         self.gram = np.asarray(self.gram, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.float64)
+        self.labels = zero_one(self.labels)
         n = self.labels.size
-        if self.gram.shape != (n, n):
-            raise UsageError(
-                f"gram shape {self.gram.shape} does not match {n} labels")
-        if not np.all(np.isin(self.labels, (-1.0, 1.0))):
-            raise UsageError("labels must be -1/+1")
-        if not ((self.labels > 0).any() and (self.labels < 0).any()):
+        if self.labels.ndim != 1 or self.gram.shape != (n, n):
+            raise UsageError(f"gram shape {self.gram.shape} does not match "
+                             f"labels of shape {self.labels.shape}")
+        if not 0 < self.labels.sum() < n:
             raise UsageError("need both classes to train")
         if not np.all(np.isfinite(self.gram)):
             raise UsageError("gram has non-finite entries")
         self.class_weights = weight_pair(self.class_weights)
 
     def box(self) -> np.ndarray:
-        return np.where(self.labels > 0, self.class_weights[1],
-                        self.class_weights[0])
+        return self.class_weights[self.labels]
+
+    def signs(self) -> np.ndarray:
+        """The dual's -1/+1 for labels 0/1."""
+        return 2.0 * self.labels - 1.0
 
 
 @dataclass
 class SvmModel:
     alphas: np.ndarray
     bias: float
-    labels: np.ndarray
+    signs: np.ndarray           # -1 / +1 of the training labels
     support: np.ndarray = field(default=None)
     converged: bool = True
     sweeps: int = 0
@@ -136,7 +137,7 @@ def solve_dual(problem: SvmProblem, max_iter: int | None = None) -> SvmModel:
     with converged=False if max_iter steps (default max(10000, 100 n))
     did not close the gap m - M to TOL; max_iter must be an int >= 0."""
     k = problem.gram
-    y = problem.labels
+    y = problem.signs()
     box = problem.box()
     n = y.size
     if max_iter is None:
@@ -217,7 +218,7 @@ def solve_dual(problem: SvmProblem, max_iter: int | None = None) -> SvmModel:
 
     a = np.array(a)
     bias = _final_bias(k, y, a, box)
-    return SvmModel(alphas=a, bias=bias, labels=y.copy(),
+    return SvmModel(alphas=a, bias=bias, signs=y,
                     converged=converged, sweeps=steps)
 
 
@@ -238,7 +239,7 @@ def _final_bias(k, y, a, box) -> float:
 
 def kkt_violation(problem: SvmProblem, model: SvmModel) -> float:
     """Largest violation of the optimality conditions; <= TOL at a solution."""
-    y = problem.labels
+    y = problem.signs()
     box = problem.box()
     margins = y * (problem.gram @ (model.alphas * y) + model.bias)
     at_zero = model.alphas <= SV_TOL
@@ -264,12 +265,12 @@ def decision_function(model: SvmModel, kernel_rows: np.ndarray) -> np.ndarray:
         raise UsageError(
             f"kernel rows shape {kernel_rows.shape} does not match "
             f"{model.alphas.size} training points")
-    values = kernel_rows @ (model.alphas * model.labels) + model.bias
+    values = kernel_rows @ (model.alphas * model.signs) + model.bias
     if not np.isfinite(values).all():
         raise UsageError("kernel rows give non-finite decision values")
     return values
 
 
 def predict(model: SvmModel, kernel_rows: np.ndarray) -> np.ndarray:
-    """-1/+1 labels; a decision value of exactly zero goes to +1."""
-    return np.where(decision_function(model, kernel_rows) >= 0.0, 1.0, -1.0)
+    """0/1 labels; a decision value of exactly zero goes to 1."""
+    return (decision_function(model, kernel_rows) >= 0.0).astype(int)

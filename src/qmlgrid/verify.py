@@ -184,13 +184,14 @@ def check_svm_oracle() -> CheckResult:
         n = int(rng.integers(4, 9))
         M = rng.normal(size=(n, n + 3))
         gram = M @ M.T + 1e-8 * np.eye(n)
-        labels = np.ones(n)
-        labels[rng.permutation(n)[:max(1, n // 2)]] = -1.0
+        labels = np.ones(n, dtype=int)
+        labels[rng.permutation(n)[:max(1, n // 2)]] = 0
         # a soft-margin C folded into both class weights
         C = float(rng.uniform(0.5, 4.0))
         problem = svm.SvmProblem(gram, labels,
                                  (C * float(rng.uniform(0.5, 1.5)),
                                   C * float(rng.uniform(0.5, 1.5))))
+        signs = problem.signs()
         model = svm.solve_dual(problem)
         direct = reference.solve_dual_mvp(problem)
         differ += not (np.array_equal(model.alphas, direct.alphas)
@@ -198,13 +199,13 @@ def check_svm_oracle() -> CheckResult:
                        and model.sweeps == direct.sweeps
                        and model.converged == direct.converged)
         alpha_pg = reference.solve_dual_projected_gradient(
-            gram, labels, problem.box())
+            gram, signs, problem.box())
         worst = max(worst, abs(
-            reference.dual_objective(gram, labels, model.alphas) -
-            reference.dual_objective(gram, labels, alpha_pg)))
-        bias_pg = reference.bias_from_alpha(gram, labels, alpha_pg,
+            reference.dual_objective(gram, signs, model.alphas) -
+            reference.dual_objective(gram, signs, alpha_pg)))
+        bias_pg = reference.bias_from_alpha(gram, signs, alpha_pg,
                                             problem.box())
-        pred_pg = np.where(gram @ (alpha_pg * labels) + bias_pg >= 0, 1, -1)
+        pred_pg = gram @ (alpha_pg * signs) + bias_pg >= 0
         mismatches += int(np.sum(svm.predict(model, gram) != pred_pg))
     return CheckResult(
         "svm-oracle", worst <= 1e-4 and mismatches == 0 and differ == 0,

@@ -79,7 +79,7 @@ def _column_3_fits():
     X = rng.normal(size=(60, 4))
     y = (X[:, 3] > 0.0).astype(int)
     svm_model = svm.solve_dual(svm.SvmProblem(
-        svm.kernel_matrix("rbf", X, X), 2.0 * y - 1.0))
+        svm.kernel_matrix("rbf", X, X), y))
     return X, {"logistic": (fit_logistic(X, y), predict_logistic),
                "tree": (fit_tree(X, y), predict_forest),
                "forest": (fit_forest(X, y, seed=3), predict_forest),

@@ -313,7 +313,7 @@ class TestSelectBest:
         # says converged=False; selection passes over it
         rng = np.random.default_rng(6)
         X = rng.normal(size=(12, 3))
-        labels = np.where(np.arange(12) % 2 == 0, 1, -1)
+        labels = (np.arange(12) % 2 == 0).astype(int)
         model = svm.solve_dual(svm.SvmProblem(
             svm.kernel_matrix("rbf", X, X), labels), max_iter=1)
         assert not model.converged
@@ -757,11 +757,11 @@ class TestCellInputs:
         gram = qkernel.gram_matrix(states["train"])
         ytr = bundle.labels("train")
         model = svm.solve_dual(svm.SvmProblem(
-            gram, np.where(ytr == 1, 1, -1), bundle.class_weights()))
+            gram, ytr, bundle.class_weights()))
         for split, X in states.items():
             rows = (gram if split == "train" else
                     qkernel.cross_gram(X, states["train"]))
-            pred = (svm.predict(model, rows) > 0).astype(int)
+            pred = svm.predict(model, rows)
             assert getattr(rec, split) == evaluate(bundle.labels(split), pred)
         assert rec.extra == {"converged": bool(model.converged),
                              "sweeps": int(model.sweeps)}
@@ -785,10 +785,8 @@ class TestCellInputs:
             if model_kind == "svm":
                 kind = config["kernel"]
                 model = svm.solve_dual(svm.SvmProblem(
-                    svm.kernel_matrix(kind, Xtr, Xtr),
-                    np.where(ytr == 1, 1, -1), weights))
-                preds = {s: (svm.predict(model, svm.kernel_matrix(
-                             kind, X, Xtr)) > 0).astype(int)
+                    svm.kernel_matrix(kind, Xtr, Xtr), ytr, weights))
+                preds = {s: svm.predict(model, svm.kernel_matrix(kind, X, Xtr))
                          for s, (X, _) in sets.items()}
                 n_par, extra = len(model.support), {
                     "converged": bool(model.converged),

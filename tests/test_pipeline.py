@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from qmlgrid.baselines import (fit_forest, fit_logistic, fit_tree,
+                               predict_forest, predict_logistic)
+from qmlgrid.circuit import encode
 from qmlgrid.datasets import synthetic
 from qmlgrid.errors import IngestionError, UsageError
 from qmlgrid.pipeline import (
     Dataset,
     class_weights,
+    feature_matrix,
     load_csv,
     minmax_apply,
     minmax_fit,
@@ -17,6 +21,9 @@ from qmlgrid.pipeline import (
     weight_pair,
     zero_one,
 )
+from qmlgrid.qkernel import embed
+from qmlgrid.qnn import QnnConfig
+from qmlgrid.svm import kernel_matrix
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -116,6 +123,44 @@ class TestLabelRule:
     def test_weight_pair_gives_floats(self):
         got = weight_pair([1, 3])
         assert got.dtype == np.float64 and got.tolist() == [1.0, 3.0]
+
+
+# every boundary where a feature matrix enters a model, fed the rows
+_ROWS = np.random.default_rng(5).uniform(-1, 1, size=(8, 2))
+_Y = np.array([0, 1] * 4)
+FEATURE_BOUNDARIES = {
+    "Dataset": lambda X: Dataset(X, _Y),
+    "fit_logistic": lambda X: fit_logistic(X, _Y),
+    "fit_tree": lambda X: fit_tree(X, _Y),
+    "fit_forest": lambda X: fit_forest(X, _Y),
+    "predict_logistic": lambda X: predict_logistic(fit_logistic(_ROWS, _Y),
+                                                   X),
+    "predict_forest": lambda X: predict_forest(fit_tree(_ROWS, _Y), X),
+    "encode": lambda X: encode(QnnConfig(2), X),
+    "embed": lambda X: embed("zz_a", X),
+    "kernel_matrix": lambda X: kernel_matrix("rbf", _ROWS, X),
+}
+
+
+class TestFeatureRule:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("boundary", FEATURE_BOUNDARIES)
+    def test_every_boundary_refuses_non_finite_features(self, boundary, bad):
+        # encode, embed and kernel_matrix once gave NaN states or a NaN
+        # Gram for these, without a word
+        X = _ROWS.copy()
+        X[3, 1] = bad
+        with pytest.raises(UsageError, match="^features must be finite$"):
+            FEATURE_BOUNDARIES[boundary](X)
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 2, 2)), 1.0])
+    def test_refuses_all_but_a_matrix(self, bad):
+        with pytest.raises(UsageError, match="2-D matrix, got shape"):
+            feature_matrix(bad)
+
+    def test_gives_floats(self):
+        got = feature_matrix([[1, 2], [3, 4]])
+        assert got.dtype == np.float64 and got.tolist() == [[1, 2], [3, 4]]
 
 
 class TestStandardize:

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qmlgrid import reference
 from qmlgrid.circuit import _chain_products, _rotation_factors
-from qmlgrid.errors import UsageError
+from qmlgrid.errors import ConfigurationError, UsageError
 from qmlgrid.qkernel import (FEATURE_MAPS, _H, _hadamards, _zz_diagonal,
                              cross_gram, embed, gram_matrix)
 from qmlgrid.statevec import apply_ops, product_states
@@ -55,6 +56,17 @@ class TestKernelValue:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(UsageError):
             kernel_value(("angle", 1), [0.1, 0.2], [0.1])
+
+
+class TestRepetitionCount:
+    # np.empty once refused 2.5 and True with a bare TypeError
+    @pytest.mark.parametrize("reps", [0, -1, 2.5, 1.0, True, np.int64(2),
+                                      "2", None])
+    def test_refuses_all_but_an_int_of_at_least_one(self, reps):
+        with pytest.raises(ConfigurationError,
+                           match=f"repetitions must be an int >= 1, not "
+                                 f"{re.escape(repr(reps))}$"):
+            embed("z", np.zeros((2, 2)), reps)
 
 
 class TestGram:

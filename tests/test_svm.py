@@ -11,7 +11,12 @@ from qmlgrid.svm import (KERNEL_KINDS, SvmModel, SvmProblem,
 
 
 def dual_objective(problem, alphas):
-    return reference.dual_objective(problem.gram, problem.labels, alphas)
+    return reference.dual_objective(problem.gram, problem.signs(), alphas)
+
+
+def as_zero_one(signs):
+    """The 0/1 labels of a drawn -1/+1 vector."""
+    return (np.asarray(signs) > 0).astype(int)
 
 
 def random_problem(rng, n_max=8):
@@ -24,7 +29,7 @@ def random_problem(rng, n_max=8):
     # rbf with gamma = 1/3 on X scaled by sqrt(3 g) is the rbf kernel at g
     X = X * np.sqrt(3.0 * float(rng.uniform(0.2, 1.5)))
     gram = kernel_matrix("rbf", X, X)
-    return SvmProblem(gram, y, class_weights=folded_weights(rng))
+    return SvmProblem(gram, as_zero_one(y), class_weights=folded_weights(rng))
 
 
 def folded_weights(rng):
@@ -73,7 +78,7 @@ class TestSolverOnKnownProblem:
         # points -2,-1,1,2; the margin sits at +-1: alphas (0,.5,.5,0),
         # bias 0, dual objective 0.5
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
-        y = np.array([-1.0, -1.0, 1.0, 1.0])
+        y = np.array([0, 0, 1, 1])
         problem = SvmProblem(kernel_matrix("linear", x, x), y,
                              class_weights=(10.0, 10.0))
         model = solve_dual(problem)
@@ -84,7 +89,7 @@ class TestSolverOnKnownProblem:
         assert list(model.support) == [1, 2]
 
     def test_weighted_boxes(self):
-        y = np.array([-1.0, 1.0, 1.0, -1.0])
+        y = np.array([0, 1, 1, 0])
         problem = SvmProblem(np.eye(4), y, class_weights=(0.5, 1.5))
         np.testing.assert_array_equal(problem.box(), [0.5, 1.5, 1.5, 0.5])
 
@@ -97,17 +102,17 @@ class TestSolverAgainstOracle:
             model = solve_dual(problem)
             box = problem.box()
             oracle = reference.solve_dual_projected_gradient(
-                problem.gram, problem.labels, box)
+                problem.gram, problem.signs(), box)
             ours = dual_objective(problem, model.alphas)
             best = dual_objective(problem, oracle)
             assert ours >= best - 1e-4
             # same training predictions
             oracle_bias = reference.bias_from_alpha(
-                problem.gram, problem.labels, oracle, box)
+                problem.gram, problem.signs(), oracle, box)
             ours_pred = predict(model, problem.gram)
-            oracle_dec = problem.gram @ (oracle * problem.labels) + oracle_bias
-            np.testing.assert_array_equal(ours_pred,
-                                          np.where(oracle_dec >= 0, 1.0, -1.0))
+            oracle_dec = (problem.gram @ (oracle * problem.signs())
+                          + oracle_bias)
+            np.testing.assert_array_equal(ours_pred, oracle_dec >= 0)
 
     def test_invariants_hold(self):
         rng = np.random.default_rng(43)
@@ -117,7 +122,7 @@ class TestSolverAgainstOracle:
             box = problem.box()
             assert np.all(model.alphas >= -1e-12)
             assert np.all(model.alphas <= box + 1e-12)
-            assert abs(model.alphas @ problem.labels) <= 1e-8
+            assert abs(model.alphas @ problem.signs()) <= 1e-8
             assert kkt_violation(problem, model) <= 1e-4 + 1e-9
 
 
@@ -151,7 +156,7 @@ class TestProjectionOracle:
 
     def test_early_exit_is_bit_identical_on_grid_gram_ascent(self):
         problem = grid_problem("heart_failure", 4, "angle", 3)
-        y, box = problem.labels, problem.box()
+        y, box = problem.signs(), problem.box()
         q = (y[:, None] * y[None, :]) * problem.gram
         step = 1.0 / float(np.linalg.eigvalsh(q)[-1])
         alpha = np.zeros(len(y))
@@ -165,9 +170,8 @@ def grid_problem(dataset_key, k, encoding, repetitions):
     """The QSVM cell's training problem at split seed 0."""
     bundle = stratified_split(datasets.synthetic(dataset_key), 0)
     X = bundle.features(k)[bundle.rows["train"]]
-    y = np.where(bundle.labels("train") == 1, 1.0, -1.0)
     gram = gram_matrix(embed(encoding, X, repetitions)[-1])
-    return SvmProblem(gram, y, bundle.class_weights())
+    return SvmProblem(gram, bundle.labels("train"), bundle.class_weights())
 
 
 class TestSolverOnGridGrams:
@@ -186,7 +190,7 @@ class TestSolverOnGridGrams:
         problem = grid_problem("heart_failure", 4, "angle", 3)
         model = solve_dual(problem)
         oracle = reference.solve_dual_projected_gradient(
-            problem.gram, problem.labels, problem.box(), max_iter=20_000)
+            problem.gram, problem.signs(), problem.box(), max_iter=20_000)
         assert model.converged
         assert (dual_objective(problem, model.alphas)
                 >= dual_objective(problem, oracle) - 1e-6)
@@ -196,8 +200,8 @@ def classical_problem(k, kind):
     """The classical SVM cell's training problem on diabetes at split 0."""
     bundle = stratified_split(datasets.synthetic("diabetes"), 0)
     X = bundle.features(k)[bundle.rows["train"]]
-    y = np.where(bundle.labels("train") == 1, 1.0, -1.0)
-    return SvmProblem(kernel_matrix(kind, X, X), y, bundle.class_weights())
+    return SvmProblem(kernel_matrix(kind, X, X), bundle.labels("train"),
+                      bundle.class_weights())
 
 
 def assert_same_iterates(problem, **kwargs):
@@ -244,7 +248,7 @@ class TestSolverMatchesReferenceLoop:
             curv = d[:, None] + d[None, :] - 2.0 * gram
             floored += int(np.any(curv[~np.eye(n, dtype=bool)] <= 0.0))
             assert_same_iterates(SvmProblem(
-                gram, y, class_weights=folded_weights(rng)))
+                gram, as_zero_one(y), class_weights=folded_weights(rng)))
         # the sigmoid Grams are not PSD: their pairs reach the _TAU floor
         assert floored >= 10
 
@@ -256,7 +260,7 @@ class TestSolverMatchesReferenceLoop:
         at_zero = at_box = free = reentries = 0
         for _ in range(30):
             n = int(rng.integers(20, 61))
-            y = np.where(np.arange(n) % 3 == 0, 1.0, -1.0)
+            y = (np.arange(n) % 3 == 0).astype(int)
             X = rng.normal(scale=float(rng.uniform(0.5, 2.0)), size=(n, 3))
             heavy = float(rng.uniform(2.0, 8.0))
             weights = (1.0, heavy) if rng.random() < 0.5 else (heavy, 1.0)
@@ -275,8 +279,8 @@ class TestSolverMatchesReferenceLoop:
             for steps in range(model.sweeps + 1):
                 a = solve_dual(problem, max_iter=steps).alphas
                 below, above = a < box, a > 0.0
-                in_up = np.where(y > 0, below, above)
-                in_low = np.where(y > 0, above, below)
+                in_up = np.where(y == 1, below, above)
+                in_low = np.where(y == 1, above, below)
                 reentries += int(np.sum(left_up & in_up)
                                  + np.sum(left_low & in_low))
                 left_up = (left_up | (was_up & ~in_up)) & ~in_up
@@ -293,7 +297,8 @@ class TestSolverMatchesReferenceLoop:
             X *= 1.0 + 1e-9 * rng.normal(size=(24, 1))
             y = rng.choice([-1.0, 1.0], size=24)
             y[:2] = (-1.0, 1.0)
-            assert_same_iterates(SvmProblem(kernel_matrix("rbf", X, X), y,
+            assert_same_iterates(SvmProblem(kernel_matrix("rbf", X, X),
+                                            as_zero_one(y),
                                             class_weights=(2.0, 2.0)))
 
     def test_non_symmetric_gram(self):
@@ -329,18 +334,44 @@ class TestSolverBehavior:
             solve_dual(problem, max_iter=max_iter)
 
     def test_rejects_single_class(self):
-        with pytest.raises(UsageError):
-            SvmProblem(np.eye(3), np.ones(3))
+        for one_class in (np.ones(3), np.zeros(3)):
+            with pytest.raises(UsageError, match="both classes"):
+                SvmProblem(np.eye(3), one_class)
 
     def test_rejects_bad_labels(self):
-        with pytest.raises(UsageError):
-            SvmProblem(np.eye(2), np.array([0.0, 1.0]))
+        # the -1/+1 labels the solver once took
+        with pytest.raises(UsageError, match="0 or 1, got -1.0$"):
+            SvmProblem(np.eye(2), np.array([-1.0, 1.0]))
+
+
+class TestLabelRule:
+    # the labels were once cast to float and checked for -1/+1, so the
+    # strings '1', '-1' passed as +1, -1 and a solve converged on them,
+    # and 2-D labels built a problem that solve_dual broke on
+    @pytest.mark.parametrize("labels, named", [
+        (['1', '-1'], "'-1', '1'"), (['1', '0'], "'0', '1'"),
+        ([0.5, 1], "0.5")], ids=["signed-strings", "digit-strings", "half"])
+    def test_refuses_labels_but_zero_and_one(self, labels, named):
+        with pytest.raises(UsageError,
+                           match=f"^labels must be 0 or 1, got {named}$"):
+            SvmProblem(np.eye(2), labels)
+
+    def test_refuses_labels_not_1d(self):
+        with pytest.raises(UsageError, match=r"labels of shape \(2, 1\)"):
+            SvmProblem(np.eye(2), [[1], [0]])
+
+    def test_predicts_int_zero_one(self):
+        gram, y = eight_point_rbf()
+        model = solve_dual(SvmProblem(gram, y))
+        pred = predict(model, gram)
+        assert pred.dtype == int and set(pred.tolist()) <= {0, 1}
+        assert np.array_equal(model.signs, 2.0 * y - 1.0)
 
 
 def eight_point_rbf():
     rng = np.random.default_rng(48)
     X = rng.normal(size=(8, 3))
-    return kernel_matrix("rbf", X, X), np.array([-1.0, 1.0] * 4)
+    return kernel_matrix("rbf", X, X), np.array([0, 1] * 4)
 
 
 class TestProblemValidation:
@@ -372,19 +403,19 @@ class TestProblemValidation:
 class TestPrediction:
     def test_zero_decision_goes_positive(self):
         model = SvmModel(alphas=np.zeros(2), bias=0.0,
-                         labels=np.array([-1.0, 1.0]))
-        assert predict(model, np.zeros((1, 2)))[0] == 1.0
+                         signs=np.array([-1.0, 1.0]))
+        assert predict(model, np.zeros((1, 2)))[0] == 1
 
     def test_decision_function_shape_check(self):
         model = SvmModel(alphas=np.zeros(3), bias=0.0,
-                         labels=np.array([-1.0, 1.0, 1.0]))
+                         signs=np.array([-1.0, 1.0, 1.0]))
         with pytest.raises(UsageError):
             decision_function(model, np.zeros((2, 2)))
 
     def test_predict_recovers_training_labels_when_separable(self):
         rng = np.random.default_rng(45)
         X = np.vstack([rng.normal(-3, 0.3, (10, 2)), rng.normal(3, 0.3, (10, 2))])
-        y = np.array([-1.0] * 10 + [1.0] * 10)
+        y = np.array([0] * 10 + [1] * 10)
         gram = kernel_matrix("rbf", X, X)    # gamma = 1/2
         model = solve_dual(SvmProblem(gram, y, class_weights=(5.0, 5.0)))
         np.testing.assert_array_equal(predict(model, gram), y)
